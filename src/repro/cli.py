@@ -745,8 +745,6 @@ def cmd_serve(args) -> int:
 
     if args.horizon_hours is not None and args.horizon_ms is not None:
         args.parser.error("pass --horizon-ms or --horizon-hours, not both")
-    if args.checkpoint_every is not None and args.engine != "event":
-        args.parser.error("--checkpoint-every requires --engine event")
     record_mode = args.record_mode or (
         "stream" if args.horizon_hours is not None else "exact"
     )
@@ -843,7 +841,6 @@ def cmd_serve(args) -> int:
             replay=not args.no_replay,
             tracer=tracer,
             metrics=metrics,
-            engine=args.engine,
             record_mode=record_mode,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=checkpoint_path,
@@ -1373,13 +1370,6 @@ def build_parser() -> argparse.ArgumentParser:
         "time; implies --record-mode stream (O(in-flight) memory)",
     )
     p_serve.add_argument(
-        "--engine",
-        choices=("event", "lockstep"),
-        default="event",
-        help="cluster driver: the incremental event loop (streaming arrivals, "
-        "O(in-flight) memory) or the historical lockstep baseline",
-    )
-    p_serve.add_argument(
         "--record-mode",
         choices=("exact", "stream"),
         default=None,
@@ -1393,7 +1383,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="write a resumable checkpoint at the first quiescent point "
-        "after every N completions (event engine only)",
+        "after every N completions",
     )
     p_serve.add_argument(
         "--checkpoint-path",

@@ -6,9 +6,8 @@ on demand, dispatch policies (:mod:`repro.serve.scheduler`) pick what
 runs next, and an incremental event-queue engine
 (:mod:`repro.serve.cluster`) steps whichever tile is furthest behind so
 queueing composes with shared L2/DRAM/TLB contention while holding only
-O(in-flight + tenants) state.  The historical lockstep driver
-(``engine="lockstep"``, built on :func:`~repro.sim.engine.lockstep_merge`)
-is kept as a bitwise-identical baseline.  Tail-latency/goodput/fairness
+O(in-flight + tenants) state; golden fingerprints (``tests/golden/``) pin
+its request logs.  Tail-latency/goodput/fairness
 SLO metrics fold online (:mod:`repro.serve.metrics` — exact histograms or
 streaming P2 sketches); long runs can checkpoint at quiescent points and
 resume bitwise (:mod:`repro.serve.checkpoint`).  Results export to
@@ -19,7 +18,6 @@ objectives make a design point searchable *under a traffic profile*.
 
 from repro.serve.checkpoint import load_checkpoint, save_checkpoint
 from repro.serve.cluster import (
-    ENGINES,
     RECORD_MODES,
     ServeResult,
     ServingSimulation,
@@ -65,7 +63,6 @@ from repro.serve.workload import (
 
 __all__ = [
     "ARRIVAL_KINDS",
-    "ENGINES",
     "RECORD_MODES",
     "SCHEDULERS",
     "ArrivalSource",

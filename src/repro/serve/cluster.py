@@ -12,26 +12,20 @@ each other down through the shared L2, the DRAM channel and the
 paper's Figure 9c dual-controller study — here driven by open- or
 closed-loop traffic instead of a single run-to-completion.
 
-Two engines drive the same actor logic:
-
-* ``engine="event"`` (default) — the incremental event loop.  Arrivals
-  are admitted *lazily*, one pending arrival per tenant pulled from the
-  streaming :class:`~repro.serve.workload.ArrivalSource`s, and retired
-  requests fold straight into the report accumulator, so peak memory is
-  O(in-flight + tenants) rather than O(trace).  Only this engine supports
-  checkpoint/resume: every ``checkpoint_every`` completions the actors
-  park at their next dispatch point (no generator frames live, nothing
-  in flight) and the whole simulation pickles to ``checkpoint_path``.
-* ``engine="lockstep"`` — the historical path: every tenant's full
-  arrival list materialized up-front and the actors interleaved through
-  :func:`~repro.sim.engine.lockstep_merge`.  Kept as the O(trace)
-  baseline the parity suite and the engine benchmarks compare against.
+Arrivals are admitted *lazily*, one pending arrival per tenant pulled
+from the streaming :class:`~repro.serve.workload.ArrivalSource`s, and
+retired requests fold straight into the report accumulator, so peak
+memory is O(in-flight + tenants) rather than O(trace).  Every
+``checkpoint_every`` completions the actors park at their next dispatch
+point (no generator frames live, nothing in flight) and the whole
+simulation pickles to ``checkpoint_path``.
 
 Determinism: arrivals are seeded per tenant, schedulers tie-break on
 ``(arrival, tenant, index)``, and the event heap resolves equal clocks by
 tile index, so a fixed ``(profile, config, seed)`` reproduces the exact
-request log and latency distribution — bitwise identically on either
-engine, parked or uninterrupted.
+request log and latency distribution — bitwise identically, parked or
+uninterrupted.  The golden fingerprints under ``tests/golden/`` pin those
+request logs for a matrix of profiles.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Generator
 
 from repro.core.config import GemminiConfig
 from repro.mem.hierarchy import MemorySystemConfig
@@ -49,7 +42,7 @@ from repro.serve.metrics import ReportAccumulator, ServeReport
 from repro.serve.request import ModelKey, Request, RequestRecord
 from repro.serve.scheduler import Scheduler, make_scheduler
 from repro.serve.workload import TenantSpec, TrafficProfile, make_source, requests_for
-from repro.sim.engine import EventLoop, lockstep_merge
+from repro.sim.engine import EventLoop
 from repro.sim.trace import SEGMENT_OPS, TraceRecorder, record_steady_state_trace
 from repro.soc.components import SoCDesign
 from repro.soc.os_model import OSConfig
@@ -58,8 +51,6 @@ from repro.sw.runtime import Runtime
 
 __all__ = ["ServeResult", "ServingSimulation", "simulate_serving", "estimate_service_cycles"]
 
-#: the two cluster drivers (see the module docstring)
-ENGINES = ("event", "lockstep")
 #: record retention: "exact" keeps every RequestRecord + exact histograms,
 #: "stream" retires records into P² sketches and keeps none
 RECORD_MODES = ("exact", "stream")
@@ -192,13 +183,12 @@ class _Inflight:
 class _TileActor:
     """One tile as a resumable event-loop actor.
 
-    The historical per-tile generator, unrolled into an explicit state
-    machine so the same logic drives both engines: the event loop steps it
-    directly, the lockstep path wraps it back into a generator.  A step
-    either advances the in-flight macro-op stream by one event, or — at a
-    *dispatch point* (no stream live) — releases arrivals, picks work and
-    starts it.  Retirement and the next dispatch happen inside one step,
-    preserving the generator's atomicity between yields.
+    The per-tile serving loop as an explicit state machine that the event
+    loop steps directly.  A step either advances the in-flight macro-op
+    stream by one event, or — at a *dispatch point* (no stream live) —
+    releases arrivals, picks work and starts it.  Retirement and the next
+    dispatch happen inside one step, so no other tile observes the state
+    between them.
 
     Dispatch points are also where the actor honors a pending checkpoint
     request by parking: it returns ``None`` without mutating anything, so
@@ -266,80 +256,18 @@ class _TileActor:
         return None
 
 
-class _EagerArrivals:
-    """O(trace) arrival plumbing: every pre-scheduled arrival materialized
-    up-front into one global heap (the historical lockstep behavior).
-
-    Pops order by ``(time, push sequence)``; since tenants push their full
-    sorted streams in declaration order and follow-ups push afterwards,
-    ties resolve initial-before-follow-up, tenant declaration order, then
-    per-tenant index — the ordering :class:`_StreamingArrivals` reproduces
-    lazily.
-    """
-
-    def __init__(self, sim: "ServingSimulation") -> None:
-        self.sim = sim
-        self._heap: list[tuple[float, int, Request]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def prime(self) -> None:
-        for spec in self.sim.profile.tenants:
-            self._push(spec, self.sim._sources[spec.name].initial_times())
-
-    def _push(self, spec: TenantSpec, times: list[float]) -> None:
-        sim = self.sim
-        start = sim._next_index.get(spec.name, 0)
-        requests = requests_for(
-            spec,
-            times,
-            start_index=start,
-            cost_hint=sim._cost_hint(spec),
-            clock_ghz=sim.clock_ghz,
-        )
-        sim._next_index[spec.name] = start + len(requests)
-        lane = f"tenant:{spec.name}"
-        for request in requests:
-            heapq.heappush(self._heap, (request.arrival, self._seq, request))
-            self._seq += 1
-            sim.tracer.instant(lane, "arrival", request.arrival, {"index": request.index})
-
-    def push_followup(self, spec: TenantSpec, time: float) -> None:
-        self._push(spec, [time])
-
-    def release(self, now: float) -> None:
-        """Move every request that has arrived by ``now`` into the queue."""
-        sim = self.sim
-        while self._heap and self._heap[0][0] <= now:
-            __, __, request = heapq.heappop(self._heap)
-            sim.scheduler.add(request)
-        sim._note_peak()
-
-    def peek(self) -> float | None:
-        return self._heap[0][0] if self._heap else None
-
-    def drain(self):
-        """Yield the tenant of every arrival never released (drop tally)."""
-        while self._heap:
-            __, __, request = heapq.heappop(self._heap)
-            yield request.tenant
-
-
 class _StreamingArrivals:
-    """O(tenants + pending follow-ups) arrival plumbing (the event engine).
+    """O(tenants + pending follow-ups) arrival plumbing.
 
     Holds exactly one pending pre-scheduled arrival per tenant — pulled
     from the tenant's :meth:`~repro.serve.workload.ArrivalSource
     .next_arrival` stream only when the previous one is released — plus
     any completion-triggered follow-ups.  The heap key ``(time, gen,
-    tenant declaration index, request index)`` with ``gen=0`` for stream
-    arrivals and a global push counter for follow-ups reproduces the
-    eager ordering exactly: stream arrivals beat same-time follow-ups
-    (they were pushed first historically), same-time stream arrivals
-    resolve by tenant declaration then index, and same-time follow-ups by
-    push order.
+    tenant declaration index, request index)``, with ``gen=0`` for stream
+    arrivals and a global push counter for follow-ups, orders simultaneous
+    arrivals: stream arrivals beat same-time follow-ups, same-time stream
+    arrivals resolve by tenant declaration then index, and same-time
+    follow-ups by push order.
     """
 
     def __init__(self, sim: "ServingSimulation") -> None:
@@ -434,9 +362,8 @@ class ServingSimulation:
     the batched memory-model entry points.  ``replay=False`` forces every
     request down the recording (full-fidelity) path.
 
-    ``engine``/``record_mode`` select the driver and record retention (see
-    the module docstring); ``checkpoint_every=N`` parks the event engine
-    every N completions and — with ``checkpoint_path`` — pickles the whole
+    ``record_mode`` selects record retention (see :data:`RECORD_MODES`);
+    ``checkpoint_every=N`` parks the simulation every N completions and — with ``checkpoint_path`` — pickles the whole
     simulation there, resumable via
     :func:`repro.serve.checkpoint.load_checkpoint`.
     """
@@ -459,28 +386,18 @@ class ServingSimulation:
         design: SoCDesign | None = None,
         tracer: Tracer | None = None,
         metrics: MetricStream | None = None,
-        engine: str = "event",
         record_mode: str = "exact",
         checkpoint_every: int | None = None,
         checkpoint_path: str | Path | None = None,
     ) -> None:
         from repro.core.config import default_config
 
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if record_mode not in RECORD_MODES:
             raise ValueError(
                 f"record_mode must be one of {RECORD_MODES}, got {record_mode!r}"
             )
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ValueError("checkpoint_every must be >= 1")
-            if engine != "event":
-                raise ValueError(
-                    "checkpointing needs the event engine (lockstep generator "
-                    "frames cannot be pickled)"
-                )
-        self.engine = engine
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
         self.record_mode = record_mode
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = str(checkpoint_path) if checkpoint_path is not None else None
@@ -684,8 +601,7 @@ class ServingSimulation:
         }
         self._next_index: dict[str, int] = {}
         self._expected = sum(t.total_requests for t in profile.tenants)
-        arrivals = _EagerArrivals if self.engine == "lockstep" else _StreamingArrivals
-        self._arrivals = arrivals(self)
+        self._arrivals = _StreamingArrivals(self)
         self._arrivals.prime()
         self._actors = [_TileActor(self, index) for index in range(self.num_tiles)]
         self._park_requested = False
@@ -699,24 +615,16 @@ class ServingSimulation:
     def run(self, stop_after_checkpoints: int | None = None) -> ServeResult | None:
         """Run (or, on a loaded checkpoint, continue) the simulation.
 
-        ``stop_after_checkpoints=N`` halts the event engine after writing
-        N more checkpoints and returns None — the simulated-kill hook the
-        resume tests and CI smoke use; resume via
+        ``stop_after_checkpoints=N`` halts after writing N more checkpoints
+        and returns None — the simulated-kill hook the resume tests and CI
+        smoke use; resume via
         :func:`repro.serve.checkpoint.load_checkpoint` + ``run()``.
         """
         if not self._started:
             self._start()
-        if self.engine == "lockstep":
-            lockstep_merge([self._tile_worker(index) for index in range(self.num_tiles)])
-        elif not self._run_event_loop(stop_after_checkpoints):
+        if not self._run_event_loop(stop_after_checkpoints):
             return None
         return self._build_result()
-
-    def _tile_worker(self, tile_index: int) -> Generator[float, None, None]:
-        """The actor as a generator — the lockstep engine's historical API."""
-        actor = self._actors[tile_index]
-        while (now := actor.step()) is not None:
-            yield now
 
     def _run_event_loop(self, stop_after_checkpoints: int | None) -> bool:
         """Drive the actors through event-loop legs separated by checkpoint
@@ -898,8 +806,8 @@ class ServingSimulation:
         sits: the scheduler (including requests staged inside an open
         batch on a tile that stopped picking — ``Scheduler.drain`` reaches
         policy-internal structures the queue accessors alone would miss)
-        and the arrival plumbing (pending entries plus, on the streaming
-        engine, pre-scheduled arrivals never pulled).  Every issued request
+        and the arrival plumbing (pending entries plus pre-scheduled
+        arrivals never pulled).  Every issued request
         is therefore either a completion or a drop; the invariant
         ``completed + sum(dropped) == issued`` is asserted because a
         scheduler that strands work outside ``drain()`` would silently
@@ -987,7 +895,6 @@ def simulate_serving(
     design: SoCDesign | None = None,
     tracer: Tracer | None = None,
     metrics: MetricStream | None = None,
-    engine: str = "event",
     record_mode: str = "exact",
 ) -> ServeResult:
     """One-shot convenience: build the cluster, run the traffic, report.
@@ -1001,9 +908,7 @@ def simulate_serving(
     path (the pre-trace behaviour) — the baseline the replay benchmarks and
     parity tests compare against.
 
-    ``engine=`` selects the O(in-flight) event loop (default) or the
-    historical O(trace) lockstep baseline; both reproduce the same request
-    log bitwise.  ``record_mode="stream"`` retires records into P²
+    ``record_mode="stream"`` retires records into P²
     latency sketches instead of keeping them — the long-horizon memory
     mode (``serve --horizon-hours``).
 
@@ -1027,6 +932,5 @@ def simulate_serving(
         design=design,
         tracer=tracer,
         metrics=metrics,
-        engine=engine,
         record_mode=record_mode,
     ).run()

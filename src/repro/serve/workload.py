@@ -155,12 +155,10 @@ def _cycles_per_ms(clock_ghz: float) -> float:
 class ArrivalSource:
     """Base: turns one tenant spec into a *stream* of arrival times (cycles).
 
-    The primary interface is pull-based: :meth:`next_arrival` yields the
-    next pre-scheduled arrival (None once the stream is exhausted), so an
+    The interface is pull-based: :meth:`next_arrival` yields the next
+    pre-scheduled arrival (None once the stream is exhausted), so an
     engine holding one pending arrival per tenant keeps O(tenants) state
-    however long the stream runs.  :meth:`initial_times` survives as a
-    draining compatibility wrapper for callers that still want the whole
-    list up front (the lockstep serving path, quick scripts).
+    however long the stream runs.
 
     Sources are checkpointable: :meth:`state_dict` captures the cursor and
     the seeded ``random.Random`` state, and :meth:`load_state` restores
@@ -203,13 +201,6 @@ class ArrivalSource:
     def next_after_completion(self, finish: float) -> float | None:
         """Closed-loop hook: the next arrival triggered by a completion."""
         return None
-
-    def initial_times(self) -> list[float]:
-        """Drain the pre-scheduled stream into a list (compatibility)."""
-        times: list[float] = []
-        while (t := self.next_arrival()) is not None:
-            times.append(t)
-        return times
 
     # -- checkpoint/resume ---------------------------------------------- #
 

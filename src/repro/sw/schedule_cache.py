@@ -11,10 +11,11 @@ specialise hot shapes, keep the generic path as the safety net).
 Storage is an append-only JSONL file (``.repro-schedule-cache/
 schedules.jsonl`` by default; ``REPRO_SCHEDULE_CACHE`` or
 ``--schedule-cache PATH`` move it, ``off`` disables via the
-:data:`NULL_SCHEDULE_CACHE` null object).  Appends reuse the run ledger's
-durability contract — one record per line written with a single
-``os.write`` on an ``O_APPEND`` descriptor under ``flock`` — so tuner
-processes never interleave bytes, and reads skip corrupt lines.  Records
+:data:`NULL_SCHEDULE_CACHE` null object).  Appends and reads share the run
+ledger's JSONL primitive (:mod:`repro.obs.jsonl`) — one record per line
+written with a single ``os.write`` on an ``O_APPEND`` descriptor under
+``flock`` — so tuner processes never interleave bytes, and reads skip
+corrupt lines.  Records
 are keyed by a content hash of (shape, dtype, accelerator ``config_hash``,
 double-buffer flag, tuner version); the last record per key wins, so
 re-tuning simply appends.
@@ -31,13 +32,12 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 from repro.core.config import GemminiConfig
-from repro.obs.ledger import _lock, _unlock
+from repro.obs import jsonl
 from repro.sw.tiling import MatmulTiling
 
 __all__ = [
@@ -63,9 +63,6 @@ SCHEMA_VERSION = 1
 #: bump when the tuner's search space or scoring changes: old entries
 #: stop matching (their key embeds the version) and shapes re-tune
 TUNER_VERSION = 1
-
-#: ``REPRO_SCHEDULE_CACHE`` values that mean "no cache at all"
-_DISABLED = {"0", "off", "none", "disabled"}
 
 
 @lru_cache(maxsize=128)
@@ -222,31 +219,11 @@ class ScheduleCache:
     # -- reading -------------------------------------------------------- #
 
     def _load(self) -> dict[str, ScheduleRecord]:
-        if self._memory is not None:
-            return self._memory
-        memory: dict[str, ScheduleRecord] = {}
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            text = ""
-        lines = text.split("\n")
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                record = ScheduleRecord.from_dict(data)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                tail = " (truncated final line?)" if i >= len(lines) - 2 else ""
-                warnings.warn(
-                    f"schedule cache {self.path}: skipping corrupt line {i + 1}{tail}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                continue
-            memory[record.key.digest] = record  # last record per key wins
-        self._memory = memory
-        return memory
+        if self._memory is None:
+            records = jsonl.read(self.path, ScheduleRecord.from_dict, "schedule cache")
+            # the last record per key wins
+            self._memory = {record.key.digest: record for record in records}
+        return self._memory
 
     def refresh(self) -> None:
         """Drop the in-memory layer; the next lookup re-reads the file."""
@@ -276,19 +253,7 @@ class ScheduleCache:
         """Durably append one record (ledger-style single flocked write)."""
         if not record.ts:
             record.ts = time.time()
-        line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-        data = (line + "\n").encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            locked = _lock(fd)
-            try:
-                os.write(fd, data)
-            finally:
-                if locked:
-                    _unlock(fd)
-        finally:
-            os.close(fd)
+        jsonl.append(self.path, record.to_dict())
         if self._memory is not None:
             self._memory[record.key.digest] = record
         return record
@@ -336,16 +301,14 @@ NULL_SCHEDULE_CACHE = NullScheduleCache()
 def default_schedule_cache_path() -> Path:
     """``$REPRO_SCHEDULE_CACHE`` when it names a path, else
     ``.repro-schedule-cache/schedules.jsonl`` under the working directory."""
-    env = os.environ.get("REPRO_SCHEDULE_CACHE", "").strip()
-    if env and env.lower() not in _DISABLED:
-        return Path(env)
-    return Path(".repro-schedule-cache") / "schedules.jsonl"
+    return jsonl.env_path(
+        "REPRO_SCHEDULE_CACHE", Path(".repro-schedule-cache") / "schedules.jsonl"
+    )
 
 
 def schedule_cache_from_env() -> ScheduleCache:
     """A fresh cache honouring ``REPRO_SCHEDULE_CACHE`` (path or ``off``)."""
-    env = os.environ.get("REPRO_SCHEDULE_CACHE", "").strip()
-    if env and env.lower() in _DISABLED:
+    if jsonl.env_disabled("REPRO_SCHEDULE_CACHE"):
         return NULL_SCHEDULE_CACHE
     return ScheduleCache(default_schedule_cache_path())
 

@@ -131,10 +131,6 @@ class TestCheckpointFiles:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    def test_checkpointing_requires_event_engine(self):
-        with pytest.raises(ValueError, match="event"):
-            ServingSimulation(study_profile(), engine="lockstep", checkpoint_every=4)
-
     def test_metric_stream_sheds_live_consumer_on_pickle(self, tmp_path):
         seen = []
         metrics = MetricStream(every=4, on_snapshot=seen.append)

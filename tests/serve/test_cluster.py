@@ -259,6 +259,58 @@ class TestBatchProfileOptions:
         assert sim.scheduler.window_cycles == pytest.approx(0.5 * sim.clock_ghz * 1e6)
 
 
+class TestMemoryBound:
+    def test_peak_state_is_order_inflight_not_total(self):
+        # A closed loop with concurrency 2 issues 20 requests but never
+        # has more than ~concurrency pending or in flight: the measurable
+        # O(in-flight) claim.
+        profile = TrafficProfile(
+            tenants=(
+                TenantSpec(
+                    name="loop", arrival="closed", num_requests=20,
+                    concurrency=2, think_ms=0.1, **MODEL,
+                ),
+                TenantSpec(
+                    name="web", arrival="poisson", rate_qps=100.0,
+                    num_requests=8, **MODEL,
+                ),
+            ),
+            num_tiles=2,
+            seed=1,
+        )
+        result = simulate_serving(profile)
+        assert result.completed == result.issued == 28
+        assert result.peak_inflight <= profile.num_tiles
+        # Streaming admission holds one pre-scheduled arrival per tenant
+        # plus follow-ups; far below the 28 issued requests.
+        assert result.peak_pending <= 8
+        assert result.peak_pending < result.issued // 3
+
+    def test_stream_record_mode_drops_the_request_log(self):
+        profile = TrafficProfile(
+            tenants=(
+                TenantSpec(
+                    name="web", arrival="poisson", rate_qps=250.0,
+                    num_requests=6, slo_ms=5.0, **MODEL,
+                ),
+            ),
+            num_tiles=1,
+            seed=5,
+        )
+        exact = simulate_serving(profile, record_mode="exact")
+        stream = simulate_serving(profile, record_mode="stream")
+        assert stream.records == []
+        assert stream.completed == exact.completed == 6
+        assert stream.issued == exact.issued
+        # Counting stats are exact in both modes; quantiles come from the
+        # P2 sketch and must land near the exact histogram's.
+        s, e = stream.report.overall, exact.report.overall
+        assert s.completed == e.completed
+        assert s.mean_ms == e.mean_ms
+        assert s.goodput_qps == e.goodput_qps
+        assert abs(s.p99_ms - e.p99_ms) <= max(0.25 * e.p99_ms, 0.05)
+
+
 class TestTraceReplay:
     def test_trace_arrivals_are_replayed_exactly(self):
         spec = TenantSpec(

@@ -84,12 +84,17 @@ class TestTrafficProfile:
         assert hash(a) == hash(b) and a == b
 
 
+def drain(source):
+    """Every remaining pre-scheduled arrival of ``source``, in order."""
+    return list(iter(source.next_arrival, None))
+
+
 class TestArrivalSources:
     def test_poisson_is_sorted_positive_and_seeded(self):
         spec = poisson_tenant()
-        t1 = make_source(spec, seed=0, clock_ghz=1.0).initial_times()
-        t2 = make_source(spec, seed=0, clock_ghz=1.0).initial_times()
-        t3 = make_source(spec, seed=1, clock_ghz=1.0).initial_times()
+        t1 = drain(make_source(spec, seed=0, clock_ghz=1.0))
+        t2 = drain(make_source(spec, seed=0, clock_ghz=1.0))
+        t3 = drain(make_source(spec, seed=1, clock_ghz=1.0))
         assert t1 == t2
         assert t1 != t3
         assert len(t1) == spec.num_requests
@@ -98,15 +103,15 @@ class TestArrivalSources:
 
     def test_poisson_mean_rate_roughly_matches(self):
         spec = poisson_tenant(rate_qps=1000.0, num_requests=400)
-        times = make_source(spec, seed=0, clock_ghz=1.0).initial_times()
+        times = drain(make_source(spec, seed=0, clock_ghz=1.0))
         mean_gap = times[-1] / len(times)
         assert mean_gap == pytest.approx(1e6, rel=0.25)  # 1ms at 1 GHz
 
     def test_tenant_streams_are_independent(self):
         """A tenant's arrivals depend only on (seed, its own name)."""
-        a = make_source(poisson_tenant(name="a"), seed=0, clock_ghz=1.0).initial_times()
-        a_again = make_source(poisson_tenant(name="a"), seed=0, clock_ghz=1.0).initial_times()
-        b = make_source(poisson_tenant(name="b"), seed=0, clock_ghz=1.0).initial_times()
+        a = drain(make_source(poisson_tenant(name="a"), seed=0, clock_ghz=1.0))
+        a_again = drain(make_source(poisson_tenant(name="a"), seed=0, clock_ghz=1.0))
+        b = drain(make_source(poisson_tenant(name="b"), seed=0, clock_ghz=1.0))
         assert a == a_again
         assert a != b
 
@@ -114,20 +119,20 @@ class TestArrivalSources:
         spec = poisson_tenant(
             arrival="bursty", rate_qps=2000.0, num_requests=64, burst_on_ms=1.0, burst_off_ms=9.0
         )
-        times = make_source(spec, seed=3, clock_ghz=1.0).initial_times()
+        times = drain(make_source(spec, seed=3, clock_ghz=1.0))
         period = 10.0e6  # cycles at 1 GHz
         assert all((t % period) <= 1.0e6 for t in times), "arrival landed in an off phase"
         assert times == sorted(times)
 
     def test_trace_times_scale_with_clock(self):
         spec = poisson_tenant(arrival="trace", trace_ms=(1.0, 2.0))
-        assert make_source(spec, 0, clock_ghz=2.0).initial_times() == [2e6, 4e6]
+        assert drain(make_source(spec, 0, clock_ghz=2.0)) == [2e6, 4e6]
 
     def test_closed_loop_issues_on_completion(self):
         spec = poisson_tenant(arrival="closed", num_requests=4, concurrency=2, think_ms=1.0)
         source = make_source(spec, seed=0, clock_ghz=1.0)
         assert isinstance(source, ClosedLoopSource)
-        assert source.initial_times() == [0.0, 0.0]
+        assert drain(source) == [0.0, 0.0]
         assert source.next_after_completion(5e6) == pytest.approx(6e6)
         assert source.next_after_completion(7e6) == pytest.approx(8e6)
         assert source.next_after_completion(9e6) is None  # budget spent
@@ -142,7 +147,7 @@ class TestArrivalSources:
         streamed = make_source(spec, seed=0, clock_ghz=1.0)
         pulls = [streamed.next_arrival() for _ in range(6)]
         assert streamed.next_arrival() is None
-        assert pulls == make_source(spec, seed=0, clock_ghz=1.0).initial_times()
+        assert pulls == drain(make_source(spec, seed=0, clock_ghz=1.0))
         assert streamed.remaining_initial == 0
         assert streamed.issued == 6
 
@@ -156,14 +161,14 @@ class TestSourceStateRoundTrip:
         for _ in range(pulled):
             source.next_arrival()
         state = source.state_dict()
-        expected = source.initial_times()  # drains the original
+        expected = drain(source)  # drains the original
         fresh = make_source(spec, seed=0, clock_ghz=1.0)
         fresh.load_state(state)
         return expected, fresh
 
     def test_poisson_rng_state_round_trips(self):
         expected, fresh = self._continuation(poisson_tenant(num_requests=8), pulled=3)
-        assert fresh.initial_times() == expected
+        assert drain(fresh) == expected
         assert fresh.remaining_initial == 0
 
     def test_bursty_on_time_cursor_round_trips(self):
@@ -172,12 +177,12 @@ class TestSourceStateRoundTrip:
             burst_on_ms=1.0, burst_off_ms=9.0,
         )
         expected, fresh = self._continuation(spec, pulled=5)
-        assert fresh.initial_times() == expected
+        assert drain(fresh) == expected
 
     def test_closed_loop_budget_round_trips(self):
         spec = poisson_tenant(arrival="closed", num_requests=5, concurrency=2, think_ms=1.0)
         source = make_source(spec, seed=0, clock_ghz=1.0)
-        source.initial_times()
+        drain(source)
         assert source.next_after_completion(1e6) is not None
         fresh = make_source(spec, seed=0, clock_ghz=1.0)
         fresh.load_state(source.state_dict())
