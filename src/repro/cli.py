@@ -37,7 +37,7 @@ Exposes the common workflows without writing Python:
     total/self-time and count deltas.
 ``gemmini-repro history``
     List/filter/show the provenance-stamped run ledger every
-    ``run``/``serve``/``dse`` invocation and benchmark appends to.
+    ``run``/``serve``/``dse``/``tune`` invocation and benchmark appends to.
 ``gemmini-repro compare RUN_A RUN_B``
     Metric deltas between two ledgered runs, with significance.
 ``gemmini-repro regress --baseline REF``
@@ -47,16 +47,16 @@ Exposes the common workflows without writing Python:
 
 Every stochastic subcommand (``run``/``dse``/``serve``) takes one
 ``--seed`` and prints the effective seed, so any output can be reproduced
-from the command line alone.  ``run``/``serve``/``dse`` also take
-``--trace-out`` (Perfetto-loadable timeline) and ``--metrics-out``
-(streaming p50/p95/p99, goodput, utilisation snapshots); ``serve
---live-metrics N`` prints those snapshots while the simulation runs.
-Each such invocation also appends one provenance-stamped record (git rev
-+ dirty flag, python/numpy versions, host, config/workload hashes, wall
-time, metrics summary) to the run ledger — ``--ledger PATH`` moves it,
-``--no-ledger`` or ``REPRO_LEDGER=off`` disables it; the tracer, the
-metric stream and the ledger record share one run id, so every artifact
-of a run joins on it.
+from the command line alone.  ``run``/``serve``/``dse``/``tune`` also take
+``--trace-out`` (Perfetto-loadable timeline), and all but ``tune`` take
+``--metrics-out`` (streaming p50/p95/p99, goodput, utilisation
+snapshots); ``serve --live-metrics N`` prints those snapshots while the
+simulation runs.  Each such invocation also appends a provenance-stamped
+record (git rev + dirty flag, python/numpy versions, host, config/workload
+hashes, wall time, metrics summary) to the run ledger, one per model for
+``tune`` — ``--ledger PATH`` moves it, ``--no-ledger`` or
+``REPRO_LEDGER=off`` disables it; the tracer, the metric stream and the
+ledger record share one run id, so every artifact of a run joins on it.
 """
 
 from __future__ import annotations
@@ -104,102 +104,29 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@contextlib.contextmanager
-def _maybe_profile(enabled: bool, out: str | None = None):
-    """``--profile``: run the simulation under cProfile and print the top 20
-    cumulative entries, so perf work starts from measured hot spots.
-    ``--profile-out PATH`` additionally (or instead) dumps the raw pstats
-    data to a file for offline digestion (``pstats.Stats(PATH)``,
-    snakeviz, gprof2dot)."""
-    if not enabled and not out:
-        yield
-        return
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield
-    finally:
-        profiler.disable()
-        stats = pstats.Stats(profiler)
-        if out:
-            stats.dump_stats(out)
-            print(f"wrote {out}")
-        if enabled:
-            print("\n--- cProfile: top 20 by cumulative time ---")
-            stats.sort_stats("cumulative").print_stats(20)
+def _add_model_size_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input-hw", type=int, default=224, help="CNN input size")
+    parser.add_argument("--seq", type=int, default=128, help="BERT sequence length")
 
 
-# ---------------------------------------------------------------------- #
-# Observability plumbing (--trace-out / --metrics-out / --live-metrics)   #
-# ---------------------------------------------------------------------- #
-
-
-def _add_obs_args(parser: argparse.ArgumentParser, live: bool = False) -> None:
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome Trace Event JSON timeline here "
-        "(open in Perfetto or chrome://tracing; digest with `gemmini-repro trace`)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write streaming metrics snapshots here (.csv -> CSV, else JSON)",
-    )
-    if live:
-        parser.add_argument(
-            "--live-metrics",
-            type=int,
-            default=None,
-            metavar="N",
-            help="print a streaming metrics line every N completed requests",
-        )
+def _model_size(args, model: str) -> dict:
+    """The ``build_model`` size kwargs ``--input-hw``/``--seq`` give ``model``."""
+    return {"seq": args.seq} if model == "bert" else {"input_hw": args.input_hw}
 
 
 #: snapshot keys the live console prints, in order, when present
-_LIVE_KEYS = (
-    "completed",
-    "evaluations",
-    "latency_ms_p50",
-    "latency_ms_p99",
-    "goodput_qps",
-    "utilization",
-    "front_size",
-    "hypervolume",
-)
-
-
-def _live_printer(label: str):
-    """A MetricStream ``on_snapshot`` consumer for the terminal."""
-
-    def _print(snap: dict) -> None:
-        shown = " ".join(
-            f"{key}={snap[key]:.4g}" if isinstance(snap[key], float) else f"{key}={snap[key]}"
-            for key in _LIVE_KEYS
-            if key in snap
-        )
-        print(f"[{label} t={snap.get('t', 0.0) * 1e3:.1f}ms] {shown}")
-
-    return _print
+_LIVE_KEYS = ("completed", "evaluations", "latency_ms_p50", "latency_ms_p99",
+              "goodput_qps", "utilization", "front_size", "hypervolume")
 
 
 def _add_ledger_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="PATH",
+        "--ledger", default=None, metavar="PATH",
         help="run-ledger JSONL path (default: $REPRO_LEDGER or "
         ".repro-ledger/ledger.jsonl; REPRO_LEDGER=off disables)",
     )
     parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="do not append this run to the ledger",
+        "--no-ledger", action="store_true", help="do not append this run to the ledger"
     )
 
 
@@ -225,60 +152,216 @@ def _read_ledger(args):
     return ledger
 
 
-def _add_schedule_cache_arg(parser: argparse.ArgumentParser) -> None:
+# ---------------------------------------------------------------------- #
+# The simulating commands' shared run plumbing (run / serve / dse / tune) #
+# ---------------------------------------------------------------------- #
+
+
+def _add_run_args(
+    parser: argparse.ArgumentParser, metrics: bool = True, profile: bool = False,
+    live: bool = False,
+) -> None:
+    """The options a :class:`_RunContext` reads: schedule cache, trace and
+    (with ``metrics``) metrics artifacts, ledger; ``profile`` adds cProfile,
+    ``live`` the streaming metrics console."""
     parser.add_argument(
-        "--schedule-cache",
-        default=None,
-        metavar="PATH",
+        "--schedule-cache", default=None, metavar="PATH",
         help="tuned-schedule cache JSONL (default: $REPRO_SCHEDULE_CACHE or "
         ".repro-schedule-cache/schedules.jsonl; 'off' disables; "
         "pre-warm with `gemmini-repro tune`)",
     )
-
-
-def _schedule_cache_from_args(args):
-    """Resolve and install the process-wide schedule cache.
-
-    ``--schedule-cache`` beats the environment and is exported back to
-    ``REPRO_SCHEDULE_CACHE`` so worker processes (the DSE evaluator pool)
-    inherit the same cache file.  The resolved cache is installed as the
-    ambient default, so every dispatch site in the process shares one
-    stats-bearing object the command can report on."""
-    from repro.sw.schedule_cache import (
-        default_schedule_cache,
-        set_default_schedule_cache,
+    parser.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="write a Chrome Trace Event JSON timeline here "
+        "(open in Perfetto or chrome://tracing; digest with `gemmini-repro trace`)",
     )
+    if metrics:
+        parser.add_argument(
+            "--metrics-out", default=None, metavar="PATH",
+            help="write streaming metrics snapshots here (.csv -> CSV, else JSON)",
+        )
+    if live:
+        parser.add_argument(
+            "--live-metrics", type=int, default=None, metavar="N",
+            help="print a streaming metrics line every N completed requests",
+        )
+    if profile:
+        parser.add_argument(
+            "--profile", action="store_true",
+            help="run under cProfile and print the top-20 cumulative entries",
+        )
+        parser.add_argument(
+            "--profile-out", default=None, metavar="PATH",
+            help="dump raw cProfile pstats data to this file (implies profiling)",
+        )
+    _add_ledger_args(parser)
+    parser.set_defaults(parser=parser, run_context=True)
 
-    value = getattr(args, "schedule_cache", None)
-    if value is not None:
-        os.environ["REPRO_SCHEDULE_CACHE"] = value
-    set_default_schedule_cache(None)  # re-resolve from the environment
-    cache = default_schedule_cache()
-    set_default_schedule_cache(cache)
-    return cache
 
+class _RunContext:
+    """One invocation of a simulating command, from run id to ledger record.
 
-def _print_schedule_stats(cache) -> None:
-    stats = cache.stats
-    if not cache or not stats.lookups:
-        return
-    print(
-        f"schedule cache: {stats.hits} hits / {stats.misses} misses "
-        f"({len(cache)} tuned schedules at {cache.path})"
-    )
+    Entering resolves ``--schedule-cache`` (exported to
+    ``REPRO_SCHEDULE_CACHE`` so DSE worker processes inherit it) and
+    installs it as the process default, so every dispatch site shares one
+    stats-bearing cache; leaving restores both.  The tracer, the metric
+    stream and the ledger record all carry :attr:`run_id`, so every
+    artifact of a run joins on it.
+    """
 
+    def __init__(self, args) -> None:
+        from repro.obs import new_run_id
+        from repro.obs.metrics import NULL_METRICS
+        from repro.obs.tracer import NULL_TRACER
 
-def _export_obs(args, tracer, metrics, meta: dict) -> None:
-    """Write the ``--trace-out`` / ``--metrics-out`` artifacts, if requested."""
-    from repro.obs import export_metrics_csv, export_metrics_json, write_chrome_trace
+        self.args = args
+        self.command = args.command
+        self.run_id = new_run_id(self.command)
+        self.seed: int | None = None
+        self.tracer = NULL_TRACER
+        self.metrics = NULL_METRICS
+        self.ledger = _ledger_from_args(args)
+        self.wall_s = 0.0
 
-    if getattr(args, "trace_out", None) and tracer:
-        print(f"wrote {write_chrome_trace(tracer, args.trace_out)}")
-    if getattr(args, "metrics_out", None) and metrics:
-        if args.metrics_out.endswith(".csv"):
-            print(f"wrote {export_metrics_csv(metrics, args.metrics_out)}")
+    def __enter__(self) -> "_RunContext":
+        from repro.sw.schedule_cache import default_schedule_cache, set_default_schedule_cache
+
+        self._saved_env = os.environ.get("REPRO_SCHEDULE_CACHE")
+        if self.args.schedule_cache is not None:
+            os.environ["REPRO_SCHEDULE_CACHE"] = self.args.schedule_cache
+        self._saved_override = set_default_schedule_cache(None)  # re-resolve from env
+        self.schedule_cache = default_schedule_cache()
+        set_default_schedule_cache(self.schedule_cache)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        from repro.sw.schedule_cache import set_default_schedule_cache
+
+        set_default_schedule_cache(self._saved_override)
+        if self._saved_env is None:
+            os.environ.pop("REPRO_SCHEDULE_CACHE", None)
         else:
-            print(f"wrote {export_metrics_json(metrics, args.metrics_out, meta=meta)}")
+            os.environ["REPRO_SCHEDULE_CACHE"] = self._saved_env
+
+    def observe(
+        self, seed: int, clock_ghz: float | None = None, every: int = 64, trace: bool = False
+    ) -> None:
+        """Stamp the run with ``seed`` and build the sinks asked for: a
+        tracer on ``--trace-out`` (or ``trace``), timed in simulated cycles
+        when the command has a clock and in wall seconds otherwise; a metric
+        stream snapshotting every ``every`` events on ``--metrics-out`` or
+        ``--live-metrics``."""
+        from repro.obs.metrics import MetricStream
+        from repro.obs.tracer import Tracer
+
+        self.seed = seed
+        if self.args.trace_out or trace:
+            self.tracer = (
+                Tracer.wall(run_id=self.run_id, seed=seed)
+                if clock_ghz is None
+                else Tracer.for_cycles(clock_ghz, run_id=self.run_id, seed=seed)
+            )
+        live = getattr(self.args, "live_metrics", None)
+        if getattr(self.args, "metrics_out", None) or live:
+            self.metrics = MetricStream(
+                every=live or every,
+                on_snapshot=self._print_snapshot if live else None,
+                run_id=self.run_id,
+                seed=seed,
+            )
+
+    def adopt(self, tracer, metrics, seed: int) -> None:
+        """Continue a checkpointed run: keep its tracer and metric stream,
+        and the run id they carry."""
+        self.tracer, self.metrics, self.seed = tracer, metrics, seed
+        self.run_id = next((sink.run_id for sink in (tracer, metrics) if sink), self.run_id)
+        if getattr(self.args, "live_metrics", None):
+            metrics.on_snapshot = self._print_snapshot
+
+    def _print_snapshot(self, snap: dict) -> None:
+        """The ``--live-metrics`` console: one line per metrics snapshot."""
+        shown = " ".join(
+            f"{key}={snap[key]:.4g}" if isinstance(snap[key], float) else f"{key}={snap[key]}"
+            for key in _LIVE_KEYS
+            if key in snap
+        )
+        print(f"[{self.command} t={snap.get('t', 0.0) * 1e3:.1f}ms] {shown}")
+
+    @contextlib.contextmanager
+    def timed(self):
+        """Measure :attr:`wall_s` of the enclosed work, under cProfile when
+        ``--profile`` (print the top 20 cumulative entries) or
+        ``--profile-out PATH`` (dump raw pstats data for ``pstats.Stats``,
+        snakeviz or gprof2dot) asks."""
+        show = getattr(self.args, "profile", False)
+        out = getattr(self.args, "profile_out", None)
+        profiler = None
+        if show or out:
+            import cProfile
+
+            profiler = cProfile.Profile()
+            profiler.enable()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.wall_s = time.perf_counter() - t0
+            if profiler is not None:
+                import pstats
+
+                profiler.disable()
+                stats = pstats.Stats(profiler)
+                if out:
+                    stats.dump_stats(out)
+                    print(f"wrote {out}")
+                if show:
+                    print("\n--- cProfile: top 20 by cumulative time ---")
+                    stats.sort_stats("cumulative").print_stats(20)
+
+    def print_schedule_stats(self) -> None:
+        cache = self.schedule_cache
+        if cache and cache.stats.lookups:
+            print(
+                f"schedule cache: {cache.stats.hits} hits / {cache.stats.misses} misses "
+                f"({len(cache)} tuned schedules at {cache.path})"
+            )
+
+    def export(self, **meta) -> None:
+        """Write the ``--trace-out`` / ``--metrics-out`` artifacts, if asked for."""
+        from repro.obs import export_metrics_csv, export_metrics_json, write_chrome_trace
+
+        trace_out = self.args.trace_out
+        metrics_out = getattr(self.args, "metrics_out", None)
+        if trace_out and self.tracer:
+            print(f"wrote {write_chrome_trace(self.tracer, trace_out)}")
+        if metrics_out and self.metrics:
+            if metrics_out.endswith(".csv"):
+                print(f"wrote {export_metrics_csv(self.metrics, metrics_out)}")
+            else:
+                meta = {"command": self.command, "seed": self.seed, **meta,
+                        "run_id": self.run_id}
+                print(f"wrote {export_metrics_json(self.metrics, metrics_out, meta=meta)}")
+
+    def record(
+        self, name: str, *, workload: dict, metrics: dict, config=None, workload_key=None,
+        label: str | None = None,
+    ) -> None:
+        """Append this run's ledger record and echo its id.
+
+        ``config`` and ``workload_key`` (default: ``workload``) are hashed
+        into ``config_hash``/``workload_hash``; ``label`` tags the echo of
+        a run that writes several records."""
+        from repro.eval.runner import config_hash
+
+        record = self.ledger.record(
+            self.command, name, run_id=self.run_id, seed=self.seed, wall_s=self.wall_s,
+            config_hash=None if config is None else config_hash(config),
+            workload_hash=config_hash(workload if workload_key is None else workload_key),
+            workload=workload, metrics=metrics,
+        )
+        if self.ledger:
+            tag = f" [{label}]" if label else ""
+            print(f"ledger: {record.run_id}{tag} -> {self.ledger.path}")
 
 
 def cmd_generate(args) -> int:
@@ -299,39 +382,24 @@ def cmd_models(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, run: _RunContext) -> int:
     config = _config_from_args(args)
-    schedule_cache = _schedule_cache_from_args(args)
-    kwargs = {"seq": args.seq} if args.model == "bert" else {"input_hw": args.input_hw}
-    graph = build_model(args.model, **kwargs)
+    size = _model_size(args, args.model)
+    graph = build_model(args.model, **size)
     soc = make_soc(gemmini=config, cpu=args.cpu)
     model = compile_graph(graph, SoftwareParams.from_config(config))
 
-    from repro.obs import new_run_id
-    from repro.obs.tracer import NULL_TRACER, Tracer
-
-    run_id = new_run_id("run")
-    want_obs = args.trace_out or args.metrics_out
-    tracer = (
-        Tracer.for_cycles(config.clock_ghz, run_id=run_id, seed=args.seed)
-        if want_obs
-        else NULL_TRACER
-    )
+    # --metrics-out folds the layer spans into the streaming-metrics
+    # document shape the serving engine emits, so it needs the tracer too.
+    run.observe(args.seed, config.clock_ghz, trace=bool(args.metrics_out))
+    tracer, metrics = run.tracer, run.metrics
     tracer.declare_lane(soc.tile.name, process="run", label=f"{soc.tile.name} [{args.model}]")
-    wall_t0 = time.perf_counter()
-    with _maybe_profile(args.profile, args.profile_out):
+    with run.timed():
         result = Runtime(
-            soc.tile, model, tracer=tracer, schedule_cache=schedule_cache
+            soc.tile, model, tracer=tracer, schedule_cache=run.schedule_cache
         ).run()
-    wall_s = time.perf_counter() - wall_t0
 
-    metrics = None
-    if args.metrics_out:
-        # A single model execution records layer spans; fold them into the
-        # same streaming-metrics document shape the serving engine emits.
-        from repro.obs.metrics import MetricStream
-
-        metrics = MetricStream(run_id=run_id, seed=args.seed)
+    if metrics:
         to_ms = 1.0 / (config.clock_ghz * 1e6)
         for event in tracer.events():
             if event[0] != "X":
@@ -375,24 +443,13 @@ def cmd_run(args) -> int:
         f"DRAM {soc.mem.dram.bytes_moved / 1e6:.1f} MB, "
         f"TLB private hit {soc.tile.accel.xlat.hit_rate_including_filters():.1%}"
     )
-    _print_schedule_stats(schedule_cache)
-    _export_obs(
-        args, tracer, metrics,
-        meta={"command": "run", "model": args.model, "seed": args.seed,
-              "run_id": run_id},
-    )
-    from repro.eval.runner import config_hash
-
-    ledger = _ledger_from_args(args)
-    record = ledger.record(
-        "run",
+    run.print_schedule_stats()
+    run.export(model=args.model)
+    stats = run.schedule_cache.stats
+    run.record(
         args.model,
-        run_id=run_id,
-        seed=args.seed,
-        wall_s=wall_s,
-        config_hash=config_hash(config),
-        workload_hash=config_hash({"model": args.model, **kwargs}),
-        workload={"model": args.model, **kwargs},
+        config=config,
+        workload={"model": args.model, **size},
         metrics={
             "total_cycles": result.total_cycles,
             "fps": result.fps(config.clock_ghz),
@@ -400,25 +457,20 @@ def cmd_run(args) -> int:
             "tops_per_watt": energy.tops_per_watt(config.clock_ghz),
             "l2_miss_rate": soc.mem.l2.miss_rate(),
             "dram_bytes": soc.mem.dram.bytes_moved,
-            "schedule_lookups": schedule_cache.stats.lookups,
-            "schedule_hits": schedule_cache.stats.hits,
-            "schedule_misses": schedule_cache.stats.misses,
+            "schedule_lookups": stats.lookups,
+            "schedule_hits": stats.hits,
+            "schedule_misses": stats.misses,
         },
     )
-    if ledger:
-        print(f"ledger: {record.run_id} -> {ledger.path}")
     return 0
 
 
-def cmd_tune(args) -> int:
+def cmd_tune(args, run: _RunContext) -> int:
     """Auto-tune matmul schedules for zoo models into the schedule cache."""
-    from repro.eval.runner import config_hash
-    from repro.obs import new_run_id
-    from repro.obs.tracer import NULL_TRACER, Tracer
     from repro.sw.tune import tune_model
 
     config = _config_from_args(args)
-    cache = _schedule_cache_from_args(args)
+    cache = run.schedule_cache
     if not cache:
         print(
             "schedule cache is disabled (REPRO_SCHEDULE_CACHE=off); "
@@ -431,28 +483,25 @@ def cmd_tune(args) -> int:
         models = list(model_names())
     models = list(dict.fromkeys(models))
 
-    run_id = new_run_id("tune")
-    tracer = Tracer.wall(run_id=run_id, seed=0) if args.trace_out else NULL_TRACER
-    ledger = _ledger_from_args(args)
+    run.observe(0)
     print(f"config: {config.describe()}")
     print(f"cache: {cache.path}")
 
     rows = []
     exit_code = 0
     for name in models:
-        kwargs = {"seq": args.seq} if name == "bert" else {"input_hw": args.input_hw}
-        graph = build_model(name, **kwargs)
+        size = _model_size(args, name)
+        graph = build_model(name, **size)
         model = compile_graph(graph, SoftwareParams.from_config(config))
-        wall_t0 = time.perf_counter()
-        results = tune_model(
-            model,
-            config,
-            cache=cache,
-            verify_top_k=args.verify_top,
-            force=args.force,
-            tracer=tracer,
-        )
-        wall_s = time.perf_counter() - wall_t0
+        with run.timed():
+            results = tune_model(
+                model,
+                config,
+                cache=cache,
+                verify_top_k=args.verify_top,
+                force=args.force,
+                tracer=run.tracer,
+            )
         greedy_cycles = sum(r.greedy_cycles or 0.0 for r in results)
         tuned_cycles = sum(r.tuned_cycles or 0.0 for r in results)
         cached = sum(1 for r in results if r.cached)
@@ -460,27 +509,16 @@ def cmd_tune(args) -> int:
         improvement_pct = (
             100.0 * (1.0 - tuned_cycles / greedy_cycles) if greedy_cycles else 0.0
         )
-        rows.append(
-            (
-                name,
-                f"{len(results)}",
-                f"{cached}",
-                f"{improved}",
-                f"{greedy_cycles / 1e6:.3f}",
-                f"{tuned_cycles / 1e6:.3f}",
-                f"{improvement_pct:+.2f}%",
-                f"{wall_s:.1f}s",
-            )
-        )
-        record = ledger.record(
-            "tune",
+        rows.append((
+            name, f"{len(results)}", f"{cached}", f"{improved}",
+            f"{greedy_cycles / 1e6:.3f}", f"{tuned_cycles / 1e6:.3f}",
+            f"{improvement_pct:+.2f}%", f"{run.wall_s:.1f}s",
+        ))
+        run.record(
             name,
-            run_id=run_id,
-            seed=0,
-            wall_s=wall_s,
-            config_hash=config_hash(config),
-            workload_hash=config_hash({"model": name, **kwargs}),
-            workload={"model": name, **kwargs, "verify_top": args.verify_top},
+            config=config,
+            workload={"model": name, **size, "verify_top": args.verify_top},
+            workload_key={"model": name, **size},
             metrics={
                 "shapes_total": len(results),
                 "shapes_tuned": len(results) - cached,
@@ -490,22 +528,16 @@ def cmd_tune(args) -> int:
                 "tuned_cycles_total": tuned_cycles,
                 "improvement_pct": improvement_pct,
             },
+            label=name,
         )
-        if ledger:
-            print(f"ledger: {record.run_id} [{name}] -> {ledger.path}")
         if tuned_cycles > greedy_cycles:
             exit_code = 1  # the never-worse contract was violated
-    print(
-        format_table(
-            [
-                "model", "shapes", "cached", "improved",
-                "greedy Mcyc", "tuned Mcyc", "delta", "wall",
-            ],
-            rows,
-        )
-    )
+    print(format_table(
+        ["model", "shapes", "cached", "improved", "greedy Mcyc", "tuned Mcyc", "delta", "wall"],
+        rows,
+    ))
     print(f"cache now holds {len(cache)} tuned schedules")
-    _export_obs(args, tracer, None, meta={"command": "tune", "run_id": run_id})
+    run.export()
     return exit_code
 
 
@@ -611,7 +643,7 @@ def _traffic_from_args(args, parser_error) -> "TrafficProfile | None":
     )
 
 
-def cmd_dse(args) -> int:
+def cmd_dse(args, run: _RunContext) -> int:
     from repro.dse import (
         EvaluationSpec,
         Explorer,
@@ -627,7 +659,6 @@ def cmd_dse(args) -> int:
     )
     from repro.eval.runner import ExperimentRunner
 
-    _schedule_cache_from_args(args)  # exported to the evaluator pool via env
     if args.workload == "conv":
         workload = conv_workload()
     else:
@@ -646,40 +677,29 @@ def cmd_dse(args) -> int:
         space = mix_space(tuple(args.mix), max_tiles=args.mix_max_tiles)
     else:
         space = gemmini_space(max_dim=args.max_dim)
-    batch_eval = not args.scalar_eval
     strategy_options = {}
-    if batch_eval and args.fidelity == "analytic" and spec.traffic is None:
-        if args.strategy in ("grid", "random"):
-            # Coverage strategies' traces are invariant to the ask batch
-            # size; bigger slabs amortise the vectorised evaluator better.
-            strategy_options["batch_size"] = 64
+    if args.fidelity == "analytic" and spec.traffic is None and args.strategy in (
+        "grid", "random"
+    ):
+        # Coverage strategies' traces are invariant to the ask batch size;
+        # bigger slabs amortise the vectorised evaluator better.
+        strategy_options["batch_size"] = 64
     strategy = make_strategy(args.strategy, space, seed=args.seed, **strategy_options)
     bounds = tuple(parse_bound(text) for text in args.constraint)
 
-    from repro.obs import new_run_id
-    from repro.obs.metrics import NULL_METRICS, MetricStream
-    from repro.obs.tracer import NULL_TRACER, Tracer
-
     # DSE orchestration runs in real time: wall-clock tracer, one metrics
     # snapshot per generation (searches have few generations, each costly).
-    run_id = new_run_id("dse")
-    tracer = Tracer.wall(run_id=run_id, seed=args.seed) if args.trace_out else NULL_TRACER
-    metrics = (
-        MetricStream(every=1, run_id=run_id, seed=args.seed)
-        if args.metrics_out
-        else NULL_METRICS
-    )
-
+    run.observe(args.seed, every=1)
     cache_dir = args.cache_dir or default_cache_dir()
-    wall_t0 = time.perf_counter()
-    with ExperimentRunner(max_workers=args.workers, cache=cache_dir, tracer=tracer) as runner:
+    with run.timed(), ExperimentRunner(
+        max_workers=args.workers, cache=cache_dir, tracer=run.tracer
+    ) as runner:
         explorer = Explorer(
             space, strategy, spec, budget=args.budget, bounds=bounds, runner=runner,
-            batch_eval=batch_eval, tracer=tracer, metrics=metrics,
+            tracer=run.tracer, metrics=run.metrics,
         )
         result = explorer.explore()
         stats = runner.stats()
-    wall_s = time.perf_counter() - wall_t0
 
     print(front_table(result, extra_metrics=("fmax_ghz", "throughput_gmacs")))
     print(
@@ -693,30 +713,17 @@ def cmd_dse(args) -> int:
         print(f"wrote {export_json(result, args.export_json)}")
     if args.export_csv:
         print(f"wrote {export_csv(result, args.export_csv)}")
-    _export_obs(
-        args, tracer, metrics,
-        meta={"command": "dse", "seed": args.seed, "strategy": args.strategy,
-              "run_id": run_id},
-    )
-    from repro.eval.runner import config_hash
-
-    search = {
-        "strategy": args.strategy,
-        "workload": args.workload,
-        "objectives": list(spec.objectives),
-        "budget": args.budget,
-        "mix": list(args.mix),
-        "fidelity": args.fidelity,
-    }
-    ledger = _ledger_from_args(args)
-    record = ledger.record(
-        "dse",
+    run.export(strategy=args.strategy)
+    run.record(
         f"{args.strategy}:{args.workload}",
-        run_id=run_id,
-        seed=args.seed,
-        wall_s=wall_s,
-        workload_hash=config_hash(search),
-        workload=search,
+        workload={
+            "strategy": args.strategy,
+            "workload": args.workload,
+            "objectives": list(spec.objectives),
+            "budget": args.budget,
+            "mix": list(args.mix),
+            "fidelity": args.fidelity,
+        },
         metrics={
             "evaluations": result.evaluations,
             "front_size": len(result.front),
@@ -727,12 +734,10 @@ def cmd_dse(args) -> int:
             "cache_misses": stats.misses,
         },
     )
-    if ledger:
-        print(f"ledger: {record.run_id} -> {ledger.path}")
     return 0 if result.front else 1
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args, run: _RunContext) -> int:
     from repro.serve import (
         ServingSimulation,
         TrafficProfile,
@@ -745,40 +750,38 @@ def cmd_serve(args) -> int:
 
     if args.horizon_hours is not None and args.horizon_ms is not None:
         args.parser.error("pass --horizon-ms or --horizon-hours, not both")
-    record_mode = args.record_mode or (
-        "stream" if args.horizon_hours is not None else "exact"
-    )
-    schedule_cache = _schedule_cache_from_args(args)
-
-    from repro.obs import new_run_id
-    from repro.obs.metrics import NULL_METRICS, MetricStream
-    from repro.obs.tracer import NULL_TRACER, Tracer
 
     if args.resume:
         from repro.serve.checkpoint import load_checkpoint
 
-        if args.tenant or args.trace:
+        ignored = [flag for flag, given in (
+            ("--tenant", args.tenant), ("--trace", args.trace), ("--design", args.design),
+            ("--no-replay", args.no_replay), ("--record-mode", args.record_mode),
+            ("--horizon-ms", args.horizon_ms is not None),
+            ("--horizon-hours", args.horizon_hours is not None),
+        ) if given]
+        if ignored:
             args.parser.error(
-                "--resume restores the checkpointed profile; drop --tenant/--trace"
+                f"--resume restores the checkpointed run; drop {'/'.join(ignored)}"
             )
         sim = load_checkpoint(args.resume)
+        unobserved = [flag for flag, asked, sink in (
+            ("--trace-out", args.trace_out, sim.tracer),
+            ("--metrics-out", args.metrics_out, sim.metrics),
+            ("--live-metrics", args.live_metrics, sim.metrics),
+        ) if asked and not sink]
+        if unobserved:
+            args.parser.error(
+                "the checkpointed run has no tracer/metric stream to continue; "
+                f"drop {'/'.join(unobserved)}"
+            )
         if args.checkpoint_every is not None:
             sim.checkpoint_every = args.checkpoint_every
         if sim.checkpoint_every is not None:
             sim.checkpoint_path = args.checkpoint_path or args.resume
-        profile = sim.profile
-        design = sim.design
-        config = sim.gemmini
-        tracer = sim.tracer
-        metrics = sim.metrics
-        if args.live_metrics and metrics is not NULL_METRICS:
-            metrics.on_snapshot = _live_printer("serve")
-        run_id = getattr(tracer, "run_id", None) or new_run_id("serve")
+        profile, design, config = sim.profile, sim.design, sim.gemmini
+        run.adopt(sim.tracer, sim.metrics, profile.seed)
         print(f"resuming: {args.resume}")
-        wall_t0 = time.perf_counter()
-        with _maybe_profile(args.profile, args.profile_out):
-            result = sim.run()
-        wall_s = time.perf_counter() - wall_t0
     else:
         design = None
         if args.design:
@@ -816,22 +819,8 @@ def cmd_serve(args) -> int:
             )
             profile = TrafficProfile(tenants=tenants, **profile_kwargs)
 
-        run_id = new_run_id("serve")
         clock_ghz = design.clock_ghz if design is not None else config.clock_ghz
-        tracer = (
-            Tracer.for_cycles(clock_ghz, run_id=run_id, seed=profile.seed)
-            if args.trace_out
-            else NULL_TRACER
-        )
-        if args.metrics_out or args.live_metrics:
-            metrics = MetricStream(
-                every=args.live_metrics or 64,
-                on_snapshot=_live_printer("serve") if args.live_metrics else None,
-                run_id=run_id,
-                seed=profile.seed,
-            )
-        else:
-            metrics = NULL_METRICS
+        run.observe(profile.seed, clock_ghz)
         checkpoint_path = args.checkpoint_path
         if args.checkpoint_every is not None and checkpoint_path is None:
             checkpoint_path = "serve.ckpt"
@@ -839,17 +828,17 @@ def cmd_serve(args) -> int:
         sim = ServingSimulation(
             profile,
             replay=not args.no_replay,
-            tracer=tracer,
-            metrics=metrics,
-            record_mode=record_mode,
+            tracer=run.tracer,
+            metrics=run.metrics,
+            record_mode=args.record_mode or (
+                "stream" if args.horizon_hours is not None else "exact"
+            ),
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=checkpoint_path,
             **soc_kwargs,
         )
-        wall_t0 = time.perf_counter()
-        with _maybe_profile(args.profile, args.profile_out):
-            result = sim.run()
-        wall_s = time.perf_counter() - wall_t0
+    with run.timed():
+        result = sim.run()
 
     print(f"seed: {profile.seed}")
     if design is not None:
@@ -871,41 +860,15 @@ def cmd_serve(args) -> int:
     )
     if result.checkpoints:
         print(f"checkpoints: {result.checkpoints} written to {sim.checkpoint_path}")
-    _print_schedule_stats(schedule_cache)
+    run.print_schedule_stats()
     if args.export_json:
         print(f"wrote {export_serve_json(result, args.export_json)}")
     if args.export_csv:
         print(f"wrote {export_serve_csv(result, args.export_csv)}")
-    _export_obs(
-        args, tracer, metrics,
-        meta={"command": "serve", "seed": profile.seed, "scheduler": profile.scheduler,
-              "run_id": run_id},
-    )
-    from repro.eval.runner import config_hash
-
-    mix = "+".join(spec.model for spec in profile.tenants)
-    serve_metrics = dict(report.overall.summary())
-    serve_metrics.update({
-        "fairness": report.fairness,
-        "makespan_ms": report.makespan_ms,
-        "l2_miss_rate": result.l2_miss_rate,
-        "dram_bytes": result.dram_bytes,
-        "issued": result.issued,
-        "replayed": result.replayed,
-        "peak_inflight": result.peak_inflight,
-        "peak_pending": result.peak_pending,
-        "schedule_lookups": schedule_cache.stats.lookups,
-        "schedule_hits": schedule_cache.stats.hits,
-    })
-    ledger = _ledger_from_args(args)
-    record = ledger.record(
-        "serve",
-        f"{profile.scheduler}:{mix}",
-        run_id=run_id,
-        seed=profile.seed,
-        wall_s=wall_s,
-        config_hash=config_hash(design if design is not None else config),
-        workload_hash=config_hash(profile),
+    run.export(scheduler=profile.scheduler)
+    run.record(
+        f"{profile.scheduler}:{'+'.join(spec.model for spec in profile.tenants)}",
+        config=design if design is not None else config,
         workload={
             "tenants": [
                 {"name": spec.name, "model": spec.model} for spec in profile.tenants
@@ -913,10 +876,21 @@ def cmd_serve(args) -> int:
             "tiles": profile.num_tiles,
             "scheduler": profile.scheduler,
         },
-        metrics=serve_metrics,
+        workload_key=profile,
+        metrics={
+            **report.overall.summary(),
+            "fairness": report.fairness,
+            "makespan_ms": report.makespan_ms,
+            "l2_miss_rate": result.l2_miss_rate,
+            "dram_bytes": result.dram_bytes,
+            "issued": result.issued,
+            "replayed": result.replayed,
+            "peak_inflight": result.peak_inflight,
+            "peak_pending": result.peak_pending,
+            "schedule_lookups": run.schedule_cache.stats.lookups,
+            "schedule_hits": run.schedule_cache.stats.hits,
+        },
     )
-    if ledger:
-        print(f"ledger: {record.run_id} -> {ledger.path}")
     return 0 if result.completed else 1
 
 
@@ -1163,27 +1137,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a model on a full SoC")
     p_run.add_argument("model", choices=model_names())
     _add_config_args(p_run)
-    p_run.add_argument("--input-hw", type=int, default=224, help="CNN input size")
-    p_run.add_argument("--seq", type=int, default=128, help="BERT sequence length")
+    _add_model_size_args(p_run)
     p_run.add_argument("--cpu", choices=("rocket", "boom"), default="rocket")
     p_run.add_argument(
         "--baseline", action="store_true", help="also compute the CPU-only baseline"
     )
     p_run.add_argument("--seed", type=int, default=0, help="reproducibility seed (echoed)")
-    p_run.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the top-20 cumulative entries",
-    )
-    p_run.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="dump raw cProfile pstats data to this file (implies profiling)",
-    )
-    _add_schedule_cache_arg(p_run)
-    _add_obs_args(p_run)
-    _add_ledger_args(p_run)
+    _add_run_args(p_run, profile=True)
     p_run.set_defaults(func=cmd_run)
 
     p_tune = sub.add_parser(
@@ -1197,8 +1157,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="zoo models whose dispatch shapes to tune ('all' for the whole zoo)",
     )
     _add_config_args(p_tune)
-    p_tune.add_argument("--input-hw", type=int, default=224, help="CNN input size")
-    p_tune.add_argument("--seq", type=int, default=128, help="BERT sequence length")
+    _add_model_size_args(p_tune)
     p_tune.add_argument(
         "--verify-top",
         type=int,
@@ -1209,9 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument(
         "--force", action="store_true", help="re-tune shapes already in the cache"
     )
-    _add_schedule_cache_arg(p_tune)
-    _add_obs_args(p_tune)
-    _add_ledger_args(p_tune)
+    _add_run_args(p_tune, metrics=False)
     p_tune.set_defaults(func=cmd_tune)
 
     p_area = sub.add_parser("area", help="area breakdown (Figure 6 style)")
@@ -1253,8 +1210,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="conv",
         help="matmul suite to score designs on (conv = one ResNet50 conv layer)",
     )
-    p_dse.add_argument("--input-hw", type=int, default=224, help="CNN input size")
-    p_dse.add_argument("--seq", type=int, default=128, help="BERT sequence length")
+    _add_model_size_args(p_dse)
     p_dse.add_argument(
         "--objectives",
         default="latency_ms,area_mm2,power_mw",
@@ -1285,11 +1241,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("analytic", "soc"),
         default="analytic",
         help="cost model: closed-form array model or full SoC simulation",
-    )
-    p_dse.add_argument(
-        "--scalar-eval",
-        action="store_true",
-        help="force the per-point scalar evaluator (skip the batched analytic fast path)",
     )
     p_dse.add_argument("--workers", type=int, default=None, help="parallel evaluator processes")
     p_dse.add_argument(
@@ -1325,10 +1276,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="batch scheduler: max hold time (wall-clock ms at each design's clock)",
     )
-    _add_schedule_cache_arg(p_dse)
-    _add_obs_args(p_dse)
-    _add_ledger_args(p_dse)
-    p_dse.set_defaults(func=cmd_dse, parser=p_dse)
+    _add_run_args(p_dse)
+    p_dse.set_defaults(func=cmd_dse)
 
     p_serve = sub.add_parser(
         "serve", help="multi-tenant serving simulation with SLO metrics"
@@ -1396,7 +1345,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="load a checkpointed serving run and continue it to completion "
-        "(ignores --tenant/--trace/--design; the profile is in the checkpoint)",
+        "(the profile, design and tracer/metrics are in the checkpoint, so "
+        "--tenant/--trace/--design/--no-replay/--record-mode/--horizon-* are rejected)",
     )
     p_serve.add_argument("--batch-size", type=int, default=4, help="batch scheduler: batch size")
     p_serve.add_argument(
@@ -1410,21 +1360,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="force every request down the per-macro-op recording path "
         "(skip the trace record/replay fast path)",
     )
-    p_serve.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the top-20 cumulative entries",
-    )
-    p_serve.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="dump raw cProfile pstats data to this file (implies profiling)",
-    )
-    _add_schedule_cache_arg(p_serve)
-    _add_obs_args(p_serve, live=True)
-    _add_ledger_args(p_serve)
-    p_serve.set_defaults(func=cmd_serve, parser=p_serve)
+    _add_run_args(p_serve, profile=True, live=True)
+    p_serve.set_defaults(func=cmd_serve)
 
     p_trace = sub.add_parser(
         "trace",
@@ -1515,9 +1452,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    if not getattr(args, "run_context", False):
+        return args.func(args)
+    with _RunContext(args) as run:
+        return args.func(args, run)
 
 
 if __name__ == "__main__":  # pragma: no cover

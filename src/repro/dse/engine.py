@@ -127,7 +127,6 @@ class Explorer:
         budget: int = 50,
         bounds: tuple[MetricBound, ...] | list[MetricBound] = (),
         runner: ExperimentRunner | None = None,
-        batch_eval: bool = True,
         tracer: "Tracer | None" = None,
         metrics: "MetricStream | None" = None,
     ) -> None:
@@ -148,13 +147,6 @@ class Explorer:
         #: (no-op singletons when observability is off)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        #: Evaluate analytic proposals through the vectorised
-        #: :func:`~repro.dse.objectives.evaluate_design_batch` fast path
-        #: (still per-point content-hash cached); False forces the scalar
-        #: per-point evaluator everywhere.  SoC fidelity and serving
-        #: objectives always take the scalar path, which parallelises
-        #: expensive per-point simulations across worker processes.
-        self.batch_eval = batch_eval
         unknown = [b.metric for b in self.bounds if b.metric not in _metric_names()]
         if unknown:
             raise ValueError(f"bounds on unknown metric(s) {unknown}")
@@ -178,15 +170,11 @@ class Explorer:
         )
         hits0, misses0 = runner.hits, runner.misses
         evaluate = functools.partial(evaluate_design, spec=self.spec)
-        # The vectorised fast path covers exactly what evaluate_design_batch
-        # vectorises: analytic fidelity with no traffic profile.  SoC and
-        # serving evaluations stay on runner.map so each expensive per-point
-        # simulation can fan out across worker processes.
-        fast = (
-            self.batch_eval
-            and self.spec.fidelity == "analytic"
-            and self.spec.traffic is None
-        )
+        # Analytic proposals with no traffic profile go through the
+        # vectorised evaluate_design_batch (still per-point content-hash
+        # cached); SoC and serving evaluations stay on runner.map so each
+        # expensive per-point simulation can fan out across worker processes.
+        fast = self.spec.fidelity == "analytic" and self.spec.traffic is None
 
         trace: list[Evaluation] = []
         seen: dict[tuple, Evaluation] = {}

@@ -169,24 +169,28 @@ class TestFallbacks:
 
 
 class TestExplorerIntegration:
-    def test_batched_explorer_matches_scalar_explorer(self):
-        """End to end: the default (batched) explorer and batch_eval=False
-        produce the identical trace, front and hypervolume."""
+    def test_default_explorer_matches_scalar_evaluator(self):
+        """End to end: every point the default explorer evaluates (through
+        the batched fast path) equals evaluate_design on that point, and
+        the front is the non-dominated subset of those evaluations."""
         from repro.dse import Explorer, make_strategy
+        from repro.dse.pareto import split_front
+        from repro.eval.runner import ExperimentRunner
 
         space = gemmini_space(max_dim=8)
-        results = []
-        for batch_eval in (True, False):
-            strategy = make_strategy("evolutionary", space, seed=0)
-            results.append(
-                Explorer(
-                    space, strategy, EvaluationSpec(), budget=16, batch_eval=batch_eval
-                ).explore()
-            )
-        fast, scalar = results
-        assert [e.point for e in fast.trace] == [e.point for e in scalar.trace]
-        assert [e.point for e in fast.front] == [e.point for e in scalar.front]
-        for f, s in zip(fast.trace, scalar.trace):
+        spec = EvaluationSpec()
+        with ExperimentRunner(max_workers=1, cache=None) as runner:
+            result = Explorer(
+                space, make_strategy("evolutionary", space, seed=0), spec,
+                budget=16, runner=runner,
+            ).explore()
+        assert result.evaluations == 16
+        scalar = [evaluate_design(dict(e.point), spec) for e in result.trace]
+        for fast, reference in zip(result.trace, scalar):
+            assert fast.config_summary == reference.config_summary
             for name in ANALYTIC_METRICS:
-                assert math.isclose(f.metric(name), s.metric(name), rel_tol=1e-9)
-        assert math.isclose(fast.hypervolume, scalar.hypervolume, rel_tol=1e-9)
+                assert math.isclose(
+                    fast.metric(name), reference.metric(name), rel_tol=1e-9
+                )
+        front, __ = split_front(scalar, result.objectives)
+        assert [e.point for e in result.front] == [e.point for e in front]

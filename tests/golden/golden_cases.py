@@ -2,18 +2,23 @@
 
 Each case is a small fixed simulation whose outputs this repository
 reproduces: serving request logs under shared-L2/DRAM contention, per-model
-cycles and memory counters, a DSE front and a tuned-schedule table.
-:func:`fingerprint` runs one case and returns human-readable values, the
-bulky parts (request logs, per-layer cycles, fronts) folded into sha256
-digests; :func:`digest` hashes those values canonically.  ``record.py``
-writes them to ``fingerprints.json``; ``test_fingerprints.py`` only reads it.
+cycles and memory counters, a DSE front, a tuned-schedule table and the
+run-ledger record each simulating CLI command writes.  :func:`fingerprint`
+runs one case and returns human-readable values, the bulky parts (request
+logs, per-layer cycles, fronts) folded into sha256 digests; :func:`digest`
+hashes those values canonically.  ``record.py`` writes them to
+``fingerprints.json``; ``test_fingerprints.py`` only reads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 from repro.core.config import default_config
@@ -25,6 +30,7 @@ SCHEMA = 1
 
 #: zoo model -> reduced-size builder kwargs of the run cases
 RUN_MODELS = {
+    "alexnet": {"input_hw": 64},
     "bert": {"seq": 16, "layers": 1},
     "mobilenetv2": {"input_hw": 32},
     "resnet50": {"input_hw": 32},
@@ -224,6 +230,60 @@ def dse_values() -> dict:
 
 
 # ---------------------------------------------------------------------- #
+# CLI ledger records                                                      #
+# ---------------------------------------------------------------------- #
+
+_STUDY_TENANTS = (
+    "name=web,model=squeezenet,input_hw=32,arrival=poisson,qps=300,requests=8,slo_ms=5",
+    "name=batchy,model=squeezenet,input_hw=32,arrival=closed,qps=250,requests=6,"
+    "concurrency=2,think_ms=0.5",
+)
+
+#: ledgered CLI command -> its argv, minus the per-case temp paths
+CLI_CASES = {
+    "run": ["run", "squeezenet", "--input-hw", "32"],
+    "serve": ["serve", "--tiles", "2", "--seed", "7",
+              "--tenant", _STUDY_TENANTS[0], "--tenant", _STUDY_TENANTS[1]],
+    "dse": ["dse", "--strategy", "evolutionary", "--budget", "20", "--seed", "0",
+            "--max-dim", "8"],
+    "tune": ["tune", "squeezenet", "--input-hw", "32", "--verify-top", "1"],
+}
+
+#: the ledger record fields a rerun reproduces (run ids, timestamps, wall
+#: times and provenance differ on every run)
+LEDGER_FIELDS = ("kind", "name", "seed", "config_hash", "workload_hash", "workload", "metrics")
+
+
+def cli_values(command: str) -> dict:
+    """Run one CLI command against a fresh ledger and schedule cache in a
+    temp dir; return the reproducible fields of the one record it writes."""
+    from repro.cli import main
+
+    # Restored here too, so the recorder also runs at commits whose CLI
+    # left its --schedule-cache in the environment.
+    env_before = os.environ.get("REPRO_SCHEDULE_CACHE")
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger = Path(tmp) / "ledger.jsonl"
+        argv = CLI_CASES[command] + [
+            "--ledger", str(ledger), "--schedule-cache", str(Path(tmp) / "schedules.jsonl"),
+        ]
+        if command == "dse":
+            argv += ["--cache-dir", str(Path(tmp) / "dse-cache")]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            if env_before is None:
+                os.environ.pop("REPRO_SCHEDULE_CACHE", None)
+            else:
+                os.environ["REPRO_SCHEDULE_CACHE"] = env_before
+        if code != 0:
+            raise RuntimeError(f"{command} exited {code}")
+        (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+    return {field: record[field] for field in LEDGER_FIELDS}
+
+
+# ---------------------------------------------------------------------- #
 # The matrix                                                              #
 # ---------------------------------------------------------------------- #
 
@@ -231,6 +291,7 @@ CASES = (
     tuple(f"serve/{name}" for name in serve_cases())
     + tuple(f"run/{name}" for name in RUN_MODELS)
     + ("tune/squeezenet", "dse/evolutionary")
+    + tuple(f"cli/{name}" for name in CLI_CASES)
 )
 
 
@@ -252,6 +313,8 @@ def fingerprint(case: str) -> dict:
             return tune_values()
         if kind == "dse":
             return dse_values()
+        if kind == "cli":
+            return cli_values(name)
         raise KeyError(case)
     finally:
         set_default_schedule_cache(previous)

@@ -1,8 +1,8 @@
 """Golden behavioural fingerprints: every case must reproduce exactly.
 
 ``fingerprints.json`` pins the serving request logs, per-model cycles and
-memory counters, the DSE front and the tuned-schedule table of a small
-fixed matrix (``golden_cases.py``).  This module only reads the file;
+memory counters, the DSE front, the tuned-schedule table and the CLI
+ledger records of a small fixed matrix (``golden_cases.py``).  This module only reads the file;
 ``python tests/golden/record.py`` is the one way to regenerate it, and the
 regenerated diff is what a reviewer reads.
 """

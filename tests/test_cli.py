@@ -231,6 +231,30 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["serve"])
 
+    def test_resume_rejects_flags_it_would_ignore(self, capsys, tmp_path):
+        ckpt = tmp_path / "one.ckpt"
+        assert main([
+            "serve", "--seed", "0", "--tenant", self.TENANT, "--no-ledger",
+            "--checkpoint-every", "1", "--checkpoint-path", str(ckpt),
+        ]) == 0
+        capsys.readouterr()
+        rejected = (
+            ["--design", str(tmp_path / "nonexistent.json")],
+            ["--no-replay"],
+            ["--horizon-ms", "5"],
+            # the checkpointed run had neither a tracer nor a metric stream
+            ["--trace-out", str(tmp_path / "r.json")],
+            ["--metrics-out", str(tmp_path / "m.json")],
+        )
+        for extra in rejected:
+            with pytest.raises(SystemExit):
+                main(["serve", "--resume", str(ckpt), "--no-ledger", *extra])
+            assert f"drop {extra[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "m.json").exists()
+        assert main(["serve", "--resume", str(ckpt), "--no-ledger"]) == 0
+        assert "3/3 served" in capsys.readouterr().out
+
     def test_trace_replay(self, capsys, tmp_path):
         import json as json_mod
 
@@ -671,6 +695,19 @@ class TestTune:
                      "--schedule-cache", str(tmp_path / "empty.jsonl")]) == 0
         out = capsys.readouterr().out
         assert " 0 hits" in out
+
+    def test_main_restores_the_ambient_schedule_cache(self, capsys, tmp_path):
+        import os
+
+        from repro.sw.schedule_cache import default_schedule_cache
+
+        env_before = os.environ["REPRO_SCHEDULE_CACHE"]
+        path_before = default_schedule_cache().path
+        assert main(["run", "squeezenet", "--input-hw", "32", "--no-ledger",
+                     "--schedule-cache", str(tmp_path / "sched.jsonl")]) == 0
+        assert "sched.jsonl" in capsys.readouterr().out  # the run used it
+        assert os.environ["REPRO_SCHEDULE_CACHE"] == env_before
+        assert default_schedule_cache().path == path_before
 
     def test_cache_off_disables_tuning(self, capsys):
         assert main(["tune", "squeezenet", "--schedule-cache", "off"]) == 1
