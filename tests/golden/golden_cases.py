@@ -38,6 +38,38 @@ RUN_MODELS = {
 }
 
 
+def _memory_variants() -> dict:
+    """Run variant -> (zoo model, ``SoCDesign.homogeneous`` kwargs).
+
+    Each variant steers the exact memory path down a branch the default
+    SoC never takes: no L2 (DMA straight to DRAM), filter registers, no
+    shared TLB with the Figure 4 miss-rate window, a write-through L2 and
+    sequential (unscattered) physical pages.
+    """
+    from repro.mem.cache import CacheConfig
+    from repro.mem.hierarchy import MemorySystemConfig
+    from repro.mem.tlb import TLBConfig
+
+    config = default_config()
+    fig4_tlb = TLBConfig(private_entries=16, shared_entries=0, miss_rate_window=2048)
+    return {
+        "squeezenet_no_l2": ("squeezenet", {"mem": MemorySystemConfig(l2=None)}),
+        "squeezenet_filters": (
+            "squeezenet", {"gemmini": config.with_tlb(TLBConfig(filter_registers=True))},
+        ),
+        "resnet50_fig4_tlb": (
+            "resnet50", {"gemmini": config.with_im2col(True).with_tlb(fig4_tlb)},
+        ),
+        "squeezenet_write_through": (
+            "squeezenet", {"mem": MemorySystemConfig(l2=CacheConfig(writeback=False))},
+        ),
+        "squeezenet_sequential_pages": ("squeezenet", {"scattered_pages": False}),
+    }
+
+
+RUN_VARIANTS = tuple(_memory_variants())
+
+
 def digest(values: dict) -> str:
     """sha256 of the canonical JSON of ``values`` (floats as repr)."""
     text = json.dumps(values, sort_keys=True, separators=(",", ":"))
@@ -170,28 +202,94 @@ def _compile(name: str, kwargs: dict, config):
     return compile_graph(build_model(name, **kwargs), SoftwareParams.from_config(config))
 
 
-def run_values(name: str) -> dict:
-    """One cold single-tile run of a zoo model."""
-    from repro.soc.soc import make_soc
+def _timeline_values(timeline) -> list:
+    return [timeline.next_free, timeline.busy_time, timeline.bookings]
+
+
+def memory_values(soc) -> dict:
+    """Every counter and timeline the exact memory path of tile 0 touched."""
+    mem = soc.mem
+    accel = soc.tile.accel
+    xlat = accel.xlat
+    series = xlat.miss_window.series
+    values = {
+        "stats": {
+            "bus": mem.bus.stats.snapshot(),
+            "dram": mem.dram.stats.snapshot(),
+            "xlat": xlat.stats.snapshot(),
+            "dma": accel.dma.stats.snapshot(),
+        },
+        "timelines": {
+            "bus": _timeline_values(mem.bus.channel.inner),
+            "dram": _timeline_values(mem.dram.channel.inner),
+            "ptw": _timeline_values(xlat.ptw),
+            "dma_rd": _timeline_values(accel.dma.read_channel),
+            "dma_wr": _timeline_values(accel.dma.write_channel),
+        },
+        "bytes_moved": {
+            "bus": mem.bus.channel.bytes_moved,
+            "dram": mem.dram.channel.bytes_moved,
+        },
+        "walk_accesses": soc.tile.vm.page_table.walk_accesses,
+        "tlb_miss_series": len(series),
+        "tlb_miss_series_sha256": _rows_digest(zip(series.times, series.values)),
+    }
+    if mem.l2 is not None:
+        values["stats"]["l2"] = mem.l2.stats.snapshot()
+        values["timelines"]["l2_port"] = _timeline_values(mem.l2.port.inner)
+        values["bytes_moved"]["l2_port"] = mem.l2.port.bytes_moved
+    return values
+
+
+def _run_setup(name: str):
+    """(soc, runtime) of one run case: a zoo model or a memory variant."""
+    from repro.soc.components import SoCDesign
+    from repro.soc.soc import SoC
     from repro.sw.runtime import Runtime
 
-    config = default_config()
-    model = _compile(name, RUN_MODELS[name], config)
-    soc = make_soc(gemmini=config)
-    result = Runtime(soc.tile, model, schedule_cache=NULL_SCHEDULE_CACHE).run()
-    l2 = soc.mem.l2.stats
+    model_name, design = _memory_variants().get(name, (name, {}))
+    config = design.get("gemmini") or default_config()
+    model = _compile(model_name, RUN_MODELS[model_name], config)
+    soc = SoC(SoCDesign.homogeneous(**design))
+    return soc, Runtime(soc.tile, model, schedule_cache=NULL_SCHEDULE_CACHE)
+
+
+def run_values(name: str) -> dict:
+    """One cold single-tile run of a zoo model or a memory variant."""
+    soc, runtime = _run_setup(name)
+    result = runtime.run()
     dma = soc.tile.accel.dma.stats
+    l2 = soc.mem.l2.stats if soc.mem.l2 is not None else None
     return {
         "total_cycles": result.total_cycles,
         "macro_ops": result.macro_ops,
         "layers": len(result.layers),
         "layer_cycles_sha256": _rows_digest((layer.name, layer.cycles) for layer in result.layers),
-        "l2_hits": l2.value("hits"),
-        "l2_misses": l2.value("misses"),
+        "l2_hits": l2.value("hits") if l2 is not None else None,
+        "l2_misses": l2.value("misses") if l2 is not None else None,
         "dram_bytes": soc.mem.dram.bytes_moved,
         "tlb_hit_rate": soc.tile.accel.xlat.hit_rate_including_filters(),
         "dma_bytes_read": dma.value("bytes_read"),
         "dma_bytes_written": dma.value("bytes_written"),
+        "memory": memory_values(soc),
+    }
+
+
+def trace_values() -> dict:
+    """A :class:`TraceRecorder` recording of one cold squeezenet@32 run."""
+    from repro.sim.trace import TraceRecorder
+
+    soc, runtime = _run_setup("squeezenet")
+    recorder = TraceRecorder(runtime)
+    recorder.run()
+    trace = recorder.build_trace()
+    return {
+        "fingerprint": trace.fingerprint.hex(),
+        "total_cycles": trace.total_cycles,
+        "accesses": len(trace.acc_t),
+        "translations": len(trace.xl_t),
+        "segments": trace.num_segments,
+        "memory": memory_values(soc),
     }
 
 
@@ -289,8 +387,8 @@ def cli_values(command: str) -> dict:
 
 CASES = (
     tuple(f"serve/{name}" for name in serve_cases())
-    + tuple(f"run/{name}" for name in RUN_MODELS)
-    + ("tune/squeezenet", "dse/evolutionary")
+    + tuple(f"run/{name}" for name in (*RUN_MODELS, *RUN_VARIANTS))
+    + ("trace/squeezenet", "tune/squeezenet", "dse/evolutionary")
     + tuple(f"cli/{name}" for name in CLI_CASES)
 )
 
@@ -309,6 +407,8 @@ def fingerprint(case: str) -> dict:
             return serve_values(simulate_serving(profile, **extra))
         if kind == "run":
             return run_values(name)
+        if kind == "trace":
+            return trace_values()
         if kind == "tune":
             return tune_values()
         if kind == "dse":
