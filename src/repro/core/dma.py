@@ -6,6 +6,13 @@ per page the row touches — consecutive same-page requests are what the
 filter registers of Section V-A capture), then moved over the system bus and
 through the shared L2/DRAM.  Read and write channels are independent, so
 loads and stores overlap like the paper's overlapped read/write streams.
+
+A transfer is simulated in staged passes rather than row by row: one
+channel issue scan, one translation pass over every request, then one
+memory pass per *segment* of physical accesses whose start times are
+known.  Each pass is one loop owned by its component, and every timeline
+sees the bookings the row-by-row order makes, so the results are bitwise
+those of simulating each row in turn.
 """
 
 from __future__ import annotations
@@ -55,6 +62,9 @@ class DMAEngine:
         self.write_channel = Timeline(f"{name}.wr")
         self.stats = StatsRegistry(owner=name)
         self.page_bytes = xlat.config.page_bytes
+        #: a :class:`~repro.sim.trace.TraceRecorder` logging every
+        #: translation and memory access while it records, else None
+        self.recorder = None
 
     # ------------------------------------------------------------------ #
 
@@ -73,69 +83,102 @@ class DMAEngine:
         Returns the transfer's timing summary.  Rows are pipelined on the
         channel: the channel is occupied ``bytes/bus_width`` cycles per row
         while translation and memory latency overlap with later rows.
+
+        The transfer runs as staged passes, each owned by one component and
+        each one loop over many requests in issue order: the channel issue
+        scan, the translation pass (:meth:`TranslationSystem.translate_chain`)
+        and the memory pass (:meth:`MemorySystem.access`, one call per
+        segment).  Every timeline sees the bookings a row-by-row loop makes,
+        in the same order and with the same float arithmetic.
         """
         if bytes_per_row <= 0 or nrows <= 0:
             raise ValueError("transfer must move at least one byte")
         channel = self.write_channel if is_write else self.read_channel
-        bus_bytes = self.config.dma_bus_bytes
         page_bytes = self.page_bytes
-        translate = self.xlat.translate_vpn
-        mem_access = self.mem.access
-        vm = self.vm
 
-        first_start = None
-        end = now
-        tlb_requests = 0
-        translation_stall = 0.0
-        # The TLB is single-ported: successive rows' translations serialise,
-        # so a burst of misses (e.g. at a tile boundary) throttles the whole
-        # stream — the effect the Section V-A TLB sizing study measures.
-        xlat_cursor = now
+        # 1. Channel issue scan.  Rows occupy the channel back to back, so
+        # each row after the first issues when the previous one frees it.
+        occupancy = max(1.0, bytes_per_row / self.config.dma_bus_bytes)
+        first_issue = channel.peek(now)
+        frees = channel.book_all([now] * nrows, [occupancy] * nrows)
 
+        # One translation request and one physical access ("chunk") per page
+        # each row touches.  A row's first chunk waits for all of its
+        # translations; a later chunk starts when the previous one completes.
+        xl_earliest: list[float] = []
+        vpns: list[int] = []
+        chunk_vaddr: list[int] = []
+        chunk_bytes: list[int] = []
+        crossing: list[tuple[int, int]] = []  # (first, last) chunk of split rows
         row_vaddr = vaddr
-        for _row in range(nrows):
-            occupancy = max(1.0, bytes_per_row / bus_bytes)
-            issue, channel_free = channel.book(now, occupancy)
-            if first_start is None:
-                first_start = issue
-
-            # One translation per page the row touches.
+        for issue in (first_issue, *frees[:-1]):
             first_vpn = row_vaddr // page_bytes
             last_vpn = (row_vaddr + bytes_per_row - 1) // page_bytes
-            xlat_done = issue if issue > xlat_cursor else xlat_cursor
-            for vpn in range(first_vpn, last_vpn + 1):
-                result = translate(xlat_done, vpn, is_write)
-                tlb_requests += 1
-                translation_stall += result.end_time - xlat_done
-                xlat_done = result.end_time
-            xlat_cursor = xlat_done
-
-            # Physical accesses (split at page boundaries).
-            cursor = row_vaddr
-            remaining = bytes_per_row
-            access_done = xlat_done
-            while remaining > 0:
-                in_page = page_bytes - (cursor % page_bytes)
-                chunk = min(remaining, in_page)
-                if vm is not None:
-                    paddr = vm.translate(cursor)
-                else:
-                    paddr = cursor
-                access_done = mem_access(access_done, paddr, chunk, is_write, requester)
-                cursor += chunk
-                remaining -= chunk
-
-            end = max(end, access_done, channel_free)
+            if first_vpn == last_vpn:
+                xl_earliest.append(issue)
+                vpns.append(first_vpn)
+                chunk_vaddr.append(row_vaddr)
+                chunk_bytes.append(bytes_per_row)
+            else:
+                crossing.append((len(vpns), len(vpns) + last_vpn - first_vpn))
+                cursor = row_vaddr
+                remaining = bytes_per_row
+                for vpn in range(first_vpn, last_vpn + 1):
+                    chunk = min(remaining, page_bytes - cursor % page_bytes)
+                    xl_earliest.append(issue)
+                    vpns.append(vpn)
+                    chunk_vaddr.append(cursor)
+                    chunk_bytes.append(chunk)
+                    cursor += chunk
+                    remaining -= chunk
             row_vaddr += stride_bytes
+
+        # 2. Translation pass.  The TLB is single-ported: successive rows'
+        # translations serialise, so a burst of misses (e.g. at a tile
+        # boundary) throttles the whole stream — the effect the Section V-A
+        # TLB sizing study measures.
+        xl_start, xl_end, __ = self.xlat.translate_chain(xl_earliest, vpns, is_write)
+        translation_stall = 0.0
+        for t, e in zip(xl_start, xl_end):
+            translation_stall += e - t
+
+        # 3. Memory pass, one segment at a time.  A segment ends after each
+        # chunk that has a successor in its row, since that successor starts
+        # at the chunk's completion (filled into ``starts`` once known).
+        vm = self.vm
+        paddrs = vm.translate(chunk_vaddr) if vm is not None else chunk_vaddr
+        starts = list(xl_end)
+        cuts: list[int] = []
+        for first, last in crossing:
+            starts[first] = xl_end[last]
+            cuts.extend(range(first + 1, last + 1))
+        writes = [is_write] * len(vpns)
+        access = self.mem.access
+        if cuts:
+            ends: list[float] = []
+            begin = 0
+            for cut in cuts:
+                ends += access(starts[begin:cut], paddrs[begin:cut], chunk_bytes[begin:cut],
+                               writes[begin:cut], requester)
+                starts[cut] = ends[-1]
+                begin = cut
+            ends += access(starts[begin:], paddrs[begin:], chunk_bytes[begin:], writes[begin:],
+                           requester)
+        else:
+            ends = access(starts, paddrs, chunk_bytes, writes, requester)
+
+        if self.recorder is not None:
+            self.recorder.log_translations(xl_start, xl_end, vpns, is_write)
+            self.recorder.log_accesses(starts, ends, paddrs, chunk_bytes, is_write, requester)
 
         bytes_moved = bytes_per_row * nrows
         self.stats.counter("bytes_written" if is_write else "bytes_read").add(bytes_moved)
         self.stats.counter("rows").add(nrows)
         self.stats.counter("transfers").add()
         return DMAResult(
-            start_time=first_start if first_start is not None else now,
-            end_time=end,
+            start_time=first_issue,
+            end_time=max(now, max(ends), frees[-1]),
             bytes_moved=bytes_moved,
-            tlb_requests=tlb_requests,
+            tlb_requests=len(vpns),
             translation_stall=translation_stall,
         )

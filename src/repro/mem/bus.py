@@ -23,16 +23,23 @@ class SystemBus:
         self.channel = BandwidthTimeline(name, bytes_per_cycle=beat_bytes, overhead=1.0)
         self.stats = StatsRegistry(owner=name)
 
-    def transfer(self, now: float, nbytes: int, requester: str = "") -> float:
-        """Move ``nbytes`` across the bus; returns the completion time."""
-        if nbytes <= 0:
-            return now
-        self.stats.counter("transactions").add()
-        self.stats.counter("bytes").add(nbytes)
+    def transfer(self, now, nbytes, requester: str = ""):
+        """Move ``nbytes`` across the bus; returns the completion time.
+
+        A segment of transfers passes ``now`` and ``nbytes`` as equal-length
+        lists in issue order (every entry moving at least one byte) and gets
+        the list of completion times back: one FCFS scan of the channel and
+        one add per counter.  Scalar arguments are the one-element case.
+        """
+        if not isinstance(now, list):
+            return self.transfer([now], [nbytes], requester)[0] if nbytes > 0 else now
+        total = sum(nbytes)
+        stats = self.stats
+        stats.counter("transactions").add(len(nbytes))
+        stats.counter("bytes").add(total)
         if requester:
-            self.stats.counter(f"bytes_{requester}").add(nbytes)
-        __, end = self.channel.transfer(now, nbytes)
-        return end
+            stats.counter(f"bytes_{requester}").add(total)
+        return self.channel.transfer_all(now, nbytes)
 
     def transfer_batch(self, now, nbytes, requester: str = ""):
         """Move a whole FCFS sequence across the bus; returns end times.

@@ -52,9 +52,9 @@ class CacheConfig:
 class Cache:
     """A write-back, write-allocate, LRU set-associative cache.
 
-    ``lower`` is any object exposing ``access(now, addr, nbytes, is_write)
-    -> end_time`` — in practice a :class:`~repro.mem.dram.DRAMModel` or
-    another :class:`Cache`.
+    ``lower`` is any object exposing ``access(now, addr, nbytes, is_write)``
+    in both the scalar and the segment (parallel lists) form — in practice
+    a :class:`~repro.mem.dram.DRAMModel` or another :class:`Cache`.
     """
 
     def __init__(self, config: CacheConfig, lower, name: str = "L2") -> None:
@@ -77,63 +77,100 @@ class Cache:
 
     def access(
         self,
-        now: float,
-        addr: int,
-        nbytes: int,
-        is_write: bool,
+        now,
+        addr,
+        nbytes,
+        is_write,
         requester: str = "",
-    ) -> float:
+    ):
         """Access a contiguous byte range; returns the completion time.
 
         The range is decomposed into cache lines.  Hits are served at the
         cache port bandwidth after ``hit_latency``; each miss fetches the
         line from the lower level (plus a writeback if the victim is dirty).
+
+        A segment of accesses passes ``now``, ``addr``, ``nbytes`` and
+        ``is_write`` as equal-length lists in issue order (every entry moving
+        at least one byte) and gets the list of completion times back.  The
+        segment walks the LRU sets once, hands every lower-level request it
+        produced to ``lower.access`` in one segment call, books the port in
+        one scan and adds each counter once.  Scalar arguments are the
+        one-element case.
         """
-        if nbytes <= 0:
-            return now
-        cfg = self.config
+        if not isinstance(now, list):
+            if nbytes <= 0:
+                return now
+            return self.access([now], [addr], [nbytes], [is_write], requester)[0]
         line = self._line
-        first = addr // line
-        last = (addr + nbytes - 1) // line
+        num_sets = self._num_sets
+        ways_limit = self._ways
+        sets = self._sets
+        writeback = self.config.writeback
+        hits = misses = evictions = writebacks = writes = 0
+        # Lower-level requests in issue order; ``low_owner`` maps each back
+        # to the access that made it.
+        low_t: list[float] = []
+        low_addr: list[int] = []
+        low_write: list[bool] = []
+        low_owner: list[int] = []
+
+        for i, (t, a, nb, w) in enumerate(zip(now, addr, nbytes, is_write)):
+            if w:
+                writes += 1
+            for index in range(a // line, (a + nb - 1) // line + 1):
+                set_index = index % num_sets
+                tag = index // num_sets
+                ways = sets[set_index]
+                if tag in ways:
+                    hits += 1
+                    ways.move_to_end(tag)
+                    if w:
+                        ways[tag] = True
+                else:
+                    misses += 1
+                    if len(ways) >= ways_limit:
+                        victim_tag, victim_dirty = ways.popitem(last=False)
+                        evictions += 1
+                        if victim_dirty and writeback:
+                            writebacks += 1
+                            low_t.append(t)
+                            low_addr.append((victim_tag * num_sets + set_index) * line)
+                            low_write.append(True)
+                            low_owner.append(i)
+                    # Fetch the missing line from below (write-allocate).
+                    low_t.append(t)
+                    low_addr.append(index * line)
+                    low_write.append(False)
+                    low_owner.append(i)
+                    ways[tag] = w
+
+        lower_end = list(now)
+        if low_t:
+            low_ends = self.lower.access(low_t, low_addr, [line] * len(low_t), low_write)
+            # Each access waits for the last of its lower-level requests.
+            for owner, end in zip(low_owner, low_ends):
+                if end > lower_end[owner]:
+                    lower_end[owner] = end
+
         stats = self.stats
-        hits = 0
-        misses = 0
-        lower_end = now
-
-        for index in range(first, last + 1):
-            set_index = index % self._num_sets
-            tag = index // self._num_sets
-            ways = self._sets[set_index]
-            if tag in ways:
-                hits += 1
-                ways.move_to_end(tag)
-                if is_write:
-                    ways[tag] = True
-            else:
-                misses += 1
-                if len(ways) >= self._ways:
-                    victim_tag, victim_dirty = ways.popitem(last=False)
-                    stats.counter("evictions").add()
-                    if victim_dirty and cfg.writeback:
-                        stats.counter("writebacks").add()
-                        victim_addr = (victim_tag * self._num_sets + set_index) * line
-                        lower_end = self.lower.access(now, victim_addr, line, True)
-                # Fetch the missing line from below (write-allocate).
-                lower_end = max(
-                    lower_end, self.lower.access(now, index * line, line, False)
-                )
-                ways[tag] = is_write
-
         stats.counter("hits").add(hits)
         stats.counter("misses").add(misses)
         stats.counter("accesses").add(hits + misses)
-        stats.counter("writes" if is_write else "reads").add()
+        if writes:
+            stats.counter("writes").add(writes)
+        if len(now) - writes:
+            stats.counter("reads").add(len(now) - writes)
+        if evictions:
+            stats.counter("evictions").add(evictions)
+        if writebacks:
+            stats.counter("writebacks").add(writebacks)
         if requester:
             stats.counter(f"hits_{requester}").add(hits)
             stats.counter(f"misses_{requester}").add(misses)
 
-        __, port_end = self.port.transfer(now + cfg.hit_latency, nbytes)
-        return max(port_end, lower_end)
+        hit_latency = self.config.hit_latency
+        port_end = self.port.transfer_all([t + hit_latency for t in now], nbytes)
+        return list(map(max, port_end, lower_end))
 
     def access_batch(self, now, addr, nbytes, is_write, requester: str = ""):
         """Perform a whole FCFS sequence of accesses; returns end times.

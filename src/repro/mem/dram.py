@@ -68,29 +68,70 @@ class DRAMModel:
         self.stats = StatsRegistry(owner=name)
         self._open_rows: dict[int, int] = {}
 
-    def access(self, now: float, addr: int, nbytes: int, is_write: bool) -> float:
-        """Perform one DRAM access; returns the completion time."""
-        if nbytes <= 0:
-            return now
+    def access(self, now, addr, nbytes, is_write):
+        """Perform one DRAM access; returns the completion time.
+
+        A segment of accesses passes ``now``, ``addr``, ``nbytes`` and
+        ``is_write`` as equal-length lists in issue order (every entry moving
+        at least one byte) and gets the list of completion times back: one
+        open-row pass, one FCFS scan of the channel over the interleaved
+        activate and data bookings, one add per counter.  Scalar arguments
+        are the one-element case.
+        """
+        if not isinstance(now, list):
+            if nbytes <= 0:
+                return now
+            return self.access([now], [addr], [nbytes], [is_write])[0]
         cfg = self.config
-        row = addr // cfg.row_buffer_bytes
-        bank = row % cfg.num_banks
-        if self._open_rows.get(bank) == row:
-            latency = cfg.row_hit_latency
-            occupancy_extra = 0.0
-            self.stats.counter("row_hits").add()
-        else:
-            latency = cfg.access_latency
-            occupancy_extra = cfg.activate_occupancy
-            self.stats.counter("row_misses").add()
-            self._open_rows[bank] = row
-        self.stats.counter("writes" if is_write else "reads").add()
-        self.stats.counter("bytes").add(nbytes)
-        if occupancy_extra:
-            # The activate/precharge turnaround blocks the channel.
-            self.channel.inner.book(now, occupancy_extra)
-        __, end = self.channel.transfer(now + latency, nbytes)
-        return end
+        row_bytes = cfg.row_buffer_bytes
+        num_banks = cfg.num_banks
+        row_hit_latency = cfg.row_hit_latency
+        access_latency = cfg.access_latency
+        activate = cfg.activate_occupancy
+        open_rows = self._open_rows
+        channel = self.channel
+        overhead = channel.overhead
+        bytes_per_cycle = channel.bytes_per_cycle
+        # Channel bookings in the order per-access calls make them: an
+        # activate (row misses only) then the data transfer.
+        earliest: list[float] = []
+        durations: list[float] = []
+        data_slot: list[int] = []
+        row_hits = writes = 0
+        for t, a, nb, w in zip(now, addr, nbytes, is_write):
+            row = a // row_bytes
+            bank = row % num_banks
+            if open_rows.get(bank) == row:
+                row_hits += 1
+                latency = row_hit_latency
+            else:
+                open_rows[bank] = row
+                latency = access_latency
+                if activate:
+                    # The activate/precharge turnaround blocks the channel.
+                    earliest.append(t)
+                    durations.append(activate)
+            if w:
+                writes += 1
+            data_slot.append(len(earliest))
+            earliest.append(t + latency)
+            durations.append(overhead + nb / bytes_per_cycle)
+
+        n = len(now)
+        stats = self.stats
+        if row_hits:
+            stats.counter("row_hits").add(row_hits)
+        if n - row_hits:
+            stats.counter("row_misses").add(n - row_hits)
+        if writes:
+            stats.counter("writes").add(writes)
+        if n - writes:
+            stats.counter("reads").add(n - writes)
+        total = sum(nbytes)
+        stats.counter("bytes").add(total)
+        channel.bytes_moved += total
+        ends = channel.inner.book_all(earliest, durations)
+        return [ends[slot] for slot in data_slot]
 
     def access_batch(self, now, addr, nbytes, is_write):
         """Perform a whole FCFS sequence of accesses; returns end times.

@@ -54,14 +54,21 @@ class MemorySystem:
 
     def access(
         self,
-        now: float,
-        paddr: int,
-        nbytes: int,
-        is_write: bool,
+        now,
+        paddr,
+        nbytes,
+        is_write,
         requester: str = "",
-    ) -> float:
-        """Move ``nbytes`` at physical address ``paddr``; returns end time."""
-        if nbytes <= 0:
+    ):
+        """Move ``nbytes`` at physical address ``paddr``; returns end time.
+
+        A segment of accesses passes ``now``, ``paddr``, ``nbytes`` and
+        ``is_write`` as equal-length lists in issue order (every entry moving
+        at least one byte) and gets the list of end times back.  The segment
+        goes through the bus in one FCFS scan, then through the L2 (or DRAM)
+        in one pass; scalar arguments are the one-element case.
+        """
+        if not isinstance(now, list) and nbytes <= 0:
             return now
         bus_end = self.bus.transfer(now, nbytes, requester)
         if self.l2 is not None:

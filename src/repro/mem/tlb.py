@@ -132,6 +132,10 @@ class TranslationResult:
         return self.level
 
 
+#: levels that missed the private TLB (a positive miss-rate window outcome)
+_MISS_LEVELS = frozenset({"shared", "walk"})
+
+
 class TranslationSystem:
     """The full translation path used by an accelerator's DMA engine.
 
@@ -166,58 +170,105 @@ class TranslationSystem:
         return self.translate_vpn(now, vpn, is_write)
 
     def translate_vpn(self, now: float, vpn: int, is_write: bool) -> TranslationResult:
-        cfg = self.config
-        stats = self.stats
-        stats.counter("requests").add()
-        stats.counter("write_requests" if is_write else "read_requests").add()
+        """Translate one request: the one-element case of :meth:`translate_chain`."""
+        __, (end,), (level,) = self.translate_chain([now], [vpn], is_write)
+        return TranslationResult(end, level, vpn)
 
+    def translate_chain(self, earliest, vpns, is_write: bool):
+        """Translate one channel's request stream in issue order.
+
+        The TLB is single-ported, so request ``i`` starts at
+        ``max(earliest[i], end of request i-1)``.  One pass walks the filter
+        register, the private and shared TLBs and the PTW in order (walks
+        book the possibly shared PTW one by one), records every outcome in
+        the miss-rate window and adds each counter once.  Returns the lists
+        ``(starts, ends, levels)``, one entry per request, each level one of
+        ``"filter"``, ``"private"``, ``"shared"`` or ``"walk"``.
+        """
+        cfg = self.config
+        private = self.private
+        private_lru = private._lru
+        refresh_private = private_lru.move_to_end
+        shared = self.shared
+        shared_entries = cfg.shared_entries
+        private_latency = cfg.private_hit_latency
+        shared_latency = cfg.shared_hit_latency
+        walk_offset = shared_latency if shared_entries else 0
+        walk_latency = cfg.walk_latency
+        page_table = self.page_table
+        ptw = self.ptw
+        filters = self.filters
+        if filters is not None:
+            filter_vpn = filters.write_vpn if is_write else filters.read_vpn
         # Track consecutive same-page behaviour per channel (paper: 87% of
         # consecutive reads and 83% of consecutive writes hit the same page).
         last = self._last_vpn[is_write]
-        if last is not None:
-            key = "consecutive_same_write" if is_write else "consecutive_same_read"
-            total = "consecutive_write" if is_write else "consecutive_read"
-            stats.counter(total).add()
-            if last == vpn:
-                stats.counter(key).add()
-        self._last_vpn[is_write] = vpn
+        consecutive = same = filter_hits = private_hits = shared_hits = walks = 0
+        starts: list[float] = []
+        ends: list[float] = []
+        levels: list[str] = []
+        end = float("-inf")
+        for e, vpn in zip(earliest, vpns):
+            t = e if e > end else end
+            if last is not None:
+                consecutive += 1
+                if last == vpn:
+                    same += 1
+            last = vpn
+            if filters is not None and vpn == filter_vpn:
+                filter_hits += 1
+                end = t
+                level = "filter"
+            else:
+                if filters is not None:
+                    filter_vpn = vpn
+                if vpn in private_lru:
+                    refresh_private(vpn)
+                    private_hits += 1
+                    end = t + private_latency
+                    level = "private"
+                else:
+                    after_private = t + private_latency
+                    if shared_entries and shared.lookup(vpn):
+                        shared_hits += 1
+                        private.fill(vpn)
+                        end = after_private + shared_latency
+                        level = "shared"
+                    else:
+                        # Full page-table walk on the (possibly shared) PTW.
+                        walks += 1
+                        if page_table is not None:
+                            page_table.walk(vpn)
+                        __, end = ptw.book(after_private + walk_offset, walk_latency)
+                        private.fill(vpn)
+                        shared.fill(vpn)
+                        level = "walk"
+            starts.append(t)
+            ends.append(end)
+            levels.append(level)
 
-        if self.filters is not None and self.filters.check(vpn, is_write):
-            stats.counter("filter_hits").add()
-            self.miss_window.record(now, positive=False)
-            return TranslationResult(now, "filter", vpn)
-
-        if self.filters is not None:
-            self.filters.update(vpn, is_write)
-
-        if self.private.lookup(vpn):
-            stats.counter("private_hits").add()
-            self.miss_window.record(now, positive=False)
-            return TranslationResult(now + cfg.private_hit_latency, "private", vpn)
-
-        stats.counter("private_misses").add()
-        self.miss_window.record(now, positive=True)
-
-        after_private = now + cfg.private_hit_latency
-        if cfg.shared_entries and self.shared.lookup(vpn):
-            stats.counter("shared_hits").add()
-            self.private.fill(vpn)
-            return TranslationResult(
-                after_private + cfg.shared_hit_latency, "shared", vpn
-            )
-
-        if cfg.shared_entries:
-            stats.counter("shared_misses").add()
-
-        # Full page-table walk on the (possibly shared) PTW.
-        stats.counter("walks").add()
-        walk_request = after_private + (cfg.shared_hit_latency if cfg.shared_entries else 0)
-        if self.page_table is not None:
-            self.page_table.walk(vpn)
-        __, walk_end = self.ptw.book(walk_request, cfg.walk_latency)
-        self.private.fill(vpn)
-        self.shared.fill(vpn)
-        return TranslationResult(walk_end, "walk", vpn)
+        self._last_vpn[is_write] = last
+        if filters is not None:
+            filters.update(filter_vpn, is_write)
+        self.miss_window.record_each(starts, [level in _MISS_LEVELS for level in levels])
+        kind = "write" if is_write else "read"
+        counts = {
+            "requests": len(starts),
+            f"{kind}_requests": len(starts),
+            f"consecutive_{kind}": consecutive,
+            f"consecutive_same_{kind}": same,
+            "filter_hits": filter_hits,
+            "private_hits": private_hits,
+            "private_misses": shared_hits + walks,
+            "shared_hits": shared_hits,
+            "shared_misses": walks if shared_entries else 0,
+            "walks": walks,
+        }
+        stats = self.stats
+        for name, value in counts.items():
+            if value:
+                stats.counter(name).add(value)
+        return starts, ends, levels
 
     def translate_batch(self, now, vpns, is_write):
         """Translate a whole request sequence; returns the end times.

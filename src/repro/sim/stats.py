@@ -177,6 +177,28 @@ class RateWindow:
                 self._hits_in_window = 0
                 self._seen_in_window = 0
 
+    def record_each(self, times, positives) -> None:
+        """Record one unweighted outcome per event, in order.
+
+        Emits exactly what one :meth:`record` call per event emits (same
+        rates, same timestamps); the translation pass records a whole
+        request stream with one call.
+        """
+        window = self.window
+        hits = self._hits_in_window
+        seen = self._seen_in_window
+        series = self.series
+        for time, positive in zip(times, positives):
+            seen += 1
+            if positive:
+                hits += 1
+            if seen >= window:
+                series.record(time, hits / seen)
+                hits = 0
+                seen = 0
+        self._hits_in_window = hits
+        self._seen_in_window = seen
+
     def flush(self, time: float) -> None:
         """Emit a final partial window, if any events are pending."""
         if self._seen_in_window:

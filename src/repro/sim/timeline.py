@@ -45,6 +45,29 @@ class Timeline:
         self.bookings += 1
         return start, end
 
+    def book_all(self, earliest, durations) -> list[float]:
+        """Book a FCFS sequence in order; returns the end times.
+
+        Bitwise the same as calling :meth:`book` once per element: the same
+        comparison and the same sequential float additions, so ``next_free``
+        and ``busy_time`` end where the per-element loop leaves them.  The
+        exact memory path books each segment of requests with one call.
+        """
+        if durations and min(durations) < 0:
+            raise ValueError(f"negative duration in booking on {self.name}")
+        next_free = self.next_free
+        busy = self.busy_time
+        ends = []
+        append = ends.append
+        for e, d in zip(earliest, durations):
+            next_free = (next_free if next_free > e else e) + d
+            busy += d
+            append(next_free)
+        self.next_free = next_free
+        self.busy_time = busy
+        self.bookings += len(ends)
+        return ends
+
     def peek(self, earliest: float) -> float:
         """Return the time at which a booking made now would start."""
         return self.next_free if self.next_free > earliest else earliest
@@ -122,6 +145,16 @@ class BandwidthTimeline:
         duration = self.overhead + num_bytes / self.bytes_per_cycle
         self.bytes_moved += num_bytes
         return self.inner.book(earliest, duration)
+
+    def transfer_all(self, earliest, num_bytes) -> list[float]:
+        """Book a sequence of transfers in order (:meth:`Timeline.book_all`);
+        returns the end times, bitwise those of per-transfer calls."""
+        if num_bytes and min(num_bytes) < 0:
+            raise ValueError("num_bytes must be non-negative")
+        overhead = self.overhead
+        bytes_per_cycle = self.bytes_per_cycle
+        self.bytes_moved += sum(num_bytes)
+        return self.inner.book_all(earliest, [overhead + n / bytes_per_cycle for n in num_bytes])
 
     def transfer_batch(self, earliest, num_bytes):
         """Book a sequence of transfers at once; returns the end times."""

@@ -144,48 +144,6 @@ def _apply_delta(delta: dict, tile, contended: bool) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Recording proxies                                                       #
-# ---------------------------------------------------------------------- #
-
-
-class _RecordingMemorySystem:
-    """Delegates to a :class:`~repro.mem.hierarchy.MemorySystem`, logging
-    every timed access the DMA engine makes."""
-
-    __slots__ = ("inner", "recorder")
-
-    def __init__(self, inner, recorder: "TraceRecorder") -> None:
-        self.inner = inner
-        self.recorder = recorder
-
-    def access(self, now, paddr, nbytes, is_write, requester=""):
-        end = self.inner.access(now, paddr, nbytes, is_write, requester)
-        if nbytes > 0:
-            self.recorder._log_access(now, paddr, nbytes, is_write, requester, end)
-        return end
-
-
-class _RecordingTranslationSystem:
-    """Delegates to a :class:`~repro.mem.tlb.TranslationSystem`, logging
-    every translation request."""
-
-    __slots__ = ("inner", "recorder")
-
-    def __init__(self, inner, recorder: "TraceRecorder") -> None:
-        self.inner = inner
-        self.recorder = recorder
-
-    @property
-    def config(self):
-        return self.inner.config
-
-    def translate_vpn(self, now, vpn, is_write):
-        result = self.inner.translate_vpn(now, vpn, is_write)
-        self.recorder._log_translation(now, vpn, is_write, result.end_time)
-        return result
-
-
-# ---------------------------------------------------------------------- #
 # The trace                                                               #
 # ---------------------------------------------------------------------- #
 
@@ -333,7 +291,12 @@ class MacroTrace:
 
 
 class TraceRecorder:
-    """Record one generator-path execution into a :class:`MacroTrace`."""
+    """Record one generator-path execution into a :class:`MacroTrace`.
+
+    While :meth:`record` runs, the tile's DMA engine hands every transfer's
+    translation requests and physical accesses to :meth:`log_translations`
+    and :meth:`log_accesses` (its ``recorder`` hook), in issue order.
+    """
 
     def __init__(self, runtime: Runtime, segment_ops: int = SEGMENT_OPS) -> None:
         if segment_ops < 1:
@@ -348,17 +311,24 @@ class TraceRecorder:
         self._requesters: dict[str, int] = {}
         self._snapshots: list[dict] = []
 
-    # -- proxy callbacks ------------------------------------------------ #
+    # -- DMA callbacks --------------------------------------------------- #
 
-    def _log_access(self, now, paddr, nbytes, is_write, requester, end) -> None:
+    def log_accesses(self, starts, ends, paddrs, nbytes, is_write, requester) -> None:
+        """Log one DMA transfer's physical accesses, in issue order."""
         rid = self._requesters.setdefault(requester, len(self._requesters))
-        self._acc.append(
-            (len(self._clocks), now - self._start, end - self._start, paddr, nbytes, is_write, rid)
+        op = len(self._clocks)
+        s0 = self._start
+        self._acc.extend(
+            (op, t - s0, e - s0, paddr, n, is_write, rid)
+            for t, e, paddr, n in zip(starts, ends, paddrs, nbytes)
         )
 
-    def _log_translation(self, now, vpn, is_write, end) -> None:
-        self._xl.append(
-            (len(self._clocks), now - self._start, end - self._start, vpn, is_write)
+    def log_translations(self, starts, ends, vpns, is_write) -> None:
+        """Log one DMA transfer's translation requests, in issue order."""
+        op = len(self._clocks)
+        s0 = self._start
+        self._xl.extend(
+            (op, t - s0, e - s0, vpn, is_write) for t, e, vpn in zip(starts, ends, vpns)
         )
 
     # -- recording ------------------------------------------------------ #
@@ -378,9 +348,8 @@ class TraceRecorder:
         dma = runtime.tile.accel.dma
         self._start = runtime.tile.accel.controller.now
         self._snapshots = [_snapshot(runtime.tile)]
-        orig_mem, orig_xlat = dma.mem, dma.xlat
-        dma.mem = _RecordingMemorySystem(orig_mem, self)
-        dma.xlat = _RecordingTranslationSystem(orig_xlat, self)
+        outer = dma.recorder
+        dma.recorder = self
         try:
             for clock in runtime.run_generator():
                 self._clocks.append(clock - self._start)
@@ -390,7 +359,7 @@ class TraceRecorder:
                     self._snapshots.append(_snapshot(runtime.tile))
                 yield clock
         finally:
-            dma.mem, dma.xlat = orig_mem, orig_xlat
+            dma.recorder = outer
         if len(self._clocks) % self.segment_ops != 0:
             self._snapshots.append(_snapshot(runtime.tile))
 

@@ -33,7 +33,6 @@ class TLBProfile:
 
     @property
     def private_miss_rate(self) -> float:
-        looked_up = self.private_hits + (self.requests - self.filter_hits - self.private_hits)
         reached = self.requests - self.filter_hits
         if not reached:
             return 0.0
@@ -91,6 +90,10 @@ class RunProfiler:
         def delta(key: str) -> int:
             return after.get(key, 0) - before.get(key, 0)
 
+        def fraction(numerator: str, denominator: str) -> float:
+            total = delta(denominator)
+            return delta(numerator) / total if total else 0.0
+
         series = xlat.miss_window.series
         last_time = series.times[-1] if series.times else 0.0
         xlat.miss_window.flush(last_time)
@@ -102,8 +105,8 @@ class RunProfiler:
             private_hits=delta("private_hits"),
             shared_hits=delta("shared_hits"),
             walks=delta("walks"),
-            consecutive_same_read=xlat.consecutive_same_page_fraction(False),
-            consecutive_same_write=xlat.consecutive_same_page_fraction(True),
+            consecutive_same_read=fraction("consecutive_same_read", "consecutive_read"),
+            consecutive_same_write=fraction("consecutive_same_write", "consecutive_write"),
             miss_rate_trace=trace,
         )
 

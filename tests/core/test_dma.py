@@ -139,3 +139,78 @@ class TestTranslationSerialisation:
             xlat.translate_vpn(0.0, vpn, False)
         b = warm.transfer(1e6, 0x100000, 64, 16, 4096, False)
         assert b.cycles < a.cycles
+
+
+def row_by_row(dma, now, vaddr, bytes_per_row, nrows, stride, is_write, requester=""):
+    """A transfer made of one-element calls, row by row: every row books the
+    channel, translates each page it touches, then moves its page-split
+    chunks one after another."""
+    channel = dma.write_channel if is_write else dma.read_channel
+    page = dma.page_bytes
+    occupancy = max(1.0, bytes_per_row / dma.config.dma_bus_bytes)
+    end, cursor, stall, requests, first = now, now, 0.0, 0, None
+    for row in range(nrows):
+        row_vaddr = vaddr + row * stride
+        issue, free = channel.book(now, occupancy)
+        first = issue if first is None else first
+        done = issue if issue > cursor else cursor
+        for vpn in range(row_vaddr // page, (row_vaddr + bytes_per_row - 1) // page + 1):
+            translated = dma.xlat.translate_vpn(done, vpn, is_write).end_time
+            stall += translated - done
+            requests += 1
+            done = translated
+        cursor = access = done
+        at, remaining = row_vaddr, bytes_per_row
+        while remaining:
+            chunk = min(remaining, page - at % page)
+            paddr = dma.vm.translate(at) if dma.vm is not None else at
+            access = dma.mem.access(access, paddr, chunk, is_write, requester)
+            at += chunk
+            remaining -= chunk
+        end = max(end, access, free)
+    return (first, end, bytes_per_row * nrows, requests, stall)
+
+
+def dma_state(dma):
+    mem = dma.mem
+    timelines = (mem.bus.channel.inner, mem.l2.port.inner, mem.dram.channel.inner,
+                 dma.xlat.ptw, dma.read_channel, dma.write_channel)
+    return (
+        [(t.next_free, t.busy_time, t.bookings) for t in timelines],
+        [reg.snapshot() for reg in (mem.bus.stats, mem.l2.stats, mem.dram.stats, dma.xlat.stats)],
+        [list(s.items()) for s in mem.l2._sets],
+        list(dma.xlat.private._lru),
+        dma.xlat.miss_window.series.times,
+        dma.vm.page_table.walk_accesses if dma.vm is not None else 0,
+    )
+
+
+#: (vaddr offset, bytes_per_row, nrows, stride, is_write): contiguous rows,
+#: rows straddling a page, rows spanning three pages, a zero stride
+TRANSFERS = [
+    (0, 64, 40, 64, False),
+    (4000, 64, 12, 1000, False),
+    (100, 9000, 3, 9000, True),
+    (64, 48, 30, 4100, True),
+    (4090, 32, 5, 0, False),
+]
+
+
+@pytest.mark.parametrize("filters", [False, True])
+@pytest.mark.parametrize("scattered", [False, True])
+def test_staged_transfer_matches_row_by_row(small_config, filters, scattered):
+    twins = []
+    for __ in range(2):
+        vm = VirtualMemory(scattered=scattered)
+        base = vm.alloc(1 << 17, "buf")
+        dma, __x, __m = make_dma(small_config, private=4, shared=8, filters=filters, vm=vm)
+        twins.append(dma)
+    staged, reference = twins
+    now = 0.0
+    for offset, row_bytes, rows, stride, is_write in TRANSFERS:
+        result = staged.transfer(now, base + offset, row_bytes, rows, stride, is_write, "g")
+        expected = row_by_row(reference, now, base + offset, row_bytes, rows, stride, is_write, "g")
+        assert (result.start_time, result.end_time, result.bytes_moved, result.tlb_requests,
+                result.translation_stall) == expected
+        now += 150.0
+    assert dma_state(staged) == dma_state(reference)

@@ -79,3 +79,34 @@ class TestDeltaSemantics:
         assert second.tlb.requests == 0
         assert second.memory.l2_accesses == 0
         assert first.tlb.requests > 0
+
+    def test_second_run_reports_its_own_same_page_fractions(self):
+        from tests.sw.test_runtime import tiny_cnn
+
+        soc = make_soc(gemmini=CFG)
+        params = SoftwareParams.from_config(CFG)
+        run_model_on_tile(soc.tile, compile_graph(tiny_cnn(32), params))
+        xlat = soc.tile.accel.xlat
+        before = xlat.stats.snapshot()
+        profiler = RunProfiler(soc).start()
+        run_model_on_tile(soc.tile, compile_graph(tiny_cnn(16), params))
+        report = profiler.stop()
+        after = xlat.stats.snapshot()
+
+        for is_write, measured in ((False, report.tlb.consecutive_same_read),
+                                   (True, report.tlb.consecutive_same_write)):
+            kind = "write" if is_write else "read"
+            same = after[f"consecutive_same_{kind}"] - before[f"consecutive_same_{kind}"]
+            total = after[f"consecutive_{kind}"] - before[f"consecutive_{kind}"]
+            assert measured == same / total
+            # the cumulative fraction over both runs is a different number
+            assert measured != xlat.consecutive_same_page_fraction(is_write)
+
+    def test_idle_window_has_no_same_page_fraction(self):
+        from tests.sw.test_runtime import tiny_cnn
+
+        soc = make_soc(gemmini=CFG)
+        run_model_on_tile(soc.tile, compile_graph(tiny_cnn(16), SoftwareParams.from_config(CFG)))
+        report = RunProfiler(soc).start().stop()
+        assert report.tlb.consecutive_same_read == 0.0
+        assert report.tlb.consecutive_same_write == 0.0
