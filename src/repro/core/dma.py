@@ -153,19 +153,12 @@ class DMAEngine:
             starts[first] = xl_end[last]
             cuts.extend(range(first + 1, last + 1))
         writes = [is_write] * len(vpns)
-        access = self.mem.access
-        if cuts:
-            ends: list[float] = []
-            begin = 0
-            for cut in cuts:
-                ends += access(starts[begin:cut], paddrs[begin:cut], chunk_bytes[begin:cut],
-                               writes[begin:cut], requester)
-                starts[cut] = ends[-1]
-                begin = cut
-            ends += access(starts[begin:], paddrs[begin:], chunk_bytes[begin:], writes[begin:],
-                           requester)
-        else:
-            ends = access(starts, paddrs, chunk_bytes, writes, requester)
+        ends: list[float] = []
+        for begin, stop in zip([0, *cuts], [*cuts, len(vpns)]):
+            if begin:
+                starts[begin] = ends[-1]
+            ends += self.mem.access(starts[begin:stop], paddrs[begin:stop],
+                                    chunk_bytes[begin:stop], writes[begin:stop], requester)
 
         if self.recorder is not None:
             self.recorder.log_translations(xl_start, xl_end, vpns, is_write)
