@@ -10,7 +10,6 @@ what this module provides.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.sim.stats import StatsRegistry
@@ -52,9 +51,11 @@ class CacheConfig:
 class Cache:
     """A write-back, write-allocate, LRU set-associative cache.
 
-    ``lower`` is any object exposing ``access(now, addr, nbytes, is_write)``
-    in both the scalar and the segment (parallel lists) form — in practice
-    a :class:`~repro.mem.dram.DRAMModel` or another :class:`Cache`.
+    ``lower`` is a :class:`~repro.mem.dram.DRAMModel`: the exact path hands
+    it the L2's lower-level requests as one segment (parallel lists), replay
+    as one ``access_batch``.  Each set is a plain ``dict`` from resident line
+    index to dirty flag whose insertion order is the LRU order (oldest
+    first); :meth:`_walk` is the one LRU pass both entry points share.
     """
 
     def __init__(self, config: CacheConfig, lower, name: str = "L2") -> None:
@@ -63,10 +64,7 @@ class Cache:
         self.name = name
         self.port = BandwidthTimeline(f"{name}.port", config.bytes_per_cycle)
         self.stats = StatsRegistry(owner=name)
-        # One LRU structure per set: OrderedDict maps tag -> dirty flag.
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        self._sets: list[dict[int, bool]] = [{} for _ in range(config.num_sets)]
         self._num_sets = config.num_sets
         self._ways = config.ways
         self._line = config.line_bytes
@@ -74,6 +72,71 @@ class Cache:
     # ------------------------------------------------------------------ #
     # Timing + functional access                                         #
     # ------------------------------------------------------------------ #
+
+    def _walk(self, now, addr, nbytes, is_write, requester):
+        """Run a sequence of accesses through the LRU sets, in issue order.
+
+        Takes plain lists, adds each counter once and returns the
+        lower-level requests (victim writebacks and line fetches) as four
+        parallel lists ``(t, addr, write, owner)`` in issue order, where
+        ``owner`` maps each request back to the access that made it.
+        """
+        line = self._line
+        num_sets = self._num_sets
+        ways_limit = self._ways
+        sets = self._sets
+        writeback = self.config.writeback
+        lines = evictions = writebacks = 0
+        low_t: list[float] = []
+        low_addr: list[int] = []
+        low_write: list[bool] = []
+        low_owner: list[int] = []
+
+        for i, (t, a, nb, w) in enumerate(zip(now, addr, nbytes, is_write)):
+            first = a // line
+            stop = (a + nb - 1) // line + 1
+            lines += stop - first
+            for index in range(first, stop):
+                ways = sets[index % num_sets]
+                dirty = ways.pop(index, None)
+                if dirty is not None:
+                    ways[index] = True if w else dirty
+                    continue
+                if len(ways) >= ways_limit:
+                    victim = next(iter(ways))
+                    evictions += 1
+                    if ways.pop(victim) and writeback:
+                        writebacks += 1
+                        low_t.append(t)
+                        low_addr.append(victim * line)
+                        low_write.append(True)
+                        low_owner.append(i)
+                # Fetch the missing line from below (write-allocate).
+                low_t.append(t)
+                low_addr.append(index * line)
+                low_write.append(False)
+                low_owner.append(i)
+                ways[index] = w
+
+        # Every miss made exactly one fetch.
+        misses = len(low_t) - writebacks
+        writes = sum(map(bool, is_write))
+        stats = self.stats
+        stats.counter("hits").add(lines - misses)
+        stats.counter("misses").add(misses)
+        stats.counter("accesses").add(lines)
+        if writes:
+            stats.counter("writes").add(writes)
+        if len(now) - writes:
+            stats.counter("reads").add(len(now) - writes)
+        if evictions:
+            stats.counter("evictions").add(evictions)
+        if writebacks:
+            stats.counter("writebacks").add(writebacks)
+        if requester:
+            stats.counter(f"hits_{requester}").add(lines - misses)
+            stats.counter(f"misses_{requester}").add(misses)
+        return low_t, low_addr, low_write, low_owner
 
     def access(
         self,
@@ -101,72 +164,14 @@ class Cache:
             if nbytes <= 0:
                 return now
             return self.access([now], [addr], [nbytes], [is_write], requester)[0]
-        line = self._line
-        num_sets = self._num_sets
-        ways_limit = self._ways
-        sets = self._sets
-        writeback = self.config.writeback
-        hits = misses = evictions = writebacks = writes = 0
-        # Lower-level requests in issue order; ``low_owner`` maps each back
-        # to the access that made it.
-        low_t: list[float] = []
-        low_addr: list[int] = []
-        low_write: list[bool] = []
-        low_owner: list[int] = []
-
-        for i, (t, a, nb, w) in enumerate(zip(now, addr, nbytes, is_write)):
-            if w:
-                writes += 1
-            for index in range(a // line, (a + nb - 1) // line + 1):
-                set_index = index % num_sets
-                tag = index // num_sets
-                ways = sets[set_index]
-                if tag in ways:
-                    hits += 1
-                    ways.move_to_end(tag)
-                    if w:
-                        ways[tag] = True
-                else:
-                    misses += 1
-                    if len(ways) >= ways_limit:
-                        victim_tag, victim_dirty = ways.popitem(last=False)
-                        evictions += 1
-                        if victim_dirty and writeback:
-                            writebacks += 1
-                            low_t.append(t)
-                            low_addr.append((victim_tag * num_sets + set_index) * line)
-                            low_write.append(True)
-                            low_owner.append(i)
-                    # Fetch the missing line from below (write-allocate).
-                    low_t.append(t)
-                    low_addr.append(index * line)
-                    low_write.append(False)
-                    low_owner.append(i)
-                    ways[tag] = w
-
+        low_t, low_addr, low_write, low_owner = self._walk(now, addr, nbytes, is_write, requester)
         lower_end = list(now)
         if low_t:
-            low_ends = self.lower.access(low_t, low_addr, [line] * len(low_t), low_write)
+            low_ends = self.lower.access(low_t, low_addr, [self._line] * len(low_t), low_write)
             # Each access waits for the last of its lower-level requests.
             for owner, end in zip(low_owner, low_ends):
                 if end > lower_end[owner]:
                     lower_end[owner] = end
-
-        stats = self.stats
-        stats.counter("hits").add(hits)
-        stats.counter("misses").add(misses)
-        stats.counter("accesses").add(hits + misses)
-        if writes:
-            stats.counter("writes").add(writes)
-        if len(now) - writes:
-            stats.counter("reads").add(len(now) - writes)
-        if evictions:
-            stats.counter("evictions").add(evictions)
-        if writebacks:
-            stats.counter("writebacks").add(writebacks)
-        if requester:
-            stats.counter(f"hits_{requester}").add(hits)
-            stats.counter(f"misses_{requester}").add(misses)
 
         hit_latency = self.config.hit_latency
         port_end = self.port.transfer_all([t + hit_latency for t in now], nbytes)
@@ -175,13 +180,12 @@ class Cache:
     def access_batch(self, now, addr, nbytes, is_write, requester: str = ""):
         """Perform a whole FCFS sequence of accesses; returns end times.
 
-        Aggregate-equivalent to calling :meth:`access` in a loop: the LRU
-        sets evolve through the identical hit/miss/evict decisions (same
-        python structures, so mixing scalar and batched access is safe), the
-        lower level sees the same requests in the same order (batched when
-        it exposes ``access_batch``), and counters land in one aggregated
-        add per name.  Port and lower-level end times match the scalar loop
-        up to float association (see ``Timeline.book_batch``).
+        The functional pass is the same :meth:`_walk` as :meth:`access`, so
+        the LRU sets, the counters and the lower level's requests (in order)
+        are exactly the segment path's.  Only the timing is numpy: one
+        ``lower.access_batch``, a per-access max over its requests and one
+        ``port.transfer_batch``, which match the segment path up to float
+        association (see ``Timeline.book_batch``).
         """
         import numpy as np
 
@@ -194,93 +198,28 @@ class Cache:
             return now
         if int(nbytes.min()) <= 0:
             raise ValueError("batched cache accesses must move at least one byte")
-        cfg = self.config
-        line = self._line
-        num_sets = self._num_sets
-        ways_limit = self._ways
-        sets = self._sets
-        first = (addr // line).tolist()
-        last = ((addr + nbytes - 1) // line).tolist()
-        writes_list = is_write.tolist()
-        now_list = now.tolist()
-
-        hits = 0
-        misses = 0
-        evictions = 0
-        writebacks = 0
-        writeback_enabled = cfg.writeback
-        # Lower-level requests (earliest, addr, is_write, owner), in exactly
-        # the order the scalar loop would issue them; ``owner`` maps each
-        # back to its originating access.
-        low: list[tuple] = []
-        low_append = low.append
-
-        for i, (t, w, lo, hi) in enumerate(zip(now_list, writes_list, first, last)):
-            for index in range(lo, hi + 1):
-                set_index = index % num_sets
-                ways = sets[set_index]
-                tag = index // num_sets
-                if tag in ways:
-                    hits += 1
-                    ways.move_to_end(tag)
-                    if w:
-                        ways[tag] = True
-                else:
-                    misses += 1
-                    if len(ways) >= ways_limit:
-                        victim_tag, victim_dirty = ways.popitem(last=False)
-                        evictions += 1
-                        if victim_dirty and writeback_enabled:
-                            writebacks += 1
-                            low_append((t, (victim_tag * num_sets + set_index) * line, True, i))
-                    low_append((t, index * line, False, i))
-                    ways[tag] = w
+        low_t, low_addr, low_write, low_owner = self._walk(
+            now.tolist(), addr.tolist(), nbytes.tolist(), is_write.tolist(), requester
+        )
 
         lower_end = now.copy()
-        if low:
-            low_earliest, low_addr, low_write, low_owner = zip(*low)
-            nlines = np.full(len(low), line, dtype=np.int64)
-            if hasattr(self.lower, "access_batch"):
-                low_ends = self.lower.access_batch(
-                    np.asarray(low_earliest), np.asarray(low_addr), nlines, np.asarray(low_write)
-                )
-            else:
-                low_ends = np.asarray(
-                    [
-                        self.lower.access(t, a, line, w)
-                        for t, a, w in zip(low_earliest, low_addr, low_write)
-                    ]
-                )
+        if low_t:
+            low_ends = self.lower.access_batch(
+                np.asarray(low_t),
+                np.asarray(low_addr),
+                np.full(len(low_t), self._line, dtype=np.int64),
+                np.asarray(low_write),
+            )
             # Per-access completion of the last lower request: owners are
             # nondecreasing, so a segment-max (reduceat) replaces the very
             # slow np.maximum.at scatter.
             owners = np.asarray(low_owner, dtype=np.int64)
-            starts = np.empty(0, dtype=np.int64)
-            if owners.size:
-                starts = np.nonzero(np.diff(owners))[0] + 1
-                starts = np.concatenate(([0], starts))
+            starts = np.concatenate(([0], np.nonzero(np.diff(owners))[0] + 1))
             seg_max = np.maximum.reduceat(low_ends, starts)
             idx = owners[starts]
             lower_end[idx] = np.maximum(lower_end[idx], seg_max)
 
-        stats = self.stats
-        stats.counter("hits").add(hits)
-        stats.counter("misses").add(misses)
-        stats.counter("accesses").add(hits + misses)
-        n_writes = int(is_write.sum())
-        if n_writes:
-            stats.counter("writes").add(n_writes)
-        if n - n_writes:
-            stats.counter("reads").add(n - n_writes)
-        if evictions:
-            stats.counter("evictions").add(evictions)
-        if writebacks:
-            stats.counter("writebacks").add(writebacks)
-        if requester:
-            stats.counter(f"hits_{requester}").add(hits)
-            stats.counter(f"misses_{requester}").add(misses)
-
-        port_end = self.port.transfer_batch(now + cfg.hit_latency, nbytes)
+        port_end = self.port.transfer_batch(now + self.config.hit_latency, nbytes)
         return np.maximum(port_end, lower_end)
 
     # ------------------------------------------------------------------ #
@@ -290,19 +229,21 @@ class Cache:
     def probe(self, addr: int) -> bool:
         """True if the line containing ``addr`` is currently resident."""
         index = addr // self._line
-        return (index // self._num_sets) in self._sets[index % self._num_sets]
+        return index in self._sets[index % self._num_sets]
 
     def resident_lines(self) -> int:
         return sum(len(ways) for ways in self._sets)
 
     def flush(self, now: float = 0.0) -> float:
-        """Write back all dirty lines and invalidate; returns completion time."""
+        """Write back all dirty lines and invalidate; returns completion time.
+
+        Writebacks go out set by set, each set oldest line first.
+        """
         end = now
-        for set_index, ways in enumerate(self._sets):
-            for tag, dirty in ways.items():
+        for ways in self._sets:
+            for index, dirty in ways.items():
                 if dirty and self.config.writeback:
-                    addr = (tag * self._num_sets + set_index) * self._line
-                    end = self.lower.access(end, addr, self._line, True)
+                    end = self.lower.access(end, index * self._line, self._line, True)
                     self.stats.counter("writebacks").add()
             ways.clear()
         return end

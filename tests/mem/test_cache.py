@@ -1,7 +1,9 @@
 """Unit tests for the set-associative write-back cache."""
 
+from collections import OrderedDict
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.cache import Cache, CacheConfig
@@ -141,3 +143,187 @@ class TestCacheBehaviour:
             cache.access(0.0, addr, 32, False)
         stats = cache.stats
         assert stats.value("hits") + stats.value("misses") == stats.value("accesses")
+
+
+# ---------------------------------------------------------------------- #
+# Oracle: the LRU walk against a tag-keyed OrderedDict reference          #
+# ---------------------------------------------------------------------- #
+
+
+class ReferenceL2:
+    """The L2's functional behaviour as one scalar loop per line.
+
+    Each set is an ``OrderedDict`` from tag to dirty flag (LRU first); a line's
+    set is ``index % num_sets`` and its tag ``index // num_sets``.  It keeps
+    the counters the way :class:`Cache` adds them (one add per name per
+    call, the conditional ones only when nonzero) and records the lower-level
+    requests ``(t, addr, nbytes, is_write)`` in issue order.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.sets = [OrderedDict() for __ in range(config.num_sets)]
+        self.counters = {}
+        self.lower = []
+
+    def _add(self, name, value, always=False):
+        if value or always:
+            self.counters[name] = self.counters.get(name, 0) + value
+
+    def access(self, now, addr, nbytes, is_write, requester=""):
+        """One call of ``n`` accesses, as parallel lists."""
+        line, num_sets = self.config.line_bytes, self.config.num_sets
+        hits = misses = evictions = writebacks = 0
+        for t, a, nb, w in zip(now, addr, nbytes, is_write):
+            for index in range(a // line, (a + nb - 1) // line + 1):
+                set_index, tag = index % num_sets, index // num_sets
+                ways = self.sets[set_index]
+                if tag in ways:
+                    hits += 1
+                    ways.move_to_end(tag)
+                    if w:
+                        ways[tag] = True
+                    continue
+                misses += 1
+                if len(ways) >= self.config.ways:
+                    victim_tag, victim_dirty = ways.popitem(last=False)
+                    evictions += 1
+                    if victim_dirty and self.config.writeback:
+                        writebacks += 1
+                        victim_addr = (victim_tag * num_sets + set_index) * line
+                        self.lower.append((t, victim_addr, line, True))
+                self.lower.append((t, index * line, line, False))
+                ways[tag] = w
+        writes = sum(is_write)
+        self._add("hits", hits, always=True)
+        self._add("misses", misses, always=True)
+        self._add("accesses", hits + misses, always=True)
+        self._add("writes", writes)
+        self._add("reads", len(now) - writes)
+        self._add("evictions", evictions)
+        self._add("writebacks", writebacks)
+        if requester:
+            self._add(f"hits_{requester}", hits, always=True)
+            self._add(f"misses_{requester}", misses, always=True)
+
+    def probe(self, addr):
+        index = addr // self.config.line_bytes
+        return index // self.config.num_sets in self.sets[index % self.config.num_sets]
+
+    def resident_lines(self):
+        return sum(len(ways) for ways in self.sets)
+
+    def flush(self):
+        """Writeback addresses in flush order: set by set, LRU first."""
+        line, num_sets = self.config.line_bytes, self.config.num_sets
+        addrs = []
+        for set_index, ways in enumerate(self.sets):
+            for tag, dirty in ways.items():
+                if dirty and self.config.writeback:
+                    addrs.append((tag * num_sets + set_index) * line)
+                    self._add("writebacks", 1)
+            ways.clear()
+        return addrs
+
+
+class RecordingLower:
+    """A lower level that logs every request ``(t, addr, nbytes, is_write)``.
+
+    Serves the scalar, segment (lists) and batch (numpy) forms; each request
+    ends a fixed 7 cycles after it is issued.
+    """
+
+    def __init__(self):
+        self.requests = []
+
+    def access(self, now, addr, nbytes, is_write):
+        if not isinstance(now, list):
+            return self.access([now], [addr], [nbytes], [is_write])[0]
+        self.requests += zip(now, addr, nbytes, is_write)
+        return [t + 7.0 for t in now]
+
+    def access_batch(self, now, addr, nbytes, is_write):
+        self.requests += zip(now.tolist(), addr.tolist(), nbytes.tolist(), is_write.tolist())
+        return now + 7.0
+
+
+@st.composite
+def cache_streams(draw):
+    """A tiny geometry plus a list of calls, each ``(form, requester, accesses)``.
+
+    Set counts include non-powers of two, and an access may span more lines
+    than the cache has sets.
+    """
+    line = draw(st.sampled_from([16, 64]))
+    ways = draw(st.integers(1, 3))
+    num_sets = draw(st.integers(1, 5))
+    config = CacheConfig(
+        size_bytes=num_sets * ways * line,
+        ways=ways,
+        line_bytes=line,
+        writeback=draw(st.booleans()),
+    )
+    span = 4 * config.num_lines * line
+    access = st.tuples(
+        st.integers(0, span), st.integers(1, (num_sets + 3) * line), st.booleans()
+    )
+    calls = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["scalar", "segment", "batch"]),
+                st.sampled_from(["", "g0"]),
+                st.lists(access, min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return config, calls
+
+
+def drive(cache, form, requester, now, addr, nbytes, is_write):
+    if form == "scalar":
+        for args in zip(now, addr, nbytes, is_write):
+            cache.access(*args, requester=requester)
+    elif form == "segment":
+        cache.access(now, addr, nbytes, is_write, requester)
+    else:
+        cache.access_batch(now, addr, nbytes, is_write, requester)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cache_streams())
+def test_walk_matches_tag_keyed_reference(stream):
+    """Segment, batch and mixed calls all make the reference's LRU decisions."""
+    config, calls = stream
+    reference = ReferenceL2(config)
+    caches = {
+        "segment": Cache(config, RecordingLower()),
+        "batch": Cache(config, RecordingLower()),
+        "mixed": Cache(config, RecordingLower()),
+    }
+    t = 0.0
+    for form, requester, accesses in calls:
+        addr, nbytes, is_write = (list(column) for column in zip(*accesses))
+        now = [t + 3.0 * k for k in range(len(accesses))]
+        t += 100.0
+        reference.access(now, addr, nbytes, is_write, requester)
+        drive(caches["segment"], "segment", requester, now, addr, nbytes, is_write)
+        drive(caches["batch"], "batch", requester, now, addr, nbytes, is_write)
+        drive(caches["mixed"], form, requester, now, addr, nbytes, is_write)
+
+    probes = range(0, 4 * config.num_lines * config.line_bytes + 1, config.line_bytes)
+    resident = reference.resident_lines()
+    probed = [reference.probe(a) for a in probes]
+    flushed_addrs = reference.flush()
+    for name, cache in caches.items():
+        assert cache.lower.requests == reference.lower, name
+        assert cache.resident_lines() == resident, name
+        assert [cache.probe(a) for a in probes] == probed, name
+        before = len(cache.lower.requests)
+        cache.flush(t)
+        flushed = cache.lower.requests[before:]
+        assert [a for __t, a, __nb, __w in flushed] == flushed_addrs, name
+        assert all(w and nb == config.line_bytes for __t, __a, nb, w in flushed), name
+        assert cache.stats.snapshot() == reference.counters, name
+        assert cache.resident_lines() == 0, name
