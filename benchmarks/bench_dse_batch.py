@@ -2,8 +2,8 @@
 
 Scores one randomized 512-point batch of the full example space through
 :func:`~repro.dse.evaluate_design_batch` and through a per-point
-:func:`~repro.dse.evaluate_design` loop, asserts the two agree within
-1e-9 relative on every analytic metric, and records the speedup.  The
+:func:`~repro.dse.evaluate_design` loop, asserts the two agree bitwise
+on every evaluation, and records the speedup.  The
 headline number uses a whole-network workload (mobilenetv2 — the shape
 count a real DSE pays per point); the single-shape conv workload is
 recorded alongside as the overhead-bound floor.
@@ -29,7 +29,6 @@ from repro.dse import (
 
 POINTS = 128 if FAST else 512
 SEED = 0
-REL_TOL = 1e-9
 
 
 def _sample_points(n):
@@ -51,20 +50,13 @@ def _time_best(fn, rounds=3):
 def _measure(points, spec):
     scalar, t_scalar = _time_best(lambda: [evaluate_design(p, spec) for p in points])
     batched, t_batch = _time_best(lambda: evaluate_design_batch(points, spec))
-    worst_rel = 0.0
-    for s, b in zip(scalar, batched):
-        assert s.point == b.point and s.config_summary == b.config_summary
-        for (name, sv), (__, bv) in zip(s.metrics, b.metrics):
-            rel = abs(sv - bv) / abs(sv) if sv else abs(bv)
-            worst_rel = max(worst_rel, rel)
-            assert rel <= REL_TOL, f"{name}: batch {bv!r} vs scalar {sv!r}"
+    assert batched == scalar
     return {
         "scalar_s": t_scalar,
         "batch_s": t_batch,
         "speedup": t_scalar / t_batch,
         "scalar_points_per_s": len(points) / t_scalar,
         "batch_points_per_s": len(points) / t_batch,
-        "worst_rel_err": worst_rel,
     }
 
 
@@ -95,12 +87,10 @@ def test_dse_batch_speedup(benchmark, emit):
         lines.append(
             f"  {name:12s} scalar {stats['scalar_points_per_s']:8.0f} pts/s | "
             f"batched {stats['batch_points_per_s']:8.0f} pts/s | "
-            f"{stats['speedup']:5.1f}x | worst rel err {stats['worst_rel_err']:.2e}"
+            f"{stats['speedup']:5.1f}x | bitwise"
         )
     emit("dse_batch_speedup", "\n".join(lines))
 
-    assert model_stats["worst_rel_err"] <= REL_TOL
-    assert conv_stats["worst_rel_err"] <= REL_TOL
     # In-run regression floor (CI re-checks from the JSON); quiet machines
     # see >= 10x on the whole-network workload.
     assert model_stats["speedup"] >= 3.0, (

@@ -2,8 +2,10 @@
 
 Each case is a small fixed simulation whose outputs this repository
 reproduces: serving request logs under shared-L2/DRAM contention, per-model
-cycles and memory counters, a DSE front, a tuned-schedule table and the
-run-ledger record each simulating CLI command writes.  :func:`fingerprint`
+cycles and memory counters, a DSE front, the analytic cost models (DSE
+metrics, area, power, fmax, energy, service-cycle estimates), a
+tuned-schedule table and the run-ledger record each simulating CLI command
+writes.  :func:`fingerprint`
 runs one case and returns human-readable values, the bulky parts (request
 logs, per-layer cycles, fronts) folded into sha256 digests; :func:`digest`
 hashes those values canonically.  ``record.py`` writes them to
@@ -327,6 +329,108 @@ def dse_values() -> dict:
     }
 
 
+#: the analytic case's design points: seeded ``gemmini_space(max_dim=64)``
+#: samples plus the template default (the only BOTH-dataflow point)
+ANALYTIC_POINTS = 128
+ANALYTIC_SEED = 0
+
+
+def _physical_values(config) -> dict:
+    """Area rows, power, fmax and an energy report of one config."""
+    from repro.physical.area import accelerator_area
+    from repro.physical.energy import estimate_energy
+    from repro.physical.power import power_mw
+    from repro.physical.timing import max_frequency_ghz
+
+    fmax = max_frequency_ghz(config)
+    energy = estimate_energy(config, macs=10**9, cycles=1.5e7, dma_bytes=3 * 10**8,
+                             dram_bytes=10**8, clock_ghz=fmax)
+    return {
+        "area_rows": [list(row) for row in accelerator_area(config).rows()],
+        "area_boom_total": accelerator_area(config, cpu="boom").total,
+        "fmax_ghz": fmax,
+        "power_mw": power_mw(config),
+        "power_mw_at_fmax": power_mw(config, frequency_ghz=fmax),
+        "energy": {
+            "array_mj": energy.array_mj,
+            "sram_mj": energy.sram_mj,
+            "dram_mj": energy.dram_mj,
+            "static_mj": energy.static_mj,
+            "total_mj": energy.total_mj,
+            "macs": energy.macs,
+            "cycles": energy.cycles,
+        },
+    }
+
+
+def analytic_values() -> dict:
+    """The analytic models: DSE metrics (per point and batched), the Fig. 3
+    and Fig. 6 physical models, and the SJF service-cycle estimate."""
+    import random
+
+    from repro.core.config import Dataflow, GemminiConfig, systolic_config, vector_config
+    from repro.dse import (
+        EvaluationSpec,
+        conv_workload,
+        evaluate_design,
+        evaluate_design_batch,
+        gemmini_space,
+        model_workload,
+    )
+    from repro.eval.experiments import run_fig3
+    from repro.models.zoo import model_names
+    from repro.serve.cluster import estimate_service_cycles
+
+    space = gemmini_space(max_dim=64)
+    rng = random.Random(ANALYTIC_SEED)
+    points = [space.sample(rng) for __ in range(ANALYTIC_POINTS)] + [{}]
+    workloads = [conv_workload()] + [
+        model_workload(name) for name in ("squeezenet", "resnet50", "bert")
+    ]
+    scalar, batched = {}, {}
+    for workload in workloads:
+        for cpu in ("rocket", "boom"):
+            spec = EvaluationSpec(workload=workload, cpu=cpu)
+            key = f"{workload.name}/{cpu}"
+            scalar[key] = _rows_digest(
+                (e.point, e.config_summary, e.metrics)
+                for e in (evaluate_design(p, spec) for p in points)
+            )
+            batched[key] = _rows_digest(
+                (e.point, e.config_summary, e.metrics)
+                for e in evaluate_design_batch(points, spec)
+            )
+
+    # run_fig3()'s design points: both extremes and the tiles in between
+    configs = {
+        "systolic": systolic_config(16),
+        "vector": vector_config(16),
+        **{f"tile{t}x{t}": default_config().with_geometry(16, t) for t in (2, 4, 8)},
+        "default": default_config(),
+    }
+    physical = {name: _physical_values(config) for name, config in configs.items()}
+    fig3 = [
+        [row.name, row.tile_shape, row.frequency_ghz, row.area_kum2, row.power_mw]
+        for row in run_fig3().rows
+    ]
+
+    os_config = GemminiConfig(dataflow=Dataflow.OS).with_geometry(8)
+    service = {}
+    for name in model_names():
+        tenant = TenantSpec(name="t", model=name)
+        service[name] = {
+            "default": estimate_service_cycles(tenant, default_config()),
+            "os_8x8": estimate_service_cycles(tenant, os_config),
+        }
+    return {
+        "evaluate_design_sha256": scalar,
+        "evaluate_design_batch_sha256": batched,
+        "physical": physical,
+        "fig3_rows": fig3,
+        "service_cycles": service,
+    }
+
+
 # ---------------------------------------------------------------------- #
 # CLI ledger records                                                      #
 # ---------------------------------------------------------------------- #
@@ -388,7 +492,7 @@ def cli_values(command: str) -> dict:
 CASES = (
     tuple(f"serve/{name}" for name in serve_cases())
     + tuple(f"run/{name}" for name in (*RUN_MODELS, *RUN_VARIANTS))
-    + ("trace/squeezenet", "tune/squeezenet", "dse/evolutionary")
+    + ("trace/squeezenet", "tune/squeezenet", "dse/evolutionary", "analytic/models")
     + tuple(f"cli/{name}" for name in CLI_CASES)
 )
 
@@ -413,6 +517,8 @@ def fingerprint(case: str) -> dict:
             return tune_values()
         if kind == "dse":
             return dse_values()
+        if kind == "analytic":
+            return analytic_values()
         if kind == "cli":
             return cli_values(name)
         raise KeyError(case)
