@@ -45,7 +45,6 @@ from repro.core.peripherals import (
 )
 from repro.core.scratchpad import Scratchpad
 from repro.core.spatial_array import (
-    STRUCTURAL_BACKENDS,
     FunctionalMesh,
     MatmulCost,
     SpatialArrayModel,
@@ -102,5 +101,4 @@ __all__ = [
     "MatmulCost",
     "SpatialArrayModel",
     "StructuralMesh",
-    "STRUCTURAL_BACKENDS",
 ]

@@ -99,14 +99,6 @@ class GemminiConfig:
     # -- clock -------------------------------------------------------------- #
     clock_ghz: float = 1.0
 
-    # -- simulation (not a hardware parameter) ------------------------------ #
-    #: Default backend for cycle-exact structural simulation of this
-    #: instance: "vectorized" (numpy wavefront fast path) or "scalar"
-    #: (per-PE reference loops).  Both produce bitwise-identical results,
-    #: so the knob is excluded from config equality/hashing (compare=False):
-    #: two configs describing the same hardware stay equal.
-    structural_backend: str = field(default="vectorized", compare=False)
-
     # ------------------------------------------------------------------ #
     # Derived geometry                                                    #
     # ------------------------------------------------------------------ #
@@ -129,6 +121,11 @@ class GemminiConfig:
     @property
     def num_pes(self) -> int:
         return self.grid_rows * self.grid_cols
+
+    @property
+    def input_bits(self) -> int:
+        """Input datapath width in bits (the physical models' width scale)."""
+        return self.input_type.bits
 
     @property
     def sp_row_bytes(self) -> int:
@@ -214,11 +211,6 @@ class GemminiConfig:
             raise ValueError("clock_ghz must be positive")
         if self.rob_entries < 1 or self.dma_max_inflight < 1:
             raise ValueError("queue depths must be >= 1")
-        if self.structural_backend not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"structural_backend must be 'scalar' or 'vectorized', "
-                f"got {self.structural_backend!r}"
-            )
 
     # ------------------------------------------------------------------ #
     # Convenience constructors / variants                                 #
@@ -252,8 +244,6 @@ class GemminiConfig:
 
         out: dict = {}
         for f in fields(self):
-            if not f.compare:  # simulation knobs are not hardware identity
-                continue
             value = getattr(self, f.name)
             if isinstance(value, DType):
                 out[f.name] = value.name

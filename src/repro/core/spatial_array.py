@@ -4,7 +4,8 @@ Three views of the same hardware, used at different simulation speeds:
 
 * :class:`StructuralMesh` — per-cycle simulation of the two-level
   tiles-of-PEs grid with explicit input skewing and pipeline registers.
-  Slow; used by tests to validate the other two views.
+  Used by tests and the structural-check mode to validate the other two
+  views.
 * :class:`FunctionalMesh` — NumPy semantics of the array (dataflows,
   transposes, saturation) at instruction granularity.
 * :class:`SpatialArrayModel` — closed-form cycle costs for instructions and
@@ -24,11 +25,6 @@ from repro.core.config import Dataflow, GemminiConfig
 # Structural, cycle-exact model                                           #
 # ---------------------------------------------------------------------- #
 
-#: Structural-simulation backends.  ``scalar`` steps every PE in Python
-#: (the reference implementation); ``vectorized`` advances the whole array
-#: per cycle with numpy wavefront slabs and is bitwise-identical to it.
-STRUCTURAL_BACKENDS = ("scalar", "vectorized")
-
 
 class StructuralMesh:
     """Cycle-exact two-level spatial array (Figure 2 microarchitecture).
@@ -38,38 +34,24 @@ class StructuralMesh:
     Inputs are fed with the skew the register structure requires, exactly as
     the RTL's edge shifters do.
 
-    Two backends simulate the same hardware:
+    :meth:`run_ws` and :meth:`run_os` advance the whole array per cycle
+    with one numpy wavefront slab update.  Within a tile, operand wires are
+    constant along the combinational direction and partial sums are a
+    running (cumulative) sum down the tile, so each cycle reduces to
+    gathers, a broadcasted multiply, and per-tile-row cumulative sums.
 
-    * ``scalar`` — the original triple-nested per-PE loops.  Trivially
-      auditable against the RTL; slow (O(dim^2) Python work per cycle).
-    * ``vectorized`` — one numpy slab update over the whole array per
-      cycle.  Within a tile, operand wires are constant along the
-      combinational direction and partial sums are a running (cumulative)
-      sum down the tile, so each cycle reduces to gathers, a broadcasted
-      multiply, and per-tile-row cumulative sums.  The arithmetic is
-      performed in exactly the same order as the scalar path, so outputs
-      and cycle counts are bitwise identical (enforced by property tests).
-
-    The default backend comes from ``config.structural_backend``; both the
-    constructor and the ``run_*`` methods accept an override.
+    :meth:`run_ws_reference` and :meth:`run_os_reference` are the oracle:
+    triple-nested per-PE loops, trivially auditable against the RTL and
+    slow (O(dim^2) Python work per cycle).  The wavefront performs the
+    arithmetic in exactly their order, so outputs and cycle counts are
+    bitwise identical (enforced by property tests).
     """
 
-    def __init__(self, config: GemminiConfig, backend: str | None = None) -> None:
+    def __init__(self, config: GemminiConfig) -> None:
         self.config = config
         self.dim = config.dim
         self.tile_rows = config.tile_rows
         self.tile_cols = config.tile_cols
-        self.backend = self._check_backend(
-            backend if backend is not None else config.structural_backend
-        )
-
-    @staticmethod
-    def _check_backend(backend: str) -> str:
-        if backend not in STRUCTURAL_BACKENDS:
-            raise ValueError(
-                f"unknown structural backend {backend!r}; expected one of {STRUCTURAL_BACKENDS}"
-            )
-        return backend
 
     # -- register-count helpers ---------------------------------------- #
 
@@ -96,30 +78,21 @@ class StructuralMesh:
 
     # -- weight-stationary --------------------------------------------- #
 
-    def run_ws(
-        self, a: np.ndarray, b: np.ndarray, d: np.ndarray, backend: str | None = None
-    ) -> tuple[np.ndarray, int]:
-        """Compute ``C = D + A @ B`` cycle by cycle.
-
-        ``a`` is (m, dim), ``b`` is (dim, dim) stationary, ``d`` is (m, dim).
-        Returns (C as float64 (m, dim), total cycles simulated).
-        """
+    def _ws_operands(
+        self, a: np.ndarray, b: np.ndarray, d: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Shape-check WS operands and widen them to float64."""
         dim = self.dim
         m = a.shape[0]
         if a.shape != (m, dim) or b.shape != (dim, dim) or d.shape != (m, dim):
             raise ValueError("run_ws shape mismatch")
-        a = a.astype(np.float64)
-        b = b.astype(np.float64)
-        d = d.astype(np.float64)
-        backend = self._check_backend(backend if backend is not None else self.backend)
-        if backend == "vectorized":
-            return self._run_ws_vectorized(a, b, d)
-        return self._run_ws_scalar(a, b, d)
+        return a.astype(np.float64), b.astype(np.float64), d.astype(np.float64)
 
-    def _run_ws_scalar(
+    def run_ws_reference(
         self, a: np.ndarray, b: np.ndarray, d: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Reference implementation: step every PE in Python."""
+        """:meth:`run_ws` by stepping every PE in Python (the oracle)."""
+        a, b, d = self._ws_operands(a, b, d)
         dim = self.dim
         m = a.shape[0]
 
@@ -173,20 +146,25 @@ class StructuralMesh:
         cols = np.arange(self.dim)
         return rows // self.tile_rows, cols // self.tile_cols
 
-    def _run_ws_vectorized(
+    def run_ws(
         self, a: np.ndarray, b: np.ndarray, d: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Wavefront fast path: one slab update over the whole array per cycle.
+        """Compute ``C = D + A @ B`` cycle by cycle.
 
-        Exploits two structural facts.  (1) The A operand is combinational
-        within a tile, so along each PE row it is piecewise-constant per
-        tile column: one gather of the tile-boundary registers (plus the
-        left-edge feed) reconstructs the whole ``a_wire`` plane.  (2) The
-        partial sum chains combinationally down a tile, so within each tile
-        row it is a cumulative sum of ``a_wire * b`` seeded by the incoming
-        registered value.  Both are computed with the scalar path's exact
+        ``a`` is (m, dim), ``b`` is (dim, dim) stationary, ``d`` is (m, dim).
+        Returns (C as float64 (m, dim), total cycles simulated).
+
+        One slab update over the whole array per cycle, exploiting two
+        structural facts.  (1) The A operand is combinational within a
+        tile, so along each PE row it is piecewise-constant per tile
+        column: one gather of the tile-boundary registers (plus the left-edge
+        feed) reconstructs the whole ``a_wire`` plane.  (2) The partial sum
+        chains combinationally down a tile, so within each tile row it is a
+        cumulative sum of ``a_wire * b`` seeded by the incoming registered
+        value.  Both are computed with :meth:`run_ws_reference`'s exact
         addition order, keeping results bitwise identical.
         """
+        a, b, d = self._ws_operands(a, b, d)
         dim = self.dim
         m = a.shape[0]
         tile_rows, tile_cols = self.tile_rows, self.tile_cols
@@ -255,33 +233,25 @@ class StructuralMesh:
 
     # -- output-stationary ---------------------------------------------- #
 
-    def run_os(
-        self, a: np.ndarray, b: np.ndarray, d: np.ndarray, backend: str | None = None
-    ) -> tuple[np.ndarray, int]:
-        """Compute ``C = D + A @ B`` with C resident in the PEs.
-
-        ``a`` is (dim, k), ``b`` is (k, dim), ``d`` is (dim, dim).
-        Returns (C, cycles including the drain phase).
-        """
+    def _os_operands(
+        self, a: np.ndarray, b: np.ndarray, d: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Shape-check OS operands and widen them to float64 copies."""
         dim = self.dim
         k = a.shape[1]
         if a.shape != (dim, k) or b.shape != (k, dim) or d.shape != (dim, dim):
             raise ValueError("run_os shape mismatch")
-        a = a.astype(np.float64)
-        b = b.astype(np.float64)
-        backend = self._check_backend(backend if backend is not None else self.backend)
-        if backend == "vectorized":
-            return self._run_os_vectorized(a, b, d)
-        return self._run_os_scalar(a, b, d)
+        return a.astype(np.float64), b.astype(np.float64), d.astype(np.float64)
 
-    def _run_os_scalar(
+    def run_os_reference(
         self, a: np.ndarray, b: np.ndarray, d: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Reference implementation: step every PE in Python."""
+        """:meth:`run_os` by stepping every PE in Python (the oracle)."""
+        a, b, d = self._os_operands(a, b, d)
         dim = self.dim
         k = a.shape[1]
 
-        acc = d.astype(np.float64).copy()
+        acc = d  # a private copy: _os_operands widened it
         a_reg = np.zeros((dim, dim))
         b_reg = np.zeros((dim, dim))
 
@@ -315,17 +285,21 @@ class StructuralMesh:
         drain_cycles = dim  # results propagate out column by column
         return acc, total_cycles + drain_cycles
 
-    def _run_os_vectorized(
+    def run_os(
         self, a: np.ndarray, b: np.ndarray, d: np.ndarray
     ) -> tuple[np.ndarray, int]:
-        """Wavefront fast path for the output-stationary dataflow.
+        """Compute ``C = D + A @ B`` with C resident in the PEs.
+
+        ``a`` is (dim, k), ``b`` is (k, dim), ``d`` is (dim, dim).
+        Returns (C, cycles including the drain phase).
 
         Both moving operands are piecewise-constant inside a tile (A along
         rows, B down columns), so each cycle is two gathers of tile-boundary
         registers plus one fused multiply-accumulate over the whole array —
-        the same per-element additions as the scalar path, in the same
-        order.
+        the same per-element additions as :meth:`run_os_reference`, in the
+        same order.
         """
+        a, b, d = self._os_operands(a, b, d)
         dim = self.dim
         k = a.shape[1]
         tile_rows, tile_cols = self.tile_rows, self.tile_cols
@@ -341,7 +315,7 @@ class StructuralMesh:
 
         total_cycles = self._os_cycles(k)
 
-        # Zero-padded edge feeds (see _run_ws_vectorized).
+        # Zero-padded edge feeds (see run_ws).
         a_pad = np.zeros((dim, total_cycles + max_row_skew))
         a_pad[:, max_row_skew : max_row_skew + k] = a
         a_idx = max_row_skew - row_skew
@@ -349,7 +323,7 @@ class StructuralMesh:
         b_pad[max_col_skew : max_col_skew + k] = b
         b_idx = max_col_skew - col_skew
 
-        acc = d.astype(np.float64).copy()
+        acc = d  # a private copy: _os_operands widened it
         a_reg = np.zeros((dim, dim))
         b_reg = np.zeros((dim, dim))
 
@@ -446,7 +420,12 @@ class FunctionalMesh:
 
 @dataclass(frozen=True)
 class MatmulCost:
-    """Cycle breakdown of a blocked matmul on the array."""
+    """Cycle breakdown of a blocked matmul on the array.
+
+    Plain numbers for one matmul (:meth:`SpatialArrayModel.matmul_cost`);
+    numpy arrays with one entry per (shape, design) pair for a batch
+    (:func:`matmul_cost_batch`).
+    """
 
     compute_cycles: float
     drain_cycles: float
@@ -458,62 +437,51 @@ class MatmulCost:
         return self.compute_cycles + self.drain_cycles + self.fill_latency
 
 
-@dataclass(frozen=True)
-class MatmulCostBatch:
-    """Array-shaped :class:`MatmulCost`: one cycle breakdown per design.
+def _fill_latency(geometry) -> int:
+    """Cycles for a wavefront to cross the array: one per pipeline register
+    row plus one per register column, plus the combinational traversal of
+    the final tile (one cycle).  ``geometry`` is a
+    :class:`~repro.core.config.GemminiConfig` or a
+    :class:`~repro.dse.batch.ConfigColumns`."""
+    return (geometry.mesh_rows - 1) + (geometry.mesh_cols - 1) + 2
 
-    Every field is a numpy array (or broadcastable scalar); the arithmetic
-    mirrors :meth:`SpatialArrayModel.matmul_cost` term for term so the
-    batched DSE fast path stays within 1e-9 of the scalar evaluator.
+
+def _block_counts(m, k, n, dim):
+    """Integer core of the blocked-matmul cost, on ints or int64 arrays.
+
+    Returns ``(output blocks, blocks, compute cycles)`` of an ``m x k @ k x
+    n`` matmul at DIM-block granularity.
     """
-
-    compute_cycles: np.ndarray
-    drain_cycles: np.ndarray
-    fill_latency: np.ndarray
-    blocks: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.compute_cycles + self.drain_cycles + self.fill_latency
-
-
-def matmul_cost_batch(
-    dim: np.ndarray,
-    mesh_rows: np.ndarray,
-    mesh_cols: np.ndarray,
-    m: np.ndarray,
-    k: np.ndarray,
-    n: np.ndarray,
-    os_dataflow: np.ndarray,
-) -> MatmulCostBatch:
-    """Vectorised :meth:`SpatialArrayModel.matmul_cost` over whole batches.
-
-    All arguments are integer/boolean arrays (or scalars) that broadcast
-    against each other — typically geometry columns shaped ``(1, B)`` and
-    workload shape columns ``(S, 1)``, yielding ``(S, B)`` costs.
-    ``os_dataflow`` selects the output-stationary drain per design; BOTH
-    must already be resolved to WS by the caller (as the evaluator does).
-    """
-    dim = np.asarray(dim, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    if int(min(m.min(), k.min(), n.min())) <= 0:
-        raise ValueError("matmul dimensions must be positive")
     mb = -(-m // dim)
     kb = -(-k // dim)
     nb = -(-n // dim)
-    blocks = mb * kb * nb
-
     last_m = m - (mb - 1) * dim
+    # Each (k, n) block streams the M dimension through the array.
     full_col_cycles = (mb - 1) * dim + last_m
-    compute = (kb * nb * full_col_cycles).astype(np.float64)
+    return mb * nb, mb * kb * nb, kb * nb * full_col_cycles
 
+
+def matmul_cost_batch(cols, shapes) -> MatmulCost:
+    """:meth:`SpatialArrayModel.matmul_cost` of every ``(m, k, n)`` in
+    ``shapes`` on every design of ``cols``, as ``(shapes, designs)`` arrays.
+
+    ``cols`` is a :class:`~repro.dse.batch.ConfigColumns`, whose
+    ``os_dataflow`` column has BOTH already resolved to WS.  Every term is
+    the scalar method's, so the costs are bitwise equal to it.
+    """
+    shapes = np.asarray(shapes, dtype=np.int64)
+    if int(shapes.min()) <= 0:
+        raise ValueError("matmul dimensions must be positive")
+    dim = cols.dim[None, :]
+    out_blocks, blocks, compute = _block_counts(
+        shapes[:, 0][:, None], shapes[:, 1][:, None], shapes[:, 2][:, None], dim
+    )
+    compute = compute.astype(np.float64)
     # OS drains each output block through the array (one column wave of
     # ``dim`` cycles); WS streams results straight out.
-    drain = np.where(os_dataflow, (mb * nb * dim).astype(np.float64), 0.0)
-    fill = ((np.asarray(mesh_rows) - 1) + (np.asarray(mesh_cols) - 1) + 2).astype(np.float64)
-    return MatmulCostBatch(
+    drain = np.where(cols.os_dataflow[None, :], (out_blocks * dim).astype(np.float64), 0.0)
+    fill = _fill_latency(cols).astype(np.float64)
+    return MatmulCost(
         compute_cycles=compute,
         drain_cycles=drain,
         fill_latency=np.broadcast_to(fill, compute.shape).copy(),
@@ -537,11 +505,8 @@ class SpatialArrayModel:
 
     @property
     def fill_latency(self) -> int:
-        """Cycles for a wavefront to cross the array: one per pipeline
-        register row plus one per register column, plus the combinational
-        traversal of the final tile (one cycle)."""
-        cfg = self.config
-        return (cfg.mesh_rows - 1) + (cfg.mesh_cols - 1) + 2
+        """Cycles for a wavefront to cross the array (see :func:`_fill_latency`)."""
+        return _fill_latency(self.config)
 
     def compute_cycles(self, rows: int) -> int:
         """Occupancy of one COMPUTE streaming ``rows`` operand rows.
@@ -570,28 +535,16 @@ class SpatialArrayModel:
         scratchpad (no DMA), at DIM-block granularity."""
         if min(m, k, n) <= 0:
             raise ValueError("matmul dimensions must be positive")
-        if dataflow is Dataflow.BOTH:
-            dataflow = Dataflow.WS
-        dim = self.dim
-        mb = -(-m // dim)
-        kb = -(-k // dim)
-        nb = -(-n // dim)
-        blocks = mb * kb * nb
-
-        last_m = m - (mb - 1) * dim
-        # Each (k, n) block streams the M dimension through the array.
-        full_col_cycles = (mb - 1) * dim + last_m
-        compute = kb * nb * full_col_cycles
-
-        if dataflow is Dataflow.WS:
-            drain = 0.0
-        else:
+        out_blocks, blocks, compute = _block_counts(m, k, n, self.dim)
+        if dataflow is Dataflow.OS:
             # OS drains each output block through the array.
-            drain = float(mb * nb * self.os_drain_cycles())
+            drain = float(out_blocks * self.os_drain_cycles())
+        else:
+            drain = 0.0  # WS (and BOTH, which runs WS) streams results out
         return MatmulCost(
             compute_cycles=float(compute),
             drain_cycles=drain,
-            fill_latency=float(self.fill_latency),
+            fill_latency=float(_fill_latency(self.config)),
             blocks=blocks,
         )
 

@@ -4,13 +4,16 @@
 ``{axis: value}`` dicts a :class:`~repro.dse.space.ParamSpace` produces)
 into one :class:`ConfigColumns` — a column per architectural parameter,
 each a numpy array over the whole batch — so the analytic cost pipeline
-(:func:`~repro.core.spatial_array.matmul_cost_batch`,
-:func:`~repro.physical.timing.max_frequency_ghz_batch`,
-:func:`~repro.physical.area.accelerator_area_batch`,
-:func:`~repro.physical.power.power_mw_batch`,
-:func:`~repro.physical.energy.estimate_energy_batch`) can score every
-candidate in a handful of vectorised expressions instead of one Python
-object at a time.
+can score every candidate in a handful of vectorised expressions instead
+of one Python object at a time.  The columns expose the attribute names of
+:class:`~repro.core.config.GemminiConfig` the models read, so the same
+functions take either: :func:`~repro.physical.timing.max_frequency_ghz`,
+:func:`~repro.physical.area.accelerator_area`,
+:func:`~repro.physical.power.power_mw` and
+:func:`~repro.physical.energy.estimate_energy`.  Blocked-matmul cycles
+come from :func:`~repro.core.spatial_array.matmul_cost_batch`, the column
+form of :meth:`~repro.core.spatial_array.SpatialArrayModel.matmul_cost`
+(one shared integer core).
 
 The column layout understands exactly the axes :func:`point_to_config`
 maps onto the template geometry (``dim``/``tile``, the KB-denominated
@@ -89,7 +92,7 @@ class ConfigColumns:
     has_im2col: np.ndarray  # bool
     os_dataflow: np.ndarray  # bool: OS after resolving BOTH -> WS
     input_bits: np.ndarray  # int64 (all 8 in the supported layout)
-    dataflow_names: tuple[str, ...]  # raw enum names, for describe()
+    dataflow_names: tuple[str, ...]  # raw enum names, for describe_all()
 
     # Square template: the column layout only materialises square geometry.
     @property
@@ -106,19 +109,6 @@ class ConfigColumns:
 
     def __len__(self) -> int:
         return int(self.dim.shape[0])
-
-    def describe(self, i: int) -> str:
-        """The ``GemminiConfig.describe()`` line of batch entry ``i``."""
-        dim = int(self.dim[i])
-        mesh = int(self.mesh_rows[i])
-        tile = int(self.tile_rows[i])
-        return (
-            f"{dim}x{dim} PEs ({mesh}x{mesh} tiles of {tile}x{tile}), "
-            f"{self.dataflow_names[i]}, {_DTYPE_LABEL}, "
-            f"sp={int(self.sp_capacity_bytes[i]) // 1024}KB/{int(self.sp_banks[i])}b, "
-            f"acc={int(self.acc_capacity_bytes[i]) // 1024}KB/{int(self.acc_banks[i])}b, "
-            f"im2col={'y' if self.has_im2col[i] else 'n'}"
-        )
 
     def describe_all(self) -> list[str]:
         """Every entry's describe line (one pass, list-backed for speed)."""

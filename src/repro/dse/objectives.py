@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import Dataflow, GemminiConfig
-from repro.core.spatial_array import SpatialArrayModel
+from repro.core.config import GemminiConfig
+from repro.core.spatial_array import SpatialArrayModel, matmul_cost_batch
 from repro.dse.space import COMPONENTS_KEY, TILE_PRESETS, point_to_config
 from repro.physical.area import accelerator_area
 from repro.physical.energy import estimate_energy
@@ -34,6 +34,7 @@ __all__ = [
     "model_workload",
     "EvaluationSpec",
     "Evaluation",
+    "analytic_cycles",
     "evaluate_design",
     "evaluate_design_batch",
 ]
@@ -296,6 +297,34 @@ def _serving_metrics(config: GemminiConfig, spec: EvaluationSpec, fmax: float, p
     }
 
 
+def analytic_cycles(config: GemminiConfig, workload: Workload) -> float:
+    """Closed-form cycles of ``workload`` on ``config``: the sum of its
+    shapes' blocked-matmul costs (a BOTH-dataflow array runs WS)."""
+    model = SpatialArrayModel(config)
+    dataflow = config.dataflow
+    return sum(model.matmul_cost(m, k, n, dataflow).total for m, k, n in workload.shapes)
+
+
+def _analytic_metrics(workload, cycles, fmax, area_um2, power, energy_mj) -> dict:
+    """The 8 analytic metrics, keyed in sorted-name order.
+
+    The inputs are floats for one design or numpy columns for a batch; the
+    arithmetic is the same, so both paths produce bitwise-equal metrics.
+    """
+    seconds = cycles / (fmax * 1e9)
+    latency_ms = seconds * 1e3
+    return {
+        "area_mm2": area_um2 / 1e6,
+        "cycles": cycles,
+        "edp": energy_mj * latency_ms,
+        "energy_mj": energy_mj,
+        "fmax_ghz": fmax,
+        "latency_ms": latency_ms,
+        "power_mw": power,
+        "throughput_gmacs": workload.total_macs / seconds / 1e9,
+    }
+
+
 def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
     """Score one point: the cost model every strategy optimises against.
 
@@ -316,9 +345,7 @@ def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
     if spec.fidelity == "soc":
         cycles, energy_mj = _soc_cycles_and_energy(config, spec)
     else:
-        model = SpatialArrayModel(config)
-        dataflow = Dataflow.WS if config.dataflow is Dataflow.BOTH else config.dataflow
-        cycles = sum(model.matmul_cost(m, k, n, dataflow).total for m, k, n in workload.shapes)
+        cycles = analytic_cycles(config, workload)
         energy_mj = estimate_energy(
             config,
             macs=workload.total_macs,
@@ -328,18 +355,7 @@ def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
             clock_ghz=fmax,
         ).total_mj
 
-    seconds = cycles / (fmax * 1e9)
-    latency_ms = seconds * 1e3
-    metrics = {
-        "cycles": float(cycles),
-        "latency_ms": latency_ms,
-        "area_mm2": area_um2 / 1e6,
-        "power_mw": dyn_power,
-        "energy_mj": energy_mj,
-        "fmax_ghz": fmax,
-        "throughput_gmacs": workload.total_macs / seconds / 1e9,
-        "edp": energy_mj * latency_ms,
-    }
+    metrics = _analytic_metrics(workload, cycles, fmax, area_um2, dyn_power, energy_mj)
     if spec.traffic is not None:
         metrics.update(_serving_metrics(config, spec, fmax, dyn_power))
     return Evaluation(
@@ -465,21 +481,6 @@ def _evaluate_structural(point: dict, spec: EvaluationSpec) -> Evaluation:
     return _aggregate_fleet(point, parts, spec)
 
 
-#: The 8 analytic metric names, pre-sorted (the order ``sorted(metrics
-#: .items())`` produces in :func:`evaluate_design`); the batched fast path
-#: assembles metric tuples from per-metric columns in this order.
-_ANALYTIC_METRICS_SORTED: tuple[str, ...] = (
-    "area_mm2",
-    "cycles",
-    "edp",
-    "energy_mj",
-    "fmax_ghz",
-    "latency_ms",
-    "power_mw",
-    "throughput_gmacs",
-)
-
-
 def _evaluate_batch_structural(
     points: "list[dict]", spec: EvaluationSpec
 ) -> "list[Evaluation]":
@@ -534,10 +535,11 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     """Score a whole batch of points through the vectorised analytic path.
 
     Produces exactly the :class:`Evaluation` objects ``[evaluate_design(p,
-    spec) for p in points]`` would (metrics within 1e-9 relative; point and
-    config summary identical), but runs the cost pipeline — matmul cycles,
-    fmax, area, power, energy — as a handful of numpy expressions over
-    struct-of-arrays config columns instead of one Python object per point.
+    spec) for p in points]`` would (bitwise-equal metrics; point and config
+    summary identical), but runs the cost pipeline — matmul cycles, fmax,
+    area, power, energy — as a handful of numpy expressions over
+    struct-of-arrays config columns instead of one Python object per point:
+    the same models and :func:`_analytic_metrics`, fed columns.
 
     The fast path only covers the analytic fidelity without a traffic
     profile, on points made of the standard :func:`~repro.dse.space
@@ -547,14 +549,7 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     through :class:`~repro.eval.runner.ExperimentRunner` workers and cache
     under content-hash keys.
     """
-    import numpy as np
-
-    from repro.core.spatial_array import matmul_cost_batch
     from repro.dse.batch import UnsupportedPoint, build_columns
-    from repro.physical.area import accelerator_area_batch
-    from repro.physical.energy import estimate_energy_batch
-    from repro.physical.power import power_mw_batch
-    from repro.physical.timing import max_frequency_ghz_batch
 
     points = list(points)
     if not points:
@@ -568,48 +563,27 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     except UnsupportedPoint:
         return [evaluate_design(p, spec) for p in points]
 
-    fmax = max_frequency_ghz_batch(cols)
-    area_um2 = accelerator_area_batch(cols, cpu=spec.cpu)
-    dyn_power = power_mw_batch(cols, fmax)
+    fmax = max_frequency_ghz(cols)
+    area_um2 = accelerator_area(cols, cpu=spec.cpu).total
+    dyn_power = power_mw(cols, frequency_ghz=fmax)
 
     workload = spec.workload
-    shapes = np.asarray(workload.shapes, dtype=np.int64)  # (S, 3)
-    cost = matmul_cost_batch(
-        dim=cols.dim[None, :],
-        mesh_rows=cols.mesh_rows[None, :],
-        mesh_cols=cols.mesh_cols[None, :],
-        m=shapes[:, 0][:, None],
-        k=shapes[:, 1][:, None],
-        n=shapes[:, 2][:, None],
-        os_dataflow=cols.os_dataflow[None, :],
-    )
-    cycles = cost.total.sum(axis=0)  # block counts are integral: exact
-    energy_mj = estimate_energy_batch(
+    # (shapes, designs) costs; block counts are integral, so the sum is exact
+    cycles = matmul_cost_batch(cols, workload.shapes).total.sum(axis=0)
+    energy_mj = estimate_energy(
         cols,
         macs=workload.total_macs,
         cycles=cycles,
         dma_bytes=workload.operand_bytes,
         dram_bytes=workload.operand_bytes,
         clock_ghz=fmax,
-        power_mw_at_clock=dyn_power,
-    )
+    ).total_mj
 
-    seconds = cycles / (fmax * 1e9)
-    latency_ms = seconds * 1e3
-    # Columns in _ANALYTIC_METRICS_SORTED order, pulled down to Python
-    # floats once per column (not once per point).
-    metric_rows = zip(
-        (area_um2 / 1e6).tolist(),
-        cycles.tolist(),
-        (energy_mj * latency_ms).tolist(),
-        energy_mj.tolist(),
-        fmax.tolist(),
-        latency_ms.tolist(),
-        dyn_power.tolist(),
-        (workload.total_macs / seconds / 1e9).tolist(),
-    )
+    metrics = _analytic_metrics(workload, cycles, fmax, area_um2, dyn_power, energy_mj)
+    names = tuple(metrics)
+    # Pulled down to Python floats once per column, not once per point.
+    metric_rows = zip(*(column.tolist() for column in metrics.values()))
     summaries = cols.describe_all()
-    names = _ANALYTIC_METRICS_SORTED
     # Assembling ~1e4 frozen dataclasses dominates the remaining per-point
     # cost; bypassing the generated __init__ (3 object.__setattr__ calls
     # per instance) keeps small-workload batches ~10x over the scalar path.

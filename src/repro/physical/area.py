@@ -2,14 +2,30 @@
 
 Reproduces Figure 6's decomposition (spatial array / scratchpad /
 accumulator / host CPU / uncore) at any design point of the template.
+
+Every model in :mod:`repro.physical` takes either one
+:class:`~repro.core.config.GemminiConfig` (plain floats out) or a whole
+batch of :class:`~repro.dse.batch.ConfigColumns` (numpy arrays out, one
+entry per design) through the same arithmetic, so the batched DSE
+evaluator is bitwise equal to the per-design one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.config import GemminiConfig
 from repro.physical.technology import INTEL_22FFL, Technology
+
+
+def width_scale(config: GemminiConfig) -> float:
+    """Datapath width relative to the int8 calibration anchor, at least 1."""
+    scale = config.input_bits / 8.0
+    if isinstance(scale, np.ndarray):
+        return np.maximum(1.0, scale)
+    return max(1.0, scale)
 
 
 def pipeline_register_count(config: GemminiConfig) -> int:
@@ -25,7 +41,7 @@ def pipeline_register_count(config: GemminiConfig) -> int:
 
 @dataclass(frozen=True)
 class AreaBreakdown:
-    """Component areas in um^2 (Figure 6's table)."""
+    """Component areas in um^2 (Figure 6's table); arrays for a batch."""
 
     spatial_array: float
     scratchpad: float
@@ -53,8 +69,7 @@ def spatial_array_area(config: GemminiConfig, tech: Technology = INTEL_22FFL) ->
     pes = config.num_pes * tech.pe_area_um2
     regs = pipeline_register_count(config) * tech.pipeline_reg_area_um2
     # Wider datapaths scale the MAC area (int8 is the calibration anchor).
-    width_scale = max(1.0, config.input_type.bits / 8.0)
-    return pes * width_scale + regs
+    return pes * width_scale(config) + regs
 
 
 def accelerator_area(
@@ -71,36 +86,4 @@ def accelerator_area(
         accumulator=config.acc_capacity_bytes * tech.acc_sram_um2_per_byte,
         cpu=tech.cpu_area_um2[cpu],
         uncore=tech.uncore_area_um2,
-    )
-
-
-def pipeline_register_count_batch(cols):
-    """Vectorised :func:`pipeline_register_count` over config columns."""
-    return cols.dim * (cols.mesh_rows - 1) + cols.dim * (cols.mesh_cols - 1) + 2 * cols.dim
-
-
-def accelerator_area_batch(cols, cpu: str = "rocket", tech: Technology = INTEL_22FFL):
-    """Vectorised total area (um^2) over struct-of-arrays config columns.
-
-    ``cols`` exposes ``dim``, ``mesh_rows``, ``mesh_cols``, ``num_pes``,
-    ``input_bits``, ``sp_capacity_bytes`` and ``acc_capacity_bytes`` as
-    numpy arrays (see :class:`repro.dse.batch.ConfigColumns`).  Each term
-    mirrors :func:`accelerator_area` / :func:`spatial_array_area` so the
-    batched evaluator's totals match :attr:`AreaBreakdown.total` within
-    1e-9 relative.
-    """
-    import numpy as np
-
-    if cpu not in tech.cpu_area_um2:
-        raise ValueError(f"unknown CPU {cpu!r}; known: {sorted(tech.cpu_area_um2)}")
-    pes = cols.num_pes * tech.pe_area_um2
-    regs = pipeline_register_count_batch(cols) * tech.pipeline_reg_area_um2
-    width_scale = np.maximum(1.0, cols.input_bits / 8.0)
-    spatial = pes * width_scale + regs
-    return (
-        spatial
-        + cols.sp_capacity_bytes * tech.sp_sram_um2_per_byte
-        + cols.acc_capacity_bytes * tech.acc_sram_um2_per_byte
-        + tech.cpu_area_um2[cpu]
-        + tech.uncore_area_um2
     )

@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.config import GemminiConfig
+from repro.physical.area import pipeline_register_count
+from repro.physical.power import power_mw
 from repro.physical.technology import INTEL_22FFL, Technology
 
 #: on-chip SRAM access energy, picojoules per byte (22nm-class)
@@ -28,7 +32,7 @@ STATIC_FRACTION = 0.15
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy breakdown of one run, in millijoules."""
+    """Energy breakdown of one run, in millijoules; arrays for a batch."""
 
     array_mj: float
     sram_mj: float
@@ -65,8 +69,6 @@ class EnergyReport:
 
 def mac_energy_pj(config: GemminiConfig, tech: Technology = INTEL_22FFL) -> float:
     """Energy of one MAC including its share of pipeline-register switching."""
-    from repro.physical.area import pipeline_register_count
-
     # Power calibration point: whole-array power at 500 MHz while streaming.
     array_mw = (
         config.num_pes * tech.pe_power_mw
@@ -86,8 +88,12 @@ def estimate_energy(
     clock_ghz: float = 1.0,
     tech: Technology = INTEL_22FFL,
 ) -> EnergyReport:
-    """Energy estimate from raw activity counters."""
-    if min(macs, dma_bytes, dram_bytes) < 0 or cycles < 0:
+    """Energy estimate from raw activity counters.
+
+    For a batch of config columns, ``cycles`` and ``clock_ghz`` may be
+    per-design arrays; the counters are workload-wide.
+    """
+    if min(macs, dma_bytes, dram_bytes) < 0 or np.min(cycles) < 0:
         raise ValueError("activity counters must be non-negative")
     array_mj = macs * mac_energy_pj(config, tech) * 1e-9
     # Every DMA byte is written to and later read from a local SRAM, and
@@ -95,8 +101,6 @@ def estimate_energy(
     sram_mj = dma_bytes * 3 * SRAM_PJ_PER_BYTE * 1e-9
     dram_mj = dram_bytes * DRAM_PJ_PER_BYTE * 1e-9
     # Static burn scales with runtime at the configured clock.
-    from repro.physical.power import power_mw
-
     static_mj = (
         STATIC_FRACTION
         * power_mw(config, frequency_ghz=clock_ghz, tech=tech)
@@ -112,57 +116,6 @@ def estimate_energy(
         macs=macs,
         cycles=cycles,
     )
-
-
-def mac_energy_pj_batch(cols, tech: Technology = INTEL_22FFL):
-    """Vectorised :func:`mac_energy_pj` over struct-of-arrays columns."""
-    from repro.physical.area import pipeline_register_count_batch
-
-    array_mw = (
-        cols.num_pes * tech.pe_power_mw
-        + pipeline_register_count_batch(cols) * tech.reg_power_mw
-    )
-    pj_per_cycle = array_mw * 1e-3 / 500e6 * 1e12
-    return pj_per_cycle / cols.num_pes
-
-
-def estimate_energy_batch(
-    cols,
-    macs: int,
-    cycles,
-    dma_bytes: int,
-    dram_bytes: int,
-    clock_ghz,
-    tech: Technology = INTEL_22FFL,
-    power_mw_at_clock=None,
-):
-    """Vectorised total energy (mJ) over struct-of-arrays config columns.
-
-    ``cycles`` and ``clock_ghz`` are per-design arrays; ``macs`` and the
-    byte counters are workload-wide scalars (identical for every design in
-    the batch).  ``power_mw_at_clock`` lets the caller pass an already
-    computed :func:`~repro.physical.power.power_mw_batch` array at
-    ``clock_ghz`` instead of recomputing it for the static term.  Each term
-    mirrors :func:`estimate_energy` so batched totals match
-    :attr:`EnergyReport.total_mj` within 1e-9 relative.
-    """
-    from repro.physical.power import power_mw_batch
-
-    if min(macs, dma_bytes, dram_bytes) < 0:
-        raise ValueError("activity counters must be non-negative")
-    array_mj = macs * mac_energy_pj_batch(cols, tech) * 1e-9
-    sram_mj = dma_bytes * 3 * SRAM_PJ_PER_BYTE * 1e-9
-    dram_mj = dram_bytes * DRAM_PJ_PER_BYTE * 1e-9
-    if power_mw_at_clock is None:
-        power_mw_at_clock = power_mw_batch(cols, clock_ghz, tech)
-    static_mj = (
-        STATIC_FRACTION
-        * power_mw_at_clock
-        * 1e-3
-        * (cycles / (clock_ghz * 1e9))
-        * 1e3
-    )
-    return array_mj + sram_mj + dram_mj + static_mj
 
 
 def estimate_run_energy(soc, result, tech: Technology = INTEL_22FFL) -> EnergyReport:

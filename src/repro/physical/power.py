@@ -8,6 +8,8 @@ energy.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import GemminiConfig
 from repro.physical.area import pipeline_register_count
 from repro.physical.technology import INTEL_22FFL, Technology
@@ -21,7 +23,7 @@ def spatial_array_power_mw(
     tech: Technology = INTEL_22FFL,
 ) -> float:
     """Dynamic power of the PE grid + pipeline registers, mW."""
-    if frequency_ghz <= 0:
+    if np.min(frequency_ghz) <= 0:
         raise ValueError("frequency must be positive")
     pes = config.num_pes * tech.pe_power_mw
     regs = pipeline_register_count(config) * tech.reg_power_mw
@@ -33,29 +35,11 @@ def power_mw(
     frequency_ghz: float = _CALIBRATION_GHZ,
     tech: Technology = INTEL_22FFL,
 ) -> float:
-    """Accelerator dynamic power: array + local SRAM switching, mW."""
+    """Accelerator dynamic power: array + local SRAM switching, mW.
+
+    ``frequency_ghz`` may be a per-design array for a batch of columns (the
+    DSE evaluator clocks each design at its own fmax).
+    """
     sram_kb = (config.sp_capacity_bytes + config.acc_capacity_bytes) / 1024.0
     sram = sram_kb * tech.sram_power_mw_per_kb * (frequency_ghz / _CALIBRATION_GHZ)
     return spatial_array_power_mw(config, frequency_ghz, tech) + sram
-
-
-def power_mw_batch(cols, frequency_ghz, tech: Technology = INTEL_22FFL):
-    """Vectorised :func:`power_mw` over struct-of-arrays config columns.
-
-    ``frequency_ghz`` may be a per-design array (the evaluator clocks each
-    design at its own fmax).  Term order mirrors the scalar functions so
-    batched power matches within 1e-9 relative.
-    """
-    import numpy as np
-
-    from repro.physical.area import pipeline_register_count_batch
-
-    frequency_ghz = np.asarray(frequency_ghz, dtype=np.float64)
-    if frequency_ghz.min() <= 0:
-        raise ValueError("frequency must be positive")
-    pes = cols.num_pes * tech.pe_power_mw
-    regs = pipeline_register_count_batch(cols) * tech.reg_power_mw
-    spatial = (pes + regs) * (frequency_ghz / _CALIBRATION_GHZ)
-    sram_kb = (cols.sp_capacity_bytes + cols.acc_capacity_bytes) / 1024.0
-    sram = sram_kb * tech.sram_power_mw_per_kb * (frequency_ghz / _CALIBRATION_GHZ)
-    return spatial + sram

@@ -10,29 +10,16 @@ pair at 256 PEs.
 from __future__ import annotations
 
 from repro.core.config import GemminiConfig
+from repro.physical.area import width_scale
 from repro.physical.technology import INTEL_22FFL, Technology
 
 
 def critical_path_ns(config: GemminiConfig, tech: Technology = INTEL_22FFL) -> float:
     """Cycle time implied by the tile's MAC ripple chain, ns."""
     chain = config.tile_rows
-    width_scale = max(1.0, config.input_type.bits / 8.0) ** 0.5
-    return tech.t_base_ns + chain * tech.t_mac_ns * width_scale
+    return tech.t_base_ns + chain * tech.t_mac_ns * width_scale(config) ** 0.5
 
 
 def max_frequency_ghz(config: GemminiConfig, tech: Technology = INTEL_22FFL) -> float:
     """Maximum clock frequency of the instance, GHz."""
     return 1.0 / critical_path_ns(config, tech)
-
-
-def max_frequency_ghz_batch(cols, tech: Technology = INTEL_22FFL):
-    """Vectorised :func:`max_frequency_ghz` over struct-of-arrays columns.
-
-    ``cols`` is any object exposing ``tile_rows`` and ``input_bits`` as
-    numpy arrays (see :class:`repro.dse.batch.ConfigColumns`); the formula
-    mirrors :func:`critical_path_ns` term for term.
-    """
-    import numpy as np
-
-    width_scale = np.maximum(1.0, cols.input_bits / 8.0) ** 0.5
-    return 1.0 / (tech.t_base_ns + cols.tile_rows * tech.t_mac_ns * width_scale)

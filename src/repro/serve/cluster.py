@@ -68,23 +68,20 @@ def estimate_service_cycles(spec: TenantSpec, config: GemminiConfig) -> float:
     """Analytic service-time estimate for one request of this tenant.
 
     Uses the compiler's im2col lowering plus the closed-form spatial-array
-    cost model — the same estimate the DSE analytic fidelity scores designs
-    with — so SJF scheduling needs no profiling run.  Memoized per
-    ``(tenant workload, config)`` (the dataflow is derived from the config).
+    cost model — :func:`~repro.dse.objectives.analytic_cycles`, the
+    estimate the DSE analytic fidelity scores designs with — so SJF
+    scheduling needs no profiling run.  Memoized per ``(tenant workload,
+    config)``.
     """
     key = (spec.model, spec.input_hw, spec.seq, config)
     cached = _SERVICE_CYCLES_MEMO.get(key)
     if cached is not None:
         return cached
 
-    from repro.core.config import Dataflow
-    from repro.core.spatial_array import SpatialArrayModel
-    from repro.dse.objectives import model_workload
+    from repro.dse.objectives import analytic_cycles, model_workload
 
     workload = model_workload(spec.model, input_hw=spec.input_hw, seq=spec.seq)
-    model = SpatialArrayModel(config)
-    dataflow = Dataflow.WS if config.dataflow is Dataflow.BOTH else config.dataflow
-    cycles = float(sum(model.matmul_cost(m, k, n, dataflow).total for m, k, n in workload.shapes))
+    cycles = analytic_cycles(config, workload)
     _SERVICE_CYCLES_MEMO[key] = cycles
     return cycles
 

@@ -1,9 +1,10 @@
-"""Scalar-vs-vectorized structural backend parity.
+"""Structural mesh: the wavefront against the per-PE reference.
 
-The vectorized wavefront backend must be *bitwise* identical to the
-per-PE scalar reference — same output bits, same cycle counts — for any
-array geometry, dataflow, operand shape and dtype.  These property tests
-are what let the vectorized path replace the scalar one as the default.
+``StructuralMesh.run_ws``/``run_os`` (numpy wavefront slabs) must be
+*bitwise* identical to ``run_ws_reference``/``run_os_reference`` (per-PE
+loops) — same output bits, same cycle counts — for any array geometry,
+dataflow, operand shape and dtype.  These property tests are what let the
+wavefront be the only structural engine, with the loops kept as oracle.
 """
 
 import numpy as np
@@ -13,10 +14,10 @@ from hypothesis import strategies as st
 
 from repro.core.accelerator import Accelerator
 from repro.core.config import GemminiConfig
-from repro.core.spatial_array import STRUCTURAL_BACKENDS, StructuralMesh
+from repro.core.spatial_array import StructuralMesh
 
 
-def make_config(dim, tile_rows, tile_cols, **kwargs):
+def make_config(dim, tile_rows, tile_cols):
     return GemminiConfig(
         mesh_rows=dim // tile_rows,
         mesh_cols=dim // tile_cols,
@@ -26,7 +27,6 @@ def make_config(dim, tile_rows, tile_cols, **kwargs):
         sp_banks=1,
         acc_capacity_bytes=dim * 4 * 64,
         acc_banks=1,
-        **kwargs,
     )
 
 
@@ -64,8 +64,8 @@ class TestBackendParityWS:
         a = _operands(rng, (m, dim), dtype)
         b = _operands(rng, (dim, dim), dtype)
         d = _operands(rng, (m, dim), dtype)
-        out_s, cyc_s = mesh.run_ws(a, b, d, backend="scalar")
-        out_v, cyc_v = mesh.run_ws(a, b, d, backend="vectorized")
+        out_s, cyc_s = mesh.run_ws_reference(a, b, d)
+        out_v, cyc_v = mesh.run_ws(a, b, d)
         assert cyc_s == cyc_v
         assert out_s.dtype == out_v.dtype
         assert np.array_equal(out_s, out_v)  # bitwise: no tolerance
@@ -80,7 +80,7 @@ class TestBackendParityWS:
         a = rng.integers(-8, 8, size=(5, dim))
         b = rng.integers(-8, 8, size=(dim, dim))
         d = rng.integers(-8, 8, size=(5, dim))
-        out, __ = mesh.run_ws(a, b, d, backend="vectorized")
+        out, __ = mesh.run_ws(a, b, d)
         assert np.array_equal(out, (d + a @ b).astype(np.float64))
 
 
@@ -94,8 +94,8 @@ class TestBackendParityOS:
         a = _operands(rng, (dim, k), dtype)
         b = _operands(rng, (k, dim), dtype)
         d = _operands(rng, (dim, dim), dtype)
-        out_s, cyc_s = mesh.run_os(a, b, d, backend="scalar")
-        out_v, cyc_v = mesh.run_os(a, b, d, backend="vectorized")
+        out_s, cyc_s = mesh.run_os_reference(a, b, d)
+        out_v, cyc_v = mesh.run_os(a, b, d)
         assert cyc_s == cyc_v
         assert out_s.dtype == out_v.dtype
         assert np.array_equal(out_s, out_v)
@@ -109,34 +109,8 @@ class TestBackendParityOS:
         a = rng.integers(-8, 8, size=(dim, 7))
         b = rng.integers(-8, 8, size=(7, dim))
         d = rng.integers(-8, 8, size=(dim, dim))
-        out, __ = mesh.run_os(a, b, d, backend="vectorized")
+        out, __ = mesh.run_os(a, b, d)
         assert np.array_equal(out, (d + a @ b).astype(np.float64))
-
-
-class TestBackendSelection:
-    def test_backends_registry(self):
-        assert STRUCTURAL_BACKENDS == ("scalar", "vectorized")
-
-    def test_default_comes_from_config(self):
-        cfg = make_config(4, 2, 2, structural_backend="scalar")
-        assert StructuralMesh(cfg).backend == "scalar"
-        assert StructuralMesh(make_config(4, 2, 2)).backend == "vectorized"
-
-    def test_constructor_override(self):
-        cfg = make_config(4, 2, 2, structural_backend="scalar")
-        assert StructuralMesh(cfg, backend="vectorized").backend == "vectorized"
-
-    def test_unknown_backend_rejected(self):
-        cfg = make_config(4, 1, 1)
-        with pytest.raises(ValueError, match="backend"):
-            StructuralMesh(cfg, backend="cuda")
-        mesh = StructuralMesh(cfg)
-        with pytest.raises(ValueError, match="backend"):
-            mesh.run_ws(np.zeros((2, 4)), np.zeros((4, 4)), np.zeros((2, 4)), backend="no")
-
-    def test_unknown_backend_rejected_in_config(self):
-        with pytest.raises(ValueError, match="structural_backend"):
-            make_config(4, 1, 1, structural_backend="cuda")
 
 
 class TestStructuralCheckMode:

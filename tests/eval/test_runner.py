@@ -1,6 +1,7 @@
 """Tests for the parallel experiment runner and its result cache."""
 
 import os
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -59,11 +60,18 @@ class TestConfigHash:
         assert config_hash({1: "a", "1": "b"}) != config_hash({1: "z", "1": "b"})
 
     def test_backend_knob_does_not_affect_config_identity(self):
-        """structural_backend is a simulation choice, not hardware."""
-        scalar = GemminiConfig(structural_backend="scalar")
-        vectorized = GemminiConfig(structural_backend="vectorized")
+        """A compare=False field is a simulation knob, not identity."""
+
+        @dataclass(frozen=True)
+        class Design:
+            dim: int = 16
+            backend: str = field(default="vectorized", compare=False)
+
+        scalar = Design(backend="scalar")
+        vectorized = Design(backend="vectorized")
         assert scalar == vectorized
         assert config_hash(scalar) == config_hash(vectorized)
+        assert config_hash(Design(dim=8)) != config_hash(vectorized)
 
     def test_large_arrays_hash_by_content(self):
         """repr() truncates big arrays; the hash must still see every element."""
