@@ -28,6 +28,14 @@ def width_scale(config: GemminiConfig) -> float:
     return max(1.0, scale)
 
 
+def lowest(value: float) -> float:
+    """A number itself, or a column's smallest entry (for range checks).
+
+    Plain numbers skip numpy: the per-design callers pay no numpy call.
+    """
+    return value.min() if isinstance(value, np.ndarray) else value
+
+
 def pipeline_register_count(config: GemminiConfig) -> int:
     """Pipeline register stations in the two-level array.
 

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import GemminiConfig
-from repro.physical.area import pipeline_register_count
+from repro.physical.area import lowest, pipeline_register_count
 from repro.physical.power import power_mw
 from repro.physical.technology import INTEL_22FFL, Technology
 
@@ -93,7 +91,7 @@ def estimate_energy(
     For a batch of config columns, ``cycles`` and ``clock_ghz`` may be
     per-design arrays; the counters are workload-wide.
     """
-    if min(macs, dma_bytes, dram_bytes) < 0 or np.min(cycles) < 0:
+    if min(macs, dma_bytes, dram_bytes) < 0 or lowest(cycles) < 0:
         raise ValueError("activity counters must be non-negative")
     array_mj = macs * mac_energy_pj(config, tech) * 1e-9
     # Every DMA byte is written to and later read from a local SRAM, and

@@ -8,10 +8,8 @@ energy.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import GemminiConfig
-from repro.physical.area import pipeline_register_count
+from repro.physical.area import lowest, pipeline_register_count
 from repro.physical.technology import INTEL_22FFL, Technology
 
 _CALIBRATION_GHZ = 0.5
@@ -23,7 +21,7 @@ def spatial_array_power_mw(
     tech: Technology = INTEL_22FFL,
 ) -> float:
     """Dynamic power of the PE grid + pipeline registers, mW."""
-    if np.min(frequency_ghz) <= 0:
+    if lowest(frequency_ghz) <= 0:
         raise ValueError("frequency must be positive")
     pes = config.num_pes * tech.pe_power_mw
     regs = pipeline_register_count(config) * tech.reg_power_mw

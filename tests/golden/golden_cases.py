@@ -368,7 +368,13 @@ def analytic_values() -> dict:
     and Fig. 6 physical models, and the SJF service-cycle estimate."""
     import random
 
-    from repro.core.config import Dataflow, GemminiConfig, systolic_config, vector_config
+    from repro.core.config import (
+        Dataflow,
+        GemminiConfig,
+        fp32_config,
+        systolic_config,
+        vector_config,
+    )
     from repro.dse import (
         EvaluationSpec,
         conv_workload,
@@ -407,6 +413,7 @@ def analytic_values() -> dict:
         "vector": vector_config(16),
         **{f"tile{t}x{t}": default_config().with_geometry(16, t) for t in (2, 4, 8)},
         "default": default_config(),
+        "fp32": fp32_config(),  # the only datapath wider than the int8 anchor
     }
     physical = {name: _physical_values(config) for name, config in configs.items()}
     fig3 = [
