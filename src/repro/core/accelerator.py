@@ -122,7 +122,7 @@ class Accelerator:
         self.stats = StatsRegistry(owner=name)
         #: When enabled, every COMPUTE is replayed on the cycle-exact
         #: structural mesh and compared against the functional result —
-        #: affordable because the vectorized wavefront backend is used.
+        #: affordable because the mesh simulates a whole wavefront per cycle.
         self.structural = StructuralMesh(config) if structural_check else None
         self._exec = _ExecState()
         self._preload = _PreloadState()
