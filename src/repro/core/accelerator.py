@@ -113,7 +113,7 @@ class Accelerator:
         self.accumulator = Accumulator(config, name=f"{name}.acc")
         self.mesh = FunctionalMesh(config)
         self.model = SpatialArrayModel(config)
-        self.dma = DMAEngine(config, self.xlat, self.mem, vm, name=f"{name}.dma")
+        self.dma = DMAEngine(config, self.xlat, self.mem, name=f"{name}.dma")
         self.controller = Controller(rob_entries=config.rob_entries)
         self.transposer = Transposer(config.dim) if config.has_transposer else None
         self.pooling = PoolingEngine(config.dim) if config.has_pooling else None

@@ -4,7 +4,8 @@ Every MVIN/MVOUT becomes a sequence of row transfers.  Each row is
 translated through the accelerator's :class:`TranslationSystem` (one request
 per page the row touches — consecutive same-page requests are what the
 filter registers of Section V-A capture), then moved over the system bus and
-through the shared L2/DRAM.  Read and write channels are independent, so
+through the shared L2/DRAM at the physical address the translation
+returned.  Read and write channels are independent, so
 loads and stores overlap like the paper's overlapped read/write streams.
 
 A transfer is simulated in staged passes rather than row by row: one
@@ -18,10 +19,12 @@ those of simulating each row in turn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, sub
 
 from repro.core.config import GemminiConfig
 from repro.mem.hierarchy import MemorySystem
-from repro.mem.page_table import VirtualMemory
+from repro.mem.page_table import LEVELS
 from repro.mem.tlb import TranslationSystem
 from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
@@ -50,13 +53,11 @@ class DMAEngine:
         config: GemminiConfig,
         xlat: TranslationSystem,
         mem: MemorySystem,
-        vm: VirtualMemory | None = None,
         name: str = "dma",
     ) -> None:
         self.config = config
         self.xlat = xlat
         self.mem = mem
-        self.vm = vm
         self.name = name
         self.read_channel = Timeline(f"{name}.rd")
         self.write_channel = Timeline(f"{name}.wr")
@@ -107,7 +108,7 @@ class DMAEngine:
         # translations; a later chunk starts when the previous one completes.
         xl_earliest: list[float] = []
         vpns: list[int] = []
-        chunk_vaddr: list[int] = []
+        chunk_offset: list[int] = []  # byte offset of each chunk in its page
         chunk_bytes: list[int] = []
         crossing: list[tuple[int, int]] = []  # (first, last) chunk of split rows
         row_vaddr = vaddr
@@ -117,17 +118,18 @@ class DMAEngine:
             if first_vpn == last_vpn:
                 xl_earliest.append(issue)
                 vpns.append(first_vpn)
-                chunk_vaddr.append(row_vaddr)
+                chunk_offset.append(row_vaddr % page_bytes)
                 chunk_bytes.append(bytes_per_row)
             else:
                 crossing.append((len(vpns), len(vpns) + last_vpn - first_vpn))
                 cursor = row_vaddr
                 remaining = bytes_per_row
                 for vpn in range(first_vpn, last_vpn + 1):
-                    chunk = min(remaining, page_bytes - cursor % page_bytes)
+                    offset = cursor % page_bytes
+                    chunk = min(remaining, page_bytes - offset)
                     xl_earliest.append(issue)
                     vpns.append(vpn)
-                    chunk_vaddr.append(cursor)
+                    chunk_offset.append(offset)
                     chunk_bytes.append(chunk)
                     cursor += chunk
                     remaining -= chunk
@@ -137,16 +139,20 @@ class DMAEngine:
         # translations serialise, so a burst of misses (e.g. at a tile
         # boundary) throttles the whole stream — the effect the Section V-A
         # TLB sizing study measures.
-        xl_start, xl_end, __ = self.xlat.translate_chain(xl_earliest, vpns, is_write)
-        translation_stall = 0.0
-        for t, e in zip(xl_start, xl_end):
-            translation_stall += e - t
+        xlat = self.xlat
+        xl_start, xl_end, __, ppns = xlat.translate_chain(xl_earliest, vpns, is_write)
+        # Summed in request order, as a running ``+=`` would.
+        translation_stall = reduce(add, map(sub, xl_end, xl_start), 0.0)
+        # Physical addresses come from the translation pass's PPNs.  The
+        # page table's walk counter still counts one functional walk per
+        # request, as a per-address translation would.
+        paddrs = [ppn * page_bytes + offset for ppn, offset in zip(ppns, chunk_offset)]
+        if xlat.page_table is not None:
+            xlat.page_table.walk_accesses += LEVELS * len(vpns)
 
         # 3. Memory pass, one segment at a time.  A segment ends after each
         # chunk that has a successor in its row, since that successor starts
         # at the chunk's completion (filled into ``starts`` once known).
-        vm = self.vm
-        paddrs = vm.translate(chunk_vaddr) if vm is not None else chunk_vaddr
         starts = list(xl_end)
         cuts: list[int] = []
         for first, last in crossing:

@@ -73,10 +73,13 @@ class DRAMModel:
 
         A segment of accesses passes ``now``, ``addr``, ``nbytes`` and
         ``is_write`` as equal-length lists in issue order (every entry moving
-        at least one byte) and gets the list of completion times back: one
-        open-row pass, one FCFS scan of the channel over the interleaved
-        activate and data bookings, one add per counter.  Scalar arguments
-        are the one-element case.
+        at least one byte) and gets the list of completion times back.  One
+        loop classifies each access against its bank's open row and advances
+        the channel's FCFS recurrence in place: a row miss books its
+        activate, then every access books its data transfer, with
+        :meth:`~repro.sim.timeline.Timeline.book`'s comparison and the same
+        sequential float additions.  The channel and each counter are
+        written back once.  Scalar arguments are the one-element case.
         """
         if not isinstance(now, list):
             if nbytes <= 0:
@@ -87,42 +90,49 @@ class DRAMModel:
         num_banks = cfg.num_banks
         row_hit_latency = cfg.row_hit_latency
         access_latency = cfg.access_latency
+        # DRAMConfig rejects a negative activate and every entry moves a
+        # byte, so no booking can have a negative duration.
         activate = cfg.activate_occupancy
         open_rows = self._open_rows
         channel = self.channel
         overhead = channel.overhead
         bytes_per_cycle = channel.bytes_per_cycle
-        # Channel bookings in the order per-access calls make them: an
-        # activate (row misses only) then the data transfer.
-        earliest: list[float] = []
-        durations: list[float] = []
-        data_slot: list[int] = []
+        timeline = channel.inner
+        next_free = timeline.next_free
+        busy = timeline.busy_time
+        ends: list[float] = []
+        append = ends.append
         row_hits = writes = 0
         for t, a, nb, w in zip(now, addr, nbytes, is_write):
             row = a // row_bytes
             bank = row % num_banks
             if open_rows.get(bank) == row:
                 row_hits += 1
-                latency = row_hit_latency
+                start = t + row_hit_latency
             else:
                 open_rows[bank] = row
-                latency = access_latency
                 if activate:
                     # The activate/precharge turnaround blocks the channel.
-                    earliest.append(t)
-                    durations.append(activate)
+                    next_free = (next_free if next_free > t else t) + activate
+                    busy += activate
+                start = t + access_latency
             if w:
                 writes += 1
-            data_slot.append(len(earliest))
-            earliest.append(t + latency)
-            durations.append(overhead + nb / bytes_per_cycle)
+            duration = overhead + nb / bytes_per_cycle
+            next_free = (next_free if next_free > start else start) + duration
+            busy += duration
+            append(next_free)
 
         n = len(now)
+        row_misses = n - row_hits
+        timeline.next_free = next_free
+        timeline.busy_time = busy
+        timeline.bookings += n + row_misses if activate else n
         stats = self.stats
         if row_hits:
             stats.counter("row_hits").add(row_hits)
-        if n - row_hits:
-            stats.counter("row_misses").add(n - row_hits)
+        if row_misses:
+            stats.counter("row_misses").add(row_misses)
         if writes:
             stats.counter("writes").add(writes)
         if n - writes:
@@ -130,8 +140,7 @@ class DRAMModel:
         total = sum(nbytes)
         stats.counter("bytes").add(total)
         channel.bytes_moved += total
-        ends = channel.inner.book_all(earliest, durations)
-        return [ends[slot] for slot in data_slot]
+        return ends
 
     def access_batch(self, now, addr, nbytes, is_write):
         """Perform a whole FCFS sequence of accesses; returns end times.

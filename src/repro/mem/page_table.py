@@ -73,27 +73,10 @@ class PageTable:
         i0, i1, i2 = self._indices(vpn)
         return i2 in self.root.get(i0, {}).get(i1, {})
 
-    def translate(self, vaddr):
-        """Functional virtual-to-physical translation of a byte address.
-
-        A list of addresses gets the list of physical addresses back.  Every
-        address counts one full walk, as per-address calls would; each
-        distinct page is looked up once.  A scalar address is the
-        one-element case.
-        """
-        if not isinstance(vaddr, list):
-            return self.translate([vaddr])[0]
-        page_bytes = self.page_bytes
-        ppns: dict[int, int] = {}
-        paddrs = []
-        for address in vaddr:
-            vpn, offset = divmod(address, page_bytes)
-            ppn = ppns.get(vpn)
-            if ppn is None:
-                ppn = ppns[vpn] = self.walk(vpn)
-            paddrs.append(ppn * page_bytes + offset)
-        self.walk_accesses += LEVELS * (len(paddrs) - len(ppns))
-        return paddrs
+    def translate(self, vaddr: int) -> int:
+        """Functional virtual-to-physical translation of a byte address."""
+        vpn, offset = divmod(vaddr, self.page_bytes)
+        return self.walk(vpn) * self.page_bytes + offset
 
 
 def _mix(value: int) -> int:
@@ -166,9 +149,8 @@ class VirtualMemory:
         self._next_ppn += 1
         return ppn
 
-    def translate(self, vaddr):
-        """Physical address of ``vaddr`` (a list of addresses: the list of
-        physical addresses; see :meth:`PageTable.translate`)."""
+    def translate(self, vaddr: int) -> int:
+        """Physical address of ``vaddr``."""
         return self.page_table.translate(vaddr)
 
     def region(self, name: str) -> Allocation:

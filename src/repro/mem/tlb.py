@@ -50,7 +50,7 @@ class TLBConfig:
 
 
 class TLB:
-    """A fully associative, true-LRU TLB."""
+    """A fully associative, true-LRU TLB mapping each resident VPN to its PPN."""
 
     def __init__(self, entries: int, name: str = "tlb") -> None:
         if entries < 0:
@@ -92,31 +92,35 @@ class FilterRegisters:
     """Last-translation registers, one per DMA channel direction.
 
     A request whose virtual page number matches the channel's register skips
-    the TLB entirely (zero-cycle translation).  Keeping separate read and
-    write registers prevents the overlapped read/write streams from evicting
-    each other's entry — the contention the paper observed.
+    the TLB entirely (zero-cycle translation) and takes the register's PPN.
+    Keeping separate read and write registers prevents the overlapped
+    read/write streams from evicting each other's entry — the contention the
+    paper observed.
     """
 
-    __slots__ = ("read_vpn", "write_vpn")
+    __slots__ = ("read_vpn", "write_vpn", "read_ppn", "write_ppn")
 
     def __init__(self) -> None:
-        self.read_vpn: int | None = None
-        self.write_vpn: int | None = None
+        self.flush()
 
     def check(self, vpn: int, is_write: bool) -> bool:
         if is_write:
             return vpn == self.write_vpn
         return vpn == self.read_vpn
 
-    def update(self, vpn: int, is_write: bool) -> None:
+    def update(self, vpn: int, is_write: bool, ppn: int) -> None:
         if is_write:
             self.write_vpn = vpn
+            self.write_ppn = ppn
         else:
             self.read_vpn = vpn
+            self.read_ppn = ppn
 
     def flush(self) -> None:
         self.read_vpn = None
         self.write_vpn = None
+        self.read_ppn = None
+        self.write_ppn = None
 
 
 @dataclass
@@ -171,7 +175,7 @@ class TranslationSystem:
 
     def translate_vpn(self, now: float, vpn: int, is_write: bool) -> TranslationResult:
         """Translate one request: the one-element case of :meth:`translate_chain`."""
-        __, (end,), (level,) = self.translate_chain([now], [vpn], is_write)
+        __, (end,), (level,), __ppn = self.translate_chain([now], [vpn], is_write)
         return TranslationResult(end, level, vpn)
 
     def translate_chain(self, earliest, vpns, is_write: bool):
@@ -182,14 +186,18 @@ class TranslationSystem:
         register, the private and shared TLBs and the PTW in order (walks
         book the possibly shared PTW one by one), records every outcome in
         the miss-rate window and adds each counter once.  Returns the lists
-        ``(starts, ends, levels)``, one entry per request, each level one of
-        ``"filter"``, ``"private"``, ``"shared"`` or ``"walk"``.
+        ``(starts, ends, levels, ppns)``, one entry per request, each level
+        one of ``"filter"``, ``"private"``, ``"shared"`` or ``"walk"``.  A
+        PPN comes from the level that served the request; a walk reads it
+        from the page table (with no page table the PPN is the VPN).
         """
         cfg = self.config
         private = self.private
         private_lru = private._lru
+        private_ppn = private_lru.get
         refresh_private = private_lru.move_to_end
         shared = self.shared
+        shared_lru = shared._lru
         shared_entries = cfg.shared_entries
         private_latency = cfg.private_hit_latency
         shared_latency = cfg.shared_hit_latency
@@ -200,29 +208,31 @@ class TranslationSystem:
         filters = self.filters
         if filters is not None:
             filter_vpn = filters.write_vpn if is_write else filters.read_vpn
+            filter_ppn = filters.write_ppn if is_write else filters.read_ppn
         # Track consecutive same-page behaviour per channel (paper: 87% of
         # consecutive reads and 83% of consecutive writes hit the same page).
         last = self._last_vpn[is_write]
-        consecutive = same = filter_hits = private_hits = shared_hits = walks = 0
+        # Every request but a stream's very first follows one on its channel.
+        consecutive = len(vpns) if last is not None else max(len(vpns) - 1, 0)
+        same = filter_hits = private_hits = shared_hits = walks = 0
         starts: list[float] = []
         ends: list[float] = []
         levels: list[str] = []
+        ppns: list[int] = []
         end = float("-inf")
         for e, vpn in zip(earliest, vpns):
             t = e if e > end else end
-            if last is not None:
-                consecutive += 1
-                if last == vpn:
-                    same += 1
+            if last == vpn:
+                same += 1
             last = vpn
             if filters is not None and vpn == filter_vpn:
                 filter_hits += 1
                 end = t
                 level = "filter"
+                ppn = filter_ppn
             else:
-                if filters is not None:
-                    filter_vpn = vpn
-                if vpn in private_lru:
+                ppn = private_ppn(vpn)
+                if ppn is not None:
                     refresh_private(vpn)
                     private_hits += 1
                     end = t + private_latency
@@ -231,25 +241,29 @@ class TranslationSystem:
                     after_private = t + private_latency
                     if shared_entries and shared.lookup(vpn):
                         shared_hits += 1
-                        private.fill(vpn)
+                        ppn = shared_lru[vpn]
+                        private.fill(vpn, ppn)
                         end = after_private + shared_latency
                         level = "shared"
                     else:
                         # Full page-table walk on the (possibly shared) PTW.
                         walks += 1
-                        if page_table is not None:
-                            page_table.walk(vpn)
+                        ppn = page_table.walk(vpn) if page_table is not None else vpn
                         __, end = ptw.book(after_private + walk_offset, walk_latency)
-                        private.fill(vpn)
-                        shared.fill(vpn)
+                        private.fill(vpn, ppn)
+                        shared.fill(vpn, ppn)
                         level = "walk"
+                if filters is not None:
+                    filter_vpn = vpn
+                    filter_ppn = ppn
             starts.append(t)
             ends.append(end)
             levels.append(level)
+            ppns.append(ppn)
 
         self._last_vpn[is_write] = last
         if filters is not None:
-            filters.update(filter_vpn, is_write)
+            filters.update(filter_vpn, is_write, filter_ppn)
         self.miss_window.record_each(starts, [level in _MISS_LEVELS for level in levels])
         kind = "write" if is_write else "read"
         counts = {
@@ -268,13 +282,14 @@ class TranslationSystem:
         for name, value in counts.items():
             if value:
                 stats.counter(name).add(value)
-        return starts, ends, levels
+        return starts, ends, levels, ppns
 
     def translate_batch(self, now, vpns, is_write):
         """Translate a whole request sequence; returns the end times.
 
         Aggregate-equivalent to calling :meth:`translate_vpn` in a loop: the
-        TLB/filter state walks through the identical lookups and fills, the
+        TLB/filter state walks through the identical lookups and fills (each
+        with its real PPN, as the DMA reads it from a warmed TLB), the
         (possibly shared) PTW sees the same bookings in the same order, the
         miss-rate window records every outcome, and counters are added once
         per name.  The python loop stays, but it is lean — all the per-call
@@ -318,7 +333,10 @@ class TranslationSystem:
         last_r = last_vpn[False]
         last_w = last_vpn[True]
         private_lru = private._lru
+        private_ppn = private_lru.get
         move_private = private_lru.move_to_end
+        shared_lru = shared._lru
+        page_table = self.page_table
         ends = now.tolist()
         for i, (vpn, w, t) in enumerate(zip(vpn_list, write_list, ends)):
             if w:
@@ -335,37 +353,37 @@ class TranslationSystem:
                         n_same_r += 1
                 last_r = vpn
 
-            if filters is not None:
-                if filters.check(vpn, w):
-                    n_filter += 1
-                    miss_record(t, False)
-                    continue
-                filters.update(vpn, w)
+            if filters is not None and filters.check(vpn, w):
+                n_filter += 1
+                miss_record(t, False)
+                continue
 
-            if vpn in private_lru:
+            ppn = private_ppn(vpn)
+            if ppn is not None:
                 move_private(vpn)
                 n_priv_hit += 1
                 miss_record(t, False)
                 ends[i] = t + private_hit_latency
-                continue
-
-            n_priv_miss += 1
-            miss_record(t, True)
-            after_private = t + private_hit_latency
-            if shared_entries and shared.lookup(vpn):
-                n_shared_hit += 1
-                private.fill(vpn)
-                ends[i] = after_private + shared_latency
-                continue
-            if shared_entries:
-                n_shared_miss += 1
-            n_walk += 1
-            if self.page_table is not None:
-                self.page_table.walk(vpn)
-            __, walk_end = self.ptw.book(after_private + shared_latency, cfg.walk_latency)
-            private.fill(vpn)
-            shared.fill(vpn)
-            ends[i] = walk_end
+            else:
+                n_priv_miss += 1
+                miss_record(t, True)
+                after_private = t + private_hit_latency
+                if shared_entries and shared.lookup(vpn):
+                    n_shared_hit += 1
+                    ppn = shared_lru[vpn]
+                    private.fill(vpn, ppn)
+                    ends[i] = after_private + shared_latency
+                else:
+                    if shared_entries:
+                        n_shared_miss += 1
+                    n_walk += 1
+                    ppn = page_table.walk(vpn) if page_table is not None else vpn
+                    __, walk_end = self.ptw.book(after_private + shared_latency, cfg.walk_latency)
+                    private.fill(vpn, ppn)
+                    shared.fill(vpn, ppn)
+                    ends[i] = walk_end
+            if filters is not None:
+                filters.update(vpn, w, ppn)
         last_vpn[False] = last_r
         last_vpn[True] = last_w
         counts = {

@@ -12,9 +12,11 @@ def make_dma(small_config, private=16, shared=0, filters=False, vm=None):
     tlb_cfg = TLBConfig(
         private_entries=private, shared_entries=shared, filter_registers=filters
     )
-    xlat = TranslationSystem(tlb_cfg)
+    # Wired as an Accelerator wires it: the DMA translates through the
+    # translation system's page table.
+    xlat = TranslationSystem(tlb_cfg, page_table=vm.page_table if vm is not None else None)
     mem = MemorySystem(MemorySystemConfig())
-    dma = DMAEngine(small_config, xlat, mem, vm=vm)
+    dma = DMAEngine(small_config, xlat, mem)
     return dma, xlat, mem
 
 
@@ -74,6 +76,8 @@ class TestDMATransfers:
         dma.transfer(0.0, vaddr, 64, 4, 64, False)
         # Physical accesses hit the scattered frames, not the virtual range.
         assert mem.l2.stats.value("accesses") > 0
+        assert mem.l2.probe(vm.translate(vaddr))
+        assert not mem.l2.probe(vaddr)
 
     def test_invalid_transfer_rejected(self, small_config):
         dma, __, __m = make_dma(small_config)
@@ -163,7 +167,8 @@ def row_by_row(dma, now, vaddr, bytes_per_row, nrows, stride, is_write, requeste
         at, remaining = row_vaddr, bytes_per_row
         while remaining:
             chunk = min(remaining, page - at % page)
-            paddr = dma.vm.translate(at) if dma.vm is not None else at
+            page_table = dma.xlat.page_table
+            paddr = page_table.translate(at) if page_table is not None else at
             access = dma.mem.access(access, paddr, chunk, is_write, requester)
             at += chunk
             remaining -= chunk
@@ -181,7 +186,7 @@ def dma_state(dma):
         [list(s.items()) for s in mem.l2._sets],
         list(dma.xlat.private._lru),
         dma.xlat.miss_window.series.times,
-        dma.vm.page_table.walk_accesses if dma.vm is not None else 0,
+        dma.xlat.page_table.walk_accesses if dma.xlat.page_table is not None else 0,
     )
 
 

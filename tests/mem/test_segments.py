@@ -9,12 +9,14 @@ requests made one by one leave them: compared with ``==``, not a tolerance.
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mem.bus import SystemBus
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import DRAMConfig, DRAMModel
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
-from repro.mem.page_table import PageFault, VirtualMemory
+from repro.mem.page_table import VirtualMemory
 from repro.mem.tlb import TLBConfig, TranslationSystem
 from repro.sim.stats import RateWindow
 from repro.sim.timeline import BandwidthTimeline, Timeline
@@ -83,16 +85,85 @@ def test_bus_segment():
     assert timeline_state(a.channel.inner) == timeline_state(b.channel.inner)
 
 
-def test_dram_segment():
+def dram_by_booking(dram, now, addr, nbytes, is_write):
+    """The open-row model spelled out as one ``Timeline.book`` per booking:
+    a row miss books its activate, then every access books its data."""
+    cfg = dram.config
+    channel = dram.channel
+    ends = []
+    for t, a, nb, __w in zip(now, addr, nbytes, is_write):
+        row = a // cfg.row_buffer_bytes
+        bank = row % cfg.num_banks
+        if dram._open_rows.get(bank) == row:
+            latency = cfg.row_hit_latency
+        else:
+            dram._open_rows[bank] = row
+            latency = cfg.access_latency
+            if cfg.activate_occupancy:
+                channel.inner.book(t, cfg.activate_occupancy)
+        ends.append(channel.transfer(t + latency, nb)[1])
+    return ends
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        DRAMConfig(),
+        DRAMConfig(activate_occupancy=0),
+        DRAMConfig(num_banks=1),
+        # The default timings are dyadic and add exactly.  These are not, so
+        # a changed addition order shows in the ends and in busy_time.
+        # (12.8 B/cycle would not do: it turns this stream's byte counts
+        # into dyadic durations.)
+        DRAMConfig(bytes_per_cycle=13.0, activate_occupancy=23.7),
+    ],
+    ids=["default", "no_activate", "one_bank", "non_dyadic"],
+)
+def test_dram_segment(config):
     now, addr, nbytes, writes = stream(5)
-    a, b = DRAMModel(DRAMConfig()), DRAMModel(DRAMConfig())
-    assert b.access(now, addr, nbytes, writes) == [
-        a.access(t, ad, n, w) for t, ad, n, w in zip(now, addr, nbytes, writes)
-    ]
+    a, b, c = DRAMModel(config), DRAMModel(config), DRAMModel(config)
+    for start, stop in ((0, 1), (1, 120), (120, 300)):
+        seg = slice(start, stop)
+        expected = [a.access(t, ad, n, w)
+                    for t, ad, n, w in zip(now[seg], addr[seg], nbytes[seg], writes[seg])]
+        assert b.access(now[seg], addr[seg], nbytes[seg], writes[seg]) == expected
+        assert dram_by_booking(c, now[seg], addr[seg], nbytes[seg], writes[seg]) == expected
     assert a.stats.snapshot() == b.stats.snapshot()
-    assert a._open_rows == b._open_rows
-    assert timeline_state(a.channel.inner) == timeline_state(b.channel.inner)
-    assert a.bytes_moved == b.bytes_moved
+    assert a._open_rows == b._open_rows == c._open_rows
+    assert (timeline_state(a.channel.inner) == timeline_state(b.channel.inner)
+            == timeline_state(c.channel.inner))
+    assert a.bytes_moved == b.bytes_moved == c.bytes_moved
+
+
+finite_times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(st.tuples(finite_times, st.floats(min_value=0.0, max_value=1e3)), max_size=60),
+    finite_times,
+)
+def test_book_all_ends_never_decrease(bookings, next_free):
+    timeline = Timeline()
+    timeline.next_free = next_free
+    ends = timeline.book_all([e for e, __ in bookings], [d for __, d in bookings])
+    assert all(x <= y for x, y in zip([next_free, *ends], ends))
+
+
+@given(
+    st.lists(
+        st.tuples(finite_times, st.integers(0, 1 << 16), st.integers(1, 4096), st.booleans()),
+        max_size=60,
+    ),
+    st.sampled_from([DRAMConfig(), DRAMConfig(activate_occupancy=0), DRAMConfig(num_banks=1),
+                     DRAMConfig(bytes_per_cycle=13.0, row_buffer_bytes=256)]),
+)
+def test_dram_ends_never_decrease_and_follow_their_request(accesses, config):
+    """Cache.access takes each access's *last* lower-level end as its
+    completion, which needs both properties."""
+    now, addr, nbytes, writes = [list(column) for column in zip(*accesses)] or [[], [], [], []]
+    ends = DRAMModel(config).access(now, addr, nbytes, writes)
+    assert all(x <= y for x, y in zip(ends, ends[1:]))
+    assert all(end > t for t, end in zip(now, ends))
 
 
 @pytest.mark.parametrize("writeback", [True, False])
@@ -135,6 +206,26 @@ def test_scalar_zero_bytes_is_a_no_op():
     assert mem.dram.access(7.0, 0, 0, False) == 7.0
 
 
+def mapped_vm(pages):
+    """A scattered address space whose VPNs ``0..pages-1`` are mapped."""
+    vm = VirtualMemory(scattered=True, base=0)
+    vm.alloc(pages * vm.page_bytes)
+    return vm
+
+
+def chain_of_translate_vpn(xlat, earliest, vpns, is_write):
+    starts, ends, levels = [], [], []
+    end = float("-inf")
+    for e, vpn in zip(earliest, vpns):
+        start = e if e > end else end
+        result = xlat.translate_vpn(start, vpn, is_write)
+        end = result.end_time
+        starts.append(start)
+        ends.append(end)
+        levels.append(result.level)
+    return starts, ends, levels
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -146,36 +237,45 @@ def test_scalar_zero_bytes_is_a_no_op():
 @pytest.mark.parametrize("is_write", [False, True])
 def test_translate_chain_is_a_chain_of_translate_vpn(config, is_write):
     rng = random.Random(8)
-    earliest = sorted(rng.random() * 2000 for __ in range(400))
+    earliest = sorted(rng.random() * 2000 for __ in range(450))
     vpns = [rng.choice([rng.randrange(40), 7, 7, 8]) for __ in earliest]
-    a = TranslationSystem(config, name="a")
-    b = TranslationSystem(config, name="b")
-    expected_starts, expected_ends, expected_levels = [], [], []
-    end = float("-inf")
-    for e, vpn in zip(earliest, vpns):
-        start = e if e > end else end
-        result = a.translate_vpn(start, vpn, is_write)
-        end = result.end_time
-        expected_starts.append(start)
-        expected_ends.append(end)
-        expected_levels.append(result.level)
-    starts, ends, levels = b.translate_chain(earliest, vpns, is_write)
-    assert (starts, ends, levels) == (expected_starts, expected_ends, expected_levels)
+    warm_vpns = [rng.choice([rng.randrange(40), 7, 8]) for __ in range(100)]
+    warm_writes = [rng.random() < 0.5 for __ in warm_vpns]
+    a = TranslationSystem(config, page_table=mapped_vm(40).page_table, name="a")
+    b = TranslationSystem(config, page_table=mapped_vm(40).page_table, name="b")
+    oracle = mapped_vm(40).page_table
+    served = set()
+    for part in (slice(0, 150), slice(150, 300), slice(300, 450)):
+        if part.start == 150:
+            # From empty TLBs and filter registers.
+            a.flush()
+            b.flush()
+        if part.start == 300:
+            # From TLBs and filter registers warmed through translate_batch,
+            # as replay warms its sandboxes.
+            for xlat in (a, b):
+                xlat.translate_batch([0.0] * len(warm_vpns), warm_vpns, warm_writes)
+            if b.filters is not None:
+                vpn = b.filters.write_vpn if is_write else b.filters.read_vpn
+                ppn = b.filters.write_ppn if is_write else b.filters.read_ppn
+                assert ppn == oracle.walk(vpn)
+        starts, ends, levels, ppns = b.translate_chain(earliest[part], vpns[part], is_write)
+        assert (starts, ends, levels) == chain_of_translate_vpn(a, earliest[part], vpns[part],
+                                                                is_write)
+        assert ppns == [oracle.walk(vpn) for vpn in vpns[part]]
+        served.update(levels)
+    expected_levels = {"private", "walk"}
+    if config.shared_entries:
+        expected_levels.add("shared")
+    if config.filter_registers:
+        expected_levels.add("filter")
+    assert served == expected_levels
+    for tlb in (b.private, b.shared):
+        assert all(ppn == oracle.walk(vpn) for vpn, ppn in tlb._lru.items())
     assert a.stats.snapshot() == b.stats.snapshot()
-    assert list(a.private._lru) == list(b.private._lru)
-    assert list(a.shared._lru) == list(b.shared._lru)
+    assert list(a.private._lru.items()) == list(b.private._lru.items())
+    assert list(a.shared._lru.items()) == list(b.shared._lru.items())
     assert a.miss_window.series.times == b.miss_window.series.times
     assert a.miss_window.series.values == b.miss_window.series.values
     assert timeline_state(a.ptw) == timeline_state(b.ptw)
-
-
-def test_page_table_translates_lists_with_per_address_walk_count():
-    vm = VirtualMemory(scattered=True)
-    base = vm.alloc(4096 * 3, "buf")
-    addresses = [base, base + 8, base + 4096, base + 5000, base + 8191, base + 9000]
-    twin = VirtualMemory(scattered=True)
-    twin.alloc(4096 * 3, "buf")
-    assert vm.translate(addresses) == [twin.translate(v) for v in addresses]
-    assert vm.page_table.walk_accesses == twin.page_table.walk_accesses
-    with pytest.raises(PageFault):
-        vm.translate([base, 0])
+    assert a.page_table.walk_accesses == b.page_table.walk_accesses

@@ -57,18 +57,20 @@ class TestTLB:
 class TestFilterRegisters:
     def test_separate_read_write_channels(self):
         f = FilterRegisters()
-        f.update(5, is_write=False)
+        f.update(5, is_write=False, ppn=50)
         assert f.check(5, is_write=False)
         assert not f.check(5, is_write=True)
-        f.update(9, is_write=True)
+        f.update(9, is_write=True, ppn=90)
         assert f.check(9, is_write=True)
         assert f.check(5, is_write=False)  # read register undisturbed
+        assert (f.read_ppn, f.write_ppn) == (50, 90)
 
     def test_flush(self):
         f = FilterRegisters()
-        f.update(5, False)
+        f.update(5, False, 50)
         f.flush()
         assert not f.check(5, False)
+        assert f.read_ppn is None
 
 
 def make_system(private=4, shared=16, filters=False, ptw=None):
