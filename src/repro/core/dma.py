@@ -24,7 +24,6 @@ from operator import add, sub
 
 from repro.core.config import GemminiConfig
 from repro.mem.hierarchy import MemorySystem
-from repro.mem.page_table import LEVELS
 from repro.mem.tlb import TranslationSystem
 from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
@@ -143,12 +142,11 @@ class DMAEngine:
         xl_start, xl_end, __, ppns = xlat.translate_chain(xl_earliest, vpns, is_write)
         # Summed in request order, as a running ``+=`` would.
         translation_stall = reduce(add, map(sub, xl_end, xl_start), 0.0)
-        # Physical addresses come from the translation pass's PPNs.  The
-        # page table's walk counter still counts one functional walk per
-        # request, as a per-address translation would.
+        # Physical addresses come from the translation pass's PPNs; the page
+        # table still counts one functional walk per request.
         paddrs = [ppn * page_bytes + offset for ppn, offset in zip(ppns, chunk_offset)]
         if xlat.page_table is not None:
-            xlat.page_table.walk_accesses += LEVELS * len(vpns)
+            xlat.page_table.count_functional_walks(len(vpns))
 
         # 3. Memory pass, one segment at a time.  A segment ends after each
         # chunk that has a successor in its row, since that successor starts

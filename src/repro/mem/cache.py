@@ -100,12 +100,10 @@ class Cache:
                 ways = sets[index % num_sets]
                 dirty = ways.pop(index, None)
                 if dirty is not None:
-                    ways[index] = w or dirty
+                    ways[index] = True if w else dirty
                     continue
                 if len(ways) >= ways_limit:
-                    # The oldest resident line is the first key.
-                    for victim in ways:
-                        break
+                    victim = next(iter(ways))
                     evictions += 1
                     if ways.pop(victim) and writeback:
                         writebacks += 1
@@ -167,13 +165,13 @@ class Cache:
                 return now
             return self.access([now], [addr], [nbytes], [is_write], requester)[0]
         low_t, low_addr, low_write, low_owner = self._walk(now, addr, nbytes, is_write, requester)
-        lower_end = now
+        lower_end = list(now)
         if low_t:
             low_ends = self.lower.access(low_t, low_addr, [self._line] * len(low_t), low_write)
-            # Each access waits for its *last* lower-level request: FCFS end
-            # times never decrease and each ends after its request's start.
-            last_end = dict(zip(low_owner, low_ends))
-            lower_end = map(last_end.get, range(len(now)), now)
+            # Each access waits for the last of its lower-level requests.
+            for owner, end in zip(low_owner, low_ends):
+                if end > lower_end[owner]:
+                    lower_end[owner] = end
 
         hit_latency = self.config.hit_latency
         port_end = self.port.transfer_all([t + hit_latency for t in now], nbytes)

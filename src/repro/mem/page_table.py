@@ -78,6 +78,11 @@ class PageTable:
         vpn, offset = divmod(vaddr, self.page_bytes)
         return self.walk(vpn) * self.page_bytes + offset
 
+    def count_functional_walks(self, n: int) -> None:
+        """Count ``n`` functional translations, each a full walk as
+        :meth:`translate` makes, for a caller that already holds the PPNs."""
+        self.walk_accesses += LEVELS * n
+
 
 def _mix(value: int) -> int:
     """A small deterministic integer hash (splitmix64 finaliser)."""

@@ -66,7 +66,7 @@ class TLB:
             return True
         return False
 
-    def fill(self, vpn: int, ppn: int = 0) -> None:
+    def fill(self, vpn: int, ppn: int) -> None:
         if self.entries == 0:
             return
         if vpn in self._lru:

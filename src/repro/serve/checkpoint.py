@@ -26,8 +26,9 @@ from repro.serve.cluster import ServingSimulation
 __all__ = ["CHECKPOINT_SCHEMA", "save_checkpoint", "load_checkpoint"]
 
 #: bump on any incompatible change to the pickled layout (2: the L2's sets
-#: are keyed by line index, not by tag)
-CHECKPOINT_SCHEMA = 2
+#: are keyed by line index, not by tag; 3: TLB entries and filter registers
+#: hold real PPNs)
+CHECKPOINT_SCHEMA = 3
 
 
 def save_checkpoint(sim: ServingSimulation, path: str | Path) -> None:

@@ -20,6 +20,14 @@ class TestPageTable:
         pt.walk(1)
         assert pt.walk_accesses == 6
 
+    def test_counted_functional_walks_match_translate(self):
+        a, b = PageTable(), PageTable()
+        a.map_page(1, 2)
+        for __ in range(3):
+            a.translate(4096 + 8)
+        b.count_functional_walks(3)
+        assert a.walk_accesses == b.walk_accesses == 9
+
     def test_unmapped_page_faults(self):
         pt = PageTable()
         with pytest.raises(PageFault):

@@ -9,8 +9,6 @@ requests made one by one leave them: compared with ``==``, not a tolerance.
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.mem.bus import SystemBus
 from repro.mem.cache import Cache, CacheConfig
@@ -133,37 +131,6 @@ def test_dram_segment(config):
     assert (timeline_state(a.channel.inner) == timeline_state(b.channel.inner)
             == timeline_state(c.channel.inner))
     assert a.bytes_moved == b.bytes_moved == c.bytes_moved
-
-
-finite_times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-@given(
-    st.lists(st.tuples(finite_times, st.floats(min_value=0.0, max_value=1e3)), max_size=60),
-    finite_times,
-)
-def test_book_all_ends_never_decrease(bookings, next_free):
-    timeline = Timeline()
-    timeline.next_free = next_free
-    ends = timeline.book_all([e for e, __ in bookings], [d for __, d in bookings])
-    assert all(x <= y for x, y in zip([next_free, *ends], ends))
-
-
-@given(
-    st.lists(
-        st.tuples(finite_times, st.integers(0, 1 << 16), st.integers(1, 4096), st.booleans()),
-        max_size=60,
-    ),
-    st.sampled_from([DRAMConfig(), DRAMConfig(activate_occupancy=0), DRAMConfig(num_banks=1),
-                     DRAMConfig(bytes_per_cycle=13.0, row_buffer_bytes=256)]),
-)
-def test_dram_ends_never_decrease_and_follow_their_request(accesses, config):
-    """Cache.access takes each access's *last* lower-level end as its
-    completion, which needs both properties."""
-    now, addr, nbytes, writes = [list(column) for column in zip(*accesses)] or [[], [], [], []]
-    ends = DRAMModel(config).access(now, addr, nbytes, writes)
-    assert all(x <= y for x, y in zip(ends, ends[1:]))
-    assert all(end > t for t, end in zip(now, ends))
 
 
 @pytest.mark.parametrize("writeback", [True, False])

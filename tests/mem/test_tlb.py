@@ -12,37 +12,37 @@ class TestTLB:
     def test_miss_then_hit(self):
         tlb = TLB(entries=4)
         assert not tlb.lookup(7)
-        tlb.fill(7)
+        tlb.fill(7, 70)
         assert tlb.lookup(7)
 
     def test_lru_eviction(self):
         tlb = TLB(entries=2)
-        tlb.fill(1)
-        tlb.fill(2)
+        tlb.fill(1, 10)
+        tlb.fill(2, 20)
         tlb.lookup(1)  # refresh 1
-        tlb.fill(3)  # evicts 2
+        tlb.fill(3, 30)  # evicts 2
         assert 1 in tlb
         assert 2 not in tlb
         assert 3 in tlb
 
     def test_zero_entry_tlb_never_hits(self):
         tlb = TLB(entries=0)
-        tlb.fill(1)
+        tlb.fill(1, 10)
         assert not tlb.lookup(1)
         assert tlb.occupancy == 0
 
     def test_flush(self):
         tlb = TLB(entries=4)
-        tlb.fill(1)
+        tlb.fill(1, 10)
         tlb.flush()
         assert not tlb.lookup(1)
 
     def test_refill_refreshes_recency(self):
         tlb = TLB(entries=2)
-        tlb.fill(1)
-        tlb.fill(2)
-        tlb.fill(1)  # refresh rather than duplicate
-        tlb.fill(3)  # evicts 2
+        tlb.fill(1, 10)
+        tlb.fill(2, 20)
+        tlb.fill(1, 10)  # refresh rather than duplicate
+        tlb.fill(3, 30)  # evicts 2
         assert 1 in tlb and 3 in tlb and 2 not in tlb
 
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200))
@@ -50,7 +50,7 @@ class TestTLB:
         tlb = TLB(entries=4)
         for vpn in vpns:
             if not tlb.lookup(vpn):
-                tlb.fill(vpn)
+                tlb.fill(vpn, vpn + 100)
         assert tlb.occupancy <= 4
 
 

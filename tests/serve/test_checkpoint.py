@@ -124,6 +124,17 @@ class TestCheckpointFiles:
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(path)
 
+    def test_schema_2_checkpoint_rejected(self, tmp_path):
+        # Schema-2 TLB entries hold PPN 0 and filter registers have no PPN
+        # slots; resuming one would send every TLB hit to physical page 0.
+        assert CHECKPOINT_SCHEMA == 3
+        path = tmp_path / "old.ckpt"
+        sim = ServingSimulation(study_profile())
+        with open(path, "wb") as fh:
+            pickle.dump({"schema": 2, "sim": sim}, fh)
+        with pytest.raises(ValueError, match="schema 2 != 3"):
+            load_checkpoint(path)
+
     def test_garbage_payload_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         with open(path, "wb") as fh:
