@@ -41,25 +41,6 @@ class SystemBus:
             stats.counter(f"bytes_{requester}").add(total)
         return self.channel.transfer_all(now, nbytes)
 
-    def transfer_batch(self, now, nbytes, requester: str = ""):
-        """Move a whole FCFS sequence across the bus; returns end times.
-
-        Aggregate-equivalent to the scalar loop (one vectorised channel scan,
-        counters added once); callers must pre-filter zero-byte transfers.
-        """
-        import numpy as np
-
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        if nbytes.size == 0:
-            return np.asarray(now, dtype=np.float64)
-        if int(nbytes.min()) <= 0:
-            raise ValueError("batched bus transfers must move at least one byte")
-        self.stats.counter("transactions").add(nbytes.size)
-        self.stats.counter("bytes").add(int(nbytes.sum()))
-        if requester:
-            self.stats.counter(f"bytes_{requester}").add(int(nbytes.sum()))
-        return self.channel.transfer_batch(now, nbytes)
-
     def utilisation(self, horizon: float) -> float:
         return self.channel.utilisation(horizon)
 

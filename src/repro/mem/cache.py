@@ -51,11 +51,11 @@ class CacheConfig:
 class Cache:
     """A write-back, write-allocate, LRU set-associative cache.
 
-    ``lower`` is a :class:`~repro.mem.dram.DRAMModel`: the exact path hands
-    it the L2's lower-level requests as one segment (parallel lists), replay
-    as one ``access_batch``.  Each set is a plain ``dict`` from resident line
-    index to dirty flag whose insertion order is the LRU order (oldest
-    first); :meth:`_walk` is the one LRU pass both entry points share.
+    ``lower`` is a :class:`~repro.mem.dram.DRAMModel`: :meth:`access` hands
+    it the L2's lower-level requests as one segment (parallel lists).  Each
+    set is a plain ``dict`` from resident line index to dirty flag whose
+    insertion order is the LRU order (oldest first); :meth:`_walk` is the
+    one LRU pass.
     """
 
     def __init__(self, config: CacheConfig, lower, name: str = "L2") -> None:
@@ -176,51 +176,6 @@ class Cache:
         hit_latency = self.config.hit_latency
         port_end = self.port.transfer_all([t + hit_latency for t in now], nbytes)
         return list(map(max, port_end, lower_end))
-
-    def access_batch(self, now, addr, nbytes, is_write, requester: str = ""):
-        """Perform a whole FCFS sequence of accesses; returns end times.
-
-        The functional pass is the same :meth:`_walk` as :meth:`access`, so
-        the LRU sets, the counters and the lower level's requests (in order)
-        are exactly the segment path's.  Only the timing is numpy: one
-        ``lower.access_batch``, a per-access max over its requests and one
-        ``port.transfer_batch``, which match the segment path up to float
-        association (see ``Timeline.book_batch``).
-        """
-        import numpy as np
-
-        now = np.asarray(now, dtype=np.float64)
-        addr = np.asarray(addr, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        is_write = np.asarray(is_write, dtype=bool)
-        n = now.size
-        if n == 0:
-            return now
-        if int(nbytes.min()) <= 0:
-            raise ValueError("batched cache accesses must move at least one byte")
-        low_t, low_addr, low_write, low_owner = self._walk(
-            now.tolist(), addr.tolist(), nbytes.tolist(), is_write.tolist(), requester
-        )
-
-        lower_end = now.copy()
-        if low_t:
-            low_ends = self.lower.access_batch(
-                np.asarray(low_t),
-                np.asarray(low_addr),
-                np.full(len(low_t), self._line, dtype=np.int64),
-                np.asarray(low_write),
-            )
-            # Per-access completion of the last lower request: owners are
-            # nondecreasing, so a segment-max (reduceat) replaces the very
-            # slow np.maximum.at scatter.
-            owners = np.asarray(low_owner, dtype=np.int64)
-            starts = np.concatenate(([0], np.nonzero(np.diff(owners))[0] + 1))
-            seg_max = np.maximum.reduceat(low_ends, starts)
-            idx = owners[starts]
-            lower_end[idx] = np.maximum(lower_end[idx], seg_max)
-
-        port_end = self.port.transfer_batch(now + self.config.hit_latency, nbytes)
-        return np.maximum(port_end, lower_end)
 
     # ------------------------------------------------------------------ #
     # Inspection / maintenance                                            #

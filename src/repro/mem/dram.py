@@ -142,93 +142,6 @@ class DRAMModel:
         channel.bytes_moved += total
         return ends
 
-    def access_batch(self, now, addr, nbytes, is_write):
-        """Perform a whole FCFS sequence of accesses; returns end times.
-
-        Equivalent to ``[self.access(...) for ...]`` (same bank/open-row
-        evolution, same channel bookings in the same order, counters equal in
-        aggregate) but with the row-hit classification vectorised per bank
-        and all channel bookings folded into one
-        :meth:`~repro.sim.timeline.Timeline.book_batch` scan.  End times
-        match the scalar loop up to float association (see ``book_batch``).
-        """
-        import numpy as np
-
-        now = np.asarray(now, dtype=np.float64)
-        addr = np.asarray(addr, dtype=np.int64)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        is_write = np.asarray(is_write, dtype=bool)
-        n = now.size
-        if n == 0:
-            return now
-        if int(nbytes.min()) <= 0:
-            raise ValueError("batched DRAM accesses must move at least one byte")
-        cfg = self.config
-
-        rows = addr // cfg.row_buffer_bytes
-        banks = rows % cfg.num_banks
-        # Open-row evolution: an access hits iff the *previous* access to its
-        # bank (or the carried-in open row) opened the same row.  A stable
-        # sort groups each bank's accesses in program order, so the per-bank
-        # "previous row" is just the sorted neighbour.
-        order = np.argsort(banks, kind="stable")
-        rows_o = rows[order]
-        banks_o = banks[order]
-        prev = np.empty_like(rows_o)
-        prev[0] = -1
-        prev[1:] = rows_o[:-1]
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        head[1:] = banks_o[1:] != banks_o[:-1]
-        hit_o = rows_o == prev
-        open_rows = self._open_rows
-        for pos in np.nonzero(head)[0].tolist():
-            bank = int(banks_o[pos])
-            hit_o[pos] = open_rows.get(bank) == rows_o[pos]
-        hit = np.empty(n, dtype=bool)
-        hit[order] = hit_o
-        tails = np.nonzero(np.concatenate((head[1:], [True])))[0]
-        for pos in tails.tolist():
-            open_rows[int(banks_o[pos])] = int(rows_o[pos])
-
-        # Aggregated counters; only touched when the scalar loop would have
-        # touched them, so stats snapshots stay key-identical.
-        row_hits = int(hit.sum())
-        writes = int(is_write.sum())
-        stats = self.stats
-        if row_hits:
-            stats.counter("row_hits").add(row_hits)
-        if n - row_hits:
-            stats.counter("row_misses").add(n - row_hits)
-        if writes:
-            stats.counter("writes").add(writes)
-        if n - writes:
-            stats.counter("reads").add(n - writes)
-        stats.counter("bytes").add(int(nbytes.sum()))
-
-        # Channel bookings, interleaved exactly as the scalar loop makes
-        # them: [activate occupancy (misses only), data transfer] per access.
-        latency = np.where(hit, cfg.row_hit_latency, cfg.access_latency)
-        miss = ~hit
-        misses = int(miss.sum())
-        if cfg.activate_occupancy and misses:
-            # Transfer slot of access i: i earlier transfers plus every
-            # activate up to and including its own.
-            slots = np.arange(n) + np.cumsum(miss)
-            total = n + misses
-            earliest = np.empty(total, dtype=np.float64)
-            durations = np.empty(total, dtype=np.float64)
-            earliest[slots] = now + latency
-            durations[slots] = nbytes / cfg.bytes_per_cycle
-            act = slots[miss] - 1
-            earliest[act] = now[miss]
-            durations[act] = cfg.activate_occupancy
-            self.channel.bytes_moved += int(nbytes.sum())
-            ends = self.channel.inner.book_batch(earliest, durations)
-            return ends[slots]
-        self.channel.bytes_moved += int(nbytes.sum())
-        return self.channel.inner.book_batch(now + latency, nbytes / cfg.bytes_per_cycle)
-
     @property
     def bytes_moved(self) -> int:
         return self.channel.bytes_moved

@@ -75,19 +75,6 @@ class MemorySystem:
             return self.l2.access(bus_end, paddr, nbytes, is_write, requester)
         return self.dram.access(bus_end, paddr, nbytes, is_write)
 
-    def access_batch(self, now, paddr, nbytes, is_write, requester: str = ""):
-        """Move a whole FCFS sequence through bus + L2/DRAM; returns end times.
-
-        The batched analogue of :meth:`access` — same bus, cache and DRAM
-        state evolution and aggregate counters; end times within float
-        association of the scalar loop.  Zero-byte entries are not allowed
-        (the scalar path short-circuits them; callers filter instead).
-        """
-        bus_end = self.bus.transfer_batch(now, nbytes, requester)
-        if self.l2 is not None:
-            return self.l2.access_batch(bus_end, paddr, nbytes, is_write, requester)
-        return self.dram.access_batch(bus_end, paddr, nbytes, is_write)
-
     def read(self, now: float, paddr: int, nbytes: int, requester: str = "") -> float:
         return self.access(now, paddr, nbytes, False, requester)
 

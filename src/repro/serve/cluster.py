@@ -43,7 +43,7 @@ from repro.serve.request import ModelKey, Request, RequestRecord
 from repro.serve.scheduler import Scheduler, make_scheduler
 from repro.serve.workload import TenantSpec, TrafficProfile, make_source, requests_for
 from repro.sim.engine import EventLoop
-from repro.sim.trace import SEGMENT_OPS, TraceRecorder, record_steady_state_trace
+from repro.sim.trace import TraceRecorder, record_steady_state_trace
 from repro.soc.components import SoCDesign
 from repro.soc.os_model import OSConfig
 from repro.soc.soc import SoC
@@ -355,9 +355,10 @@ class ServingSimulation:
     uncontended recordings with identical fingerprints, or a sandboxed
     steady-state recording when the cluster is saturated) every later
     request replays it — uncontended segments as pure clock arithmetic,
-    contended segments re-resolved against the live shared L2/DRAM/TLB via
-    the batched memory-model entry points.  ``replay=False`` forces every
-    request down the recording (full-fidelity) path.
+    contended segments re-resolved against the live shared L2/DRAM/TLB
+    (translations through ``translate_batch``, physical accesses through
+    the exact segment path ``MemorySystem.access``).  ``replay=False``
+    forces every request down the recording (full-fidelity) path.
 
     ``record_mode`` selects record retention (see :data:`RECORD_MODES`);
     ``checkpoint_every=N`` parks the simulation every N completions and — with ``checkpoint_path`` — pickles the whole
@@ -368,8 +369,6 @@ class ServingSimulation:
     #: idle re-check interval while waiting on another tile's completion
     #: (closed-loop arrivals) — bounds how stale an idle tile's view can get
     idle_quantum: float = 50_000.0
-    #: macro-ops per replay segment (contention granularity of the fast path)
-    trace_segment_ops: int = SEGMENT_OPS
 
     def __init__(
         self,
@@ -548,7 +547,6 @@ class ServingSimulation:
                 runtime,
                 self.design.mem_config(),
                 runtime.tile.os.config,
-                segment_ops=self.trace_segment_ops,
                 warm_from=recorder.build_trace(),
             )
             return
@@ -743,7 +741,7 @@ class ServingSimulation:
             self._replayed += 1
             replayed = True
         elif slot is not None:
-            recorder = TraceRecorder(runtime, segment_ops=self.trace_segment_ops)
+            recorder = TraceRecorder(runtime)
             recorder.dirty = stale
             stream = recorder.record(dirty_probe=self._contended)
         else:

@@ -72,36 +72,6 @@ class Timeline:
         """Return the time at which a booking made now would start."""
         return self.next_free if self.next_free > earliest else earliest
 
-    def book_batch(self, earliest, durations):
-        """Book a whole FCFS sequence at once; returns the end times.
-
-        Equivalent to ``[self.book(e, d)[1] for e, d in zip(...)]`` but
-        computed as two vectorised scans.  The recurrence ``end[i] =
-        max(earliest[i], end[i-1]) + dur[i]`` rewrites to ``end = cumsum(dur)
-        + runmax(earliest - shifted_cumsum)``, so the only difference from
-        the scalar loop is float association — bounded by a few ulps per
-        element, which is why the batch/scalar parity suite compares at
-        ``rtol=1e-9`` rather than bitwise.
-        """
-        import numpy as np
-
-        earliest = np.asarray(earliest, dtype=np.float64)
-        durations = np.asarray(durations, dtype=np.float64)
-        if earliest.size == 0:
-            return earliest
-        if float(durations.min()) < 0:
-            raise ValueError(f"negative duration in batch booking on {self.name}")
-        cum = np.cumsum(durations)
-        prev = np.empty_like(cum)
-        prev[0] = 0.0
-        prev[1:] = cum[:-1]
-        slack = np.maximum.accumulate(earliest - prev)
-        ends = cum + np.maximum(slack, self.next_free)
-        self.next_free = float(ends[-1])
-        self.busy_time += float(cum[-1])
-        self.bookings += earliest.size
-        return ends
-
     def utilisation(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` this resource spent busy."""
         if horizon <= 0:
@@ -155,16 +125,6 @@ class BandwidthTimeline:
         bytes_per_cycle = self.bytes_per_cycle
         self.bytes_moved += sum(num_bytes)
         return self.inner.book_all(earliest, [overhead + n / bytes_per_cycle for n in num_bytes])
-
-    def transfer_batch(self, earliest, num_bytes):
-        """Book a sequence of transfers at once; returns the end times."""
-        import numpy as np
-
-        num_bytes = np.asarray(num_bytes, dtype=np.float64)
-        if num_bytes.size and float(num_bytes.min()) < 0:
-            raise ValueError("num_bytes must be non-negative")
-        self.bytes_moved += int(num_bytes.sum())
-        return self.inner.book_batch(earliest, self.overhead + num_bytes / self.bytes_per_cycle)
 
     @property
     def next_free(self) -> float:

@@ -16,12 +16,13 @@ This module implements that structure:
   their uncontended issue and completion offsets, plus per-segment deltas of
   every shared-resource counter.
 * :class:`MacroTrace` replays a recorded stream at a new start time.
-  Uncontended segments advance the clock by pure (vectorised) offset
-  arithmetic and re-apply the recorded counter deltas; segments executed
-  while another tile has work in flight are *re-resolved* against the live
-  shared state through the batched memory-model entry points
-  (:meth:`~repro.mem.tlb.TranslationSystem.translate_batch`,
-  :meth:`~repro.mem.hierarchy.MemorySystem.access_batch`), so cross-tile
+  Uncontended segments advance the clock by pure offset arithmetic and
+  re-apply the recorded counter deltas; segments executed while another
+  tile has work in flight are *re-resolved* against the live shared state:
+  each op's translations go through
+  :meth:`~repro.mem.tlb.TranslationSystem.translate_batch` and its physical
+  accesses through the exact segment path,
+  :meth:`~repro.mem.hierarchy.MemorySystem.access`, so cross-tile
   contention still books the shared L2/DRAM/PTW and slips the remainder of
   the schedule.
 * :func:`record_steady_state_trace` produces a trace when in-situ recording
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from operator import sub
 from typing import Callable, Generator
 
 import numpy as np
@@ -53,8 +55,8 @@ __all__ = [
     "record_steady_state_trace",
 ]
 
-#: Macro-ops folded into one replay segment (one yield + one contention
-#: check + at most one batched re-resolution per segment).
+#: Macro-ops folded into one replay segment: recorded counter deltas
+#: re-apply once per segment.
 SEGMENT_OPS = 32
 
 
@@ -117,7 +119,7 @@ def _delta(before: dict, after: dict) -> dict:
 def _apply_delta(delta: dict, tile, contended: bool) -> None:
     """Re-apply a recorded stat delta to the live tile.
 
-    For contended segments the batched re-resolution already updated the
+    For contended segments the live re-resolution already updated the
     shared registries, so only the non-re-resolved ones replay from the
     recording.
     """
@@ -207,12 +209,13 @@ class MacroTrace:
         bookings in near-global time order.  While ``contended()`` is
         False the clock advances by pure offset arithmetic; while it is
         True each op's recorded VPN and physical-access streams are
-        re-issued against the live shared state (one batched call per
-        stream), and any completion beyond the recorded schedule *slips*
-        every later op — queueing delay compounds through the schedule the
-        way the generator's scoreboard chains it.  Stat deltas re-apply at
-        segment boundaries (contended segments only re-apply the counters
-        the batched re-resolution does not produce live).  The shifted
+        re-issued against the live shared state (one ``translate_batch``
+        and one segment :meth:`MemorySystem.access` call per op), and any
+        completion beyond the recorded schedule *slips* every later op —
+        queueing delay compounds through the schedule the way the
+        generator's scoreboard chains it.  Stat deltas re-apply at segment
+        boundaries (contended segments only re-apply the counters the
+        re-resolution does not produce live).  The shifted
         :class:`RunResult` of the completed replay lands in
         :attr:`last_result`.
         """
@@ -239,14 +242,15 @@ class MacroTrace:
                     extra = float(np.max(ends - self.xl_end[a:b])) - shift
                 a, b = acc_bounds[op], acc_bounds[op + 1]
                 if b > a:
-                    ends = mem.access_batch(
-                        shift + self.acc_t[a:b],
-                        self.acc_paddr[a:b],
-                        self.acc_bytes[a:b],
-                        self.acc_write[a:b],
+                    ends = mem.access(
+                        (shift + self.acc_t[a:b]).tolist(),
+                        self.acc_paddr[a:b].tolist(),
+                        self.acc_bytes[a:b].tolist(),
+                        self.acc_write[a:b].tolist(),
                         self.requesters[self.acc_requester[a]],
                     )
-                    extra = max(extra, float(np.max(ends - self.acc_end[a:b])) - shift)
+                    late = max(map(sub, ends, self.acc_end[a:b].tolist()))
+                    extra = max(extra, late - shift)
                 if extra > 0.0:
                     slip += extra
             if op + 1 == seg_bounds[seg + 1]:
@@ -474,9 +478,7 @@ def record_steady_state_trace(
     runtime: Runtime,
     mem_config,
     os_config,
-    segment_ops: int = SEGMENT_OPS,
-    warm_from: MacroTrace | None = None,
-    warmup_runs: int = 1,
+    warm_from: MacroTrace,
 ) -> MacroTrace:
     """Record the uncontended steady-state trace of ``runtime``'s model.
 
@@ -488,13 +490,12 @@ def record_steady_state_trace(
     space and allocations, so the recorded physical address and VPN streams
     are exactly the ones the live tile issues.
 
-    Reaching steady state before recording takes either ``warmup_runs``
-    cold generator executions, or — far cheaper — a state-only warm-up
-    from a previously recorded (possibly contended) trace of the same
-    pair: ``warm_from``'s address and VPN streams are pushed through the
-    sandbox's cache/TLB/DRAM state in two batched calls, leaving exactly
-    the state one full execution leaves, and the sandbox timelines are
-    reset before the recorded run.
+    The sandbox reaches steady state through a state-only warm-up from a
+    previously recorded (possibly contended) trace of the same pair:
+    ``warm_from``'s VPN and address streams are pushed through the
+    sandbox's TLB/cache/DRAM state in two calls, leaving exactly the state
+    one full execution leaves, and the sandbox timelines are reset before
+    the recorded run.
 
     The sandbox shares no timing state with the live SoC, so recording here
     mid-simulation perturbs nothing (the shared page table's functional
@@ -532,13 +533,8 @@ def record_steady_state_trace(
         sync_per_layer=runtime.sync_per_layer,
         share_allocations_from=runtime,
     )
-    if warm_from is not None:
-        _warm_sandbox_state(accel, warm_from)
-    else:
-        for __ in range(max(0, warmup_runs)):
-            for __t in shadow.run_generator():
-                pass
-    recorder = TraceRecorder(shadow, segment_ops=segment_ops)
+    _warm_sandbox_state(accel, warm_from)
+    recorder = TraceRecorder(shadow)
     recorder.run()
     return recorder.build_trace()
 
@@ -548,19 +544,21 @@ def _warm_sandbox_state(accel, trace: MacroTrace) -> None:
 
     Timing is irrelevant here — only the state side effects matter (TLB and
     filter-register contents, L2 LRU/dirty state, DRAM open rows), so the
-    whole stream goes through the batched entry points at time zero and the
-    timelines they booked are reset afterwards.
+    VPN stream goes through ``translate_batch`` and the address stream
+    through one segment :meth:`MemorySystem.access` call, both at time
+    zero, and the timelines they booked are reset afterwards.
     """
     if len(trace.xl_vpn):
         accel.xlat.translate_batch(
             np.zeros(len(trace.xl_vpn)), trace.xl_vpn, trace.xl_write
         )
-    if len(trace.acc_t):
-        accel.mem.access_batch(
-            np.zeros(len(trace.acc_t)),
-            trace.acc_paddr,
-            trace.acc_bytes,
-            trace.acc_write,
+    n = len(trace.acc_t)
+    if n:
+        accel.mem.access(
+            [0.0] * n,
+            trace.acc_paddr.tolist(),
+            trace.acc_bytes.tolist(),
+            trace.acc_write.tolist(),
         )
     accel.xlat.ptw.reset()
     mem = accel.mem

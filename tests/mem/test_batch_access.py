@@ -1,12 +1,11 @@
-"""Batch-vs-scalar parity for the memory models' vectorised entry points.
+"""Batch-vs-scalar parity for ``TranslationSystem.translate_batch``.
 
-The trace-replay fast path re-resolves contended segments through
-``Cache.access_batch`` / ``DRAMModel.access_batch`` /
-``TranslationSystem.translate_batch`` / ``MemorySystem.access_batch``.
-These suites drive the same request streams through the scalar loop and
-the batched call on twin instances and require identical state evolution
-and aggregate counters, with end times equal up to float association
-(the batched timeline scan re-associates the same additions).
+Trace replay re-resolves a contended op's translations through
+``translate_batch`` (its physical accesses go through the exact segment
+path, ``MemorySystem.access``).  These suites drive the same VPN streams
+through the scalar loop and the batched call on twin instances and require
+identical TLB/filter state, counters and PTW bookings, with end times equal
+up to float association.
 """
 
 import random
@@ -14,137 +13,10 @@ import random
 import numpy as np
 import pytest
 
-from repro.mem.dram import DRAMConfig, DRAMModel
-from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 from repro.mem.tlb import TLBConfig, TranslationSystem
-from repro.sim.timeline import BandwidthTimeline, Timeline
+from repro.sim.timeline import Timeline
 
 RTOL = 1e-9
-
-
-def random_stream(rng, n, max_addr=1 << 22, streaming_every=3):
-    now = np.cumsum([rng.random() * 40 for __ in range(n)])
-    addr = np.array([rng.randrange(0, max_addr) for __ in range(n)])
-    # Interleave a streaming component (consecutive lines) with random hits.
-    addr[::streaming_every] = (np.arange(len(addr[::streaming_every])) * 64) % max_addr
-    nbytes = np.array([rng.choice([1, 16, 64, 512, 4096]) for __ in range(n)])
-    is_write = np.array([rng.random() < 0.4 for __ in range(n)])
-    return now, addr, nbytes, is_write
-
-
-class TestTimelineBookBatch:
-    def test_matches_sequential_bookings(self):
-        rng = random.Random(0)
-        a, b = Timeline("a"), Timeline("b")
-        earliest = np.cumsum([rng.random() * 10 for __ in range(200)])
-        earliest[::7] = earliest[::7] - 5.0  # out-of-order arrivals queue FCFS
-        durations = np.array([rng.random() * 8 for __ in range(200)])
-        scalar = np.array([a.book(e, d)[1] for e, d in zip(earliest, durations)])
-        batch = b.book_batch(earliest, durations)
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL)
-        assert a.bookings == b.bookings
-        assert a.busy_time == pytest.approx(b.busy_time, rel=RTOL)
-        assert a.next_free == pytest.approx(b.next_free, rel=RTOL)
-
-    def test_empty_batch_is_noop(self):
-        t = Timeline("t")
-        assert t.book_batch(np.empty(0), np.empty(0)).size == 0
-        assert t.bookings == 0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Timeline("t").book_batch(np.zeros(2), np.array([1.0, -1.0]))
-
-
-class TestBandwidthTransferBatch:
-    def test_matches_sequential_transfers(self):
-        a = BandwidthTimeline("a", 16.0, overhead=1.0)
-        b = BandwidthTimeline("b", 16.0, overhead=1.0)
-        earliest = np.arange(50, dtype=np.float64) * 3.0
-        nbytes = np.tile([64, 512, 16, 100, 4096], 10)
-        scalar = np.array([a.transfer(e, int(n))[1] for e, n in zip(earliest, nbytes)])
-        batch = b.transfer_batch(earliest, nbytes)
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL)
-        assert a.bytes_moved == b.bytes_moved
-
-
-class TestDRAMBatch:
-    @pytest.mark.parametrize("num_banks", [1, 2, 8])
-    @pytest.mark.parametrize("activate", [0.0, 24.0])
-    def test_parity_with_scalar_loop(self, num_banks, activate):
-        rng = random.Random(num_banks * 100 + int(activate))
-        cfg = DRAMConfig(num_banks=num_banks, activate_occupancy=activate)
-        a, b = DRAMModel(cfg), DRAMModel(cfg)
-        now, addr, nbytes, wr = random_stream(rng, 250)
-        scalar = np.array(
-            [a.access(t, int(ad), int(nb), bool(w)) for t, ad, nb, w in zip(now, addr, nbytes, wr)]
-        )
-        batch = b.access_batch(now, addr, nbytes, wr)
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL, atol=1e-6)
-        assert a.stats.snapshot() == b.stats.snapshot()
-        assert a._open_rows == b._open_rows
-        assert a.bytes_moved == b.bytes_moved
-        assert a.channel.inner.bookings == b.channel.inner.bookings
-        assert a.channel.inner.next_free == pytest.approx(b.channel.inner.next_free, rel=RTOL)
-
-    def test_mixing_scalar_and_batch_is_safe(self):
-        """State is shared: a scalar access between batches sees batch state."""
-        a, b = DRAMModel(), DRAMModel()
-        addr = np.arange(10) * 1024  # one row each
-        a_ends = [a.access(float(i), int(ad), 64, False) for i, ad in enumerate(addr)]
-        b.access_batch(np.arange(5, dtype=float), addr[:5], np.full(5, 64), np.zeros(5, bool))
-        mid = b.access(5.0, int(addr[5]), 64, False)
-        b.access_batch(np.arange(6, 10, dtype=float), addr[6:], np.full(4, 64), np.zeros(4, bool))
-        assert mid == pytest.approx(a_ends[5], rel=RTOL)
-        assert a._open_rows == b._open_rows
-
-    def test_rejects_non_positive_bytes(self):
-        with pytest.raises(ValueError):
-            DRAMModel().access_batch(np.zeros(1), np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1, bool))
-
-
-class TestCacheBatch:
-    def test_parity_with_scalar_loop(self):
-        rng = random.Random(7)
-        for trial in range(4):
-            a, b = MemorySystem(), MemorySystem()
-            now, addr, nbytes, wr = random_stream(rng, 300, max_addr=1 << 21)
-            scalar = np.array(
-                [
-                    a.l2.access(t, int(ad), int(nb), bool(w), "gem0")
-                    for t, ad, nb, w in zip(now, addr, nbytes, wr)
-                ]
-            )
-            batch = b.l2.access_batch(now, addr, nbytes, wr, "gem0")
-            np.testing.assert_allclose(batch, scalar, rtol=RTOL, atol=1e-6)
-            assert a.l2.stats.snapshot() == b.l2.stats.snapshot()
-            assert a.dram.stats.snapshot() == b.dram.stats.snapshot()
-            # LRU sets evolved through identical decisions: same tags, same
-            # dirty bits, same recency order.
-            assert [list(s.items()) for s in a.l2._sets] == [list(s.items()) for s in b.l2._sets]
-
-    def test_full_hierarchy_parity(self):
-        rng = random.Random(11)
-        a, b = MemorySystem(), MemorySystem()
-        now, addr, nbytes, wr = random_stream(rng, 300)
-        scalar = np.array(
-            [a.access(t, int(ad), int(nb), bool(w), "g") for t, ad, nb, w in zip(now, addr, nbytes, wr)]
-        )
-        batch = b.access_batch(now, addr, nbytes, wr, "g")
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL, atol=1e-6)
-        assert a.bus.stats.snapshot() == b.bus.stats.snapshot()
-        assert a.dram.bytes_moved == b.dram.bytes_moved
-
-    def test_no_l2_routes_to_dram(self):
-        cfg = MemorySystemConfig(l2=None)
-        a, b = MemorySystem(cfg), MemorySystem(cfg)
-        now = np.arange(20, dtype=float) * 10
-        addr = np.arange(20) * 64
-        nbytes = np.full(20, 64)
-        wr = np.zeros(20, bool)
-        scalar = np.array([a.access(float(t), int(ad), 64, False) for t, ad in zip(now, addr)])
-        batch = b.access_batch(now, addr, nbytes, wr)
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL)
 
 
 class TestTranslateBatch:

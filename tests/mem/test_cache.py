@@ -229,8 +229,8 @@ class ReferenceL2:
 class RecordingLower:
     """A lower level that logs every request ``(t, addr, nbytes, is_write)``.
 
-    Serves the scalar, segment (lists) and batch (numpy) forms; each request
-    ends a fixed 7 cycles after it is issued.
+    Serves the scalar and segment (lists) forms; each request ends a fixed
+    7 cycles after it is issued.
     """
 
     def __init__(self):
@@ -241,10 +241,6 @@ class RecordingLower:
             return self.access([now], [addr], [nbytes], [is_write])[0]
         self.requests += zip(now, addr, nbytes, is_write)
         return [t + 7.0 for t in now]
-
-    def access_batch(self, now, addr, nbytes, is_write):
-        self.requests += zip(now.tolist(), addr.tolist(), nbytes.tolist(), is_write.tolist())
-        return now + 7.0
 
 
 @st.composite
@@ -270,7 +266,7 @@ def cache_streams(draw):
     calls = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["scalar", "segment", "batch"]),
+                st.sampled_from(["scalar", "segment"]),
                 st.sampled_from(["", "g0"]),
                 st.lists(access, min_size=1, max_size=6),
             ),
@@ -285,21 +281,19 @@ def drive(cache, form, requester, now, addr, nbytes, is_write):
     if form == "scalar":
         for args in zip(now, addr, nbytes, is_write):
             cache.access(*args, requester=requester)
-    elif form == "segment":
-        cache.access(now, addr, nbytes, is_write, requester)
     else:
-        cache.access_batch(now, addr, nbytes, is_write, requester)
+        cache.access(now, addr, nbytes, is_write, requester)
 
 
 @settings(max_examples=150, deadline=None)
 @given(cache_streams())
 def test_walk_matches_tag_keyed_reference(stream):
-    """Segment, batch and mixed calls all make the reference's LRU decisions."""
+    """Scalar, segment and mixed calls all make the reference's LRU decisions."""
     config, calls = stream
     reference = ReferenceL2(config)
     caches = {
+        "scalar": Cache(config, RecordingLower()),
         "segment": Cache(config, RecordingLower()),
-        "batch": Cache(config, RecordingLower()),
         "mixed": Cache(config, RecordingLower()),
     }
     t = 0.0
@@ -308,8 +302,8 @@ def test_walk_matches_tag_keyed_reference(stream):
         now = [t + 3.0 * k for k in range(len(accesses))]
         t += 100.0
         reference.access(now, addr, nbytes, is_write, requester)
+        drive(caches["scalar"], "scalar", requester, now, addr, nbytes, is_write)
         drive(caches["segment"], "segment", requester, now, addr, nbytes, is_write)
-        drive(caches["batch"], "batch", requester, now, addr, nbytes, is_write)
         drive(caches["mixed"], form, requester, now, addr, nbytes, is_write)
 
     probes = range(0, 4 * config.num_lines * config.line_bytes + 1, config.line_bytes)

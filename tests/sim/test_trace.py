@@ -139,6 +139,29 @@ class TestUncontendedReplayParity:
         # fourth execution must match the generator's fourth bitwise.
         assert_results_equal(trace.last_result, results[-1])
 
+    def test_forced_contention_replay_books_what_the_generator_books(self):
+        """Re-resolving every op against live state (``contended`` always
+        True) books the bus, L2 port and DRAM channel exactly as the
+        generator's fourth run does, and reproduces its result."""
+        graph = tiny_cnn()
+        gen_rt = fresh_runtime(graph)
+        rep_rt = fresh_runtime(graph)
+        results = [generator_run(gen_rt) for __ in range(4)]
+        trace = converge_trace(rep_rt)
+        start = rep_rt.tile.accel.controller.now
+        for __ in trace.replay(rep_rt.tile, start, contended=lambda: True):
+            pass
+
+        def timelines(rt):
+            mem = rt.tile.accel.mem
+            return [
+                (t.next_free, t.busy_time, t.bookings)
+                for t in (mem.bus.channel.inner, mem.l2.port.inner, mem.dram.channel.inner)
+            ]
+
+        assert timelines(rep_rt) == timelines(gen_rt)
+        assert_results_equal(trace.last_result, results[-1])
+
     def test_replay_reproduces_shared_counters(self):
         graph = tiny_cnn()
         gen_rt = fresh_runtime(graph)
