@@ -34,7 +34,7 @@ from repro.core.isa import (
 )
 from repro.core.peripherals import Im2colUnit, MatrixScalarUnit, PoolingEngine, Transposer
 from repro.core.scratchpad import Scratchpad
-from repro.core.spatial_array import FunctionalMesh, SpatialArrayModel, StructuralMesh
+from repro.core.spatial_array import FunctionalMesh, SpatialArrayModel
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.host_memory import HostMemory
 from repro.mem.page_table import VirtualMemory
@@ -96,7 +96,6 @@ class Accelerator:
         host: HostMemory | None = None,
         ptw: Timeline | None = None,
         name: str = "gemmini",
-        structural_check: bool = False,
     ) -> None:
         self.config = config
         self.name = name
@@ -120,10 +119,6 @@ class Accelerator:
         self.im2col_unit = Im2colUnit(config.dim) if config.has_im2col else None
         self.matscalar = MatrixScalarUnit(config.dim) if config.has_matscalar else None
         self.stats = StatsRegistry(owner=name)
-        #: When enabled, every COMPUTE is replayed on the cycle-exact
-        #: structural mesh and compared against the functional result —
-        #: affordable because the mesh simulates a whole wavefront per cycle.
-        self.structural = StructuralMesh(config) if structural_check else None
         self._exec = _ExecState()
         self._preload = _PreloadState()
 
@@ -385,8 +380,6 @@ class Accelerator:
             if a_block is None:
                 a_block = np.zeros((rows_streamed, dim), dtype=self.config.acc_type.np_dtype)
             result = self.mesh.compute_ws(a_block, d_block)
-            if self.structural is not None:
-                self._check_ws(a_block, d_block, result)
             if not pre.c.garbage:
                 out_rows = min(result.shape[0], pre.c_rows or result.shape[0])
                 self._write_c(pre.c, result[:out_rows, : (pre.c_cols or dim)])
@@ -402,10 +395,7 @@ class Accelerator:
             if inst.funct is Funct.COMPUTE_PRELOADED and not pre.os_seed_pending:
                 self.mesh.preload_os(None)
             pre.os_seed_pending = False
-            os_before = self.mesh.os_acc.copy() if self.structural is not None else None
             self.mesh.compute_os(a_block, b_block)
-            if self.structural is not None:
-                self._check_os(a_block, b_block, os_before, self.mesh.os_acc)
             self.stats.counter("os_computes").add()
 
         op = Op(
@@ -417,83 +407,6 @@ class Accelerator:
             label="compute",
         )
         return self.controller.execute([op]).end_time
-
-    # -- structural cross-checks ------------------------------------------ #
-
-    def _structural_mismatch(
-        self,
-        struct_out: np.ndarray,
-        result: np.ndarray,
-        magnitude: np.ndarray,
-        chain: int,
-    ) -> bool:
-        """True when functional and structural results genuinely disagree.
-
-        Integer accumulations are exact in both models up to the
-        accumulator width, but the functional mesh wraps on overflow (as
-        the hardware register does) while the float64 replay does not —
-        so the replay is wrapped to the accumulator's width before the
-        exact comparison.  Float accumulators round each of the ``chain``
-        additions at their own precision while the structural replay
-        rounds at float64, so the permitted gap scales with the
-        accumulation's own magnitude (``magnitude`` is the elementwise
-        |a|@|b| + |d| bound).
-        """
-        if not self.config.acc_type.is_float:
-            bits = self.config.acc_type.bytes * 8
-            modulus = 1 << bits
-            half = modulus >> 1
-            wrapped = (np.round(struct_out).astype(np.int64) + half) % modulus - half
-            return bool(np.any(wrapped != result.astype(np.int64)))
-        diff = np.abs(struct_out - result.astype(np.float64))
-        eps = float(np.finfo(self.config.acc_type.np_dtype).eps)
-        bound = 4.0 * eps * (chain + 2) * (magnitude + 1.0)
-        return bool(np.any(diff > bound))
-
-    def _check_ws(
-        self, a_block: np.ndarray, d_block: np.ndarray | None, result: np.ndarray
-    ) -> None:
-        """Replay a WS compute on the cycle-exact mesh and compare results."""
-        dim = self.config.dim
-        m = result.shape[0]
-        a_full = np.zeros((m, dim))
-        a_full[:, : a_block.shape[1]] = a_block
-        d_full = np.zeros((m, dim))
-        if d_block is not None:
-            d_full[: d_block.shape[0], : d_block.shape[1]] = d_block
-        b = np.asarray(self.mesh.active_b, dtype=np.float64)
-        struct_out, __ = self.structural.run_ws(a_full, b, d_full)
-        magnitude = np.abs(a_full) @ np.abs(b) + np.abs(d_full)
-        if self._structural_mismatch(struct_out, result, magnitude, chain=dim):
-            raise RuntimeError(
-                "structural check failed on WS compute: max abs diff "
-                f"{np.abs(struct_out - result).max():g}"
-            )
-
-    def _check_os(
-        self,
-        a_block: np.ndarray,
-        b_block: np.ndarray,
-        before: np.ndarray,
-        after: np.ndarray,
-    ) -> None:
-        """Replay an OS accumulation step on the cycle-exact mesh."""
-        dim = self.config.dim
-        k = a_block.shape[1]
-        if k == 0:
-            return
-        a_full = np.zeros((dim, k))
-        a_full[: a_block.shape[0], :] = a_block
-        b_full = np.zeros((k, dim))
-        b_full[:, : b_block.shape[1]] = b_block
-        before64 = before.astype(np.float64)
-        struct_out, __ = self.structural.run_os(a_full, b_full, before64)
-        magnitude = np.abs(a_full) @ np.abs(b_full) + np.abs(before64)
-        if self._structural_mismatch(struct_out, after, magnitude, chain=k):
-            raise RuntimeError(
-                "structural check failed on OS compute: max abs diff "
-                f"{np.abs(struct_out - after).max():g}"
-            )
 
     def _write_c(self, c: LocalAddr, result: np.ndarray) -> None:
         """Write a compute result to its C target (sp or accumulator)."""

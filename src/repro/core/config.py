@@ -155,10 +155,6 @@ class GemminiConfig:
         return self.acc_rows // self.acc_banks
 
     @property
-    def macs_per_cycle(self) -> int:
-        return self.num_pes
-
-    @property
     def pipeline_depth(self) -> int:
         """Pipeline register stages a value crosses traversing the array.
 

@@ -2,10 +2,9 @@
 
 Three views of the same hardware, used at different simulation speeds:
 
-* :class:`StructuralMesh` — per-cycle simulation of the two-level
+* :class:`StructuralMesh` — per-cycle, per-PE simulation of the two-level
   tiles-of-PEs grid with explicit input skewing and pipeline registers.
-  Used by tests and the structural-check mode to validate the other two
-  views.
+  It is the oracle the tests check the other two views against.
 * :class:`FunctionalMesh` — NumPy semantics of the array (dataflows,
   transposes, saturation) at instruction granularity.
 * :class:`SpatialArrayModel` — closed-form cycle costs for instructions and
@@ -34,17 +33,11 @@ class StructuralMesh:
     Inputs are fed with the skew the register structure requires, exactly as
     the RTL's edge shifters do.
 
-    :meth:`run_ws` and :meth:`run_os` advance the whole array per cycle
-    with one numpy wavefront slab update.  Within a tile, operand wires are
-    constant along the combinational direction and partial sums are a
-    running (cumulative) sum down the tile, so each cycle reduces to
-    gathers, a broadcasted multiply, and per-tile-row cumulative sums.
-
-    :meth:`run_ws_reference` and :meth:`run_os_reference` are the oracle:
-    triple-nested per-PE loops, trivially auditable against the RTL and
-    slow (O(dim^2) Python work per cycle).  The wavefront performs the
-    arithmetic in exactly their order, so outputs and cycle counts are
-    bitwise identical (enforced by property tests).
+    :meth:`run_ws` and :meth:`run_os` step every PE in Python each cycle
+    (O(dim^2) work per cycle): slow, but trivially auditable against the
+    RTL.  Nothing on a simulation path calls them; tests pin
+    :class:`FunctionalMesh` results to them and check
+    :class:`SpatialArrayModel` cycle costs against them.
     """
 
     def __init__(self, config: GemminiConfig) -> None:
@@ -78,23 +71,19 @@ class StructuralMesh:
 
     # -- weight-stationary --------------------------------------------- #
 
-    def _ws_operands(
+    def run_ws(
         self, a: np.ndarray, b: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shape-check WS operands and widen them to float64."""
+    ) -> tuple[np.ndarray, int]:
+        """Compute ``C = D + A @ B`` cycle by cycle.
+
+        ``a`` is (m, dim), ``b`` is (dim, dim) stationary, ``d`` is (m, dim).
+        Returns (C as float64 (m, dim), total cycles simulated).
+        """
         dim = self.dim
         m = a.shape[0]
         if a.shape != (m, dim) or b.shape != (dim, dim) or d.shape != (m, dim):
             raise ValueError("run_ws shape mismatch")
-        return a.astype(np.float64), b.astype(np.float64), d.astype(np.float64)
-
-    def run_ws_reference(
-        self, a: np.ndarray, b: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """:meth:`run_ws` by stepping every PE in Python (the oracle)."""
-        a, b, d = self._ws_operands(a, b, d)
-        dim = self.dim
-        m = a.shape[0]
+        a, b, d = a.astype(np.float64), b.astype(np.float64), d.astype(np.float64)
 
         # Registered state between cycles (value leaving PE (r, c)).
         a_reg = np.zeros((dim, dim))
@@ -140,118 +129,22 @@ class StructuralMesh:
             raise RuntimeError("structural WS simulation failed to drain")
         return out, total_cycles
 
-    def _wavefront_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row and per-column register (skew) counts as index vectors."""
-        rows = np.arange(self.dim)
-        cols = np.arange(self.dim)
-        return rows // self.tile_rows, cols // self.tile_cols
-
-    def run_ws(
-        self, a: np.ndarray, b: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Compute ``C = D + A @ B`` cycle by cycle.
-
-        ``a`` is (m, dim), ``b`` is (dim, dim) stationary, ``d`` is (m, dim).
-        Returns (C as float64 (m, dim), total cycles simulated).
-
-        One slab update over the whole array per cycle, exploiting two
-        structural facts.  (1) The A operand is combinational within a
-        tile, so along each PE row it is piecewise-constant per tile
-        column: one gather of the tile-boundary registers (plus the left-edge
-        feed) reconstructs the whole ``a_wire`` plane.  (2) The partial sum
-        chains combinationally down a tile, so within each tile row it is a
-        cumulative sum of ``a_wire * b`` seeded by the incoming registered
-        value.  Both are computed with :meth:`run_ws_reference`'s exact
-        addition order, keeping results bitwise identical.
-        """
-        a, b, d = self._ws_operands(a, b, d)
-        dim = self.dim
-        m = a.shape[0]
-        tile_rows, tile_cols = self.tile_rows, self.tile_cols
-        mesh_rows, mesh_cols = dim // tile_rows, dim // tile_cols
-
-        rows = np.arange(dim)
-        cols = np.arange(dim)
-        row_skew, col_skew = self._wavefront_indices()
-        out_lat = int(row_skew[-1])  # registers between top edge and last PE row
-        max_col_skew = int(col_skew[-1])
-        #: registered columns/rows feeding tile blocks 1..mesh-1
-        col_feed = tile_cols * np.arange(1, mesh_cols) - 1
-        row_feed = tile_rows * np.arange(1, mesh_rows) - 1
-        block_starts = tile_rows * np.arange(1, mesh_rows)
-
-        total_cycles = self._ws_cycles(m)
-
-        # Zero-padded edge feeds: row i of A enters PE row r at cycle
-        # i + row_skew[r]; indexing the padded plane replaces per-cycle
-        # bounds masking (out-of-range cycles read the same 0.0 the edge
-        # shifters would drive).
-        a_pad = np.zeros((total_cycles + out_lat, dim))
-        a_pad[out_lat : out_lat + m] = a
-        a_idx = out_lat - row_skew
-        d_pad = np.zeros((total_cycles + max_col_skew, dim))
-        d_pad[max_col_skew : max_col_skew + m] = d
-        d_idx = max_col_skew - col_skew
-
-        a_reg = np.zeros((dim, dim))
-        p_reg = np.zeros((dim, dim))
-        #: bottom-edge wire observed each cycle; unskewed into C afterwards
-        bottom = np.empty((total_cycles, dim))
-
-        for t in range(total_cycles):
-            # Left-edge A feed plus the tile-boundary registers reconstruct
-            # the whole combinational a_wire plane.
-            entering = np.empty((dim, mesh_cols))
-            entering[:, 0] = a_pad[t + a_idx, rows]
-            if mesh_cols > 1:
-                entering[:, 1:] = a_reg[:, col_feed]
-            a_wire = np.repeat(entering, tile_cols, axis=1)
-
-            # Partial sums: seed each tile row with its incoming value, then
-            # accumulate down the tile.
-            p_wire = a_wire * b
-            p_wire[0] += d_pad[t + d_idx, cols]
-            if mesh_rows > 1:
-                p_wire[block_starts] += p_reg[row_feed]
-            if tile_rows > 1:
-                for start in range(0, dim, tile_rows):
-                    np.cumsum(
-                        p_wire[start : start + tile_rows],
-                        axis=0,
-                        out=p_wire[start : start + tile_rows],
-                    )
-
-            bottom[t] = p_wire[dim - 1]
-            a_reg = a_wire
-            p_reg = p_wire
-
-        # Result row i leaves column c at cycle i + col_skew[c] + out_lat;
-        # one gather undoes the output skew.
-        out_t = np.arange(m)[:, None] + (col_skew + out_lat)[None, :]
-        out = bottom[out_t, cols[None, :]]
-        return out, total_cycles
-
     # -- output-stationary ---------------------------------------------- #
 
-    def _os_operands(
+    def run_os(
         self, a: np.ndarray, b: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shape-check OS operands and widen them to float64 copies."""
+    ) -> tuple[np.ndarray, int]:
+        """Compute ``C = D + A @ B`` with C resident in the PEs.
+
+        ``a`` is (dim, k), ``b`` is (k, dim), ``d`` is (dim, dim).
+        Returns (C, cycles including the drain phase).
+        """
         dim = self.dim
         k = a.shape[1]
         if a.shape != (dim, k) or b.shape != (k, dim) or d.shape != (dim, dim):
             raise ValueError("run_os shape mismatch")
-        return a.astype(np.float64), b.astype(np.float64), d.astype(np.float64)
-
-    def run_os_reference(
-        self, a: np.ndarray, b: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """:meth:`run_os` by stepping every PE in Python (the oracle)."""
-        a, b, d = self._os_operands(a, b, d)
-        dim = self.dim
-        k = a.shape[1]
-
-        acc = d  # a private copy: _os_operands widened it
+        a, b = a.astype(np.float64), b.astype(np.float64)
+        acc = d.astype(np.float64)  # a private copy, accumulated in place
         a_reg = np.zeros((dim, dim))
         b_reg = np.zeros((dim, dim))
 
@@ -279,68 +172,6 @@ class StructuralMesh:
                     a_wire[r, c] = a_left
                     b_wire[r, c] = b_top
                     acc[r, c] += a_left * b_top
-            a_reg = a_wire
-            b_reg = b_wire
-
-        drain_cycles = dim  # results propagate out column by column
-        return acc, total_cycles + drain_cycles
-
-    def run_os(
-        self, a: np.ndarray, b: np.ndarray, d: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        """Compute ``C = D + A @ B`` with C resident in the PEs.
-
-        ``a`` is (dim, k), ``b`` is (k, dim), ``d`` is (dim, dim).
-        Returns (C, cycles including the drain phase).
-
-        Both moving operands are piecewise-constant inside a tile (A along
-        rows, B down columns), so each cycle is two gathers of tile-boundary
-        registers plus one fused multiply-accumulate over the whole array —
-        the same per-element additions as :meth:`run_os_reference`, in the
-        same order.
-        """
-        a, b, d = self._os_operands(a, b, d)
-        dim = self.dim
-        k = a.shape[1]
-        tile_rows, tile_cols = self.tile_rows, self.tile_cols
-        mesh_rows, mesh_cols = dim // tile_rows, dim // tile_cols
-
-        rows = np.arange(dim)
-        cols = np.arange(dim)
-        row_skew, col_skew = self._wavefront_indices()
-        max_row_skew = int(row_skew[-1])
-        max_col_skew = int(col_skew[-1])
-        col_feed = tile_cols * np.arange(1, mesh_cols) - 1
-        row_feed = tile_rows * np.arange(1, mesh_rows) - 1
-
-        total_cycles = self._os_cycles(k)
-
-        # Zero-padded edge feeds (see run_ws).
-        a_pad = np.zeros((dim, total_cycles + max_row_skew))
-        a_pad[:, max_row_skew : max_row_skew + k] = a
-        a_idx = max_row_skew - row_skew
-        b_pad = np.zeros((total_cycles + max_col_skew, dim))
-        b_pad[max_col_skew : max_col_skew + k] = b
-        b_idx = max_col_skew - col_skew
-
-        acc = d  # a private copy: _os_operands widened it
-        a_reg = np.zeros((dim, dim))
-        b_reg = np.zeros((dim, dim))
-
-        for t in range(total_cycles):
-            entering_cols = np.empty((dim, mesh_cols))
-            entering_cols[:, 0] = a_pad[rows, t + a_idx]
-            if mesh_cols > 1:
-                entering_cols[:, 1:] = a_reg[:, col_feed]
-            a_wire = np.repeat(entering_cols, tile_cols, axis=1)
-
-            entering_rows = np.empty((mesh_rows, dim))
-            entering_rows[0] = b_pad[t + b_idx, cols]
-            if mesh_rows > 1:
-                entering_rows[1:] = b_reg[row_feed]
-            b_wire = np.repeat(entering_rows, tile_rows, axis=0)
-
-            acc += a_wire * b_wire
             a_reg = a_wire
             b_reg = b_wire
 

@@ -131,10 +131,6 @@ class TranslationResult:
     level: str  # "filter" | "private" | "shared" | "walk"
     vpn: int
 
-    @property
-    def latency_level(self) -> str:
-        return self.level
-
 
 #: levels that missed the private TLB (a positive miss-rate window outcome)
 _MISS_LEVELS = frozenset({"shared", "walk"})

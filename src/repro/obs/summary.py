@@ -92,9 +92,6 @@ class TraceSummary:
     def top_by_total(self, n: int = 10) -> list[SpanStats]:
         return sorted(self.spans.values(), key=lambda s: -s.total_us)[:n]
 
-    def top_by_self(self, n: int = 10) -> list[SpanStats]:
-        return sorted(self.spans.values(), key=lambda s: -s.self_us)[:n]
-
     def to_dict(self) -> dict:
         """Machine-readable form (``gemmini-repro trace --json``)."""
         return {

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from repro.core.config import GemminiConfig, config_from_dict, default_config
 from repro.mem.cache import CacheConfig
@@ -100,9 +100,6 @@ class TileComponent:
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def with_count(self, count: int) -> "TileComponent":
-        return replace(self, count=count)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -302,13 +299,6 @@ class SoCDesign:
     @property
     def clock_ghz(self) -> float:
         return self.tile_components[0].gemmini.clock_ghz
-
-    @property
-    def homogeneous_config(self) -> GemminiConfig | None:
-        """The single accelerator config when every tile shares one, else
-        None (callers that assume a global config must handle this)."""
-        configs = {c.gemmini for c in self.tile_components}
-        return next(iter(configs)) if len(configs) == 1 else None
 
     def mem_config(self) -> MemorySystemConfig:
         cache = self.cache_component

@@ -73,9 +73,6 @@ class CompiledModel:
     total_macs: int
     params: SoftwareParams = field(repr=False, default=None)
 
-    def accel_plans(self) -> list[LayerPlan]:
-        return [p for p in self.plans if p.placement is Placement.ACCEL]
-
     def matmul_shapes(self) -> list[tuple[int, int, int]]:
         """Ordered unique (m, k, n) shapes the runtime's matmul dispatch
         will plan for — explicit matmul layers plus convolutions in their

@@ -67,9 +67,6 @@ class RunResult:
             out[layer.kind] = out.get(layer.kind, 0.0) + layer.cycles
         return out
 
-    def cpu_cycles_total(self) -> float:
-        return sum(layer.cpu_cycles for layer in self.layers)
-
     def layer(self, name: str) -> LayerStats:
         """Look up one layer's stats by name (O(1) after the first call).
 

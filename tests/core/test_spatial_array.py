@@ -176,7 +176,23 @@ class TestStructuralVsFunctional:
         functional.stage_weights(b.astype(np.int32))
         functional.flip_weights()
         f_out = functional.compute_ws(a.astype(np.int32), d.astype(np.int32))
-        assert np.allclose(s_out, f_out)
+        assert np.array_equal(s_out, f_out)
+
+    @pytest.mark.parametrize("tile_rows,tile_cols", [(1, 1), (2, 2), (4, 4)])
+    def test_os_equivalence(self, tile_rows, tile_cols, rng):
+        """Two COMPUTE chunks into resident C match one structural pass."""
+        cfg = make_config(4, tile_rows, tile_cols)
+        structural = StructuralMesh(cfg)
+        functional = FunctionalMesh(cfg)
+        a = rng.integers(-8, 8, size=(4, 7))
+        b = rng.integers(-8, 8, size=(7, 4))
+        d = rng.integers(-8, 8, size=(4, 4))
+        s_out, __ = structural.run_os(a, b, d)
+        functional.preload_os(d.astype(np.int32))
+        functional.compute_os(a[:, :3].astype(np.int32), b[:3].astype(np.int32))
+        functional.compute_os(a[:, 3:].astype(np.int32), b[3:].astype(np.int32))
+        f_out = functional.drain_os()
+        assert np.array_equal(s_out, f_out)
 
 
 class TestAnalyticModel:
