@@ -1392,7 +1392,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="show one record (unique run-id prefix) as full JSON",
     )
     p_history.add_argument(
-        "--kind", default=None, help="filter: run | serve | dse | tune | bench | runner"
+        "--kind", default=None, help="filter: run | serve | dse | tune | bench"
     )
     p_history.add_argument("--name", default=None, help="filter by record name")
     p_history.add_argument("--limit", type=int, default=20, help="most recent N records")

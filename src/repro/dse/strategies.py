@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
 from repro.dse.objectives import Evaluation, Objective
-from repro.dse.pareto import crowding_distance, nondominated_sort
+from repro.dse.pareto import crowding_distance, split_front
 from repro.dse.space import ParamSpace, point_key
 
 __all__ = [
@@ -222,7 +222,7 @@ class EvolutionarySearch(Strategy):
         regions a :class:`~repro.dse.pareto.MetricBound` rules out.
         """
         pool = [e for e in self._archive if self._feasible(e)] or self._archive
-        front = nondominated_sort(pool, self.objectives)[0]
+        front = split_front(pool, self.objectives)[0]
         crowd = crowding_distance(front, self.objectives)
         order = sorted(range(len(front)), key=lambda i: (-crowd[i], front[i].point))
         return [front[i].point_dict for i in order]

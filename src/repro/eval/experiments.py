@@ -31,7 +31,6 @@ from repro.soc.soc import SoC, make_soc
 from repro.core.generator import SoftwareParams
 from repro.sw.compiler import CompiledModel, compile_graph
 from repro.sw.cpu_reference import cpu_graph_cycles
-from repro.sw.profiler import RunProfiler
 from repro.sw.runtime import Runtime, RunResult
 
 
@@ -138,15 +137,17 @@ def run_fig4(
     )
     soc = make_soc(gemmini=cfg)
     model = _compile_for(soc, "resnet50", input_hw=input_hw)
-    profiler = RunProfiler(soc).start()
     result = Runtime(soc.tile, model).run()
-    report = profiler.stop()
-    values = [v for __, v in report.tlb.miss_rate_trace]
+    # A fresh SoC ran only this model, so the TLB's totals are the run's.
+    xlat = soc.tile.accel.xlat
+    series = xlat.miss_window.series
+    xlat.miss_window.flush(series.times[-1] if series.times else 0.0)
+    values = series.values
     return Fig4Result(
-        trace=report.tlb.miss_rate_trace,
+        trace=list(zip(series.times, values)),
         peak_miss_rate=max(values) if values else 0.0,
         mean_miss_rate=sum(values) / len(values) if values else 0.0,
-        total_requests=report.tlb.requests,
+        total_requests=xlat.stats.value("requests"),
         total_cycles=result.total_cycles,
     )
 

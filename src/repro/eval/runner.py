@@ -239,17 +239,12 @@ class ExperimentSpec:
         return self.fn(**dict(self.kwargs))
 
 
-def _run_spec(spec: ExperimentSpec) -> Any:
-    """Module-level trampoline so specs can cross the process boundary."""
-    return spec.run()
-
-
 def _run_spec_timed(spec: ExperimentSpec) -> tuple[Any, float, float, int]:
-    """Traced trampoline: the worker stamps its own wall-clock interval and
-    pid, so the parent can attribute the span to a worker lane.  Epoch
-    (``time.time``) stamps are the one clock parent and workers share."""
-    import time
+    """Module-level trampoline so specs can cross the process boundary.
 
+    The worker stamps its own wall-clock interval and pid, so a traced
+    parent can attribute the span to a worker lane.  Epoch (``time.time``)
+    stamps are the one clock parent and workers share."""
     t0 = time.time()
     value = spec.run()
     return value, t0, time.time(), os.getpid()
@@ -364,9 +359,7 @@ class ExperimentRunner:
         max_workers: int | None = None,
         cache: ResultCache | str | os.PathLike | None = None,
         tracer: "Tracer | None" = None,
-        ledger=None,
     ) -> None:
-        from repro.obs.ledger import NULL_LEDGER
         from repro.obs.tracer import NULL_TRACER
 
         self.max_workers = max_workers if max_workers is not None else default_workers()
@@ -381,8 +374,6 @@ class ExperimentRunner:
         #: per-spec span / cache-attribution sink (no-op singleton when off)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.declare_lane("cache", process="runner", label="cache", sort=0)
-        #: run-history sink: one record per ``run_specs`` batch (no-op when off)
-        self.ledger = ledger if ledger is not None else NULL_LEDGER
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -419,7 +410,20 @@ class ExperimentRunner:
         remainder execute in parallel (or inline when a pool is not worth
         spinning up).
         """
-        batch_t0 = time.perf_counter() if self.ledger else 0.0
+        return self._cached(specs, functools.partial(self._execute, specs))
+
+    def _cached(
+        self,
+        specs: Sequence[ExperimentSpec],
+        execute: Callable[[list[int], Callable[[int, Any], None]], None],
+    ) -> list[Any]:
+        """The one cache pass behind :meth:`run_specs` and :meth:`map_batch`.
+
+        Serves cache hits, folds in-batch duplicate keys onto their first
+        occurrence (counted as hits), then hands the pending positions to
+        ``execute(pending, record)``, which must call ``record(i, value)``
+        once per pending position.
+        """
         results: list[Any] = [None] * len(specs)
         pending: list[int] = []
         tracer = self.tracer
@@ -450,74 +454,56 @@ class ExperimentRunner:
         tracer.counter("cache", "cache_misses", tracer.now(), self.misses)
 
         if not pending:
-            self._record_batch(specs, time.perf_counter() - batch_t0, executed=0)
             return results
 
         # Cache every result the moment it exists: a point that fails (or a
         # Ctrl-C) must not discard the completed points of a long sweep.
         def record(i: int, value: Any) -> None:
             results[i] = value
-            if self.cache is not None:
+            if keys is not None:
                 self.cache.put(keys[i], value)
 
+        execute(pending, record)
+        for i, first in duplicates.items():
+            results[i] = results[first]
+        return results
+
+    def _execute(
+        self, specs: Sequence[ExperimentSpec], pending: list[int], record: Callable[[int, Any], None]
+    ) -> None:
+        """Run pending specs one by one: inline, or on the process pool."""
+        tracer = self.tracer
         if self.max_workers == 1 or len(pending) == 1:
             pid = os.getpid()
             lane = f"worker:{pid}"
             tracer.declare_lane(lane, process="runner", label=f"pid {pid} (inline)")
             for i in pending:
                 t0 = tracer.now()
-                value = _run_spec(specs[i])
+                value = specs[i].run()
                 tracer.complete(lane, specs[i].name, t0, tracer.now(), {"pid": pid})
                 record(i, value)
-        else:
-            pool = self._ensure_pool()
-            # Only the traced path pays for the timed trampoline; untraced
-            # submissions stay byte-identical to the pre-telemetry runner.
-            task = _run_spec_timed if tracer else _run_spec
-            futures = {pool.submit(task, specs[i]): i for i in pending}
-            try:
-                for future in as_completed(futures):
-                    i = futures[future]
-                    value = future.result()
-                    if tracer:
-                        value, t0, t1, pid = value
-                        lane = f"worker:{pid}"
-                        tracer.declare_lane(lane, process="runner", label=f"pid {pid}")
-                        tracer.complete(
-                            lane,
-                            specs[i].name,
-                            max(0.0, tracer.to_timeline(t0)),
-                            max(0.0, tracer.to_timeline(t1)),
-                            {"pid": pid},
-                        )
-                    record(i, value)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        for i, first in duplicates.items():
-            results[i] = results[first]
-        self._record_batch(specs, time.perf_counter() - batch_t0, executed=len(pending))
-        return results
-
-    def _record_batch(self, specs: Sequence[ExperimentSpec], wall_s: float, executed: int) -> None:
-        """One ledger record per ``run_specs`` batch: what ran, how long,
-        and the cache split — provenance-stamped like every other record."""
-        if not self.ledger or not specs:
             return
-        base = specs[0].name.split("[", 1)[0]
-        self.ledger.record(
-            "runner",
-            base,
-            wall_s=wall_s,
-            workload={"specs": [spec.name for spec in specs[:32]], "n": len(specs)},
-            metrics={
-                "specs": float(len(specs)),
-                "executed": float(executed),
-                "cache_hits": float(self.hits),
-                "cache_misses": float(self.misses),
-            },
-        )
+        pool = self._ensure_pool()
+        futures = {pool.submit(_run_spec_timed, specs[i]): i for i in pending}
+        try:
+            for future in as_completed(futures):
+                i = futures[future]
+                value, t0, t1, pid = future.result()
+                if tracer:
+                    lane = f"worker:{pid}"
+                    tracer.declare_lane(lane, process="runner", label=f"pid {pid}")
+                    tracer.complete(
+                        lane,
+                        specs[i].name,
+                        max(0.0, tracer.to_timeline(t0)),
+                        max(0.0, tracer.to_timeline(t1)),
+                        {"pid": pid},
+                    )
+                record(i, value)
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
 
     def map(
         self,
@@ -536,23 +522,8 @@ class ExperimentRunner:
         of ``dse[7]``; it is display-only and never reaches the cache key.
         """
         items = list(items)
-        if labels is not None:
-            labels = list(labels)
-            if len(labels) != len(items):
-                raise ValueError(
-                    f"labels length {len(labels)} does not match items length {len(items)}"
-                )
         base = label or getattr(fn, "__name__", "map")
-        call = _ItemCall(fn)
-        specs = [
-            ExperimentSpec(
-                name=f"{base}[{labels[i] if labels is not None else i}]",
-                fn=call,
-                kwargs=(("item", item),),
-            )
-            for i, item in enumerate(items)
-        ]
-        return self.run_specs(specs)
+        return self.run_specs(_item_specs(_ItemCall(fn), base, items, labels))
 
     def map_batch(
         self,
@@ -567,57 +538,22 @@ class ExperimentRunner:
 
         ``batch_fn(items, **shared)`` must return one result per item, in
         order.  Caching, hit/miss accounting and duplicate-key
-        deduplication stay per item — the same content-hash granularity as
-        :meth:`map`, so re-running, reordering or enlarging a sweep only
+        deduplication are :meth:`map`'s — the same per-item content-hash
+        granularity, so re-running, reordering or enlarging a sweep only
         pays for genuinely new items — but all the misses execute in ONE
-        ``batch_fn`` call instead of one task per item.  Runs in-process:
-        the point of a batched evaluator is that its per-item cost is far
-        below what a process fan-out would amortise.
+        ``batch_fn`` call instead of one task per item.  That call runs
+        in-process whatever ``max_workers`` is: the point of a batched
+        evaluator is that its per-item cost is far below what a process
+        fan-out would amortise.
         """
         items = list(items)
-        if labels is not None:
-            labels = list(labels)
-            if len(labels) != len(items):
-                raise ValueError(
-                    f"labels length {len(labels)} does not match items length {len(items)}"
-                )
         base = label or getattr(batch_fn, "__name__", "map_batch")
-        call = _BatchCall(batch_fn)
-        shared_kwargs = tuple(sorted(shared.items()))
-        specs = [
-            ExperimentSpec(
-                name=f"{base}[{labels[i] if labels is not None else i}]",
-                fn=call,
-                kwargs=(("item", item),) + shared_kwargs,
-            )
-            for i, item in enumerate(items)
-        ]
-        results: list[Any] = [None] * len(items)
-        pending: list[int] = []
+        specs = _item_specs(
+            _BatchCall(batch_fn), base, items, labels, tuple(sorted(shared.items()))
+        )
         tracer = self.tracer
-        keys = [spec.key for spec in specs] if self.cache is not None else None
-        primary: dict[str, int] = {}
-        duplicates: dict[int, int] = {}
-        for i in range(len(items)):
-            if keys is not None:
-                value = self.cache.get(keys[i])
-                if value is not ResultCache._MISS:
-                    results[i] = value
-                    self.hits += 1
-                    tracer.instant("cache", "hit", tracer.now(), {"spec": specs[i].name})
-                    continue
-                first = primary.setdefault(keys[i], i)
-                if first != i:
-                    duplicates[i] = first
-                    self.hits += 1
-                    tracer.instant("cache", "hit", tracer.now(), {"spec": specs[i].name})
-                    continue
-            self.misses += 1
-            pending.append(i)
-        tracer.counter("cache", "cache_hits", tracer.now(), self.hits)
-        tracer.counter("cache", "cache_misses", tracer.now(), self.misses)
 
-        if pending:
+        def execute(pending: list[int], record: Callable[[int, Any], None]) -> None:
             tracer.declare_lane("batch", process="runner", label="batched evaluator")
             t0 = tracer.now()
             values = list(batch_fn([items[i] for i in pending], **shared))
@@ -631,12 +567,9 @@ class ExperimentRunner:
                     f"for {len(pending)} items"
                 )
             for i, value in zip(pending, values):
-                results[i] = value
-                if keys is not None:
-                    self.cache.put(keys[i], value)
-        for i, first in duplicates.items():
-            results[i] = results[first]
-        return results
+                record(i, value)
+
+        return self._cached(specs, execute)
 
     def stats(self) -> RunnerStats:
         """Hits/misses/hit-rate accumulated since the last reset."""
@@ -678,3 +611,27 @@ class _BatchCall:
 
     def __call__(self, item: Any, **shared: Any) -> Any:
         return self.fn([item], **shared)[0]
+
+
+def _item_specs(
+    call: Callable[..., Any],
+    base: str,
+    items: list[Any],
+    labels: Sequence[Any] | None,
+    shared_kwargs: tuple[tuple[str, Any], ...] = (),
+) -> list[ExperimentSpec]:
+    """One spec per item, named ``base[label]`` (``base[i]`` unlabelled)."""
+    if labels is not None:
+        labels = list(labels)
+        if len(labels) != len(items):
+            raise ValueError(
+                f"labels length {len(labels)} does not match items length {len(items)}"
+            )
+    return [
+        ExperimentSpec(
+            name=f"{base}[{labels[i] if labels is not None else i}]",
+            fn=call,
+            kwargs=(("item", item),) + shared_kwargs,
+        )
+        for i, item in enumerate(items)
+    ]

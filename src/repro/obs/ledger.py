@@ -18,8 +18,8 @@ and the training corpus the learned-surrogate fidelity tier will draw
 
 Durability contract (:mod:`repro.obs.jsonl`): one record is one line,
 written with a single ``os.write`` on an ``O_APPEND`` descriptor under an
-``flock`` (where available), so concurrent appends from
-:class:`~repro.eval.runner.ExperimentRunner` worker processes never
+``flock`` (where available), so concurrent appends from several
+processes (parallel CLI runs or benchmarks sharing one ledger) never
 interleave.  Reads skip and warn on corrupt lines (a truncated tail from a
 killed process costs that one record, never the file).  Like the tracer
 and metric stream, the disabled form is the :data:`NULL_LEDGER` null
@@ -126,7 +126,7 @@ class RunRecord:
     """One ledgered run: who produced which numbers under which code."""
 
     run_id: str
-    kind: str  # "run" | "serve" | "dse" | "bench" | "runner" | ...
+    kind: str  # "run" | "serve" | "dse" | "tune" | "bench" | ...
     name: str  # model, tenant mix, strategy or benchmark name
     seed: int | None = None
     ts: float = 0.0  # unix seconds at record time

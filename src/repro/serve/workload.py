@@ -158,20 +158,14 @@ class ArrivalSource:
     The interface is pull-based: :meth:`next_arrival` yields the next
     pre-scheduled arrival (None once the stream is exhausted), so an
     engine holding one pending arrival per tenant keeps O(tenants) state
-    however long the stream runs.
-
-    Sources are checkpointable: :meth:`state_dict` captures the cursor and
-    the seeded ``random.Random`` state, and :meth:`load_state` restores
-    them onto a freshly built source so a resumed simulation continues the
-    exact same arrival sequence.
+    however long the stream runs.  A checkpoint pickles the whole
+    simulation, sources included, so a resumed run continues the exact
+    same arrival sequence.
     """
 
     spec: TenantSpec
     clock_ghz: float
     rng: random.Random = field(repr=False, default=None)
-
-    #: cursor fields captured by state_dict (subclasses extend)
-    _STATE_FIELDS = ("_pulled", "_followups")
 
     def __post_init__(self) -> None:
         self._pulled = 0  # pre-scheduled arrivals handed out so far
@@ -202,21 +196,6 @@ class ArrivalSource:
         """Closed-loop hook: the next arrival triggered by a completion."""
         return None
 
-    # -- checkpoint/resume ---------------------------------------------- #
-
-    def state_dict(self) -> dict:
-        """Cursor + RNG state, sufficient to resume the stream bitwise."""
-        state = {name: getattr(self, name) for name in self._STATE_FIELDS}
-        state["rng"] = self.rng.getstate() if self.rng is not None else None
-        return state
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` onto a freshly built source."""
-        for name in self._STATE_FIELDS:
-            setattr(self, name, state[name])
-        if state.get("rng") is not None:
-            self.rng.setstate(state["rng"])
-
 
 class OpenLoopSource(ArrivalSource):
     """Poisson, bursty and trace tenants: arrivals independent of service.
@@ -226,8 +205,6 @@ class OpenLoopSource(ArrivalSource):
     so the streamed sequence is identical (value for value, in order) to
     the historical precomputed list.
     """
-
-    _STATE_FIELDS = ArrivalSource._STATE_FIELDS + ("_on_time",)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -264,8 +241,6 @@ class OpenLoopSource(ArrivalSource):
 
 class ClosedLoopSource(ArrivalSource):
     """Closed-loop clients: each completion triggers the next request."""
-
-    _STATE_FIELDS = ArrivalSource._STATE_FIELDS + ("_remaining",)
 
     def __post_init__(self) -> None:
         super().__post_init__()

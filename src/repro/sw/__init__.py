@@ -30,7 +30,6 @@ from repro.sw.graph import Graph, Node, TensorSpec
 from repro.sw.onnx_json import graph_from_json, graph_to_json
 from repro.sw.compiler import CompiledModel, LayerPlan, Placement, compile_graph
 from repro.sw.runtime import LayerStats, Runtime, RunResult
-from repro.sw.profiler import RunProfiler
 
 __all__ = [
     "MatmulTiling",
@@ -59,5 +58,4 @@ __all__ = [
     "LayerStats",
     "Runtime",
     "RunResult",
-    "RunProfiler",
 ]

@@ -459,6 +459,22 @@ class TestMapBatch:
             assert runner.map_batch(tracked_batch, [1, 2, 3]) == [2, 3, 4]
         assert log.read_text().splitlines() == ["1,2,3"]  # one batched call
 
+    def test_pooled_runner_still_batches_in_process(self, tmp_path):
+        """A pooled runner shares map's cache pass but not its executor:
+        the misses still go to ONE in-process batch_fn call."""
+        log = tmp_path / "calls.txt"
+
+        def tracked_batch(items):
+            with log.open("a") as fh:
+                fh.write(",".join(map(str, items)) + "\n")
+            return [x * 3 for x in items]
+
+        with ExperimentRunner(max_workers=2, cache=tmp_path / "cache") as runner:
+            assert runner.map_batch(tracked_batch, [1, 2, 3, 1]) == [3, 6, 9, 3]
+            assert runner._pool is None  # never spun up a process pool
+            assert runner.hits == 1 and runner.misses == 3
+        assert log.read_text().splitlines() == ["1,2,3"]
+
     def test_cache_granularity_is_per_item(self, tmp_path):
         """Enlarging or reordering a sweep only hands batch_fn the new
         items — the property budget-enlarged DSE re-runs rely on."""
@@ -642,32 +658,3 @@ class TestRunnerTracing:
         runner.map(square, [1, 2, 3], label="sq")
         runner.map(square, [1, 2, 3], label="sq")
         assert validate_chrome_trace(to_chrome_trace(tracer)) == []
-
-
-class TestRunnerLedger:
-    """One provenance-stamped ledger record per run_specs batch."""
-
-    def test_unledgered_by_default(self, tmp_path):
-        from repro.obs.ledger import NULL_LEDGER
-
-        runner = ExperimentRunner(max_workers=1)
-        assert runner.ledger is NULL_LEDGER
-        runner.map(square, [1, 2], label="sq")  # must not write anywhere
-
-    def test_batch_record_carries_cache_split(self, tmp_path):
-        from repro.obs.ledger import RunLedger
-
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        runner = ExperimentRunner(max_workers=1, cache=tmp_path / "cache", ledger=ledger)
-        runner.map(square, [1, 2, 3], label="sq")
-        runner.map(square, [1, 2, 3], label="sq")  # fully cached batch
-        records = ledger.history(kind="runner")
-        assert len(records) == 2
-        first, second = records
-        assert first.name == "sq" and second.name == "sq"
-        assert first.metrics["executed"] == 3.0
-        assert second.metrics["executed"] == 0.0
-        assert second.metrics["cache_hits"] == 3.0
-        assert first.wall_s >= 0.0
-        assert first.provenance["python"]
-        assert first.workload["n"] == 3

@@ -43,6 +43,19 @@ def study_profile(seed=7):
     )
 
 
+def bursty_profile(seed=7):
+    """A bursty tenant beside the closed loop: the resumed stream must
+    continue the on/off clock and the RNG draws where the pickle left them."""
+    batchy = study_profile(seed).tenants[1]
+    bursty = TenantSpec(
+        name="bursty", arrival="bursty", rate_qps=2000.0, num_requests=14,
+        burst_on_ms=1.0, burst_off_ms=9.0, slo_ms=5.0, **MODEL,
+    )
+    return TrafficProfile(
+        tenants=(bursty, batchy), num_tiles=2, scheduler="fcfs", seed=seed
+    )
+
+
 def assert_results_equal(resumed, full):
     assert resumed.records == full.records
     assert resumed.report.overall.summary() == full.report.overall.summary()
@@ -55,20 +68,20 @@ def assert_results_equal(resumed, full):
 
 class TestKillAndResume:
     def test_resumed_run_is_bitwise_identical(self, tmp_path):
-        path = tmp_path / "serve.ckpt"
-        profile = study_profile()
-        halted = ServingSimulation(
-            profile, checkpoint_every=6, checkpoint_path=path
-        ).run(stop_after_checkpoints=1)
-        assert halted is None  # the run stopped at the barrier
-        assert path.exists()
+        for profile in (study_profile(), bursty_profile()):
+            path = tmp_path / f"{profile.tenants[0].name}.ckpt"
+            halted = ServingSimulation(
+                profile, checkpoint_every=6, checkpoint_path=path
+            ).run(stop_after_checkpoints=1)
+            assert halted is None  # the run stopped at the barrier
+            assert path.exists()
 
-        full = ServingSimulation(profile).run()
-        resumed_sim = load_checkpoint(path)
-        result = resumed_sim.run()
-        assert result is not None
-        assert result.checkpoints >= 1
-        assert_results_equal(result, full)
+            full = ServingSimulation(profile).run()
+            resumed_sim = load_checkpoint(path)
+            result = resumed_sim.run()
+            assert result is not None
+            assert result.checkpoints >= 1
+            assert_results_equal(result, full)
 
     def test_resume_from_a_later_checkpoint(self, tmp_path):
         # The file is overwritten at each barrier; resuming from the

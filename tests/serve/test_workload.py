@@ -151,47 +151,6 @@ class TestArrivalSources:
         assert streamed.remaining_initial == 0
         assert streamed.issued == 6
 
-
-class TestSourceStateRoundTrip:
-    """Checkpoint regression: state_dict/load_state must resume the exact
-    arrival sequence, RNG draws included, on a freshly built source."""
-
-    def _continuation(self, spec, pulled):
-        source = make_source(spec, seed=0, clock_ghz=1.0)
-        for _ in range(pulled):
-            source.next_arrival()
-        state = source.state_dict()
-        expected = drain(source)  # drains the original
-        fresh = make_source(spec, seed=0, clock_ghz=1.0)
-        fresh.load_state(state)
-        return expected, fresh
-
-    def test_poisson_rng_state_round_trips(self):
-        expected, fresh = self._continuation(poisson_tenant(num_requests=8), pulled=3)
-        assert drain(fresh) == expected
-        assert fresh.remaining_initial == 0
-
-    def test_bursty_on_time_cursor_round_trips(self):
-        spec = poisson_tenant(
-            arrival="bursty", rate_qps=2000.0, num_requests=12,
-            burst_on_ms=1.0, burst_off_ms=9.0,
-        )
-        expected, fresh = self._continuation(spec, pulled=5)
-        assert drain(fresh) == expected
-
-    def test_closed_loop_budget_round_trips(self):
-        spec = poisson_tenant(arrival="closed", num_requests=5, concurrency=2, think_ms=1.0)
-        source = make_source(spec, seed=0, clock_ghz=1.0)
-        drain(source)
-        assert source.next_after_completion(1e6) is not None
-        fresh = make_source(spec, seed=0, clock_ghz=1.0)
-        fresh.load_state(source.state_dict())
-        assert fresh.next_arrival() is None  # initial stream already drained
-        assert fresh.next_after_completion(2e6) == pytest.approx(3e6)
-        assert fresh.next_after_completion(3e6) == pytest.approx(4e6)
-        assert fresh.next_after_completion(4e6) is None  # budget spent
-        assert fresh.issued == spec.num_requests
-
     def test_issued_counts_follow_ups(self):
         spec = poisson_tenant(arrival="closed", num_requests=4, concurrency=2, think_ms=1.0)
         source = make_source(spec, seed=0, clock_ghz=1.0)

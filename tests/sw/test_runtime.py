@@ -140,6 +140,23 @@ class TestExecution:
         assert soc.tile.os.stats.value("context_switches") > 0
         assert soc.tile.accel.xlat.stats.value("flushes") > 0
 
+    def test_memory_counters_account_for_every_request(self):
+        soc = make_soc(gemmini=CFG)
+        run_model_on_tile(soc.tile, compile_graph(tiny_cnn(32), PARAMS))
+        tlb = soc.tile.accel.xlat.stats
+        requests = tlb.value("requests")
+        assert requests > 0
+        # Every translation resolves at exactly one level.
+        resolved = sum(
+            tlb.value(level) for level in ("filter_hits", "private_hits", "shared_hits", "walks")
+        )
+        assert resolved == requests
+        l2 = soc.mem.l2.stats
+        assert l2.value("accesses") > 0
+        assert l2.value("accesses") == l2.value("hits") + l2.value("misses")
+        assert soc.mem.dram.bytes_moved > 0
+        assert soc.mem.bus.stats.value("bytes") > 0
+
     def test_layer_lookup(self):
         soc = make_soc(gemmini=CFG)
         result = run_model_on_tile(soc.tile, compile_graph(tiny_cnn(), PARAMS))
