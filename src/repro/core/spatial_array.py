@@ -272,8 +272,8 @@ def _fill_latency(geometry) -> int:
     """Cycles for a wavefront to cross the array: one per pipeline register
     row plus one per register column, plus the combinational traversal of
     the final tile (one cycle).  ``geometry`` is a
-    :class:`~repro.core.config.GemminiConfig` or a
-    :class:`~repro.dse.batch.ConfigColumns`."""
+    :class:`~repro.core.config.GemminiConfig` or the
+    :class:`~repro.dse.batch.ConfigColumns` of a batch of them."""
     return (geometry.mesh_rows - 1) + (geometry.mesh_cols - 1) + 2
 
 
@@ -296,9 +296,10 @@ def matmul_cost_batch(cols, shapes) -> MatmulCost:
     """:meth:`SpatialArrayModel.matmul_cost` of every ``(m, k, n)`` in
     ``shapes`` on every design of ``cols``, as ``(shapes, designs)`` arrays.
 
-    ``cols`` is a :class:`~repro.dse.batch.ConfigColumns`, whose
-    ``os_dataflow`` column has BOTH already resolved to WS.  Every term is
-    the scalar method's, so the costs are bitwise equal to it.
+    ``cols`` is the :class:`~repro.dse.batch.ConfigColumns` of a batch of
+    configs; its ``os_dataflow`` column is true only for OS (a BOTH array
+    runs WS).  Every term is the scalar method's, so the costs are bitwise
+    equal to it.
     """
     shapes = np.asarray(shapes, dtype=np.int64)
     if int(shapes.min()) <= 0:

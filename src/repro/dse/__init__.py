@@ -17,12 +17,7 @@ from repro.dse.engine import (
     default_cache_dir,
     shared_hypervolume,
 )
-from repro.dse.batch import (
-    ConfigColumns,
-    UnsupportedPoint,
-    build_columns,
-    group_by_components,
-)
+from repro.dse.batch import ConfigColumns, group_by_components
 from repro.dse.export import export_csv, export_json, front_table, result_to_dict
 from repro.dse.objectives import (
     OBJECTIVES,
@@ -44,7 +39,6 @@ from repro.dse.pareto import (
     front_hypervolume,
     hypervolume,
     nondominated_sort,
-    pareto_front,
     parse_bound,
     reference_point,
     split_front,
@@ -97,8 +91,6 @@ __all__ = [
     "model_workload",
     "parse_objectives",
     "ConfigColumns",
-    "UnsupportedPoint",
-    "build_columns",
     "group_by_components",
     "MetricBound",
     "crowding_distance",
@@ -106,7 +98,6 @@ __all__ = [
     "front_hypervolume",
     "hypervolume",
     "nondominated_sort",
-    "pareto_front",
     "parse_bound",
     "reference_point",
     "split_front",

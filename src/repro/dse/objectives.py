@@ -1,11 +1,15 @@
-"""Multi-objective cost evaluation of one design point.
+"""Multi-objective cost evaluation of design points.
 
-The evaluator combines the repo's calibrated models into one typed
-:class:`Evaluation` per point: cycles from the analytic
-:class:`~repro.core.spatial_array.SpatialArrayModel` (or a full SoC run at
+The one evaluator, :func:`evaluate_design_batch`, combines the repo's
+calibrated models into one typed :class:`Evaluation` per point.  Each
+point becomes a validated :class:`~repro.core.config.GemminiConfig`, and a
+batch of them becomes one :class:`~repro.dse.batch.ConfigColumns`: cycles
+come from :func:`analytic_cycles` (the blocked-matmul model of
+:mod:`repro.core.spatial_array`, or a full SoC run at
 ``fidelity="soc"``), achievable clock from :mod:`repro.physical.timing`,
 area from :mod:`repro.physical.area`, power from
-:mod:`repro.physical.power` and energy from :mod:`repro.physical.energy`.
+:mod:`repro.physical.power` and energy from :mod:`repro.physical.energy`,
+each evaluated once over the whole batch.
 
 Everything here is a frozen dataclass or a module-level function so an
 evaluation can be shipped to a worker process and content-hashed into the
@@ -15,10 +19,14 @@ evaluation can be shipped to a worker process and content-hashed into the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from dataclasses import replace as dc_replace
+
+import numpy as np
 
 from repro.core.config import GemminiConfig
-from repro.core.spatial_array import SpatialArrayModel, matmul_cost_batch
-from repro.dse.space import COMPONENTS_KEY, TILE_PRESETS, point_to_config
+from repro.core.spatial_array import matmul_cost_batch
+from repro.dse.batch import ConfigColumns, group_by_components
+from repro.dse.space import COMPONENTS_KEY, TILE_PRESETS, point_key, point_to_config
 from repro.physical.area import accelerator_area
 from repro.physical.energy import estimate_energy
 from repro.physical.power import power_mw
@@ -266,13 +274,15 @@ def _soc_cycles_and_energy(config: GemminiConfig, spec: EvaluationSpec) -> tuple
     return float(result.total_cycles), estimate_run_energy(soc, result).total_mj
 
 
-def _serving_metrics(config: GemminiConfig, spec: EvaluationSpec, fmax: float, power: float) -> dict:
+def _serving_metrics(spec: EvaluationSpec, power: float, **target) -> dict:
     """Run the design under the spec's traffic profile (serve fidelity).
 
-    The SoC is clocked at the design's achievable frequency, so a slower
-    (larger/denser) design sees proportionally more arrival cycles between
-    requests — tail latency and goodput trade off against area and power
-    exactly the way the serving objectives need.
+    ``target`` is what :func:`~repro.serve.cluster.simulate_serving` runs:
+    ``gemmini=`` one config or ``design=`` a heterogeneous fleet, clocked at
+    the design's achievable frequency, so a slower (larger/denser) design
+    sees proportionally more arrival cycles between requests — tail latency
+    and goodput trade off against area and power exactly the way the
+    serving objectives need.
 
     Serving evaluations ride the macro-op trace record/replay fast path:
     after the first executions of each ``(tile, model)`` pair the remaining
@@ -280,13 +290,9 @@ def _serving_metrics(config: GemminiConfig, spec: EvaluationSpec, fmax: float, p
     traffic simulation affordable inside a search loop (``gemmini-repro dse
     --traffic ...``).
     """
-    from dataclasses import replace as dc_replace
-
     from repro.serve.cluster import simulate_serving
 
-    result = simulate_serving(
-        spec.traffic, gemmini=dc_replace(config, clock_ghz=fmax), replay=True
-    )
+    result = simulate_serving(spec.traffic, replay=True, **target)
     overall = result.report.overall
     watts = power / 1e3
     return {
@@ -297,20 +303,18 @@ def _serving_metrics(config: GemminiConfig, spec: EvaluationSpec, fmax: float, p
     }
 
 
-def analytic_cycles(config: GemminiConfig, workload: Workload) -> float:
-    """Closed-form cycles of ``workload`` on ``config``: the sum of its
-    shapes' blocked-matmul costs (a BOTH-dataflow array runs WS)."""
-    model = SpatialArrayModel(config)
-    dataflow = config.dataflow
-    return sum(model.matmul_cost(m, k, n, dataflow).total for m, k, n in workload.shapes)
+def analytic_cycles(cols: ConfigColumns, workload: Workload) -> np.ndarray:
+    """Closed-form cycles of ``workload`` on every design of ``cols``, one
+    float64 per design: the sum of its shapes' blocked-matmul costs (a
+    BOTH-dataflow array runs WS).  The cycle model of DSE's analytic
+    fidelity and of the SJF oracle
+    (:func:`~repro.serve.cluster.estimate_service_cycles`)."""
+    # (shapes, designs) costs; block counts are integral, so the sum is exact
+    return matmul_cost_batch(cols, workload.shapes).total.sum(axis=0)
 
 
 def _analytic_metrics(workload, cycles, fmax, area_um2, power, energy_mj) -> dict:
-    """The 8 analytic metrics, keyed in sorted-name order.
-
-    The inputs are floats for one design or numpy columns for a batch; the
-    arithmetic is the same, so both paths produce bitwise-equal metrics.
-    """
+    """The 8 analytic metrics as per-design columns, keyed in sorted-name order."""
     seconds = cycles / (fmax * 1e9)
     latency_ms = seconds * 1e3
     return {
@@ -326,43 +330,13 @@ def _analytic_metrics(workload, cycles, fmax, area_um2, power, energy_mj) -> dic
 
 
 def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
-    """Score one point: the cost model every strategy optimises against.
+    """Score one point: ``evaluate_design_batch([point], spec)[0]``.
 
-    Points carrying the structural ``components`` axis describe whole
-    heterogeneous fleets; they are scored per tile class and aggregated
-    (see :func:`_aggregate_fleet`).  Module-level so
-    :class:`~repro.eval.runner.ExperimentRunner` can ship it to worker
-    processes and cache results under a stable key.
+    Module-level so :class:`~repro.eval.runner.ExperimentRunner` can ship
+    SoC and serving evaluations to worker processes one point at a time
+    and cache results under a stable key.
     """
-    if COMPONENTS_KEY in point:
-        return _evaluate_structural(point, spec)
-    config = point_to_config(point)
-    fmax = max_frequency_ghz(config)
-    area_um2 = accelerator_area(config, cpu=spec.cpu).total
-    dyn_power = power_mw(config, frequency_ghz=fmax)
-
-    workload = spec.workload
-    if spec.fidelity == "soc":
-        cycles, energy_mj = _soc_cycles_and_energy(config, spec)
-    else:
-        cycles = analytic_cycles(config, workload)
-        energy_mj = estimate_energy(
-            config,
-            macs=workload.total_macs,
-            cycles=cycles,
-            dma_bytes=workload.operand_bytes,
-            dram_bytes=workload.operand_bytes,
-            clock_ghz=fmax,
-        ).total_mj
-
-    metrics = _analytic_metrics(workload, cycles, fmax, area_um2, dyn_power, energy_mj)
-    if spec.traffic is not None:
-        metrics.update(_serving_metrics(config, spec, fmax, dyn_power))
-    return Evaluation(
-        point=tuple(sorted(point.items())),
-        config_summary=config.describe(),
-        metrics=tuple(sorted(metrics.items())),
-    )
+    return evaluate_design_batch([point], spec)[0]
 
 
 # ---------------------------------------------------------------------- #
@@ -393,43 +367,19 @@ def _component_spec(spec: EvaluationSpec) -> EvaluationSpec:
     return EvaluationSpec(workload=spec.workload, fidelity=spec.fidelity, cpu=spec.cpu)
 
 
-def _structural_serving_metrics(
-    point: dict, spec: EvaluationSpec, fmax: float, fleet_power: float
-) -> dict:
-    """Serve the spec's traffic on the materialised heterogeneous fleet.
-
-    The whole fleet runs at the shared achievable clock (``fmax``, the
-    slowest component's) and every request is free to land on any tile, so
-    SJF's per-tile cost oracle — not a single global hint — decides big
-    vs little placement.
-    """
-    from repro.dse.space import point_to_design
-    from repro.serve.cluster import simulate_serving
-
-    design = point_to_design(point, clock_ghz=fmax)
-    result = simulate_serving(spec.traffic, design=design, replay=True)
-    overall = result.report.overall
-    watts = fleet_power / 1e3
-    return {
-        "p99_latency_ms": overall.p99_ms,
-        "goodput_qps": overall.goodput_qps,
-        "qps_per_watt": overall.goodput_qps / watts if watts > 0 else 0.0,
-        "slo_violation_rate": overall.slo_violation_rate,
-    }
-
-
 def _aggregate_fleet(
     point: dict, parts: "list[tuple[str, int, Evaluation]]", spec: EvaluationSpec
 ) -> Evaluation:
     """Combine per-tile-class evaluations into one fleet evaluation.
 
-    Pure arithmetic over the component metrics — shared verbatim by the
-    scalar and batched paths, so structural evaluations stay bitwise
-    consistent between them.  The model: one shared clock domain at the
-    slowest component's fmax; the workload's latency is the fastest
-    component's (a single inference runs on one tile); area and power sum
-    over the fleet (power linearly re-clocked to the shared frequency);
-    throughput assumes every tile streams the workload concurrently.
+    The model: one shared clock domain at the slowest component's fmax;
+    the workload's latency is the fastest component's (a single inference
+    runs on one tile); area and power sum over the fleet (power linearly
+    re-clocked to the shared frequency); throughput assumes every tile
+    streams the workload concurrently.  Under a traffic profile the whole
+    fleet serves it at the shared clock and every request is free to land
+    on any tile, so SJF's per-tile cost oracle — not a single global hint —
+    decides big vs little placement.
     """
     fmax = min(evaluation.metric("fmax_ghz") for __, __, evaluation in parts)
     # stable min: ties resolve to the first (mix-order) component
@@ -462,7 +412,10 @@ def _aggregate_fleet(
         "edp": energy_mj * latency_ms,
     }
     if spec.traffic is not None:
-        metrics.update(_structural_serving_metrics(point, spec, fmax, power))
+        from repro.dse.space import point_to_design
+
+        design = point_to_design(point, clock_ghz=fmax)
+        metrics.update(_serving_metrics(spec, power, design=design))
     summary = " + ".join(f"{count}x[{e.config_summary}]" for __, count, e in parts)
     return Evaluation(
         point=tuple(sorted(point.items())),
@@ -471,131 +424,108 @@ def _aggregate_fleet(
     )
 
 
-def _evaluate_structural(point: dict, spec: EvaluationSpec) -> Evaluation:
-    """Scalar-path structural evaluation: score each tile class, aggregate."""
-    sub_spec = _component_spec(spec)
-    parts = [
-        (preset, count, evaluate_design(row, sub_spec))
-        for preset, count, row in _structural_rows(point)
-    ]
-    return _aggregate_fleet(point, parts, spec)
+# ---------------------------------------------------------------------- #
+# The evaluator                                                           #
+# ---------------------------------------------------------------------- #
 
 
-def _evaluate_batch_structural(
-    points: "list[dict]", spec: EvaluationSpec
-) -> "list[Evaluation]":
-    """Batched evaluation of a mixed plain/structural point list.
+def _evaluate_plain(points: "list[dict]", spec: EvaluationSpec) -> "list[Evaluation]":
+    """Score single-accelerator points in one column pass.
 
-    Structural points are grouped by component signature
-    (:func:`~repro.dse.batch.group_by_components`) and decomposed into
-    their per-tile-class sub-rows; the unique sub-rows — one per tile
-    class per shared-axis combination, however many fleets reference it —
-    join the plain points in a single columnised
-    :func:`evaluate_design_batch` call, and each fleet is then aggregated
-    with the same arithmetic as the scalar path.  Only reached on the
-    analytic/no-traffic fast path, so sub-rows never re-trigger the
-    structural branch (no recursion).
+    Each point is materialised (and validated) by :func:`point_to_config`;
+    fmax, area, power and the analytic cycles and energy are numpy
+    expressions over the configs' :class:`~repro.dse.batch.ConfigColumns`.
+    Only the full-SoC runs (``fidelity="soc"``) and the serving
+    simulations (a traffic profile) loop per point.
     """
-    from repro.dse.batch import group_by_components
-    from repro.dse.space import point_key
-
-    groups = group_by_components(points)
-    plain_indices = groups.pop(None, [])
-    sub_rows: dict = {}  # row key -> row dict, insertion-ordered
-    per_point: dict = {}  # point index -> [(preset, count, row key), ...]
-    for indices in groups.values():
-        for index in indices:
-            keyed = []
-            for preset, count, row in _structural_rows(points[index]):
-                key = point_key(row)
-                sub_rows.setdefault(key, row)
-                keyed.append((preset, count, key))
-            per_point[index] = keyed
-
-    sub_keys = list(sub_rows)
-    combined = [points[i] for i in plain_indices] + [sub_rows[k] for k in sub_keys]
-    evaluated = evaluate_design_batch(combined, spec)
-    plain_evals = dict(zip(plain_indices, evaluated[: len(plain_indices)]))
-    row_evals = dict(zip(sub_keys, evaluated[len(plain_indices):]))
-
-    out: "list[Evaluation]" = []
-    for index, point in enumerate(points):
-        if index in plain_evals:
-            out.append(plain_evals[index])
-        else:
-            parts = [
-                (preset, count, row_evals[key])
-                for preset, count, key in per_point[index]
-            ]
-            out.append(_aggregate_fleet(point, parts, spec))
-    return out
-
-
-def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[Evaluation]":
-    """Score a whole batch of points through the vectorised analytic path.
-
-    Produces exactly the :class:`Evaluation` objects ``[evaluate_design(p,
-    spec) for p in points]`` would (bitwise-equal metrics; point and config
-    summary identical), but runs the cost pipeline — matmul cycles, fmax,
-    area, power, energy — as a handful of numpy expressions over
-    struct-of-arrays config columns instead of one Python object per point:
-    the same models and :func:`_analytic_metrics`, fed columns.
-
-    The fast path only covers the analytic fidelity without a traffic
-    profile, on points made of the standard :func:`~repro.dse.space
-    .gemmini_space` axes; ``fidelity="soc"``, serving objectives and
-    points carrying other config keys fall back to the scalar evaluator
-    point by point.  Module-level and pure-data in/out, so batches ship
-    through :class:`~repro.eval.runner.ExperimentRunner` workers and cache
-    under content-hash keys.
-    """
-    from repro.dse.batch import UnsupportedPoint, build_columns
-
-    points = list(points)
-    if not points:
-        return []
-    if spec.fidelity != "analytic" or spec.traffic is not None:
-        return [evaluate_design(p, spec) for p in points]
-    if any(COMPONENTS_KEY in p for p in points):
-        return _evaluate_batch_structural(points, spec)
-    try:
-        cols = build_columns(points)
-    except UnsupportedPoint:
-        return [evaluate_design(p, spec) for p in points]
-
+    configs = [point_to_config(p) for p in points]
+    cols = ConfigColumns.from_configs(configs)
     fmax = max_frequency_ghz(cols)
     area_um2 = accelerator_area(cols, cpu=spec.cpu).total
     dyn_power = power_mw(cols, frequency_ghz=fmax)
 
     workload = spec.workload
-    # (shapes, designs) costs; block counts are integral, so the sum is exact
-    cycles = matmul_cost_batch(cols, workload.shapes).total.sum(axis=0)
-    energy_mj = estimate_energy(
-        cols,
-        macs=workload.total_macs,
-        cycles=cycles,
-        dma_bytes=workload.operand_bytes,
-        dram_bytes=workload.operand_bytes,
-        clock_ghz=fmax,
-    ).total_mj
+    if spec.fidelity == "soc":
+        cycles, energy_mj = np.array([_soc_cycles_and_energy(c, spec) for c in configs]).T
+    else:
+        cycles = analytic_cycles(cols, workload)
+        energy_mj = estimate_energy(
+            cols,
+            macs=workload.total_macs,
+            cycles=cycles,
+            dma_bytes=workload.operand_bytes,
+            dram_bytes=workload.operand_bytes,
+            clock_ghz=fmax,
+        ).total_mj
 
     metrics = _analytic_metrics(workload, cycles, fmax, area_um2, dyn_power, energy_mj)
     names = tuple(metrics)
     # Pulled down to Python floats once per column, not once per point.
-    metric_rows = zip(*(column.tolist() for column in metrics.values()))
-    summaries = cols.describe_all()
-    # Assembling ~1e4 frozen dataclasses dominates the remaining per-point
-    # cost; bypassing the generated __init__ (3 object.__setattr__ calls
-    # per instance) keeps small-workload batches ~10x over the scalar path.
+    rows = [tuple(zip(names, row)) for row in zip(*(c.tolist() for c in metrics.values()))]
+    if spec.traffic is not None:
+        rows = [
+            tuple(sorted({
+                **dict(row),
+                **_serving_metrics(spec, power, gemmini=dc_replace(config, clock_ghz=clock)),
+            }.items()))
+            for row, config, clock, power in zip(
+                rows, configs, metrics["fmax_ghz"].tolist(), metrics["power_mw"].tolist()
+            )
+        ]
+    # Assembling ~1e4 frozen dataclasses is a large share of the per-point
+    # cost; bypassing the generated __init__ saves its 3
+    # object.__setattr__ calls per instance.
     new = object.__new__
     cls = Evaluation
     out: list[Evaluation] = []
-    for point, summary, row in zip(points, summaries, metric_rows):
+    for point, config, row in zip(points, configs, rows):
         evaluation = new(cls)
         evaluation.__dict__.update(
             point=tuple(sorted(point.items())),
-            config_summary=summary,
-            metrics=tuple(zip(names, row)),
+            config_summary=config.describe(),
+            metrics=row,
         )
         out.append(evaluation)
+    return out
+
+
+def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[Evaluation]":
+    """Score a batch of points: the cost model every strategy optimises
+    against, and the one DSE evaluator.
+
+    Plain points are scored together by one column pass (see
+    :func:`_evaluate_plain`).  Structural points (the ``components`` axis)
+    describe whole heterogeneous fleets: they are grouped by component
+    signature (:func:`~repro.dse.batch.group_by_components`) and split into
+    per-tile-class sub-rows; the unique sub-rows — one per tile class per
+    shared-axis combination, however many fleets reference it — are scored
+    in one more column pass under :func:`_component_spec`, and each fleet
+    is then aggregated by :func:`_aggregate_fleet`.  A point scores the
+    same alone as in any batch.  Module-level and pure-data in/out, so
+    batches ship through :class:`~repro.eval.runner.ExperimentRunner`
+    workers and cache under content-hash keys.
+    """
+    points = list(points)
+    groups = group_by_components(points)
+    plain = groups.pop(None, [])
+    out: "list[Evaluation]" = [None] * len(points)
+    if plain:
+        for index, evaluation in zip(plain, _evaluate_plain([points[i] for i in plain], spec)):
+            out[index] = evaluation
+    if groups:
+        sub_rows: dict = {}  # row key -> row dict, insertion-ordered
+        per_point: dict = {}  # point index -> [(preset, count, row key), ...]
+        for indices in groups.values():
+            for index in indices:
+                keyed = []
+                for preset, count, row in _structural_rows(points[index]):
+                    key = point_key(row)
+                    sub_rows.setdefault(key, row)
+                    keyed.append((preset, count, key))
+                per_point[index] = keyed
+        scored = _evaluate_plain(list(sub_rows.values()), _component_spec(spec))
+        row_evals = dict(zip(sub_rows, scored))
+        for index, keyed in per_point.items():
+            parts = [(preset, count, row_evals[key]) for preset, count, key in keyed]
+            out[index] = _aggregate_fleet(points[index], parts, spec)
     return out

@@ -15,7 +15,6 @@ from repro.dse.objectives import Evaluation, Objective
 __all__ = [
     "dominates",
     "split_front",
-    "pareto_front",
     "nondominated_sort",
     "crowding_distance",
     "reference_point",
@@ -45,28 +44,38 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return better
 
 
+def _on_front(vectors: Sequence[tuple[float, ...]]) -> list[bool]:
+    """Which ``vectors`` no other vector dominates, in input order.
+
+    A dominator is no worse in every dimension, so it sorts lexicographically
+    before what it dominates; and every dominated vector is dominated by some
+    front vector too (domination is transitive).  One sorted sweep that tests
+    each vector against the front found so far is therefore exact, at
+    O(n·front) instead of O(n²) comparisons.  Duplicates stay on the front:
+    no vector strictly dominates its twin.
+    """
+    mask = [False] * len(vectors)
+    front: list[tuple[float, ...]] = []
+    for i in sorted(range(len(vectors)), key=vectors.__getitem__):
+        v = vectors[i]
+        if not any(dominates(f, v) for f in front):
+            front.append(v)
+            mask[i] = True
+    return mask
+
+
 def split_front(
     evaluations: Sequence[Evaluation], objectives: tuple[Objective, ...]
 ) -> tuple[list[Evaluation], list[Evaluation]]:
-    """Partition into (non-dominated front, dominated rest).
+    """Partition into (non-dominated front, dominated rest), both in input order.
 
     Duplicate objective vectors all stay on the front (none strictly
     dominates its twin), which keeps the split deterministic.
     """
-    vectors = [e.vector(objectives) for e in evaluations]
-    front, rest = [], []
-    for i, e in enumerate(evaluations):
-        if any(dominates(vectors[j], vectors[i]) for j in range(len(evaluations)) if j != i):
-            rest.append(e)
-        else:
-            front.append(e)
+    mask = _on_front([e.vector(objectives) for e in evaluations])
+    front = [e for e, keep in zip(evaluations, mask) if keep]
+    rest = [e for e, keep in zip(evaluations, mask) if not keep]
     return front, rest
-
-
-def pareto_front(
-    evaluations: Sequence[Evaluation], objectives: tuple[Objective, ...]
-) -> list[Evaluation]:
-    return split_front(evaluations, objectives)[0]
 
 
 def nondominated_sort(
@@ -130,15 +139,6 @@ def reference_point(
     return tuple(ref)
 
 
-def _nondominated_vectors(vectors: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
-    unique = sorted(set(vectors))
-    return [
-        v
-        for i, v in enumerate(unique)
-        if not any(dominates(u, v) for j, u in enumerate(unique) if j != i)
-    ]
-
-
 def hypervolume(vectors: Sequence[Sequence[float]], reference: Sequence[float]) -> float:
     """Dominated hypervolume of minimisation vectors w.r.t. ``reference``.
 
@@ -148,10 +148,13 @@ def hypervolume(vectors: Sequence[Sequence[float]], reference: Sequence[float]) 
     """
     ref = tuple(float(r) for r in reference)
     pts = [tuple(float(x) for x in v) for v in vectors if all(x < r for x, r in zip(v, ref))]
-    return _hv(_nondominated_vectors(pts), ref)
+    return _hv(pts, ref)
 
 
 def _hv(pts: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
+    # The sweeps below run over the distinct non-dominated points, sorted.
+    unique = sorted(set(pts))
+    pts = [v for v, keep in zip(unique, _on_front(unique)) if keep]
     if not pts:
         return 0.0
     if len(ref) == 1:
@@ -173,8 +176,7 @@ def _hv(pts: list[tuple[float, ...]], ref: tuple[float, ...]) -> float:
     for i, z in enumerate(levels):
         upper = levels[i + 1] if i + 1 < len(levels) else ref[-1]
         slab = upper - z
-        proj = _nondominated_vectors([p[:-1] for p in pts if p[-1] <= z])
-        hv += slab * _hv(proj, ref[:-1])
+        hv += slab * _hv([p[:-1] for p in pts if p[-1] <= z], ref[:-1])
     return hv
 
 

@@ -16,7 +16,7 @@ singleton (:data:`NULL_METRICS`), not a flag checked at every call site.
 
 from __future__ import annotations
 
-__all__ = ["P2Quantile", "MetricStream", "NullMetricStream", "NULL_METRICS"]
+__all__ = ["P2Quantile", "LatencySketch", "MetricStream", "NullMetricStream", "NULL_METRICS"]
 
 
 class P2Quantile:
@@ -115,34 +115,65 @@ class P2Quantile:
 DEFAULT_QUANTILES = (0.50, 0.95, 0.99)
 
 
-class _Distribution:
-    """One observed value stream: count/mean/min/max + P² quantiles."""
+class LatencySketch:
+    """A fixed-size value digest: exact count/mean/extrema + P² quantiles.
 
-    __slots__ = ("count", "total", "min", "max", "quantiles")
+    The one streaming distribution: :class:`MetricStream` keeps one per
+    observed name, and the serving report's stream mode keeps one per
+    tenant.  Duck-types the slice of :class:`~repro.sim.stats.Histogram`
+    the report needs (``record``/``mean``/``max``/``min``/``percentile``)
+    while holding five markers per tracked quantile instead of one bucket
+    per distinct value.  Exact below five observations (P² keeps the sorted
+    prefix), a few percent on tail quantiles beyond.
+    """
 
-    def __init__(self, ps: tuple[float, ...]) -> None:
+    __slots__ = ("name", "count", "total", "_min", "_max", "_quantiles")
+
+    def __init__(self, name: str, quantiles: tuple[float, ...] = DEFAULT_QUANTILES) -> None:
+        self.name = name
         self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.quantiles = {p: P2Quantile(p) for p in ps}
+        self.total = 0
+        self._min = None
+        self._max = None
+        self._quantiles = {p: P2Quantile(p) for p in quantiles}
 
-    def observe(self, x: float) -> None:
-        self.count += 1
-        self.total += x
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-        for est in self.quantiles.values():
-            est.observe(x)
+    def record(self, value: float, weight: int = 1) -> None:
+        for __ in range(weight):
+            self.count += 1
+            self.total += value
+            if self._min is None or value < self._min:
+                self._min = value
+            if self._max is None or value > self._max:
+                self._max = value
+            for est in self._quantiles.values():
+                est.observe(value)
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    @property
+    def max(self) -> float:
+        return self._max if self._max is not None else 0
+
+    @property
+    def min(self) -> float:
+        return self._min if self._min is not None else 0
+
+    def percentile(self, p: float) -> float:
+        try:
+            return self._quantiles[p].value()
+        except KeyError:
+            raise ValueError(
+                f"streaming sketch tracks quantiles {tuple(self._quantiles)}, not {p}"
+            ) from None
 
     def summary(self) -> dict[str, float]:
+        """Flat snapshot fields: count/mean, then min/max/pNN once observed."""
         if not self.count:
             return {"count": 0.0, "mean": 0.0}
-        out = {"count": float(self.count), "mean": self.total / self.count,
-               "min": self.min, "max": self.max}
-        for p, est in self.quantiles.items():
+        out = {"count": float(self.count), "mean": self.mean, "min": self._min, "max": self._max}
+        for p, est in self._quantiles.items():
             out[f"p{round(p * 100)}"] = est.value()
         return out
 
@@ -187,7 +218,7 @@ class MetricStream:
         self.quantile_ps = tuple(quantiles)
         self.every = every
         self.on_snapshot = on_snapshot
-        self.distributions: dict[str, _Distribution] = {}
+        self.distributions: dict[str, LatencySketch] = {}
         self.counters: dict[str, int] = {}
         self.sums: dict[str, float] = {}
         self.snapshots: list[dict] = []
@@ -195,8 +226,8 @@ class MetricStream:
     def observe(self, name: str, value: float) -> None:
         dist = self.distributions.get(name)
         if dist is None:
-            dist = self.distributions[name] = _Distribution(self.quantile_ps)
-        dist.observe(value)
+            dist = self.distributions[name] = LatencySketch(name, self.quantile_ps)
+        dist.record(value)
 
     def mark(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n

@@ -4,10 +4,10 @@ Reproduces Figure 6's decomposition (spatial array / scratchpad /
 accumulator / host CPU / uncore) at any design point of the template.
 
 Every model in :mod:`repro.physical` takes either one
-:class:`~repro.core.config.GemminiConfig` (plain floats out) or a whole
-batch of :class:`~repro.dse.batch.ConfigColumns` (numpy arrays out, one
-entry per design) through the same arithmetic, so the batched DSE
-evaluator is bitwise equal to the per-design one.
+:class:`~repro.core.config.GemminiConfig` (plain floats out) or the
+:class:`~repro.dse.batch.ConfigColumns` built from a batch of them (numpy
+arrays out, one entry per design) through the same arithmetic, so the DSE
+evaluator's columns score each design exactly as its config does.
 """
 
 from __future__ import annotations

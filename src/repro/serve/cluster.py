@@ -68,20 +68,21 @@ def estimate_service_cycles(spec: TenantSpec, config: GemminiConfig) -> float:
     """Analytic service-time estimate for one request of this tenant.
 
     Uses the compiler's im2col lowering plus the closed-form spatial-array
-    cost model — :func:`~repro.dse.objectives.analytic_cycles`, the
-    estimate the DSE analytic fidelity scores designs with — so SJF
-    scheduling needs no profiling run.  Memoized per ``(tenant workload,
-    config)``.
+    cost model — :func:`~repro.dse.objectives.analytic_cycles` on a
+    one-config :class:`~repro.dse.batch.ConfigColumns`, the same function
+    the DSE analytic fidelity sums designs with — so SJF scheduling needs
+    no profiling run.  Memoized per ``(tenant workload, config)``.
     """
     key = (spec.model, spec.input_hw, spec.seq, config)
     cached = _SERVICE_CYCLES_MEMO.get(key)
     if cached is not None:
         return cached
 
+    from repro.dse.batch import ConfigColumns
     from repro.dse.objectives import analytic_cycles, model_workload
 
     workload = model_workload(spec.model, input_hw=spec.input_hw, seq=spec.seq)
-    cycles = analytic_cycles(config, workload)
+    cycles = float(analytic_cycles(ConfigColumns.from_configs([config]), workload)[0])
     _SERVICE_CYCLES_MEMO[key] = cycles
     return cycles
 

@@ -9,10 +9,10 @@ Two digest modes share one report shape:
 * **exact** (default) — each tenant's latencies land in a
   :class:`~repro.sim.stats.Histogram`; percentiles are exact.  This is
   the mode tests and parity gates compare bitwise.
-* **stream** — latencies feed :class:`LatencySketch`, a fixed-size digest
-  of P² quantile estimators (:class:`~repro.obs.metrics.P2Quantile`), so
-  hour-long horizons with millions of requests hold O(tenants) metric
-  state at a few-percent tail accuracy.
+* **stream** — latencies feed :class:`~repro.obs.metrics.LatencySketch`,
+  a fixed-size digest of P² quantile estimators, so hour-long horizons
+  with millions of requests hold O(tenants) metric state at a few-percent
+  tail accuracy.
 
 Rates are reported in wall-clock units (ms, QPS) using the accelerator's
 reference clock.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import P2Quantile
+from repro.obs.metrics import LatencySketch
 from repro.serve.request import RequestRecord
 from repro.serve.workload import TenantSpec
 from repro.sim.stats import Histogram
@@ -35,62 +35,6 @@ __all__ = [
     "jain_fairness",
     "build_report",
 ]
-
-
-class LatencySketch:
-    """A fixed-size latency digest: P² quantiles + exact count/mean/extrema.
-
-    Duck-types the slice of :class:`~repro.sim.stats.Histogram` the report
-    needs (``record``/``mean``/``max``/``min``/``percentile``) while
-    holding five markers per tracked quantile instead of one bucket per
-    distinct latency — the O(in-flight) serving engine's streaming
-    replacement for the exact histogram.  Exact below five observations
-    (P² keeps the sorted prefix), a few percent on tail quantiles beyond.
-    """
-
-    __slots__ = ("name", "count", "total", "_min", "_max", "_quantiles")
-
-    #: quantiles the serving report reads (p50/p95/p99)
-    QUANTILES = (0.50, 0.95, 0.99)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0
-        self._min = None
-        self._max = None
-        self._quantiles = {p: P2Quantile(p) for p in self.QUANTILES}
-
-    def record(self, value: int, weight: int = 1) -> None:
-        for __ in range(weight):
-            self.count += 1
-            self.total += value
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
-            for est in self._quantiles.values():
-                est.observe(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self._max is not None else 0
-
-    @property
-    def min(self) -> float:
-        return self._min if self._min is not None else 0
-
-    def percentile(self, p: float) -> float:
-        try:
-            return self._quantiles[p].value()
-        except KeyError:
-            raise ValueError(
-                f"streaming sketch tracks quantiles {self.QUANTILES}, not {p}"
-            ) from None
 
 
 def jain_fairness(values: list[float]) -> float:
@@ -239,7 +183,7 @@ class ReportAccumulator:
     there is no "wait for the merge to finish, then aggregate the record
     list" step.  ``exact=True`` (the default, and what :func:`build_report`
     uses) keeps exact histograms; ``exact=False`` swaps in
-    :class:`LatencySketch` digests for long-horizon runs that retire
+    :class:`~repro.obs.metrics.LatencySketch` digests for long-horizon runs that retire
     records without keeping them.
     """
 

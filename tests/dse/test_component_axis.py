@@ -107,6 +107,27 @@ class TestStructuralEvaluation:
                 assert ks == kb
                 assert vs == pytest.approx(vb, rel=1e-9)
 
+    def test_fleet_under_traffic_scores_alone_as_in_mixed_batch(self):
+        """Serving metrics of a fleet come from its own simulation, and its
+        sub-rows are scored without the traffic profile, so a structural
+        point scores the same alone as next to plain points and fleets."""
+        from repro.serve import TenantSpec, TrafficProfile
+
+        traffic = TrafficProfile(
+            tenants=(
+                TenantSpec(name="t", model="squeezenet", input_hw=32,
+                           rate_qps=300.0, num_requests=2, slo_ms=5.0),
+            ),
+            num_tiles=1,
+            seed=0,
+        )
+        spec = EvaluationSpec(objectives=("p99_latency_ms", "area_mm2"), traffic=traffic)
+        fleet = mix(("big", 1), ("little", 2))
+        points = [{"dim": 8}, mix(("little", 1)), fleet]
+        [alone] = evaluate_design_batch([fleet], spec)
+        assert evaluate_design_batch(points, spec)[2] == alone
+        assert alone.metric("p99_latency_ms") > 0
+
     def test_group_by_components(self):
         points = [mix(("big", 1)), {"dim": 8, "tile": 1}, mix(("big", 1)),
                   mix(("little", 2))]

@@ -1,5 +1,8 @@
 """Pareto machinery: domination, fronts, hypervolume, bounds."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +80,52 @@ class TestSplitFront:
         evals = [make_eval(1, 1), make_eval(1, 1), make_eval(2, 2)]
         front, discarded = split_front(evals, OBJS)
         assert len(front) == 2 and len(discarded) == 1
+
+
+def reference_split(vectors):
+    """Brute-force front mask: test every vector against every other."""
+    return [
+        not any(dominates(u, v) for j, u in enumerate(vectors) if j != i)
+        for i, v in enumerate(vectors)
+    ]
+
+
+def reference_hypervolume(vectors, ref):
+    """Exact hypervolume by summing every cell of the coordinate grid that
+    some vector (pairwise-filtered to the front) dominates."""
+    pts = [v for v, keep in zip(vectors, reference_split(vectors)) if keep]
+    pts = [v for v in pts if all(x < r for x, r in zip(v, ref))]
+    axes = [sorted({p[d] for p in pts} | {ref[d]}) for d in range(len(ref))]
+    total = 0.0
+    for cell in itertools.product(*(range(len(a) - 1) for a in axes)):
+        low = [axes[d][i] for d, i in enumerate(cell)]
+        if any(all(p[d] <= low[d] for d in range(len(ref))) for p in pts):
+            total += math.prod(axes[d][i + 1] - axes[d][i] for d, i in enumerate(cell))
+    return total
+
+
+# Small integer coordinates force ties in single dimensions and duplicates.
+tied_vectors = st.lists(
+    st.tuples(*(st.integers(0, 4).map(float) for __ in range(3))),
+    min_size=0,
+    max_size=16,
+)
+
+
+class TestAgainstPairwiseReference:
+    @given(tied_vectors)
+    def test_split_front_matches_pairwise(self, values):
+        evals = [make_eval(*v) for v in values]
+        front, rest = split_front(evals, OBJS3)
+        mask = reference_split([e.vector(OBJS3) for e in evals])
+        assert front == [e for e, keep in zip(evals, mask) if keep]
+        assert rest == [e for e, keep in zip(evals, mask) if not keep]
+
+    @given(tied_vectors, st.integers(2, 3))
+    def test_hypervolume_matches_pairwise(self, values, dims):
+        vectors = [v[:dims] for v in values]
+        ref = (4.5,) * dims
+        assert hypervolume(vectors, ref) == reference_hypervolume(vectors, ref)
 
 
 class TestNondominatedSort:
