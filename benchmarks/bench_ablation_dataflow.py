@@ -1,14 +1,16 @@
 """Ablation: weight-stationary vs output-stationary dataflow cycle costs.
 
-DESIGN.md calls out the run-time-selectable dataflow as a template design
-choice (Table I "Dataflows: multiple").  WS avoids the OS drain phase when
+The paper calls out the dataflow as a template design choice (Table I
+"Dataflows: multiple").  WS avoids the OS drain phase when
 results stream to the accumulator; OS wins nothing on these dense shapes
 but is required for mappings that keep C resident.
 """
 
+from dataclasses import replace
+
 from benchmarks.conftest import once
 from repro.core.config import Dataflow, default_config
-from repro.core.spatial_array import SpatialArrayModel
+from repro.core.spatial_array import matmul_cycles
 from repro.eval.report import format_table
 
 SHAPES = [
@@ -23,11 +25,12 @@ SHAPES = [
 
 def dataflow_rows() -> list[tuple]:
     """Cycle costs for every shape (module-level so the runner can cache it)."""
-    model = SpatialArrayModel(default_config())
+    ws_config = replace(default_config(), dataflow=Dataflow.WS)
+    os_config = replace(default_config(), dataflow=Dataflow.OS)
     rows = []
     for m, k, n in SHAPES:
-        ws = model.matmul_cost(m, k, n, Dataflow.WS).total
-        os_cost = model.matmul_cost(m, k, n, Dataflow.OS).total
+        ws = matmul_cycles(ws_config, m, k, n)
+        os_cost = matmul_cycles(os_config, m, k, n)
         rows.append((f"{m}x{k}x{n}", ws, os_cost, os_cost / ws))
     return rows
 

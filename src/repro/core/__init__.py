@@ -28,7 +28,6 @@ from repro.core.dtypes import BF16, FP32, INT8, INT16, INT32, DType, dtype_by_na
 from repro.core.generator import (
     GeneratedAccelerator,
     SoftwareParams,
-    enumerate_design_space,
     generate,
 )
 from repro.core.header import emit_params_header, parse_params_header
@@ -46,9 +45,9 @@ from repro.core.peripherals import (
 from repro.core.scratchpad import Scratchpad
 from repro.core.spatial_array import (
     FunctionalMesh,
-    MatmulCost,
-    SpatialArrayModel,
     StructuralMesh,
+    fill_latency,
+    matmul_cycles,
 )
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "dtype_by_name",
     "GeneratedAccelerator",
     "SoftwareParams",
-    "enumerate_design_space",
     "generate",
     "emit_params_header",
     "parse_params_header",
@@ -98,7 +96,7 @@ __all__ = [
     "im2col",
     "Scratchpad",
     "FunctionalMesh",
-    "MatmulCost",
-    "SpatialArrayModel",
     "StructuralMesh",
+    "fill_latency",
+    "matmul_cycles",
 ]

@@ -34,7 +34,7 @@ from repro.core.isa import (
 )
 from repro.core.peripherals import Im2colUnit, MatrixScalarUnit, PoolingEngine, Transposer
 from repro.core.scratchpad import Scratchpad
-from repro.core.spatial_array import FunctionalMesh, SpatialArrayModel
+from repro.core.spatial_array import FunctionalMesh, fill_latency
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.host_memory import HostMemory
 from repro.mem.page_table import VirtualMemory
@@ -111,7 +111,6 @@ class Accelerator:
         self.scratchpad = Scratchpad(config, name=f"{name}.spad")
         self.accumulator = Accumulator(config, name=f"{name}.acc")
         self.mesh = FunctionalMesh(config)
-        self.model = SpatialArrayModel(config)
         self.dma = DMAEngine(config, self.xlat, self.mem, name=f"{name}.dma")
         self.controller = Controller(rob_entries=config.rob_entries)
         self.transposer = Transposer(config.dim) if config.has_transposer else None
@@ -345,7 +344,9 @@ class Accelerator:
         pre.c_cols = decoded.c_cols
         pre.c_rows = decoded.c_rows
 
-        op = Op(unit="exec", cycles=float(self.model.preload_cycles()), reads=reads, label="preload")
+        # PRELOAD occupies the issue path only: the stationary operand streams
+        # in through the same wavefront as the following COMPUTE.
+        op = Op(unit="exec", cycles=1.0, reads=reads, label="preload")
         return self.controller.execute([op]).end_time
 
     # -- COMPUTE ------------------------------------------------------------ #
@@ -400,10 +401,12 @@ class Accelerator:
 
         op = Op(
             unit="exec",
-            cycles=float(self.model.compute_cycles(rows_streamed)),
+            # One operand row per cycle: the double-buffered weight registers
+            # hide the next preload, so back-to-back COMPUTEs sustain it.
+            cycles=float(rows_streamed),
             reads=reads,
             writes=writes,
-            write_latency=float(self.model.fill_latency),
+            write_latency=float(fill_latency(self.config)),
             label="compute",
         )
         return self.controller.execute([op]).end_time
@@ -432,7 +435,7 @@ class Accelerator:
         self._write_c(pre.c, result[:rows, :cols])
         op = Op(
             unit="exec",
-            cycles=float(self.model.os_drain_cycles()),
+            cycles=float(self.config.dim),  # one column wave out of the array
             writes=self._row_tokens(pre.c, rows),
             label="os_drain",
         )

@@ -9,7 +9,7 @@ parameters are all design-time choices (paper Section III-A).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.core.dtypes import DType, INT8, INT32, FP32, dtype_by_name
 from repro.mem.tlb import TLBConfig
@@ -94,7 +94,8 @@ class GemminiConfig:
     rob_entries: int = 16
 
     # -- virtual memory ----------------------------------------------------- #
-    tlb: TLBConfig = field(default_factory=TLBConfig)
+    #: frozen, so every config shares one default instance
+    tlb: TLBConfig = TLBConfig()
 
     # -- clock -------------------------------------------------------------- #
     clock_ghz: float = 1.0
@@ -121,6 +122,11 @@ class GemminiConfig:
     @property
     def num_pes(self) -> int:
         return self.grid_rows * self.grid_cols
+
+    @property
+    def os_dataflow(self) -> bool:
+        """True only for an OS-only array: a BOTH array runs WS."""
+        return self.dataflow is Dataflow.OS
 
     @property
     def input_bits(self) -> int:

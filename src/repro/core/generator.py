@@ -3,21 +3,17 @@
 ``generate(config)`` mirrors invoking the Chisel generator: it validates the
 template parameters, produces the software-facing artifacts (the C params
 header, the tuned-kernel parameter block) and returns a handle that can
-instantiate simulator instances attached to any SoC memory system.  A design
-space helper enumerates configuration sweeps for systematic evaluation —
-the paper's stated purpose.
+instantiate simulator instances attached to any SoC memory system.  Design
+sweeps over the template live in :mod:`repro.dse.space`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import product
-from typing import Iterable, Iterator
+from dataclasses import dataclass
 
 from repro.core.accelerator import Accelerator
 from repro.core.config import Dataflow, GemminiConfig
 from repro.core.header import emit_params_header
-from repro.core.spatial_array import SpatialArrayModel
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.host_memory import HostMemory
 from repro.mem.page_table import VirtualMemory
@@ -74,9 +70,6 @@ class GeneratedAccelerator:
         """Create a simulator instance of this design point."""
         return Accelerator(self.config, mem=mem, vm=vm, host=host, ptw=ptw, name=name)
 
-    def array_model(self) -> SpatialArrayModel:
-        return SpatialArrayModel(self.config)
-
 
 def generate(config: GemminiConfig) -> GeneratedAccelerator:
     """Run the generator: validate, emit artifacts, return the handle.
@@ -89,28 +82,3 @@ def generate(config: GemminiConfig) -> GeneratedAccelerator:
         header=emit_params_header(config),
         sw_params=SoftwareParams.from_config(config),
     )
-
-
-def enumerate_design_space(
-    base: GemminiConfig,
-    dims: Iterable[int] = (8, 16, 32),
-    sp_capacities: Iterable[int] = (128 * 1024, 256 * 1024, 512 * 1024),
-    dataflows: Iterable[Dataflow] = (Dataflow.WS, Dataflow.OS, Dataflow.BOTH),
-) -> Iterator[GemminiConfig]:
-    """Yield the cross product of template parameters around ``base``.
-
-    Points whose parameters violate template invariants (e.g. capacities
-    that do not divide into banks) are skipped, mirroring how the Chisel
-    generator rejects illegal parameterisations at elaboration.
-    """
-    for dim, sp_bytes, dataflow in product(dims, sp_capacities, dataflows):
-        try:
-            yield replace(
-                base,
-                mesh_rows=dim // base.tile_rows,
-                mesh_cols=dim // base.tile_cols,
-                sp_capacity_bytes=sp_bytes,
-                dataflow=dataflow,
-            )
-        except ValueError:
-            continue

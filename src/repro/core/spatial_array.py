@@ -1,23 +1,22 @@
 """Spatial-array models: structural (cycle-exact), functional, and analytic.
 
-Three views of the same hardware, used at different simulation speeds:
-
 * :class:`StructuralMesh` — per-cycle, per-PE simulation of the two-level
   tiles-of-PEs grid with explicit input skewing and pipeline registers.
-  It is the oracle the tests check the other two views against.
+  It is the oracle the tests check the functional semantics and the
+  analytic latency against.
 * :class:`FunctionalMesh` — NumPy semantics of the array (dataflows,
   transposes, saturation) at instruction granularity.
-* :class:`SpatialArrayModel` — closed-form cycle costs for instructions and
-  whole blocked matmuls; this is what the performance simulator uses.
+* :func:`fill_latency` and :func:`matmul_cycles` — the one closed-form
+  cost of a blocked matmul, for one config or a column batch of them; the
+  macro kernels, the tuner screen, DSE's analytic fidelity and the SJF
+  oracle all price a matmul with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.config import Dataflow, GemminiConfig
+from repro.core.config import GemminiConfig
 
 
 # ---------------------------------------------------------------------- #
@@ -37,7 +36,7 @@ class StructuralMesh:
     (O(dim^2) work per cycle): slow, but trivially auditable against the
     RTL.  Nothing on a simulation path calls them; tests pin
     :class:`FunctionalMesh` results to them and check
-    :class:`SpatialArrayModel` cycle costs against them.
+    :func:`fill_latency` against them.
     """
 
     def __init__(self, config: GemminiConfig) -> None:
@@ -247,144 +246,41 @@ class FunctionalMesh:
 # ---------------------------------------------------------------------- #
 # Analytic cycle model                                                    #
 # ---------------------------------------------------------------------- #
+#
+# Both functions take a :class:`~repro.core.config.GemminiConfig` or the
+# :class:`~repro.dse.batch.ConfigColumns` of a batch of them: the integer
+# arithmetic is the same on ints and on int64 columns, so one config with
+# plain ints costs no numpy call, and columns broadcast against shape
+# arrays into one cost per (shape, design) pair.
 
 
-@dataclass(frozen=True)
-class MatmulCost:
-    """Cycle breakdown of a blocked matmul on the array.
-
-    Plain numbers for one matmul (:meth:`SpatialArrayModel.matmul_cost`);
-    numpy arrays with one entry per (shape, design) pair for a batch
-    (:func:`matmul_cost_batch`).
-    """
-
-    compute_cycles: float
-    drain_cycles: float
-    fill_latency: float
-    blocks: int
-
-    @property
-    def total(self) -> float:
-        return self.compute_cycles + self.drain_cycles + self.fill_latency
-
-
-def _fill_latency(geometry) -> int:
+def fill_latency(geometry):
     """Cycles for a wavefront to cross the array: one per pipeline register
     row plus one per register column, plus the combinational traversal of
-    the final tile (one cycle).  ``geometry`` is a
-    :class:`~repro.core.config.GemminiConfig` or the
-    :class:`~repro.dse.batch.ConfigColumns` of a batch of them."""
+    the final tile (one cycle)."""
     return (geometry.mesh_rows - 1) + (geometry.mesh_cols - 1) + 2
 
 
-def _block_counts(m, k, n, dim):
-    """Integer core of the blocked-matmul cost, on ints or int64 arrays.
+def matmul_cycles(geometry, m, k, n):
+    """Cycles to compute an ``m x k @ k x n`` matmul resident in the
+    scratchpad (no DMA), at DIM-block granularity.
 
-    Returns ``(output blocks, blocks, compute cycles)`` of an ``m x k @ k x
-    n`` matmul at DIM-block granularity.
+    Each (k, n) block pair streams the ``m`` rows of A through the array,
+    one row per cycle; an output-stationary array (``os_dataflow``; a BOTH
+    array runs WS) also drains every output block through the array, one
+    column wave of ``dim`` cycles; the result's first row waits one
+    :func:`fill_latency`.  Plain ints give a Python float; broadcastable
+    int64 arrays give a float64 array.
     """
+    dim = geometry.dim
     mb = -(-m // dim)
     kb = -(-k // dim)
     nb = -(-n // dim)
-    last_m = m - (mb - 1) * dim
-    # Each (k, n) block streams the M dimension through the array.
-    full_col_cycles = (mb - 1) * dim + last_m
-    return mb * nb, mb * kb * nb, kb * nb * full_col_cycles
-
-
-def matmul_cost_batch(cols, shapes) -> MatmulCost:
-    """:meth:`SpatialArrayModel.matmul_cost` of every ``(m, k, n)`` in
-    ``shapes`` on every design of ``cols``, as ``(shapes, designs)`` arrays.
-
-    ``cols`` is the :class:`~repro.dse.batch.ConfigColumns` of a batch of
-    configs; its ``os_dataflow`` column is true only for OS (a BOTH array
-    runs WS).  Every term is the scalar method's, so the costs are bitwise
-    equal to it.
-    """
-    shapes = np.asarray(shapes, dtype=np.int64)
-    if int(shapes.min()) <= 0:
-        raise ValueError("matmul dimensions must be positive")
-    dim = cols.dim[None, :]
-    out_blocks, blocks, compute = _block_counts(
-        shapes[:, 0][:, None], shapes[:, 1][:, None], shapes[:, 2][:, None], dim
-    )
-    compute = compute.astype(np.float64)
-    # OS drains each output block through the array (one column wave of
-    # ``dim`` cycles); WS streams results straight out.
-    drain = np.where(cols.os_dataflow[None, :], (out_blocks * dim).astype(np.float64), 0.0)
-    fill = _fill_latency(cols).astype(np.float64)
-    return MatmulCost(
-        compute_cycles=compute,
-        drain_cycles=drain,
-        fill_latency=np.broadcast_to(fill, compute.shape).copy(),
-        blocks=blocks,
-    )
-
-
-class SpatialArrayModel:
-    """Closed-form cycle costs, consistent with the structural model.
-
-    The consistency is enforced by tests: for random small shapes, the
-    structural simulation's cycle count equals ``fill_latency + rows`` for a
-    single WS block (and the OS equivalent).
-    """
-
-    def __init__(self, config: GemminiConfig) -> None:
-        self.config = config
-        self.dim = config.dim
-
-    # -- per-instruction costs ----------------------------------------- #
-
-    @property
-    def fill_latency(self) -> int:
-        """Cycles for a wavefront to cross the array (see :func:`_fill_latency`)."""
-        return _fill_latency(self.config)
-
-    def compute_cycles(self, rows: int) -> int:
-        """Occupancy of one COMPUTE streaming ``rows`` operand rows.
-
-        The array accepts one row per cycle; the preload of the next
-        stationary operand overlaps via the double-buffered weight
-        registers, so back-to-back COMPUTEs sustain one row per cycle.
-        """
-        return max(1, rows)
-
-    def preload_cycles(self) -> int:
-        """PRELOAD occupies the issue path only (weights stream in through
-        the same wavefront as the following COMPUTE)."""
-        return 1
-
-    def os_drain_cycles(self) -> int:
-        """Reading C out of an output-stationary array: one column wave."""
-        return self.dim
-
-    # -- blocked-matmul costs ------------------------------------------- #
-
-    def matmul_cost(
-        self, m: int, k: int, n: int, dataflow: Dataflow = Dataflow.WS
-    ) -> MatmulCost:
-        """Cycles to compute an ``m x k @ k x n`` matmul resident in the
-        scratchpad (no DMA), at DIM-block granularity."""
+    total = kb * nb * m + mb * nb * dim * geometry.os_dataflow + fill_latency(geometry)
+    if not isinstance(total, np.ndarray):
         if min(m, k, n) <= 0:
             raise ValueError("matmul dimensions must be positive")
-        out_blocks, blocks, compute = _block_counts(m, k, n, self.dim)
-        if dataflow is Dataflow.OS:
-            # OS drains each output block through the array.
-            drain = float(out_blocks * self.os_drain_cycles())
-        else:
-            drain = 0.0  # WS (and BOTH, which runs WS) streams results out
-        return MatmulCost(
-            compute_cycles=float(compute),
-            drain_cycles=drain,
-            fill_latency=float(_fill_latency(self.config)),
-            blocks=blocks,
-        )
-
-    def ideal_macs_per_cycle(self) -> int:
-        return self.config.num_pes
-
-    def utilisation(self, m: int, k: int, n: int, dataflow: Dataflow = Dataflow.WS) -> float:
-        """Achieved MACs/cycle over peak for a scratchpad-resident matmul."""
-        cost = self.matmul_cost(m, k, n, dataflow)
-        macs = m * k * n
-        return macs / (cost.total * self.ideal_macs_per_cycle())
+        return float(total)
+    if min(np.min(m), np.min(k), np.min(n)) <= 0:
+        raise ValueError("matmul dimensions must be positive")
+    return total.astype(np.float64)

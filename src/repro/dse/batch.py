@@ -11,7 +11,7 @@ vectorised expressions.  The columns carry the attribute names of
 :func:`~repro.physical.area.accelerator_area`,
 :func:`~repro.physical.power.power_mw`,
 :func:`~repro.physical.energy.estimate_energy` and
-:func:`~repro.core.spatial_array.matmul_cost_batch`.
+:func:`~repro.core.spatial_array.matmul_cycles`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.config import Dataflow, GemminiConfig
+from repro.core.config import GemminiConfig
 
 __all__ = ["ConfigColumns", "group_by_components"]
 
@@ -55,7 +55,7 @@ class ConfigColumns:
     sp_capacity_bytes: np.ndarray  # int64
     acc_capacity_bytes: np.ndarray  # int64
     input_bits: np.ndarray  # int64
-    os_dataflow: np.ndarray  # bool: OS only (a BOTH array runs WS)
+    os_dataflow: np.ndarray  # bool: GemminiConfig.os_dataflow
 
     @classmethod
     def from_configs(cls, configs: Sequence[GemminiConfig]) -> "ConfigColumns":
@@ -77,7 +77,7 @@ class ConfigColumns:
         ints = np.asarray(rows, dtype=np.int64).T
         return cls(
             *ints,
-            os_dataflow=np.asarray([c.dataflow is Dataflow.OS for c in configs], dtype=bool),
+            os_dataflow=np.asarray([c.os_dataflow for c in configs], dtype=bool),
         )
 
     @property

@@ -4,8 +4,8 @@ The one evaluator, :func:`evaluate_design_batch`, combines the repo's
 calibrated models into one typed :class:`Evaluation` per point.  Each
 point becomes a validated :class:`~repro.core.config.GemminiConfig`, and a
 batch of them becomes one :class:`~repro.dse.batch.ConfigColumns`: cycles
-come from :func:`analytic_cycles` (the blocked-matmul model of
-:mod:`repro.core.spatial_array`, or a full SoC run at
+come from :func:`analytic_cycles` (the blocked-matmul cost
+:func:`~repro.core.spatial_array.matmul_cycles`, or a full SoC run at
 ``fidelity="soc"``), achievable clock from :mod:`repro.physical.timing`,
 area from :mod:`repro.physical.area`, power from
 :mod:`repro.physical.power` and energy from :mod:`repro.physical.energy`,
@@ -24,7 +24,8 @@ from dataclasses import replace as dc_replace
 import numpy as np
 
 from repro.core.config import GemminiConfig
-from repro.core.spatial_array import matmul_cost_batch
+from repro.core.generator import SoftwareParams
+from repro.core.spatial_array import matmul_cycles
 from repro.dse.batch import ConfigColumns, group_by_components
 from repro.dse.space import COMPONENTS_KEY, TILE_PRESETS, point_key, point_to_config
 from repro.physical.area import accelerator_area
@@ -155,36 +156,24 @@ def conv_workload() -> Workload:
 
 
 def model_workload(name: str, input_hw: int = 224, seq: int = 128) -> Workload:
-    """Every matmul-able layer of a zoo model, im2col-lowered.
-
-    Conv becomes ``(H_out*W_out, k*k*C_in, C_out)``; Gemm/MatMul map
-    directly; depthwise convolutions run per-channel and contribute
-    ``(H_out*W_out, k*k, 1)`` scaled into one aggregate shape.
+    """Every matmul-able layer of a zoo model, in plan order, each the
+    compiler's im2col lowering of it
+    (:attr:`~repro.sw.compiler.LayerPlan.matmul_shape`): conv is
+    ``(H_out*W_out, k*k*C_in, C_out)``, Gemm/MatMul map directly, and a
+    depthwise convolution's per-channel ``(H_out*W_out, k*k, 1)`` matmuls
+    fold into one ``(H_out*W_out*C, k*k, 1)`` shape of the same MACs.
     """
     from repro.models.zoo import build_model
+    from repro.sw.compiler import compile_graph
 
     kwargs = {"seq": seq} if name == "bert" else {"input_hw": input_hw}
-    graph = build_model(name, **kwargs)
-    shapes: list[tuple[int, int, int]] = []
-    for node in graph.nodes:
-        if node.op == "Conv":
-            a = graph.tensor(node.inputs[0])
-            out = graph.tensor(node.outputs[0])
-            kernel = node.attrs.get("kernel", 1)
-            shapes.append((out.shape[0] * out.shape[1], kernel * kernel * a.shape[2], out.shape[2]))
-        elif node.op == "DepthwiseConv":
-            out = graph.tensor(node.outputs[0])
-            kernel = node.attrs.get("kernel", 1)
-            # One channel's patch matmul, repeated C times; fold the repeat
-            # into M so the aggregate MAC count is preserved.
-            shapes.append((out.shape[0] * out.shape[1] * out.shape[2], kernel * kernel, 1))
-        elif node.op in ("Gemm", "MatMul"):
-            a = graph.tensor(node.inputs[0])
-            out = graph.tensor(node.outputs[0])
-            shapes.append((a.shape[0], a.shape[1], out.shape[1]))
+    # The lowering of conv and matmul plans reads no accelerator parameter.
+    params = SoftwareParams.from_config(GemminiConfig())
+    plans = compile_graph(build_model(name, **kwargs), params).plans
+    shapes = (plan.matmul_shape for plan in plans)
     return Workload(
         name=name,
-        shapes=tuple(shapes),
+        shapes=tuple(shape for shape in shapes if shape is not None),
         model=name,
         model_kwargs=tuple(sorted(kwargs.items())),
     )
@@ -309,8 +298,10 @@ def analytic_cycles(cols: ConfigColumns, workload: Workload) -> np.ndarray:
     BOTH-dataflow array runs WS).  The cycle model of DSE's analytic
     fidelity and of the SJF oracle
     (:func:`~repro.serve.cluster.estimate_service_cycles`)."""
-    # (shapes, designs) costs; block counts are integral, so the sum is exact
-    return matmul_cost_batch(cols, workload.shapes).total.sum(axis=0)
+    shapes = np.asarray(workload.shapes, dtype=np.int64)
+    m, k, n = shapes.T[:, :, None]
+    # (shapes, designs) costs; every term is integral, so the sum is exact
+    return matmul_cycles(cols, m, k, n).sum(axis=0)
 
 
 def _analytic_metrics(workload, cycles, fmax, area_um2, power, energy_mj) -> dict:

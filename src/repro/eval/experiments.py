@@ -3,7 +3,8 @@
 Each runner builds the exact configuration the paper describes, executes it
 on the simulator stack, and returns a result object holding measured values
 alongside the paper's published reference points.  ``benchmarks/`` exposes
-one pytest-benchmark per runner; EXPERIMENTS.md records the comparisons.
+one pytest-benchmark per runner, which writes the comparison to
+``benchmark_results/``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ CNN inference needs when the accelerator lacks an on-the-fly im2col unit,
 and CPU-resident operators (softmax, layer-norm, GELU) that language models
 keep on the host.  A per-kernel cycles-per-element model captures exactly
 that role; the constants are calibrated so the paper's published
-CPU/accelerator anchors are reproduced (see EXPERIMENTS.md for the
-calibration table).
+CPU/accelerator anchors are reproduced (each anchor is noted at its
+constant below).
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class CPUModel:
         )
 
 
-#: Low-power in-order core (Rocket-class).  Calibration (EXPERIMENTS.md):
+#: Low-power in-order core (Rocket-class).  Calibration:
 #: conv_cpe anchors the full-ResNet50 Rocket baseline at ~81 Gcycles, the
 #: paper's 2,670x ratio against the generated accelerator; matmul_cpe
 #: anchors the BERT ratio (144x); softmax/layernorm/gelu costs reflect

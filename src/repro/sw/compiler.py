@@ -45,6 +45,25 @@ class LayerPlan:
     has_bias: bool = False
     macs: int = 0
 
+    @property
+    def matmul_shape(self) -> tuple[int, int, int] | None:
+        """The ``(m, k, n)`` matmul this plan lowers to on the array, or None.
+
+        Convolutions take their im2col lowering (``m=num_patches,
+        k=patch_size, n=out_ch``); a depthwise convolution runs one
+        ``num_patches x k^2 @ k^2 x 1`` matmul per channel, folded into M.
+        """
+        if self.placement is not Placement.ACCEL:
+            return None
+        conv = self.conv
+        if self.kind == "matmul":
+            return (self.m, self.k, self.n)
+        if self.kind == "conv":
+            return (conv.num_patches, conv.patch_size, conv.out_ch)
+        if self.kind == "dwconv":
+            return (conv.num_patches * conv.out_ch, conv.kernel * conv.kernel, 1)
+        return None
+
     def describe(self) -> str:
         extra = ""
         if self.kind in ("conv", "dwconv") and self.conv is not None:
@@ -75,24 +94,17 @@ class CompiledModel:
 
     def matmul_shapes(self) -> list[tuple[int, int, int]]:
         """Ordered unique (m, k, n) shapes the runtime's matmul dispatch
-        will plan for — explicit matmul layers plus convolutions in their
-        im2col lowering (``m=num_patches, k=patch_size, n=out_ch``).
-        Depthwise convolutions are excluded: their per-channel matmuls
-        bypass the tiling planner.  This is the shape list ``gemmini-repro
-        tune`` pre-warms the schedule cache with.
+        will plan for — explicit matmul layers plus convolutions, each its
+        :attr:`LayerPlan.matmul_shape`.  Depthwise convolutions are
+        excluded: their per-channel matmuls bypass the tiling planner.
+        This is the shape list ``gemmini-repro tune`` pre-warms the
+        schedule cache with.
         """
         shapes: list[tuple[int, int, int]] = []
         seen: set[tuple[int, int, int]] = set()
         for plan in self.plans:
-            if plan.placement is not Placement.ACCEL:
-                continue
-            if plan.kind == "matmul":
-                shape = (plan.m, plan.k, plan.n)
-            elif plan.kind == "conv" and plan.conv is not None:
-                shape = (plan.conv.num_patches, plan.conv.patch_size, plan.conv.out_ch)
-            else:
-                continue
-            if shape in seen:
+            shape = plan.matmul_shape
+            if shape is None or plan.kind == "dwconv" or shape in seen:
                 continue
             seen.add(shape)
             shapes.append(shape)

@@ -3,10 +3,11 @@
 Each kernel lowers one layer into *macro-ops* for the accelerator's
 decoupled controller: DMA loads and stores run real address streams through
 the TLB and shared L2 (so translation and cache behaviour are exact), while
-compute ops carry closed-form cycle costs from the spatial-array model (the
-closed forms are property-tested against the ISA-level simulator).  The
-double-buffered loop structure mirrors Gemmini's tuned C library: loads of
-iteration *n+1* overlap the matmul of iteration *n* through the scoreboard.
+compute ops carry closed-form cycle costs from
+:func:`~repro.core.spatial_array.matmul_cycles` (property-tested against the
+ISA-level simulator).  The double-buffered loop structure mirrors Gemmini's
+tuned C library: loads of iteration *n+1* overlap the matmul of iteration
+*n* through the scoreboard.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.config import Dataflow
 from repro.core.controller import Op
 from repro.core.generator import SoftwareParams
 from repro.core.peripherals import ConvParams, PoolParams
-from repro.core.spatial_array import SpatialArrayModel
+from repro.core.spatial_array import fill_latency, matmul_cycles
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.soc.soc import SoCTile
 from repro.sw.schedule_cache import (
@@ -27,6 +27,12 @@ from repro.sw.schedule_cache import (
     schedule_key,
 )
 from repro.sw.tiling import MatmulTiling, plan_matmul_tiling
+
+
+#: fixed controller overhead charged per macro compute op (loop bookkeeping
+#: and RoCC issue of the hardware-loop commands); the tuner's screen charges
+#: the same
+ISSUE_OVERHEAD = 8.0
 
 
 @dataclass
@@ -48,10 +54,6 @@ class KernelResult:
 class TileKernels:
     """Kernel library bound to one SoC tile (CPU + accelerator pair)."""
 
-    #: fixed controller overhead charged per macro compute op (loop
-    #: bookkeeping and RoCC issue of the hardware-loop commands)
-    issue_overhead: float = 8.0
-
     def __init__(
         self,
         tile: SoCTile,
@@ -60,19 +62,15 @@ class TileKernels:
     ) -> None:
         self.tile = tile
         self.accel = tile.accel
-        self.params = SoftwareParams.from_config(self.accel.config)
-        self.model = SpatialArrayModel(self.accel.config)
-        self.dim = self.accel.config.dim
+        self.config = self.accel.config
+        self.params = SoftwareParams.from_config(self.config)
+        self.dim = self.config.dim
+        self._fill_latency = float(fill_latency(self.config))
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: tuned-schedule source for auto-planned matmuls; the ambient
         #: (``REPRO_SCHEDULE_CACHE``-resolved) cache unless one is injected
         self.schedule_cache = (
             schedule_cache if schedule_cache is not None else default_schedule_cache()
-        )
-        self._dataflow = (
-            Dataflow.WS
-            if self.accel.config.dataflow.supports(Dataflow.WS)
-            else Dataflow.OS
         )
 
     # ------------------------------------------------------------------ #
@@ -91,7 +89,7 @@ class TileKernels:
         cache = self.schedule_cache
         if not cache:
             return plan_matmul_tiling(self.params, m, k, n)
-        tiling = cache.lookup(schedule_key(self.accel.config, m, k, n))
+        tiling = cache.lookup(schedule_key(self.config, m, k, n))
         tracer = self.tracer
         if tracer:
             now = self.accel.controller.now
@@ -151,10 +149,10 @@ class TileKernels:
     def _exec_op(self, cycles: float, reads: tuple, writes: tuple, label: str = "exec") -> Op:
         return Op(
             unit="exec",
-            cycles=cycles + self.issue_overhead,
+            cycles=cycles + ISSUE_OVERHEAD,
             reads=reads,
             writes=writes,
-            write_latency=float(self.model.fill_latency),
+            write_latency=self._fill_latency,
             label=label,
         )
 
@@ -249,9 +247,8 @@ class TileKernels:
                     reads=(("t", b_token),) if b_token is not None else (),
                     label=f"{label}.ldB",
                 )
-                cost = self.model.matmul_cost(m_cur, k_cur, n_cur, self._dataflow)
                 yield self._exec_op(
-                    cost.total,
+                    matmul_cycles(self.config, m_cur, k_cur, n_cur),
                     reads=(a_buf, b_buf),
                     writes=(c_buf,),
                     label=f"{label}.ex",
@@ -377,7 +374,7 @@ class TileKernels:
         channels = conv.in_ch
         m = conv.num_patches
         kk = conv.kernel * conv.kernel
-        per_channel = self.model.matmul_cost(m, kk, 1, self._dataflow).total
+        per_channel = matmul_cycles(self.config, m, kk, 1)
 
         # Tile channels so each group's I/O fits a scratchpad half.
         bytes_per_channel = conv.in_h * conv.in_w

@@ -26,12 +26,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.config import Dataflow, GemminiConfig
+from repro.core.config import GemminiConfig
 from repro.core.generator import SoftwareParams
-from repro.core.spatial_array import SpatialArrayModel
+from repro.core.spatial_array import matmul_cycles
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.soc.soc import make_soc
 from repro.sw.compiler import CompiledModel
+from repro.sw.kernels import ISSUE_OVERHEAD, TileKernels
 from repro.sw.schedule_cache import (
     NULL_SCHEDULE_CACHE,
     ScheduleCache,
@@ -135,9 +136,6 @@ def _extent_counts(total: int, tile: int) -> list[tuple[int, int]]:
 #: TLB bookkeeping) — penalises very small tiles the way the simulator does
 _DMA_OP_OVERHEAD = 8.0
 
-#: fixed controller overhead per exec macro-op (TileKernels.issue_overhead)
-_ISSUE_OVERHEAD = 8.0
-
 
 def estimate_cycles(
     config: GemminiConfig,
@@ -148,25 +146,22 @@ def estimate_cycles(
     """Closed-form cycle estimate used to rank candidates before the
     cycle-accurate shortlist verification.
 
-    Compute is the spatial-array model summed over full/edge tile combos
+    Compute is :func:`~repro.core.spatial_array.matmul_cycles` plus the
+    kernels' per-exec issue overhead, summed over full/edge tile combos
     (O(8) terms, never per-iteration loops); DMA traffic counts each A
     tile loaded ``outer_j`` times, each B tile ``outer_i`` times and C
     once, at the DMA bus width.  Double buffering overlaps the two
     (bounded by the longer, plus a fraction of the shorter for imperfect
     overlap); single buffering serialises them.
     """
-    model = SpatialArrayModel(config)
-    dataflow = (
-        Dataflow.WS if config.dataflow.supports(Dataflow.WS) else Dataflow.OS
-    )
     t = tiling
     compute = 0.0
     for me, mc in _extent_counts(t.m, t.tile_m):
         for ke, kc in _extent_counts(t.k, t.tile_k):
             for ne, nc in _extent_counts(t.n, t.tile_n):
                 count = mc * kc * nc
-                cost = model.matmul_cost(me, ke, ne, dataflow).total
-                compute += count * (cost + _ISSUE_OVERHEAD)
+                cost = matmul_cycles(config, me, ke, ne)
+                compute += count * (cost + ISSUE_OVERHEAD)
 
     a_bytes = t.outer_j * t.m * t.k * elem_bytes
     b_bytes = t.outer_i * t.k * t.n * elem_bytes
@@ -193,8 +188,6 @@ def simulate_tiling_cycles(
     """Simulated cycles of one candidate's macro-op stream on a fresh,
     isolated single-tile SoC (cold caches, no co-runners) — the common
     yardstick every shortlisted candidate is measured against."""
-    from repro.sw.kernels import TileKernels
-
     soc = make_soc(gemmini=config)
     tile = soc.tile
     kernels = TileKernels(tile, schedule_cache=NULL_SCHEDULE_CACHE)

@@ -1,7 +1,7 @@
 """Unit tests for the generator front end."""
 
-from repro.core.config import Dataflow, default_config
-from repro.core.generator import enumerate_design_space, generate
+from repro.core.config import default_config
+from repro.core.generator import generate
 
 
 class TestGenerate:
@@ -30,34 +30,3 @@ class TestGenerate:
         b = gen.instantiate(name="g1")
         assert a is not b
         assert a.scratchpad is not b.scratchpad
-
-    def test_array_model(self):
-        gen = generate(default_config())
-        model = gen.array_model()
-        assert model.dim == 16
-
-
-class TestDesignSpace:
-    def test_enumeration_counts(self):
-        points = list(enumerate_design_space(default_config()))
-        assert len(points) == 3 * 3 * 3  # dims x capacities x dataflows
-
-    def test_points_are_valid_configs(self):
-        for cfg in enumerate_design_space(default_config()):
-            assert cfg.dim in (8, 16, 32)
-            assert cfg.sp_capacity_bytes in (128 * 1024, 256 * 1024, 512 * 1024)
-
-    def test_illegal_points_skipped(self):
-        # Tiny capacities that cannot hold whole banked rows are dropped.
-        points = list(
-            enumerate_design_space(default_config(), sp_capacities=(1024,), dims=(16,))
-        )
-        # 1 KB / (16 B rows x 4 banks) = 16 rows: legal, so not skipped.
-        assert all(p.sp_capacity_bytes == 1024 for p in points)
-
-    def test_dataflow_sweep(self):
-        flows = {
-            cfg.dataflow
-            for cfg in enumerate_design_space(default_config(), dims=(16,), sp_capacities=(256 * 1024,))
-        }
-        assert flows == {Dataflow.WS, Dataflow.OS, Dataflow.BOTH}

@@ -9,13 +9,24 @@ The central claims validated here:
   pipeline (register counts).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import isa
+from repro.core.accelerator import Accelerator
 from repro.core.config import Dataflow, GemminiConfig
-from repro.core.spatial_array import FunctionalMesh, SpatialArrayModel, StructuralMesh
+from repro.core.isa import LocalAddr
+from repro.core.spatial_array import (
+    FunctionalMesh,
+    StructuralMesh,
+    fill_latency,
+    matmul_cycles,
+)
+from repro.dse.batch import ConfigColumns
 
 
 def make_config(dim, tile_rows, tile_cols, **kwargs):
@@ -33,6 +44,13 @@ def make_config(dim, tile_rows, tile_cols, **kwargs):
 
 
 TILINGS_4 = [(1, 1), (2, 2), (4, 4), (1, 4), (4, 1), (2, 1)]
+
+#: every dataflow on several geometries, including non-square tile grids
+COLUMN_CONFIGS = [
+    make_config(dim, tile_rows, tile_cols, dataflow=dataflow)
+    for dim, tile_rows, tile_cols in [(4, 1, 1), (4, 2, 2), (4, 4, 1), (8, 2, 4), (16, 4, 4)]
+    for dataflow in Dataflow
+]
 
 
 class TestStructuralWS:
@@ -197,51 +215,63 @@ class TestStructuralVsFunctional:
 
 class TestAnalyticModel:
     def test_fill_latency_systolic_vs_vector(self):
-        systolic = SpatialArrayModel(make_config(4, 1, 1))
-        vector = SpatialArrayModel(make_config(4, 4, 4))
-        assert systolic.fill_latency > vector.fill_latency
-        assert vector.fill_latency == 2
+        systolic = make_config(4, 1, 1)
+        vector = make_config(4, 4, 4)
+        assert fill_latency(systolic) > fill_latency(vector)
+        assert fill_latency(vector) == 2
 
     def test_compute_cycles_row_per_cycle(self, small_config):
-        model = SpatialArrayModel(small_config)
-        assert model.compute_cycles(4) == 4
-        assert model.compute_cycles(1) == 1
-        assert model.compute_cycles(0) == 1
+        """A COMPUTE occupies the execute unit one cycle per streamed A row
+        (at least one), after a 1-cycle CONFIG and a 1-cycle PRELOAD."""
+        garbage = LocalAddr.garbage_addr()
+
+        def exec_busy(rows):
+            accel = Accelerator(small_config)
+            accel.run_program([
+                isa.config_ex(dataflow_ws=True),
+                isa.preload(garbage, garbage, 4, 4, 4, 4),
+                isa.compute_preloaded(garbage, garbage, 4, rows, 4, 4),
+                isa.fence(),
+            ])
+            return accel.controller.units["exec"].busy_time
+
+        assert exec_busy(4) == 2 + 4
+        assert exec_busy(1) == 2 + 1
+        assert exec_busy(0) == 2 + 1
 
     def test_matmul_cost_exact_blocks(self, small_config):
-        model = SpatialArrayModel(small_config)
-        cost = model.matmul_cost(8, 8, 8, Dataflow.WS)
-        assert cost.blocks == 8
-        # Each (k, n) block pair streams 8 rows of A.
-        assert cost.compute_cycles == 4 * 8
-        assert cost.drain_cycles == 0
+        # 2x2x2 blocks; each (k, n) block pair streams 8 rows of A.
+        ws = replace(small_config, dataflow=Dataflow.WS)
+        assert matmul_cycles(ws, 8, 8, 8) == 4 * 8 + fill_latency(ws)
 
     def test_matmul_cost_ragged_edges(self, small_config):
-        model = SpatialArrayModel(small_config)
-        cost = model.matmul_cost(5, 4, 4, Dataflow.WS)
-        assert cost.blocks == 2
-        assert cost.compute_cycles == 4 + 1  # full block + 1 leftover row
+        ws = replace(small_config, dataflow=Dataflow.WS)
+        # one (k, n) block pair: a full block of 4 rows + 1 leftover row
+        assert matmul_cycles(ws, 5, 4, 4) == 4 + 1 + fill_latency(ws)
 
     def test_os_pays_drain(self, small_config):
-        model = SpatialArrayModel(small_config)
-        ws = model.matmul_cost(16, 16, 16, Dataflow.WS)
-        os = model.matmul_cost(16, 16, 16, Dataflow.OS)
-        assert os.total > ws.total
-        assert os.drain_cycles == 16 * 4  # 4x4 output blocks x dim
+        ws = replace(small_config, dataflow=Dataflow.WS)
+        os = replace(small_config, dataflow=Dataflow.OS)
+        both = replace(small_config, dataflow=Dataflow.BOTH)
+        # 4x4 output blocks, each drained in one dim-cycle column wave
+        assert matmul_cycles(os, 16, 16, 16) - matmul_cycles(ws, 16, 16, 16) == 16 * 4
+        # a BOTH array runs WS
+        assert matmul_cycles(both, 16, 16, 16) == matmul_cycles(ws, 16, 16, 16)
 
     def test_invalid_dims_rejected(self, small_config):
-        model = SpatialArrayModel(small_config)
         with pytest.raises(ValueError):
-            model.matmul_cost(0, 4, 4)
+            matmul_cycles(small_config, 0, 4, 4)
+        cols = ConfigColumns.from_configs([small_config])
+        with pytest.raises(ValueError):
+            matmul_cycles(cols, np.array([[4], [0]]), 4, 4)
 
     def test_utilisation_peak_for_large_square(self, small_config):
-        model = SpatialArrayModel(small_config)
-        util = model.utilisation(64, 64, 64)
+        util = 64**3 / (matmul_cycles(small_config, 64, 64, 64) * small_config.num_pes)
         assert 0.9 < util <= 1.0
 
     def test_utilisation_poor_for_skinny(self, small_config):
-        model = SpatialArrayModel(small_config)
-        assert model.utilisation(64, 1, 64) < 0.3
+        util = 64 * 64 / (matmul_cycles(small_config, 64, 1, 64) * small_config.num_pes)
+        assert util < 0.3
 
     @given(
         st.integers(min_value=1, max_value=64),
@@ -250,18 +280,44 @@ class TestAnalyticModel:
     )
     @settings(max_examples=30)
     def test_cost_monotone_in_dims(self, m, k, n):
-        model = SpatialArrayModel(make_config(4, 1, 1))
-        base = model.matmul_cost(m, k, n).total
-        assert model.matmul_cost(m + 4, k, n).total >= base
-        assert model.matmul_cost(m, k + 4, n).total >= base
-        assert model.matmul_cost(m, k, n + 4).total >= base
+        cfg = make_config(4, 1, 1)
+        base = matmul_cycles(cfg, m, k, n)
+        assert matmul_cycles(cfg, m + 4, k, n) >= base
+        assert matmul_cycles(cfg, m, k + 4, n) >= base
+        assert matmul_cycles(cfg, m, k, n + 4) >= base
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=300),
+                st.integers(min_value=1, max_value=300),
+                st.integers(min_value=1, max_value=300),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.sampled_from(COLUMN_CONFIGS), min_size=1, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_config_and_columns_agree_bitwise(self, shapes, configs):
+        """One config with plain ints and a column batch with int64 arrays
+        give the same cost, bit for bit, for every (shape, design) pair."""
+        cols = ConfigColumns.from_configs(configs)
+        assert cols.os_dataflow.tolist() == [c.os_dataflow for c in configs]
+        m, k, n = np.asarray(shapes, dtype=np.int64).T[:, :, None]
+        batch = matmul_cycles(cols, m, k, n)
+        assert batch.dtype == np.float64 and batch.shape == (len(shapes), len(configs))
+        for i, (mi, ki, ni) in enumerate(shapes):
+            for j, config in enumerate(configs):
+                one = matmul_cycles(config, mi, ki, ni)
+                assert type(one) is float
+                assert one.hex() == float(batch[i, j]).hex()
 
     def test_structural_cycle_agreement_ws(self, rng):
         """The structural sim's cycle count matches fill_latency + m."""
         for tiles in [(1, 1), (2, 2), (4, 4)]:
             cfg = make_config(4, *tiles)
             structural = StructuralMesh(cfg)
-            model = SpatialArrayModel(cfg)
             m = 6
             a = rng.integers(-2, 2, size=(m, 4))
             b = rng.integers(-2, 2, size=(4, 4))
@@ -269,4 +325,4 @@ class TestAnalyticModel:
             __, cycles = structural.run_ws(a, b, d)
             # Structural runs m cycles of streaming plus the pipeline drain;
             # the analytic fill latency must not exceed the structural drain.
-            assert cycles >= m + model.fill_latency - 2
+            assert cycles >= m + fill_latency(cfg) - 2

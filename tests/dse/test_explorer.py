@@ -14,6 +14,7 @@ from repro.dse import (
 )
 from repro.dse.pareto import dominates, parse_bound
 from repro.eval.runner import ExperimentRunner
+from repro.models.zoo import build_model, model_names
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +38,15 @@ class TestEvaluateDesign:
             EvaluationSpec(workload=conv_workload(), fidelity="soc")
 
     def test_model_workload_shapes(self):
-        workload = model_workload("alexnet", input_hw=64)
-        assert workload.shapes
-        assert workload.total_macs > 0
-        assert workload.model == "alexnet"
+        """Every zoo model at two sizes: the compiler's im2col lowering keeps
+        every MAC of the graph."""
+        for name in model_names():
+            key = "seq" if name == "bert" else "input_hw"
+            for size in (16, 128) if name == "bert" else (64, 224):
+                workload = model_workload(name, **{key: size})
+                assert workload.shapes
+                assert workload.model == name
+                assert workload.total_macs == build_model(name, **{key: size}).total_macs()
 
     def test_soc_fidelity_runs_full_simulation(self):
         point = {"dim": 8, "tile": 2, "sp_kb": 128, "acc_kb": 32,

@@ -1,9 +1,9 @@
 """Cost-model consistency: macro analytic costs vs ISA-level execution.
 
-DESIGN.md commits to one cost model across both simulation granularities:
-the closed-form ``SpatialArrayModel.matmul_cost`` used by the macro kernels
-must agree with the cycles measured when the same matmul executes
-instruction by instruction through the ISA-level simulator's execute unit.
+One cost model spans both simulation granularities: the closed-form
+``matmul_cycles`` used by the macro kernels must agree with the cycles
+measured when the same matmul executes instruction by instruction through
+the ISA-level simulator's execute unit.
 """
 
 import numpy as np
@@ -13,16 +13,23 @@ from hypothesis import strategies as st
 
 from repro.core.accelerator import Accelerator
 from repro.core.config import Dataflow, GemminiConfig
-from repro.core.spatial_array import SpatialArrayModel
+from repro.core.spatial_array import fill_latency, matmul_cycles
 from repro.sw.lowlevel import GemminiProgramBuilder
 
 
-def small_cfg():
+def small_cfg(dataflow=Dataflow.BOTH):
     return GemminiConfig(
         mesh_rows=4, mesh_cols=4, tile_rows=1, tile_cols=1,
         sp_capacity_bytes=4 * 4 * 1024, sp_banks=2,
         acc_capacity_bytes=4 * 16 * 256, acc_banks=2,
+        dataflow=dataflow,
     )
+
+
+def ws_compute_cycles(m, k, n):
+    """The closed form's streaming cycles on the WS array (total minus fill)."""
+    cfg = small_cfg(Dataflow.WS)
+    return matmul_cycles(cfg, m, k, n) - fill_latency(cfg)
 
 
 def isa_exec_busy_cycles(m, k, n):
@@ -50,9 +57,6 @@ class TestCostConsistency:
     def test_analytic_matches_isa_compute_cycles(self, m, k, n):
         """Analytic compute cycles == ISA execute-unit busy time (minus the
         per-instruction issue costs the analytic model excludes)."""
-        model = SpatialArrayModel(small_cfg())
-        cost = model.matmul_cost(m, k, n, Dataflow.WS)
-
         busy = isa_exec_busy_cycles(m, k, n)
         dim = 4
         mb = -(-m // dim)
@@ -61,25 +65,22 @@ class TestCostConsistency:
         # The ISA stream adds 1-cycle PRELOADs and 4 CONFIGs
         # (config_ex, config_ld for A, config_ld for B, config_st).
         preload_overhead = mb * kb * nb * 1 + 4
-        assert busy == pytest.approx(cost.compute_cycles + preload_overhead, abs=1.0)
+        assert busy == pytest.approx(ws_compute_cycles(m, k, n) + preload_overhead, abs=1.0)
 
     def test_single_block_exact(self):
-        model = SpatialArrayModel(small_cfg())
-        cost = model.matmul_cost(4, 4, 4, Dataflow.WS)
         busy = isa_exec_busy_cycles(4, 4, 4)
-        assert busy == cost.compute_cycles + 1 + 4  # 1 preload + 4 configs
+        assert busy == ws_compute_cycles(4, 4, 4) + 1 + 4  # 1 preload + 4 configs
 
     def test_macro_kernel_uses_same_model(self):
         """The macro kernel's exec op cycles come from the same closed form."""
         from repro.core.config import default_config
         from repro.soc.soc import make_soc
-        from repro.sw.kernels import TileKernels
+        from repro.sw.kernels import ISSUE_OVERHEAD, TileKernels
 
         soc = make_soc(gemmini=default_config().with_im2col(True))
         soc.tile.vm.alloc(1 << 20, "arena")
         kernels = TileKernels(soc.tile)
         ops = list(kernels.matmul_ops(0x1000_0000, 0x1001_0000, 0x1002_0000, 64, 64, 64))
         exec_ops = [op for op in ops if op.unit == "exec"]
-        model = SpatialArrayModel(soc.tile.accel.config)
-        expected = model.matmul_cost(64, 64, 64, Dataflow.WS).total
-        assert exec_ops[0].cycles == pytest.approx(expected + kernels.issue_overhead)
+        expected = matmul_cycles(soc.tile.accel.config, 64, 64, 64)
+        assert exec_ops[0].cycles == pytest.approx(expected + ISSUE_OVERHEAD)

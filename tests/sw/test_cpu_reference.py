@@ -39,7 +39,7 @@ class TestNodeCosts:
 class TestGraphCosts:
     def test_resnet50_baseline_anchor(self):
         """Calibrated so the accelerator's ResNet50 speedup lands near the
-        paper's 2,670x (see EXPERIMENTS.md): the Rocket baseline is ~108 G
+        paper's 2,670x: the Rocket baseline is ~108 G
         cycles at 224x224."""
         cycles = cpu_graph_cycles(build_model("resnet50"), ROCKET)
         assert 95e9 <= cycles <= 120e9
