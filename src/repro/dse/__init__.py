@@ -34,6 +34,7 @@ from repro.dse.objectives import (
 )
 from repro.dse.pareto import (
     MetricBound,
+    ParetoArchive,
     crowding_distance,
     dominates,
     front_hypervolume,
@@ -93,6 +94,7 @@ __all__ = [
     "ConfigColumns",
     "group_by_components",
     "MetricBound",
+    "ParetoArchive",
     "crowding_distance",
     "dominates",
     "front_hypervolume",

@@ -22,9 +22,9 @@ from repro.dse.objectives import (
 )
 from repro.dse.pareto import (
     MetricBound,
+    ParetoArchive,
     front_hypervolume,
     reference_point,
-    split_front,
 )
 from repro.dse.space import ParamSpace, point_key, point_label
 from repro.dse.strategies import Strategy
@@ -177,6 +177,9 @@ class Explorer:
         fast = self.spec.fidelity == "analytic" and self.spec.traffic is None
 
         trace: list[Evaluation] = []
+        feasible: list[Evaluation] = []
+        infeasible: list[Evaluation] = []
+        archive = ParetoArchive(objectives)  # the feasible front, kept online
         seen: dict[tuple, Evaluation] = {}
         generation = 0
         try:
@@ -199,23 +202,28 @@ class Explorer:
                     for point, evaluation in zip(new, results):
                         seen[point_key(point)] = evaluation
                         trace.append(evaluation)
+                        if all(b.satisfied(evaluation) for b in self.bounds):
+                            feasible.append(evaluation)
+                            archive.add(evaluation)
+                        else:
+                            infeasible.append(evaluation)
                 self.strategy.tell([seen[point_key(p)] for p in points])
                 if tracer or metrics:
-                    # Front/hypervolume recomputation per generation is the
-                    # expensive part of observing a search; only pay for it
-                    # when someone is listening.
+                    # The per-generation hypervolume is the expensive part of
+                    # observing a search; only pay for it when someone is
+                    # listening.
                     self._observe_generation(
-                        generation, gen_start, len(new), trace, objectives, runner
+                        generation, gen_start, len(new), trace, archive.front,
+                        objectives, runner,
                     )
                 generation += 1
         finally:
             if owns_runner:
                 runner.close()
 
-        feasible, infeasible = [], []
-        for e in trace:  # final (post-budget) partition
-            (feasible if all(b.satisfied(e) for b in self.bounds) else infeasible).append(e)
-        front, dominated = split_front(feasible, objectives)
+        front = archive.front
+        on_front = {id(e) for e in front}
+        dominated = [e for e in feasible if id(e) not in on_front]
         reference = _reference_for(self.spec, trace) if trace else ()
         hv = front_hypervolume(front, objectives, reference) if front else 0.0
         return ExplorationResult(
@@ -240,17 +248,16 @@ class Explorer:
         start: float,
         evaluated: int,
         trace: list[Evaluation],
+        front: list[Evaluation],
         objectives,
         runner: ExperimentRunner,
     ) -> None:
         """One generation's telemetry: a span on the search lane plus
         front-size / hypervolume counter samples and a metrics snapshot.
 
-        Recomputes the running front over the whole trace, so callers only
-        invoke this when a tracer or metric stream is actually attached.
+        Computes the running front's hypervolume, so callers only invoke
+        this when a tracer or metric stream is actually attached.
         """
-        feasible = [e for e in trace if all(b.satisfied(e) for b in self.bounds)]
-        front, _ = split_front(feasible, objectives)
         reference = _reference_for(self.spec, trace) if trace else ()
         hv = front_hypervolume(front, objectives, reference) if front else 0.0
         now = self.tracer.now()

@@ -3,10 +3,16 @@
 All routines work on minimisation-coordinate vectors produced by
 :meth:`repro.dse.objectives.Evaluation.vector`, so maximisation
 objectives are already sign-flipped by the time they arrive here.
+
+:func:`split_front` finds the front of a whole set in one sorted sweep;
+:class:`ParetoArchive` is the online form of that sweep, keeping the front
+of everything added so far at O(front) comparisons per point, so a search
+loop pays for its new points rather than for the size of its history.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,6 +21,7 @@ from repro.dse.objectives import Evaluation, Objective
 __all__ = [
     "dominates",
     "split_front",
+    "ParetoArchive",
     "nondominated_sort",
     "crowding_distance",
     "reference_point",
@@ -78,6 +85,42 @@ def split_front(
     return front, rest
 
 
+class ParetoArchive:
+    """The non-dominated front of every evaluation added so far.
+
+    Holds the same members, in the same (admission) order, as
+    ``split_front(added)[0]``: a dominated point is dominated by some front
+    member (domination is transitive), so testing a newcomer against the
+    front alone is exact.  Duplicate vectors all stay, as in
+    :func:`split_front`.  Each member's objective vector is computed once,
+    on admission, and kept beside it in :attr:`vectors`.
+    """
+
+    def __init__(self, objectives: tuple[Objective, ...]) -> None:
+        self.objectives = objectives
+        self.front: list[Evaluation] = []
+        self.vectors: list[tuple[float, ...]] = []
+
+    def __len__(self) -> int:
+        return len(self.front)
+
+    def add(self, evaluation: Evaluation) -> bool:
+        """Admit ``evaluation`` unless a front member dominates it, evicting
+        the members it dominates; True if it joined the front."""
+        v = evaluation.vector(self.objectives)
+        le = operator.le
+        # all(map(le, ...)) is "no worse everywhere"; != makes it strict.
+        if any(all(map(le, f, v)) and f != v for f in self.vectors):
+            return False
+        evicted = [all(map(le, v, f)) and f != v for f in self.vectors]
+        if any(evicted):
+            self.front = [e for e, out in zip(self.front, evicted) if not out]
+            self.vectors = [f for f, out in zip(self.vectors, evicted) if not out]
+        self.front.append(evaluation)
+        self.vectors.append(v)
+        return True
+
+
 def nondominated_sort(
     evaluations: Sequence[Evaluation], objectives: tuple[Objective, ...]
 ) -> list[list[Evaluation]]:
@@ -91,17 +134,22 @@ def nondominated_sort(
 
 
 def crowding_distance(
-    front: Sequence[Evaluation], objectives: tuple[Objective, ...]
+    front: Sequence[Evaluation],
+    objectives: tuple[Objective, ...],
+    vectors: Sequence[tuple[float, ...]] | None = None,
 ) -> dict[int, float]:
     """NSGA-II crowding distance, keyed by index into ``front``.
 
     Boundary points get infinity so selection always keeps the extremes.
+    ``vectors`` are the members' objective vectors when the caller already
+    holds them (a :class:`ParetoArchive` does); else they are computed.
     """
     n = len(front)
     distance = {i: 0.0 for i in range(n)}
     if n <= 2:
         return {i: float("inf") for i in range(n)}
-    vectors = [e.vector(objectives) for e in front]
+    if vectors is None:
+        vectors = [e.vector(objectives) for e in front]
     for d in range(len(objectives)):
         order = sorted(range(n), key=lambda i: vectors[i][d])
         lo, hi = vectors[order[0]][d], vectors[order[-1]][d]

@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 from typing import Iterator, Sequence
 
 from repro.dse.objectives import Evaluation, Objective
-from repro.dse.pareto import crowding_distance, split_front
+from repro.dse.pareto import ParetoArchive, crowding_distance
 from repro.dse.space import ParamSpace, point_key
 
 __all__ = [
@@ -172,14 +172,29 @@ class EvolutionarySearch(Strategy):
         self.crossover_fraction = crossover_fraction
         self.immigrant_fraction = immigrant_fraction
         self._gen0 = population_size
-        self._archive: list[Evaluation] = []
+        self._told = False
+        self._new_archives()
+
+    def _new_archives(self) -> None:
+        # Constrained domination: the elite is the front of the feasible
+        # points once any exists, else the front of all (then all
+        # infeasible) points, which is dropped for good at the first
+        # feasible one.
+        self._feasible_front = ParetoArchive(self.objectives)
+        self._fallback_front: ParetoArchive | None = ParetoArchive(self.objectives)
 
     def tell(self, evaluations: Sequence[Evaluation]) -> None:
-        self._archive.extend(evaluations)
+        self._told = self._told or bool(evaluations)
+        for evaluation in evaluations:
+            if self._feasible(evaluation):
+                self._fallback_front = None
+                self._feasible_front.add(evaluation)
+            elif self._fallback_front is not None:
+                self._fallback_front.add(evaluation)
 
     def ask(self, n: int) -> list[dict]:
         out: list[dict] = []
-        if self._archive:
+        if self._told:
             elite = self._front()
             n_immigrants = max(1, round(n * self.immigrant_fraction))
             n_crossover = round(n * self.crossover_fraction)
@@ -202,6 +217,7 @@ class EvolutionarySearch(Strategy):
 
     def bind(self, objectives, budget: int, bounds: tuple = ()) -> None:
         super().bind(objectives, budget, bounds)
+        self._new_archives()
         # Generation zero takes ~60% of the budget as uniform coverage:
         # exploitation then starts from extremes as good as random search
         # finds, and spends the rest refining them.  Tuned on the example
@@ -210,7 +226,7 @@ class EvolutionarySearch(Strategy):
 
     @property
     def batch_size(self) -> int:  # type: ignore[override]
-        return self._gen0 if not self._archive else self.population_size
+        return self._gen0 if not self._told else self.population_size
 
     # -- genetic operators ----------------------------------------------- #
 
@@ -221,9 +237,9 @@ class EvolutionarySearch(Strategy):
         feasible points are elite — the search stops spending children on
         regions a :class:`~repro.dse.pareto.MetricBound` rules out.
         """
-        pool = [e for e in self._archive if self._feasible(e)] or self._archive
-        front = split_front(pool, self.objectives)[0]
-        crowd = crowding_distance(front, self.objectives)
+        archive = self._fallback_front or self._feasible_front
+        front = archive.front
+        crowd = crowding_distance(front, self.objectives, archive.vectors)
         order = sorted(range(len(front)), key=lambda i: (-crowd[i], front[i].point))
         return [front[i].point_dict for i in order]
 

@@ -91,7 +91,12 @@ def _canonical(obj: Any) -> Any:
 
 def config_hash(payload: Any) -> str:
     """Stable hex digest of an arbitrary experiment configuration."""
-    encoded = json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":"))
+    return _digest(_canonical(payload))
+
+
+def _digest(canonical: Any) -> str:
+    """Hex digest of an already-canonical structure."""
+    encoded = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
@@ -212,6 +217,10 @@ class ExperimentSpec:
         position, figure name), and the same computation must hit the same
         cache entry however it is labelled or ordered.
         """
+        return _spec_keys([self])[0]
+
+    def _identity(self) -> dict[str, Any]:
+        """The key payload except ``kwargs``: what the callable is."""
         fn = self.fn
         target = getattr(fn, "__wrapped__", fn)
         # Identity and source come from the innermost function: a partial's
@@ -224,19 +233,43 @@ class ExperimentSpec:
             ident, source, module_src = _fn_fingerprint(inner)
         except TypeError:  # unhashable callable (e.g. a custom instance)
             ident, source, module_src = _fn_fingerprint.__wrapped__(inner)
-        return config_hash(
-            {
-                "fn": ident,
-                "src": source,
-                "module_src": module_src,
-                "state": _callable_state(target),
-                "env": _source_fingerprint(),
-                "kwargs": dict(self.kwargs),
-            }
-        )
+        return {
+            "fn": ident,
+            "src": source,
+            "module_src": module_src,
+            "state": _callable_state(target),
+            "env": _source_fingerprint(),
+        }
 
     def run(self) -> Any:
         return self.fn(**dict(self.kwargs))
+
+
+def _spec_keys(specs: Sequence[ExperimentSpec]) -> list[str]:
+    """:attr:`ExperimentSpec.key` of every spec, canonicalising each distinct
+    callable and argument object once for the whole batch.
+
+    Every spec of a :meth:`ExperimentRunner.map_batch` call shares one
+    callable and the same shared keyword objects (a DSE spec carries a whole
+    model's shape list), so re-canonicalising them per item would dominate
+    key cost.  The canonical form of ``{..., "kwargs": {name: value}}`` is
+    the canonical identity plus ``repr(name) -> canonical(value)``, so the
+    keys are byte-identical to ``config_hash`` of the full payload.
+    """
+    identities: dict[int, dict[str, Any]] = {}
+    arguments: dict[int, Any] = {}
+    keys = []
+    for spec in specs:
+        payload = identities.get(id(spec.fn))
+        if payload is None:
+            payload = identities[id(spec.fn)] = _canonical(spec._identity())
+        kwargs = {}
+        for name, value in spec.kwargs:
+            if id(value) not in arguments:
+                arguments[id(value)] = _canonical(value)
+            kwargs[repr(name)] = arguments[id(value)]
+        keys.append(_digest({**payload, repr("kwargs"): kwargs}))
+    return keys
 
 
 def _run_spec_timed(spec: ExperimentSpec) -> tuple[Any, float, float, int]:
@@ -428,7 +461,7 @@ class ExperimentRunner:
         pending: list[int] = []
         tracer = self.tracer
         # Key computation hashes source text and kwargs; do it once per spec.
-        keys = [spec.key for spec in specs] if self.cache is not None else None
+        keys = _spec_keys(specs) if self.cache is not None else None
         primary: dict[str, int] = {}  # key -> first pending position
         duplicates: dict[int, int] = {}  # position -> its primary position
         for i, spec in enumerate(specs):

@@ -5,8 +5,11 @@ generator frames live, nothing in flight), which makes the whole
 :class:`~repro.serve.cluster.ServingSimulation` — SoC state, scheduler
 queue, pending arrivals, per-tenant RNG cursors, tile clocks, metric
 estimators, partial records — one picklable object graph.  A checkpoint
-is that pickle plus a schema stamp, written atomically (tmp file +
-``os.replace``) so a kill mid-write never corrupts the last good one.
+is two pickle records, a schema stamp and then that graph, written
+atomically (tmp file + ``os.replace``) so a kill mid-write never corrupts
+the last good one.  The stamp is read first, by an unpickler that resolves
+no class, so a checkpoint of another schema is refused with a schema error
+before anything in it can name a class this version no longer has.
 
 Resuming is :func:`load_checkpoint` followed by
 :meth:`~repro.serve.cluster.ServingSimulation.run`: parked actors
@@ -27,8 +30,25 @@ __all__ = ["CHECKPOINT_SCHEMA", "save_checkpoint", "load_checkpoint"]
 
 #: bump on any incompatible change to the pickled layout (2: the L2's sets
 #: are keyed by line index, not by tag; 3: TLB entries and filter registers
-#: hold real PPNs)
-CHECKPOINT_SCHEMA = 3
+#: hold real PPNs; 4: the schema stamp is its own first pickle record)
+CHECKPOINT_SCHEMA = 4
+
+
+class _StampUnpickler(pickle.Unpickler):
+    """Reads the schema stamp: plain data only, never a class lookup."""
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(f"schema stamp names {module}.{name}")
+
+
+def _read_schema(fh) -> object:
+    """The first record's ``schema``, or None if it is no schema stamp (a
+    headerless pre-4 checkpoint's first record is the whole simulation)."""
+    try:
+        stamp = _StampUnpickler(fh).load()
+    except (pickle.UnpicklingError, EOFError):
+        return None
+    return stamp.get("schema") if isinstance(stamp, dict) else None
 
 
 def save_checkpoint(sim: ServingSimulation, path: str | Path) -> None:
@@ -36,24 +56,24 @@ def save_checkpoint(sim: ServingSimulation, path: str | Path) -> None:
     if any(actor.stream is not None for actor in sim._actors):
         raise RuntimeError("checkpoint outside a barrier: a tile stream is live")
     path = Path(path)
-    payload = {"schema": CHECKPOINT_SCHEMA, "sim": sim}
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump({"schema": CHECKPOINT_SCHEMA}, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(sim, fh, protocol=pickle.HIGHEST_PROTOCOL)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> ServingSimulation:
     """Load a checkpointed simulation, ready for ``run()`` to continue."""
     with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if not isinstance(payload, dict) or "schema" not in payload:
-        raise ValueError(f"{path}: not a serving checkpoint")
-    if payload["schema"] != CHECKPOINT_SCHEMA:
-        raise ValueError(
-            f"{path}: checkpoint schema {payload['schema']} != {CHECKPOINT_SCHEMA}"
-        )
-    sim = payload["sim"]
+        schema = _read_schema(fh)
+        if schema != CHECKPOINT_SCHEMA:
+            found = "unstamped (pre-4)" if schema is None else schema
+            raise ValueError(f"{path}: checkpoint schema {found} != {CHECKPOINT_SCHEMA}")
+        try:
+            sim = pickle.load(fh)
+        except EOFError:
+            raise ValueError(f"{path}: checkpoint holds no simulation") from None
     if not isinstance(sim, ServingSimulation):
         raise ValueError(f"{path}: checkpoint payload is not a ServingSimulation")
     return sim

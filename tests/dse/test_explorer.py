@@ -249,6 +249,40 @@ class TestExplorerTelemetry:
         assert series["evaluations"][-1] == result.evaluations
         assert series["hypervolume"][-1] == pytest.approx(result.hypervolume)
 
+    def test_generation_counters_match_a_whole_trace_recompute(self, space):
+        """The online front behind every generation's front_size and
+        hypervolume, and behind the final partition, is the whole-trace
+        split of the feasible points so far."""
+        from repro.dse.engine import _reference_for
+        from repro.dse.pareto import front_hypervolume, split_front
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer.wall()
+        bounds = (parse_bound("area_mm2<=0.4"),)
+        result = Explorer(
+            space, make_strategy("evolutionary", space, seed=2), EvaluationSpec(),
+            budget=30, bounds=bounds, runner=ExperimentRunner(max_workers=1),
+            tracer=tracer,
+        ).explore()
+        objectives = result.objectives
+
+        def recompute(trace):
+            feasible = [e for e in trace if all(b.satisfied(e) for b in bounds)]
+            front, dominated = split_front(feasible, objectives)
+            hv = front_hypervolume(front, objectives, _reference_for(result.spec, trace))
+            return front, dominated, hv if front else 0.0
+
+        spans = [e[5] for e in tracer.events() if e[0] == "X" and e[1] == "search"]
+        assert len(spans) > 2 and result.infeasible and result.dominated
+        for span in spans:
+            front, __, hv = recompute(result.trace[: span["evaluations"]])
+            assert span["front_size"] == len(front)
+            assert span["hypervolume"] == hv
+        front, dominated, hv = recompute(result.trace)
+        assert [id(e) for e in result.front] == [id(e) for e in front]
+        assert [id(e) for e in result.dominated] == [id(e) for e in dominated]
+        assert result.hypervolume == hv
+
     def test_metrics_snapshot_per_generation(self, space):
         from repro.obs.metrics import MetricStream
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.dse.objectives import Evaluation, parse_objectives
 from repro.dse.pareto import (
     MetricBound,
+    ParetoArchive,
     crowding_distance,
     dominates,
     hypervolume,
@@ -126,6 +127,64 @@ class TestAgainstPairwiseReference:
         vectors = [v[:dims] for v in values]
         ref = (4.5,) * dims
         assert hypervolume(vectors, ref) == reference_hypervolume(vectors, ref)
+
+
+OBJS4 = parse_objectives("latency_ms,area_mm2,power_mw,energy_mj")
+
+# Sequences of 2-4-objective vectors on a small integer grid: per-dimension
+# ties and exact duplicates are common.
+archive_sequences = st.integers(2, 4).flatmap(
+    lambda dims: st.tuples(
+        st.just(dims),
+        st.lists(
+            st.tuples(*(st.integers(0, 3).map(float) for __ in range(dims))),
+            min_size=0,
+            max_size=30,
+        ),
+    )
+)
+
+
+def make_eval4(values):
+    names = ("latency_ms", "area_mm2", "power_mw", "energy_mj")
+    metrics = tuple(sorted(zip(names, values)))
+    return Evaluation(point=(("v", values),), config_summary="t", metrics=metrics)
+
+
+class TestParetoArchive:
+    @given(archive_sequences)
+    def test_front_after_every_add_matches_split_front(self, case):
+        """The online front is the prefix's split_front: same members (by
+        identity, so duplicates count), same input order, vectors alongside."""
+        dims, values = case
+        objectives = OBJS4[:dims]
+        evals = [make_eval4(v) for v in values]
+        archive = ParetoArchive(objectives)
+        for n, evaluation in enumerate(evals, start=1):
+            joined = archive.add(evaluation)
+            expected = split_front(evals[:n], objectives)[0]
+            assert [id(e) for e in archive.front] == [id(e) for e in expected]
+            assert archive.vectors == [e.vector(objectives) for e in expected]
+            assert joined == any(e is evaluation for e in expected)
+            assert len(archive) == len(expected)
+
+    def test_duplicates_stay_and_a_dominator_evicts_them_all(self):
+        archive = ParetoArchive(OBJS)
+        twins = [make_eval(2, 2), make_eval(2, 2)]
+        assert all(archive.add(e) for e in twins)
+        assert archive.add(make_eval(1, 3))
+        assert archive.front == [*twins, make_eval(1, 3)]
+        assert not archive.add(make_eval(3, 3))
+        assert archive.add(make_eval(1, 1))
+        assert archive.front == [make_eval(1, 1)]
+
+    def test_crowding_takes_the_stored_vectors(self):
+        archive = ParetoArchive(OBJS)
+        for e in (make_eval(1, 5), make_eval(2, 4), make_eval(3, 3), make_eval(5, 1)):
+            archive.add(e)
+        assert crowding_distance(archive.front, OBJS, archive.vectors) == crowding_distance(
+            archive.front, OBJS
+        )
 
 
 class TestNondominatedSort:

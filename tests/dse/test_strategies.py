@@ -1,16 +1,21 @@
 """Search strategies: determinism, budget discipline, front quality."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dse import (
     EvaluationSpec,
     Explorer,
+    evaluate_design,
     gemmini_space,
     make_strategy,
+    parse_objectives,
     shared_hypervolume,
 )
+from repro.dse.pareto import crowding_distance, parse_bound, split_front
 from repro.dse.space import point_key
-from repro.dse.strategies import STRATEGIES
+from repro.dse.strategies import STRATEGIES, EvolutionarySearch
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +108,62 @@ class TestEvolutionary:
         for e in result.front:
             assert e.metric("area_mm2") <= 0.5
             assert e.metric("fmax_ghz") >= 1.0
+
+
+class SplitFrontEvolution(EvolutionarySearch):
+    """The elite rule before the online archive: re-split the whole
+    history on every ask (feasible points once any exists, else all)."""
+
+    def __init__(self, space, seed=0):
+        super().__init__(space, seed)
+        self.history = []
+
+    def tell(self, evaluations):
+        self.history.extend(evaluations)
+        super().tell(evaluations)
+
+    def _front(self):
+        pool = [e for e in self.history if self._feasible(e)] or self.history
+        front = split_front(pool, self.objectives)[0]
+        crowd = crowding_distance(front, self.objectives)
+        order = sorted(range(len(front)), key=lambda i: (-crowd[i], front[i].point))
+        return [front[i].point_dict for i in order]
+
+
+class TestEvolutionaryArchive:
+    def _asks(self, cls, first_feasible, budget=80):
+        """Drive ask/tell by hand: the first ``first_feasible`` evaluations
+        violate the bound, later every third one does."""
+        space = gemmini_space(max_dim=32)
+        strategy = cls(space, seed=4)
+        objectives = parse_objectives("latency_ms,area_mm2,power_mw")
+        strategy.bind(objectives, budget, bounds=(parse_bound("fmax_ghz>=1"),))
+        spec = EvaluationSpec(objectives=("latency_ms", "area_mm2", "power_mw"))
+        asks, told = [], 0
+        while told < budget:
+            points = strategy.ask(min(strategy.batch_size, budget - told))
+            if not points:
+                break
+            asks.append(points)
+            evaluations = []
+            for point in points:
+                e = evaluate_design(point, spec)
+                feasible = told >= first_feasible and told % 3 != 0
+                metrics = dict(e.metrics, fmax_ghz=2.0 if feasible else 0.5)
+                evaluations.append(replace(e, metrics=tuple(sorted(metrics.items()))))
+                told += 1
+            strategy.tell(evaluations)
+        return asks
+
+    @pytest.mark.parametrize("first_feasible", [10, 50, 74, 1000])
+    def test_asks_match_the_split_front_rule(self, first_feasible):
+        """Generation zero takes 48 of 80 evaluations; the first feasible
+        point arrives in it, in the first or a later generation of six
+        after it, or never."""
+        archive = self._asks(EvolutionarySearch, first_feasible)
+        reference = self._asks(SplitFrontEvolution, first_feasible)
+        assert len(archive) > 5
+        assert archive == reference
 
 
 class TestAnnealing:

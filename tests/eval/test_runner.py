@@ -514,6 +514,51 @@ class TestMapBatch:
             assert runner.map_batch(scaled_batch, [1, 2], factor=3) == [3, 6]
             assert runner.hits == 2
 
+    def test_batch_keys_match_full_payload_hash(self, tmp_path):
+        """Shared arguments are canonicalised once per batch, yet every key,
+        and so every existing cache entry's file name, is byte-identical to
+        ``config_hash`` of the spec's whole payload."""
+        from repro.dse import EvaluationSpec, evaluate_design_batch, model_workload
+        from repro.eval.runner import (
+            _BatchCall,
+            _callable_state,
+            _fn_fingerprint,
+            _item_specs,
+            _source_fingerprint,
+            _spec_keys,
+        )
+
+        def full_payload_hash(fn, spec):
+            ident, source, module_src = _fn_fingerprint(fn)
+            return config_hash(
+                {
+                    "fn": ident,
+                    "src": source,
+                    "module_src": module_src,
+                    "state": _callable_state(fn),
+                    "env": _source_fingerprint(),
+                    "kwargs": dict(spec.kwargs),
+                }
+            )
+
+        shared = EvaluationSpec(workload=model_workload("squeezenet", input_hw=32))
+        points = [{"dim": 4, "tile": 1}, {"dim": 8, "tile": 2}, {"dim": 4, "tile": 1}, None]
+        specs = _item_specs(
+            _BatchCall(evaluate_design_batch), "dse", points, None, (("spec", shared),)
+        )
+        expected = [full_payload_hash(evaluate_design_batch, s) for s in specs]
+        assert expected[0] == expected[2] != expected[1]
+        assert _spec_keys(specs) == expected
+        assert [s.key for s in specs] == expected
+
+        items, factor = [1, 2, 3], 3
+        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
+            runner.map_batch(scaled_batch, items, factor=factor)
+        specs = _item_specs(_BatchCall(scaled_batch), "x", items, None, (("factor", factor),))
+        assert {p.stem for p in tmp_path.glob("*.pkl")} == {
+            full_payload_hash(scaled_batch, s) for s in specs
+        }
+
     def test_wrong_result_count_rejected(self):
         def broken_batch(items):
             return [0]

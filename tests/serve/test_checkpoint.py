@@ -9,6 +9,8 @@ SIGKILL-and-restart exercises.
 """
 
 import pickle
+import sys
+import types
 
 import pytest
 
@@ -140,13 +142,51 @@ class TestCheckpointFiles:
     def test_schema_2_checkpoint_rejected(self, tmp_path):
         # Schema-2 TLB entries hold PPN 0 and filter registers have no PPN
         # slots; resuming one would send every TLB hit to physical page 0.
-        assert CHECKPOINT_SCHEMA == 3
+        # Files before schema 4 carry no stamp record of their own.
+        assert CHECKPOINT_SCHEMA == 4
         path = tmp_path / "old.ckpt"
         sim = ServingSimulation(study_profile())
         with open(path, "wb") as fh:
             pickle.dump({"schema": 2, "sim": sim}, fh)
-        with pytest.raises(ValueError, match="schema 2 != 3"):
+        with pytest.raises(ValueError, match="schema unstamped .* != 4"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("gone", ["attribute", "module"])
+    def test_other_schema_naming_a_gone_class_rejected(self, tmp_path, monkeypatch, gone):
+        """A checkpoint of another schema whose pickle names a class this
+        version no longer has is refused on its schema, before any class
+        lookup could raise AttributeError or ModuleNotFoundError."""
+        module = types.ModuleType("repro_gone_module")
+        vanished = type("SpatialArrayModel", (), {"__module__": module.__name__})
+        module.SpatialArrayModel = vanished
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        stamped = tmp_path / "stamped.ckpt"
+        with open(stamped, "wb") as fh:
+            pickle.dump({"schema": 3}, fh)
+            pickle.dump(vanished(), fh)
+        headerless = tmp_path / "headerless.ckpt"
+        with open(headerless, "wb") as fh:
+            pickle.dump({"schema": 3, "sim": vanished()}, fh)
+        if gone == "attribute":
+            del module.SpatialArrayModel
+        else:
+            monkeypatch.delitem(sys.modules, module.__name__)
+        with open(headerless, "rb") as fh:  # what an unchecked load meets
+            with pytest.raises(AttributeError if gone == "attribute" else ModuleNotFoundError):
+                pickle.load(fh)
+        with pytest.raises(ValueError, match="schema 3 != 4"):
+            load_checkpoint(stamped)
+        with pytest.raises(ValueError, match="schema unstamped .* != 4"):
+            load_checkpoint(headerless)
+
+    def test_checkpoint_stamp_is_its_own_first_record(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        ServingSimulation(
+            study_profile(), checkpoint_every=6, checkpoint_path=path
+        ).run(stop_after_checkpoints=1)
+        with open(path, "rb") as fh:
+            assert pickle.load(fh) == {"schema": CHECKPOINT_SCHEMA}
+            assert isinstance(pickle.load(fh), ServingSimulation)
 
     def test_garbage_payload_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
