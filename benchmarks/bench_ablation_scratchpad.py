@@ -14,7 +14,7 @@ from repro.eval.report import format_table
 from repro.models import build_model
 from repro.soc.soc import make_soc
 from repro.sw.compiler import compile_graph
-from repro.sw.runtime import run_model_on_tile
+from repro.sw.runtime import Runtime
 
 CAPACITIES_KB = (128, 256, 512)
 
@@ -28,7 +28,7 @@ def bench_point(kb: int) -> tuple:
     )
     soc = make_soc(gemmini=cfg)
     model = compile_graph(graph, SoftwareParams.from_config(cfg))
-    result = run_model_on_tile(soc.tile, model)
+    result = Runtime(soc.tile, model).run()
     return (kb, result.total_cycles, soc.mem.dram.bytes_moved)
 
 

@@ -13,11 +13,9 @@ from repro.core.config import (
     Activation,
     Dataflow,
     GemminiConfig,
-    big_sp_config,
     config_from_dict,
     default_config,
     edge_config,
-    fig9_base_config,
     fp32_config,
     systolic_config,
     vector_config,
@@ -58,11 +56,9 @@ __all__ = [
     "Activation",
     "Dataflow",
     "GemminiConfig",
-    "big_sp_config",
     "config_from_dict",
     "default_config",
     "edge_config",
-    "fig9_base_config",
     "fp32_config",
     "systolic_config",
     "vector_config",

@@ -218,17 +218,6 @@ class GemminiConfig:
     # Convenience constructors / variants                                 #
     # ------------------------------------------------------------------ #
 
-    def with_memories(
-        self,
-        sp_capacity_bytes: int | None = None,
-        acc_capacity_bytes: int | None = None,
-    ) -> "GemminiConfig":
-        return replace(
-            self,
-            sp_capacity_bytes=sp_capacity_bytes or self.sp_capacity_bytes,
-            acc_capacity_bytes=acc_capacity_bytes or self.acc_capacity_bytes,
-        )
-
     def with_tlb(self, tlb: TLBConfig) -> "GemminiConfig":
         return replace(self, tlb=tlb)
 
@@ -311,19 +300,6 @@ def edge_config(
 def fp32_config() -> GemminiConfig:
     """A floating-point instance (training-capable datapath)."""
     return GemminiConfig(input_type=FP32, acc_type=FP32)
-
-
-def big_sp_config() -> GemminiConfig:
-    """Figure 9 'BigSP': 512 KB scratchpad + 512 KB accumulator per core."""
-    return GemminiConfig(
-        sp_capacity_bytes=512 * 1024,
-        acc_capacity_bytes=512 * 1024,
-    )
-
-
-def fig9_base_config() -> GemminiConfig:
-    """Figure 9 'Base': 256 KB scratchpad + 256 KB accumulator per core."""
-    return GemminiConfig(acc_capacity_bytes=256 * 1024)
 
 
 def config_from_dict(params: dict) -> GemminiConfig:

@@ -92,10 +92,6 @@ class ExplorationResult:
     def evaluations(self) -> int:
         return len(self.trace)
 
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
 
 def _reference_for(spec: EvaluationSpec, trace: list[Evaluation]) -> tuple[float, ...]:
     """Fixed anchors where available, trace nadir for anything exotic."""

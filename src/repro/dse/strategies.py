@@ -33,6 +33,17 @@ __all__ = [
 #: concluding the reachable space is exhausted.
 _FRESH_ATTEMPTS = 200
 
+#: Evolutionary search: points per generation after generation zero, and
+#: the shares of each generation spent on crossover children and on random
+#: immigrants (the rest are Pareto local-search steps).
+_POPULATION_SIZE = 6
+_CROSSOVER_FRACTION = 0.2
+_IMMIGRANT_FRACTION = 0.1
+
+#: Annealing: the geometric temperature schedule's first and last values.
+_INITIAL_TEMPERATURE = 1.0
+_FINAL_TEMPERATURE = 0.01
+
 
 class Strategy(ABC):
     """Base class: seeded RNG, duplicate tracking, ask/tell contract."""
@@ -155,23 +166,9 @@ class EvolutionarySearch(Strategy):
 
     name = "evolutionary"
 
-    def __init__(
-        self,
-        space: ParamSpace,
-        seed: int = 0,
-        population_size: int = 6,
-        crossover_fraction: float = 0.2,
-        immigrant_fraction: float = 0.1,
-    ) -> None:
+    def __init__(self, space: ParamSpace, seed: int = 0) -> None:
         super().__init__(space, seed)
-        if population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not 0.0 <= crossover_fraction + immigrant_fraction <= 1.0:
-            raise ValueError("crossover + immigrant fractions must fit in [0, 1]")
-        self.population_size = population_size
-        self.crossover_fraction = crossover_fraction
-        self.immigrant_fraction = immigrant_fraction
-        self._gen0 = population_size
+        self._gen0 = _POPULATION_SIZE
         self._told = False
         self._new_archives()
 
@@ -196,8 +193,8 @@ class EvolutionarySearch(Strategy):
         out: list[dict] = []
         if self._told:
             elite = self._front()
-            n_immigrants = max(1, round(n * self.immigrant_fraction))
-            n_crossover = round(n * self.crossover_fraction)
+            n_immigrants = max(1, round(n * _IMMIGRANT_FRACTION))
+            n_crossover = round(n * _CROSSOVER_FRACTION)
             out.extend(self._local_steps(elite, n - n_immigrants - n_crossover))
             attempts = 0
             while len(out) < n - n_immigrants and attempts < _FRESH_ATTEMPTS:
@@ -222,11 +219,11 @@ class EvolutionarySearch(Strategy):
         # exploitation then starts from extremes as good as random search
         # finds, and spends the rest refining them.  Tuned on the example
         # space at budget 50 (tests/dse/test_strategies.py pins the win).
-        self._gen0 = max(self.population_size, int(budget * 0.6))
+        self._gen0 = max(_POPULATION_SIZE, int(budget * 0.6))
 
     @property
     def batch_size(self) -> int:  # type: ignore[override]
-        return self._gen0 if not self._told else self.population_size
+        return self._gen0 if not self._told else _POPULATION_SIZE
 
     # -- genetic operators ----------------------------------------------- #
 
@@ -283,42 +280,45 @@ class AnnealingSearch(Strategy):
 
     name = "annealing"
 
-    def __init__(
-        self,
-        space: ParamSpace,
-        seed: int = 0,
-        initial_temperature: float = 1.0,
-        final_temperature: float = 0.01,
-    ) -> None:
+    def __init__(self, space: ParamSpace, seed: int = 0) -> None:
         super().__init__(space, seed)
-        if initial_temperature <= 0 or final_temperature <= 0:
-            raise ValueError("temperatures must be positive")
         self.batch_size = 1
-        self.t0 = initial_temperature
-        self.t1 = final_temperature
         self._steps = 0
         self._current: Evaluation | None = None
-        self._seen: list[Evaluation] = []
+        # Per-objective min and max over every evaluation told so far.
+        self._lo: list[float] = []
+        self._hi: list[float] = []
 
     # -- scalarisation ---------------------------------------------------- #
 
     def _energy(self, evaluation: Evaluation) -> float:
         """Mean of per-objective min-max normalised values (minimisation),
         plus a unit penalty per violated feasibility bound."""
-        vectors = [e.vector(self.objectives) for e in self._seen]
         v = evaluation.vector(self.objectives)
         total = 0.0
-        for d in range(len(self.objectives)):
-            values = [u[d] for u in vectors]
-            lo, hi = min(values), max(values)
-            total += 0.5 if hi <= lo else (v[d] - lo) / (hi - lo)
+        for x, lo, hi in zip(v, self._lo, self._hi):
+            total += 0.5 if hi <= lo else (x - lo) / (hi - lo)
         penalty = sum(1.0 + b.violation(evaluation) for b in self.bounds if not b.satisfied(evaluation))
         return total / len(self.objectives) + penalty
+
+    def _observe(self, evaluation: Evaluation) -> None:
+        # The same comparisons, in the same order, as min()/max() over the
+        # told vectors, so the bounds match a rescan exactly.
+        v = evaluation.vector(self.objectives)
+        if not self._lo:
+            self._lo, self._hi = list(v), list(v)
+            return
+        lo, hi = self._lo, self._hi
+        for d, x in enumerate(v):
+            if x < lo[d]:
+                lo[d] = x
+            if x > hi[d]:
+                hi[d] = x
 
     def _temperature(self) -> float:
         budget = max(2, getattr(self, "budget", 100))
         frac = min(1.0, self._steps / (budget - 1))
-        return self.t0 * (self.t1 / self.t0) ** frac
+        return _INITIAL_TEMPERATURE * (_FINAL_TEMPERATURE / _INITIAL_TEMPERATURE) ** frac
 
     # -- ask/tell ---------------------------------------------------------- #
 
@@ -342,7 +342,9 @@ class AnnealingSearch(Strategy):
         return [point]
 
     def tell(self, evaluations: Sequence[Evaluation]) -> None:
-        self._seen.extend(evaluations)
+        # The whole batch enters the bounds before any energy is computed.
+        for evaluation in evaluations:
+            self._observe(evaluation)
         for evaluation in evaluations:
             self._steps += 1
             if self._current is None:

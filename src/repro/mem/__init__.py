@@ -7,13 +7,6 @@ hierarchy with a single page-table walker, and optional per-channel filter
 registers (Section V-A).
 """
 
-from repro.mem.address import (
-    AddressRange,
-    align_down,
-    align_up,
-    line_span,
-    page_span,
-)
 from repro.mem.dram import DRAMConfig, DRAMModel
 from repro.mem.bus import SystemBus
 from repro.mem.cache import Cache, CacheConfig
@@ -21,18 +14,12 @@ from repro.mem.tlb import (
     FilterRegisters,
     TLB,
     TLBConfig,
-    TranslationResult,
     TranslationSystem,
 )
 from repro.mem.page_table import PageTable, VirtualMemory
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 
 __all__ = [
-    "AddressRange",
-    "align_down",
-    "align_up",
-    "line_span",
-    "page_span",
     "DRAMConfig",
     "DRAMModel",
     "SystemBus",
@@ -41,7 +28,6 @@ __all__ = [
     "FilterRegisters",
     "TLB",
     "TLBConfig",
-    "TranslationResult",
     "TranslationSystem",
     "PageTable",
     "VirtualMemory",

@@ -26,20 +26,6 @@ class MemorySystemConfig:
     l2: CacheConfig | None = field(default_factory=CacheConfig)
     dram: DRAMConfig = field(default_factory=DRAMConfig)
 
-    def with_l2_size(self, size_bytes: int) -> "MemorySystemConfig":
-        """A copy of this config with a different L2 capacity."""
-        if self.l2 is None:
-            raise ValueError("cannot resize a disabled L2")
-        new_l2 = CacheConfig(
-            size_bytes=size_bytes,
-            ways=self.l2.ways,
-            line_bytes=self.l2.line_bytes,
-            hit_latency=self.l2.hit_latency,
-            bytes_per_cycle=self.l2.bytes_per_cycle,
-            writeback=self.l2.writeback,
-        )
-        return MemorySystemConfig(self.bus_beat_bytes, new_l2, self.dram)
-
 
 class MemorySystem:
     """Bus + optional shared L2 + DRAM, with per-requester statistics."""
@@ -74,12 +60,6 @@ class MemorySystem:
         if self.l2 is not None:
             return self.l2.access(bus_end, paddr, nbytes, is_write, requester)
         return self.dram.access(bus_end, paddr, nbytes, is_write)
-
-    def read(self, now: float, paddr: int, nbytes: int, requester: str = "") -> float:
-        return self.access(now, paddr, nbytes, False, requester)
-
-    def write(self, now: float, paddr: int, nbytes: int, requester: str = "") -> float:
-        return self.access(now, paddr, nbytes, True, requester)
 
     def l2_miss_rate(self) -> float:
         return self.l2.miss_rate() if self.l2 is not None else 1.0

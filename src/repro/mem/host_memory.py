@@ -73,7 +73,3 @@ class HostMemory:
             raise ValueError("write_matrix expects a 2-D array")
         for r in range(data.shape[0]):
             self.write(vaddr + r * stride_bytes, np.ascontiguousarray(data[r]).view(np.uint8))
-
-    @property
-    def pages_touched(self) -> int:
-        return len(self._pages)

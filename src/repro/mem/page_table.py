@@ -51,14 +51,6 @@ class PageTable:
             self.mapped_pages += 1
         level2[i2] = ppn
 
-    def unmap_page(self, vpn: int) -> None:
-        i0, i1, i2 = self._indices(vpn)
-        try:
-            del self.root[i0][i1][i2]
-            self.mapped_pages -= 1
-        except KeyError:
-            raise PageFault(f"unmap of unmapped vpn 0x{vpn:x}") from None
-
     def walk(self, vpn: int) -> int:
         """Walk the tree; returns the PPN.  Counts the memory accesses a
         hardware walker would issue (one per level)."""
@@ -160,7 +152,3 @@ class VirtualMemory:
 
     def region(self, name: str) -> Allocation:
         return self.allocations[name]
-
-    @property
-    def bytes_allocated(self) -> int:
-        return self._next_vaddr - self.base

@@ -123,15 +123,6 @@ class FilterRegisters:
         self.write_ppn = None
 
 
-@dataclass
-class TranslationResult:
-    """Outcome of one translation request."""
-
-    end_time: float
-    level: str  # "filter" | "private" | "shared" | "walk"
-    vpn: int
-
-
 #: levels that missed the private TLB (a positive miss-rate window outcome)
 _MISS_LEVELS = frozenset({"shared", "walk"})
 
@@ -163,16 +154,6 @@ class TranslationSystem:
         self._last_vpn = {False: None, True: None}
 
     # ------------------------------------------------------------------ #
-
-    def translate(self, now: float, vaddr: int, is_write: bool) -> TranslationResult:
-        """Translate one request; returns completion time and serving level."""
-        vpn = vaddr // self.config.page_bytes
-        return self.translate_vpn(now, vpn, is_write)
-
-    def translate_vpn(self, now: float, vpn: int, is_write: bool) -> TranslationResult:
-        """Translate one request: the one-element case of :meth:`translate_chain`."""
-        __, (end,), (level,), __ppn = self.translate_chain([now], [vpn], is_write)
-        return TranslationResult(end, level, vpn)
 
     def translate_chain(self, earliest, vpns, is_write: bool):
         """Translate one channel's request stream in issue order.
@@ -283,12 +264,12 @@ class TranslationSystem:
     def translate_batch(self, now, vpns, is_write):
         """Translate a whole request sequence; returns the end times.
 
-        Aggregate-equivalent to calling :meth:`translate_vpn` in a loop: the
-        TLB/filter state walks through the identical lookups and fills (each
-        with its real PPN, as the DMA reads it from a warmed TLB), the
-        (possibly shared) PTW sees the same bookings in the same order, the
-        miss-rate window records every outcome, and counters are added once
-        per name.  The python loop stays, but it is lean — all the per-call
+        Aggregate-equivalent to calling :meth:`translate_chain` on each
+        request alone: the TLB/filter state walks through the identical
+        lookups and fills (each with its real PPN, as the DMA reads it from a
+        warmed TLB), the (possibly shared) PTW sees the same bookings in the
+        same order, the miss-rate window records every outcome, and counters
+        are added once per name.  The python loop stays, but it is lean — all the per-call
         stats traffic of the scalar path is hoisted out, which is what makes
         batched replay re-resolution cheap.
         """

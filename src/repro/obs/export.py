@@ -175,6 +175,7 @@ def to_chrome_trace(tracer: Tracer) -> dict:
 def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
     """Serialise the tracer to ``path`` (load in Perfetto / chrome://tracing)."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(to_chrome_trace(tracer)), encoding="utf-8")
     return path
 
@@ -263,6 +264,7 @@ def metrics_to_dict(stream: MetricStream, meta: dict | None = None) -> dict:
 
 def export_metrics_json(stream: MetricStream, path: str | Path, meta: dict | None = None) -> Path:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(metrics_to_dict(stream, meta), indent=2), encoding="utf-8")
     return path
 
@@ -270,6 +272,7 @@ def export_metrics_json(stream: MetricStream, path: str | Path, meta: dict | Non
 def export_metrics_csv(stream: MetricStream, path: str | Path) -> Path:
     """One row per snapshot; the final state is the last row (t = blank)."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     rows = list(stream.snapshots) + [dict(stream.current(), t="")]
     fieldnames: list[str] = []
     for row in rows:

@@ -378,7 +378,6 @@ class ServingSimulation:
         mem: MemorySystemConfig | None = None,
         os: OSConfig | None = None,
         scheduler: Scheduler | None = None,
-        scheduler_options: dict | None = None,
         replay: bool = True,
         design: SoCDesign | None = None,
         tracer: Tracer | None = None,
@@ -435,13 +434,13 @@ class ServingSimulation:
         self.clock_ghz = design.clock_ghz
         self._specs = {t.name: t for t in profile.tenants}
         if scheduler is None:
-            options = scheduler_options
-            if options is None and profile.scheduler == "batch":
+            options = {}
+            if profile.scheduler == "batch":
                 options = {
                     "batch_size": profile.batch_size,
                     "window_cycles": profile.batch_window_ms * self.clock_ghz * 1e6,
                 }
-            scheduler = make_scheduler(profile.scheduler, **(options or {}))
+            scheduler = make_scheduler(profile.scheduler, **options)
         self.scheduler = scheduler
         # Cost-aware policies (SJF) consult each tile's own analytic cost:
         # on a heterogeneous design the same request is cheap on a big tile
@@ -886,7 +885,6 @@ def simulate_serving(
     gemmini: GemminiConfig | None = None,
     mem: MemorySystemConfig | None = None,
     os: OSConfig | None = None,
-    scheduler_options: dict | None = None,
     replay: bool = True,
     design: SoCDesign | None = None,
     tracer: Tracer | None = None,
@@ -923,7 +921,6 @@ def simulate_serving(
         gemmini=gemmini,
         mem=mem,
         os=os,
-        scheduler_options=scheduler_options,
         replay=replay,
         design=design,
         tracer=tracer,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.serve.request import Request
@@ -131,9 +131,6 @@ class TrafficProfile:
     @property
     def total_requests(self) -> int:
         return sum(t.total_requests for t in self.tenants)
-
-    def with_seed(self, seed: int) -> "TrafficProfile":
-        return replace(self, seed=seed)
 
 
 # ---------------------------------------------------------------------- #

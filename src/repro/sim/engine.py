@@ -9,13 +9,12 @@ shared TLB) are applied in approximately global time order — the property
 the paper's dual-core contention study (Figure 9c) depends on.
 
 Unlike the original lockstep merge, the loop is *incremental*: actors can
-be added at an explicit clock (resuming a checkpointed simulation), an
-actor can withdraw (park) and be re-added later, and the loop can run up
-to a time bound and hand control back.  The serving cluster engine builds
-its O(in-flight) core on these hooks; :func:`lockstep_merge` remains as a
-thin compatibility wrapper with the historical generator-based API and
-bitwise-identical stepping order (ties on equal clocks go to the lowest
-actor index).
+be added at an explicit clock (resuming a checkpointed simulation), and an
+actor can withdraw (park) and be re-added later.  The serving cluster
+engine builds its O(in-flight) core on these hooks; :func:`lockstep_merge`
+remains as a thin compatibility wrapper with the historical generator-based
+API and bitwise-identical stepping order (ties on equal clocks go to the
+lowest actor index).
 """
 
 from __future__ import annotations
@@ -94,23 +93,15 @@ class EventLoop:
         heapq.heappush(self._heap, (clock, index, actor))
         return index
 
-    def peek(self) -> float | None:
-        """The next event time, or None when the loop is drained."""
-        return self._heap[0][0] if self._heap else None
+    def run(self) -> None:
+        """Step laggard-first until drained.
 
-    def run(self, until: float | None = None) -> None:
-        """Step laggard-first until drained (or past ``until``).
-
-        Every actor either finishes (``step`` returns None / raises
-        StopIteration) and has its final clock recorded in
-        :attr:`finished`, or — with ``until`` — stays parked in the heap
-        at its next event time beyond the bound.
+        Every actor finishes (``step`` returns None / raises StopIteration)
+        and has its final clock recorded in :attr:`finished`.
         """
         heap = self._heap
         while heap:
             previous, index, actor = heap[0]
-            if until is not None and previous > until:
-                return
             try:
                 now = actor.step()
             except StopIteration:

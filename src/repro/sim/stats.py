@@ -100,16 +100,6 @@ class Histogram:
             "max": float(self.max),
         }
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other``'s samples into this histogram (in place).
-
-        Used to aggregate per-worker/per-tenant histograms into one
-        cluster-wide distribution; returns ``self`` for chaining.
-        """
-        for value, weight in other.buckets.items():
-            self.record(value, weight)
-        return self
-
     def reset(self) -> None:
         self.buckets.clear()
         self.total = 0
@@ -130,11 +120,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def last(self) -> tuple[float, float]:
-        if not self.times:
-            raise IndexError("empty time series")
-        return self.times[-1], self.values[-1]
 
     def reset(self) -> None:
         self.times.clear()
@@ -214,27 +199,15 @@ class RateWindow:
 
 @dataclass
 class StatsRegistry:
-    """A namespace of counters/histograms/series owned by one component."""
+    """A namespace of counters owned by one component."""
 
     owner: str = "stats"
     counters: dict[str, Counter] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
-    series: dict[str, TimeSeries] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         if name not in self.counters:
             self.counters[name] = Counter(name)
         return self.counters[name]
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        return self.histograms[name]
-
-    def timeseries(self, name: str) -> TimeSeries:
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        return self.series[name]
 
     def value(self, name: str) -> int:
         """Counter value, 0 if the counter was never touched."""
@@ -248,10 +221,6 @@ class StatsRegistry:
     def reset(self) -> None:
         for counter in self.counters.values():
             counter.reset()
-        for histogram in self.histograms.values():
-            histogram.reset()
-        for series in self.series.values():
-            series.reset()
 
     def snapshot(self) -> dict[str, int]:
         return {name: counter.value for name, counter in self.counters.items()}

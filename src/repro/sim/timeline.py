@@ -137,12 +137,6 @@ class BandwidthTimeline:
     def utilisation(self, horizon: float) -> float:
         return self.inner.utilisation(horizon)
 
-    def achieved_bandwidth(self, horizon: float) -> float:
-        """Bytes per cycle actually delivered over ``[0, horizon]``."""
-        if horizon <= 0:
-            return 0.0
-        return self.bytes_moved / horizon
-
     def reset(self) -> None:
         self.inner.reset()
         self.bytes_moved = 0

@@ -529,7 +529,6 @@ def record_steady_state_trace(
     shadow = Runtime(
         sandbox,
         runtime.model,
-        use_accel_im2col=runtime.use_accel_im2col,
         sync_per_layer=runtime.sync_per_layer,
         share_allocations_from=runtime,
     )

@@ -110,9 +110,6 @@ class CompiledModel:
             shapes.append(shape)
         return shapes
 
-    def cpu_plans(self) -> list[LayerPlan]:
-        return [p for p in self.plans if p.placement is Placement.CPU]
-
     def summary(self) -> str:
         lines = [f"model {self.name}: {len(self.plans)} layers, {self.total_macs / 1e6:.1f} MMACs"]
         kinds: dict[str, int] = {}

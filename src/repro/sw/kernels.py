@@ -288,7 +288,6 @@ class TileKernels:
         weight_vaddr: int,
         output_vaddr: int,
         bias_vaddr: int | None = None,
-        on_accel_im2col: bool | None = None,
         im2col_vaddr: int | None = None,
         in_token: object = None,
         w_token: object = None,
@@ -299,19 +298,18 @@ class TileKernels:
     ) -> tuple[Iterator[Op], float]:
         """Lower a convolution; returns (accelerator ops, CPU pre-cycles).
 
-        With the on-the-fly im2col unit, the patch matrix is generated as
-        inputs stream from the scratchpad: A-side DMA moves only the raw
-        input pixels and the CPU does no work.  Without it, the host CPU
-        materialises the patch matrix first (the returned CPU cycles), and
-        the accelerator streams the k^2-amplified matrix from DRAM.
+        On a config with the on-the-fly im2col unit, the patch matrix is
+        generated as inputs stream from the scratchpad: A-side DMA moves
+        only the raw input pixels and the CPU does no work.  Without it, the
+        host CPU materialises the patch matrix into ``im2col_vaddr`` first
+        (the returned CPU cycles), and the accelerator streams the
+        k^2-amplified matrix from DRAM.
         """
-        if on_accel_im2col is None:
-            on_accel_im2col = self.params.has_im2col
         m = conv.num_patches
         k = conv.patch_size
         n = conv.out_ch
 
-        if on_accel_im2col:
+        if self.params.has_im2col:
             ops = self.matmul_ops(
                 input_vaddr,
                 weight_vaddr,

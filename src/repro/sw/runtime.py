@@ -97,7 +97,6 @@ class Runtime:
         self,
         tile: SoCTile,
         model: CompiledModel,
-        use_accel_im2col: bool | None = None,
         sync_per_layer: bool = False,
         share_allocations_from: "Runtime | None" = None,
         tracer: Tracer | None = None,
@@ -114,11 +113,6 @@ class Runtime:
         self.kernels = TileKernels(
             tile, tracer=self.tracer, schedule_cache=schedule_cache
         )
-        if use_accel_im2col is None:
-            use_accel_im2col = tile.accel.config.has_im2col
-        if use_accel_im2col and not tile.accel.config.has_im2col:
-            raise ValueError("accelerator was generated without an im2col unit")
-        self.use_accel_im2col = use_accel_im2col
         #: drain the controller at every layer boundary — slightly slower
         #: overall but gives exact per-layer cycle attribution (the way
         #: per-layer cycle counters behave on the real SoC)
@@ -190,7 +184,7 @@ class Runtime:
             root, offset = resolve(name)
             self.addresses[name] = roots[root] + offset
 
-        if model.im2col_scratch_bytes and not self.use_accel_im2col:
+        if model.im2col_scratch_bytes and not self.tile.accel.config.has_im2col:
             self._im2col_vaddr = vm.alloc(model.im2col_scratch_bytes, "im2col")
 
     def addr(self, tensor: str) -> int:
@@ -330,7 +324,6 @@ class Runtime:
                 weight_vaddr=self.addr(plan.weight) if plan.weight else self.addr(plan.inputs[0]),
                 output_vaddr=self.addr(plan.output),
                 bias_vaddr=self.addr(plan.weight) if plan.has_bias and plan.weight else None,
-                on_accel_im2col=self.use_accel_im2col,
                 im2col_vaddr=self._im2col_vaddr,
                 in_token=plan.inputs[0],
                 w_token=plan.weight,
@@ -395,10 +388,3 @@ class Runtime:
             return 0.0, ops
         raise ValueError(f"runtime cannot execute plan kind {plan.kind!r}")
 
-
-def run_model_on_tile(
-    tile: SoCTile, model: CompiledModel, use_accel_im2col: bool | None = None
-) -> RunResult:
-    """One-shot convenience: bind, run, return the result."""
-    runtime = Runtime(tile, model, use_accel_im2col=use_accel_im2col)
-    return runtime.run()

@@ -150,33 +150,29 @@ def plan_matmul_tiling(
     m: int,
     k: int,
     n: int,
-    double_buffer: bool = True,
-    max_blocks: int | None = None,
 ) -> MatmulTiling:
     """Choose tile sizes that maximise scratchpad use (Gemmini heuristic).
 
     Grows (i, j, k) block counts round-robin — favouring the dimensions that
-    increase arithmetic intensity — while the footprint fits the available
-    fraction of scratchpad and accumulator.
+    increase arithmetic intensity — while the footprint fits half of the
+    scratchpad and accumulator: the greedy plan is always double-buffered
+    (single-buffered tilings come from the tuner's
+    :func:`~repro.sw.tune.enumerate_tilings`).
 
-    Memoized per (params, m, k, n, double_buffer, max_blocks): the planner
-    is pure, ``SoftwareParams`` is frozen, and the same layer shapes recur
-    on every run, so within a process each plan is computed once.
+    Memoized per (params, m, k, n): the planner is pure,
+    ``SoftwareParams`` is frozen, and the same layer shapes recur on every
+    run, so within a process each plan is computed once.
     """
     if min(m, k, n) < 1:
         raise ValueError("matmul dimensions must be >= 1")
     dim = params.dim
-    sp_budget = params.sp_rows // (2 if double_buffer else 1)
-    acc_budget = params.acc_rows // (2 if double_buffer else 1)
+    sp_budget = params.sp_rows // 2
+    acc_budget = params.acc_rows // 2
 
     # Full extents in blocks (never grow beyond the actual matrix).
     max_i = -(-m // dim)
     max_j = -(-n // dim)
     max_k = -(-k // dim)
-    if max_blocks is not None:
-        max_i = min(max_i, max_blocks)
-        max_j = min(max_j, max_blocks)
-        max_k = min(max_k, max_blocks)
 
     i_blocks = j_blocks = k_blocks = 1
 
@@ -215,7 +211,6 @@ def plan_matmul_tiling(
         m=m,
         k=k,
         n=n,
-        double_buffer=double_buffer,
     )
 
 

@@ -6,16 +6,15 @@ from repro.core.config import (
     Activation,
     Dataflow,
     GemminiConfig,
-    big_sp_config,
     config_from_dict,
     default_config,
     edge_config,
-    fig9_base_config,
     fp32_config,
     systolic_config,
     vector_config,
 )
 from repro.core.dtypes import FP32, INT8, INT32
+from repro.eval.experiments import FIG9_CONFIGS
 from repro.mem.tlb import TLBConfig
 
 
@@ -74,11 +73,6 @@ class TestDataflowEnum:
 
 
 class TestVariants:
-    def test_with_memories(self):
-        cfg = default_config().with_memories(sp_capacity_bytes=512 * 1024)
-        assert cfg.sp_capacity_bytes == 512 * 1024
-        assert cfg.acc_capacity_bytes == 64 * 1024
-
     def test_with_tlb(self):
         tlb = TLBConfig(private_entries=4, shared_entries=0)
         cfg = default_config().with_tlb(tlb)
@@ -94,10 +88,10 @@ class TestVariants:
         assert cfg.sp_capacity_bytes == 256 * 1024
 
     def test_fig9_configs(self):
-        base = fig9_base_config()
-        big = big_sp_config()
-        assert base.acc_capacity_bytes == 256 * 1024
-        assert big.sp_capacity_bytes == 512 * 1024
+        __, base_acc, __l2 = FIG9_CONFIGS["Base"]
+        big_sp, __acc, __l2 = FIG9_CONFIGS["BigSP"]
+        assert base_acc == 256 * 1024
+        assert big_sp == 512 * 1024
 
     def test_fp32_config(self):
         cfg = fp32_config()

@@ -58,7 +58,7 @@ class TestDMATransfers:
         cold = dma_cold.transfer(0.0, 0x10000, 64, 16, 64, False)
         dma_warm, xlat_warm, __m2 = make_dma(small_config, private=16)
         for vpn in range(0x10, 0x12):
-            xlat_warm.translate_vpn(0.0, vpn, False)
+            xlat_warm.translate_chain([0.0], [vpn], False)
         warm = dma_warm.transfer(1000.0, 0x10000, 64, 16, 64, False)
         assert warm.translation_stall < cold.translation_stall
 
@@ -140,7 +140,7 @@ class TestTranslationSerialisation:
         a = cold.transfer(0.0, 0x100000, 64, 16, 4096, False)
         warm, xlat, __m2 = make_dma(small_config, private=64)
         for vpn in range(0x100, 0x110):
-            xlat.translate_vpn(0.0, vpn, False)
+            xlat.translate_chain([0.0], [vpn], False)
         b = warm.transfer(1e6, 0x100000, 64, 16, 4096, False)
         assert b.cycles < a.cycles
 
@@ -159,7 +159,7 @@ def row_by_row(dma, now, vaddr, bytes_per_row, nrows, stride, is_write, requeste
         first = issue if first is None else first
         done = issue if issue > cursor else cursor
         for vpn in range(row_vaddr // page, (row_vaddr + bytes_per_row - 1) // page + 1):
-            translated = dma.xlat.translate_vpn(done, vpn, is_write).end_time
+            translated = dma.xlat.translate_chain([done], [vpn], is_write)[1][0]
             stall += translated - done
             requests += 1
             done = translated

@@ -112,7 +112,7 @@ class TestExplorer:
                 results.append(explorer.explore())
         first, second = results
         assert [e.point for e in first.front] == [e.point for e in second.front]
-        assert second.cache_hit_rate() >= 0.9
+        assert second.cache_hits / (second.cache_hits + second.cache_misses) >= 0.9
         assert second.cache_misses == 0
 
     def test_owned_runner_caches_by_default(self, space):

@@ -15,7 +15,7 @@ from repro.dse import (
 )
 from repro.dse.pareto import crowding_distance, parse_bound, split_front
 from repro.dse.space import point_key
-from repro.dse.strategies import STRATEGIES, EvolutionarySearch
+from repro.dse.strategies import STRATEGIES, AnnealingSearch, EvolutionarySearch
 
 
 @pytest.fixture(scope="module")
@@ -130,43 +130,80 @@ class SplitFrontEvolution(EvolutionarySearch):
         return [front[i].point_dict for i in order]
 
 
-class TestEvolutionaryArchive:
-    def _asks(self, cls, first_feasible, budget=80):
-        """Drive ask/tell by hand: the first ``first_feasible`` evaluations
-        violate the bound, later every third one does."""
-        space = gemmini_space(max_dim=32)
-        strategy = cls(space, seed=4)
-        objectives = parse_objectives("latency_ms,area_mm2,power_mw")
-        strategy.bind(objectives, budget, bounds=(parse_bound("fmax_ghz>=1"),))
-        spec = EvaluationSpec(objectives=("latency_ms", "area_mm2", "power_mw"))
-        asks, told = [], 0
-        while told < budget:
-            points = strategy.ask(min(strategy.batch_size, budget - told))
-            if not points:
-                break
-            asks.append(points)
-            evaluations = []
-            for point in points:
-                e = evaluate_design(point, spec)
-                feasible = told >= first_feasible and told % 3 != 0
-                metrics = dict(e.metrics, fmax_ghz=2.0 if feasible else 0.5)
-                evaluations.append(replace(e, metrics=tuple(sorted(metrics.items()))))
-                told += 1
-            strategy.tell(evaluations)
-        return asks
+def drive_by_hand(cls, first_feasible, budget=80):
+    """Drive ask/tell by hand; returns every ask.  The first
+    ``first_feasible`` evaluations violate the bound, later every third
+    one does."""
+    space = gemmini_space(max_dim=32)
+    strategy = cls(space, seed=4)
+    objectives = parse_objectives("latency_ms,area_mm2,power_mw")
+    strategy.bind(objectives, budget, bounds=(parse_bound("fmax_ghz>=1"),))
+    spec = EvaluationSpec(objectives=("latency_ms", "area_mm2", "power_mw"))
+    asks, told = [], 0
+    while told < budget:
+        points = strategy.ask(min(strategy.batch_size, budget - told))
+        if not points:
+            break
+        asks.append(points)
+        evaluations = []
+        for point in points:
+            e = evaluate_design(point, spec)
+            feasible = told >= first_feasible and told % 3 != 0
+            metrics = dict(e.metrics, fmax_ghz=2.0 if feasible else 0.5)
+            evaluations.append(replace(e, metrics=tuple(sorted(metrics.items()))))
+            told += 1
+        strategy.tell(evaluations)
+    return asks
 
+
+class TestEvolutionaryArchive:
     @pytest.mark.parametrize("first_feasible", [10, 50, 74, 1000])
     def test_asks_match_the_split_front_rule(self, first_feasible):
         """Generation zero takes 48 of 80 evaluations; the first feasible
         point arrives in it, in the first or a later generation of six
         after it, or never."""
-        archive = self._asks(EvolutionarySearch, first_feasible)
-        reference = self._asks(SplitFrontEvolution, first_feasible)
+        archive = drive_by_hand(EvolutionarySearch, first_feasible)
+        reference = drive_by_hand(SplitFrontEvolution, first_feasible)
         assert len(archive) > 5
         assert archive == reference
 
 
+class RescanAnnealing(AnnealingSearch):
+    """The energy before running bounds: rescan every told evaluation for
+    each objective's min and max on every call."""
+
+    def __init__(self, space, seed=0):
+        super().__init__(space, seed)
+        self.history = []
+
+    def tell(self, evaluations):
+        self.history.extend(evaluations)
+        super().tell(evaluations)
+
+    def _energy(self, evaluation):
+        vectors = [e.vector(self.objectives) for e in self.history]
+        v = evaluation.vector(self.objectives)
+        total = 0.0
+        for d in range(len(self.objectives)):
+            values = [u[d] for u in vectors]
+            lo, hi = min(values), max(values)
+            total += 0.5 if hi <= lo else (v[d] - lo) / (hi - lo)
+        penalty = sum(
+            1.0 + b.violation(evaluation) for b in self.bounds if not b.satisfied(evaluation)
+        )
+        return total / len(self.objectives) + penalty
+
+
 class TestAnnealing:
+    @pytest.mark.parametrize("first_feasible", [0, 40, 1000])
+    def test_asks_match_the_rescan_energy(self, first_feasible):
+        """Running per-objective bounds propose exactly the sequence the
+        rescan formula does, with and without violated bounds."""
+        running = drive_by_hand(AnnealingSearch, first_feasible, budget=120)
+        reference = drive_by_hand(RescanAnnealing, first_feasible, budget=120)
+        assert len(running) == 120
+        assert running == reference
+
     def test_strictly_sequential(self, space):
         strategy = make_strategy("annealing", space, seed=0)
         assert strategy.batch_size == 1

@@ -3,7 +3,8 @@
 Trace replay re-resolves a contended op's translations through
 ``translate_batch`` (its physical accesses go through the exact segment
 path, ``MemorySystem.access``).  These suites drive the same VPN streams
-through the scalar loop and the batched call on twin instances and require
+through one-request ``translate_chain`` calls and the batched call on twin
+instances (``translate_chain`` is the reference) and require
 identical TLB/filter state, counters and PTW bookings, with end times equal
 up to float association.
 """
@@ -33,7 +34,7 @@ class TestTranslateBatch:
         vpns[::4] = vpns[0]  # consecutive same-page runs exercise the filters
         wr = np.array([rng.random() < 0.3 for __ in range(n)])
         scalar = np.array(
-            [a.translate_vpn(t, int(v), bool(w)).end_time for t, v, w in zip(now, vpns, wr)]
+            [a.translate_chain([t], [int(v)], bool(w))[1][0] for t, v, w in zip(now, vpns, wr)]
         )
         batch = b.translate_batch(now, vpns, wr)
         np.testing.assert_allclose(batch, scalar, rtol=1e-12)
@@ -54,7 +55,7 @@ class TestTranslateBatch:
         now = np.arange(50, dtype=float) * 5
         wr = np.zeros(50, bool)
         for t, v in zip(now, vpns):
-            a.translate_vpn(float(t), int(v), False)
+            a.translate_chain([float(t)], [int(v)], False)
         b.translate_batch(now, vpns, wr)
         assert ptw_a.bookings == ptw_b.bookings
         assert ptw_a.next_free == pytest.approx(ptw_b.next_free, rel=RTOL)

@@ -1,24 +1,8 @@
 """Unit tests for the composed memory system."""
 
-import pytest
-
 from repro.mem.cache import CacheConfig
 from repro.mem.dram import DRAMConfig
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
-
-
-class TestMemorySystemConfig:
-    def test_with_l2_size(self):
-        cfg = MemorySystemConfig()
-        bigger = cfg.with_l2_size(2 << 20)
-        assert bigger.l2.size_bytes == 2 << 20
-        assert bigger.l2.ways == cfg.l2.ways
-        assert bigger.dram is cfg.dram
-
-    def test_with_l2_size_requires_l2(self):
-        cfg = MemorySystemConfig(l2=None)
-        with pytest.raises(ValueError):
-            cfg.with_l2_size(1 << 20)
 
 
 class TestMemorySystem:
@@ -42,10 +26,10 @@ class TestMemorySystem:
         t_hit = mem.access(t_miss, 0, 64, False) - t_miss
         assert t_hit < t_miss
 
-    def test_read_write_helpers(self):
+    def test_access_counts_reads_and_writes(self):
         mem = MemorySystem()
-        mem.read(0.0, 0, 64)
-        mem.write(0.0, 0, 64)
+        mem.access(0.0, 0, 64, False)
+        mem.access(0.0, 0, 64, True)
         assert mem.l2.stats.value("reads") == 1
         assert mem.l2.stats.value("writes") == 1
 

@@ -33,14 +33,6 @@ class TestPageTable:
         with pytest.raises(PageFault):
             pt.walk(0x999)
 
-    def test_unmap(self):
-        pt = PageTable()
-        pt.map_page(5, 6)
-        pt.unmap_page(5)
-        assert not pt.is_mapped(5)
-        with pytest.raises(PageFault):
-            pt.unmap_page(5)
-
     def test_translate_byte_address(self):
         pt = PageTable(page_bytes=4096)
         pt.map_page(2, 10)
@@ -127,9 +119,3 @@ class TestVirtualMemory:
         assert region.vaddr == vaddr
         assert region.size == 100
         assert region.end == vaddr + 100
-
-    def test_bytes_allocated_tracks(self):
-        vm = VirtualMemory()
-        vm.alloc(100)
-        vm.alloc(200)
-        assert vm.bytes_allocated >= 300

@@ -180,16 +180,15 @@ def mapped_vm(pages):
     return vm
 
 
-def chain_of_translate_vpn(xlat, earliest, vpns, is_write):
+def chain_of_single_translations(xlat, earliest, vpns, is_write):
     starts, ends, levels = [], [], []
     end = float("-inf")
     for e, vpn in zip(earliest, vpns):
         start = e if e > end else end
-        result = xlat.translate_vpn(start, vpn, is_write)
-        end = result.end_time
+        __, (end,), (level,), __ppn = xlat.translate_chain([start], [vpn], is_write)
         starts.append(start)
         ends.append(end)
-        levels.append(result.level)
+        levels.append(level)
     return starts, ends, levels
 
 
@@ -202,7 +201,7 @@ def chain_of_translate_vpn(xlat, earliest, vpns, is_write):
     ],
 )
 @pytest.mark.parametrize("is_write", [False, True])
-def test_translate_chain_is_a_chain_of_translate_vpn(config, is_write):
+def test_translate_chain_is_a_chain_of_single_translations(config, is_write):
     rng = random.Random(8)
     earliest = sorted(rng.random() * 2000 for __ in range(450))
     vpns = [rng.choice([rng.randrange(40), 7, 7, 8]) for __ in earliest]
@@ -227,8 +226,9 @@ def test_translate_chain_is_a_chain_of_translate_vpn(config, is_write):
                 ppn = b.filters.write_ppn if is_write else b.filters.read_ppn
                 assert ppn == oracle.walk(vpn)
         starts, ends, levels, ppns = b.translate_chain(earliest[part], vpns[part], is_write)
-        assert (starts, ends, levels) == chain_of_translate_vpn(a, earliest[part], vpns[part],
-                                                                is_write)
+        assert (starts, ends, levels) == chain_of_single_translations(
+            a, earliest[part], vpns[part], is_write
+        )
         assert ppns == [oracle.walk(vpn) for vpn in vpns[part]]
         served.update(levels)
     expected_levels = {"private", "walk"}

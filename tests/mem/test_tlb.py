@@ -85,76 +85,84 @@ def make_system(private=4, shared=16, filters=False, ptw=None):
     return TranslationSystem(cfg, ptw=ptw)
 
 
+def translate(xs, now, vaddr, is_write):
+    """One request through ``translate_chain``: its ``(end, level)``."""
+    __, (end,), (level,), __ppns = xs.translate_chain(
+        [now], [vaddr // xs.config.page_bytes], is_write
+    )
+    return end, level
+
+
 class TestTranslationSystem:
     def test_first_access_walks(self):
         xs = make_system()
-        result = xs.translate(0.0, 0x1000, False)
-        assert result.level == "walk"
-        assert result.end_time >= 120.0
+        end, level = translate(xs, 0.0, 0x1000, False)
+        assert level == "walk"
+        assert end >= 120.0
 
     def test_second_access_private_hit(self):
         xs = make_system()
-        xs.translate(0.0, 0x1000, False)
-        result = xs.translate(200.0, 0x1000, False)
-        assert result.level == "private"
-        assert result.end_time == pytest.approx(204.0)
+        translate(xs, 0.0, 0x1000, False)
+        end, level = translate(xs, 200.0, 0x1000, False)
+        assert level == "private"
+        assert end == pytest.approx(204.0)
 
     def test_private_eviction_falls_to_shared(self):
         xs = make_system(private=1, shared=16)
-        xs.translate(0.0, 0x1000, False)
-        xs.translate(0.0, 0x2000, False)  # evicts page 1 from private
-        result = xs.translate(500.0, 0x1000, False)
-        assert result.level == "shared"
+        translate(xs, 0.0, 0x1000, False)
+        translate(xs, 0.0, 0x2000, False)  # evicts page 1 from private
+        __, level = translate(xs, 500.0, 0x1000, False)
+        assert level == "shared"
 
     def test_no_shared_tlb_walks_again(self):
         xs = make_system(private=1, shared=0)
-        xs.translate(0.0, 0x1000, False)
-        xs.translate(0.0, 0x2000, False)
-        result = xs.translate(500.0, 0x1000, False)
-        assert result.level == "walk"
+        translate(xs, 0.0, 0x1000, False)
+        translate(xs, 0.0, 0x2000, False)
+        __, level = translate(xs, 500.0, 0x1000, False)
+        assert level == "walk"
 
     def test_filter_registers_zero_latency(self):
         xs = make_system(filters=True)
-        xs.translate(0.0, 0x1000, False)
-        result = xs.translate(300.0, 0x1008, False)  # same page
-        assert result.level == "filter"
-        assert result.end_time == 300.0
+        translate(xs, 0.0, 0x1000, False)
+        end, level = translate(xs, 300.0, 0x1008, False)  # same page
+        assert level == "filter"
+        assert end == 300.0
 
     def test_filters_separate_channels(self):
         xs = make_system(filters=True)
-        xs.translate(0.0, 0x1000, False)
-        xs.translate(200.0, 0x1000, True)  # write: filter miss, private hit
-        result_r = xs.translate(400.0, 0x1010, False)
-        result_w = xs.translate(500.0, 0x1020, True)
-        assert result_r.level == "filter"
-        assert result_w.level == "filter"
+        translate(xs, 0.0, 0x1000, False)
+        translate(xs, 200.0, 0x1000, True)  # write: filter miss, private hit
+        __, level_r = translate(xs, 400.0, 0x1010, False)
+        __, level_w = translate(xs, 500.0, 0x1020, True)
+        assert level_r == "filter"
+        assert level_w == "filter"
 
     def test_shared_ptw_serializes(self):
         ptw = Timeline("ptw")
         a = make_system(ptw=ptw)
         b = make_system(ptw=ptw)
-        end_a = a.translate(0.0, 0x1000, False).end_time
-        end_b = b.translate(0.0, 0x9000, False).end_time
+        end_a, __ = translate(a, 0.0, 0x1000, False)
+        end_b, __ = translate(b, 0.0, 0x9000, False)
         assert end_b > end_a  # queued behind the first walk
 
     def test_flush_clears_all_levels(self):
         xs = make_system(filters=True)
-        xs.translate(0.0, 0x1000, False)
+        translate(xs, 0.0, 0x1000, False)
         xs.flush()
-        result = xs.translate(0.0, 0x1000, False)
-        assert result.level == "walk"
+        __, level = translate(xs, 0.0, 0x1000, False)
+        assert level == "walk"
 
     def test_hit_rate_including_filters(self):
         xs = make_system(filters=True)
         for i in range(10):
-            xs.translate(float(i), 0x1000 + i * 8, False)
+            translate(xs, float(i), 0x1000 + i * 8, False)
         assert xs.hit_rate_including_filters() == pytest.approx(0.9)
 
     def test_consecutive_same_page_fraction(self):
         xs = make_system()
-        xs.translate(0.0, 0x1000, False)
-        xs.translate(0.0, 0x1008, False)  # same page
-        xs.translate(0.0, 0x2000, False)  # different
+        translate(xs, 0.0, 0x1000, False)
+        translate(xs, 0.0, 0x1008, False)  # same page
+        translate(xs, 0.0, 0x2000, False)  # different
         assert xs.consecutive_same_page_fraction(False) == pytest.approx(0.5)
         assert xs.consecutive_same_page_fraction(True) == 0.0
 
@@ -162,14 +170,14 @@ class TestTranslationSystem:
         cfg = TLBConfig(private_entries=2, shared_entries=0, miss_rate_window=4)
         xs = TranslationSystem(cfg)
         for i in range(8):
-            xs.translate(float(i), i * 0x1000, False)
+            translate(xs, float(i), i * 0x1000, False)
         assert len(xs.miss_window.series) == 2
         assert all(v == 1.0 for v in xs.miss_window.series.values)
 
     def test_private_miss_rate(self):
         xs = make_system()
-        xs.translate(0.0, 0x1000, False)
-        xs.translate(0.0, 0x1000, False)
+        translate(xs, 0.0, 0x1000, False)
+        translate(xs, 0.0, 0x1000, False)
         assert xs.private_miss_rate() == pytest.approx(0.5)
 
     @given(st.lists(st.tuples(
@@ -179,7 +187,7 @@ class TestTranslationSystem:
     def test_levels_partition_requests(self, requests):
         xs = make_system(private=2, shared=4, filters=True)
         for i, (vpn, is_write) in enumerate(requests):
-            xs.translate(float(i), vpn * 4096, is_write)
+            translate(xs, float(i), vpn * 4096, is_write)
         s = xs.stats
         total = s.value("requests")
         served = (

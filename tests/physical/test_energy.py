@@ -12,7 +12,7 @@ from repro.physical.energy import (
 )
 from repro.soc.soc import make_soc
 from repro.sw.compiler import compile_graph
-from repro.sw.runtime import run_model_on_tile
+from repro.sw.runtime import Runtime
 
 
 class TestMacEnergy:
@@ -75,7 +75,7 @@ class TestRunEnergy:
         cfg = default_config().with_im2col(True)
         soc = make_soc(gemmini=cfg)
         model = compile_graph(tiny_cnn(32), SoftwareParams.from_config(cfg))
-        result = run_model_on_tile(soc.tile, model)
+        result = Runtime(soc.tile, model).run()
         report = estimate_run_energy(soc, result)
         assert report.total_mj > 0
         assert report.macs == sum(layer.macs for layer in result.layers)
@@ -88,7 +88,7 @@ class TestRunEnergy:
         def energy(hw):
             soc = make_soc(gemmini=cfg)
             model = compile_graph(tiny_cnn(hw), SoftwareParams.from_config(cfg))
-            result = run_model_on_tile(soc.tile, model)
+            result = Runtime(soc.tile, model).run()
             return estimate_run_energy(soc, result).total_mj
 
         assert energy(64) > energy(16)

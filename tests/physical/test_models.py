@@ -1,5 +1,7 @@
 """Physical-model tests: calibration anchors and design-space monotonicity."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import (
@@ -101,7 +103,7 @@ class TestDesignSpaceBehaviour:
 
     def test_bigger_sram_bigger_area(self):
         base = accelerator_area(default_config())
-        big = accelerator_area(default_config().with_memories(sp_capacity_bytes=512 * 1024))
+        big = accelerator_area(replace(default_config(), sp_capacity_bytes=512 * 1024))
         assert big.scratchpad == pytest.approx(2 * base.scratchpad)
 
     def test_unknown_cpu_rejected(self):

@@ -82,7 +82,7 @@ class TestDeterminism:
 
     def test_seed_changes_arrivals(self, two_tenant_result):
         profile, first = two_tenant_result
-        other = simulate_serving(profile.with_seed(1))
+        other = simulate_serving(replace(profile, seed=1))
         assert [r.arrival for r in first.records] != [r.arrival for r in other.records]
 
 

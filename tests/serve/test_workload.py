@@ -74,10 +74,6 @@ class TestTrafficProfile:
         )
         assert profile.total_requests == 11
 
-    def test_with_seed(self):
-        profile = TrafficProfile(tenants=(poisson_tenant(),), seed=0)
-        assert profile.with_seed(7).seed == 7
-
     def test_hashable_for_cache_keys(self):
         a = TrafficProfile(tenants=(poisson_tenant(),), seed=1)
         b = TrafficProfile(tenants=(poisson_tenant(),), seed=1)

@@ -99,7 +99,7 @@ class TestBandwidthTimeline:
         end = 0.0
         for __ in range(10):
             __, end = bw.transfer(0.0, 100)
-        assert bw.achieved_bandwidth(end) == pytest.approx(2.0)
+        assert bw.bytes_moved / end == pytest.approx(2.0)
 
     def test_zero_bytes(self):
         bw = BandwidthTimeline("bus", bytes_per_cycle=2.0)

@@ -134,7 +134,10 @@ class TestModelCompilation:
 
     def test_bert_cpu_ops(self):
         model = compile_graph(build_model("bert", seq=32), PARAMS)
-        cpu_kinds = [p.cpu_kind for p in model.cpu_plans() if p.kind == "cpu_op"]
+        cpu_kinds = [
+            p.cpu_kind for p in model.plans
+            if p.placement is Placement.CPU and p.kind == "cpu_op"
+        ]
         assert cpu_kinds.count("softmax") == 12
         assert cpu_kinds.count("gelu") == 12
         assert cpu_kinds.count("layernorm") == 24

@@ -8,12 +8,23 @@ from repro.soc.soc import make_soc
 from repro.sw.kernels import TileKernels
 
 
-@pytest.fixture
-def kernels():
-    soc = make_soc(gemmini=default_config().with_im2col(True))
+def make_kernels(has_im2col):
+    soc = make_soc(gemmini=default_config().with_im2col(has_im2col))
     vm = soc.tile.vm
     vm.alloc(64 << 20, "arena")  # map a large arena for kernel streams
     return TileKernels(soc.tile), soc
+
+
+@pytest.fixture
+def kernels():
+    """Kernels on a config with the im2col unit."""
+    return make_kernels(True)
+
+
+@pytest.fixture
+def host_kernels():
+    """Kernels on a config without the unit: the host CPU does im2col."""
+    return make_kernels(False)
 
 
 BASE = 0x1000_0000
@@ -101,38 +112,32 @@ class TestConvOps:
 
     def test_accel_im2col_no_cpu_cost(self, kernels):
         k, __ = kernels
-        ops, cpu_cycles = k.conv_ops(
-            self.conv(), BASE, BASE + (1 << 20), BASE + (2 << 20),
-            on_accel_im2col=True,
-        )
+        ops, cpu_cycles = k.conv_ops(self.conv(), BASE, BASE + (1 << 20), BASE + (2 << 20))
         assert cpu_cycles == 0.0
         assert len(list(ops)) > 0
 
-    def test_cpu_im2col_charges_host(self, kernels):
-        k, __ = kernels
+    def test_cpu_im2col_charges_host(self, host_kernels):
+        k, __ = host_kernels
         conv = self.conv()
         ops, cpu_cycles = k.conv_ops(
-            conv, BASE, BASE + (1 << 20), BASE + (2 << 20),
-            on_accel_im2col=False, im2col_vaddr=BASE + (3 << 20),
+            conv, BASE, BASE + (1 << 20), BASE + (2 << 20), im2col_vaddr=BASE + (3 << 20),
         )
         expected = k.tile.cpu.im2col_cycles(conv.num_patches * conv.patch_size)
         assert cpu_cycles == pytest.approx(expected)
         assert len(list(ops)) > 0
 
-    def test_accel_im2col_moves_less_data(self, kernels):
-        k, soc = kernels
+    def test_accel_im2col_moves_less_data(self, kernels, host_kernels):
         conv = self.conv()
-        before = soc.mem.bus.stats.value("bytes")
-        ops, __c = k.conv_ops(conv, BASE, BASE + (1 << 20), BASE + (2 << 20),
-                              on_accel_im2col=True)
+        k, soc = kernels
+        ops, __c = k.conv_ops(conv, BASE, BASE + (1 << 20), BASE + (2 << 20))
         k.run_ops(ops)
-        unit_bytes = soc.mem.bus.stats.value("bytes") - before
+        unit_bytes = soc.mem.bus.stats.value("bytes")
 
-        before = soc.mem.bus.stats.value("bytes")
+        k, soc = host_kernels
         ops, __c = k.conv_ops(conv, BASE, BASE + (1 << 20), BASE + (2 << 20),
-                              on_accel_im2col=False, im2col_vaddr=BASE + (3 << 20))
+                              im2col_vaddr=BASE + (3 << 20))
         k.run_ops(ops)
-        cpu_bytes = soc.mem.bus.stats.value("bytes") - before
+        cpu_bytes = soc.mem.bus.stats.value("bytes")
         assert unit_bytes < cpu_bytes  # k^2 patch amplification avoided
 
 

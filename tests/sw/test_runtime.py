@@ -9,7 +9,7 @@ from repro.soc.os_model import OSConfig
 from repro.soc.soc import make_soc
 from repro.sw.compiler import compile_graph
 from repro.sw.graph import Graph
-from repro.sw.runtime import Runtime, run_model_on_tile
+from repro.sw.runtime import Runtime
 
 
 CFG = default_config().with_im2col(True)
@@ -74,49 +74,52 @@ class TestAllocation:
         assert rt.addr("r") == base + model.tensor_bytes["l"]
 
     def test_im2col_scratch_allocated_when_needed(self):
-        cfg = default_config()  # no im2col unit
-        soc = make_soc(gemmini=cfg)
-        model = compile_graph(tiny_cnn(), SoftwareParams.from_config(cfg))
-        rt = Runtime(soc.tile, model, use_accel_im2col=False)
-        assert rt._im2col_vaddr is not None
+        """Scratch exactly when the config lacks the im2col unit."""
+        for has_im2col in (False, True):
+            cfg = default_config().with_im2col(has_im2col)
+            soc = make_soc(gemmini=cfg)
+            model = compile_graph(tiny_cnn(), SoftwareParams.from_config(cfg))
+            rt = Runtime(soc.tile, model)
+            assert (rt._im2col_vaddr is not None) == (not has_im2col)
 
-    def test_im2col_request_without_unit_rejected(self):
-        cfg = default_config()
-        soc = make_soc(gemmini=cfg)
-        model = compile_graph(tiny_cnn(), SoftwareParams.from_config(cfg))
-        with pytest.raises(ValueError):
-            Runtime(soc.tile, model, use_accel_im2col=True)
+    def test_host_im2col_charged_only_without_unit(self):
+        for has_im2col in (False, True):
+            cfg = default_config().with_im2col(has_im2col)
+            soc = make_soc(gemmini=cfg)
+            model = compile_graph(tiny_cnn(), SoftwareParams.from_config(cfg))
+            conv = Runtime(soc.tile, model).run().layer("c1")
+            assert (conv.cpu_cycles > 0) == (not has_im2col)
 
 
 class TestExecution:
     def test_tiny_model_runs(self):
         soc = make_soc(gemmini=CFG)
-        result = run_model_on_tile(soc.tile, compile_graph(tiny_cnn(), PARAMS))
+        result = Runtime(soc.tile, compile_graph(tiny_cnn(), PARAMS)).run()
         assert result.total_cycles > 0
         assert len(result.layers) == 3  # conv+relu fused, conv, resadd
         assert result.macro_ops > 0
 
     def test_layer_kinds_recorded(self):
         soc = make_soc(gemmini=CFG)
-        result = run_model_on_tile(soc.tile, compile_graph(tiny_cnn(), PARAMS))
+        result = Runtime(soc.tile, compile_graph(tiny_cnn(), PARAMS)).run()
         kinds = [layer.kind for layer in result.layers]
         assert kinds == ["conv", "conv", "resadd"]
 
     def test_marginal_cycles_sum_to_total(self):
         soc = make_soc(gemmini=CFG)
-        result = run_model_on_tile(soc.tile, compile_graph(tiny_cnn(), PARAMS))
+        result = Runtime(soc.tile, compile_graph(tiny_cnn(), PARAMS)).run()
         assert sum(layer.cycles for layer in result.layers) == pytest.approx(
             result.total_cycles, rel=1e-6
         )
 
     def test_fps_computation(self):
         soc = make_soc(gemmini=CFG)
-        result = run_model_on_tile(soc.tile, compile_graph(tiny_cnn(), PARAMS))
+        result = Runtime(soc.tile, compile_graph(tiny_cnn(), PARAMS)).run()
         assert result.fps(1.0) == pytest.approx(1e9 / result.total_cycles)
 
     def test_sync_per_layer_not_faster(self):
         model = compile_graph(tiny_cnn(32), PARAMS)
-        free = run_model_on_tile(make_soc(gemmini=CFG).tile, model)
+        free = Runtime(make_soc(gemmini=CFG).tile, model).run()
         soc2 = make_soc(gemmini=CFG)
         synced = Runtime(soc2.tile, compile_graph(tiny_cnn(32), PARAMS),
                          sync_per_layer=True).run()
@@ -128,7 +131,7 @@ class TestExecution:
         g.add_node("Softmax", "sm", ["x"], "y")
         g.mark_output("y")
         soc = make_soc(gemmini=CFG)
-        result = run_model_on_tile(soc.tile, compile_graph(g, PARAMS))
+        result = Runtime(soc.tile, compile_graph(g, PARAMS)).run()
         expected = soc.tile.cpu.softmax_cycles(8 * 64)
         assert result.total_cycles >= expected
 
@@ -136,13 +139,13 @@ class TestExecution:
         os_cfg = OSConfig(enabled=True, quantum_cycles=500, context_switch_cycles=100)
         soc = make_soc(gemmini=CFG, os=os_cfg)
         model = compile_graph(tiny_cnn(32), PARAMS)
-        run_model_on_tile(soc.tile, model)
+        Runtime(soc.tile, model).run()
         assert soc.tile.os.stats.value("context_switches") > 0
         assert soc.tile.accel.xlat.stats.value("flushes") > 0
 
     def test_memory_counters_account_for_every_request(self):
         soc = make_soc(gemmini=CFG)
-        run_model_on_tile(soc.tile, compile_graph(tiny_cnn(32), PARAMS))
+        Runtime(soc.tile, compile_graph(tiny_cnn(32), PARAMS)).run()
         tlb = soc.tile.accel.xlat.stats
         requests = tlb.value("requests")
         assert requests > 0
@@ -159,7 +162,7 @@ class TestExecution:
 
     def test_layer_lookup(self):
         soc = make_soc(gemmini=CFG)
-        result = run_model_on_tile(soc.tile, compile_graph(tiny_cnn(), PARAMS))
+        result = Runtime(soc.tile, compile_graph(tiny_cnn(), PARAMS)).run()
         assert result.layer("res").kind == "resadd"
         with pytest.raises(KeyError):
             result.layer("nope")
@@ -179,7 +182,7 @@ class TestMultiCore:
 
     def test_contention_slows_execution(self):
         solo = make_soc(gemmini=CFG)
-        solo_result = run_model_on_tile(solo.tile, compile_graph(tiny_cnn(32), PARAMS))
+        solo_result = Runtime(solo.tile, compile_graph(tiny_cnn(32), PARAMS)).run()
 
         duo = make_soc(gemmini=CFG, num_tiles=2)
         runtimes = [
@@ -241,6 +244,6 @@ class TestLayerLookup:
 
     def test_real_run_layers_resolve(self):
         soc = make_soc(gemmini=CFG)
-        result = run_model_on_tile(soc.tile, compile_graph(tiny_cnn(), PARAMS))
+        result = Runtime(soc.tile, compile_graph(tiny_cnn(), PARAMS)).run()
         for layer in result.layers:
             assert result.layer(layer.name) is layer

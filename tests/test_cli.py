@@ -374,6 +374,17 @@ class TestObservabilityFlags:
         assert doc["final"]["layers"] > 0
         assert doc["final"]["layer_ms_p99"] >= doc["final"]["layer_ms_p50"]
 
+    @pytest.mark.parametrize("metrics_name", ["m.json", "m.csv"])
+    def test_artifacts_create_parent_directories(self, capsys, tmp_path, metrics_name):
+        trace = tmp_path / "nodir" / "t.json"
+        metrics = tmp_path / "nodir2" / "deeper" / metrics_name
+        assert main([
+            "run", "squeezenet", "--input-hw", "32", "--no-ledger",
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
+        ]) == 0
+        assert trace.stat().st_size > 0
+        assert metrics.stat().st_size > 0
+
     def test_dse_trace_out(self, capsys, tmp_path, monkeypatch):
         import json
 
