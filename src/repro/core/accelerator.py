@@ -11,8 +11,7 @@ DMA beat and TLB miss is accounted).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.accumulator import Accumulator, apply_activation
 from repro.core.config import Activation, Dataflow, GemminiConfig
@@ -41,6 +40,9 @@ from repro.mem.page_table import VirtualMemory
 from repro.mem.tlb import TranslationSystem
 from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ACTIVATIONS = {0: Activation.NONE, 1: Activation.RELU, 2: Activation.RELU6}
 
@@ -309,6 +311,8 @@ class Accelerator:
     def _read_local_block(self, addr: LocalAddr, rows: int, cols: int) -> np.ndarray:
         """Functional read of an operand block (zeros for garbage)."""
         if addr.garbage or rows == 0:
+            import numpy as np
+
             return np.zeros((max(rows, 1), cols), dtype=self.config.acc_type.np_dtype)
         if addr.is_acc:
             __, data = self.accumulator.read_raw(0.0, addr.row, rows)
@@ -379,6 +383,8 @@ class Accelerator:
             if not decoded.bd.garbage:
                 d_block = self._read_local_block(decoded.bd, decoded.bd_rows, decoded.bd_cols)
             if a_block is None:
+                import numpy as np
+
                 a_block = np.zeros((rows_streamed, dim), dtype=self.config.acc_type.np_dtype)
             result = self.mesh.compute_ws(a_block, d_block)
             if not pre.c.garbage:
@@ -392,6 +398,8 @@ class Accelerator:
             if state.transpose_b:
                 b_block = self.transposer.transpose(b_block)
             if a_block is None:
+                import numpy as np
+
                 a_block = np.zeros((dim, decoded.bd_rows), dtype=self.config.acc_type.np_dtype)
             if inst.funct is Funct.COMPUTE_PRELOADED and not pre.os_seed_pending:
                 self.mesh.preload_os(None)

@@ -5,22 +5,29 @@ for an int8 datapath).  Writes may *accumulate* into existing contents
 (the '+=' the spatial array's partial results need); reads pass through the
 output pipeline — scaling (floating multiplier or rounding right-shift),
 activation (ReLU/ReLU6), and a saturating cast down to the input type.
+
+Like the scratchpad's, the row storage is allocated on first data access.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.config import Activation, GemminiConfig
 from repro.core.dtypes import rounding_right_shift
 from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def apply_activation(values: np.ndarray, activation: Activation) -> np.ndarray:
     """Apply an activation function at accumulator precision."""
     if activation is Activation.NONE:
         return values
+    import numpy as np
+
     if activation is Activation.RELU:
         return np.maximum(values, 0)
     if activation is Activation.RELU6:
@@ -39,12 +46,21 @@ class Accumulator:
         self.num_banks = config.acc_banks
         self.dim = config.dim
         self._dtype = config.acc_type.np_dtype
-        self.banks = [
-            np.zeros((self.bank_rows, self.dim), dtype=self._dtype)
-            for _ in range(self.num_banks)
-        ]
+        self._banks = None
         self.ports = [Timeline(f"{name}.bank{i}") for i in range(self.num_banks)]
         self.stats = StatsRegistry(owner=name)
+
+    @property
+    def banks(self) -> list:
+        """Per-bank row storage, zero-filled on first access."""
+        if self._banks is None:
+            import numpy as np
+
+            self._banks = [
+                np.zeros((self.bank_rows, self.dim), dtype=self._dtype)
+                for _ in range(self.num_banks)
+            ]
+        return self._banks
 
     # ------------------------------------------------------------------ #
 
@@ -78,12 +94,13 @@ class Accumulator:
         self.stats.counter("accumulates" if accumulate else "writes").add(nrows)
         cols = data.shape[1]
         data = data.astype(self._dtype, copy=False)
+        banks = self.banks
         end = now
         cursor = 0
         for bank, offset, count in self._bank_spans(row, nrows):
             __, bank_end = self.ports[bank].book(now, count)
             end = max(end, bank_end)
-            target = self.banks[bank][offset : offset + count]
+            target = banks[bank][offset : offset + count]
             chunk = data[cursor : cursor + count]
             if accumulate:
                 target[:, :cols] += chunk
@@ -115,6 +132,8 @@ class Accumulator:
         floating ``scale``; float datapaths apply only ``scale``.  The result
         is saturated/cast to the input type.
         """
+        import numpy as np
+
         self._check_range(row, nrows)
         self.stats.counter("reads_scaled").add(nrows)
         end, raw = self._read(now, row, nrows)
@@ -127,14 +146,18 @@ class Accumulator:
         return end, self.config.input_type.saturate(np.asarray(values))
 
     def _read(self, now: float, row: int, nrows: int) -> tuple[float, np.ndarray]:
+        banks = self.banks
         pieces = []
         end = now
         for bank, offset, count in self._bank_spans(row, nrows):
             __, bank_end = self.ports[bank].book(now, count)
             end = max(end, bank_end)
-            pieces.append(self.banks[bank][offset : offset + count])
-        data = np.concatenate(pieces, axis=0) if len(pieces) > 1 else pieces[0].copy()
-        return end, data
+            pieces.append(banks[bank][offset : offset + count])
+        if len(pieces) == 1:
+            return end, pieces[0].copy()
+        import numpy as np
+
+        return end, np.concatenate(pieces, axis=0)
 
     # ------------------------------------------------------------------ #
 
@@ -142,8 +165,7 @@ class Accumulator:
         return self.rows * self.config.acc_row_bytes
 
     def reset(self) -> None:
-        for bank in self.banks:
-            bank.fill(0)
+        self._banks = None
         for port in self.ports:
             port.reset()
         self.stats.reset()

@@ -10,8 +10,10 @@ of Figure 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------- #
@@ -74,6 +76,8 @@ def im2col(image: np.ndarray, params: ConvParams) -> np.ndarray:
             f"image shape {image.shape} does not match conv params "
             f"({params.in_h}, {params.in_w}, {params.in_ch})"
         )
+    import numpy as np
+
     k, s, p = params.kernel, params.stride, params.padding
     padded = np.pad(image, ((p, p), (p, p), (0, 0)))
     rows = np.empty((params.num_patches, params.patch_size), dtype=image.dtype)
@@ -94,6 +98,8 @@ def conv_reference(
     ``weights`` is (kernel*kernel*in_ch, out_ch); returns
     (out_h, out_w, out_ch).
     """
+    import numpy as np
+
     patches = im2col(image, params).astype(np.float64)
     out = patches @ weights.astype(np.float64)
     return out.reshape(params.out_h, params.out_w, params.out_ch)
@@ -130,6 +136,8 @@ class Transposer:
     def transpose(self, block: np.ndarray) -> np.ndarray:
         if block.ndim != 2:
             raise ValueError("transpose expects a 2-D block")
+        import numpy as np
+
         return np.ascontiguousarray(block.T)
 
     def cycles(self) -> int:
@@ -174,6 +182,8 @@ class PoolingEngine:
         """``image`` is (H, W, C); returns (out_h, out_w, C)."""
         if image.shape[0] != params.in_h or image.shape[1] != params.in_w:
             raise ValueError("image does not match pool params")
+        import numpy as np
+
         out = np.empty(
             (params.out_h, params.out_w, image.shape[2]), dtype=image.dtype
         )
@@ -202,6 +212,8 @@ class MatrixScalarUnit:
         self.dim = dim
 
     def scale(self, block: np.ndarray, scalar: float, out_dtype) -> np.ndarray:
+        import numpy as np
+
         scaled = block.astype(np.float64) * scalar
         return out_dtype.saturate(scaled)
 

@@ -4,15 +4,21 @@ A banked SRAM array of rows, each row holding ``DIM`` input-type elements.
 Banks serve one row per cycle each, so concurrent streams (DMA fill vs
 array read) only conflict when they target the same bank — the behaviour
 that makes double-buffered tilings overlap cleanly.
+
+The row storage is allocated on first data access, so a timing-only run
+(which never moves data through the SRAM) never imports numpy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.config import GemminiConfig
 from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Scratchpad:
@@ -26,12 +32,21 @@ class Scratchpad:
         self.num_banks = config.sp_banks
         self.dim = config.dim
         self._dtype = config.input_type.np_dtype
-        self.banks = [
-            np.zeros((self.bank_rows, self.dim), dtype=self._dtype)
-            for _ in range(self.num_banks)
-        ]
+        self._banks = None
         self.ports = [Timeline(f"{name}.bank{i}") for i in range(self.num_banks)]
         self.stats = StatsRegistry(owner=name)
+
+    @property
+    def banks(self) -> list:
+        """Per-bank row storage, zero-filled on first access."""
+        if self._banks is None:
+            import numpy as np
+
+            self._banks = [
+                np.zeros((self.bank_rows, self.dim), dtype=self._dtype)
+                for _ in range(self.num_banks)
+            ]
+        return self._banks
 
     # ------------------------------------------------------------------ #
 
@@ -61,13 +76,18 @@ class Scratchpad:
         """Read ``nrows`` rows starting at ``row``; one row per bank-cycle."""
         self._check_range(row, nrows)
         self.stats.counter("reads").add(nrows)
+        banks = self.banks
         pieces = []
         end = now
         for bank, offset, count in self._bank_spans(row, nrows):
             __, bank_end = self.ports[bank].book(now, count)
             end = max(end, bank_end)
-            pieces.append(self.banks[bank][offset : offset + count])
-        return end, np.concatenate(pieces, axis=0) if len(pieces) > 1 else pieces[0].copy()
+            pieces.append(banks[bank][offset : offset + count])
+        if len(pieces) == 1:
+            return end, pieces[0].copy()
+        import numpy as np
+
+        return end, np.concatenate(pieces, axis=0)
 
     def write(self, now: float, row: int, data: np.ndarray) -> float:
         """Write ``data`` (nrows x <=DIM) starting at ``row``."""
@@ -77,12 +97,13 @@ class Scratchpad:
             raise ValueError(f"data shape {data.shape} exceeds row width {self.dim}")
         self.stats.counter("writes").add(nrows)
         cols = data.shape[1]
+        banks = self.banks
         end = now
         cursor = 0
         for bank, offset, count in self._bank_spans(row, nrows):
             __, bank_end = self.ports[bank].book(now, count)
             end = max(end, bank_end)
-            target = self.banks[bank][offset : offset + count]
+            target = banks[bank][offset : offset + count]
             target[:, :cols] = data[cursor : cursor + count]
             if cols < self.dim:
                 target[:, cols:] = 0
@@ -95,8 +116,7 @@ class Scratchpad:
         return self.rows * self.config.sp_row_bytes
 
     def reset(self) -> None:
-        for bank in self.banks:
-            bank.fill(0)
+        self._banks = None
         for port in self.ports:
             port.reset()
         self.stats.reset()

@@ -10,13 +10,20 @@
   cost of a blocked matmul, for one config or a column batch of them; the
   macro kernels, the tuner screen, DSE's analytic fidelity and the SJF
   oracle all price a matmul with it.
+
+numpy is imported only where arrays are built: a timing-only run prices
+matmuls on plain ints and never loads it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.config import GemminiConfig
+from repro.core.dtypes import is_array
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # ---------------------------------------------------------------------- #
@@ -78,6 +85,8 @@ class StructuralMesh:
         ``a`` is (m, dim), ``b`` is (dim, dim) stationary, ``d`` is (m, dim).
         Returns (C as float64 (m, dim), total cycles simulated).
         """
+        import numpy as np
+
         dim = self.dim
         m = a.shape[0]
         if a.shape != (m, dim) or b.shape != (dim, dim) or d.shape != (m, dim):
@@ -138,6 +147,8 @@ class StructuralMesh:
         ``a`` is (dim, k), ``b`` is (k, dim), ``d`` is (dim, dim).
         Returns (C, cycles including the drain phase).
         """
+        import numpy as np
+
         dim = self.dim
         k = a.shape[1]
         if a.shape != (dim, k) or b.shape != (k, dim) or d.shape != (dim, dim):
@@ -196,13 +207,19 @@ class FunctionalMesh:
         self.config = config
         self.dim = config.dim
         self._acc_np = config.acc_type.np_dtype
-        self.active_b = np.zeros((self.dim, self.dim), dtype=self._acc_np)
-        self.staged_b = np.zeros((self.dim, self.dim), dtype=self._acc_np)
-        self.os_acc = np.zeros((self.dim, self.dim), dtype=self._acc_np)
+        # None reads as all zeros: the registers are built on first use.
+        self.active_b = None
+        self.staged_b = None
+        self.os_acc = None
+
+    def _zeros(self) -> np.ndarray:
+        import numpy as np
+
+        return np.zeros((self.dim, self.dim), dtype=self._acc_np)
 
     def stage_weights(self, b: np.ndarray) -> None:
         """PRELOAD: stage B into the double buffer (WS dataflow)."""
-        block = np.zeros((self.dim, self.dim), dtype=self._acc_np)
+        block = self._zeros()
         block[: b.shape[0], : b.shape[1]] = b
         self.staged_b = block
 
@@ -212,10 +229,13 @@ class FunctionalMesh:
 
     def compute_ws(self, a: np.ndarray, d: np.ndarray | None) -> np.ndarray:
         """C = D + A @ B_active at accumulator precision; A is (m, dim)."""
+        import numpy as np
+
         m = a.shape[0]
         a_wide = np.zeros((m, self.dim), dtype=self._acc_np)
         a_wide[:, : a.shape[1]] = a
-        result = a_wide @ self.active_b
+        active = self.active_b if self.active_b is not None else self._zeros()
+        result = a_wide @ active
         if d is not None:
             d_wide = np.zeros((m, self.dim), dtype=self._acc_np)
             d_wide[: d.shape[0], : d.shape[1]] = d
@@ -224,22 +244,26 @@ class FunctionalMesh:
 
     def preload_os(self, d: np.ndarray | None) -> None:
         """PRELOAD in OS mode: seed the per-PE accumulators with D (or 0)."""
-        self.os_acc = np.zeros((self.dim, self.dim), dtype=self._acc_np)
+        self.os_acc = None
         if d is not None:
+            self.os_acc = self._zeros()
             self.os_acc[: d.shape[0], : d.shape[1]] = d
 
     def compute_os(self, a: np.ndarray, b: np.ndarray) -> None:
         """Accumulate A @ B into the resident C registers; A is (dim, k)."""
+        import numpy as np
+
         a_wide = np.zeros((self.dim, a.shape[1]), dtype=self._acc_np)
         a_wide[: a.shape[0], :] = a
         b_wide = np.zeros((a.shape[1], self.dim), dtype=self._acc_np)
         b_wide[:, : b.shape[1]] = b
-        self.os_acc = self.os_acc + a_wide @ b_wide
+        acc = self.os_acc if self.os_acc is not None else self._zeros()
+        self.os_acc = acc + a_wide @ b_wide
 
     def drain_os(self) -> np.ndarray:
         """Read the output-stationary results out of the array."""
-        result = self.os_acc.copy()
-        self.os_acc = np.zeros((self.dim, self.dim), dtype=self._acc_np)
+        result = self.os_acc if self.os_acc is not None else self._zeros()
+        self.os_acc = None
         return result
 
 
@@ -277,10 +301,12 @@ def matmul_cycles(geometry, m, k, n):
     kb = -(-k // dim)
     nb = -(-n // dim)
     total = kb * nb * m + mb * nb * dim * geometry.os_dataflow + fill_latency(geometry)
-    if not isinstance(total, np.ndarray):
+    if not is_array(total):
         if min(m, k, n) <= 0:
             raise ValueError("matmul dimensions must be positive")
         return float(total)
+    import numpy as np
+
     if min(np.min(m), np.min(k), np.min(n)) <= 0:
         raise ValueError("matmul dimensions must be positive")
     return total.astype(np.float64)

@@ -28,14 +28,13 @@ import inspect
 import json
 import os
 import pickle
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 __all__ = [
     "ExperimentRunner",
@@ -76,6 +75,10 @@ def _canonical(obj: Any) -> Any:
         return sorted(repr(_canonical(v)) for v in obj)
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
+    # Only a loaded numpy can have built an array or a numpy scalar.
+    np = sys.modules.get("numpy")
+    if np is None:
+        return repr(obj)
     if isinstance(obj, np.ndarray):
         # repr() truncates large arrays, which would collide distinct
         # sweep points; hash the full contents plus shape/dtype instead.

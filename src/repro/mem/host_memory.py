@@ -4,12 +4,16 @@ The timing models (:mod:`repro.mem.dram`, :mod:`repro.mem.cache`) do not
 hold data; this sparse page store does.  Tensors live at virtual addresses
 handed out by :class:`~repro.mem.page_table.VirtualMemory`, and the
 accelerator's functional executor moves real bytes through here so results
-can be checked against NumPy references.
+can be checked against NumPy references.  Pages are numpy arrays, built
+(and numpy imported) only when a functional model first moves data.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PAGE_BYTES = 4096
 
@@ -24,6 +28,8 @@ class HostMemory:
     def _page(self, vpn: int) -> np.ndarray:
         page = self._pages.get(vpn)
         if page is None:
+            import numpy as np
+
             page = np.zeros(self.page_bytes, dtype=np.uint8)
             self._pages[vpn] = page
         return page
@@ -34,6 +40,8 @@ class HostMemory:
         """Read ``nbytes`` as a uint8 array (zero-filled where unwritten)."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
+        import numpy as np
+
         out = np.empty(nbytes, dtype=np.uint8)
         cursor = 0
         while cursor < nbytes:
@@ -45,6 +53,8 @@ class HostMemory:
 
     def write(self, vaddr: int, data: np.ndarray) -> None:
         """Write a uint8 array at ``vaddr``."""
+        import numpy as np
+
         data = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
         nbytes = data.size
         cursor = 0
@@ -60,6 +70,8 @@ class HostMemory:
         self, vaddr: int, rows: int, cols: int, stride_bytes: int, dtype: np.dtype
     ) -> np.ndarray:
         """Read a strided row-major matrix of ``dtype`` elements."""
+        import numpy as np
+
         elem = np.dtype(dtype).itemsize
         out = np.empty((rows, cols), dtype=dtype)
         for r in range(rows):
@@ -71,5 +83,7 @@ class HostMemory:
         """Write a 2-D array as strided row-major ``data.dtype`` elements."""
         if data.ndim != 2:
             raise ValueError("write_matrix expects a 2-D array")
+        import numpy as np
+
         for r in range(data.shape[0]):
             self.write(vaddr + r * stride_bytes, np.ascontiguousarray(data[r]).view(np.uint8))

@@ -108,11 +108,16 @@ def provenance() -> dict[str, Any]:
 
 
 def _numpy_version() -> str | None:
-    try:
-        import numpy
-
+    """numpy's version, read without importing numpy: a run that never
+    builds an array must not load it just to stamp provenance."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
         return numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dependency
+    from importlib import metadata
+
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:  # pragma: no cover - numpy is a hard dependency
         return None
 
 

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.obs.ledger import RunRecord
 
 __all__ = [
@@ -96,6 +94,8 @@ def bootstrap_rel_change_ci(
     different ledger entries, not paired observations).  Deterministic for
     a given seed, so CI reruns agree.
     """
+    import numpy as np
+
     base = np.asarray(baseline, dtype=float)
     cand = np.asarray(candidate, dtype=float)
     if base.size == 0 or cand.size == 0:

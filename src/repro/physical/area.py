@@ -14,16 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import GemminiConfig
+from repro.core.dtypes import is_array
 from repro.physical.technology import INTEL_22FFL, Technology
 
 
 def width_scale(config: GemminiConfig) -> float:
     """Datapath width relative to the int8 calibration anchor, at least 1."""
     scale = config.input_bits / 8.0
-    if isinstance(scale, np.ndarray):
+    if is_array(scale):
+        import numpy as np
+
         return np.maximum(1.0, scale)
     return max(1.0, scale)
 
@@ -33,7 +34,7 @@ def lowest(value: float) -> float:
 
     Plain numbers skip numpy: the per-design callers pay no numpy call.
     """
-    return value.min() if isinstance(value, np.ndarray) else value
+    return value.min() if is_array(value) else value
 
 
 def pipeline_register_count(config: GemminiConfig) -> int:

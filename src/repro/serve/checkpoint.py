@@ -30,8 +30,10 @@ __all__ = ["CHECKPOINT_SCHEMA", "save_checkpoint", "load_checkpoint"]
 
 #: bump on any incompatible change to the pickled layout (2: the L2's sets
 #: are keyed by line index, not by tag; 3: TLB entries and filter registers
-#: hold real PPNs; 4: the schema stamp is its own first pickle record)
-CHECKPOINT_SCHEMA = 4
+#: hold real PPNs; 4: the schema stamp is its own first pickle record; 5:
+#: dtypes hold a numpy-free storage handle, and the scratchpad, accumulator
+#: and functional mesh build their arrays on first use)
+CHECKPOINT_SCHEMA = 5
 
 
 class _StampUnpickler(pickle.Unpickler):

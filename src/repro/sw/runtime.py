@@ -13,9 +13,10 @@ dual-core contention experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Generator
 
+from repro.core.generator import SoftwareParams
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.soc.soc import SoCTile
 from repro.sw.compiler import CompiledModel, LayerPlan, Placement
@@ -90,6 +91,25 @@ class RunResult:
             raise KeyError(name) from None
 
 
+def _check_compiled_for(model: CompiledModel, tile: SoCTile) -> None:
+    """Refuse a model compiled for another accelerator than the tile's: its
+    plans and scratch buffers assume that config (a model compiled with the
+    im2col unit has no host-im2col scratch, so on a tile without the unit
+    the host lowering would stream past its input)."""
+    expected = SoftwareParams.from_config(tile.accel.config)
+    if model.params == expected:
+        return
+    differing = [
+        f"{f.name}={getattr(model.params, f.name, None)!r} (tile: {getattr(expected, f.name)!r})"
+        for f in fields(expected)
+        if getattr(model.params, f.name, None) != getattr(expected, f.name)
+    ]
+    raise ValueError(
+        f"model {model.name!r} was compiled for another accelerator than tile "
+        f"{tile.name!r}: " + ", ".join(differing)
+    )
+
+
 class Runtime:
     """Binds one compiled model to one tile and executes it."""
 
@@ -102,6 +122,7 @@ class Runtime:
         tracer: Tracer | None = None,
         schedule_cache: "ScheduleCache | None" = None,
     ) -> None:
+        _check_compiled_for(model, tile)
         self.tile = tile
         self.model = model
         #: per-layer span sink (``run --trace-out``); the null singleton

@@ -110,3 +110,28 @@ class TestAccumulatorTiming:
         assert acc.stats.value("writes") == 2
         assert acc.stats.value("accumulates") == 2
         assert acc.stats.value("reads_scaled") == 1
+
+
+class TestAccumulatorStorage:
+    """Row storage is built on first data access and dropped by reset()."""
+
+    def test_fresh_reads_zeros(self, small_config):
+        acc = Accumulator(small_config)
+        __, raw = acc.read_raw(0.0, 0, acc.rows)
+        assert raw.shape == (acc.rows, acc.dim)
+        assert raw.dtype == np.int32
+        assert not raw.any()
+        __, scaled = acc.read_scaled(0.0, 0, acc.rows)
+        assert scaled.dtype == np.int8
+        assert not scaled.any()
+
+    def test_reads_zeros_after_reset(self, small_config):
+        acc = Accumulator(small_config)
+        acc.write(0.0, acc.bank_rows - 2, np.full((4, 4), 9, dtype=np.int32), False)
+        acc.reset()
+        __, raw = acc.read_raw(0.0, 0, acc.rows)
+        assert not raw.any()
+        # Accumulating after a reset adds onto zeros, not the old contents.
+        acc.write(0.0, acc.bank_rows - 2, np.ones((4, 4), dtype=np.int32), True)
+        __, raw = acc.read_raw(0.0, acc.bank_rows - 2, 4)
+        assert (raw == 1).all()

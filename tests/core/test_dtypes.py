@@ -1,5 +1,7 @@
 """Unit tests for hardware datatypes and rounding shifts."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro.core.dtypes import (
     BF16,
+    BY_NAME,
     FP32,
     INT8,
+    StorageDType,
     dtype_by_name,
     rounding_right_shift,
 )
@@ -46,6 +50,27 @@ class TestDType:
         assert dtype_by_name("fp32") is FP32
         with pytest.raises(ValueError):
             dtype_by_name("int7")
+
+
+class TestStorageDType:
+    @pytest.mark.parametrize("name", sorted(BY_NAME))
+    def test_reads_as_the_numpy_dtype(self, name):
+        handle = BY_NAME[name].np_dtype
+        # repr feeds config hashes: it must be numpy's own.
+        assert repr(handle) == repr(handle.dtype)
+        assert np.dtype(handle) == handle.dtype
+        assert np.zeros(2, dtype=handle).dtype == handle.dtype
+        assert handle.dtype == handle and handle == handle.dtype
+
+    def test_equality_and_hash_by_name(self):
+        assert StorageDType("int8") == INT8.np_dtype
+        assert hash(StorageDType("int8")) == hash(INT8.np_dtype)
+        assert StorageDType("int8") != StorageDType("int32")
+        assert FP32.np_dtype == BF16.np_dtype
+
+    def test_pickle_round_trip(self):
+        for dtype in BY_NAME.values():
+            assert pickle.loads(pickle.dumps(dtype)) == dtype
 
 
 class TestRoundingShift:

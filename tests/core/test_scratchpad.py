@@ -79,3 +79,26 @@ class TestScratchpadTiming:
         __, out = sp.read(0.0, 0, 1)
         assert (out == 0).all()
         assert sp.stats.value("writes") == 0
+
+
+class TestScratchpadStorage:
+    """Row storage is built on first data access and dropped by reset()."""
+
+    def test_fresh_reads_zeros(self, small_config):
+        sp = Scratchpad(small_config)
+        __, out = sp.read(0.0, 0, sp.rows)
+        assert out.shape == (sp.rows, sp.dim)
+        assert out.dtype == np.int8
+        assert not out.any()
+
+    def test_reads_zeros_after_reset(self, small_config):
+        sp = Scratchpad(small_config)
+        # Span a bank boundary so every bank holds data before the reset.
+        sp.write(0.0, sp.bank_rows - 2, np.full((4, 4), 5, dtype=np.int8))
+        sp.reset()
+        __, out = sp.read(0.0, 0, sp.rows)
+        assert out.shape == (sp.rows, sp.dim)
+        assert not out.any()
+        sp.write(0.0, 0, np.ones((1, 4), dtype=np.int8))
+        __, out = sp.read(0.0, 0, 2)
+        assert out.tolist() == [[1, 1, 1, 1], [0, 0, 0, 0]]

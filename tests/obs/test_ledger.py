@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.obs.ledger import (
     merge_ledgers,
     provenance,
 )
+from repro.obs import ledger as ledger_module
 
 
 class TestProvenance:
@@ -38,6 +40,15 @@ class TestProvenance:
 
     def test_cached_per_process(self):
         assert provenance() is provenance()
+
+    def test_numpy_version_read_without_importing_numpy(self, monkeypatch):
+        import numpy
+
+        assert provenance()["numpy"] == numpy.__version__
+        # A None entry makes ``import numpy`` raise: the version must come
+        # from the installed distribution's metadata instead.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert ledger_module._numpy_version() == numpy.__version__
 
 
 class TestRunRecord:

@@ -138,17 +138,27 @@ class TestCheckpointFiles:
             pickle.dump({"schema": CHECKPOINT_SCHEMA + 1, "sim": None}, fh)
         with pytest.raises(ValueError, match="schema"):
             load_checkpoint(path)
+        # A schema-4 file (stamp record, then the simulation) pickled the
+        # functional SRAM and mesh arrays eagerly and numpy dtypes in its
+        # configs; it is refused on its stamp.
+        assert CHECKPOINT_SCHEMA == 5
+        old = tmp_path / "schema4.ckpt"
+        with open(old, "wb") as fh:
+            pickle.dump({"schema": 4}, fh)
+            pickle.dump(ServingSimulation(study_profile()), fh)
+        with pytest.raises(ValueError, match="schema 4 != 5"):
+            load_checkpoint(old)
 
     def test_schema_2_checkpoint_rejected(self, tmp_path):
         # Schema-2 TLB entries hold PPN 0 and filter registers have no PPN
         # slots; resuming one would send every TLB hit to physical page 0.
         # Files before schema 4 carry no stamp record of their own.
-        assert CHECKPOINT_SCHEMA == 4
+        assert CHECKPOINT_SCHEMA == 5
         path = tmp_path / "old.ckpt"
         sim = ServingSimulation(study_profile())
         with open(path, "wb") as fh:
             pickle.dump({"schema": 2, "sim": sim}, fh)
-        with pytest.raises(ValueError, match="schema unstamped .* != 4"):
+        with pytest.raises(ValueError, match="schema unstamped .* != 5"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("gone", ["attribute", "module"])
@@ -174,9 +184,9 @@ class TestCheckpointFiles:
         with open(headerless, "rb") as fh:  # what an unchecked load meets
             with pytest.raises(AttributeError if gone == "attribute" else ModuleNotFoundError):
                 pickle.load(fh)
-        with pytest.raises(ValueError, match="schema 3 != 4"):
+        with pytest.raises(ValueError, match="schema 3 != 5"):
             load_checkpoint(stamped)
-        with pytest.raises(ValueError, match="schema unstamped .* != 4"):
+        with pytest.raises(ValueError, match="schema unstamped .* != 5"):
             load_checkpoint(headerless)
 
     def test_checkpoint_stamp_is_its_own_first_record(self, tmp_path):

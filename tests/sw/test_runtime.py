@@ -1,9 +1,12 @@
 """Integration tests: compiled models executing on SoC tiles."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import default_config
 from repro.core.generator import SoftwareParams
+from repro.models import build_model
 from repro.sim.engine import lockstep_merge
 from repro.soc.os_model import OSConfig
 from repro.soc.soc import make_soc
@@ -89,6 +92,30 @@ class TestAllocation:
             model = compile_graph(tiny_cnn(), SoftwareParams.from_config(cfg))
             conv = Runtime(soc.tile, model).run().layer("c1")
             assert (conv.cpu_cycles > 0) == (not has_im2col)
+
+    def test_model_compiled_for_another_config_rejected(self):
+        """squeezenet@32 compiled with the im2col unit allocates no
+        host-im2col scratch; on a tile without the unit its host A-stream
+        would read past the input, so the runtime refuses the pairing."""
+        graph = build_model("squeezenet", input_hw=32)
+        tile_cfg = default_config()
+        assert not tile_cfg.has_im2col
+        foreign = compile_graph(graph, SoftwareParams.from_config(tile_cfg.with_im2col(True)))
+        with pytest.raises(ValueError, match=r"has_im2col=True \(tile: False\)"):
+            Runtime(make_soc(gemmini=tile_cfg).tile, foreign)
+        native = compile_graph(graph, SoftwareParams.from_config(tile_cfg))
+        assert Runtime(make_soc(gemmini=tile_cfg).tile, native).run().total_cycles > 0
+
+    def test_rejection_names_every_differing_field(self):
+        cfg = default_config()
+        other = replace(cfg, has_im2col=True, sp_capacity_bytes=128 * 1024)
+        model = compile_graph(tiny_cnn(), SoftwareParams.from_config(other))
+        with pytest.raises(ValueError) as info:
+            Runtime(make_soc(gemmini=cfg).tile, model)
+        differing = {
+            part.split("=")[0] for part in str(info.value).split(": ", 1)[1].split(", ")
+        }
+        assert differing == {"sp_rows", "sp_capacity_bytes", "has_im2col"}
 
 
 class TestExecution:
