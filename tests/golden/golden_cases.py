@@ -161,6 +161,13 @@ def serve_cases() -> dict:
                      _tenant("b", rate_qps=150.0, num_requests=3), scheduler="sjf", seed=0),
             {"design": _big_little()},
         ),
+        # mobilenetv2 is the only zoo model with depthwise layers, so this
+        # is the one case whose SJF oracle prices a depthwise lowering.
+        "sjf_mobilenetv2": (
+            _profile(2, _tenant("mbv2", model="mobilenetv2"), _tenant("sq"),
+                     scheduler="sjf", seed=4),
+            {},
+        ),
     }
 
 
@@ -390,14 +397,20 @@ def analytic_values() -> dict:
     space = gemmini_space(max_dim=64)
     rng = random.Random(ANALYTIC_SEED)
     points = [space.sample(rng) for __ in range(ANALYTIC_POINTS)] + [{}]
-    workloads = [conv_workload()] + [
-        model_workload(name) for name in ("squeezenet", "resnet50", "bert")
-    ]
+    workloads = {
+        workload.name: workload
+        for workload in [conv_workload()]
+        + [model_workload(name) for name in ("squeezenet", "resnet50", "bert")]
+    }
+    # mobilenetv2 is the only zoo model with depthwise layers
+    workloads.update(
+        (f"mobilenetv2@{hw}", model_workload("mobilenetv2", input_hw=hw)) for hw in (224, 32)
+    )
     scalar, batched = {}, {}
-    for workload in workloads:
+    for label, workload in workloads.items():
         for cpu in ("rocket", "boom"):
             spec = EvaluationSpec(workload=workload, cpu=cpu)
-            key = f"{workload.name}/{cpu}"
+            key = f"{label}/{cpu}"
             scalar[key] = _rows_digest(
                 (e.point, e.config_summary, e.metrics)
                 for e in (evaluate_design(p, spec) for p in points)
