@@ -270,14 +270,6 @@ class _RunContext:
                 seed=seed,
             )
 
-    def adopt(self, tracer, metrics, seed: int) -> None:
-        """Continue a checkpointed run: keep its tracer and metric stream,
-        and the run id they carry."""
-        self.tracer, self.metrics, self.seed = tracer, metrics, seed
-        self.run_id = next((sink.run_id for sink in (tracer, metrics) if sink), self.run_id)
-        if getattr(self.args, "live_metrics", None):
-            metrics.on_snapshot = self._print_snapshot
-
     def _print_snapshot(self, snap: dict) -> None:
         """The ``--live-metrics`` console: one line per metrics snapshot."""
         shown = " ".join(
@@ -328,13 +320,15 @@ class _RunContext:
 
     def export(self, **meta) -> None:
         """Write the ``--trace-out`` / ``--metrics-out`` artifacts, if asked for."""
-        from repro.obs import export_metrics_csv, export_metrics_json, write_chrome_trace
-
         trace_out = self.args.trace_out
         metrics_out = getattr(self.args, "metrics_out", None)
         if trace_out and self.tracer:
+            from repro.obs import write_chrome_trace
+
             print(f"wrote {write_chrome_trace(self.tracer, trace_out)}")
         if metrics_out and self.metrics:
+            from repro.obs import export_metrics_csv, export_metrics_json
+
             if metrics_out.endswith(".csv"):
                 print(f"wrote {export_metrics_csv(self.metrics, metrics_out)}")
             else:
@@ -751,92 +745,55 @@ def cmd_serve(args, run: _RunContext) -> int:
     if args.horizon_hours is not None and args.horizon_ms is not None:
         args.parser.error("pass --horizon-ms or --horizon-hours, not both")
 
-    if args.resume:
-        from repro.serve.checkpoint import load_checkpoint
+    design = None
+    if args.design:
+        from pathlib import Path
 
-        ignored = [flag for flag, given in (
-            ("--tenant", args.tenant), ("--trace", args.trace), ("--design", args.design),
-            ("--no-replay", args.no_replay), ("--record-mode", args.record_mode),
-            ("--horizon-ms", args.horizon_ms is not None),
-            ("--horizon-hours", args.horizon_hours is not None),
-        ) if given]
-        if ignored:
+        from repro.soc.components import SoCDesign
+
+        design = SoCDesign.from_json(Path(args.design).read_text())
+        if args.tiles not in (1, design.num_tiles):
             args.parser.error(
-                f"--resume restores the checkpointed run; drop {'/'.join(ignored)}"
+                f"--tiles {args.tiles} contradicts the design's "
+                f"{design.num_tiles} tiles (omit --tiles with --design)"
             )
-        sim = load_checkpoint(args.resume)
-        unobserved = [flag for flag, asked, sink in (
-            ("--trace-out", args.trace_out, sim.tracer),
-            ("--metrics-out", args.metrics_out, sim.metrics),
-            ("--live-metrics", args.live_metrics, sim.metrics),
-        ) if asked and not sink]
-        if unobserved:
-            args.parser.error(
-                "the checkpointed run has no tracer/metric stream to continue; "
-                f"drop {'/'.join(unobserved)}"
-            )
-        if args.checkpoint_every is not None:
-            sim.checkpoint_every = args.checkpoint_every
-        if sim.checkpoint_every is not None:
-            sim.checkpoint_path = args.checkpoint_path or args.resume
-        profile, design, config = sim.profile, sim.design, sim.gemmini
-        run.adopt(sim.tracer, sim.metrics, profile.seed)
-        print(f"resuming: {args.resume}")
+        args.tiles = design.num_tiles
+    config = _config_from_args(args)
+    horizon_ms = args.horizon_ms
+    if args.horizon_hours is not None:
+        horizon_ms = args.horizon_hours * 3_600_000.0
+    profile_kwargs = dict(
+        num_tiles=args.tiles,
+        scheduler=args.scheduler,
+        seed=args.seed,
+        horizon_ms=horizon_ms,
+        batch_size=args.batch_size,
+        batch_window_ms=args.batch_window_ms,
+    )
+    if args.trace:
+        profile = load_trace_profile(args.trace, **profile_kwargs)
     else:
-        design = None
-        if args.design:
-            from pathlib import Path
-
-            from repro.soc.components import SoCDesign
-
-            design = SoCDesign.from_json(Path(args.design).read_text())
-            if args.tiles not in (1, design.num_tiles):
-                args.parser.error(
-                    f"--tiles {args.tiles} contradicts the design's "
-                    f"{design.num_tiles} tiles (omit --tiles with --design)"
-                )
-            args.tiles = design.num_tiles
-        config = _config_from_args(args)
-        horizon_ms = args.horizon_ms
-        if args.horizon_hours is not None:
-            horizon_ms = args.horizon_hours * 3_600_000.0
-        profile_kwargs = dict(
-            num_tiles=args.tiles,
-            scheduler=args.scheduler,
-            seed=args.seed,
-            horizon_ms=horizon_ms,
-            batch_size=args.batch_size,
-            batch_window_ms=args.batch_window_ms,
+        if not args.tenant:
+            args.parser.error("serve needs at least one --tenant (or --trace FILE)")
+        tenants = tuple(
+            parse_tenant(text, default_name=f"tenant{i}")
+            for i, text in enumerate(args.tenant)
         )
-        if args.trace:
-            profile = load_trace_profile(args.trace, **profile_kwargs)
-        else:
-            if not args.tenant:
-                args.parser.error("serve needs at least one --tenant (or --trace FILE)")
-            tenants = tuple(
-                parse_tenant(text, default_name=f"tenant{i}")
-                for i, text in enumerate(args.tenant)
-            )
-            profile = TrafficProfile(tenants=tenants, **profile_kwargs)
+        profile = TrafficProfile(tenants=tenants, **profile_kwargs)
 
-        clock_ghz = design.clock_ghz if design is not None else config.clock_ghz
-        run.observe(profile.seed, clock_ghz)
-        checkpoint_path = args.checkpoint_path
-        if args.checkpoint_every is not None and checkpoint_path is None:
-            checkpoint_path = "serve.ckpt"
-        soc_kwargs = {"design": design} if design is not None else {"gemmini": config}
-        sim = ServingSimulation(
-            profile,
-            replay=not args.no_replay,
-            tracer=run.tracer,
-            metrics=run.metrics,
-            record_mode=args.record_mode or (
-                "stream" if args.horizon_hours is not None else "exact"
-            ),
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=checkpoint_path,
-            **soc_kwargs,
-        )
+    clock_ghz = design.clock_ghz if design is not None else config.clock_ghz
+    run.observe(profile.seed, clock_ghz)
+    soc_kwargs = {"design": design} if design is not None else {"gemmini": config}
+    sim = ServingSimulation(
+        profile,
+        replay=not args.no_replay,
+        tracer=run.tracer,
+        metrics=run.metrics,
+        record_mode=args.record_mode or (
+            "stream" if args.horizon_hours is not None else "exact"
+        ),
+        **soc_kwargs,
+    )
     with run.timed():
         result = sim.run()
 
@@ -858,8 +815,6 @@ def cmd_serve(args, run: _RunContext) -> int:
         f"memory: L2 miss {result.l2_miss_rate:.1%}, "
         f"DRAM {result.dram_bytes / 1e6:.1f} MB over {report.makespan_ms:.1f} ms"
     )
-    if result.checkpoints:
-        print(f"checkpoints: {result.checkpoints} written to {sim.checkpoint_path}")
     run.print_schedule_stats()
     if args.export_json:
         print(f"wrote {export_serve_json(result, args.export_json)}")
@@ -1325,28 +1280,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request record retention: exact histograms + full request "
         "log (default) or streaming P2 latency sketches with no record list "
         "(default under --horizon-hours)",
-    )
-    p_serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="write a resumable checkpoint at the first quiescent point "
-        "after every N completions",
-    )
-    p_serve.add_argument(
-        "--checkpoint-path",
-        default=None,
-        metavar="FILE",
-        help="checkpoint file (default serve.ckpt, or the --resume path)",
-    )
-    p_serve.add_argument(
-        "--resume",
-        default=None,
-        metavar="FILE",
-        help="load a checkpointed serving run and continue it to completion "
-        "(the profile, design and tracer/metrics are in the checkpoint, so "
-        "--tenant/--trace/--design/--no-replay/--record-mode/--horizon-* are rejected)",
     )
     p_serve.add_argument("--batch-size", type=int, default=4, help="batch scheduler: batch size")
     p_serve.add_argument(

@@ -29,11 +29,16 @@ Persistence and comparison ride on the same substrate:
   history (``gemmini-repro regress`` / ``compare``);
 * :mod:`repro.obs.diff` — span-stem/lane-aligned diffing of two exported
   traces (``gemmini-repro trace --diff``).
+
+The exporters, summaries, diffs and regression gates load on first
+attribute access: every simulating command imports this package, and a
+``run`` or ``tune`` must not pay for their imports.
 """
 
 import itertools as _itertools
 import os as _os
 import uuid as _uuid
+from importlib import import_module as _import_module
 
 #: monotone per-process counter backing run ids (shared by the tracer,
 #: metric streams and ledger records, so artifacts join on one id)
@@ -58,21 +63,6 @@ def new_run_id(prefix: str = "run") -> str:
     return f"{prefix}-{_PROC_TOKEN}-{_os.getpid()}-{next(_RUN_IDS)}"
 
 
-from repro.obs.diff import (  # noqa: E402
-    TraceDiff,
-    diff_summaries,
-    diff_traces,
-    format_trace_diff,
-    trace_diff_to_dict,
-)
-from repro.obs.export import (  # noqa: E402
-    export_metrics_csv,
-    export_metrics_json,
-    metrics_to_dict,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
 from repro.obs.ledger import (  # noqa: E402
     NULL_LEDGER,
     NullLedger,
@@ -89,22 +79,58 @@ from repro.obs.metrics import (  # noqa: E402
     NullMetricStream,
     P2Quantile,
 )
-from repro.obs.regress import (  # noqa: E402
-    MetricDelta,
-    RegressionReport,
-    compare_records,
-    compare_samples,
-    detect_regressions,
-    format_regression_report,
-    metric_direction,
-)
-from repro.obs.summary import (  # noqa: E402
-    TraceSummary,
-    format_trace_summary,
-    load_trace,
-    summarize_trace,
-)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer  # noqa: E402
+
+#: lazily exported name -> the submodule that defines it
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "TraceDiff",
+            "diff_summaries",
+            "diff_traces",
+            "format_trace_diff",
+            "trace_diff_to_dict",
+        ),
+        "repro.obs.diff",
+    ),
+    **dict.fromkeys(
+        (
+            "export_metrics_csv",
+            "export_metrics_json",
+            "metrics_to_dict",
+            "to_chrome_trace",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+        ),
+        "repro.obs.export",
+    ),
+    **dict.fromkeys(
+        (
+            "MetricDelta",
+            "RegressionReport",
+            "compare_records",
+            "compare_samples",
+            "detect_regressions",
+            "format_regression_report",
+            "metric_direction",
+        ),
+        "repro.obs.regress",
+    ),
+    **dict.fromkeys(
+        ("TraceSummary", "format_trace_summary", "load_trace", "summarize_trace"),
+        "repro.obs.summary",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "new_run_id",

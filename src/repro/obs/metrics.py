@@ -266,13 +266,6 @@ class MetricStream:
             self.on_snapshot(snap)
         return snap
 
-    def __getstate__(self) -> dict:
-        # Live consumers (console renderers, sockets) don't survive a
-        # checkpoint pickle; estimator state does.
-        state = self.__dict__.copy()
-        state["on_snapshot"] = None
-        return state
-
     def __bool__(self) -> bool:
         return True
 

@@ -9,14 +9,12 @@ queueing composes with shared L2/DRAM/TLB contention while holding only
 O(in-flight + tenants) state; golden fingerprints (``tests/golden/``) pin
 its request logs.  Tail-latency/goodput/fairness
 SLO metrics fold online (:mod:`repro.serve.metrics` — exact histograms or
-streaming P2 sketches); long runs can checkpoint at quiescent points and
-resume bitwise (:mod:`repro.serve.checkpoint`).  Results export to
+streaming P2 sketches).  Results export to
 JSON/CSV (:mod:`repro.serve.export`); the ``p99_latency_ms`` /
 ``goodput_qps`` / ``qps_per_watt`` / ``slo_violation_rate`` DSE
 objectives make a design point searchable *under a traffic profile*.
 """
 
-from repro.serve.checkpoint import load_checkpoint, save_checkpoint
 from repro.serve.cluster import (
     RECORD_MODES,
     ServeResult,
@@ -89,12 +87,10 @@ __all__ = [
     "export_serve_csv",
     "export_serve_json",
     "jain_fairness",
-    "load_checkpoint",
     "load_trace_profile",
     "make_scheduler",
     "make_source",
     "parse_tenant",
-    "save_checkpoint",
     "serve_table",
     "serve_to_dict",
     "simulate_serving",

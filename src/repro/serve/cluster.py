@@ -15,24 +15,19 @@ closed-loop traffic instead of a single run-to-completion.
 Arrivals are admitted *lazily*, one pending arrival per tenant pulled
 from the streaming :class:`~repro.serve.workload.ArrivalSource`s, and
 retired requests fold straight into the report accumulator, so peak
-memory is O(in-flight + tenants) rather than O(trace).  Every
-``checkpoint_every`` completions the actors park at their next dispatch
-point (no generator frames live, nothing in flight) and the whole
-simulation pickles to ``checkpoint_path``.
+memory is O(in-flight + tenants) rather than O(trace).
 
 Determinism: arrivals are seeded per tenant, schedulers tie-break on
 ``(arrival, tenant, index)``, and the event heap resolves equal clocks by
 tile index, so a fixed ``(profile, config, seed)`` reproduces the exact
-request log and latency distribution — bitwise identically, parked or
-uninterrupted.  The golden fingerprints under ``tests/golden/`` pin those
-request logs for a matrix of profiles.
+request log and latency distribution bitwise.  The golden fingerprints
+under ``tests/golden/`` pin those request logs for a matrix of profiles.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.config import GemminiConfig
 from repro.mem.hierarchy import MemorySystemConfig
@@ -110,8 +105,6 @@ class ServeResult:
     #: high-water mark of tracked request state (arrival heap + ready
     #: queue + in-flight) — the O(in-flight) memory claim, measurable
     peak_pending: int = 0
-    #: checkpoints written during the run
-    checkpoints: int = 0
 
     @property
     def completed(self) -> int:
@@ -159,12 +152,8 @@ class _TraceSlot:
 
 
 class _Inflight:
-    """Context of the request one tile is currently executing.
-
-    Exists only while the tile's macro-op stream is live — a checkpoint
-    barrier requires every tile to have retired its ``_Inflight`` (and
-    the generator frames inside it) before the simulation pickles.
-    """
+    """Context of the request one tile is currently executing; exists only
+    while the tile's macro-op stream is live."""
 
     __slots__ = ("request", "start", "finish", "recorder", "slot", "replayed", "runtime")
 
@@ -187,25 +176,16 @@ class _TileActor:
     releases arrivals, picks work and starts it.  Retirement and the next
     dispatch happen inside one step, so no other tile observes the state
     between them.
-
-    Dispatch points are also where the actor honors a pending checkpoint
-    request by parking: it returns ``None`` without mutating anything, so
-    re-entering the heap at the same ``(clock, index)`` later replays the
-    uninterrupted schedule bitwise.  Parked actors hold no generator
-    frames (``stream`` is None), which is what makes the simulation
-    picklable at a barrier.
     """
 
-    __slots__ = ("sim", "tile_index", "clock", "stream", "inflight", "done", "parked")
+    __slots__ = ("sim", "tile_index", "clock", "stream", "inflight")
 
     def __init__(self, sim: "ServingSimulation", tile_index: int) -> None:
         self.sim = sim
         self.tile_index = tile_index
         self.clock = sim.soc.tiles[tile_index].accel.controller.now
-        self.stream = None  # live macro-op iterator (never survives a pickle)
+        self.stream = None  # live macro-op iterator
         self.inflight: _Inflight | None = None
-        self.done = False
-        self.parked = False
 
     def _advance(self, t: float | None) -> float | None:
         """Fold one stream event into the tile clock; None = stream ended."""
@@ -226,9 +206,6 @@ class _TileActor:
         while sim._completed + sim._inflight < sim._expected:
             if sim._horizon is not None and self.clock >= sim._horizon:
                 break
-            if sim._park_requested:
-                self.parked = True
-                return None
             sim._arrivals.release(self.clock)
             request = sim.scheduler.pick(self.tile_index, self.clock)
             if request is None:
@@ -250,7 +227,6 @@ class _TileActor:
             if now is not None:
                 return now
             sim._retire(self)  # a zero-event stream retires immediately
-        self.done = True
         return None
 
 
@@ -361,10 +337,9 @@ class ServingSimulation:
     the exact segment path ``MemorySystem.access``).  ``replay=False``
     forces every request down the recording (full-fidelity) path.
 
-    ``record_mode`` selects record retention (see :data:`RECORD_MODES`);
-    ``checkpoint_every=N`` parks the simulation every N completions and — with ``checkpoint_path`` — pickles the whole
-    simulation there, resumable via
-    :func:`repro.serve.checkpoint.load_checkpoint`.
+    ``record_mode`` selects record retention (see :data:`RECORD_MODES`).
+    A simulation runs once: :meth:`run` drains its arrival sources, so a
+    second call raises.
     """
 
     #: idle re-check interval while waiting on another tile's completion
@@ -383,8 +358,6 @@ class ServingSimulation:
         tracer: Tracer | None = None,
         metrics: MetricStream | None = None,
         record_mode: str = "exact",
-        checkpoint_every: int | None = None,
-        checkpoint_path: str | Path | None = None,
     ) -> None:
         from repro.core.config import default_config
 
@@ -392,11 +365,7 @@ class ServingSimulation:
             raise ValueError(
                 f"record_mode must be one of {RECORD_MODES}, got {record_mode!r}"
             )
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         self.record_mode = record_mode
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_path = str(checkpoint_path) if checkpoint_path is not None else None
         #: telemetry sinks — the null singletons keep every emission site
         #: an unconditional (no-op) call on the disabled path
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -599,66 +568,18 @@ class ServingSimulation:
         self._arrivals = _StreamingArrivals(self)
         self._arrivals.prime()
         self._actors = [_TileActor(self, index) for index in range(self.num_tiles)]
-        self._park_requested = False
-        self._since_checkpoint = 0
-        self._checkpoints_written = 0
-        #: once actors carry real clocks, re-entering the heap must defer
-        #: their first step instead of re-priming them
-        self._mid_run = False
         self._started = True
 
-    def run(self, stop_after_checkpoints: int | None = None) -> ServeResult | None:
-        """Run (or, on a loaded checkpoint, continue) the simulation.
-
-        ``stop_after_checkpoints=N`` halts after writing N more checkpoints
-        and returns None — the simulated-kill hook the resume tests and CI
-        smoke use; resume via
-        :func:`repro.serve.checkpoint.load_checkpoint` + ``run()``.
-        """
-        if not self._started:
-            self._start()
-        if not self._run_event_loop(stop_after_checkpoints):
-            return None
+    def run(self) -> ServeResult:
+        """Run the simulation to completion and report; a second call raises."""
+        if self._started:
+            raise RuntimeError("ServingSimulation.run() already ran")
+        self._start()
+        loop = EventLoop()
+        for actor in self._actors:  # tile order: equal clocks go to the lower tile
+            loop.add(actor)
+        loop.run()
         return self._build_result()
-
-    def _run_event_loop(self, stop_after_checkpoints: int | None) -> bool:
-        """Drive the actors through event-loop legs separated by checkpoint
-        barriers; False = halted early by ``stop_after_checkpoints``."""
-        saved = 0
-        while True:
-            loop = EventLoop()
-            for actor in self._actors:
-                if actor.done:
-                    continue
-                actor.parked = False
-                if self._mid_run:
-                    # Resumed actors re-enter at their parked (clock, index)
-                    # heap position; priming them again would double-step.
-                    loop.add(actor, index=actor.tile_index, clock=actor.clock)
-                else:
-                    loop.add(actor, index=actor.tile_index)
-            self._mid_run = True
-            loop.run()
-            if not any(actor.parked for actor in self._actors):
-                return True
-            if self._inflight:
-                raise RuntimeError(
-                    f"checkpoint barrier reached with {self._inflight} in flight"
-                )
-            self._park_requested = False
-            self._since_checkpoint = 0
-            self._checkpoints_written += 1
-            self._save_checkpoint()
-            saved += 1
-            if stop_after_checkpoints is not None and saved >= stop_after_checkpoints:
-                return False
-
-    def _save_checkpoint(self) -> None:
-        if self.checkpoint_path is None:
-            return
-        from repro.serve.checkpoint import save_checkpoint
-
-        save_checkpoint(self, self.checkpoint_path)
 
     def _build_result(self) -> ServeResult:
         # Makespan is the last completion; idle workers overshoot it by up
@@ -692,7 +613,6 @@ class ServingSimulation:
             completed_total=self._completed,
             peak_inflight=self.peak_inflight,
             peak_pending=self.peak_pending,
-            checkpoints=self._checkpoints_written,
         )
 
     # -- request plumbing ----------------------------------------------- #
@@ -752,8 +672,8 @@ class ServingSimulation:
         self._note_peak()
 
     def _retire(self, actor: _TileActor) -> None:
-        """Complete ``actor``'s in-flight request: record, observe, trigger
-        the closed-loop follow-up, and count toward the checkpoint cadence."""
+        """Complete ``actor``'s in-flight request: record, observe and
+        trigger the closed-loop follow-up."""
         ctx = actor.inflight
         actor.stream = None
         actor.inflight = None
@@ -781,18 +701,6 @@ class ServingSimulation:
         follow = self._sources[request.tenant].next_after_completion(ctx.finish)
         if follow is not None:
             self._arrivals.push_followup(self._specs[request.tenant], follow)
-        if self.checkpoint_every is not None:
-            self._since_checkpoint += 1
-            # The barrier must be *transparent*: parking a tile before it
-            # dispatches must not change what any live macro-op stream
-            # observes (contention probes, shared L2/DRAM state).  That
-            # holds only when this completion leaves nothing in flight —
-            # every tile is then at a dispatch point and parks without
-            # mutating anything, so the resumed schedule replays bitwise.
-            # Under saturating load the barrier simply waits for the first
-            # momentary drain at or after the cadence point.
-            if self._since_checkpoint >= self.checkpoint_every and self._inflight == 0:
-                self._park_requested = True
 
     def _count_dropped(self) -> dict[str, int]:
         """Issued-but-unserved requests (horizon cut or starved pins).

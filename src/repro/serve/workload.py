@@ -155,9 +155,7 @@ class ArrivalSource:
     The interface is pull-based: :meth:`next_arrival` yields the next
     pre-scheduled arrival (None once the stream is exhausted), so an
     engine holding one pending arrival per tenant keeps O(tenants) state
-    however long the stream runs.  A checkpoint pickles the whole
-    simulation, sources included, so a resumed run continues the exact
-    same arrival sequence.
+    however long the stream runs.
     """
 
     spec: TenantSpec

@@ -8,13 +8,11 @@ behind, so accesses to shared state (the L2 cache, the DRAM channel, the
 shared TLB) are applied in approximately global time order — the property
 the paper's dual-core contention study (Figure 9c) depends on.
 
-Unlike the original lockstep merge, the loop is *incremental*: actors can
-be added at an explicit clock (resuming a checkpointed simulation), and an
-actor can withdraw (park) and be re-added later.  The serving cluster
-engine builds its O(in-flight) core on these hooks; :func:`lockstep_merge`
-remains as a thin compatibility wrapper with the historical generator-based
-API and bitwise-identical stepping order (ties on equal clocks go to the
-lowest actor index).
+Actors are plain objects with a ``step()`` method, so the serving cluster
+engine drives its per-tile state machines through the same loop;
+:func:`lockstep_merge` remains as a thin compatibility wrapper with the
+historical generator-based API and bitwise-identical stepping order (ties
+on equal clocks go to the lowest actor index).
 """
 
 from __future__ import annotations
@@ -30,9 +28,7 @@ class Actor(Protocol):
 
     ``step()`` performs the work between the actor's previous event and
     its next one, returning the new local clock (non-decreasing), or
-    ``None`` when the actor has no further events (finished *or*
-    voluntarily parked — the distinction is the actor's own state, the
-    loop only removes it from the heap).  Raising ``StopIteration`` is
+    ``None`` when the actor has finished.  Raising ``StopIteration`` is
     equivalent to returning ``None`` (the generator convention).
     """
 
@@ -70,26 +66,23 @@ class EventLoop:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def add(self, actor: Actor, index: int | None = None, clock: float | None = None) -> int:
+    def add(self, actor: Actor) -> int:
         """Enter one actor into the loop; returns its index.
 
-        With ``clock=None`` the actor is *primed* — stepped once so it has
-        a current clock (the historical merge semantics; an actor that
-        finishes during priming records a final clock of 0.0).  Passing an
-        explicit ``clock`` defers the first step to the loop itself, which
-        is what resuming a parked actor at its saved clock needs.
+        Indices count up in the order actors are added.  The actor is
+        *primed* — stepped once so it has a current clock (the historical
+        merge semantics; an actor that finishes during priming records a
+        final clock of 0.0).
         """
-        if index is None:
-            index = self._next_index
-        self._next_index = max(self._next_index, index + 1)
+        index = self._next_index
+        self._next_index += 1
+        try:
+            clock = actor.step()
+        except StopIteration:
+            clock = None
         if clock is None:
-            try:
-                clock = actor.step()
-            except StopIteration:
-                clock = None
-            if clock is None:
-                self.finished[index] = 0.0
-                return index
+            self.finished[index] = 0.0
+            return index
         heapq.heappush(self._heap, (clock, index, actor))
         return index
 

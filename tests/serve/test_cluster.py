@@ -215,6 +215,36 @@ class TestHorizon:
         assert result.issued - result.completed == sum(result.dropped.values())
 
 
+class TestSingleShot:
+    """run() drains the arrival sources, so a second call must refuse
+    instead of reporting from the drained state."""
+
+    def test_second_run_after_a_horizon_cut_raises(self):
+        spec = tenant("t", qps=3000.0, n=6)
+        sim = ServingSimulation(
+            TrafficProfile(tenants=(spec,), num_tiles=1, seed=0, horizon_ms=0.5)
+        )
+        first = sim.run()
+        assert first.dropped.get("t", 0) > 0
+        with pytest.raises(RuntimeError, match=r"already ran"):
+            sim.run()
+
+    def test_second_run_neither_reports_nor_ticks_metrics(self):
+        from repro.obs.metrics import MetricStream
+
+        metrics = MetricStream(every=1)
+        sim = ServingSimulation(
+            TrafficProfile(tenants=(tenant("t", n=2),), num_tiles=1, seed=0),
+            metrics=metrics,
+        )
+        first = sim.run()
+        assert first.completed == 2 and first.dropped == {}
+        snapshots = len(metrics.snapshots)
+        with pytest.raises(RuntimeError, match=r"already ran"):
+            sim.run()
+        assert len(metrics.snapshots) == snapshots
+
+
 class TestBatchWithPinnedTenants:
     def test_no_busy_spin_on_ineligible_tiles(self):
         """Batch + pinning: tile 1 has no pickable work, so its idle

@@ -231,29 +231,28 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["serve"])
 
-    def test_resume_rejects_flags_it_would_ignore(self, capsys, tmp_path):
-        ckpt = tmp_path / "one.ckpt"
+    def test_horizon_flags(self, capsys, tmp_path):
+        import json as json_mod
+
+        # --horizon-hours implies stream record mode: the export keeps no
+        # per-request records, though every request is served.
+        json_path = tmp_path / "serve.json"
         assert main([
-            "serve", "--seed", "0", "--tenant", self.TENANT, "--no-ledger",
-            "--checkpoint-every", "1", "--checkpoint-path", str(ckpt),
+            "serve", "--tenant", self.TENANT, "--horizon-hours", "1e-5",
+            "--export-json", str(json_path), "--no-ledger",
         ]) == 0
-        capsys.readouterr()
-        rejected = (
-            ["--design", str(tmp_path / "nonexistent.json")],
-            ["--no-replay"],
-            ["--horizon-ms", "5"],
-            # the checkpointed run had neither a tracer nor a metric stream
-            ["--trace-out", str(tmp_path / "r.json")],
-            ["--metrics-out", str(tmp_path / "m.json")],
-        )
-        for extra in rejected:
-            with pytest.raises(SystemExit):
-                main(["serve", "--resume", str(ckpt), "--no-ledger", *extra])
-            assert f"drop {extra[0]}" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
-        assert not (tmp_path / "m.json").exists()
-        assert main(["serve", "--resume", str(ckpt), "--no-ledger"]) == 0
         assert "3/3 served" in capsys.readouterr().out
+        data = json_mod.loads(json_path.read_text())
+        assert data["meta"]["horizon_ms"] == pytest.approx(36.0)
+        assert data["meta"]["completed"] == 3
+        assert data["records"] == []
+
+        with pytest.raises(SystemExit):
+            main([
+                "serve", "--tenant", self.TENANT, "--horizon-ms", "5",
+                "--horizon-hours", "1", "--no-ledger",
+            ])
+        assert "pass --horizon-ms or --horizon-hours, not both" in capsys.readouterr().err
 
     def test_trace_replay(self, capsys, tmp_path):
         import json as json_mod
