@@ -120,15 +120,17 @@ def parse_objectives(names: str | list[str] | tuple[str, ...]) -> tuple[Objectiv
 
 @dataclass(frozen=True)
 class Workload:
-    """A suite of matmul shapes the design is scored on.
+    """A suite of matmuls the design is scored on.
 
-    ``shapes`` are im2col-lowered ``(M, K, N)`` matmuls; ``model``/kwargs
-    are retained so ``fidelity="soc"`` evaluations can rebuild and run the
-    full network on a simulated SoC.
+    ``shapes[i]`` is an ``(M, K, N)`` matmul the array runs ``counts[i]``
+    times (a depthwise layer is one per-channel shape run once per channel);
+    ``model``/kwargs are retained so ``fidelity="soc"`` evaluations can
+    rebuild and run the full network on a simulated SoC.
     """
 
     name: str
     shapes: tuple[tuple[int, int, int], ...]
+    counts: tuple[int, ...]
     model: str | None = None
     model_kwargs: tuple[tuple[str, int], ...] = ()
 
@@ -138,42 +140,44 @@ class Workload:
         for m, k, n in self.shapes:
             if min(m, k, n) < 1:
                 raise ValueError(f"workload {self.name!r}: bad shape {(m, k, n)}")
+        if len(self.counts) != len(self.shapes) or min(self.counts) < 1:
+            raise ValueError(f"workload {self.name!r}: needs one count >= 1 per shape")
 
     @property
     def total_macs(self) -> int:
-        return sum(m * k * n for m, k, n in self.shapes)
+        return sum(c * m * k * n for (m, k, n), c in zip(self.shapes, self.counts))
 
     @property
     def operand_bytes(self) -> int:
-        """Bytes of A, B and C touched once each (int8 operands/outputs)."""
-        return sum(m * k + k * n + m * n for m, k, n in self.shapes)
+        """Bytes of A, B and C each matmul touches once (int8 operands/outputs)."""
+        return sum(c * (m * k + k * n + m * n) for (m, k, n), c in zip(self.shapes, self.counts))
 
 
 def conv_workload() -> Workload:
     """ResNet50 stage-1 3x3 convolution as an im2col matmul (the historic
     design_space_exploration.py example shape)."""
-    return Workload(name="conv3x3", shapes=((3136, 576, 64),))
+    return Workload(name="conv3x3", shapes=((3136, 576, 64),), counts=(1,))
 
 
 def model_workload(name: str, input_hw: int = 224, seq: int = 128) -> Workload:
-    """Every matmul-able layer of a zoo model, in plan order, each the
-    compiler's im2col lowering of it
-    (:attr:`~repro.sw.compiler.LayerPlan.matmul_shape`): conv is
-    ``(H_out*W_out, k*k*C_in, C_out)``, Gemm/MatMul map directly, and a
-    depthwise convolution's per-channel ``(H_out*W_out, k*k, 1)`` matmuls
-    fold into one ``(H_out*W_out*C, k*k, 1)`` shape of the same MACs.
+    """Every matmul-able layer of a zoo model, in plan order, as the
+    compiler lowers it to the array
+    (:attr:`~repro.sw.compiler.LayerPlan.array_matmul`): conv is
+    ``(H_out*W_out, k*k*C_in, C_out)`` once, Gemm/MatMul map directly, and
+    a depthwise convolution is ``(H_out*W_out, k*k, 1)`` once per channel.
     """
     from repro.models.zoo import build_model
     from repro.sw.compiler import compile_graph
 
     kwargs = {"seq": seq} if name == "bert" else {"input_hw": input_hw}
-    # The lowering of conv and matmul plans reads no accelerator parameter.
+    # The array lowering reads no accelerator parameter.
     params = SoftwareParams.from_config(GemminiConfig())
     plans = compile_graph(build_model(name, **kwargs), params).plans
-    shapes = (plan.matmul_shape for plan in plans)
+    shapes, counts = zip(*filter(None, (plan.array_matmul for plan in plans)))
     return Workload(
         name=name,
-        shapes=tuple(shape for shape in shapes if shape is not None),
+        shapes=shapes,
+        counts=counts,
         model=name,
         model_kwargs=tuple(sorted(kwargs.items())),
     )
@@ -294,14 +298,16 @@ def _serving_metrics(spec: EvaluationSpec, power: float, **target) -> dict:
 
 def analytic_cycles(cols: ConfigColumns, workload: Workload) -> np.ndarray:
     """Closed-form cycles of ``workload`` on every design of ``cols``, one
-    float64 per design: the sum of its shapes' blocked-matmul costs (a
-    BOTH-dataflow array runs WS).  The cycle model of DSE's analytic
-    fidelity and of the SJF oracle
+    float64 per design: the sum over its shapes of ``count`` times the
+    blocked-matmul cost (a BOTH-dataflow array runs WS), which is what the
+    kernels charge for the same lowering.  The cycle model of DSE's
+    analytic fidelity and of the SJF oracle
     (:func:`~repro.serve.cluster.estimate_service_cycles`)."""
     shapes = np.asarray(workload.shapes, dtype=np.int64)
     m, k, n = shapes.T[:, :, None]
+    counts = np.asarray(workload.counts, dtype=np.int64)[:, None]
     # (shapes, designs) costs; every term is integral, so the sum is exact
-    return matmul_cycles(cols, m, k, n).sum(axis=0)
+    return (counts * matmul_cycles(cols, m, k, n)).sum(axis=0)
 
 
 def _analytic_metrics(workload, cycles, fmax, area_um2, power, energy_mj) -> dict:

@@ -94,13 +94,12 @@ def _canonical(obj: Any) -> Any:
 
 def config_hash(payload: Any) -> str:
     """Stable hex digest of an arbitrary experiment configuration."""
-    return _digest(_canonical(payload))
+    return hashlib.sha256(_encode(_canonical(payload))).hexdigest()
 
 
-def _digest(canonical: Any) -> str:
-    """Hex digest of an already-canonical structure."""
-    encoded = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+def _encode(canonical: Any) -> bytes:
+    """The JSON bytes :func:`config_hash` hashes, of an already-canonical structure."""
+    return json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def _callable_state(fn: Callable[..., Any]) -> Any:
@@ -249,29 +248,43 @@ class ExperimentSpec:
 
 
 def _spec_keys(specs: Sequence[ExperimentSpec]) -> list[str]:
-    """:attr:`ExperimentSpec.key` of every spec, canonicalising each distinct
+    """:attr:`ExperimentSpec.key` of every spec, encoding each distinct
     callable and argument object once for the whole batch.
 
     Every spec of a :meth:`ExperimentRunner.map_batch` call shares one
-    callable and the same shared keyword objects (a DSE spec carries a whole
-    model's shape list), so re-canonicalising them per item would dominate
-    key cost.  The canonical form of ``{..., "kwargs": {name: value}}`` is
-    the canonical identity plus ``repr(name) -> canonical(value)``, so the
-    keys are byte-identical to ``config_hash`` of the full payload.
+    callable (its identity carries its module's whole source) and the same
+    shared keyword objects (a DSE spec carries a whole model's shape list).
+    The payload's JSON is the identity's members sorted around a
+    ``kwargs`` member, so each item resumes a copy of its callable's hash
+    state at that member with only its own kwargs, then the identity's
+    tail: keys stay byte-identical to ``config_hash`` of the full payload.
     """
-    identities: dict[int, dict[str, Any]] = {}
-    arguments: dict[int, Any] = {}
+    identities: dict[int, tuple[Any, bytes]] = {}
+    arguments: dict[int, bytes] = {}
     keys = []
     for spec in specs:
-        payload = identities.get(id(spec.fn))
-        if payload is None:
-            payload = identities[id(spec.fn)] = _canonical(spec._identity())
-        kwargs = {}
-        for name, value in spec.kwargs:
+        identity = identities.get(id(spec.fn))
+        if identity is None:
+            values = _canonical(spec._identity())
+            names = sorted([*values, repr("kwargs")])
+            # the kwargs member's value is left open: each item supplies it
+            members = [
+                _encode(name) + b":" + (_encode(values[name]) if name in values else b"")
+                for name in names
+            ]
+            split = names.index(repr("kwargs")) + 1
+            prefix = hashlib.sha256(b"{" + b",".join(members[:split]))
+            suffix = b"".join(b"," + member for member in members[split:]) + b"}"
+            identity = identities[id(spec.fn)] = (prefix, suffix)
+        prefix, suffix = identity
+        kwargs = []
+        for name, value in sorted(spec.kwargs, key=lambda kv: repr(kv[0])):
             if id(value) not in arguments:
-                arguments[id(value)] = _canonical(value)
-            kwargs[repr(name)] = arguments[id(value)]
-        keys.append(_digest({**payload, repr("kwargs"): kwargs}))
+                arguments[id(value)] = _encode(_canonical(value))
+            kwargs.append(_encode(repr(name)) + b":" + arguments[id(value)])
+        digest = prefix.copy()
+        digest.update(b"{" + b",".join(kwargs) + b"}" + suffix)
+        keys.append(digest.hexdigest())
     return keys
 
 

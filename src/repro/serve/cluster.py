@@ -62,11 +62,12 @@ _SERVICE_CYCLES_MEMO: dict[tuple, float] = {}
 def estimate_service_cycles(spec: TenantSpec, config: GemminiConfig) -> float:
     """Analytic service-time estimate for one request of this tenant.
 
-    Uses the compiler's im2col lowering plus the closed-form spatial-array
-    cost model — :func:`~repro.dse.objectives.analytic_cycles` on a
-    one-config :class:`~repro.dse.batch.ConfigColumns`, the same function
-    the DSE analytic fidelity sums designs with — so SJF scheduling needs
-    no profiling run.  Memoized per ``(tenant workload, config)``.
+    :func:`~repro.dse.objectives.analytic_cycles` of the tenant's
+    :func:`~repro.dse.objectives.model_workload` on a one-config
+    :class:`~repro.dse.batch.ConfigColumns`: the compiler's array lowering
+    priced the way the kernels charge it, so SJF needs no profiling run.
+    The only serving cost path, reached through the per-tile oracle when
+    SJF picks.  Memoized per ``(tenant workload, config)``.
     """
     key = (spec.model, spec.input_hw, spec.seq, config)
     cached = _SERVICE_CYCLES_MEMO.get(key)
@@ -264,7 +265,6 @@ class _StreamingArrivals:
             spec,
             [time],
             start_index=start,
-            cost_hint=sim._cost_hint(spec),
             clock_ghz=sim.clock_ghz,
         )
         sim._next_index[spec.name] = start + 1
@@ -398,8 +398,6 @@ class ServingSimulation:
         self._tile_components = design.expand()
         self._tile_configs = tuple(c.gemmini for c in self._tile_components)
         self._tile_hashes = tuple(c.config_hash for c in self._tile_components)
-        #: tile-0 accelerator config (the global config on homogeneous SoCs)
-        self.gemmini = self._tile_configs[0]
         self.clock_ghz = design.clock_ghz
         self._specs = {t.name: t for t in profile.tenants}
         if scheduler is None:
@@ -411,15 +409,13 @@ class ServingSimulation:
                 }
             scheduler = make_scheduler(profile.scheduler, **options)
         self.scheduler = scheduler
-        # Cost-aware policies (SJF) consult each tile's own analytic cost:
-        # on a heterogeneous design the same request is cheap on a big tile
-        # and expensive on a little one.  On homogeneous SoCs the oracle
-        # returns exactly the request's cost_hint, so pick order (and
-        # therefore every record) is unchanged.
+        # The one cost oracle: each tile's own analytic cost (on a
+        # heterogeneous design the same request is cheap on a big tile and
+        # expensive on a little one).  Binding evaluates nothing; only a
+        # cost-aware policy (SJF) calls it, when it picks.
         self.scheduler.bind_tile_costs(self._tile_cost)
         self._compiled: dict[tuple[GemminiConfig, ModelKey], object] = {}
         self._runtimes: dict[tuple[int, ModelKey], Runtime] = {}
-        self._cost_hints: dict[str, float] = {}
         # Trace replay is gated on every tile being replay-safe (the OS
         # time-slice model injects absolute-time-dependent context switches
         # that a shifted replay cannot reproduce).
@@ -461,13 +457,6 @@ class ServingSimulation:
             compiled = self._compile(self._tile_configs[tile_index], key)
             self._runtimes[slot] = Runtime(self.soc.tiles[tile_index], compiled)
         return self._runtimes[slot]
-
-    def _cost_hint(self, spec: TenantSpec) -> float:
-        """The request's *global* cost hint (tile-0 config); per-tile costs
-        go through :meth:`_tile_cost` when a policy asks."""
-        if spec.name not in self._cost_hints:
-            self._cost_hints[spec.name] = estimate_service_cycles(spec, self.gemmini)
-        return self._cost_hints[spec.name]
 
     def _tile_cost(self, request, tile_index: int) -> float:
         """Analytic service-cycle estimate on *this* tile's accelerator

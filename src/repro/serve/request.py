@@ -16,7 +16,9 @@ ModelKey = tuple[str, int, int]
 
 @dataclass(frozen=True)
 class Request:
-    """One pending inference request."""
+    """One pending inference request.  It carries no cost estimate: a
+    cost-aware policy asks the scheduler's per-tile oracle
+    (:meth:`~repro.serve.scheduler.Scheduler.cost_on`) when it picks."""
 
     tenant: str
     index: int  # per-tenant sequence number, 0-based
@@ -24,8 +26,6 @@ class Request:
     arrival: float  # cycles
     priority: int = 0  # larger = more important
     slo_cycles: float | None = None
-    #: analytic service-time estimate (cycles) — what SJF sorts on
-    cost_hint: float = 0.0
     #: restrict execution to one tile (isolation/interference studies)
     pin_tile: int | None = None
 

@@ -35,26 +35,26 @@ class Scheduler:
 
     def __init__(self) -> None:
         self._queue: list[Request] = []
-        #: optional per-tile cost oracle bound by the cluster engine
-        #: (heterogeneous SoCs: a request's service time depends on which
-        #: tile runs it, so cost-aware policies must ask per tile)
+        #: per-tile cost oracle bound by the cluster engine (a request's
+        #: service time depends on which tile runs it)
         self._tile_cost = None
 
     def bind_tile_costs(self, fn) -> None:
-        """Install a ``fn(request, tile_index) -> cycles`` oracle.
+        """Install the ``fn(request, tile_index) -> cycles`` oracle.
 
-        On heterogeneous component-built SoCs the cluster engine binds the
-        analytic estimate evaluated against *each tile's own* accelerator
-        config; without a binding, cost-aware policies fall back to the
-        request's global ``cost_hint``.
+        The cluster engine binds the analytic estimate evaluated against
+        *each tile's own* accelerator config.  Only cost-aware policies
+        call it, and only when they pick.
         """
         self._tile_cost = fn
 
     def cost_on(self, request: Request, tile_index: int) -> float:
         """Service-cycle estimate of ``request`` on ``tile_index``."""
-        if self._tile_cost is not None:
-            return self._tile_cost(request, tile_index)
-        return request.cost_hint
+        if self._tile_cost is None:
+            raise RuntimeError(
+                f"{self.name} scheduler has no cost oracle; bind one with bind_tile_costs()"
+            )
+        return self._tile_cost(request, tile_index)
 
     # -- queue management ---------------------------------------------- #
 
@@ -123,17 +123,13 @@ class PriorityScheduler(Scheduler):
 class SJFScheduler(Scheduler):
     """Shortest job first, on the compiler's analytic cycle estimate.
 
-    With a bound per-tile cost oracle (heterogeneous SoCs) the estimate is
-    evaluated against the asking tile's own accelerator config — a job
-    that is "short" on a 32x32 tile can be "long" on an 8x8 one, and the
-    pick order reflects that.  Unbound, this reduces exactly to sorting on
-    the request's global ``cost_hint``.
+    The bound per-tile cost oracle evaluates the estimate against the
+    asking tile's own accelerator config — a job that is "short" on a
+    32x32 tile can be "long" on an 8x8 one, and the pick order reflects
+    that.  Picking without a bound oracle raises.
     """
 
     name = "sjf"
-
-    def key(self, request: Request) -> tuple:
-        return (request.cost_hint, request.arrival)
 
     def pick(self, tile_index: int, now: float) -> Request | None:
         eligible = self._eligible(tile_index)
@@ -168,9 +164,6 @@ class RoundRobinScheduler(Scheduler):
         super().add(request)
         if request.tenant not in self._rotation:
             self._rotation.append(request.tenant)
-
-    def key(self, request: Request) -> tuple:  # pragma: no cover - unused
-        return (request.arrival,)
 
     def pick(self, tile_index: int, now: float) -> Request | None:
         eligible = self._eligible(tile_index)

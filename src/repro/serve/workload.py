@@ -270,7 +270,6 @@ def requests_for(
     spec: TenantSpec,
     times: list[float],
     start_index: int = 0,
-    cost_hint: float = 0.0,
     clock_ghz: float = 1.0,
 ) -> list[Request]:
     """Wrap arrival times into :class:`Request` objects for one tenant."""
@@ -283,7 +282,6 @@ def requests_for(
             arrival=t,
             priority=spec.priority,
             slo_cycles=slo,
-            cost_hint=cost_hint,
             pin_tile=spec.pin_tile,
         )
         for i, t in enumerate(times)

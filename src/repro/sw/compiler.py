@@ -46,22 +46,23 @@ class LayerPlan:
     macs: int = 0
 
     @property
-    def matmul_shape(self) -> tuple[int, int, int] | None:
-        """The ``(m, k, n)`` matmul this plan lowers to on the array, or None.
-
-        Convolutions take their im2col lowering (``m=num_patches,
-        k=patch_size, n=out_ch``); a depthwise convolution runs one
-        ``num_patches x k^2 @ k^2 x 1`` matmul per channel, folded into M.
+    def array_matmul(self) -> tuple[tuple[int, int, int], int] | None:
+        """This plan as ``count`` array matmuls of one shape: ``((m, k, n),
+        count)``, or None.  A convolution is its im2col lowering
+        (``m=num_patches, k=patch_size, n=out_ch``) and a matmul its own
+        shape, once each; a depthwise convolution is one ``num_patches x
+        k^2 @ k^2 x 1`` matmul per channel.  The kernels, the tuner's shape
+        list, DSE's workloads and the SJF oracle all read this one lowering.
         """
         if self.placement is not Placement.ACCEL:
             return None
         conv = self.conv
         if self.kind == "matmul":
-            return (self.m, self.k, self.n)
+            return (self.m, self.k, self.n), 1
         if self.kind == "conv":
-            return (conv.num_patches, conv.patch_size, conv.out_ch)
+            return (conv.num_patches, conv.patch_size, conv.out_ch), 1
         if self.kind == "dwconv":
-            return (conv.num_patches * conv.out_ch, conv.kernel * conv.kernel, 1)
+            return (conv.num_patches, conv.kernel * conv.kernel, 1), conv.out_ch
         return None
 
     def describe(self) -> str:
@@ -94,21 +95,13 @@ class CompiledModel:
 
     def matmul_shapes(self) -> list[tuple[int, int, int]]:
         """Ordered unique (m, k, n) shapes the runtime's matmul dispatch
-        will plan for — explicit matmul layers plus convolutions, each its
-        :attr:`LayerPlan.matmul_shape`.  Depthwise convolutions are
-        excluded: their per-channel matmuls bypass the tiling planner.
-        This is the shape list ``gemmini-repro tune`` pre-warms the
-        schedule cache with.
+        will plan for: the :attr:`LayerPlan.array_matmul` shape of every
+        matmul layer and convolution.  Depthwise convolutions are excluded:
+        their per-channel matmuls bypass the tiling planner.  This is the
+        shape list ``gemmini-repro tune`` pre-warms the schedule cache with.
         """
-        shapes: list[tuple[int, int, int]] = []
-        seen: set[tuple[int, int, int]] = set()
-        for plan in self.plans:
-            shape = plan.matmul_shape
-            if shape is None or plan.kind == "dwconv" or shape in seen:
-                continue
-            seen.add(shape)
-            shapes.append(shape)
-        return shapes
+        lowerings = (plan.array_matmul for plan in self.plans if plan.kind != "dwconv")
+        return list(dict.fromkeys(lowering[0] for lowering in lowerings if lowering))
 
     def summary(self) -> str:
         lines = [f"model {self.name}: {len(self.plans)} layers, {self.total_macs / 1e6:.1f} MMACs"]

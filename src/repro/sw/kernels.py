@@ -355,6 +355,8 @@ class TileKernels:
     def dwconv_ops(
         self,
         conv: ConvParams,
+        shape: tuple[int, int, int],
+        channels: int,
         input_vaddr: int,
         weight_vaddr: int,
         output_vaddr: int,
@@ -363,16 +365,16 @@ class TileKernels:
         out_token: object = None,
         label: str = "dwconv",
     ) -> Iterator[Op]:
-        """Depthwise convolution: one tiny matmul per channel.
+        """Depthwise convolution: ``channels`` tiny matmuls of ``shape``.
 
-        Each channel's matmul is ``(out_h*out_w) x k^2 @ k^2 x 1`` — almost
-        no reuse, so the spatial array runs at a few percent utilisation.
+        ``(shape, channels)`` is the plan's
+        :attr:`~repro.sw.compiler.LayerPlan.array_matmul`: one
+        ``(out_h*out_w) x k^2 @ k^2 x 1`` matmul per channel, almost no
+        reuse, so the spatial array runs at a few percent utilisation.
         This is exactly the paper's MobileNetV2 observation.
         """
-        channels = conv.in_ch
-        m = conv.num_patches
-        kk = conv.kernel * conv.kernel
-        per_channel = matmul_cycles(self.config, m, kk, 1)
+        kk = shape[1]
+        per_channel = matmul_cycles(self.config, *shape)
 
         # Tile channels so each group's I/O fits a scratchpad half.
         bytes_per_channel = conv.in_h * conv.in_w

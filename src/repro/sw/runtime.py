@@ -355,8 +355,11 @@ class Runtime:
             )
             return cpu_cycles, ops
         if plan.kind == "dwconv":
+            shape, channels = plan.array_matmul
             ops = kernels.dwconv_ops(
                 plan.conv,
+                shape,
+                channels,
                 input_vaddr=self.addr(plan.inputs[0]),
                 weight_vaddr=self.addr(plan.weight) if plan.weight else self.addr(plan.inputs[0]),
                 output_vaddr=self.addr(plan.output),

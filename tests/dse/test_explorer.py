@@ -5,6 +5,7 @@ import pytest
 from repro.dse import (
     EvaluationSpec,
     Explorer,
+    Workload,
     conv_workload,
     evaluate_design,
     gemmini_space,
@@ -47,6 +48,14 @@ class TestEvaluateDesign:
                 assert workload.shapes
                 assert workload.model == name
                 assert workload.total_macs == build_model(name, **{key: size}).total_macs()
+                # one per-channel shape per depthwise layer, run once per channel
+                depthwise = sum(count > 1 for count in workload.counts)
+                assert depthwise == (17 if name == "mobilenetv2" else 0)
+
+    @pytest.mark.parametrize("counts", [(), (1, 1), (0,)])
+    def test_workload_needs_one_positive_count_per_shape(self, counts):
+        with pytest.raises(ValueError, match="one count >= 1 per shape"):
+            Workload(name="w", shapes=((4, 4, 4),), counts=counts)
 
     def test_soc_fidelity_runs_full_simulation(self):
         point = {"dim": 8, "tile": 2, "sp_kb": 128, "acc_kb": 32,

@@ -9,12 +9,15 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.config import default_config
 from repro.serve import (
     ServingSimulation,
     TenantSpec,
     TrafficProfile,
     simulate_serving,
 )
+from repro.serve.cluster import estimate_service_cycles
+from repro.serve.workload import requests_for
 
 MODEL = dict(model="squeezenet", input_hw=32)
 
@@ -122,12 +125,30 @@ class TestSchedulers:
             < result.report.tenant("lo").queue_mean_ms
         )
 
-    def test_sjf_uses_analytic_cost_hints(self):
+    def test_sjf_uses_analytic_tile_cost(self):
+        spec = tenant()
         sim = ServingSimulation(
-            TrafficProfile(tenants=(tenant(),), num_tiles=1, scheduler="sjf", seed=0)
+            TrafficProfile(tenants=(spec,), num_tiles=1, scheduler="sjf", seed=0)
         )
-        hint = sim._cost_hint(tenant())
-        assert hint > 0
+        [request] = requests_for(spec, [0.0])
+        assert sim._tile_cost(request, 0) == estimate_service_cycles(spec, default_config()) > 0
+
+    @pytest.mark.parametrize("policy", ["fcfs", "priority", "rr", "batch"])
+    def test_cost_blind_policies_never_price(self, policy, monkeypatch):
+        """Only SJF reads a cost: every other policy serves a whole run
+        without once calling the analytic oracle."""
+
+        def unpriced(spec, config):
+            raise AssertionError(f"{policy} priced a request")
+
+        monkeypatch.setattr("repro.serve.cluster.estimate_service_cycles", unpriced)
+        profile = TrafficProfile(
+            tenants=(tenant("a", n=3), tenant("b", n=3)),
+            num_tiles=2,
+            scheduler=policy,
+            seed=1,
+        )
+        assert simulate_serving(profile).completed == 6
 
     @pytest.mark.parametrize("policy", ["fcfs", "priority", "sjf", "rr", "batch"])
     def test_every_policy_serves_all(self, policy):

@@ -14,6 +14,8 @@ Three contracts layered on top of the homogeneous serving tests:
   identically to the same cluster built from the old kwargs.
 """
 
+import pytest
+
 from repro.core.config import default_config
 from repro.serve import TenantSpec, TrafficProfile, simulate_serving
 from repro.serve.cluster import ServingSimulation, estimate_service_cycles
@@ -45,20 +47,21 @@ def big_little(little_count: int = 1) -> SoCDesign:
     )
 
 
-def request(index, tenant_name, cost=100.0, arrival=0.0):
+def request(index, tenant_name, arrival=0.0):
     return Request(
         index=index,
         tenant=tenant_name,
         model_key=("squeezenet", 32, 32),
         arrival=arrival,
-        cost_hint=cost,
     )
 
 
 class TestPerTileCostOracle:
-    def test_unbound_scheduler_uses_global_hint(self):
+    def test_unbound_sjf_raises(self):
         sched = SJFScheduler()
-        assert sched.cost_on(request(0, "a", cost=7.0), tile_index=1) == 7.0
+        sched.add(request(0, "a"))
+        with pytest.raises(RuntimeError, match="no cost oracle"):
+            sched.pick(1, now=0.0)
 
     def test_bound_oracle_reorders_per_tile(self):
         """A job that is short on the big tile can be long on the little

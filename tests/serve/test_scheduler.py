@@ -16,14 +16,13 @@ from repro.serve.scheduler import (
 KEY = ("squeezenet", 64, 32)
 
 
-def req(tenant="t", index=0, arrival=0.0, priority=0, cost=0.0, pin=None, model=KEY):
+def req(tenant="t", index=0, arrival=0.0, priority=0, pin=None, model=KEY):
     return Request(
         tenant=tenant,
         index=index,
         model_key=model,
         arrival=arrival,
         priority=priority,
-        cost_hint=cost,
         pin_tile=pin,
     )
 
@@ -65,8 +64,9 @@ class TestPriority:
 class TestSJF:
     def test_shortest_estimate_first(self):
         s = SJFScheduler()
-        s.add(req(tenant="big", arrival=0.0, cost=9e6))
-        s.add(req(tenant="small", arrival=5.0, cost=1e6))
+        s.bind_tile_costs(lambda r, tile: {"big": 9e6, "small": 1e6}[r.tenant])
+        s.add(req(tenant="big", arrival=0.0))
+        s.add(req(tenant="small", arrival=5.0))
         assert [r.tenant for r in drain(s)] == ["small", "big"]
 
 

@@ -158,10 +158,10 @@ class TestArrivalSources:
 class TestRequestsFor:
     def test_wraps_times_with_slo_and_hints(self):
         spec = poisson_tenant(slo_ms=10.0, priority=2, pin_tile=None)
-        reqs = requests_for(spec, [100.0, 200.0], start_index=5, cost_hint=42.0, clock_ghz=1.0)
+        reqs = requests_for(spec, [100.0, 200.0], start_index=5, clock_ghz=1.0)
         assert [r.index for r in reqs] == [5, 6]
         assert all(r.slo_cycles == pytest.approx(10.0e6) for r in reqs)
-        assert all(r.cost_hint == 42.0 and r.priority == 2 for r in reqs)
+        assert all(r.priority == 2 for r in reqs)
 
 
 class TestParsing:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.accelerator import Accelerator
-from repro.core.config import Dataflow, GemminiConfig
+from repro.core.config import Dataflow, GemminiConfig, default_config
 from repro.core.spatial_array import fill_latency, matmul_cycles
 from repro.sw.lowlevel import GemminiProgramBuilder
 
@@ -84,3 +84,55 @@ class TestCostConsistency:
         exec_ops = [op for op in ops if op.unit == "exec"]
         expected = matmul_cycles(soc.tile.accel.config, 64, 64, 64)
         assert exec_ops[0].cycles == pytest.approx(expected + ISSUE_OVERHEAD)
+
+
+def _mobilenet_setup(config, input_hw):
+    """A runtime for mobilenetv2 bound to a fresh SoC of ``config``."""
+    from repro.core.generator import SoftwareParams
+    from repro.models.zoo import build_model
+    from repro.soc.soc import make_soc
+    from repro.sw.compiler import compile_graph
+    from repro.sw.runtime import Runtime
+
+    model = compile_graph(
+        build_model("mobilenetv2", input_hw=input_hw), SoftwareParams.from_config(config)
+    )
+    return Runtime(make_soc(gemmini=config).tile, model)
+
+
+class TestDepthwiseAgreement:
+    """The kernels and the analytic tier price a depthwise layer from one
+    lowering, :attr:`~repro.sw.compiler.LayerPlan.array_matmul`."""
+
+    CONFIGS = {
+        "default": default_config,
+        "os_8x8": lambda: GemminiConfig(dataflow=Dataflow.OS).with_geometry(8),
+    }
+
+    @pytest.mark.parametrize("input_hw", [224, 32])
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    def test_kernel_exec_cycles_match_lowering(self, config_name, input_hw):
+        from repro.dse.batch import ConfigColumns
+        from repro.dse.objectives import analytic_cycles, model_workload
+        from repro.sw.kernels import ISSUE_OVERHEAD
+
+        config = self.CONFIGS[config_name]()
+        runtime = _mobilenet_setup(config, input_hw)
+        dwconv = [plan for plan in runtime.model.plans if plan.kind == "dwconv"]
+        assert len(dwconv) == 17
+        lowered = 0.0
+        for plan in dwconv:
+            __, ops = runtime._accel_plan_ops(plan)
+            execs = [op for op in ops if op.label == f"{plan.name}.ex"]
+            charged = sum(op.cycles for op in execs) - ISSUE_OVERHEAD * len(execs)
+            shape, count = plan.array_matmul
+            assert charged == count * matmul_cycles(config, *shape), plan.name
+            lowered += charged
+        priced = sum(
+            count * matmul_cycles(config, *shape)
+            for shape, count in filter(None, (p.array_matmul for p in runtime.model.plans))
+        )
+        workload = model_workload("mobilenetv2", input_hw=input_hw)
+        assert analytic_cycles(ConfigColumns.from_configs([config]), workload)[0] == priced
+        if (config_name, input_hw) == ("default", 224):
+            assert (lowered, priced) == (2_530_176, 3_684_928)

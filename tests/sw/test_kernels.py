@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import default_config
 from repro.core.peripherals import ConvParams, PoolParams
 from repro.soc.soc import make_soc
+from repro.sw.compiler import LayerPlan, Placement
 from repro.sw.kernels import TileKernels
 
 
@@ -28,6 +29,11 @@ def host_kernels():
 
 
 BASE = 0x1000_0000
+
+
+def dw_lowering(conv):
+    """The compiler's ``(shape, channels)`` array lowering of a depthwise layer."""
+    return LayerPlan("dw", "dwconv", Placement.ACCEL, ("x",), "y", conv=conv).array_matmul
 
 
 class TestMatmulOps:
@@ -146,7 +152,7 @@ class TestDwconvOps:
         """Depthwise conv achieves a few percent of peak MACs/cycle."""
         k, __ = kernels
         conv = ConvParams(in_h=28, in_w=28, in_ch=96, out_ch=96, kernel=3, padding=1)
-        ops = list(k.dwconv_ops(conv, BASE, BASE + (1 << 20), BASE + (2 << 20)))
+        ops = list(k.dwconv_ops(conv, *dw_lowering(conv), BASE, BASE + (1 << 20), BASE + (2 << 20)))
         exec_cycles = sum(op.cycles for op in ops if op.unit == "exec")
         macs = conv.num_patches * 9 * conv.in_ch
         utilisation = macs / (exec_cycles * k.accel.config.num_pes)
@@ -155,7 +161,7 @@ class TestDwconvOps:
     def test_channel_grouping(self, kernels):
         k, __ = kernels
         conv = ConvParams(in_h=8, in_w=8, in_ch=512, out_ch=512, kernel=3, padding=1)
-        ops = list(k.dwconv_ops(conv, BASE, BASE + (1 << 20), BASE + (2 << 20)))
+        ops = list(k.dwconv_ops(conv, *dw_lowering(conv), BASE, BASE + (1 << 20), BASE + (2 << 20)))
         assert any(op.unit == "exec" for op in ops)
         assert any(op.unit == "store" for op in ops)
 
