@@ -26,9 +26,10 @@ Exposes the common workflows without writing Python:
     (``--example`` emits a big/little starter spec).
 ``gemmini-repro tune``
     Auto-tune every matmul dispatch shape of the given zoo models into
-    the persistent schedule cache; later ``run``/``serve``/``dse``
-    invocations (``--schedule-cache`` or ``$REPRO_SCHEDULE_CACHE``)
-    dispatch straight to the tuned schedules, never worse than greedy.
+    the persistent schedule cache; later ``run``/``serve`` invocations
+    (``--schedule-cache`` or ``$REPRO_SCHEDULE_CACHE``) dispatch straight
+    to the tuned schedules, never worse than greedy.  ``dse`` and the
+    Python API plan greedily unless handed a cache.
 ``gemmini-repro trace``
     Validate and summarise a ``--trace-out`` timeline: top spans by
     total/self time, queue-vs-service split per tile, cache hit ratio.
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import time
 from dataclasses import replace
@@ -159,17 +159,19 @@ def _read_ledger(args):
 
 def _add_run_args(
     parser: argparse.ArgumentParser, metrics: bool = True, profile: bool = False,
-    live: bool = False,
+    live: bool = False, schedule_cache: bool = True,
 ) -> None:
-    """The options a :class:`_RunContext` reads: schedule cache, trace and
-    (with ``metrics``) metrics artifacts, ledger; ``profile`` adds cProfile,
-    ``live`` the streaming metrics console."""
-    parser.add_argument(
-        "--schedule-cache", default=None, metavar="PATH",
-        help="tuned-schedule cache JSONL (default: $REPRO_SCHEDULE_CACHE or "
-        ".repro-schedule-cache/schedules.jsonl; 'off' disables; "
-        "pre-warm with `gemmini-repro tune`)",
-    )
+    """The options a :class:`_RunContext` reads: (with ``schedule_cache``)
+    the schedule cache, trace and (with ``metrics``) metrics artifacts,
+    ledger; ``profile`` adds cProfile, ``live`` the streaming metrics
+    console."""
+    if schedule_cache:
+        parser.add_argument(
+            "--schedule-cache", default=None, metavar="PATH",
+            help="tuned-schedule cache JSONL (default: $REPRO_SCHEDULE_CACHE or "
+            ".repro-schedule-cache/schedules.jsonl; 'off' disables; "
+            "pre-warm with `gemmini-repro tune`)",
+        )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="write a Chrome Trace Event JSON timeline here "
@@ -198,15 +200,34 @@ def _add_run_args(
     parser.set_defaults(parser=parser, run_context=True)
 
 
+def _schedule_cache_from_args(args):
+    """The cache ``run``/``serve``/``tune`` dispatch through: ``--schedule-
+    cache`` beats the environment and ``off`` yields the null cache.
+    ``dse`` takes no such flag and plans greedily."""
+    from repro.obs.jsonl import DISABLED
+    from repro.sw.schedule_cache import (
+        NULL_SCHEDULE_CACHE,
+        ScheduleCache,
+        schedule_cache_from_env,
+    )
+
+    if not hasattr(args, "schedule_cache"):
+        return NULL_SCHEDULE_CACHE
+    path = args.schedule_cache
+    if path is None:
+        return schedule_cache_from_env()
+    if path.strip().lower() in DISABLED:
+        return NULL_SCHEDULE_CACHE
+    return ScheduleCache(path)
+
+
 class _RunContext:
     """One invocation of a simulating command, from run id to ledger record.
 
-    Entering resolves ``--schedule-cache`` (exported to
-    ``REPRO_SCHEDULE_CACHE`` so DSE worker processes inherit it) and
-    installs it as the process default, so every dispatch site shares one
-    stats-bearing cache; leaving restores both.  The tracer, the metric
-    stream and the ledger record all carry :attr:`run_id`, so every
-    artifact of a run joins on it.
+    :attr:`schedule_cache` is resolved once, here; the command passes it
+    to every runtime it builds, so one stats-bearing cache sees every
+    dispatch.  The tracer, the metric stream and the ledger record all
+    carry :attr:`run_id`, so every artifact of a run joins on it.
     """
 
     def __init__(self, args) -> None:
@@ -221,27 +242,8 @@ class _RunContext:
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
         self.ledger = _ledger_from_args(args)
+        self.schedule_cache = _schedule_cache_from_args(args)
         self.wall_s = 0.0
-
-    def __enter__(self) -> "_RunContext":
-        from repro.sw.schedule_cache import default_schedule_cache, set_default_schedule_cache
-
-        self._saved_env = os.environ.get("REPRO_SCHEDULE_CACHE")
-        if self.args.schedule_cache is not None:
-            os.environ["REPRO_SCHEDULE_CACHE"] = self.args.schedule_cache
-        self._saved_override = set_default_schedule_cache(None)  # re-resolve from env
-        self.schedule_cache = default_schedule_cache()
-        set_default_schedule_cache(self.schedule_cache)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        from repro.sw.schedule_cache import set_default_schedule_cache
-
-        set_default_schedule_cache(self._saved_override)
-        if self._saved_env is None:
-            os.environ.pop("REPRO_SCHEDULE_CACHE", None)
-        else:
-            os.environ["REPRO_SCHEDULE_CACHE"] = self._saved_env
 
     def observe(
         self, seed: int, clock_ghz: float | None = None, every: int = 64, trace: bool = False
@@ -467,8 +469,7 @@ def cmd_tune(args, run: _RunContext) -> int:
     cache = run.schedule_cache
     if not cache:
         print(
-            "schedule cache is disabled (REPRO_SCHEDULE_CACHE=off); "
-            "nothing to tune into",
+            "schedule cache is disabled ('off'); nothing to tune into",
             file=sys.stderr,
         )
         return 1
@@ -792,6 +793,7 @@ def cmd_serve(args, run: _RunContext) -> int:
         record_mode=args.record_mode or (
             "stream" if args.horizon_hours is not None else "exact"
         ),
+        schedule_cache=run.schedule_cache,
         **soc_kwargs,
     )
     with run.timed():
@@ -1231,7 +1233,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="batch scheduler: max hold time (wall-clock ms at each design's clock)",
     )
-    _add_run_args(p_dse)
+    _add_run_args(p_dse, schedule_cache=False)
     p_dse.set_defaults(func=cmd_dse)
 
     p_serve = sub.add_parser(
@@ -1388,8 +1390,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not getattr(args, "run_context", False):
         return args.func(args)
-    with _RunContext(args) as run:
-        return args.func(args, run)
+    return args.func(args, _RunContext(args))
 
 
 if __name__ == "__main__":  # pragma: no cover

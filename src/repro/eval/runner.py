@@ -247,9 +247,12 @@ class ExperimentSpec:
         return self.fn(**dict(self.kwargs))
 
 
-def _spec_keys(specs: Sequence[ExperimentSpec]) -> list[str]:
+def _spec_keys(
+    specs: Sequence[ExperimentSpec], encoded: dict[int, bytes] | None = None
+) -> list[str]:
     """:attr:`ExperimentSpec.key` of every spec, encoding each distinct
-    callable and argument object once for the whole batch.
+    callable and argument object once for the whole batch (``encoded``
+    supplies arguments' bytes already known, keyed by ``id``).
 
     Every spec of a :meth:`ExperimentRunner.map_batch` call shares one
     callable (its identity carries its module's whole source) and the same
@@ -260,7 +263,7 @@ def _spec_keys(specs: Sequence[ExperimentSpec]) -> list[str]:
     tail: keys stay byte-identical to ``config_hash`` of the full payload.
     """
     identities: dict[int, tuple[Any, bytes]] = {}
-    arguments: dict[int, bytes] = {}
+    arguments: dict[int, bytes] = dict(encoded or {})
     keys = []
     for spec in specs:
         identity = identities.get(id(spec.fn))
@@ -420,6 +423,9 @@ class ExperimentRunner:
         self._pool: ProcessPoolExecutor | None = None
         self.hits = 0
         self.misses = 0
+        #: id -> (object, key bytes) of hashable map_batch shared arguments;
+        #: holding the object keeps its id from being reused
+        self._shared_keys: dict[int, tuple[Any, bytes]] = {}
         #: per-spec span / cache-attribution sink (no-op singleton when off)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.declare_lane("cache", process="runner", label="cache", sort=0)
@@ -465,6 +471,7 @@ class ExperimentRunner:
         self,
         specs: Sequence[ExperimentSpec],
         execute: Callable[[list[int], Callable[[int, Any], None]], None],
+        encoded: dict[int, bytes] | None = None,
     ) -> list[Any]:
         """The one cache pass behind :meth:`run_specs` and :meth:`map_batch`.
 
@@ -477,7 +484,7 @@ class ExperimentRunner:
         pending: list[int] = []
         tracer = self.tracer
         # Key computation hashes source text and kwargs; do it once per spec.
-        keys = _spec_keys(specs) if self.cache is not None else None
+        keys = _spec_keys(specs, encoded) if self.cache is not None else None
         primary: dict[str, int] = {}  # key -> first pending position
         duplicates: dict[int, int] = {}  # position -> its primary position
         for i, spec in enumerate(specs):
@@ -618,7 +625,28 @@ class ExperimentRunner:
             for i, value in zip(pending, values):
                 record(i, value)
 
-        return self._cached(specs, execute)
+        encoded = self._encode_shared(shared.values()) if self.cache is not None else None
+        return self._cached(specs, execute, encoded)
+
+    def _encode_shared(self, values: Iterable[Any]) -> dict[int, bytes]:
+        """Key bytes of each hashable shared argument, encoded once per
+        runner: a DSE passes the same spec object to every proposal batch.
+
+        Memoised by identity, not value (``1 == 1.0 == True`` encode
+        differently), and only for values whose ``hash()`` succeeds;
+        unhashable (mutable) values are re-encoded by every call.
+        """
+        encoded = {}
+        for value in values:
+            try:
+                hash(value)
+            except TypeError:
+                continue
+            entry = self._shared_keys.get(id(value))
+            if entry is None:
+                entry = self._shared_keys[id(value)] = (value, _encode(_canonical(value)))
+            encoded[id(value)] = entry[1]
+        return encoded
 
     def stats(self) -> RunnerStats:
         """Hits/misses/hit-rate accumulated since the last reset."""

@@ -43,6 +43,7 @@ from repro.soc.components import SoCDesign
 from repro.soc.os_model import OSConfig
 from repro.soc.soc import SoC
 from repro.sw.runtime import Runtime
+from repro.sw.schedule_cache import ScheduleCache
 
 __all__ = ["ServeResult", "ServingSimulation", "simulate_serving", "estimate_service_cycles"]
 
@@ -358,6 +359,7 @@ class ServingSimulation:
         tracer: Tracer | None = None,
         metrics: MetricStream | None = None,
         record_mode: str = "exact",
+        schedule_cache: ScheduleCache | None = None,
     ) -> None:
         from repro.core.config import default_config
 
@@ -370,6 +372,9 @@ class ServingSimulation:
         #: an unconditional (no-op) call on the disabled path
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
+        #: tuned schedules every tile's runtimes dispatch through (greedy
+        #: tiling without one)
+        self.schedule_cache = schedule_cache
         self.profile = profile
         if design is not None:
             if gemmini is not None or mem is not None or os is not None:
@@ -455,7 +460,9 @@ class ServingSimulation:
         slot = (tile_index, key)
         if slot not in self._runtimes:
             compiled = self._compile(self._tile_configs[tile_index], key)
-            self._runtimes[slot] = Runtime(self.soc.tiles[tile_index], compiled)
+            self._runtimes[slot] = Runtime(
+                self.soc.tiles[tile_index], compiled, schedule_cache=self.schedule_cache
+            )
         return self._runtimes[slot]
 
     def _tile_cost(self, request, tile_index: int) -> float:
@@ -787,6 +794,7 @@ def simulate_serving(
     tracer: Tracer | None = None,
     metrics: MetricStream | None = None,
     record_mode: str = "exact",
+    schedule_cache: ScheduleCache | None = None,
 ) -> ServeResult:
     """One-shot convenience: build the cluster, run the traffic, report.
 
@@ -809,6 +817,9 @@ def simulate_serving(
     singletons, so an uninstrumented run pays one empty method call per
     emission site.
 
+    ``schedule_cache=`` is the tuned-schedule cache every tile dispatches
+    its matmuls through; without one every matmul takes the greedy plan.
+
     Module-level and pure-data in/out, so it can ship through
     :class:`~repro.eval.runner.ExperimentRunner` workers and its results
     land in the content-hash cache.
@@ -823,4 +834,5 @@ def simulate_serving(
         tracer=tracer,
         metrics=metrics,
         record_mode=record_mode,
+        schedule_cache=schedule_cache,
     ).run()

@@ -531,6 +531,7 @@ def record_steady_state_trace(
         runtime.model,
         sync_per_layer=runtime.sync_per_layer,
         share_allocations_from=runtime,
+        schedule_cache=runtime.kernels.schedule_cache,
     )
     _warm_sandbox_state(accel, warm_from)
     recorder = TraceRecorder(shadow)

@@ -9,9 +9,10 @@ Two entry levels, mirroring Gemmini's flow:
   tile-size heuristics (:mod:`repro.sw.tiling`), and raw RoCC intrinsics
   (:mod:`repro.sw.lowlevel`) for hand-written programs.
 
-Schedules come from the greedy planner by default, or — when a shape was
-auto-tuned (:mod:`repro.sw.tune`) — from the persistent cross-process
-schedule cache (:mod:`repro.sw.schedule_cache`).
+Schedules come from the greedy planner by default, or — when the caller
+passes a persistent cross-process schedule cache
+(:mod:`repro.sw.schedule_cache`) holding a shape auto-tuned by
+:mod:`repro.sw.tune` — from that cache.
 """
 
 from repro.sw.tiling import MatmulTiling, fits_budgets, plan_matmul_tiling
@@ -20,9 +21,7 @@ from repro.sw.schedule_cache import (
     ScheduleCache,
     ScheduleKey,
     ScheduleRecord,
-    default_schedule_cache,
     schedule_key,
-    set_default_schedule_cache,
 )
 from repro.sw.tune import ShapeTuneResult, tune_matmul, tune_model
 from repro.sw.lowlevel import GemminiProgramBuilder
@@ -39,9 +38,7 @@ __all__ = [
     "ScheduleCache",
     "ScheduleKey",
     "ScheduleRecord",
-    "default_schedule_cache",
     "schedule_key",
-    "set_default_schedule_cache",
     "ShapeTuneResult",
     "tune_matmul",
     "tune_model",

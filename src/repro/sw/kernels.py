@@ -21,11 +21,7 @@ from repro.core.peripherals import ConvParams, PoolParams
 from repro.core.spatial_array import fill_latency, matmul_cycles
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.soc.soc import SoCTile
-from repro.sw.schedule_cache import (
-    ScheduleCache,
-    default_schedule_cache,
-    schedule_key,
-)
+from repro.sw.schedule_cache import NULL_SCHEDULE_CACHE, ScheduleCache, schedule_key
 from repro.sw.tiling import MatmulTiling, plan_matmul_tiling
 
 
@@ -67,10 +63,10 @@ class TileKernels:
         self.dim = self.config.dim
         self._fill_latency = float(fill_latency(self.config))
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: tuned-schedule source for auto-planned matmuls; the ambient
-        #: (``REPRO_SCHEDULE_CACHE``-resolved) cache unless one is injected
+        #: tuned-schedule source for auto-planned matmuls; without one every
+        #: matmul takes the greedy plan
         self.schedule_cache = (
-            schedule_cache if schedule_cache is not None else default_schedule_cache()
+            schedule_cache if schedule_cache is not None else NULL_SCHEDULE_CACHE
         )
 
     # ------------------------------------------------------------------ #
@@ -303,7 +299,9 @@ class TileKernels:
         only the raw input pixels and the CPU does no work.  Without it, the
         host CPU materialises the patch matrix into ``im2col_vaddr`` first
         (the returned CPU cycles), and the accelerator streams the
-        k^2-amplified matrix from DRAM.
+        k^2-amplified matrix from DRAM; that path needs ``im2col_vaddr``
+        (streaming the k^2-times larger matrix from ``input_vaddr`` would
+        read past the input).
         """
         m = conv.num_patches
         k = conv.patch_size
@@ -329,10 +327,11 @@ class TileKernels:
             return ops, 0.0
 
         # CPU-side im2col into a scratch DRAM buffer, then a plain matmul.
+        if im2col_vaddr is None:
+            raise ValueError(f"{label}: host im2col needs an im2col_vaddr scratch buffer")
         cpu_cycles = self.tile.cpu.im2col_cycles(m * k)
-        a_vaddr = im2col_vaddr if im2col_vaddr is not None else input_vaddr
         ops = self.matmul_ops(
-            a_vaddr,
+            im2col_vaddr,
             weight_vaddr,
             output_vaddr,
             m,

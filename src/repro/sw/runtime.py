@@ -128,9 +128,7 @@ class Runtime:
         #: per-layer span sink (``run --trace-out``); the null singleton
         #: keeps the layer loop free of tracing branches
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: ``schedule_cache`` defaults inside TileKernels to the ambient
-        #: (``REPRO_SCHEDULE_CACHE``) cache, so serving/DSE/trace-recording
-        #: runtimes all start warm without plumbing at every call site
+        #: no ``schedule_cache`` means greedy tiling for every matmul
         self.kernels = TileKernels(
             tile, tracer=self.tracer, schedule_cache=schedule_cache
         )

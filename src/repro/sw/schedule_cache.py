@@ -2,20 +2,23 @@
 
 The compile path's analogue of the runner/trace caches: the auto-tuner
 (:mod:`repro.sw.tune`) searches the tiling space per (matmul shape,
-accelerator config) once and records the winner here; every later run —
-serving, DSE full-SoC fidelity, trace-replay recording, plain ``run`` —
-dispatches straight to the tuned schedule via an O(1) in-memory lookup
-and falls back to the greedy heuristic on a miss (the SYS_ATL pattern:
-specialise hot shapes, keep the generic path as the safety net).
+accelerator config) once and records the winner here; a run handed the
+cache — ``TileKernels``/``Runtime``/``ServingSimulation``'s
+``schedule_cache=`` argument, or the CLI's ``run``/``serve`` — dispatches
+straight to the tuned schedule via an O(1) in-memory lookup and falls back
+to the greedy heuristic on a miss (the SYS_ATL pattern: specialise hot
+shapes, keep the generic path as the safety net).  A run handed no cache
+plans greedily, as the paper's software stack does; nothing in the
+library opens a cache on its own.
 
-Storage is an append-only JSONL file (``.repro-schedule-cache/
-schedules.jsonl`` by default; ``REPRO_SCHEDULE_CACHE`` or
-``--schedule-cache PATH`` move it, ``off`` disables via the
-:data:`NULL_SCHEDULE_CACHE` null object).  Appends and reads share the run
-ledger's JSONL primitive (:mod:`repro.obs.jsonl`) — one record per line
-written with a single ``os.write`` on an ``O_APPEND`` descriptor under
-``flock`` — so tuner processes never interleave bytes, and reads skip
-corrupt lines.  Records
+Storage is an append-only JSONL file.  The CLI resolves it once per
+invocation: ``--schedule-cache PATH``, else ``REPRO_SCHEDULE_CACHE``
+(:func:`schedule_cache_from_env`), else ``.repro-schedule-cache/
+schedules.jsonl``; ``off`` selects the :data:`NULL_SCHEDULE_CACHE` null
+object.  Appends and reads share the run ledger's JSONL primitive
+(:mod:`repro.obs.jsonl`) — one record per line written with a single
+``os.write`` on an ``O_APPEND`` descriptor under ``flock`` — so tuner
+processes never interleave bytes, and reads skip corrupt lines.  Records
 are keyed by a content hash of (shape, dtype, accelerator ``config_hash``,
 double-buffer flag, tuner version); the last record per key wins, so
 re-tuning simply appends.
@@ -32,7 +35,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -53,8 +56,6 @@ __all__ = [
     "schedule_key",
     "default_schedule_cache_path",
     "schedule_cache_from_env",
-    "default_schedule_cache",
-    "set_default_schedule_cache",
 ]
 
 #: bump when the record layout changes incompatibly
@@ -196,19 +197,15 @@ class ScheduleCacheStats:
     def to_dict(self) -> dict:
         return {"lookups": self.lookups, "hits": self.hits, "misses": self.misses}
 
-    def reset(self) -> None:
-        self.lookups = 0
-        self.hits = 0
-
 
 class ScheduleCache:
     """JSONL-backed schedule store with an in-memory lookup layer.
 
     The file is read once, lazily, on the first lookup; appends update the
     in-memory map too, so a tuner process sees its own writes.  Concurrent
-    appends from other processes become visible on :meth:`refresh` (or the
-    next process), never mid-run — which is what keeps a run's schedule
-    choices deterministic.
+    appends from other processes become visible to the next cache instance,
+    never mid-run — which is what keeps a run's schedule choices
+    deterministic.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -224,15 +221,6 @@ class ScheduleCache:
             # the last record per key wins
             self._memory = {record.key.digest: record for record in records}
         return self._memory
-
-    def refresh(self) -> None:
-        """Drop the in-memory layer; the next lookup re-reads the file."""
-        self._memory = None
-
-    def records(self) -> list[ScheduleRecord]:
-        """The effective (last-wins) record set, in stable digest order."""
-        memory = self._load()
-        return [memory[d] for d in sorted(memory)]
 
     def get(self, key: ScheduleKey) -> ScheduleRecord | None:
         """Uncounted record fetch (the tuner's already-tuned check)."""
@@ -294,7 +282,7 @@ NULL_SCHEDULE_CACHE = NullScheduleCache()
 
 
 # ---------------------------------------------------------------------- #
-# Ambient (process-default) cache                                          #
+# The CLI's resolver                                                      #
 # ---------------------------------------------------------------------- #
 
 
@@ -311,37 +299,3 @@ def schedule_cache_from_env() -> ScheduleCache:
     if jsonl.env_disabled("REPRO_SCHEDULE_CACHE"):
         return NULL_SCHEDULE_CACHE
     return ScheduleCache(default_schedule_cache_path())
-
-
-#: (env value the default was resolved under, the cache) — or an explicit
-#: override installed by :func:`set_default_schedule_cache`
-_default: tuple[str | None, ScheduleCache] | None = None
-_override: ScheduleCache | None = None
-
-
-def default_schedule_cache() -> ScheduleCache:
-    """The ambient cache every dispatch site that isn't handed one uses.
-
-    Resolved lazily from the environment and re-resolved whenever
-    ``REPRO_SCHEDULE_CACHE`` changes (tests move it per-case), unless an
-    explicit override is installed via :func:`set_default_schedule_cache`.
-    """
-    global _default
-    if _override is not None:
-        return _override
-    env = os.environ.get("REPRO_SCHEDULE_CACHE")
-    if _default is None or _default[0] != env:
-        _default = (env, schedule_cache_from_env())
-    return _default[1]
-
-
-def set_default_schedule_cache(cache: ScheduleCache | None) -> ScheduleCache | None:
-    """Install (or with ``None`` clear) the process-default cache override;
-    returns the previous override.  ``--schedule-cache PATH`` uses this so
-    every Runtime/serving/DSE dispatch in the process goes through one
-    cache object whose :attr:`ScheduleCache.stats` the CLI can report."""
-    global _default, _override
-    previous = _override
-    _override = cache
-    _default = None
-    return previous

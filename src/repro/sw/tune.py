@@ -11,8 +11,8 @@ shortlist, so the tuner's pick is never worse than greedy *by
 construction* (measured in simulated cycles on the verification bench).
 
 Winners persist in the cross-process schedule cache
-(:mod:`repro.sw.schedule_cache`); every later run dispatches to them via
-``TileKernels.select_tiling``.  ``gemmini-repro tune`` drives
+(:mod:`repro.sw.schedule_cache`) the caller passes; every later run handed
+that cache dispatches to them via ``TileKernels.select_tiling``.  ``gemmini-repro tune`` drives
 :func:`tune_model` over model-zoo × design sweeps to pre-warm the cache.
 
 Everything here is deterministic: candidate enumeration is ordered,
@@ -38,7 +38,6 @@ from repro.sw.schedule_cache import (
     ScheduleCache,
     ScheduleKey,
     ScheduleRecord,
-    default_schedule_cache,
     schedule_key,
 )
 from repro.sw.tiling import (
@@ -253,7 +252,8 @@ def tune_matmul(
     force: bool = False,
     tracer: Tracer = NULL_TRACER,
 ) -> ShapeTuneResult:
-    """Tune one matmul shape and record the winner in the cache.
+    """Tune one matmul shape and record the winner in ``cache`` (without
+    one the winner is returned and recorded nowhere).
 
     ``verify_top_k`` is the number of top analytic candidates simulated
     cycle-accurately *in addition to* the greedy plan, which is always
@@ -262,7 +262,6 @@ def tune_matmul(
     greedy itself).  An already-cached key returns immediately unless
     ``force`` re-tunes it.
     """
-    cache = cache if cache is not None else default_schedule_cache()
     key = schedule_key(config, m, k, n)
     params = SoftwareParams.from_config(config)
     greedy = plan_matmul_tiling(params, m, k, n)
@@ -355,7 +354,6 @@ def tune_model(
 ) -> list[ShapeTuneResult]:
     """Tune every matmul dispatch shape of one compiled model (explicit
     matmuls plus im2col-lowered convolutions), in plan order."""
-    cache = cache if cache is not None else default_schedule_cache()
     return [
         tune_matmul(
             config, m, k, n,

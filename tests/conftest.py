@@ -25,16 +25,11 @@ def _ledger_in_tmp(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _schedule_cache_in_tmp(tmp_path, monkeypatch):
-    """Same hermeticity for the tuned-schedule cache: ambient lookups hit a
-    per-test file, and any override a CLI invocation installed is cleared."""
-    from repro.sw.schedule_cache import set_default_schedule_cache
-
+    """Same hermeticity for the tuned-schedule cache a CLI invocation
+    without ``--schedule-cache`` opens: a per-test file."""
     monkeypatch.setenv(
         "REPRO_SCHEDULE_CACHE", str(tmp_path / "test-schedules.jsonl")
     )
-    set_default_schedule_cache(None)
-    yield
-    set_default_schedule_cache(None)
 
 
 @pytest.fixture

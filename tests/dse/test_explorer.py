@@ -67,6 +67,36 @@ class TestEvaluateDesign:
         assert soc.metric("cycles") > analytic.metric("cycles")
         assert soc.metric("energy_mj") > 0
 
+    def test_soc_fidelity_plans_greedily(self, tmp_path, monkeypatch):
+        """A cached runner and a fresh evaluation agree on the greedy
+        cycles, whatever schedule cache the environment names: the cache
+        never reaches the result key, so it must not reach the number."""
+        from repro.core.generator import SoftwareParams
+        from repro.dse.space import point_to_config
+        from repro.sw.compiler import compile_graph
+        from repro.sw.schedule_cache import ScheduleCache
+        from repro.sw.tune import tune_model
+
+        point = {"dim": 16, "tile": 8, "sp_kb": 128, "acc_kb": 16,
+                 "sp_banks": 8, "acc_banks": 1, "dataflow": "OS", "has_im2col": True}
+        spec = EvaluationSpec(workload=model_workload("squeezenet", input_hw=32),
+                              fidelity="soc")
+        config = point_to_config(point)
+        model = compile_graph(
+            build_model("squeezenet", input_hw=32), SoftwareParams.from_config(config)
+        )
+        tuned = tmp_path / "tuned.jsonl"
+        results = tune_model(model, config, cache=ScheduleCache(tuned))
+        assert sum(r.tuned_cycles for r in results) < sum(r.greedy_cycles for r in results)
+
+        greedy = 303_448.34375
+        with ExperimentRunner(max_workers=1, cache=tmp_path / "runner") as runner:
+            for env in ("off", str(tuned)):
+                monkeypatch.setenv("REPRO_SCHEDULE_CACHE", env)
+                assert evaluate_design(point, spec).metric("cycles") == greedy
+                cached = runner.run(evaluate_design, point=point, spec=spec)
+                assert cached.metric("cycles") == greedy
+
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError, match="unknown objective"):
             EvaluationSpec(objectives=("latency_ms", "beauty"))

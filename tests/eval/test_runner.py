@@ -559,6 +559,16 @@ class TestMapBatch:
             full_payload_hash(scaled_batch, s) for s in specs
         }
 
+    def test_shared_argument_memo_keys_by_identity(self, tmp_path):
+        """Equal shared values of different types (1 == 1.0 == True) keep
+        distinct keys across calls, and a repeated one hits."""
+        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
+            results = [runner.map_batch(scaled_batch, [1, 2], factor=f)
+                       for f in (1, 1.0, True, 1)]
+            assert [type(r[0]) for r in results] == [int, float, int, int]
+            assert (runner.misses, runner.hits) == (6, 2)
+        assert len(list(tmp_path.glob("*.pkl"))) == 6
+
     def test_wrong_result_count_rejected(self):
         def broken_batch(items):
             return [0]

@@ -19,13 +19,12 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import tempfile
 from pathlib import Path
 
 from repro.core.config import default_config
 from repro.serve import TenantSpec, TrafficProfile, simulate_serving
-from repro.sw.schedule_cache import NULL_SCHEDULE_CACHE, set_default_schedule_cache
+from repro.sw.schedule_cache import NULL_SCHEDULE_CACHE
 
 GOLDEN_PATH = Path(__file__).with_name("fingerprints.json")
 SCHEMA = 1
@@ -477,28 +476,20 @@ LEDGER_FIELDS = ("kind", "name", "seed", "config_hash", "workload_hash", "worklo
 
 
 def cli_values(command: str) -> dict:
-    """Run one CLI command against a fresh ledger and schedule cache in a
-    temp dir; return the reproducible fields of the one record it writes."""
+    """Run one CLI command against a fresh ledger (and, for the commands
+    that read one, a fresh schedule cache) in a temp dir; return the
+    reproducible fields of the one record it writes."""
     from repro.cli import main
 
-    # Restored here too, so the recorder also runs at commits whose CLI
-    # left its --schedule-cache in the environment.
-    env_before = os.environ.get("REPRO_SCHEDULE_CACHE")
     with tempfile.TemporaryDirectory() as tmp:
         ledger = Path(tmp) / "ledger.jsonl"
-        argv = CLI_CASES[command] + [
-            "--ledger", str(ledger), "--schedule-cache", str(Path(tmp) / "schedules.jsonl"),
-        ]
+        argv = CLI_CASES[command] + ["--ledger", str(ledger)]
         if command == "dse":
             argv += ["--cache-dir", str(Path(tmp) / "dse-cache")]
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-        finally:
-            if env_before is None:
-                os.environ.pop("REPRO_SCHEDULE_CACHE", None)
-            else:
-                os.environ["REPRO_SCHEDULE_CACHE"] = env_before
+        else:
+            argv += ["--schedule-cache", str(Path(tmp) / "schedules.jsonl")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
         if code != 0:
             raise RuntimeError(f"{command} exited {code}")
         (record,) = [json.loads(line) for line in ledger.read_text().splitlines()]
@@ -520,30 +511,26 @@ CASES = (
 def fingerprint(case: str) -> dict:
     """Run one case and return its readable values.
 
-    Dispatch always plans greedily: the ambient schedule cache is switched
-    off for the duration, whatever the environment names.
+    Dispatch plans greedily: no case hands the library a schedule cache,
+    and the CLI cases name a fresh, empty one.
     """
     kind, __, name = case.partition("/")
-    previous = set_default_schedule_cache(NULL_SCHEDULE_CACHE)
-    try:
-        if kind == "serve":
-            profile, extra = serve_cases()[name]
-            return serve_values(simulate_serving(profile, **extra))
-        if kind == "run":
-            return run_values(name)
-        if kind == "trace":
-            return trace_values()
-        if kind == "tune":
-            return tune_values()
-        if kind == "dse":
-            return dse_values()
-        if kind == "analytic":
-            return analytic_values()
-        if kind == "cli":
-            return cli_values(name)
-        raise KeyError(case)
-    finally:
-        set_default_schedule_cache(previous)
+    if kind == "serve":
+        profile, extra = serve_cases()[name]
+        return serve_values(simulate_serving(profile, **extra))
+    if kind == "run":
+        return run_values(name)
+    if kind == "trace":
+        return trace_values()
+    if kind == "tune":
+        return tune_values()
+    if kind == "dse":
+        return dse_values()
+    if kind == "analytic":
+        return analytic_values()
+    if kind == "cli":
+        return cli_values(name)
+    raise KeyError(case)
 
 
 def load_golden() -> dict:

@@ -89,6 +89,28 @@ class TestDeterminism:
         assert [r.arrival for r in first.records] != [r.arrival for r in other.records]
 
 
+class TestScheduleCache:
+    def test_tiles_dispatch_through_the_given_cache(self, tmp_path):
+        from repro.core.generator import SoftwareParams
+        from repro.models.zoo import build_model
+        from repro.sw.compiler import compile_graph
+        from repro.sw.schedule_cache import ScheduleCache
+        from repro.sw.tune import tune_model
+
+        config = default_config()
+        path = tmp_path / "schedules.jsonl"
+        graph = build_model("squeezenet", input_hw=MODEL["input_hw"])
+        model = compile_graph(graph, SoftwareParams.from_config(config))
+        tune_model(model, config, cache=ScheduleCache(path), verify_top_k=1)
+        cache = ScheduleCache(path)
+        profile = TrafficProfile(
+            tenants=(tenant("a", n=2), tenant("b", n=2)), num_tiles=2, seed=0
+        )
+        result = simulate_serving(profile, schedule_cache=cache)
+        assert result.completed == profile.total_requests
+        assert cache.stats.hits == cache.stats.lookups > 0
+
+
 class TestContention:
     def test_colocated_p99_strictly_above_isolation(self):
         """Pinned tenants never share a queue, so the co-located p99 rise

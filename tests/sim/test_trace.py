@@ -291,3 +291,22 @@ class TestSandboxRecording:
             tile.accel.xlat.stats.snapshot(),
         )
         assert before == after
+
+    def test_sandbox_dispatches_through_the_live_cache(self, tmp_path):
+        """The sandbox re-runs the model with the live runtime's schedule
+        cache, so it records the schedules the live tile dispatches."""
+        from repro.soc.os_model import OSConfig
+        from repro.sw.schedule_cache import ScheduleCache
+
+        cache = ScheduleCache(tmp_path / "schedules.jsonl")
+        soc = make_soc(gemmini=BASE_CFG)
+        model = compile_graph(tiny_cnn(), SoftwareParams.from_config(BASE_CFG))
+        rt = Runtime(soc.tile, model, schedule_cache=cache)
+        recorder = TraceRecorder(rt)
+        recorder.run()
+        live_lookups = cache.stats.lookups
+        assert live_lookups > 0
+        record_steady_state_trace(
+            rt, soc.tile.accel.mem.config, OSConfig(), warm_from=recorder.build_trace()
+        )
+        assert cache.stats.lookups == 2 * live_lookups

@@ -132,6 +132,13 @@ class TestConvOps:
         assert cpu_cycles == pytest.approx(expected)
         assert len(list(ops)) > 0
 
+    def test_cpu_im2col_needs_scratch_buffer(self, host_kernels):
+        """Streaming the k^2-amplified patch matrix from the input itself
+        would read past the input tensor."""
+        k, __ = host_kernels
+        with pytest.raises(ValueError, match="im2col_vaddr"):
+            k.conv_ops(self.conv(), BASE, BASE + (1 << 20), BASE + (2 << 20))
+
     def test_accel_im2col_moves_less_data(self, kernels, host_kernels):
         conv = self.conv()
         k, soc = kernels

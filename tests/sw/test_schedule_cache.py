@@ -14,9 +14,7 @@ from repro.sw.schedule_cache import (
     ScheduleCache,
     ScheduleRecord,
     accel_config_hash,
-    default_schedule_cache,
     schedule_key,
-    set_default_schedule_cache,
 )
 from repro.sw.tiling import MatmulTiling, plan_matmul_tiling
 from repro.core.generator import SoftwareParams
@@ -122,27 +120,50 @@ class TestScheduleCache:
         assert bool(ScheduleCache("anywhere.jsonl"))
 
 
-class TestAmbientDefault:
-    def test_env_resolution_and_re_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", str(tmp_path / "a.jsonl"))
-        first = default_schedule_cache()
-        assert first.path == tmp_path / "a.jsonl"
-        assert default_schedule_cache() is first  # stable while env stable
-        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", str(tmp_path / "b.jsonl"))
-        assert default_schedule_cache().path == tmp_path / "b.jsonl"
+class TestNoAmbientCache:
+    """Library calls handed no cache plan greedily and persist nothing,
+    whatever the working directory or the environment holds."""
 
-    def test_off_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "off")
-        assert default_schedule_cache() is NULL_SCHEDULE_CACHE
+    #: greedy cycles of squeezenet@32 on the default config
+    GREEDY_CYCLES = 2_021_573.25
 
-    def test_override_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", str(tmp_path / "env.jsonl"))
-        mine = ScheduleCache(tmp_path / "mine.jsonl")
-        previous = set_default_schedule_cache(mine)
-        try:
-            assert default_schedule_cache() is mine
-        finally:
-            set_default_schedule_cache(previous)
+    @staticmethod
+    def _squeezenet():
+        from repro.models.zoo import build_model
+        from repro.sw.compiler import compile_graph
+
+        graph = build_model("squeezenet", input_hw=32)
+        return compile_graph(graph, SoftwareParams.from_config(CFG))
+
+    @staticmethod
+    def _cycles(model, **kwargs) -> float:
+        from repro.sw.runtime import Runtime
+
+        return Runtime(make_soc(gemmini=CFG).tile, model, **kwargs).run().total_cycles
+
+    def test_flagless_tune_persists_nothing(self, tmp_path, monkeypatch):
+        from repro.sw.tune import tune_model
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SCHEDULE_CACHE")
+        results = tune_model(self._squeezenet(), CFG, verify_top_k=1)
+        assert results and not any(r.cached for r in results)
+        assert not (tmp_path / ".repro-schedule-cache").exists()
+
+    def test_bare_runtime_ignores_tuned_files(self, tmp_path, monkeypatch):
+        from repro.sw.tune import tune_model
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SCHEDULE_CACHE")
+        model = self._squeezenet()
+        path = tmp_path / ".repro-schedule-cache" / "schedules.jsonl"
+        tune_model(model, CFG, cache=ScheduleCache(path))
+        tuned = self._cycles(model, schedule_cache=ScheduleCache(path))
+        assert tuned < self.GREEDY_CYCLES  # the file would move the number
+        assert self._cycles(model, schedule_cache=NULL_SCHEDULE_CACHE) == self.GREEDY_CYCLES
+        assert self._cycles(model) == self.GREEDY_CYCLES
+        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", str(path))
+        assert self._cycles(model) == self.GREEDY_CYCLES
 
 
 class TestDispatch:
@@ -162,11 +183,14 @@ class TestDispatch:
         assert kernels.select_tiling(64, 64, 64) == record.tiling
         assert cache.stats.hits == 1
 
-    def test_kernels_use_ambient_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", str(tmp_path / "amb.jsonl"))
-        set_default_schedule_cache(None)
+    def test_kernels_without_a_cache_plan_greedily(self, tmp_path, monkeypatch):
+        path = tmp_path / "named.jsonl"
+        ScheduleCache(path).put(_record(i=1, j=1, kk=4))
+        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", str(path))
         kernels = TileKernels(make_soc(gemmini=CFG).tile)
-        assert kernels.schedule_cache is default_schedule_cache()
+        assert kernels.schedule_cache is NULL_SCHEDULE_CACHE
+        params = SoftwareParams.from_config(CFG)
+        assert kernels.select_tiling(64, 64, 64) == plan_matmul_tiling(params, 64, 64, 64)
 
 
 class TestCrossProcess:

@@ -706,18 +706,31 @@ class TestTune:
         out = capsys.readouterr().out
         assert " 0 hits" in out
 
-    def test_main_restores_the_ambient_schedule_cache(self, capsys, tmp_path):
+    def test_serve_dispatches_through_tuned_cache(self, capsys, tmp_path):
+        cache = str(tmp_path / "sched.jsonl")
+        assert main(["tune", "squeezenet", "--input-hw", "48",
+                     "--schedule-cache", cache, "--verify-top", "1"]) == 0
+        assert main(["serve", "--tiles", "2", "--schedule-cache", cache,
+                     "--tenant", "model=squeezenet,qps=200,requests=4,input_hw=48"]) == 0
+        capsys.readouterr()
+        serve = [r for r in self._records() if r.kind == "serve"][-1]
+        assert serve.metrics["schedule_hits"] == serve.metrics["schedule_lookups"] > 0
+
+    def test_main_leaves_the_environment_alone(self, capsys, tmp_path):
         import os
 
-        from repro.sw.schedule_cache import default_schedule_cache
-
-        env_before = os.environ["REPRO_SCHEDULE_CACHE"]
-        path_before = default_schedule_cache().path
+        env_before = dict(os.environ)
         assert main(["run", "squeezenet", "--input-hw", "32", "--no-ledger",
                      "--schedule-cache", str(tmp_path / "sched.jsonl")]) == 0
         assert "sched.jsonl" in capsys.readouterr().out  # the run used it
-        assert os.environ["REPRO_SCHEDULE_CACHE"] == env_before
-        assert default_schedule_cache().path == path_before
+        assert dict(os.environ) == env_before
+
+    def test_dse_takes_no_schedule_cache(self, capsys, tmp_path):
+        """SoC-fidelity DSE always plans greedily: its result cache is not
+        keyed by a schedule cache, so the flag is not offered."""
+        with pytest.raises(SystemExit):
+            main(["dse", "--schedule-cache", str(tmp_path / "sched.jsonl")])
+        assert "--schedule-cache" in capsys.readouterr().err
 
     def test_cache_off_disables_tuning(self, capsys):
         assert main(["tune", "squeezenet", "--schedule-cache", "off"]) == 1
