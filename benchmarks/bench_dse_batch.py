@@ -10,8 +10,10 @@ headline number uses a whole-network workload (mobilenetv2 — the shape
 count a real DSE pays per point); the single-shape conv workload is
 recorded alongside as the overhead-bound floor.
 
-CI reads ``extra_info`` from the BENCH JSON and fails when the batch call
-regresses below 3x the per-point calls measured in the same run.
+The test itself fails when the batch call is below 3x the per-point calls
+measured in the same run; that assert is its only throughput gate.  It
+writes no ledger record (it never calls ``once()``), and CI only prints
+the ``extra_info`` of the BENCH JSON.
 """
 
 import math

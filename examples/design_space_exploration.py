@@ -10,10 +10,11 @@ existing generators cannot make.  A final structural search ranges over
 *whole heterogeneous fleets* (big/little tile mixes via
 :func:`repro.dse.mix_space`), showing the component-based design axis.
 
-Every evaluation fans out across cores through
-:class:`repro.eval.runner.ExperimentRunner` (set ``REPRO_WORKERS=1`` to
-force serial execution) and is content-hash cached, so re-running the
-example is nearly free.  ``REPRO_FAST=1`` shrinks the search budgets for
+Every evaluation goes through :class:`repro.eval.runner.ExperimentRunner`
+and is content-hash cached, so re-running the example is nearly free.
+Analytic points run in-process as one batch per proposal; only SoC and
+serving points fan out across cores (set ``REPRO_WORKERS=1`` to force
+serial execution).  ``REPRO_FAST=1`` shrinks the search budgets for
 smoke runs.
 """
 

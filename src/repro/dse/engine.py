@@ -1,15 +1,15 @@
 """The Explorer: budgeted ask/tell search over a parameter space.
 
 The explorer owns the evaluation budget and routes every batch a strategy
-proposes through :class:`~repro.eval.runner.ExperimentRunner`, so design
-points evaluate in parallel across cores and every result is content-hash
-cached on disk — re-running a seeded search is served almost entirely
-from cache, and enlarging the budget only pays for the new points.
+proposes through :class:`~repro.eval.runner.ExperimentRunner`: analytic
+points in one in-process batch call, SoC and serving points in parallel
+across cores.  Every result is content-hash cached on disk — re-running a
+seeded search is served almost entirely from cache, and enlarging the
+budget only pays for the new points.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, field
 
@@ -165,7 +165,6 @@ class Explorer:
             cache=default_cache_dir(), tracer=tracer
         )
         hits0, misses0 = runner.hits, runner.misses
-        evaluate = functools.partial(evaluate_design, spec=self.spec)
         # Analytic proposals with no traffic profile go through the
         # vectorised evaluate_design_batch (still per-point content-hash
         # cached); SoC and serving evaluations stay on runner.map so each
@@ -194,7 +193,9 @@ class Explorer:
                             labels=labels, spec=self.spec,
                         )
                     else:
-                        results = runner.map(evaluate, new, label="dse", labels=labels)
+                        results = runner.map(
+                            evaluate_design, new, label="dse", labels=labels, spec=self.spec
+                        )
                     for point, evaluation in zip(new, results):
                         seen[point_key(point)] = evaluation
                         trace.append(evaluation)

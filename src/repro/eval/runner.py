@@ -3,9 +3,12 @@
 Figure reproduction and design-space sweeps are embarrassingly parallel:
 every point is an independent (function, config) pair.  The
 :class:`ExperimentRunner` fans such points out over a
-``ProcessPoolExecutor`` and memoises each result on disk, keyed by a
-stable hash of the function identity and its keyword arguments, so
-re-running a sweep only pays for the points that changed.
+``ProcessPoolExecutor`` and memoises each result on disk.  A result's key
+hashes how the callable is called (one call, or one item of a batch
+call), a digest of the callable (its function's source and module file,
+the state that source does not show, the package source tree) and a
+digest of each keyword argument, so re-running a sweep only pays for the
+points that changed, and any package edit starts a fresh cache.
 
 ``eval/experiments.py`` (via :func:`repro.eval.experiments.run_figures`),
 ``examples/design_space_exploration.py`` and the ``benchmarks/`` suite all
@@ -94,12 +97,13 @@ def _canonical(obj: Any) -> Any:
 
 def config_hash(payload: Any) -> str:
     """Stable hex digest of an arbitrary experiment configuration."""
-    return hashlib.sha256(_encode(_canonical(payload))).hexdigest()
+    return _digest(payload).hex()
 
 
-def _encode(canonical: Any) -> bytes:
-    """The JSON bytes :func:`config_hash` hashes, of an already-canonical structure."""
-    return json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _digest(obj: Any) -> bytes:
+    """SHA-256 of ``obj``'s canonical JSON (:func:`config_hash`'s bytes)."""
+    text = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
 def _callable_state(fn: Callable[..., Any]) -> Any:
@@ -138,13 +142,13 @@ def _callable_state(fn: Callable[..., Any]) -> Any:
 
 
 @lru_cache(maxsize=512)
-def _fn_fingerprint(inner: Callable[..., Any]) -> tuple[str, str, str]:
-    """(identity, source, module source) of an innermost callable.
+def _fn_fingerprint(inner: Callable[..., Any]) -> bytes:
+    """Digest of an innermost callable's identity, source and module file.
 
-    Memoised per function object: a sweep computes one cache key per point
-    but every point shares the same function, so the source lookups (two
-    file reads through :mod:`inspect`) would otherwise dominate key cost.
-    A redefined function is a new object and gets a fresh entry.
+    Memoised per function object: every point of a sweep shares the same
+    function, so the source lookups (two file reads through :mod:`inspect`)
+    would otherwise dominate key cost.  A redefined function is a new
+    object and gets a fresh entry.
     """
     ident = f"{getattr(inner, '__module__', '?')}.{getattr(inner, '__qualname__', repr(inner))}"
     try:
@@ -156,10 +160,27 @@ def _fn_fingerprint(inner: Callable[..., Any]) -> tuple[str, str, str]:
     # function's own source does not contain.
     try:
         srcfile = inspect.getsourcefile(inner)
-        module_src = Path(srcfile).read_text(encoding="utf-8") if srcfile else ""
+        module_file = Path(srcfile).read_text(encoding="utf-8") if srcfile else ""
     except (OSError, TypeError):
-        module_src = ""
-    return ident, source, module_src
+        module_file = ""
+    return _digest([ident, source, module_file])
+
+
+def _callable_digest(fn: Callable[..., Any]) -> bytes:
+    """What a callable computes: its innermost function's fingerprint,
+    the state its source does not show, and the package source tree."""
+    target = getattr(fn, "__wrapped__", fn)  # a functools.wraps decorator
+    # Identity and source come from the innermost function: a partial's
+    # own repr embeds a memory address (nondeterministic across runs),
+    # while its bindings are captured by _callable_state.
+    inner = target
+    while isinstance(inner, functools.partial):
+        inner = inner.func
+    try:
+        code = _fn_fingerprint(inner)
+    except TypeError:  # unhashable callable (e.g. a custom instance)
+        code = _fn_fingerprint.__wrapped__(inner)
+    return _digest([code.hex(), _callable_state(target), _source_fingerprint()])
 
 
 @lru_cache(maxsize=None)
@@ -210,83 +231,47 @@ class ExperimentSpec:
 
     @property
     def key(self) -> str:
-        """Cache key: hash of the function identity, its source text (when
-        retrievable), the package source fingerprint (so editing the
-        experiment *or* the simulator it calls invalidates cached results),
-        and its arguments.
+        """Cache key of running this spec: see :func:`_spec_keys`.
 
         ``name`` is deliberately excluded: it is a display label (sweep
         position, figure name), and the same computation must hit the same
         cache entry however it is labelled or ordered.
         """
-        return _spec_keys([self])[0]
-
-    def _identity(self) -> dict[str, Any]:
-        """The key payload except ``kwargs``: what the callable is."""
-        fn = self.fn
-        target = getattr(fn, "__wrapped__", fn)
-        # Identity and source come from the innermost function: a partial's
-        # own repr embeds a memory address (nondeterministic across runs),
-        # while its bindings are already captured by _callable_state.
-        inner = target
-        while isinstance(inner, functools.partial):
-            inner = inner.func
-        try:
-            ident, source, module_src = _fn_fingerprint(inner)
-        except TypeError:  # unhashable callable (e.g. a custom instance)
-            ident, source, module_src = _fn_fingerprint.__wrapped__(inner)
-        return {
-            "fn": ident,
-            "src": source,
-            "module_src": module_src,
-            "state": _callable_state(target),
-            "env": _source_fingerprint(),
-        }
+        return _spec_keys([self], "call")[0]
 
     def run(self) -> Any:
         return self.fn(**dict(self.kwargs))
 
 
 def _spec_keys(
-    specs: Sequence[ExperimentSpec], encoded: dict[int, bytes] | None = None
+    specs: Sequence[ExperimentSpec], convention: str, known: dict[int, bytes] | None = None
 ) -> list[str]:
-    """:attr:`ExperimentSpec.key` of every spec, encoding each distinct
-    callable and argument object once for the whole batch (``encoded``
-    supplies arguments' bytes already known, keyed by ``id``).
+    """Cache key of every spec: ``sha256(convention ‖ callable digest ‖
+    sorted (name, value digest) pairs)``.
 
-    Every spec of a :meth:`ExperimentRunner.map_batch` call shares one
-    callable (its identity carries its module's whole source) and the same
-    shared keyword objects (a DSE spec carries a whole model's shape list).
-    The payload's JSON is the identity's members sorted around a
-    ``kwargs`` member, so each item resumes a copy of its callable's hash
-    state at that member with only its own kwargs, then the identity's
-    tail: keys stay byte-identical to ``config_hash`` of the full payload.
+    ``convention`` names how the callable is called: ``"call"`` runs it
+    with the spec's kwargs (:meth:`ExperimentRunner.run_specs`, ``run``,
+    ``map``), ``"batch"`` hands the spec's ``item`` to a batch function
+    with the rest as shared keywords (:meth:`ExperimentRunner.map_batch`),
+    so one callable used both ways never shares an entry.  The callable
+    digest (:func:`_callable_digest`) covers the package source tree, so
+    any package edit changes every key.  Each distinct callable and
+    argument object is digested once per call; ``known`` supplies
+    argument digests already computed, keyed by ``id``.
     """
-    identities: dict[int, tuple[Any, bytes]] = {}
-    arguments: dict[int, bytes] = dict(encoded or {})
+    values = dict(known or {})
+    callables: dict[int, bytes] = {}
+    tag = convention.encode("utf-8") + b"\0"
     keys = []
     for spec in specs:
-        identity = identities.get(id(spec.fn))
-        if identity is None:
-            values = _canonical(spec._identity())
-            names = sorted([*values, repr("kwargs")])
-            # the kwargs member's value is left open: each item supplies it
-            members = [
-                _encode(name) + b":" + (_encode(values[name]) if name in values else b"")
-                for name in names
-            ]
-            split = names.index(repr("kwargs")) + 1
-            prefix = hashlib.sha256(b"{" + b",".join(members[:split]))
-            suffix = b"".join(b"," + member for member in members[split:]) + b"}"
-            identity = identities[id(spec.fn)] = (prefix, suffix)
-        prefix, suffix = identity
-        kwargs = []
-        for name, value in sorted(spec.kwargs, key=lambda kv: repr(kv[0])):
-            if id(value) not in arguments:
-                arguments[id(value)] = _encode(_canonical(value))
-            kwargs.append(_encode(repr(name)) + b":" + arguments[id(value)])
-        digest = prefix.copy()
-        digest.update(b"{" + b",".join(kwargs) + b"}" + suffix)
+        fn = callables.get(id(spec.fn))
+        if fn is None:
+            fn = callables[id(spec.fn)] = _callable_digest(spec.fn)
+        digest = hashlib.sha256(tag + fn)
+        for name, value in sorted(spec.kwargs, key=lambda kv: kv[0]):
+            if id(value) not in values:
+                values[id(value)] = _digest(value)
+            digest.update(name.encode("utf-8") + b"\0" + values[id(value)])
         keys.append(digest.hexdigest())
     return keys
 
@@ -423,9 +408,9 @@ class ExperimentRunner:
         self._pool: ProcessPoolExecutor | None = None
         self.hits = 0
         self.misses = 0
-        #: id -> (object, key bytes) of hashable map_batch shared arguments;
-        #: holding the object keeps its id from being reused
-        self._shared_keys: dict[int, tuple[Any, bytes]] = {}
+        #: id -> (object, digest) of hashable shared arguments of map and
+        #: map_batch calls; holding the object keeps its id from being reused
+        self._digests: dict[int, tuple[Any, bytes]] = {}
         #: per-spec span / cache-attribution sink (no-op singleton when off)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.declare_lane("cache", process="runner", label="cache", sort=0)
@@ -465,26 +450,42 @@ class ExperimentRunner:
         remainder execute in parallel (or inline when a pool is not worth
         spinning up).
         """
-        return self._cached(specs, functools.partial(self._execute, specs))
+        return self._cached(specs, "call", functools.partial(self._execute, specs))
 
     def _cached(
         self,
         specs: Sequence[ExperimentSpec],
+        convention: str,
         execute: Callable[[list[int], Callable[[int, Any], None]], None],
-        encoded: dict[int, bytes] | None = None,
+        shared: dict[str, Any] | None = None,
     ) -> list[Any]:
-        """The one cache pass behind :meth:`run_specs` and :meth:`map_batch`.
+        """The one cache pass behind :meth:`run_specs`, :meth:`map` and
+        :meth:`map_batch`.
 
-        Serves cache hits, folds in-batch duplicate keys onto their first
+        Keys the specs under ``convention`` (see :func:`_spec_keys`), serves
+        cache hits, folds in-batch duplicate keys onto their first
         occurrence (counted as hits), then hands the pending positions to
         ``execute(pending, record)``, which must call ``record(i, value)``
-        once per pending position.
+        once per pending position.  ``shared`` names the keyword arguments
+        every spec carries; the digest of each hashable one is kept for the
+        runner's lifetime (a DSE passes one spec object to every batch).
         """
         results: list[Any] = [None] * len(specs)
         pending: list[int] = []
         tracer = self.tracer
-        # Key computation hashes source text and kwargs; do it once per spec.
-        keys = _spec_keys(specs, encoded) if self.cache is not None else None
+        keys = None
+        if self.cache is not None:
+            known = {}
+            for value in (shared or {}).values():
+                try:
+                    hash(value)
+                except TypeError:  # mutable: may change before the next call
+                    continue
+                entry = self._digests.get(id(value))
+                if entry is None:
+                    entry = self._digests[id(value)] = (value, _digest(value))
+                known[id(value)] = entry[1]
+            keys = _spec_keys(specs, convention, known)
         primary: dict[str, int] = {}  # key -> first pending position
         duplicates: dict[int, int] = {}  # position -> its primary position
         for i, spec in enumerate(specs):
@@ -563,23 +564,30 @@ class ExperimentRunner:
 
     def map(
         self,
-        fn: Callable[[Any], Any],
+        fn: Callable[..., Any],
         items: Iterable[Any],
         *,
         label: str | None = None,
         labels: Sequence[Any] | None = None,
+        **shared: Any,
     ) -> list[Any]:
-        """Parallel (cached) map of ``fn`` over ``items``.
+        """Parallel (cached) map of ``fn(item, **shared)`` over ``items``.
 
-        Each item is passed as the callable's single positional argument;
-        per-item cache keys include the item itself.  ``labels`` (optional,
-        one per item) replaces the positional ``[0]``, ``[1]``... suffix in
-        spec names so sweep traces read as ``dse[dim=16,tile=2]`` instead
-        of ``dse[7]``; it is display-only and never reaches the cache key.
+        Each item's spec runs ``functools.partial(fn, item)`` with the
+        ``shared`` keywords, so its cache key covers the item and every
+        shared argument.  ``labels`` (optional, one per item) replaces the
+        positional ``[0]``, ``[1]``... in spec names so sweep traces read as
+        ``dse[dim=16,tile=2]`` instead of ``dse[7]``; it is display-only and
+        never reaches the cache key.
         """
         items = list(items)
         base = label or getattr(fn, "__name__", "map")
-        return self.run_specs(_item_specs(_ItemCall(fn), base, items, labels))
+        kwargs = tuple(sorted(shared.items()))
+        specs = [
+            ExperimentSpec(name, functools.partial(fn, item), kwargs)
+            for name, item in zip(_spec_names(base, items, labels), items)
+        ]
+        return self._cached(specs, "call", functools.partial(self._execute, specs), shared)
 
     def map_batch(
         self,
@@ -600,13 +608,16 @@ class ExperimentRunner:
         ``batch_fn`` call instead of one task per item.  That call runs
         in-process whatever ``max_workers`` is: the point of a batched
         evaluator is that its per-item cost is far below what a process
-        fan-out would amortise.
+        fan-out would amortise.  Keys use the ``"batch"`` convention, so
+        they never collide with :meth:`map` over the same function.
         """
         items = list(items)
         base = label or getattr(batch_fn, "__name__", "map_batch")
-        specs = _item_specs(
-            _BatchCall(batch_fn), base, items, labels, tuple(sorted(shared.items()))
-        )
+        kwargs = tuple(sorted(shared.items()))
+        specs = [
+            ExperimentSpec(name, batch_fn, (("item", item), *kwargs))
+            for name, item in zip(_spec_names(base, items, labels), items)
+        ]
         tracer = self.tracer
 
         def execute(pending: list[int], record: Callable[[int, Any], None]) -> None:
@@ -625,28 +636,7 @@ class ExperimentRunner:
             for i, value in zip(pending, values):
                 record(i, value)
 
-        encoded = self._encode_shared(shared.values()) if self.cache is not None else None
-        return self._cached(specs, execute, encoded)
-
-    def _encode_shared(self, values: Iterable[Any]) -> dict[int, bytes]:
-        """Key bytes of each hashable shared argument, encoded once per
-        runner: a DSE passes the same spec object to every proposal batch.
-
-        Memoised by identity, not value (``1 == 1.0 == True`` encode
-        differently), and only for values whose ``hash()`` succeeds;
-        unhashable (mutable) values are re-encoded by every call.
-        """
-        encoded = {}
-        for value in values:
-            try:
-                hash(value)
-            except TypeError:
-                continue
-            entry = self._shared_keys.get(id(value))
-            if entry is None:
-                entry = self._shared_keys[id(value)] = (value, _encode(_canonical(value)))
-            encoded[id(value)] = entry[1]
-        return encoded
+        return self._cached(specs, "batch", execute, shared)
 
     def stats(self) -> RunnerStats:
         """Hits/misses/hit-rate accumulated since the last reset."""
@@ -658,57 +648,13 @@ class ExperimentRunner:
         self.misses = 0
 
 
-class _ItemCall:
-    """Adapter turning ``fn(item)`` into a kwargs call; picklable when fn is."""
-
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
-        self.fn = fn
-        self.__module__ = getattr(fn, "__module__", "?")
-        self.__qualname__ = f"item:{getattr(fn, '__qualname__', repr(fn))}"
-        self.__wrapped__ = fn  # lets ExperimentSpec.key fingerprint the source
-
-    def __call__(self, item: Any) -> Any:
-        return self.fn(item)
-
-
-class _BatchCall:
-    """Per-item cache identity over a batch function (``map_batch``).
-
-    The spec's kwargs carry one item plus the shared keywords; calling the
-    adapter evaluates just that item through a single-element batch, so a
-    spec that ends up on the generic :meth:`ExperimentRunner.run_specs`
-    path still computes the right value.
-    """
-
-    def __init__(self, fn: Callable[..., Sequence[Any]]) -> None:
-        self.fn = fn
-        self.__module__ = getattr(fn, "__module__", "?")
-        self.__qualname__ = f"batch:{getattr(fn, '__qualname__', repr(fn))}"
-        self.__wrapped__ = fn  # lets ExperimentSpec.key fingerprint the source
-
-    def __call__(self, item: Any, **shared: Any) -> Any:
-        return self.fn([item], **shared)[0]
-
-
-def _item_specs(
-    call: Callable[..., Any],
-    base: str,
-    items: list[Any],
-    labels: Sequence[Any] | None,
-    shared_kwargs: tuple[tuple[str, Any], ...] = (),
-) -> list[ExperimentSpec]:
-    """One spec per item, named ``base[label]`` (``base[i]`` unlabelled)."""
-    if labels is not None:
-        labels = list(labels)
-        if len(labels) != len(items):
-            raise ValueError(
-                f"labels length {len(labels)} does not match items length {len(items)}"
-            )
-    return [
-        ExperimentSpec(
-            name=f"{base}[{labels[i] if labels is not None else i}]",
-            fn=call,
-            kwargs=(("item", item),) + shared_kwargs,
+def _spec_names(base: str, items: list[Any], labels: Sequence[Any] | None) -> list[str]:
+    """One spec name per item: ``base[label]`` (``base[i]`` unlabelled)."""
+    if labels is None:
+        return [f"{base}[{i}]" for i in range(len(items))]
+    labels = list(labels)
+    if len(labels) != len(items):
+        raise ValueError(
+            f"labels length {len(labels)} does not match items length {len(items)}"
         )
-        for i, item in enumerate(items)
-    ]
+    return [f"{base}[{label}]" for label in labels]

@@ -33,6 +33,17 @@ def describe_config(config: GemminiConfig) -> str:
     return config.describe()
 
 
+def scaled(x: int, factor: int = 1) -> int:
+    return x * factor
+
+
+def tagged(x):
+    """Answers a list (a batch call) and a scalar (one call) differently."""
+    if isinstance(x, list):
+        return [f"batch:{v}" for v in x]
+    return f"item:{x}"
+
+
 class TestConfigHash:
     def test_deterministic(self):
         payload = {"dim": 16, "dataflow": "WS", "nested": {"a": [1, 2]}}
@@ -422,6 +433,23 @@ class TestMapLabels:
             with pytest.raises(ValueError, match="labels length"):
                 runner.map(square, [1, 2, 3], labels=["only-one"])
 
+    def test_shared_kwargs_reach_fn_and_cache_key(self, tmp_path):
+        """Each item runs as ``fn(item, **shared)``, keyed as the spec
+        ``partial(fn, item)`` with the shared keywords."""
+        import functools
+
+        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
+            assert runner.map(scaled, [1, 2], factor=3) == [3, 6]
+            assert runner.map(scaled, [1, 2], factor=4) == [4, 8]
+            assert runner.misses == 4 and runner.hits == 0
+            assert runner.map(scaled, [1, 2], factor=3) == [3, 6]
+            assert runner.hits == 2
+        assert {p.stem for p in tmp_path.glob("*.pkl")} == {
+            ExperimentSpec.make(functools.partial(scaled, x), factor=f).key
+            for x in (1, 2)
+            for f in (3, 4)
+        }
+
     def test_labels_do_not_affect_cache_keys(self, tmp_path):
         """Labels are display-only: a relabelled sweep still hits the cache."""
         with ExperimentRunner(max_workers=1, cache=tmp_path) as first:
@@ -438,6 +466,34 @@ def square_batch(items: list) -> list:
 
 def scaled_batch(items: list, factor: int = 1) -> list:
     return [x * factor for x in items]
+
+
+def batch_specs(batch_fn, items, **shared) -> list:
+    """The specs ``map_batch`` keys: one per item, carrying the item and
+    the shared keywords."""
+    kwargs = tuple(sorted(shared.items()))
+    return [
+        ExperimentSpec(f"x[{i}]", batch_fn, (("item", item), *kwargs))
+        for i, item in enumerate(items)
+    ]
+
+
+#: keys a fresh interpreter computes for one DSE batch (printed as JSON)
+DSE_BATCH_KEYS = """
+import json, random
+from repro.dse import EvaluationSpec, evaluate_design_batch, gemmini_space, model_workload
+from repro.eval.runner import ExperimentSpec, _spec_keys
+
+space = gemmini_space(max_dim=64)
+rng = random.Random(0)
+points = [space.sample(rng) for __ in range(14)]
+shared = EvaluationSpec(workload=model_workload("squeezenet", input_hw=32))
+specs = [
+    ExperimentSpec(f"dse[{i}]", evaluate_design_batch, (("item", p), ("spec", shared)))
+    for i, p in enumerate(points)
+]
+print(json.dumps(_spec_keys(specs, "batch")))
+"""
 
 
 class TestMapBatch:
@@ -514,50 +570,62 @@ class TestMapBatch:
             assert runner.map_batch(scaled_batch, [1, 2], factor=3) == [3, 6]
             assert runner.hits == 2
 
-    def test_batch_keys_match_full_payload_hash(self, tmp_path):
-        """Shared arguments are canonicalised once per batch, yet every key,
-        and so every existing cache entry's file name, is byte-identical to
-        ``config_hash`` of the spec's whole payload."""
+    def test_batch_keys_track_items_and_shared_arguments(self, tmp_path):
+        """Equal items share a key, different items and a changed shared
+        argument do not, and the entries ``map_batch`` writes are named by
+        the keys :func:`_spec_keys` computes under the batch convention."""
         from repro.dse import EvaluationSpec, evaluate_design_batch, model_workload
-        from repro.eval.runner import (
-            _BatchCall,
-            _callable_state,
-            _fn_fingerprint,
-            _item_specs,
-            _source_fingerprint,
-            _spec_keys,
-        )
-
-        def full_payload_hash(fn, spec):
-            ident, source, module_src = _fn_fingerprint(fn)
-            return config_hash(
-                {
-                    "fn": ident,
-                    "src": source,
-                    "module_src": module_src,
-                    "state": _callable_state(fn),
-                    "env": _source_fingerprint(),
-                    "kwargs": dict(spec.kwargs),
-                }
-            )
+        from repro.eval.runner import _spec_keys
 
         shared = EvaluationSpec(workload=model_workload("squeezenet", input_hw=32))
         points = [{"dim": 4, "tile": 1}, {"dim": 8, "tile": 2}, {"dim": 4, "tile": 1}, None]
-        specs = _item_specs(
-            _BatchCall(evaluate_design_batch), "dse", points, None, (("spec", shared),)
-        )
-        expected = [full_payload_hash(evaluate_design_batch, s) for s in specs]
-        assert expected[0] == expected[2] != expected[1]
-        assert _spec_keys(specs) == expected
-        assert [s.key for s in specs] == expected
+        specs = batch_specs(evaluate_design_batch, points, spec=shared)
+        keys = _spec_keys(specs, "batch")
+        assert keys[0] == keys[2] != keys[1]
+        assert len(set(keys)) == 3
+        other = EvaluationSpec(workload=model_workload("squeezenet", input_hw=64))
+        moved = _spec_keys(batch_specs(evaluate_design_batch, points, spec=other), "batch")
+        assert set(keys).isdisjoint(moved)
+        # the same specs run as plain calls are a different computation
+        assert set(keys).isdisjoint(s.key for s in specs)
 
         items, factor = [1, 2, 3], 3
         with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
             runner.map_batch(scaled_batch, items, factor=factor)
-        specs = _item_specs(_BatchCall(scaled_batch), "x", items, None, (("factor", factor),))
-        assert {p.stem for p in tmp_path.glob("*.pkl")} == {
-            full_payload_hash(scaled_batch, s) for s in specs
-        }
+        assert {p.stem for p in tmp_path.glob("*.pkl")} == set(
+            _spec_keys(batch_specs(scaled_batch, items, factor=factor), "batch")
+        )
+
+    def test_batch_keys_agree_across_processes(self):
+        """Keys name on-disk entries shared between runs, so they must not
+        depend on the interpreter's string-hash seed."""
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", DSE_BATCH_KEYS],
+                env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            )
+            for seed in ("1", "2")
+        ]
+        first, second = (json.loads(r.stdout) for r in runs)
+        assert first == second
+        assert len(first) == 14
+
+    def test_map_and_map_batch_never_share_keys(self, tmp_path):
+        """Regression: ``map(f, xs)`` and ``map_batch(f, xs)`` keyed one
+        entry per item, so ``map_batch`` was served ``map``'s results."""
+        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
+            assert runner.map(tagged, [1, 2]) == ["item:1", "item:2"]
+            assert runner.map_batch(tagged, [1, 2]) == ["batch:1", "batch:2"]
+            assert (runner.misses, runner.hits) == (4, 0)
 
     def test_shared_argument_memo_keys_by_identity(self, tmp_path):
         """Equal shared values of different types (1 == 1.0 == True) keep
