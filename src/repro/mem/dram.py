@@ -59,6 +59,8 @@ class DRAMModel:
     row-hit latency; others pay the full access latency.  Data occupies the
     channel for ``bytes / bytes_per_cycle`` cycles — this serialisation is
     what creates bandwidth contention between cores in multi-core runs.
+    The model holds the channel, the open row of each bank and the
+    statistics; :meth:`repro.mem.hierarchy.MemorySystem.access` books them.
     """
 
     def __init__(self, config: DRAMConfig | None = None, name: str = "dram") -> None:
@@ -67,80 +69,6 @@ class DRAMModel:
         self.channel = BandwidthTimeline(name, self.config.bytes_per_cycle)
         self.stats = StatsRegistry(owner=name)
         self._open_rows: dict[int, int] = {}
-
-    def access(self, now, addr, nbytes, is_write):
-        """Perform one DRAM access; returns the completion time.
-
-        A segment of accesses passes ``now``, ``addr``, ``nbytes`` and
-        ``is_write`` as equal-length lists in issue order (every entry moving
-        at least one byte) and gets the list of completion times back.  One
-        loop classifies each access against its bank's open row and advances
-        the channel's FCFS recurrence in place: a row miss books its
-        activate, then every access books its data transfer, with
-        :meth:`~repro.sim.timeline.Timeline.book`'s comparison and the same
-        sequential float additions.  The channel and each counter are
-        written back once.  Scalar arguments are the one-element case.
-        """
-        if not isinstance(now, list):
-            if nbytes <= 0:
-                return now
-            return self.access([now], [addr], [nbytes], [is_write])[0]
-        cfg = self.config
-        row_bytes = cfg.row_buffer_bytes
-        num_banks = cfg.num_banks
-        row_hit_latency = cfg.row_hit_latency
-        access_latency = cfg.access_latency
-        # DRAMConfig rejects a negative activate and every entry moves a
-        # byte, so no booking can have a negative duration.
-        activate = cfg.activate_occupancy
-        open_rows = self._open_rows
-        channel = self.channel
-        overhead = channel.overhead
-        bytes_per_cycle = channel.bytes_per_cycle
-        timeline = channel.inner
-        next_free = timeline.next_free
-        busy = timeline.busy_time
-        ends: list[float] = []
-        append = ends.append
-        row_hits = writes = 0
-        for t, a, nb, w in zip(now, addr, nbytes, is_write):
-            row = a // row_bytes
-            bank = row % num_banks
-            if open_rows.get(bank) == row:
-                row_hits += 1
-                start = t + row_hit_latency
-            else:
-                open_rows[bank] = row
-                if activate:
-                    # The activate/precharge turnaround blocks the channel.
-                    next_free = (next_free if next_free > t else t) + activate
-                    busy += activate
-                start = t + access_latency
-            if w:
-                writes += 1
-            duration = overhead + nb / bytes_per_cycle
-            next_free = (next_free if next_free > start else start) + duration
-            busy += duration
-            append(next_free)
-
-        n = len(now)
-        row_misses = n - row_hits
-        timeline.next_free = next_free
-        timeline.busy_time = busy
-        timeline.bookings += n + row_misses if activate else n
-        stats = self.stats
-        if row_hits:
-            stats.counter("row_hits").add(row_hits)
-        if row_misses:
-            stats.counter("row_misses").add(row_misses)
-        if writes:
-            stats.counter("writes").add(writes)
-        if n - writes:
-            stats.counter("reads").add(n - writes)
-        total = sum(nbytes)
-        stats.counter("bytes").add(total)
-        channel.bytes_moved += total
-        return ends
 
     @property
     def bytes_moved(self) -> int:

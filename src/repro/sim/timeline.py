@@ -5,7 +5,9 @@ A :class:`Timeline` models a unit that can serve one transaction at a time
 :class:`BandwidthTimeline` models a pipe with a byte-per-cycle capacity (a
 system bus, a DRAM channel).  Components *book* work on timelines; the
 timeline returns the interval actually granted, serialising concurrent
-requesters in arrival order.
+requesters in arrival order.  The memory pass
+(:meth:`repro.mem.hierarchy.MemorySystem.access`) books its pipes inline,
+with :meth:`Timeline.book`'s comparison and additions.
 
 All times are in cycles of the SoC reference clock and are plain floats so
 that fractional-cycle bandwidth accounting stays exact in aggregate.
@@ -51,7 +53,7 @@ class Timeline:
         Bitwise the same as calling :meth:`book` once per element: the same
         comparison and the same sequential float additions, so ``next_free``
         and ``busy_time`` end where the per-element loop leaves them.  The
-        exact memory path books each segment of requests with one call.
+        DMA engine's channel issue scan books a transfer's rows with one call.
         """
         if durations and min(durations) < 0:
             raise ValueError(f"negative duration in booking on {self.name}")
@@ -90,8 +92,9 @@ class Timeline:
 class BandwidthTimeline:
     """A shared pipe with finite bytes-per-cycle capacity.
 
-    Transfers occupy the pipe for ``bytes / bytes_per_cycle`` cycles plus a
-    fixed per-transaction overhead, serialised FCFS.  This is the standard
+    Transfers occupy the pipe for ``overhead + bytes / bytes_per_cycle``
+    cycles (``overhead`` is fixed per transaction), serialised FCFS on
+    ``inner``; ``bytes_moved`` counts what went through.  This is the standard
     transaction-level model for buses and DRAM channels: it conserves total
     bandwidth under contention, which is the property the paper's dual-core
     experiments depend on.
@@ -107,24 +110,6 @@ class BandwidthTimeline:
         self.overhead = float(overhead)
         self.inner = Timeline(name)
         self.bytes_moved = 0
-
-    def transfer(self, earliest: float, num_bytes: int) -> tuple[float, float]:
-        """Book a transfer of ``num_bytes``; returns the granted interval."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        duration = self.overhead + num_bytes / self.bytes_per_cycle
-        self.bytes_moved += num_bytes
-        return self.inner.book(earliest, duration)
-
-    def transfer_all(self, earliest, num_bytes) -> list[float]:
-        """Book a sequence of transfers in order (:meth:`Timeline.book_all`);
-        returns the end times, bitwise those of per-transfer calls."""
-        if num_bytes and min(num_bytes) < 0:
-            raise ValueError("num_bytes must be non-negative")
-        overhead = self.overhead
-        bytes_per_cycle = self.bytes_per_cycle
-        self.bytes_moved += sum(num_bytes)
-        return self.inner.book_all(earliest, [overhead + n / bytes_per_cycle for n in num_bytes])
 
     @property
     def next_free(self) -> float:

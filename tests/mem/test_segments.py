@@ -1,23 +1,29 @@
 """Segment entry points of the exact memory path are bitwise per-element loops.
 
-The DMA engine hands each component whole segments of requests (lists in
-issue order).  A scalar call is the one-element segment, so a segment call
-must leave every end time, counter and timeline exactly where the same
-requests made one by one leave them: compared with ``==``, not a tolerance.
+The DMA engine hands the memory pass (:meth:`MemorySystem.access`) and the
+translation pass whole segments of requests (lists in issue order).  A
+scalar call is the one-element segment, so a segment call must leave every
+end time, counter and timeline exactly where the same requests made one by
+one leave them: compared with ``==``, not a tolerance.  The memory pass is
+also checked against :class:`ReferenceMemory`, which makes one
+``Timeline.book`` per booking.
 """
 
 import random
 
 import pytest
 
-from repro.mem.bus import SystemBus
-from repro.mem.cache import Cache, CacheConfig
-from repro.mem.dram import DRAMConfig, DRAMModel
+from mem_reference import ReferenceMemory, assert_matches, timeline_state
+from repro.mem.cache import CacheConfig
+from repro.mem.dram import DRAMConfig
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 from repro.mem.page_table import VirtualMemory
 from repro.mem.tlb import TLBConfig, TranslationSystem
 from repro.sim.stats import RateWindow
-from repro.sim.timeline import BandwidthTimeline, Timeline
+from repro.sim.timeline import Timeline
+
+#: segment boundaries every pass test splits its 300-access stream at
+SEGMENTS = ((0, 1), (1, 120), (120, 300))
 
 
 def stream(seed, n=300, max_addr=1 << 20):
@@ -34,8 +40,16 @@ def stream(seed, n=300, max_addr=1 << 20):
     return now, addr, nbytes, writes
 
 
-def timeline_state(timeline):
-    return (timeline.next_free, timeline.busy_time, timeline.bookings)
+def check_segments_against_reference(config, columns, requesters=("g",)):
+    """Drive the stream through the pass in :data:`SEGMENTS` and through the
+    reference; every end, timeline, byte count and counter agrees."""
+    mem, reference = MemorySystem(config), ReferenceMemory(config)
+    for k, (start, stop) in enumerate(SEGMENTS):
+        seg = [column[start:stop] for column in columns]
+        requester = requesters[k % len(requesters)]
+        assert mem.access(*seg, requester) == reference.access(*seg, requester)
+    assert_matches(mem, reference)
+    return mem
 
 
 def test_book_all_is_book_per_element():
@@ -49,15 +63,6 @@ def test_book_all_is_book_per_element():
     assert timeline_state(a) == timeline_state(b)
     with pytest.raises(ValueError):
         b.book_all([0.0, 1.0], [1.0, -1.0])
-
-
-def test_transfer_all_is_transfer_per_element():
-    now, __, nbytes, __w = stream(2)
-    a = BandwidthTimeline("a", bytes_per_cycle=16, overhead=1.0)
-    b = BandwidthTimeline("b", bytes_per_cycle=16, overhead=1.0)
-    assert b.transfer_all(now, nbytes) == [a.transfer(t, n)[1] for t, n in zip(now, nbytes)]
-    assert timeline_state(a.inner) == timeline_state(b.inner)
-    assert a.bytes_moved == b.bytes_moved
 
 
 def test_record_each_is_record_per_event():
@@ -76,31 +81,10 @@ def test_record_each_is_record_per_event():
 
 
 def test_bus_segment():
-    now, __, nbytes, __w = stream(4)
-    a, b = SystemBus(16), SystemBus(16)
-    assert b.transfer(now, nbytes, "g") == [a.transfer(t, n, "g") for t, n in zip(now, nbytes)]
-    assert a.stats.snapshot() == b.stats.snapshot()
-    assert timeline_state(a.channel.inner) == timeline_state(b.channel.inner)
-
-
-def dram_by_booking(dram, now, addr, nbytes, is_write):
-    """The open-row model spelled out as one ``Timeline.book`` per booking:
-    a row miss books its activate, then every access books its data."""
-    cfg = dram.config
-    channel = dram.channel
-    ends = []
-    for t, a, nb, __w in zip(now, addr, nbytes, is_write):
-        row = a // cfg.row_buffer_bytes
-        bank = row % cfg.num_banks
-        if dram._open_rows.get(bank) == row:
-            latency = cfg.row_hit_latency
-        else:
-            dram._open_rows[bank] = row
-            latency = cfg.access_latency
-            if cfg.activate_occupancy:
-                channel.inner.book(t, cfg.activate_occupancy)
-        ends.append(channel.transfer(t + latency, nb)[1])
-    return ends
+    mem = check_segments_against_reference(
+        MemorySystemConfig(bus_beat_bytes=16), stream(4), requesters=("g", "", "h")
+    )
+    assert set(mem.bus.stats.snapshot()) == {"transactions", "bytes", "bytes_g", "bytes_h"}
 
 
 @pytest.mark.parametrize(
@@ -118,38 +102,19 @@ def dram_by_booking(dram, now, addr, nbytes, is_write):
     ids=["default", "no_activate", "one_bank", "non_dyadic"],
 )
 def test_dram_segment(config):
-    now, addr, nbytes, writes = stream(5)
-    a, b, c = DRAMModel(config), DRAMModel(config), DRAMModel(config)
-    for start, stop in ((0, 1), (1, 120), (120, 300)):
-        seg = slice(start, stop)
-        expected = [a.access(t, ad, n, w)
-                    for t, ad, n, w in zip(now[seg], addr[seg], nbytes[seg], writes[seg])]
-        assert b.access(now[seg], addr[seg], nbytes[seg], writes[seg]) == expected
-        assert dram_by_booking(c, now[seg], addr[seg], nbytes[seg], writes[seg]) == expected
-    assert a.stats.snapshot() == b.stats.snapshot()
-    assert a._open_rows == b._open_rows == c._open_rows
-    assert (timeline_state(a.channel.inner) == timeline_state(b.channel.inner)
-            == timeline_state(c.channel.inner))
-    assert a.bytes_moved == b.bytes_moved == c.bytes_moved
+    """Without an L2, each access is one DRAM request of its own size."""
+    check_segments_against_reference(MemorySystemConfig(l2=None, dram=config), stream(5))
 
 
 @pytest.mark.parametrize("writeback", [True, False])
 def test_cache_segment(writeback):
-    config = CacheConfig(size_bytes=16 * 1024, ways=4, writeback=writeback)
-    a = Cache(config, DRAMModel(), name="a")
-    b = Cache(config, DRAMModel(), name="b")
-    now, addr, nbytes, writes = stream(6, max_addr=1 << 16)
-    for start, stop in ((0, 1), (1, 120), (120, 300)):
-        seg = slice(start, stop)
-        assert b.access(now[seg], addr[seg], nbytes[seg], writes[seg], "g") == [
-            a.access(t, ad, n, w, "g")
-            for t, ad, n, w in zip(now[seg], addr[seg], nbytes[seg], writes[seg])
-        ]
-    assert a.stats.snapshot() == b.stats.snapshot()
-    assert a.lower.stats.snapshot() == b.lower.stats.snapshot()
-    assert [list(s.items()) for s in a._sets] == [list(s.items()) for s in b._sets]
-    assert timeline_state(a.port.inner) == timeline_state(b.port.inner)
-    assert timeline_state(a.lower.channel.inner) == timeline_state(b.lower.channel.inner)
+    l2 = CacheConfig(size_bytes=16 * 1024, ways=4, writeback=writeback)
+    mem = check_segments_against_reference(
+        MemorySystemConfig(l2=l2, dram=DRAMConfig(bytes_per_cycle=13.0)),
+        stream(6, max_addr=1 << 16),
+    )
+    assert mem.l2.stats.value("evictions") > 0
+    assert (mem.l2.stats.value("writebacks") > 0) == writeback
 
 
 @pytest.mark.parametrize("l2", [CacheConfig(size_bytes=32 * 1024), None])
@@ -162,15 +127,36 @@ def test_memory_system_segment(l2):
     ]
     for part in ("bus", "dram") + (("l2",) if l2 is not None else ()):
         assert getattr(a, part).stats.snapshot() == getattr(b, part).stats.snapshot()
+    assert timeline_state(a.bus.channel.inner) == timeline_state(b.bus.channel.inner)
     assert timeline_state(a.dram.channel.inner) == timeline_state(b.dram.channel.inner)
+    if l2 is not None:
+        assert timeline_state(a.l2.port.inner) == timeline_state(b.l2.port.inner)
 
 
 def test_scalar_zero_bytes_is_a_no_op():
     mem = MemorySystem()
     assert mem.access(7.0, 0, 0, False) == 7.0
     assert mem.bus.stats.snapshot() == {}
-    assert mem.l2.access(7.0, 0, 0, False) == 7.0
-    assert mem.dram.access(7.0, 0, 0, False) == 7.0
+    assert mem.l2.stats.snapshot() == {}
+    assert mem.dram.stats.snapshot() == {}
+    assert timeline_state(mem.bus.channel.inner) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("l2", [CacheConfig(), None], ids=["l2", "no_l2"])
+def test_zero_byte_segment_entry_is_rejected(l2):
+    """A segment entry moves at least one byte; a zero (or negative) entry
+    raises before anything is booked or counted."""
+    mem = MemorySystem(MemorySystemConfig(l2=l2))
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            mem.access([0.0, 1.0], [0, 64], [64, bad], [False, False])
+    assert mem.bus.stats.snapshot() == {}
+    assert mem.dram.stats.snapshot() == {}
+    assert timeline_state(mem.bus.channel.inner) == (0.0, 0.0, 0)
+    assert timeline_state(mem.dram.channel.inner) == (0.0, 0.0, 0)
+    if l2 is not None:
+        assert mem.l2.stats.snapshot() == {}
+        assert mem.l2.resident_lines() == 0
 
 
 def mapped_vm(pages):

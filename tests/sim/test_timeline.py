@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.mem.dram import DRAMConfig
+from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 from repro.sim.timeline import BandwidthTimeline, Timeline
 
 
@@ -78,45 +80,56 @@ class TestTimeline:
 
 
 class TestBandwidthTimeline:
+    """A pipe's state as the memory pass books it: the bus (``overhead``
+    1 cycle) and, without an L2, the DRAM channel (no overhead)."""
+
+    @staticmethod
+    def memory(beat_bytes=16, **dram):
+        dram = DRAMConfig(access_latency=0, row_hit_latency=0, activate_occupancy=0, **dram)
+        return MemorySystem(MemorySystemConfig(bus_beat_bytes=beat_bytes, l2=None, dram=dram))
+
     def test_transfer_duration_scales_with_bytes(self):
-        bw = BandwidthTimeline("bus", bytes_per_cycle=4.0)
-        start, end = bw.transfer(0.0, 40)
-        assert end - start == pytest.approx(10.0)
+        mem = self.memory(bytes_per_cycle=4.0)
+        mem.access(0.0, 0, 40, False)
+        assert mem.dram.channel.busy_time == pytest.approx(10.0)
 
     def test_overhead_added_per_transaction(self):
-        bw = BandwidthTimeline("bus", bytes_per_cycle=8.0, overhead=2.0)
-        start, end = bw.transfer(0.0, 8)
-        assert end - start == pytest.approx(3.0)
+        mem = self.memory(beat_bytes=8)
+        mem.access(0.0, 0, 8, False)
+        assert mem.bus.channel.overhead == 1.0
+        assert mem.bus.channel.next_free == pytest.approx(1.0 + 8 / 8)
 
     def test_contention_serializes(self):
-        bw = BandwidthTimeline("bus", bytes_per_cycle=1.0)
-        bw.transfer(0.0, 10)
-        start, __ = bw.transfer(0.0, 10)
-        assert start == pytest.approx(10.0)
+        mem = self.memory(beat_bytes=1)
+        first = mem.access(0.0, 0, 10, False)
+        second = mem.access(0.0, 0, 10, False)
+        assert mem.bus.channel.next_free == pytest.approx(2 * (1.0 + 10))
+        assert second > first
 
     def test_bandwidth_conserved_under_contention(self):
-        bw = BandwidthTimeline("bus", bytes_per_cycle=2.0)
-        end = 0.0
+        mem = self.memory(beat_bytes=64, bytes_per_cycle=2.0)
         for __ in range(10):
-            __, end = bw.transfer(0.0, 100)
-        assert bw.bytes_moved / end == pytest.approx(2.0)
+            mem.access(0.0, 0, 100, False)
+        channel = mem.dram.channel
+        assert channel.bytes_moved / channel.busy_time == pytest.approx(2.0)
 
     def test_zero_bytes(self):
-        bw = BandwidthTimeline("bus", bytes_per_cycle=2.0)
-        start, end = bw.transfer(5.0, 0)
-        assert start == end == 5.0
+        mem = self.memory()
+        assert mem.access(5.0, 0, 0, False) == 5.0
+        assert mem.bus.channel.next_free == 0.0
+        assert mem.dram.channel.next_free == 0.0
 
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             BandwidthTimeline("bus", bytes_per_cycle=0.0)
 
     def test_negative_bytes_rejected(self):
-        bw = BandwidthTimeline("bus", bytes_per_cycle=1.0)
         with pytest.raises(ValueError):
-            bw.transfer(0.0, -1)
+            self.memory().access([0.0], [0], [-1], [False])
 
     def test_bytes_moved_counter(self):
-        bw = BandwidthTimeline("bus", bytes_per_cycle=1.0)
-        bw.transfer(0.0, 3)
-        bw.transfer(0.0, 4)
-        assert bw.bytes_moved == 7
+        mem = self.memory()
+        mem.access(0.0, 0, 3, False)
+        mem.access(0.0, 0, 4, False)
+        assert mem.bus.channel.bytes_moved == 7
+        assert mem.dram.bytes_moved == 7
