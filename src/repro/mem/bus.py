@@ -16,7 +16,7 @@ class SystemBus:
     """A shared bus with a beat width in bytes and one-cycle arbitration.
 
     A transaction of ``n`` bytes occupies the channel ``1 + n / beat_bytes``
-    cycles; :meth:`repro.mem.hierarchy.MemorySystem.access` books it.
+    cycles.
     """
 
     def __init__(self, beat_bytes: int = 16, name: str = "sysbus") -> None:
@@ -26,6 +26,40 @@ class SystemBus:
         self.name = name
         self.channel = BandwidthTimeline(name, bytes_per_cycle=beat_bytes, overhead=1.0)
         self.stats = StatsRegistry(owner=name)
+
+    def transfer(self, now: list, nbytes: list, requester: str = "") -> list:
+        """Move one segment of transactions across the bus; returns their end times.
+
+        ``now`` and ``nbytes`` are equal-length lists in issue order.  One
+        FCFS loop makes :meth:`~repro.sim.timeline.Timeline.book`'s
+        comparison and sequential float additions per transaction; the
+        channel and each counter are written back once.
+        """
+        channel = self.channel
+        overhead = channel.overhead
+        beat = channel.bytes_per_cycle
+        timeline = channel.inner
+        next_free = timeline.next_free
+        busy = timeline.busy_time
+        ends: list[float] = []
+        append = ends.append
+        for t, nb in zip(now, nbytes):
+            d = overhead + nb / beat
+            next_free = (next_free if next_free > t else t) + d
+            busy += d
+            append(next_free)
+        n = len(ends)
+        total = sum(nbytes)
+        timeline.next_free = next_free
+        timeline.busy_time = busy
+        timeline.bookings += n
+        channel.bytes_moved += total
+        stats = self.stats
+        stats.counter("transactions").add(n)
+        stats.counter("bytes").add(total)
+        if requester:
+            stats.counter(f"bytes_{requester}").add(total)
+        return ends
 
     def utilisation(self, horizon: float) -> float:
         return self.channel.utilisation(horizon)

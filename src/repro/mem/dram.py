@@ -59,8 +59,6 @@ class DRAMModel:
     row-hit latency; others pay the full access latency.  Data occupies the
     channel for ``bytes / bytes_per_cycle`` cycles — this serialisation is
     what creates bandwidth contention between cores in multi-core runs.
-    The model holds the channel, the open row of each bank and the
-    statistics; :meth:`repro.mem.hierarchy.MemorySystem.access` books them.
     """
 
     def __init__(self, config: DRAMConfig | None = None, name: str = "dram") -> None:
@@ -69,6 +67,76 @@ class DRAMModel:
         self.channel = BandwidthTimeline(name, self.config.bytes_per_cycle)
         self.stats = StatsRegistry(owner=name)
         self._open_rows: dict[int, int] = {}
+
+    def access(self, now: list, addr: list, nbytes: list, writes: int) -> list:
+        """Serve one segment of requests in issue order; returns their end times.
+
+        ``now``, ``addr`` and ``nbytes`` are equal-length lists; ``writes``
+        is how many of the requests are writes (it splits the counters only,
+        timing does not depend on direction).  One loop classifies each
+        request against its bank's open row and advances the channel's FCFS
+        recurrence in place: a row miss books its activate and pays
+        ``access_latency``, a row hit pays ``row_hit_latency``, then the
+        request books its data transfer, with
+        :meth:`~repro.sim.timeline.Timeline.book`'s comparison and
+        sequential float additions.  The channel and each counter are
+        written back once.
+        """
+        cfg = self.config
+        row_bytes = cfg.row_buffer_bytes
+        num_banks = cfg.num_banks
+        row_hit_latency = cfg.row_hit_latency
+        access_latency = cfg.access_latency
+        # DRAMConfig rejects a negative activate and every entry moves a
+        # byte, so no booking can have a negative duration.
+        activate = cfg.activate_occupancy
+        open_rows = self._open_rows
+        channel = self.channel
+        overhead = channel.overhead
+        bytes_per_cycle = channel.bytes_per_cycle
+        timeline = channel.inner
+        next_free = timeline.next_free
+        busy = timeline.busy_time
+        ends: list[float] = []
+        append = ends.append
+        row_hits = 0
+        for t, a, nb in zip(now, addr, nbytes):
+            row = a // row_bytes
+            bank = row % num_banks
+            if open_rows.get(bank) == row:
+                row_hits += 1
+                start = t + row_hit_latency
+            else:
+                open_rows[bank] = row
+                if activate:
+                    # The activate/precharge turnaround blocks the channel.
+                    next_free = (next_free if next_free > t else t) + activate
+                    busy += activate
+                start = t + access_latency
+            duration = overhead + nb / bytes_per_cycle
+            next_free = (next_free if next_free > start else start) + duration
+            busy += duration
+            append(next_free)
+
+        n = len(now)
+        row_misses = n - row_hits
+        total = sum(nbytes)
+        timeline.next_free = next_free
+        timeline.busy_time = busy
+        timeline.bookings += n + row_misses if activate else n
+        channel.bytes_moved += total
+        stats = self.stats
+        if row_hits:
+            stats.counter("row_hits").add(row_hits)
+        if row_misses:
+            stats.counter("row_misses").add(row_misses)
+        if writes:
+            stats.counter("writes").add(writes)
+        if n - writes:
+            stats.counter("reads").add(n - writes)
+        if total:
+            stats.counter("bytes").add(total)
+        return ends
 
     @property
     def bytes_moved(self) -> int:

@@ -4,9 +4,9 @@ One :class:`MemorySystem` instance is shared by every CPU and accelerator on
 the SoC, which is exactly how the paper's Figure 5 SoCs are built (per-tile
 private scratchpads, one shared L2, one DRAM channel).
 
-The bus, the L2 and the DRAM channel hold their configuration, state
-(timelines, LRU sets, open rows) and statistics; :meth:`MemorySystem.access`
-is the one pass that advances all three.
+The bus, the L2 and the DRAM channel each own their configuration, state
+(timelines, LRU sets, open rows), statistics and one segment method that
+advances them; :meth:`MemorySystem.access` chains the three.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class MemorySystem:
         self.dram = DRAMModel(self.config.dram)
         self.l2: Cache | None = None
         if self.config.l2 is not None:
-            self.l2 = Cache(self.config.l2, name="L2")
+            self.l2 = Cache(self.config.l2, self.dram, name="L2")
 
     def access(
         self,
@@ -59,22 +59,16 @@ class MemorySystem:
         one-element case; a scalar access of no bytes ends at ``now`` and
         touches nothing.
 
-        The segment is one loop over its accesses.  Each access books the
-        bus (``overhead + n / beat_bytes``, FCFS), then the L2 port at
-        ``bus_end + hit_latency``, then walks its lines through the L2 sets
-        (dicts keyed by line index whose insertion order is the LRU order:
-        a hit pops and re-inserts its line, the victim is the first key).
-        A miss books its dirty victim's writeback, then its line fetch, on
-        the DRAM channel: a request outside its bank's open row books the
-        activate first and pays ``access_latency``, one inside it pays
-        ``row_hit_latency``.  The access ends at the later of its port end
-        and its last DRAM end.  Without an L2, each access is one DRAM
-        request of its own size.
-
-        Every booking makes ``Timeline.book``'s comparison and sequential
-        float additions, in the order one booking at a time makes them.
-        Each timeline's ``next_free``, ``busy_time`` and ``bookings``, each
-        ``bytes_moved`` and each counter is written back once per segment.
+        A segment moves through the levels in one call per component:
+        :meth:`SystemBus.transfer` books the bus (``overhead + n /
+        beat_bytes``, FCFS), then :meth:`Cache.access` walks each access's
+        lines through the LRU sets, sends the segment's victim writebacks
+        and line fetches to :meth:`DRAMModel.access` in one call, and books
+        the L2 port at ``bus_end + hit_latency``.  Without an L2, each
+        access is one DRAM request of its own size.  Every
+        booking makes ``Timeline.book``'s comparison and sequential float
+        additions, in the order one booking at a time makes them; each
+        timeline and counter is written back once per segment.
         """
         if not isinstance(now, list):
             if nbytes <= 0:
@@ -82,176 +76,10 @@ class MemorySystem:
             return self.access([now], [paddr], [nbytes], [is_write], requester)[0]
         if min(nbytes, default=1) < 1:
             raise ValueError("every access of a segment must move at least one byte")
-
-        bus = self.bus.channel
-        bus_overhead = bus.overhead
-        beat = bus.bytes_per_cycle
-        bus_free = bus.inner.next_free
-        bus_busy = bus.inner.busy_time
-
-        dram = self.dram
-        dram_cfg = dram.config
-        row_bytes = dram_cfg.row_buffer_bytes
-        num_banks = dram_cfg.num_banks
-        row_hit_latency = dram_cfg.row_hit_latency
-        access_latency = dram_cfg.access_latency
-        # DRAMConfig rejects a negative activate and every entry moves a
-        # byte, so no booking has a negative duration.
-        activate = dram_cfg.activate_occupancy
-        open_rows = dram._open_rows
-        channel = dram.channel
-        dram_overhead = channel.overhead
-        dram_bpc = channel.bytes_per_cycle
-        dram_free = channel.inner.next_free
-        dram_busy = channel.inner.busy_time
-        row_hits = 0
-
-        n = len(now)
-        total = sum(nbytes)
-        writes = sum(map(bool, is_write))
-        ends: list[float] = []
-        append = ends.append
-        l2 = self.l2
-        if l2 is None:
-            for t, a, nb in zip(now, paddr, nbytes):
-                d = bus_overhead + nb / beat
-                t = (bus_free if bus_free > t else t) + d
-                bus_free = t
-                bus_busy += d
-                row = a // row_bytes
-                bank = row % num_banks
-                if open_rows.get(bank) == row:
-                    row_hits += 1
-                    start = t + row_hit_latency
-                else:
-                    open_rows[bank] = row
-                    if activate:
-                        # The activate/precharge turnaround blocks the channel.
-                        dram_free = (dram_free if dram_free > t else t) + activate
-                        dram_busy += activate
-                    start = t + access_latency
-                d = dram_overhead + nb / dram_bpc
-                dram_free = (dram_free if dram_free > start else start) + d
-                dram_busy += d
-                append(dram_free)
-            dram_requests, dram_writes, dram_bytes = n, writes, total
-        else:
-            cfg = l2.config
-            line = cfg.line_bytes
-            sets = l2._sets
-            num_sets = l2._num_sets
-            ways_limit = l2._ways
-            writeback = cfg.writeback
-            hit_latency = cfg.hit_latency
-            port = l2.port
-            port_overhead = port.overhead
-            port_bpc = port.bytes_per_cycle
-            port_free = port.inner.next_free
-            port_busy = port.inner.busy_time
-            # every lower-level request moves one line
-            line_time = dram_overhead + line / dram_bpc
-            lines = misses = evictions = writebacks = 0
-            for t, a, nb, w in zip(now, paddr, nbytes, is_write):
-                d = bus_overhead + nb / beat
-                t = (bus_free if bus_free > t else t) + d
-                bus_free = t
-                bus_busy += d
-                e = t + hit_latency
-                d = port_overhead + nb / port_bpc
-                port_free = (port_free if port_free > e else e) + d
-                port_busy += d
-                missed = misses
-                first = a // line
-                stop = (a + nb - 1) // line + 1
-                lines += stop - first
-                for index in range(first, stop):
-                    ways = sets[index % num_sets]
-                    dirty = ways.pop(index, None)
-                    if dirty is not None:
-                        ways[index] = True if w else dirty
-                        continue
-                    misses += 1
-                    requests = (index,)
-                    if len(ways) >= ways_limit:
-                        victim = next(iter(ways))
-                        evictions += 1
-                        if ways.pop(victim) and writeback:
-                            writebacks += 1
-                            requests = (victim, index)
-                    # Write-allocate: the victim's writeback, then the fetch.
-                    ways[index] = w
-                    for request in requests:
-                        row = request * line // row_bytes
-                        bank = row % num_banks
-                        if open_rows.get(bank) == row:
-                            row_hits += 1
-                            start = t + row_hit_latency
-                        else:
-                            open_rows[bank] = row
-                            if activate:
-                                dram_free = (dram_free if dram_free > t else t) + activate
-                                dram_busy += activate
-                            start = t + access_latency
-                        dram_free = (dram_free if dram_free > start else start) + line_time
-                        dram_busy += line_time
-                # The channel's ends only grow, so an access that missed
-                # ends its lower level with its last request.
-                end = dram_free if misses != missed else t
-                append(end if end > port_free else port_free)
-
-            timeline = port.inner
-            timeline.next_free = port_free
-            timeline.busy_time = port_busy
-            timeline.bookings += n
-            port.bytes_moved += total
-            stats = l2.stats
-            stats.counter("hits").add(lines - misses)
-            stats.counter("misses").add(misses)
-            stats.counter("accesses").add(lines)
-            if writes:
-                stats.counter("writes").add(writes)
-            if n - writes:
-                stats.counter("reads").add(n - writes)
-            if evictions:
-                stats.counter("evictions").add(evictions)
-            if writebacks:
-                stats.counter("writebacks").add(writebacks)
-            if requester:
-                stats.counter(f"hits_{requester}").add(lines - misses)
-                stats.counter(f"misses_{requester}").add(misses)
-            dram_requests = misses + writebacks
-            dram_writes = writebacks
-            dram_bytes = dram_requests * line
-
-        timeline = bus.inner
-        timeline.next_free = bus_free
-        timeline.busy_time = bus_busy
-        timeline.bookings += n
-        bus.bytes_moved += total
-        stats = self.bus.stats
-        stats.counter("transactions").add(n)
-        stats.counter("bytes").add(total)
-        if requester:
-            stats.counter(f"bytes_{requester}").add(total)
-
-        row_misses = dram_requests - row_hits
-        timeline = channel.inner
-        timeline.next_free = dram_free
-        timeline.busy_time = dram_busy
-        timeline.bookings += dram_requests + row_misses if activate else dram_requests
-        channel.bytes_moved += dram_bytes
-        stats = dram.stats
-        if row_hits:
-            stats.counter("row_hits").add(row_hits)
-        if row_misses:
-            stats.counter("row_misses").add(row_misses)
-        if dram_writes:
-            stats.counter("writes").add(dram_writes)
-        if dram_requests - dram_writes:
-            stats.counter("reads").add(dram_requests - dram_writes)
-        if dram_bytes:
-            stats.counter("bytes").add(dram_bytes)
-        return ends
+        ends = self.bus.transfer(now, nbytes, requester)
+        if self.l2 is None:
+            return self.dram.access(ends, paddr, nbytes, sum(map(bool, is_write)))
+        return self.l2.access(ends, paddr, nbytes, is_write, requester)
 
     def l2_miss_rate(self) -> float:
         return self.l2.miss_rate() if self.l2 is not None else 1.0

@@ -5,9 +5,9 @@ A :class:`Timeline` models a unit that can serve one transaction at a time
 :class:`BandwidthTimeline` models a pipe with a byte-per-cycle capacity (a
 system bus, a DRAM channel).  Components *book* work on timelines; the
 timeline returns the interval actually granted, serialising concurrent
-requesters in arrival order.  The memory pass
-(:meth:`repro.mem.hierarchy.MemorySystem.access`) books its pipes inline,
-with :meth:`Timeline.book`'s comparison and additions.
+requesters in arrival order.  The memory side's segment methods
+(``SystemBus.transfer``, ``Cache.access``, ``DRAMModel.access``) book their
+pipes inline, with :meth:`Timeline.book`'s comparison and additions.
 
 All times are in cycles of the SoC reference clock and are plain floats so
 that fractional-cycle bandwidth accounting stays exact in aggregate.

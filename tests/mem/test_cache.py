@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mem_reference import ReferenceMemory, assert_matches
-from repro.mem.cache import CacheConfig
+from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import DRAMConfig
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 
@@ -143,6 +143,36 @@ class TestCacheBehaviour:
             mem.access(0.0, addr, 32, False)
         stats = cache.stats
         assert stats.value("hits") + stats.value("misses") == stats.value("accesses")
+
+
+class RecordingLower:
+    """A lower level that records each segment call and ends every request
+    1000 cycles after it arrives."""
+
+    def __init__(self):
+        self.calls = []
+
+    def access(self, now, addr, nbytes, writes):
+        self.calls.append((list(now), list(addr), list(nbytes), writes))
+        return [t + 1000.0 for t in now]
+
+
+def test_segment_hands_its_lower_requests_down_in_one_call():
+    """A segment's writebacks and fetches go down in one call, each victim's
+    writeback before its fetch, at the access's arrival time; an access ends
+    at the later of its port end and its last lower-level end."""
+    lower = RecordingLower()
+    # two direct-mapped sets: lines 0 and 2 share set 0
+    cache = Cache(CacheConfig(size_bytes=128, ways=1, line_bytes=64), lower)
+    ends = cache.access(
+        [0.0, 10.0, 20.0, 30.0], [0, 128, 64, 64], [64, 64, 64, 64], [True, False, False, False]
+    )
+    assert lower.calls == [([0.0, 10.0, 10.0, 20.0], [0, 0, 128, 64], [64] * 4, 1)]
+    # port ends 21, 31, 41, 51 (hit latency 20, one cycle per 64 B); the
+    # last access hits and ends at its port end
+    assert ends == [1000.0, 1010.0, 1020.0, 51.0]
+    assert cache.access([100.0], [64], [64], [False]) == [121.0]
+    assert len(lower.calls) == 1
 
 
 # ---------------------------------------------------------------------- #
