@@ -7,10 +7,10 @@ own tile, so any latency inflation in the co-located run comes purely from
 shared-memory contention (no cross-tenant queueing); an L2-capacity sweep
 then shows how much of the tail a bigger cache can buy back.
 
-SoCs are declared with the component API: a ``SoCDesign`` lists
-``TileComponent`` entries (each tile class with its own accelerator config
-and replication count) plus the shared ``CacheComponent``/``DRAMComponent``
-substrate, and ``simulate_serving(..., design=...)`` serves traffic on it.
+SoCs are declared as a ``SoCDesign``: ``tiles=`` lists ``TileComponent``
+entries (each tile class with its own accelerator config and replication
+count), ``mem=`` is the one ``MemorySystemConfig`` (bus, L2, DRAM) they all
+share, and ``simulate_serving(..., design=...)`` serves traffic on it.
 
 Run:  PYTHONPATH=src python examples/serving_study.py
       REPRO_FAST=1 shrinks the workload for smoke runs.
@@ -24,8 +24,9 @@ from dataclasses import replace
 
 from repro.eval.report import format_table
 from repro.mem.cache import CacheConfig
+from repro.mem.hierarchy import MemorySystemConfig
 from repro.serve import TenantSpec, TrafficProfile, simulate_serving
-from repro.soc import CacheComponent, DRAMComponent, SoCDesign, TileComponent
+from repro.soc import SoCDesign, TileComponent
 
 FAST = bool(int(os.environ.get("REPRO_FAST", "0")))
 SEED = 0
@@ -65,13 +66,10 @@ TENANT_B = TenantSpec(
 
 
 def design_with_l2(l2: CacheConfig, num_tiles: int) -> SoCDesign:
-    """A homogeneous component design: one tile class, shared L2 + DRAM."""
+    """A homogeneous design: one tile class around a shared L2 + DRAM."""
     return SoCDesign(
-        components=(
-            TileComponent(count=num_tiles),
-            CacheComponent(l2=l2),
-            DRAMComponent(),
-        ),
+        tiles=(TileComponent(count=num_tiles),),
+        mem=MemorySystemConfig(l2=l2),
         name=f"l2-{l2.size_bytes >> 20}mb-x{num_tiles}",
     )
 
@@ -144,12 +142,11 @@ def main() -> None:
     from repro.core.config import default_config
 
     big_little = SoCDesign(
-        components=(
+        tiles=(
             TileComponent(gemmini=default_config().with_geometry(32, 1), name="big"),
             TileComponent(gemmini=default_config().with_geometry(8, 1), name="little"),
-            CacheComponent(l2=L2_CONFIGS["Base (1 MB L2)"]),
-            DRAMComponent(),
         ),
+        mem=MemorySystemConfig(l2=L2_CONFIGS["Base (1 MB L2)"]),
         name="big-little",
     )
     mixed = simulate_serving(

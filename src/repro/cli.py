@@ -19,10 +19,10 @@ Exposes the common workflows without writing Python:
 ``gemmini-repro serve``
     Drive a multi-tile SoC with multi-tenant traffic and report SLO
     metrics (tail latency, goodput, fairness, violation rates).
-    ``--design FILE`` serves on an arbitrary (heterogeneous) component
-    design instead of the homogeneous config flags.
+    ``--design FILE`` serves on an arbitrary (heterogeneous) SoC design
+    instead of the homogeneous config flags.
 ``gemmini-repro soc-spec``
-    Validate and pretty-print a component-based SoC design JSON file
+    Validate and pretty-print an SoC design JSON file (``tiles`` + ``mem``)
     (``--example`` emits a big/little starter spec).
 ``gemmini-repro tune``
     Auto-tune every matmul dispatch shape of the given zoo models into
@@ -72,7 +72,7 @@ from repro.core.config import default_config
 from repro.core.generator import SoftwareParams, generate
 from repro.eval.report import format_table
 from repro.eval.tables import format_table_i
-from repro.models import build_model, model_names
+from repro.models import build_model, model_names, model_size_kwargs
 from repro.physical.area import accelerator_area
 from repro.physical.energy import estimate_run_energy
 from repro.physical.timing import max_frequency_ghz
@@ -107,11 +107,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 def _add_model_size_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input-hw", type=int, default=224, help="CNN input size")
     parser.add_argument("--seq", type=int, default=128, help="BERT sequence length")
-
-
-def _model_size(args, model: str) -> dict:
-    """The ``build_model`` size kwargs ``--input-hw``/``--seq`` give ``model``."""
-    return {"seq": args.seq} if model == "bert" else {"input_hw": args.input_hw}
 
 
 #: snapshot keys the live console prints, in order, when present
@@ -369,7 +364,7 @@ def cmd_generate(args) -> int:
 
 def cmd_models(args) -> int:
     for name in model_names():
-        graph = build_model(name) if name != "bert" else build_model(name, seq=128)
+        graph = build_model(name, **model_size_kwargs(name))
         print(
             f"{name:12s} {graph.total_macs() / 1e9:6.2f} GMACs  "
             f"{graph.total_weight_bytes() / 1e6:6.1f} MB weights  "
@@ -380,7 +375,7 @@ def cmd_models(args) -> int:
 
 def cmd_run(args, run: _RunContext) -> int:
     config = _config_from_args(args)
-    size = _model_size(args, args.model)
+    size = model_size_kwargs(args.model, args.input_hw, args.seq)
     graph = build_model(args.model, **size)
     soc = make_soc(gemmini=config, cpu=args.cpu)
     model = compile_graph(graph, SoftwareParams.from_config(config))
@@ -485,7 +480,7 @@ def cmd_tune(args, run: _RunContext) -> int:
     rows = []
     exit_code = 0
     for name in models:
-        size = _model_size(args, name)
+        size = model_size_kwargs(name, args.input_hw, args.seq)
         graph = build_model(name, **size)
         model = compile_graph(graph, SoftwareParams.from_config(config))
         with run.timed():
@@ -568,10 +563,9 @@ def _example_design_json() -> str:
 
 
 def cmd_soc_spec(args) -> int:
-    import json
     from pathlib import Path
 
-    from repro.soc.components import DesignError, SoCDesign
+    from repro.soc.components import SoCDesign
 
     if args.example:
         print(_example_design_json())
@@ -583,16 +577,18 @@ def cmd_soc_spec(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, DesignError, ValueError, TypeError, KeyError) as exc:
+    # JSONDecodeError and DesignError are ValueErrors; a malformed entry
+    # (a tile that is not an object, say) raises one of the other three.
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         print(f"invalid design: {exc}", file=sys.stderr)
         return 1
     print(design.describe())
-    for component in design.tile_components:
+    for component in design.tiles:
         print(f"  tile class [{component.label}]: {component.count}x, "
               f"hash {component.config_hash}")
-    cache = design.cache_component
-    l2 = f"{cache.l2.size_bytes // 1024} KB L2" if cache.l2 is not None else "no L2"
-    print(f"  memory: {l2}, {design.dram_component.dram.bytes_per_cycle:.0f} B/cyc DRAM")
+    mem = design.mem
+    l2 = f"{mem.l2.size_bytes // 1024} KB L2" if mem.l2 is not None else "no L2"
+    print(f"  memory: {l2}, {mem.dram.bytes_per_cycle:.0f} B/cyc DRAM")
     print(f"  tiles: {design.num_tiles} at {design.clock_ghz} GHz")
     print(f"  fleet area: {design.area_mm2():.2f} mm^2"
           + (f" (budget {design.area_budget_mm2} mm^2)" if design.area_budget_mm2 else ""))
@@ -742,6 +738,7 @@ def cmd_serve(args, run: _RunContext) -> int:
         parse_tenant,
         serve_table,
     )
+    from repro.soc.components import SoCDesign
 
     if args.horizon_hours is not None and args.horizon_ms is not None:
         args.parser.error("pass --horizon-ms or --horizon-hours, not both")
@@ -750,9 +747,10 @@ def cmd_serve(args, run: _RunContext) -> int:
     if args.design:
         from pathlib import Path
 
-        from repro.soc.components import SoCDesign
-
-        design = SoCDesign.from_json(Path(args.design).read_text())
+        try:
+            design = SoCDesign.from_json(Path(args.design).read_text())
+        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+            args.parser.error(f"invalid design {args.design}: {exc}")
         if args.tiles not in (1, design.num_tiles):
             args.parser.error(
                 f"--tiles {args.tiles} contradicts the design's "
@@ -784,9 +782,11 @@ def cmd_serve(args, run: _RunContext) -> int:
 
     clock_ghz = design.clock_ghz if design is not None else config.clock_ghz
     run.observe(profile.seed, clock_ghz)
-    soc_kwargs = {"design": design} if design is not None else {"gemmini": config}
     sim = ServingSimulation(
         profile,
+        design=design if design is not None else SoCDesign.homogeneous(
+            gemmini=config, num_tiles=profile.num_tiles
+        ),
         replay=not args.no_replay,
         tracer=run.tracer,
         metrics=run.metrics,
@@ -794,7 +794,6 @@ def cmd_serve(args, run: _RunContext) -> int:
             "stream" if args.horizon_hours is not None else "exact"
         ),
         schedule_cache=run.schedule_cache,
-        **soc_kwargs,
     )
     with run.timed():
         result = sim.run()
@@ -1137,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table1.set_defaults(func=cmd_table1)
 
     p_spec = sub.add_parser(
-        "soc-spec", help="validate and pretty-print a component SoC design JSON"
+        "soc-spec", help="validate and pretty-print an SoC design JSON"
     )
     p_spec.add_argument("file", nargs="?", default=None, help="design JSON file")
     p_spec.add_argument(
@@ -1254,7 +1253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--design",
         default=None,
         metavar="FILE",
-        help="serve on this component-based SoC design JSON (see soc-spec "
+        help="serve on this SoC design JSON (see soc-spec "
         "--example) instead of the homogeneous --dim/--sp-kb/... flags",
     )
     p_serve.add_argument("--tiles", type=int, default=1, help="SoC tiles in the cluster")

@@ -166,10 +166,10 @@ def model_workload(name: str, input_hw: int = 224, seq: int = 128) -> Workload:
     ``(H_out*W_out, k*k*C_in, C_out)`` once, Gemm/MatMul map directly, and
     a depthwise convolution is ``(H_out*W_out, k*k, 1)`` once per channel.
     """
-    from repro.models.zoo import build_model
+    from repro.models.zoo import build_model, model_size_kwargs
     from repro.sw.compiler import compile_graph
 
-    kwargs = {"seq": seq} if name == "bert" else {"input_hw": input_hw}
+    kwargs = model_size_kwargs(name, input_hw, seq)
     # The array lowering reads no accelerator parameter.
     params = SoftwareParams.from_config(GemminiConfig())
     plans = compile_graph(build_model(name, **kwargs), params).plans
@@ -267,15 +267,13 @@ def _soc_cycles_and_energy(config: GemminiConfig, spec: EvaluationSpec) -> tuple
     return float(result.total_cycles), estimate_run_energy(soc, result).total_mj
 
 
-def _serving_metrics(spec: EvaluationSpec, power: float, **target) -> dict:
-    """Run the design under the spec's traffic profile (serve fidelity).
+def _serving_metrics(spec: EvaluationSpec, power: float, design) -> dict:
+    """Run ``design`` under the spec's traffic profile (serve fidelity).
 
-    ``target`` is what :func:`~repro.serve.cluster.simulate_serving` runs:
-    ``gemmini=`` one config or ``design=`` a heterogeneous fleet, clocked at
-    the design's achievable frequency, so a slower (larger/denser) design
-    sees proportionally more arrival cycles between requests — tail latency
-    and goodput trade off against area and power exactly the way the
-    serving objectives need.
+    The design's tiles are clocked at its achievable frequency, so a slower
+    (larger/denser) design sees proportionally more arrival cycles between
+    requests — tail latency and goodput trade off against area and power
+    exactly the way the serving objectives need.
 
     Serving evaluations ride the macro-op trace record/replay fast path:
     after the first executions of each ``(tile, model)`` pair the remaining
@@ -285,7 +283,7 @@ def _serving_metrics(spec: EvaluationSpec, power: float, **target) -> dict:
     """
     from repro.serve.cluster import simulate_serving
 
-    result = simulate_serving(spec.traffic, replay=True, **target)
+    result = simulate_serving(spec.traffic, design=design, replay=True)
     overall = result.report.overall
     watts = power / 1e3
     return {
@@ -412,7 +410,7 @@ def _aggregate_fleet(
         from repro.dse.space import point_to_design
 
         design = point_to_design(point, clock_ghz=fmax)
-        metrics.update(_serving_metrics(spec, power, design=design))
+        metrics.update(_serving_metrics(spec, power, design))
     summary = " + ".join(f"{count}x[{e.config_summary}]" for __, count, e in parts)
     return Evaluation(
         point=tuple(sorted(point.items())),
@@ -460,10 +458,15 @@ def _evaluate_plain(points: "list[dict]", spec: EvaluationSpec) -> "list[Evaluat
     # Pulled down to Python floats once per column, not once per point.
     rows = [tuple(zip(names, row)) for row in zip(*(c.tolist() for c in metrics.values()))]
     if spec.traffic is not None:
+        from repro.soc.components import SoCDesign
+
+        tiles = spec.traffic.num_tiles
         rows = [
             tuple(sorted({
                 **dict(row),
-                **_serving_metrics(spec, power, gemmini=dc_replace(config, clock_ghz=clock)),
+                **_serving_metrics(spec, power, SoCDesign.homogeneous(
+                    gemmini=dc_replace(config, clock_ghz=clock), num_tiles=tiles
+                )),
             }.items()))
             for row, config, clock, power in zip(
                 rows, configs, metrics["fmax_ghz"].tolist(), metrics["power_mw"].tolist()

@@ -483,12 +483,7 @@ def point_to_design(point: dict, mem=None, os=None, cpu="rocket", clock_ghz=None
     ship through worker processes exactly like scalar ones.
     """
     from repro.mem.hierarchy import MemorySystemConfig
-    from repro.soc.components import (
-        CacheComponent,
-        DRAMComponent,
-        SoCDesign,
-        TileComponent,
-    )
+    from repro.soc.components import SoCDesign, TileComponent
     from repro.soc.os_model import OSConfig
 
     point = dict(point)
@@ -522,13 +517,9 @@ def point_to_design(point: dict, mem=None, os=None, cpu="rocket", clock_ghz=None
                 name=preset_name,
             )
         )
-    mem = mem if mem is not None else MemorySystemConfig()
     return SoCDesign(
-        components=tuple(tiles)
-        + (
-            CacheComponent(l2=mem.l2, bus_beat_bytes=mem.bus_beat_bytes),
-            DRAMComponent(dram=mem.dram),
-        ),
+        tiles=tuple(tiles),
+        mem=mem if mem is not None else MemorySystemConfig(),
         name="+".join(f"{p}*{c}" for p, c in mix),
     )
 

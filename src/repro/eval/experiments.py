@@ -21,7 +21,7 @@ from repro.core.config import (
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import MemorySystemConfig
 from repro.mem.tlb import TLBConfig
-from repro.models.zoo import build_model
+from repro.models.zoo import build_model, model_size_kwargs
 from repro.physical.area import AreaBreakdown, accelerator_area
 from repro.physical.power import spatial_array_power_mw
 from repro.physical.timing import max_frequency_ghz
@@ -248,7 +248,7 @@ def run_fig7(
     """Measure accelerator speedups against the in-order CPU baseline."""
     rows = []
     for name in models:
-        graph = build_model(name, **_model_kwargs(name, input_hw, seq))
+        graph = build_model(name, **model_size_kwargs(name, input_hw, seq))
         row = Fig7Row(
             model=name,
             rocket_baseline_cycles=cpu_graph_cycles(graph, ROCKET),
@@ -502,14 +502,8 @@ def run_figures(
 # ===================================================================== #
 
 
-def _model_kwargs(name: str, input_hw: int, seq: int) -> dict:
-    if name == "bert":
-        return {"seq": seq}
-    return {"input_hw": input_hw}
-
-
 def _compile_for(soc: SoC, model: str, input_hw: int = 224, seq: int = 128) -> CompiledModel:
-    graph = build_model(model, **_model_kwargs(model, input_hw, seq))
+    graph = build_model(model, **model_size_kwargs(model, input_hw, seq))
     return compile_graph(graph, SoftwareParams.from_config(soc.tile.accel.config))
 
 

@@ -16,12 +16,11 @@ class SystemBus:
     """A shared bus with a beat width in bytes and one-cycle arbitration.
 
     A transaction of ``n`` bytes occupies the channel ``1 + n / beat_bytes``
-    cycles.
+    cycles.  :class:`~repro.mem.hierarchy.MemorySystemConfig` validates the
+    width.
     """
 
     def __init__(self, beat_bytes: int = 16, name: str = "sysbus") -> None:
-        if beat_bytes <= 0 or beat_bytes & (beat_bytes - 1):
-            raise ValueError("beat_bytes must be a positive power of two")
         self.beat_bytes = beat_bytes
         self.name = name
         self.channel = BandwidthTimeline(name, bytes_per_cycle=beat_bytes, overhead=1.0)

@@ -22,13 +22,19 @@ from repro.mem.dram import DRAMConfig, DRAMModel
 class MemorySystemConfig:
     """Parameters of the shared memory system.
 
-    ``l2`` may be ``None`` to model an SoC whose accelerator DMA bypasses the
-    cache hierarchy and talks to DRAM directly.
+    ``bus_beat_bytes`` must be a positive power of two.  ``l2`` may be
+    ``None`` to model an SoC whose accelerator DMA bypasses the cache
+    hierarchy and talks to DRAM directly.
     """
 
     bus_beat_bytes: int = 16
     l2: CacheConfig | None = field(default_factory=CacheConfig)
     dram: DRAMConfig = field(default_factory=DRAMConfig)
+
+    def __post_init__(self) -> None:
+        beat = self.bus_beat_bytes
+        if beat <= 0 or beat & (beat - 1):
+            raise ValueError(f"bus_beat_bytes must be a positive power of two, got {beat}")
 
 
 class MemorySystem:

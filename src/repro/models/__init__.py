@@ -5,7 +5,7 @@ exact layer shapes of the original architecture papers; weights are
 synthetic (performance depends on shapes, not values).
 """
 
-from repro.models.zoo import MODEL_BUILDERS, build_model, model_names
+from repro.models.zoo import MODEL_BUILDERS, build_model, model_names, model_size_kwargs
 from repro.models.resnet50 import build_resnet50
 from repro.models.alexnet import build_alexnet
 from repro.models.squeezenet import build_squeezenet
@@ -16,6 +16,7 @@ __all__ = [
     "MODEL_BUILDERS",
     "build_model",
     "model_names",
+    "model_size_kwargs",
     "build_resnet50",
     "build_alexnet",
     "build_squeezenet",

@@ -24,6 +24,12 @@ def model_names() -> list[str]:
     return sorted(MODEL_BUILDERS)
 
 
+def model_size_kwargs(name: str, input_hw: int = 224, seq: int = 128) -> dict:
+    """The size kwargs :func:`build_model` takes for ``name``: bert is sized
+    by its sequence length ``seq``, every CNN by its input ``input_hw``."""
+    return {"seq": seq} if name == "bert" else {"input_hw": input_hw}
+
+
 def build_model(name: str, **kwargs) -> Graph:
     """Build a zoo model by name (kwargs forwarded to the builder)."""
     try:

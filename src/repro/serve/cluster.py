@@ -30,7 +30,6 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.core.config import GemminiConfig
-from repro.mem.hierarchy import MemorySystemConfig
 from repro.obs.metrics import NULL_METRICS, MetricStream
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.serve.metrics import ReportAccumulator, ServeReport
@@ -40,7 +39,6 @@ from repro.serve.workload import TenantSpec, TrafficProfile, make_source, reques
 from repro.sim.engine import EventLoop
 from repro.sim.trace import TraceRecorder, record_steady_state_trace
 from repro.soc.components import SoCDesign
-from repro.soc.os_model import OSConfig
 from repro.soc.soc import SoC
 from repro.sw.runtime import Runtime
 from repro.sw.schedule_cache import ScheduleCache
@@ -350,19 +348,14 @@ class ServingSimulation:
     def __init__(
         self,
         profile: TrafficProfile,
-        gemmini: GemminiConfig | None = None,
-        mem: MemorySystemConfig | None = None,
-        os: OSConfig | None = None,
+        design: SoCDesign | None = None,
         scheduler: Scheduler | None = None,
         replay: bool = True,
-        design: SoCDesign | None = None,
         tracer: Tracer | None = None,
         metrics: MetricStream | None = None,
         record_mode: str = "exact",
         schedule_cache: ScheduleCache | None = None,
     ) -> None:
-        from repro.core.config import default_config
-
         if record_mode not in RECORD_MODES:
             raise ValueError(
                 f"record_mode must be one of {RECORD_MODES}, got {record_mode!r}"
@@ -376,33 +369,21 @@ class ServingSimulation:
         #: tiling without one)
         self.schedule_cache = schedule_cache
         self.profile = profile
-        if design is not None:
-            if gemmini is not None or mem is not None or os is not None:
-                raise ValueError(
-                    "pass either design= or the homogeneous gemmini/mem/os "
-                    "knobs, not both"
-                )
-            # The profile's tile count must agree with the design; the
-            # TrafficProfile default (1) means "let the design decide".
-            if profile.num_tiles not in (1, design.num_tiles):
-                raise ValueError(
-                    f"profile expects {profile.num_tiles} tiles but the design "
-                    f"{design.name!r} has {design.num_tiles}"
-                )
-        else:
-            design = SoCDesign.homogeneous(
-                gemmini=gemmini or default_config(),
-                mem=mem or MemorySystemConfig(),
-                num_tiles=profile.num_tiles,
-                os=os or OSConfig(),
+        if design is None:
+            design = SoCDesign.homogeneous(num_tiles=profile.num_tiles)
+        # The profile's tile count must agree with the design; the
+        # TrafficProfile default (1) means "let the design decide".
+        if profile.num_tiles not in (1, design.num_tiles):
+            raise ValueError(
+                f"profile expects {profile.num_tiles} tiles but the design "
+                f"{design.name!r} has {design.num_tiles}"
             )
         self.design = design
         self.soc = SoC(design)
         self.num_tiles = design.num_tiles
-        #: per physical tile: the component each tile was stamped from
-        self._tile_components = design.expand()
-        self._tile_configs = tuple(c.gemmini for c in self._tile_components)
-        self._tile_hashes = tuple(c.config_hash for c in self._tile_components)
+        tiles = design.expand()
+        self._tile_configs = tuple(c.gemmini for c in tiles)
+        self._tile_hashes = tuple(c.config_hash for c in tiles)
         self.clock_ghz = design.clock_ghz
         self._specs = {t.name: t for t in profile.tenants}
         if scheduler is None:
@@ -444,12 +425,10 @@ class ServingSimulation:
         slot = (config, key)
         if slot not in self._compiled:
             from repro.core.generator import SoftwareParams
-            from repro.models.zoo import build_model
+            from repro.models.zoo import build_model, model_size_kwargs
             from repro.sw.compiler import compile_graph
 
-            name, input_hw, seq = key
-            kwargs = {"seq": seq} if name == "bert" else {"input_hw": input_hw}
-            graph = build_model(name, **kwargs)
+            graph = build_model(key[0], **model_size_kwargs(*key))
             self._compiled[slot] = compile_graph(graph, SoftwareParams.from_config(config))
         return self._compiled[slot]
 
@@ -510,7 +489,7 @@ class ServingSimulation:
         if recorder.dirty:
             slot.trace = record_steady_state_trace(
                 runtime,
-                self.design.mem_config(),
+                self.design.mem,
                 runtime.tile.os.config,
                 warm_from=recorder.build_trace(),
             )
@@ -529,15 +508,14 @@ class ServingSimulation:
         """Lay out the trace: one lane per tile (the serving tracks), one
         per tenant (arrival markers), one cluster-wide counter lane."""
         tracer = self.tracer
-        for index, component in enumerate(self._tile_components):
+        for tile in self.soc.tiles:
             tracer.declare_lane(
-                f"tile{index}",
+                tile.name,
                 process="serve",
-                label=f"tile{index} [{component.label}]",
-                sort=index,
+                label=f"{tile.name} [{tile.component.label}]",
+                sort=tile.index,
             )
-        tracer.declare_lane("cluster", process="serve", label="cluster", sort=len(
-            self._tile_components))
+        tracer.declare_lane("cluster", process="serve", label="cluster", sort=self.num_tiles)
         for i, spec in enumerate(self.profile.tenants):
             tracer.declare_lane(
                 f"tenant:{spec.name}", process="traffic", label=spec.name, sort=i
@@ -786,11 +764,8 @@ class ServingSimulation:
 
 def simulate_serving(
     profile: TrafficProfile,
-    gemmini: GemminiConfig | None = None,
-    mem: MemorySystemConfig | None = None,
-    os: OSConfig | None = None,
-    replay: bool = True,
     design: SoCDesign | None = None,
+    replay: bool = True,
     tracer: Tracer | None = None,
     metrics: MetricStream | None = None,
     record_mode: str = "exact",
@@ -798,10 +773,10 @@ def simulate_serving(
 ) -> ServeResult:
     """One-shot convenience: build the cluster, run the traffic, report.
 
-    ``design=`` serves the traffic on an arbitrary (possibly heterogeneous)
-    component-built :class:`~repro.soc.components.SoCDesign`; the
-    ``gemmini``/``mem``/``os`` knobs remain as shorthand for the
-    homogeneous case and are mutually exclusive with it.
+    ``design=`` is the (possibly heterogeneous)
+    :class:`~repro.soc.components.SoCDesign` the traffic is served on;
+    without one, ``profile.num_tiles`` default tiles
+    (:meth:`~repro.soc.components.SoCDesign.homogeneous`).
 
     ``replay=False`` forces every request down the per-macro-op recording
     path (the pre-trace behaviour) — the baseline the replay benchmarks and
@@ -826,11 +801,8 @@ def simulate_serving(
     """
     return ServingSimulation(
         profile,
-        gemmini=gemmini,
-        mem=mem,
-        os=os,
-        replay=replay,
         design=design,
+        replay=replay,
         tracer=tracer,
         metrics=metrics,
         record_mode=record_mode,

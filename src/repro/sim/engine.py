@@ -3,10 +3,17 @@
 Multi-core SoC simulations run each core's workload as an *actor* that,
 when stepped, performs one unit of work and reports the local time it has
 reached.  :class:`EventLoop` keeps every actor's next-event time in a
-single min-heap and always steps the actor whose local clock is furthest
-behind, so accesses to shared state (the L2 cache, the DRAM channel, the
-shared TLB) are applied in approximately global time order — the property
-the paper's dual-core contention study (Figure 9c) depends on.
+single min-heap and always steps the actor whose reported clock is
+furthest behind.
+
+The contract is that order and no more.  A runtime actor reports its
+controller's *dispatch* clock, while the ops it issues book the shared
+bus, L2 port and DRAM at their *execution* times, which run far ahead of
+dispatch under decoupled queues; the shared timelines take bookings
+first-come-first-served in call order.  So one tile can book shared state
+far into another tile's future, and shared state is not applied in global
+time order.  ROADMAP item M measures the gap and owns the fix (a merge
+key at the time a tile next books shared state).
 
 Actors are plain objects with a ``step()`` method, so the serving cluster
 engine drives its per-tile state machines through the same loop;

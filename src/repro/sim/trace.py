@@ -476,7 +476,7 @@ def _fingerprint(trace: MacroTrace) -> bytes:
 
 def record_steady_state_trace(
     runtime: Runtime,
-    mem_config,
+    mem,
     os_config,
     warm_from: MacroTrace,
 ) -> MacroTrace:
@@ -513,7 +513,7 @@ def record_steady_state_trace(
     # per-requester counters under phantom keys.
     accel = Accelerator(
         tile.accel.config,
-        mem=MemorySystem(mem_config),
+        mem=MemorySystem(mem),
         vm=tile.vm,
         host=tile.host,
         name=tile.accel.name,
@@ -525,6 +525,7 @@ def record_steady_state_trace(
         tile.vm,
         tile.host,
         OSModel(os_config, name=f"{tile.os.name}.sandbox"),
+        tile.component,
     )
     shadow = Runtime(
         sandbox,

@@ -6,20 +6,14 @@ low-power in-order Rocket cores to out-of-order BOOM cores, shared L2 and
 DRAM, and a Linux-capable software environment whose context switches flush
 accelerator TLB state.
 
-SoCs are declared as component lists (:mod:`repro.soc.components`):
-:class:`TileComponent` entries — each with its own accelerator config,
-host CPU, OS model and replication count — plus the shared
-:class:`CacheComponent` / :class:`DRAMComponent` substrate, validated
-together as a :class:`SoCDesign`.
+An SoC is declared as a :class:`SoCDesign` (:mod:`repro.soc.components`):
+a tuple of :class:`TileComponent` entries — each with its own accelerator
+config, host CPU, OS model and replication count — and one
+:class:`~repro.mem.hierarchy.MemorySystemConfig` for the bus, L2 and DRAM
+every tile shares.
 """
 
-from repro.soc.components import (
-    CacheComponent,
-    DesignError,
-    DRAMComponent,
-    SoCDesign,
-    TileComponent,
-)
+from repro.soc.components import DesignError, SoCDesign, TileComponent
 from repro.soc.cpu import BOOM, ROCKET, CPUModel, cpu_by_name
 from repro.soc.os_model import OSConfig, OSModel
 from repro.soc.soc import SoC, SoCTile, make_soc
@@ -31,8 +25,6 @@ __all__ = [
     "cpu_by_name",
     "OSConfig",
     "OSModel",
-    "CacheComponent",
-    "DRAMComponent",
     "DesignError",
     "SoC",
     "SoCDesign",

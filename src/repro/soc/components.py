@@ -3,11 +3,11 @@
 The paper's central claim is that Gemmini is a *generator*, not a point
 design.  This module extends that claim from the accelerator to the SoC:
 instead of one :class:`~repro.core.config.GemminiConfig` stamped across
-``num_tiles`` identical tiles, an SoC is a declarative **component list** —
-:class:`TileComponent` entries (each carrying its own accelerator config,
-host CPU and OS model, with a replication count), plus at most one
-:class:`CacheComponent` and one :class:`DRAMComponent` for the shared
-memory substrate.  A validated :class:`SoCDesign` bundles the list with
+``num_tiles`` identical tiles, an SoC is a tuple of :class:`TileComponent`
+entries (each carrying its own accelerator config, host CPU and OS model,
+with a replication count) around one shared memory system, described once
+by a :class:`~repro.mem.hierarchy.MemorySystemConfig` (bus width, optional
+L2, DRAM channel).  A validated :class:`SoCDesign` bundles the two with
 SoC-wide policy (shared PTW, page scattering) and optional area/power
 budgets, so heterogeneous big/little accelerator fleets are expressible
 and checkable before anything is simulated.
@@ -33,8 +33,6 @@ from repro.soc.os_model import OSConfig
 
 __all__ = [
     "TileComponent",
-    "CacheComponent",
-    "DRAMComponent",
     "SoCDesign",
     "DesignError",
 ]
@@ -103,7 +101,6 @@ class TileComponent:
 
     def to_dict(self) -> dict:
         out: dict = {
-            "kind": "tile",
             "gemmini": self.gemmini.to_dict(),
             "os": asdict(self.os),
             "count": self.count,
@@ -135,59 +132,6 @@ class TileComponent:
         return f"{self.count}x [{self.label}] {self.gemmini.describe()}, cpu={self.cpu.name}"
 
 
-@dataclass(frozen=True)
-class CacheComponent:
-    """The shared system bus + (optional) L2 cache level.
-
-    ``l2=None`` models an SoC whose accelerator DMA bypasses the cache
-    hierarchy and talks to DRAM directly.
-    """
-
-    l2: CacheConfig | None = field(default_factory=CacheConfig)
-    bus_beat_bytes: int = 16
-
-    def __post_init__(self) -> None:
-        if self.bus_beat_bytes < 1:
-            raise DesignError("bus_beat_bytes must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "cache",
-            "l2": asdict(self.l2) if self.l2 is not None else None,
-            "bus_beat_bytes": self.bus_beat_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheComponent":
-        l2 = data.get("l2", "default")
-        if isinstance(l2, dict):
-            l2 = CacheConfig(**l2)
-        elif l2 == "default":
-            l2 = CacheConfig()
-        return cls(l2=l2, bus_beat_bytes=int(data.get("bus_beat_bytes", 16)))
-
-
-@dataclass(frozen=True)
-class DRAMComponent:
-    """The shared DRAM channel."""
-
-    dram: DRAMConfig = field(default_factory=DRAMConfig)
-
-    def to_dict(self) -> dict:
-        return {"kind": "dram", "dram": asdict(self.dram)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DRAMComponent":
-        return cls(dram=DRAMConfig(**data.get("dram", {})))
-
-
-_COMPONENT_KINDS = {
-    "tile": TileComponent,
-    "cache": CacheComponent,
-    "dram": DRAMComponent,
-}
-
-
 # ---------------------------------------------------------------------- #
 # The design                                                              #
 # ---------------------------------------------------------------------- #
@@ -195,19 +139,19 @@ _COMPONENT_KINDS = {
 
 @dataclass(frozen=True)
 class SoCDesign:
-    """A validated component list: the SoC as a declarative design.
+    """A validated SoC: tile classes around one shared memory system.
 
-    At least one :class:`TileComponent` is required; at most one
-    :class:`CacheComponent` and one :class:`DRAMComponent` describe the
-    shared memory substrate (defaults are used when omitted).  Every tile
-    must run at one reference clock — the simulator's lockstep merge and
-    the serving engine's cycle accounting assume a single clock domain —
-    and optional ``area_budget_mm2`` / ``power_budget_mw`` bounds are
-    checked against the fleet totals at construction time (the lumos-style
-    MPSoC budget discipline).
+    At least one :class:`TileComponent` is required; ``mem`` describes the
+    bus, L2 and DRAM every tile shares.  Every tile must run at one
+    reference clock — the simulator's lockstep merge and the serving
+    engine's cycle accounting assume a single clock domain — and optional
+    ``area_budget_mm2`` / ``power_budget_mw`` bounds are checked against
+    the fleet totals at construction time (the lumos-style MPSoC budget
+    discipline).
     """
 
-    components: tuple = ()
+    tiles: tuple[TileComponent, ...] = ()
+    mem: MemorySystemConfig = field(default_factory=MemorySystemConfig)
     name: str = "soc"
     #: one PTW shared across the whole SoC (else one per tile, still shared
     #: between that tile's CPU and accelerator)
@@ -218,37 +162,15 @@ class SoCDesign:
     power_budget_mw: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        tiles = [c for c in self.components if isinstance(c, TileComponent)]
-        caches = [c for c in self.components if isinstance(c, CacheComponent)]
-        drams = [c for c in self.components if isinstance(c, DRAMComponent)]
-        other = [
-            c for c in self.components
-            if not isinstance(c, (TileComponent, CacheComponent, DRAMComponent))
-        ]
-        if other:
-            raise DesignError(
-                f"design {self.name!r}: unknown component type(s) "
-                f"{sorted({type(c).__name__ for c in other})}"
-            )
-        if not tiles:
+        object.__setattr__(self, "tiles", tuple(self.tiles))
+        if not self.tiles:
             raise DesignError(f"design {self.name!r} needs at least one TileComponent")
-        if len(caches) > 1 or len(drams) > 1:
-            raise DesignError(
-                f"design {self.name!r}: at most one CacheComponent and one "
-                f"DRAMComponent (got {len(caches)} / {len(drams)})"
-            )
-        clocks = {t.gemmini.clock_ghz for t in tiles}
+        clocks = {t.gemmini.clock_ghz for t in self.tiles}
         if len(clocks) > 1:
             raise DesignError(
                 f"design {self.name!r}: tiles must share one reference clock, "
                 f"got {sorted(clocks)} GHz (the simulator is single-clock-domain)"
             )
-        self._check_budgets(tiles)
-
-    def _check_budgets(self, tiles: list[TileComponent]) -> None:
-        if self.area_budget_mm2 is None and self.power_budget_mw is None:
-            return
         if self.area_budget_mm2 is not None:
             area = self.area_mm2()
             if area > self.area_budget_mm2:
@@ -264,49 +186,21 @@ class SoCDesign:
                     f"{power:.1f} mW > {self.power_budget_mw} mW"
                 )
 
-    # -- component access ------------------------------------------------ #
-
-    @property
-    def tile_components(self) -> tuple[TileComponent, ...]:
-        return tuple(c for c in self.components if isinstance(c, TileComponent))
-
-    @property
-    def cache_component(self) -> CacheComponent:
-        for c in self.components:
-            if isinstance(c, CacheComponent):
-                return c
-        return CacheComponent()
-
-    @property
-    def dram_component(self) -> DRAMComponent:
-        for c in self.components:
-            if isinstance(c, DRAMComponent):
-                return c
-        return DRAMComponent()
-
     def expand(self) -> tuple[TileComponent, ...]:
         """The count-expanded per-tile list: one entry per physical tile,
         in declaration order (tile index == position here)."""
         out: list[TileComponent] = []
-        for component in self.tile_components:
+        for component in self.tiles:
             out.extend([component] * component.count)
         return tuple(out)
 
     @property
     def num_tiles(self) -> int:
-        return sum(c.count for c in self.tile_components)
+        return sum(c.count for c in self.tiles)
 
     @property
     def clock_ghz(self) -> float:
-        return self.tile_components[0].gemmini.clock_ghz
-
-    def mem_config(self) -> MemorySystemConfig:
-        cache = self.cache_component
-        return MemorySystemConfig(
-            bus_beat_bytes=cache.bus_beat_bytes,
-            l2=cache.l2,
-            dram=self.dram_component.dram,
-        )
+        return self.tiles[0].gemmini.clock_ghz
 
     # -- fleet physical totals ------------------------------------------- #
 
@@ -317,7 +211,7 @@ class SoCDesign:
         kwargs = {"tech": tech} if tech is not None else {}
         return sum(
             c.count * accelerator_area(c.gemmini, cpu=c.cpu.name, **kwargs).total / 1e6
-            for c in self.tile_components
+            for c in self.tiles
         )
 
     def power_mw(self, tech=None) -> float:
@@ -327,7 +221,7 @@ class SoCDesign:
         kwargs = {"tech": tech} if tech is not None else {}
         return sum(
             c.count * power_mw(c.gemmini, frequency_ghz=c.gemmini.clock_ghz, **kwargs)
-            for c in self.tile_components
+            for c in self.tiles
         )
 
     # -- serialisation ---------------------------------------------------- #
@@ -335,7 +229,8 @@ class SoCDesign:
     def to_dict(self) -> dict:
         out: dict = {
             "name": self.name,
-            "components": [c.to_dict() for c in self.components],
+            "tiles": [c.to_dict() for c in self.tiles],
+            "mem": asdict(self.mem),
             "global_ptw": self.global_ptw,
             "scattered_pages": self.scattered_pages,
         }
@@ -347,16 +242,19 @@ class SoCDesign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SoCDesign":
-        components = []
-        for entry in data.get("components", []):
-            kind = entry.get("kind")
-            if kind not in _COMPONENT_KINDS:
-                raise DesignError(
-                    f"unknown component kind {kind!r}; known: {sorted(_COMPONENT_KINDS)}"
-                )
-            components.append(_COMPONENT_KINDS[kind].from_dict(entry))
+        """Inverse of :meth:`to_dict`; a missing ``mem`` (or any key of it)
+        takes the :class:`~repro.mem.hierarchy.MemorySystemConfig` default."""
+        if "tiles" not in data:
+            raise DesignError("design needs a 'tiles' list of tile components")
+        mem = data.get("mem") or {}
+        l2 = mem.get("l2", {})
         return cls(
-            components=tuple(components),
+            tiles=tuple(TileComponent.from_dict(entry) for entry in data["tiles"]),
+            mem=MemorySystemConfig(
+                bus_beat_bytes=int(mem.get("bus_beat_bytes", 16)),
+                l2=CacheConfig(**l2) if l2 is not None else None,
+                dram=DRAMConfig(**mem.get("dram", {})),
+            ),
             name=data.get("name", "soc"),
             global_ptw=bool(data.get("global_ptw", True)),
             scattered_pages=bool(data.get("scattered_pages", True)),
@@ -371,8 +269,6 @@ class SoCDesign:
     def from_json(cls, text: str) -> "SoCDesign":
         return cls.from_dict(json.loads(text))
 
-    # -- convenience constructors ----------------------------------------- #
-
     @classmethod
     def homogeneous(
         cls,
@@ -383,24 +279,12 @@ class SoCDesign:
         os: OSConfig | None = None,
         **kwargs,
     ) -> "SoCDesign":
-        """The old one-config-times-N SoC, as a single-tile-class design."""
-        if num_tiles < 1:
-            raise DesignError("num_tiles must be >= 1")
-        mem = mem or MemorySystemConfig()
-        return cls(
-            components=(
-                TileComponent(
-                    gemmini=gemmini or default_config(),
-                    cpu=cpu,
-                    os=os or OSConfig(),
-                    count=num_tiles,
-                ),
-                CacheComponent(l2=mem.l2, bus_beat_bytes=mem.bus_beat_bytes),
-                DRAMComponent(dram=mem.dram),
-            ),
-            **kwargs,
+        """One config stamped ``num_tiles`` times: a single-tile-class design."""
+        tile = TileComponent(
+            gemmini=gemmini or default_config(), cpu=cpu, os=os or OSConfig(), count=num_tiles
         )
+        return cls(tiles=(tile,), mem=mem or MemorySystemConfig(), **kwargs)
 
     def describe(self) -> str:
-        tiles = " + ".join(c.describe() for c in self.tile_components)
+        tiles = " + ".join(c.describe() for c in self.tiles)
         return f"{self.name}: {tiles}"

@@ -6,10 +6,11 @@ all tiles share the system bus, the L2 cache, the DRAM channel, and —
 matching the Section V-A design point — optionally a single page-table
 walker.
 
-Tiles are built from a :class:`~repro.soc.components.SoCDesign` component
-list, so heterogeneous big/little accelerator mixes are first-class: each
-:class:`~repro.soc.components.TileComponent` contributes ``count`` tiles
-carrying its own accelerator config, host CPU and OS model.
+An SoC is built from a :class:`~repro.soc.components.SoCDesign`, so
+heterogeneous big/little accelerator mixes are first-class: each
+:class:`~repro.soc.components.TileComponent` in ``design.tiles``
+contributes ``count`` tiles carrying its own accelerator config, host CPU
+and OS model, and ``design.mem`` configures the one shared memory system.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class SoCTile:
         vm: VirtualMemory,
         host: HostMemory,
         os_model: OSModel,
-        component: TileComponent | None = None,
+        component: TileComponent,
     ) -> None:
         self.index = index
         self.name = f"tile{index}"
@@ -46,9 +47,7 @@ class SoCTile:
         self.host = host
         self.os = os_model
         #: the design component this tile was stamped from
-        self.component = component or TileComponent(
-            gemmini=accel.config, cpu=cpu, os=os_model.config
-        )
+        self.component = component
 
     @property
     def config_hash(self) -> str:
@@ -78,7 +77,7 @@ class SoC:
         if design is None:
             design = SoCDesign.homogeneous()
         self.design = design
-        self.mem = MemorySystem(design.mem_config())
+        self.mem = MemorySystem(design.mem)
         self._global_ptw = Timeline("soc.ptw") if design.global_ptw else None
         self.tiles: list[SoCTile] = []
         for index, component in enumerate(design.expand()):

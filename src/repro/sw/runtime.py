@@ -6,9 +6,12 @@ accelerator layers become macro-op streams on the tile's decoupled
 controller, CPU layers advance the clock by the host model's kernel cost,
 and OS quantum expiry injects context-switch overhead and TLB flushes.
 
-``run_generator`` yields the tile-local clock after every macro-op, which is
-what :func:`repro.sim.engine.lockstep_merge` interleaves for the paper's
-dual-core contention experiments.
+``run_generator`` yields the tile's dispatch clock (``controller.now``)
+after every macro-op, which is what :func:`repro.sim.engine.lockstep_merge`
+interleaves for the paper's dual-core contention experiments.  That clock
+trails the times the issued ops book the shared bus, L2 and DRAM, and
+shared timelines book in call order, so tiles reach shared state in
+dispatch order rather than global time order (ROADMAP item M).
 """
 
 from __future__ import annotations

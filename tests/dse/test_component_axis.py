@@ -64,7 +64,7 @@ class TestPointToDesign:
     def test_shared_axes_overlay_every_tile(self):
         point = {**mix(("big", 1), ("little", 1)), "dataflow": "OS"}
         design = point_to_design(point)
-        assert all(c.gemmini.dataflow.name == "OS" for c in design.tile_components)
+        assert all(c.gemmini.dataflow.name == "OS" for c in design.tiles)
 
     def test_clock_override(self):
         design = point_to_design(mix(("little", 1)), clock_ghz=1.5)

@@ -109,6 +109,8 @@ def _big_little():
 
 def serve_cases() -> dict:
     """Serving case name -> (TrafficProfile, extra ``simulate_serving`` kwargs)."""
+    from repro.soc.components import SoCDesign
+
     # The contended two-tenant FCFS study: an open-loop and a closed-loop
     # tenant sharing one L2/DRAM across two tiles.
     study = _profile(
@@ -153,7 +155,7 @@ def serve_cases() -> dict:
         "geometry_8x1": (
             _profile(1, _tenant("t0", arrival="closed", num_requests=3, concurrency=2,
                                 think_ms=0.25), second, seed=6),
-            {"gemmini": default_config().with_geometry(8, 1)},
+            {"design": SoCDesign.homogeneous(gemmini=default_config().with_geometry(8, 1))},
         ),
         "big_little_sjf": (
             _profile(1, _tenant("a", rate_qps=150.0),

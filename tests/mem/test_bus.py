@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.mem.bus import SystemBus
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 
 
@@ -14,8 +13,8 @@ def make_bus(beat_bytes=16):
 
 class TestSystemBus:
     def test_width_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            SystemBus(beat_bytes=12)
+        with pytest.raises(ValueError, match="power of two"):
+            MemorySystemConfig(bus_beat_bytes=12)
 
     def test_transfer_time(self):
         mem, bus = make_bus(beat_bytes=16)

@@ -1,6 +1,6 @@
-"""Heterogeneous (component-built) cluster serving guarantees.
+"""Heterogeneous (big/little) cluster serving guarantees.
 
-Three contracts layered on top of the homogeneous serving tests:
+Two contracts layered on top of the homogeneous serving tests:
 
 * **Cost-aware dispatch** — SJF consults each tile's *own* analytic cost
   through the bound per-tile oracle, so on a big/little SoC large-layer
@@ -10,8 +10,6 @@ Three contracts layered on top of the homogeneous serving tests:
   but replay strictly per physical tile (traces embed per-asid address
   streams), and pinned-tenant parity tolerances match the homogeneous
   contended contract.
-* **Legacy equivalence** — a homogeneous component design serves bitwise
-  identically to the same cluster built from the old kwargs.
 """
 
 import pytest
@@ -21,7 +19,7 @@ from repro.serve import TenantSpec, TrafficProfile, simulate_serving
 from repro.serve.cluster import ServingSimulation, estimate_service_cycles
 from repro.serve.request import Request
 from repro.serve.scheduler import SJFScheduler
-from repro.soc import CacheComponent, DRAMComponent, SoCDesign, TileComponent
+from repro.soc import SoCDesign, TileComponent
 
 MODEL = dict(model="squeezenet", input_hw=32)
 
@@ -37,11 +35,9 @@ def tenant(name="t", qps=150.0, n=6, **overrides):
 
 def big_little(little_count: int = 1) -> SoCDesign:
     return SoCDesign(
-        components=(
+        tiles=(
             TileComponent(gemmini=BIG, name="big"),
             TileComponent(gemmini=LITTLE, count=little_count, name="little"),
-            CacheComponent(),
-            DRAMComponent(),
         ),
         name="big-little",
     )
@@ -162,14 +158,3 @@ class TestHeterogeneousReplay:
         for name in ("gemmini1", "gemmini2"):
             assert l2_keys.get(f"hits_{name}", 0) + l2_keys.get(f"misses_{name}", 0) > 0
 
-    def test_homogeneous_design_matches_legacy_kwargs_bitwise(self):
-        """The component path is the old path for homogeneous clusters:
-        same requests, same counters, bit for bit."""
-        profile = TrafficProfile(tenants=(tenant("a", slo_ms=15.0),), num_tiles=2, seed=0)
-        design = SoCDesign.homogeneous(gemmini=default_config(), num_tiles=2)
-        via_design = simulate_serving(profile, design=design)
-        via_kwargs = simulate_serving(profile, gemmini=default_config())
-        assert via_design.records == via_kwargs.records
-        assert via_design.replayed == via_kwargs.replayed
-        assert via_design.makespan_cycles == via_kwargs.makespan_cycles
-        assert via_design.dram_bytes == via_kwargs.dram_bytes

@@ -20,6 +20,7 @@ from repro.serve.cluster import (
     ServingSimulation,
     estimate_service_cycles,
 )
+from repro.soc.components import SoCDesign
 from repro.soc.os_model import OSConfig
 
 MODEL = dict(model="squeezenet", input_hw=32)
@@ -136,7 +137,7 @@ class TestReplayGating:
         """The OS time-slice model is absolute-time dependent; replay must
         not engage."""
         profile = TrafficProfile(tenants=(tenant("a", n=4),), num_tiles=1, seed=0)
-        sim = ServingSimulation(profile, os=OSConfig(enabled=True))
+        sim = ServingSimulation(profile, design=SoCDesign.homogeneous(os=OSConfig(enabled=True)))
         assert not sim.replay
         result = sim.run()
         assert result.replayed == 0

@@ -1,4 +1,4 @@
-"""Unit tests for the component-based SoC design layer."""
+"""Unit tests for the SoC design layer: tile classes around one shared memory."""
 
 import pytest
 
@@ -7,30 +7,20 @@ from repro.core.generator import SoftwareParams
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import MemorySystemConfig
 from repro.models import build_model
-from repro.soc import (
-    ROCKET,
-    CacheComponent,
-    DesignError,
-    DRAMComponent,
-    SoC,
-    SoCDesign,
-    TileComponent,
-)
+from repro.soc import ROCKET, DesignError, SoC, SoCDesign, TileComponent
 from repro.sw.compiler import compile_graph
 from repro.sw.runtime import Runtime
 
 
 def big_little(little_count: int = 2) -> SoCDesign:
     return SoCDesign(
-        components=(
+        tiles=(
             TileComponent(gemmini=default_config().with_geometry(32, 1), name="big"),
             TileComponent(
                 gemmini=default_config().with_geometry(8, 1),
                 count=little_count,
                 name="little",
             ),
-            CacheComponent(),
-            DRAMComponent(),
         ),
         name="big-little",
     )
@@ -73,13 +63,12 @@ class TestTileComponent:
 class TestSoCDesign:
     def test_needs_a_tile(self):
         with pytest.raises(DesignError, match="TileComponent"):
-            SoCDesign(components=(CacheComponent(),))
+            SoCDesign(tiles=(), mem=MemorySystemConfig())
 
-    def test_at_most_one_cache_and_dram(self):
-        with pytest.raises(DesignError):
-            SoCDesign(components=(TileComponent(), CacheComponent(), CacheComponent()))
-        with pytest.raises(DesignError):
-            SoCDesign(components=(TileComponent(), DRAMComponent(), DRAMComponent()))
+    def test_missing_mem_takes_defaults(self):
+        design = SoCDesign.from_dict({"tiles": [{}]})
+        assert design.mem == MemorySystemConfig()
+        assert design == SoCDesign(tiles=(TileComponent(),))
 
     def test_expand_orders_tiles(self):
         design = big_little(little_count=2)
@@ -92,23 +81,22 @@ class TestSoCDesign:
 
         fast = replace(default_config(), clock_ghz=2.0)
         with pytest.raises(DesignError, match="clock"):
-            SoCDesign(components=(TileComponent(), TileComponent(gemmini=fast)))
+            SoCDesign(tiles=(TileComponent(), TileComponent(gemmini=fast)))
 
     def test_area_budget_enforced(self):
         with pytest.raises(DesignError, match="area"):
             SoCDesign(
-                components=(TileComponent(gemmini=default_config().with_geometry(32, 1)),),
+                tiles=(TileComponent(gemmini=default_config().with_geometry(32, 1)),),
                 area_budget_mm2=0.5,
             )
 
     def test_json_round_trip(self):
         design = SoCDesign(
-            components=(
+            tiles=(
                 TileComponent(gemmini=default_config().with_geometry(32, 1), name="big"),
                 TileComponent(cpu="boom", count=2, name="little"),
-                CacheComponent(l2=CacheConfig(size_bytes=2 << 20)),
-                DRAMComponent(),
             ),
+            mem=MemorySystemConfig(bus_beat_bytes=32, l2=CacheConfig(size_bytes=2 << 20)),
             name="rt",
             area_budget_mm2=50.0,
         )
@@ -116,15 +104,15 @@ class TestSoCDesign:
 
     def test_round_trip_custom_cpu(self):
         design = SoCDesign(
-            components=(TileComponent(cpu=ROCKET.scaled(2.0, name="turbo")),)
+            tiles=(TileComponent(cpu=ROCKET.scaled(2.0, name="turbo")),)
         )
         again = SoCDesign.from_dict(design.to_dict())
-        assert again.tile_components[0].cpu.name == "turbo"
+        assert again.tiles[0].cpu.name == "turbo"
         assert again == design
 
     def test_no_l2_design(self):
-        design = SoCDesign(components=(TileComponent(), CacheComponent(l2=None)))
-        assert SoCDesign.from_json(design.to_json()).cache_component.l2 is None
+        design = SoCDesign(tiles=(TileComponent(),), mem=MemorySystemConfig(l2=None))
+        assert SoCDesign.from_json(design.to_json()).mem.l2 is None
 
     def test_heterogeneous_soc_builds(self):
         soc = SoC(big_little())
@@ -137,20 +125,14 @@ class TestSoCDesign:
 
 
 class TestHomogeneousParity:
-    """The homogeneous shorthand must equal the explicit component list."""
+    """The homogeneous shorthand must equal the explicit tiles + mem design."""
 
     def test_homogeneous_run_is_bitwise_identical(self):
         gemmini = default_config().with_im2col(True)
         mem = MemorySystemConfig(l2=CacheConfig(size_bytes=1 << 20))
         legacy_soc = SoC(SoCDesign.homogeneous(gemmini=gemmini, mem=mem, num_tiles=1))
         component_soc = SoC(
-            SoCDesign(
-                components=(
-                    TileComponent(gemmini=gemmini),
-                    CacheComponent(l2=mem.l2, bus_beat_bytes=mem.bus_beat_bytes),
-                    DRAMComponent(dram=mem.dram),
-                )
-            )
+            SoCDesign(tiles=(TileComponent(gemmini=gemmini),), mem=mem)
         )
         graph = build_model("squeezenet", input_hw=32)
         compiled = compile_graph(graph, SoftwareParams.from_config(gemmini))

@@ -23,19 +23,19 @@ class TestSoC:
 
     def test_per_tile_cpu_mix(self):
         design = SoCDesign(
-            components=(TileComponent(cpu="rocket"), TileComponent(cpu="boom"))
+            tiles=(TileComponent(cpu="rocket"), TileComponent(cpu="boom"))
         )
         soc = SoC(design)
         assert soc.tiles[0].cpu.name == "rocket"
         assert soc.tiles[1].cpu.name == "boom"
 
     def test_global_ptw_shared(self):
-        design = SoCDesign(components=(TileComponent(count=2),), global_ptw=True)
+        design = SoCDesign(tiles=(TileComponent(count=2),), global_ptw=True)
         soc = SoC(design)
         assert soc.tiles[0].accel.xlat.ptw is soc.tiles[1].accel.xlat.ptw
 
     def test_per_tile_ptw(self):
-        design = SoCDesign(components=(TileComponent(count=2),), global_ptw=False)
+        design = SoCDesign(tiles=(TileComponent(count=2),), global_ptw=False)
         soc = SoC(design)
         assert soc.tiles[0].accel.xlat.ptw is not soc.tiles[1].accel.xlat.ptw
 

@@ -1,8 +1,11 @@
 """CLI tests: every subcommand through the public entry point."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.soc import SoCDesign
 
 
 class TestGenerate:
@@ -78,6 +81,63 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestSocSpec:
+    @staticmethod
+    def write(tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def example(self, capsys, tmp_path):
+        assert main(["soc-spec", "--example"]) == 0
+        return self.write(tmp_path, "design.json", capsys.readouterr().out)
+
+    def test_example_validates(self, capsys, tmp_path):
+        path = self.example(capsys, tmp_path)
+        assert main(["soc-spec", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("big*1+little*2: ")
+        assert "tiles: 3 at" in out
+
+    def test_emitted_json_revalidates_to_an_equal_design(self, capsys, tmp_path):
+        path = self.example(capsys, tmp_path)
+        assert main(["soc-spec", path, "--emit"]) == 0
+        out = capsys.readouterr().out
+        emitted = out[out.index("\n{\n") + 1:]
+        again = self.write(tmp_path, "again.json", emitted)
+        assert main(["soc-spec", again]) == 0
+        with open(path) as original:
+            assert SoCDesign.from_json(emitted) == SoCDesign.from_json(original.read())
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ({"name": "old", "components": [{"kind": "tile"}]}, "'tiles'"),
+            ({"tiles": [{}], "mem": {"bus_beat_bytes": 24}}, "power of two"),
+            ({"tiles": ["big"]}, "'str'"),
+        ],
+        ids=["no_tiles", "bus_width", "tile_not_an_object"],
+    )
+    def test_invalid_file_exits_1(self, capsys, tmp_path, payload, reason):
+        path = self.write(tmp_path, "bad.json", json.dumps(payload))
+        assert main(["soc-spec", path]) == 1
+        err = capsys.readouterr().err
+        assert "invalid design" in err and reason in err
+        with pytest.raises(SystemExit):
+            main(["serve", "--design", path, "--tenant", "model=squeezenet", "--no-ledger"])
+        assert "invalid design" in capsys.readouterr().err
+
+    def test_serve_runs_the_example_design(self, capsys, tmp_path):
+        path = self.example(capsys, tmp_path)
+        assert main([
+            "serve", "--design", path, "--no-ledger",
+            "--tenant", "model=squeezenet,qps=200,requests=3,input_hw=32",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "design: big*1+little*2: " in out
+        assert "3/3 served" in out
 
 
 class TestDse:
