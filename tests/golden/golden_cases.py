@@ -2,7 +2,7 @@
 
 Each case is a small fixed simulation whose outputs this repository
 reproduces: serving request logs under shared-L2/DRAM contention, per-model
-cycles and memory counters, a DSE front, the analytic cost models (DSE
+cycles and memory counters, the two-core Figure 9 runs, a DSE front, the analytic cost models (DSE
 metrics, area, power, fmax, energy, service-cycle estimates), a
 tuned-schedule table and the run-ledger record each simulating CLI command
 writes.  :func:`fingerprint`
@@ -303,6 +303,21 @@ def trace_values() -> dict:
     }
 
 
+def fig9_values() -> dict:
+    """``run_fig9`` of squeezenet at 32 px on two cores: the multi-tile driver."""
+    from repro.eval.experiments import run_fig9
+
+    result = run_fig9(input_hw=32, core_counts=(2,), model="squeezenet")
+    return {
+        run.config_name: {
+            "total_cycles": run.total_cycles,
+            "cycles_by_kind": run.cycles_by_kind,
+            "l2_miss_rate": run.l2_miss_rate,
+        }
+        for run in result.runs
+    }
+
+
 def tune_values() -> dict:
     """The tuned-schedule table of squeezenet at 32 px, one row per shape."""
     from repro.sw.tune import tune_matmul
@@ -505,7 +520,7 @@ def cli_values(command: str) -> dict:
 CASES = (
     tuple(f"serve/{name}" for name in serve_cases())
     + tuple(f"run/{name}" for name in (*RUN_MODELS, *RUN_VARIANTS))
-    + ("trace/squeezenet", "tune/squeezenet", "dse/evolutionary", "analytic/models")
+    + ("trace/squeezenet", "fig9/squeezenet_two_core", "tune/squeezenet", "dse/evolutionary", "analytic/models")
     + tuple(f"cli/{name}" for name in CLI_CASES)
 )
 
@@ -524,6 +539,8 @@ def fingerprint(case: str) -> dict:
         return run_values(name)
     if kind == "trace":
         return trace_values()
+    if kind == "fig9":
+        return fig9_values()
     if kind == "tune":
         return tune_values()
     if kind == "dse":
