@@ -4,8 +4,9 @@
 Given 1 MB of spare SRAM, should it go to the accelerators' private
 scratchpads or to the shared L2?  Runs ResNet-50 on single- and dual-core
 SoCs under the three Figure 9 configurations and prints per-layer-type
-speedups — the dual-core runs execute truly concurrently, contending for
-the shared L2 and DRAM channel through lockstep event interleaving.
+speedups — the dual-core runs execute concurrently, contending for the
+shared L2 and DRAM channel: one event loop steps whichever core's dispatch
+clock is furthest behind.
 """
 
 import argparse

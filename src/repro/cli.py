@@ -621,17 +621,21 @@ def _traffic_from_args(args, parser_error) -> "TrafficProfile | None":
             f"{objectives} (add e.g. p99_latency_ms or qps_per_watt)"
         )
         return None
-    tenants = tuple(
-        parse_tenant(text, default_name=f"tenant{i}") for i, text in enumerate(args.traffic)
-    )
-    return TrafficProfile(
-        tenants=tenants,
-        num_tiles=args.serve_tiles,
-        scheduler=args.serve_scheduler,
-        seed=args.seed,
-        batch_size=args.serve_batch_size,
-        batch_window_ms=args.serve_batch_window_ms,
-    )
+    try:
+        tenants = tuple(
+            parse_tenant(text, default_name=f"tenant{i}")
+            for i, text in enumerate(args.traffic)
+        )
+        return TrafficProfile(
+            tenants=tenants,
+            num_tiles=args.serve_tiles,
+            scheduler=args.serve_scheduler,
+            seed=args.seed,
+            batch_size=args.serve_batch_size,
+            batch_window_ms=args.serve_batch_window_ms,
+        )
+    except ValueError as exc:
+        parser_error(f"invalid traffic: {exc}")
 
 
 def cmd_dse(args, run: _RunContext) -> int:
@@ -740,9 +744,6 @@ def cmd_serve(args, run: _RunContext) -> int:
     )
     from repro.soc.components import SoCDesign
 
-    if args.horizon_hours is not None and args.horizon_ms is not None:
-        args.parser.error("pass --horizon-ms or --horizon-hours, not both")
-
     design = None
     if args.design:
         from pathlib import Path
@@ -758,27 +759,27 @@ def cmd_serve(args, run: _RunContext) -> int:
             )
         args.tiles = design.num_tiles
     config = _config_from_args(args)
-    horizon_ms = args.horizon_ms
-    if args.horizon_hours is not None:
-        horizon_ms = args.horizon_hours * 3_600_000.0
     profile_kwargs = dict(
         num_tiles=args.tiles,
         scheduler=args.scheduler,
         seed=args.seed,
-        horizon_ms=horizon_ms,
+        horizon_ms=args.horizon_ms,
         batch_size=args.batch_size,
         batch_window_ms=args.batch_window_ms,
     )
-    if args.trace:
-        profile = load_trace_profile(args.trace, **profile_kwargs)
-    else:
-        if not args.tenant:
-            args.parser.error("serve needs at least one --tenant (or --trace FILE)")
-        tenants = tuple(
-            parse_tenant(text, default_name=f"tenant{i}")
-            for i, text in enumerate(args.tenant)
-        )
-        profile = TrafficProfile(tenants=tenants, **profile_kwargs)
+    if not args.trace and not args.tenant:
+        args.parser.error("serve needs at least one --tenant (or --trace FILE)")
+    try:
+        if args.trace:
+            profile = load_trace_profile(args.trace, **profile_kwargs)
+        else:
+            tenants = tuple(
+                parse_tenant(text, default_name=f"tenant{i}")
+                for i, text in enumerate(args.tenant)
+            )
+            profile = TrafficProfile(tenants=tenants, **profile_kwargs)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        args.parser.error(f"invalid traffic: {exc}")
 
     clock_ghz = design.clock_ghz if design is not None else config.clock_ghz
     run.observe(profile.seed, clock_ghz)
@@ -790,9 +791,6 @@ def cmd_serve(args, run: _RunContext) -> int:
         replay=not args.no_replay,
         tracer=run.tracer,
         metrics=run.metrics,
-        record_mode=args.record_mode or (
-            "stream" if args.horizon_hours is not None else "exact"
-        ),
         schedule_cache=run.schedule_cache,
     )
     with run.timed():
@@ -1266,21 +1264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=0, help="traffic RNG seed")
     p_serve.add_argument(
         "--horizon-ms", type=float, default=None, help="stop issuing work at this time"
-    )
-    p_serve.add_argument(
-        "--horizon-hours",
-        type=float,
-        default=None,
-        help="long-horizon mode: stop issuing at this simulated wall-clock "
-        "time; implies --record-mode stream (O(in-flight) memory)",
-    )
-    p_serve.add_argument(
-        "--record-mode",
-        choices=("exact", "stream"),
-        default=None,
-        help="per-request record retention: exact histograms + full request "
-        "log (default) or streaming P2 latency sketches with no record list "
-        "(default under --horizon-hours)",
     )
     p_serve.add_argument("--batch-size", type=int, default=4, help="batch scheduler: batch size")
     p_serve.add_argument(

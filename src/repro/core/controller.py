@@ -150,7 +150,7 @@ class Controller:
         """Dispatch a single op; returns its completion time.
 
         Public so multi-core runtimes can interleave op issue across cores
-        (see :func:`repro.sim.engine.lockstep_merge`).  The interleaving is
+        (see :class:`repro.sim.engine.EventLoop`).  The interleaving is
         by dispatch clock, not by the times the op books the shared bus, L2
         and DRAM; those bookings are made in call order, so ops of different
         cores do not reach shared state in global time order (ROADMAP item M).

@@ -17,7 +17,7 @@ from repro.dse.engine import (
     default_cache_dir,
     shared_hypervolume,
 )
-from repro.dse.batch import ConfigColumns, group_by_components
+from repro.dse.batch import ConfigColumns
 from repro.dse.export import export_csv, export_json, front_table, result_to_dict
 from repro.dse.objectives import (
     OBJECTIVES,
@@ -92,7 +92,6 @@ __all__ = [
     "model_workload",
     "parse_objectives",
     "ConfigColumns",
-    "group_by_components",
     "MetricBound",
     "ParetoArchive",
     "crowding_distance",

@@ -23,25 +23,7 @@ import numpy as np
 
 from repro.core.config import GemminiConfig
 
-__all__ = ["ConfigColumns", "group_by_components"]
-
-
-def group_by_components(points: list[dict]) -> dict:
-    """Group point indices by their component signature (the structural mix).
-
-    Points without a ``components`` axis land under the ``None`` key — they
-    are single-accelerator points and columnise directly.  Points sharing a
-    mix signature share their per-preset sub-configs, so the evaluator
-    scores each unique tile class once per batch instead of once per fleet.
-    """
-    from repro.dse.space import COMPONENTS_KEY
-
-    groups: dict = {}
-    for index, point in enumerate(points):
-        mix = point.get(COMPONENTS_KEY)
-        key = None if mix is None else tuple(mix)
-        groups.setdefault(key, []).append(index)
-    return groups
+__all__ = ["ConfigColumns"]
 
 
 @dataclass(frozen=True)

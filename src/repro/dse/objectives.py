@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.config import GemminiConfig
 from repro.core.generator import SoftwareParams
 from repro.core.spatial_array import matmul_cycles
-from repro.dse.batch import ConfigColumns, group_by_components
+from repro.dse.batch import ConfigColumns
 from repro.dse.space import COMPONENTS_KEY, TILE_PRESETS, point_key, point_to_config
 from repro.physical.area import accelerator_area
 from repro.physical.energy import estimate_energy
@@ -495,9 +495,8 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
 
     Plain points are scored together by one column pass (see
     :func:`_evaluate_plain`).  Structural points (the ``components`` axis)
-    describe whole heterogeneous fleets: they are grouped by component
-    signature (:func:`~repro.dse.batch.group_by_components`) and split into
-    per-tile-class sub-rows; the unique sub-rows — one per tile class per
+    describe whole heterogeneous fleets: each is split, in index order,
+    into per-tile-class sub-rows; the unique sub-rows — one per tile class per
     shared-axis combination, however many fleets reference it — are scored
     in one more column pass under :func:`_component_spec`, and each fleet
     is then aggregated by :func:`_aggregate_fleet`.  A point scores the
@@ -506,23 +505,23 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     workers and cache under content-hash keys.
     """
     points = list(points)
-    groups = group_by_components(points)
-    plain = groups.pop(None, [])
+    plain, structural = [], []
+    for index, point in enumerate(points):
+        (plain if point.get(COMPONENTS_KEY) is None else structural).append(index)
     out: "list[Evaluation]" = [None] * len(points)
     if plain:
         for index, evaluation in zip(plain, _evaluate_plain([points[i] for i in plain], spec)):
             out[index] = evaluation
-    if groups:
+    if structural:
         sub_rows: dict = {}  # row key -> row dict, insertion-ordered
         per_point: dict = {}  # point index -> [(preset, count, row key), ...]
-        for indices in groups.values():
-            for index in indices:
-                keyed = []
-                for preset, count, row in _structural_rows(points[index]):
-                    key = point_key(row)
-                    sub_rows.setdefault(key, row)
-                    keyed.append((preset, count, key))
-                per_point[index] = keyed
+        for index in structural:
+            keyed = []
+            for preset, count, row in _structural_rows(points[index]):
+                key = point_key(row)
+                sub_rows.setdefault(key, row)
+                keyed.append((preset, count, key))
+            per_point[index] = keyed
         scored = _evaluate_plain(list(sub_rows.values()), _component_spec(spec))
         row_evals = dict(zip(sub_rows, scored))
         for index, keyed in per_point.items():

@@ -25,7 +25,7 @@ from repro.models.zoo import build_model, model_size_kwargs
 from repro.physical.area import AreaBreakdown, accelerator_area
 from repro.physical.power import spatial_array_power_mw
 from repro.physical.timing import max_frequency_ghz
-from repro.sim.engine import lockstep_merge
+from repro.sim.engine import EventLoop
 from repro.soc.cpu import BOOM, ROCKET
 from repro.soc.components import SoCDesign
 from repro.soc.soc import SoC, make_soc
@@ -418,7 +418,10 @@ def run_fig9(
             for tile in soc.tiles:
                 compiled = _compile_for(soc, model, input_hw=input_hw)
                 runtimes.append(Runtime(tile, compiled, sync_per_layer=True))
-            ends = lockstep_merge([rt.run_generator() for rt in runtimes])
+            loop = EventLoop()
+            for rt in runtimes:
+                loop.add(rt.run_generator().__next__)
+            loop.run()
             results: list[RunResult] = [rt.result for rt in runtimes]
             by_kind: dict[str, float] = {}
             for result in results:
@@ -428,7 +431,7 @@ def run_fig9(
                 Fig9Run(
                     config_name=name,
                     cores=cores,
-                    total_cycles=max(ends),
+                    total_cycles=max(loop.finished.values()),
                     cycles_by_kind=by_kind,
                     l2_miss_rate=soc.l2_miss_rate(),
                 )

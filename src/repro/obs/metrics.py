@@ -119,9 +119,8 @@ class LatencySketch:
     """A fixed-size value digest: exact count/mean/extrema + P² quantiles.
 
     The one streaming distribution: :class:`MetricStream` keeps one per
-    observed name, and the serving report's stream mode keeps one per
-    tenant.  Duck-types the slice of :class:`~repro.sim.stats.Histogram`
-    the report needs (``record``/``mean``/``max``/``min``/``percentile``)
+    observed name.  Offers the slice of :class:`~repro.sim.stats.Histogram`
+    a reader needs (``record``/``mean``/``max``/``min``/``percentile``)
     while holding five markers per tracked quantile instead of one bucket
     per distinct value.  Exact below five observations (P² keeps the sorted
     prefix), a few percent on tail quantiles beyond.

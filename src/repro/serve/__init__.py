@@ -5,18 +5,18 @@ per-tenant arrival sources (:mod:`repro.serve.workload`) stream requests
 on demand, dispatch policies (:mod:`repro.serve.scheduler`) pick what
 runs next, and an incremental event-queue engine
 (:mod:`repro.serve.cluster`) steps whichever tile is furthest behind so
-queueing composes with shared L2/DRAM/TLB contention while holding only
-O(in-flight + tenants) state; golden fingerprints (``tests/golden/``) pin
-its request logs.  Tail-latency/goodput/fairness
-SLO metrics fold online (:mod:`repro.serve.metrics` — exact histograms or
-streaming P2 sketches).  Results export to
+queueing composes with shared L2/DRAM/TLB contention while tracking only
+O(in-flight + tenants) pending requests; golden fingerprints
+(``tests/golden/``) pin its request logs.  Every completed request keeps
+its record, and the tail-latency/goodput/fairness SLO report
+(:mod:`repro.serve.metrics`) is built from them, with exact histograms,
+when the run ends.  Results export to
 JSON/CSV (:mod:`repro.serve.export`); the ``p99_latency_ms`` /
 ``goodput_qps`` / ``qps_per_watt`` / ``slo_violation_rate`` DSE
 objectives make a design point searchable *under a traffic profile*.
 """
 
 from repro.serve.cluster import (
-    RECORD_MODES,
     ServeResult,
     ServingSimulation,
     estimate_service_cycles,
@@ -29,8 +29,6 @@ from repro.serve.export import (
     serve_to_dict,
 )
 from repro.serve.metrics import (
-    LatencySketch,
-    ReportAccumulator,
     ServeReport,
     TenantMetrics,
     build_report,
@@ -61,16 +59,13 @@ from repro.serve.workload import (
 
 __all__ = [
     "ARRIVAL_KINDS",
-    "RECORD_MODES",
     "SCHEDULERS",
     "ArrivalSource",
     "BatchScheduler",
     "ClosedLoopSource",
     "FCFSScheduler",
-    "LatencySketch",
     "OpenLoopSource",
     "PriorityScheduler",
-    "ReportAccumulator",
     "Request",
     "RequestRecord",
     "RoundRobinScheduler",

@@ -13,9 +13,11 @@ paper's Figure 9c dual-controller study — here driven by open- or
 closed-loop traffic instead of a single run-to-completion.
 
 Arrivals are admitted *lazily*, one pending arrival per tenant pulled
-from the streaming :class:`~repro.serve.workload.ArrivalSource`s, and
-retired requests fold straight into the report accumulator, so peak
-memory is O(in-flight + tenants) rather than O(trace).
+from the streaming :class:`~repro.serve.workload.ArrivalSource`s, so the
+request state the engine tracks is O(in-flight + tenants) rather than
+O(trace).  Every retired request keeps its
+:class:`~repro.serve.request.RequestRecord`, and the SLO report is built
+once from those records when the run ends.
 
 Determinism: arrivals are seeded per tenant, schedulers tie-break on
 ``(arrival, tenant, index)``, and the event heap resolves equal clocks by
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.core.config import GemminiConfig
 from repro.obs.metrics import NULL_METRICS, MetricStream
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.serve.metrics import ReportAccumulator, ServeReport
+from repro.serve.metrics import ServeReport, build_report
 from repro.serve.request import ModelKey, Request, RequestRecord
 from repro.serve.scheduler import Scheduler, make_scheduler
 from repro.serve.workload import TenantSpec, TrafficProfile, make_source, requests_for
@@ -44,10 +46,6 @@ from repro.sw.runtime import Runtime
 from repro.sw.schedule_cache import ScheduleCache
 
 __all__ = ["ServeResult", "ServingSimulation", "simulate_serving", "estimate_service_cycles"]
-
-#: record retention: "exact" keeps every RequestRecord + exact histograms,
-#: "stream" retires records into P² sketches and keeps none
-RECORD_MODES = ("exact", "stream")
 
 #: Analytic service-cycle estimates keyed by (model, input_hw, seq, config).
 #: The estimate rebuilds the model graph and walks every layer's closed-form
@@ -97,9 +95,6 @@ class ServeResult:
     dram_bytes: int = 0
     #: requests served from a macro-op trace replay (0 with ``replay=False``)
     replayed: int = 0
-    #: retirements counted online; -1 means "derive from records" (manual
-    #: constructions) — streaming record mode keeps no records at all
-    completed_total: int = -1
     #: high-water mark of concurrently executing requests
     peak_inflight: int = 0
     #: high-water mark of tracked request state (arrival heap + ready
@@ -108,8 +103,6 @@ class ServeResult:
 
     @property
     def completed(self) -> int:
-        if self.completed_total >= 0:
-            return self.completed_total
         return len(self.records)
 
 
@@ -203,7 +196,7 @@ class _TileActor:
             if now is not None:
                 return now
             sim._retire(self)
-        while sim._completed + sim._inflight < sim._expected:
+        while len(sim._records) + sim._inflight < sim._expected:
             if sim._horizon is not None and self.clock >= sim._horizon:
                 break
             sim._arrivals.release(self.clock)
@@ -336,7 +329,6 @@ class ServingSimulation:
     the exact segment path ``MemorySystem.access``).  ``replay=False``
     forces every request down the recording (full-fidelity) path.
 
-    ``record_mode`` selects record retention (see :data:`RECORD_MODES`).
     A simulation runs once: :meth:`run` drains its arrival sources, so a
     second call raises.
     """
@@ -353,14 +345,8 @@ class ServingSimulation:
         replay: bool = True,
         tracer: Tracer | None = None,
         metrics: MetricStream | None = None,
-        record_mode: str = "exact",
         schedule_cache: ScheduleCache | None = None,
     ) -> None:
-        if record_mode not in RECORD_MODES:
-            raise ValueError(
-                f"record_mode must be one of {RECORD_MODES}, got {record_mode!r}"
-            )
-        self.record_mode = record_mode
         #: telemetry sinks — the null singletons keep every emission site
         #: an unconditional (no-op) call on the disabled path
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -525,11 +511,8 @@ class ServingSimulation:
         """Initialize run state: sources, arrival plumbing, tile actors."""
         profile = self.profile
         self._declare_lanes()
-        exact = self.record_mode == "exact"
-        self._records: list[RequestRecord] | None = [] if exact else None
-        self._accumulator = ReportAccumulator(profile.tenants, self.clock_ghz, exact=exact)
-        self._completed = 0
-        self._last_finish = 0.0
+        #: retirement order; the report's float sums fold in this order
+        self._records: list[RequestRecord] = []
         self._inflight = 0
         self._replayed = 0
         self.peak_inflight = 0
@@ -551,7 +534,7 @@ class ServingSimulation:
         self._start()
         loop = EventLoop()
         for actor in self._actors:  # tile order: equal clocks go to the lower tile
-            loop.add(actor)
+            loop.add(actor.step)
         loop.run()
         return self._build_result()
 
@@ -559,21 +542,22 @@ class ServingSimulation:
         # Makespan is the last completion; idle workers overshoot it by up
         # to one idle tick, so actor end clocks are only the empty-run
         # fallback.
-        if self._completed:
-            makespan = self._last_finish
+        records = self._records
+        if records:
+            makespan = max(record.finish for record in records)
         else:
             makespan = max((actor.clock for actor in self._actors), default=0.0)
-        if self.metrics and self._completed:
+        if self.metrics and records:
             # Close the stream on a final whole-run snapshot whatever the
             # tick cadence left pending.
             self._tick_metrics(makespan)
         dropped = self._count_dropped()
-        records = self._records if self._records is not None else []
-        report = self._accumulator.build(makespan, dropped)
         return ServeResult(
             profile=self.profile,
             records=sorted(records, key=lambda r: (r.finish, r.tenant, r.index)),
-            report=report,
+            report=build_report(
+                records, self.profile.tenants, self.clock_ghz, makespan, dropped
+            ),
             makespan_cycles=makespan,
             clock_ghz=self.clock_ghz,
             # Actually-generated requests: for a horizon-cut closed loop the
@@ -584,7 +568,6 @@ class ServingSimulation:
             l2_miss_rate=self.soc.l2_miss_rate(),
             dram_bytes=self.soc.mem.dram.bytes_moved,
             replayed=self._replayed,
-            completed_total=self._completed,
             peak_inflight=self.peak_inflight,
             peak_pending=self.peak_pending,
         )
@@ -646,8 +629,8 @@ class ServingSimulation:
         self._note_peak()
 
     def _retire(self, actor: _TileActor) -> None:
-        """Complete ``actor``'s in-flight request: record, observe and
-        trigger the closed-loop follow-up."""
+        """Complete ``actor``'s in-flight request: keep its record, book
+        its telemetry and trigger the closed-loop follow-up."""
         ctx = actor.inflight
         actor.stream = None
         actor.inflight = None
@@ -665,12 +648,7 @@ class ServingSimulation:
             finish=ctx.finish,
             slo_cycles=request.slo_cycles,
         )
-        self._completed += 1
-        if self._records is not None:
-            self._records.append(record)
-        self._accumulator.observe(record)
-        if record.finish > self._last_finish:
-            self._last_finish = record.finish
+        self._records.append(record)
         self._observe_completion(record, actor.tile_index, ctx.replayed)
         follow = self._sources[request.tenant].next_after_completion(ctx.finish)
         if follow is not None:
@@ -696,9 +674,10 @@ class ServingSimulation:
         for tenant in self._arrivals.drain():
             out[tenant] = out.get(tenant, 0) + 1
         issued = sum(source.issued for source in self._sources.values())
-        if self._completed + sum(out.values()) != issued:
+        completed = len(self._records)
+        if completed + sum(out.values()) != issued:
             raise RuntimeError(
-                f"request accounting broke: {self._completed} served + "
+                f"request accounting broke: {completed} served + "
                 f"{sum(out.values())} dropped != {issued} issued"
             )
         return out
@@ -768,7 +747,6 @@ def simulate_serving(
     replay: bool = True,
     tracer: Tracer | None = None,
     metrics: MetricStream | None = None,
-    record_mode: str = "exact",
     schedule_cache: ScheduleCache | None = None,
 ) -> ServeResult:
     """One-shot convenience: build the cluster, run the traffic, report.
@@ -781,10 +759,6 @@ def simulate_serving(
     ``replay=False`` forces every request down the per-macro-op recording
     path (the pre-trace behaviour) — the baseline the replay benchmarks and
     parity tests compare against.
-
-    ``record_mode="stream"`` retires records into P²
-    latency sketches instead of keeping them — the long-horizon memory
-    mode (``serve --horizon-hours``).
 
     ``tracer=``/``metrics=`` attach a :class:`~repro.obs.tracer.Tracer`
     (one span per request lifecycle, laned per tile) and a streaming
@@ -805,6 +779,5 @@ def simulate_serving(
         replay=replay,
         tracer=tracer,
         metrics=metrics,
-        record_mode=record_mode,
         schedule_cache=schedule_cache,
     ).run()

@@ -1,18 +1,10 @@
 """SLO metrics: tail latency, goodput, fairness, violation rates.
 
-Reports are built *online*: the cluster engine folds each retired
-:class:`~repro.serve.request.RequestRecord` into a
-:class:`ReportAccumulator` the moment the request completes, so the
-latency digests exist mid-flight and never require the full record list.
-Two digest modes share one report shape:
-
-* **exact** (default) — each tenant's latencies land in a
-  :class:`~repro.sim.stats.Histogram`; percentiles are exact.  This is
-  the mode tests and parity gates compare bitwise.
-* **stream** — latencies feed :class:`~repro.obs.metrics.LatencySketch`,
-  a fixed-size digest of P² quantile estimators, so hour-long horizons
-  with millions of requests hold O(tenants) metric state at a few-percent
-  tail accuracy.
+The cluster engine keeps every retired
+:class:`~repro.serve.request.RequestRecord` and :func:`build_report` folds
+them once, at the end of the run, into one exact
+:class:`~repro.sim.stats.Histogram` of latencies per tenant (and one for
+the aggregate), so every percentile is exact.
 
 Rates are reported in wall-clock units (ms, QPS) using the accelerator's
 reference clock.
@@ -22,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import LatencySketch
 from repro.serve.request import RequestRecord
 from repro.serve.workload import TenantSpec
 from repro.sim.stats import Histogram
 
 __all__ = [
-    "LatencySketch",
-    "ReportAccumulator",
     "TenantMetrics",
     "ServeReport",
     "jain_fairness",
@@ -54,7 +43,7 @@ class TenantMetrics:
     tenant: str
     completed: int
     dropped: int  # issued but unserved at the horizon
-    latency: Histogram | LatencySketch = field(repr=False)
+    latency: Histogram = field(repr=False)
     clock_ghz: float = 1.0
     span_cycles: float = 0.0  # simulated span rates are computed over
     slo_ms: float | None = None
@@ -153,93 +142,6 @@ class ServeReport:
         raise KeyError(name)
 
 
-class _TenantAccumulator:
-    """Running SLO state of one tenant (or the cluster-wide aggregate)."""
-
-    __slots__ = ("digest", "completed", "slo_met", "queue_total", "service_total")
-
-    def __init__(self, name: str, exact: bool) -> None:
-        cls = Histogram if exact else LatencySketch
-        self.digest = cls(f"{name}.latency")
-        self.completed = 0
-        self.slo_met = 0
-        self.queue_total = 0.0
-        self.service_total = 0.0
-
-    def observe(self, record: RequestRecord) -> None:
-        self.digest.record(int(round(record.latency_cycles)))
-        self.completed += 1
-        if record.slo_met:
-            self.slo_met += 1
-        self.queue_total += record.queue_cycles
-        self.service_total += record.service_cycles
-
-
-class ReportAccumulator:
-    """Builds a :class:`ServeReport` from retired records, one at a time.
-
-    The event-driven cluster engine folds each completion in as it
-    happens, so report state is O(tenants) and available mid-flight —
-    there is no "wait for the merge to finish, then aggregate the record
-    list" step.  ``exact=True`` (the default, and what :func:`build_report`
-    uses) keeps exact histograms; ``exact=False`` swaps in
-    :class:`~repro.obs.metrics.LatencySketch` digests for long-horizon runs that retire
-    records without keeping them.
-    """
-
-    def __init__(
-        self, tenants: tuple[TenantSpec, ...], clock_ghz: float, exact: bool = True
-    ) -> None:
-        self.tenants = tenants
-        self.clock_ghz = clock_ghz
-        self.exact = exact
-        self._per_tenant = {t.name: _TenantAccumulator(t.name, exact) for t in tenants}
-        self._overall = _TenantAccumulator("overall", exact)
-
-    def observe(self, record: RequestRecord) -> None:
-        """Fold one retired request into its tenant and the aggregate.
-
-        The overall digest is fed directly rather than merged from the
-        per-tenant ones at the end: exact histograms merge commutatively
-        so the result is identical, and P² estimators cannot merge at all.
-        """
-        self._per_tenant[record.tenant].observe(record)
-        self._overall.observe(record)
-
-    def build(
-        self, makespan_cycles: float, dropped: dict[str, int] | None = None
-    ) -> ServeReport:
-        """Freeze the running state into the SLO report."""
-        dropped = dropped or {}
-
-        def metrics(name: str, acc: _TenantAccumulator, slo_ms, drop) -> TenantMetrics:
-            return TenantMetrics(
-                tenant=name,
-                completed=acc.completed,
-                dropped=drop,
-                latency=acc.digest,
-                clock_ghz=self.clock_ghz,
-                span_cycles=makespan_cycles,
-                slo_ms=slo_ms,
-                slo_met=acc.slo_met,
-                queue_cycles_total=acc.queue_total,
-                service_cycles_total=acc.service_total,
-            )
-
-        per_tenant = [
-            metrics(t.name, self._per_tenant[t.name], t.slo_ms, dropped.get(t.name, 0))
-            for t in self.tenants
-        ]
-        overall = metrics("overall", self._overall, None, sum(dropped.values()))
-        return ServeReport(
-            tenants=per_tenant,
-            overall=overall,
-            fairness=jain_fairness([m.throughput_qps for m in per_tenant]),
-            makespan_cycles=makespan_cycles,
-            clock_ghz=self.clock_ghz,
-        )
-
-
 def build_report(
     records: list[RequestRecord],
     tenants: tuple[TenantSpec, ...],
@@ -247,8 +149,44 @@ def build_report(
     makespan_cycles: float,
     dropped: dict[str, int] | None = None,
 ) -> ServeReport:
-    """Aggregate completion records into the SLO report (exact digests)."""
-    accumulator = ReportAccumulator(tenants, clock_ghz, exact=True)
+    """Aggregate completion records into the SLO report (exact histograms).
+
+    The queue/service sums are float sums, so ``records`` folds in the
+    order given; the cluster engine passes them in retirement order.
+    """
+    dropped = dropped or {}
+    by_tenant: dict[str, list[RequestRecord]] = {t.name: [] for t in tenants}
     for record in records:
-        accumulator.observe(record)
-    return accumulator.build(makespan_cycles, dropped)
+        by_tenant[record.tenant].append(record)
+
+    def metrics(name: str, rows: list[RequestRecord], slo_ms, drop: int) -> TenantMetrics:
+        latency = Histogram(f"{name}.latency")
+        queue_total = service_total = 0.0
+        for record in rows:
+            latency.record(int(round(record.latency_cycles)))
+            queue_total += record.queue_cycles
+            service_total += record.service_cycles
+        return TenantMetrics(
+            tenant=name,
+            completed=len(rows),
+            dropped=drop,
+            latency=latency,
+            clock_ghz=clock_ghz,
+            span_cycles=makespan_cycles,
+            slo_ms=slo_ms,
+            slo_met=sum(record.slo_met for record in rows),
+            queue_cycles_total=queue_total,
+            service_cycles_total=service_total,
+        )
+
+    per_tenant = [
+        metrics(t.name, by_tenant[t.name], t.slo_ms, dropped.get(t.name, 0)) for t in tenants
+    ]
+    overall = metrics("overall", records, None, sum(dropped.values()))
+    return ServeReport(
+        tenants=per_tenant,
+        overall=overall,
+        fairness=jain_fairness([m.throughput_qps for m in per_tenant]),
+        makespan_cycles=makespan_cycles,
+        clock_ghz=clock_ghz,
+    )

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.models.zoo import model_names
 from repro.serve.request import Request
 
 __all__ = [
@@ -59,6 +60,10 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant needs a name")
+        if self.model.lower() not in model_names():
+            raise ValueError(
+                f"tenant {self.name!r}: unknown model {self.model!r}; known: {model_names()}"
+            )
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(
                 f"tenant {self.name!r}: arrival must be one of {ARRIVAL_KINDS}, "

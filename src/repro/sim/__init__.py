@@ -11,7 +11,6 @@ experiments measure.
 
 from repro.sim.timeline import BandwidthTimeline, Timeline
 from repro.sim.stats import Counter, Histogram, RateWindow, StatsRegistry, TimeSeries
-from repro.sim.engine import lockstep_merge
 
 # NOTE: repro.sim.trace (macro-op record/replay) is intentionally not
 # re-exported here — it sits *above* the runtime stack (it imports
@@ -26,5 +25,4 @@ __all__ = [
     "RateWindow",
     "StatsRegistry",
     "TimeSeries",
-    "lockstep_merge",
 ]

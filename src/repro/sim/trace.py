@@ -203,7 +203,7 @@ class MacroTrace:
     ) -> Generator[float, None, None]:
         """Replay the stream on ``tile`` starting at ``start``.
 
-        Yields the dispatch clock once per macro-op — the same lockstep
+        Yields the dispatch clock once per macro-op — the same event-loop
         granularity as the generator path, so two replaying (or one
         replaying and one recording) tiles interleave their shared-resource
         bookings in near-global time order.  While ``contended()`` is
@@ -342,11 +342,11 @@ class TraceRecorder:
     ) -> Generator[float, None, None]:
         """Drive ``runtime.run_generator()``, recording as it executes.
 
-        Passes every yield through unchanged, so the recording run is
-        interleavable by ``lockstep_merge`` exactly like a plain generator
-        run.  ``dirty_probe`` is sampled at every yield; any True marks the
-        recording as contended (``self.dirty``), unusable as a bitwise
-        baseline.
+        Passes every yield through unchanged, so an
+        :class:`~repro.sim.engine.EventLoop` interleaves the recording run
+        exactly like a plain generator run.  ``dirty_probe`` is sampled at
+        every yield; any True marks the recording as contended
+        (``self.dirty``), unusable as a bitwise baseline.
         """
         runtime = self.runtime
         dma = runtime.tile.accel.dma

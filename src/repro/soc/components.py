@@ -143,11 +143,11 @@ class SoCDesign:
 
     At least one :class:`TileComponent` is required; ``mem`` describes the
     bus, L2 and DRAM every tile shares.  Every tile must run at one
-    reference clock — the simulator's lockstep merge and the serving
-    engine's cycle accounting assume a single clock domain — and optional
-    ``area_budget_mm2`` / ``power_budget_mw`` bounds are checked against
-    the fleet totals at construction time (the lumos-style MPSoC budget
-    discipline).
+    reference clock — :class:`~repro.sim.engine.EventLoop` merges tiles
+    on their clocks, and the serving engine's cycle accounting assumes a
+    single clock domain — and optional ``area_budget_mm2`` /
+    ``power_budget_mw`` bounds are checked against the fleet totals at
+    construction time (the lumos-style MPSoC budget discipline).
     """
 
     tiles: tuple[TileComponent, ...] = ()

@@ -7,8 +7,9 @@ controller, CPU layers advance the clock by the host model's kernel cost,
 and OS quantum expiry injects context-switch overhead and TLB flushes.
 
 ``run_generator`` yields the tile's dispatch clock (``controller.now``)
-after every macro-op, which is what :func:`repro.sim.engine.lockstep_merge`
-interleaves for the paper's dual-core contention experiments.  That clock
+after every macro-op; for the paper's dual-core contention experiments
+:class:`repro.sim.engine.EventLoop` steps each tile's generator laggard-first
+on that clock.  That clock
 trails the times the issued ops book the shared bus, L2 and DRAM, and
 shared timelines book in call order, so tiles reach shared state in
 dispatch order rather than global time order (ROADMAP item M).
@@ -267,8 +268,8 @@ class Runtime:
                     if op_end > layer_end:
                         layer_end = op_end
                     macro_ops += 1
-                    # Yield the (monotone) dispatch clock for lockstep
-                    # interleaving; op completions are tracked separately.
+                    # Yield the (monotone) dispatch clock the event loop
+                    # merges on; op completions are tracked separately.
                     yield controller.now
 
             if self.sync_per_layer:

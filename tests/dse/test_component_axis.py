@@ -11,7 +11,6 @@ from repro.dse import (
     SpaceError,
     evaluate_design,
     evaluate_design_batch,
-    group_by_components,
     make_strategy,
     mix_space,
     point_label,
@@ -127,14 +126,6 @@ class TestStructuralEvaluation:
         [alone] = evaluate_design_batch([fleet], spec)
         assert evaluate_design_batch(points, spec)[2] == alone
         assert alone.metric("p99_latency_ms") > 0
-
-    def test_group_by_components(self):
-        points = [mix(("big", 1)), {"dim": 8, "tile": 1}, mix(("big", 1)),
-                  mix(("little", 2))]
-        groups = group_by_components(points)
-        assert groups[None] == [1]
-        assert groups[(("big", 1),)] == [0, 2]
-        assert groups[(("little", 2),)] == [3]
 
     def test_explorer_produces_front_over_mixes(self):
         space = mix_space(("big", "little"), max_tiles=2)

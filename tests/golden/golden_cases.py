@@ -2,10 +2,10 @@
 
 Each case is a small fixed simulation whose outputs this repository
 reproduces: serving request logs under shared-L2/DRAM contention, per-model
-cycles and memory counters, the two-core Figure 9 runs, a DSE front, the analytic cost models (DSE
-metrics, area, power, fmax, energy, service-cycle estimates), a
-tuned-schedule table and the run-ledger record each simulating CLI command
-writes.  :func:`fingerprint`
+cycles and memory counters, the two-core Figure 9 runs, a DSE front, the
+analytic cost models (DSE metrics, area, power, fmax, energy,
+service-cycle estimates), a tuned-schedule table and the run-ledger record
+each simulating CLI command writes.  :func:`fingerprint`
 runs one case and returns human-readable values, the bulky parts (request
 logs, per-layer cycles, fronts) folded into sha256 digests; :func:`digest`
 hashes those values canonically.  ``record.py`` writes them to
@@ -125,7 +125,6 @@ def serve_cases() -> dict:
     return {
         "two_tenant_fcfs": (study, {}),
         "two_tenant_no_replay": (study, {"replay": False}),
-        "two_tenant_stream": (study, {"record_mode": "stream"}),
         "horizon_drop": (
             _profile(1, _tenant("web", rate_qps=400.0, num_requests=12), seed=3,
                      horizon_ms=1.0),

@@ -359,30 +359,6 @@ class TestMemoryBound:
         assert result.peak_pending <= 8
         assert result.peak_pending < result.issued // 3
 
-    def test_stream_record_mode_drops_the_request_log(self):
-        profile = TrafficProfile(
-            tenants=(
-                TenantSpec(
-                    name="web", arrival="poisson", rate_qps=250.0,
-                    num_requests=6, slo_ms=5.0, **MODEL,
-                ),
-            ),
-            num_tiles=1,
-            seed=5,
-        )
-        exact = simulate_serving(profile, record_mode="exact")
-        stream = simulate_serving(profile, record_mode="stream")
-        assert stream.records == []
-        assert stream.completed == exact.completed == 6
-        assert stream.issued == exact.issued
-        # Counting stats are exact in both modes; quantiles come from the
-        # P2 sketch and must land near the exact histogram's.
-        s, e = stream.report.overall, exact.report.overall
-        assert s.completed == e.completed
-        assert s.mean_ms == e.mean_ms
-        assert s.goodput_qps == e.goodput_qps
-        assert abs(s.p99_ms - e.p99_ms) <= max(0.25 * e.p99_ms, 0.05)
-
 
 class TestTraceReplay:
     def test_trace_arrivals_are_replayed_exactly(self):

@@ -1,8 +1,14 @@
-"""Unit tests for the lockstep merge scheduler."""
+"""Unit tests for the event loop that merges per-core clock streams.
+
+Most cases drive generators (the runtime's ``run_generator``) through
+:func:`lockstep_merge`, which adds each generator's ``__next__`` in order
+and returns every stream's final clock; :class:`TestEventLoop` drives the
+loop directly with plain step callables (the serving tile actors' shape).
+"""
 
 import pytest
 
-from repro.sim.engine import lockstep_merge
+from repro.sim.engine import EventLoop
 
 
 def make_stream(times, log=None, tag=None):
@@ -12,6 +18,68 @@ def make_stream(times, log=None, tag=None):
                 log.append((tag, t))
             yield t
     return gen()
+
+
+def lockstep_merge(streams):
+    """Run generators through one EventLoop; final clocks in stream order."""
+    loop = EventLoop()
+    indices = [loop.add(stream.__next__) for stream in streams]
+    loop.run()
+    return [loop.finished[i] for i in indices]
+
+
+class TestEventLoop:
+    def test_add_numbers_participants_in_order(self):
+        loop = EventLoop()
+        assert [loop.add(make_stream([1.0]).__next__) for __ in range(3)] == [0, 1, 2]
+        assert len(loop) == 3
+        loop.run()
+        assert len(loop) == 0
+        assert loop.finished == {0: 1.0, 1: 1.0, 2: 1.0}
+
+    def test_step_returning_none_finishes(self):
+        """A plain callable ends by returning None, keeping its last clock."""
+        clocks = iter([2.0, 5.0, None])
+        loop = EventLoop()
+        loop.add(lambda: next(clocks))
+        loop.run()
+        assert loop.finished == {0: 5.0}
+
+    def test_finished_at_priming_leaves_the_heap(self):
+        loop = EventLoop()
+        assert loop.add(lambda: None) == 0
+        assert len(loop) == 0
+        assert loop.finished == {0: 0.0}
+
+    def test_steps_laggard_first_with_index_ties(self):
+        log = []
+
+        class Actor:
+            def __init__(self, tag, clocks):
+                self.tag, self.clocks = tag, iter(clocks)
+
+            def step(self):
+                clock = next(self.clocks, None)
+                log.append((self.tag, clock))
+                return clock
+
+        loop = EventLoop()
+        loop.add(Actor("a", [1.0, 3.0]).step)
+        loop.add(Actor("b", [1.0, 2.0]).step)
+        loop.run()
+        assert log == [
+            ("a", 1.0), ("b", 1.0),  # priming, in add order
+            ("a", 3.0),  # tie at 1.0: lower index steps first
+            ("b", 2.0), ("b", None), ("a", None),
+        ]
+        assert loop.finished == {0: 3.0, 1: 2.0}
+
+    def test_decreasing_step_raises(self):
+        clocks = iter([4.0, 3.0])
+        loop = EventLoop()
+        loop.add(lambda: next(clocks))
+        with pytest.raises(ValueError, match="decreasing time"):
+            loop.run()
 
 
 class TestLockstepMerge:

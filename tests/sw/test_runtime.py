@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import default_config
 from repro.core.generator import SoftwareParams
 from repro.models import build_model
-from repro.sim.engine import lockstep_merge
+from repro.sim.engine import EventLoop
 from repro.soc.os_model import OSConfig
 from repro.soc.soc import make_soc
 from repro.sw.compiler import compile_graph
@@ -195,13 +195,21 @@ class TestExecution:
             result.layer("nope")
 
 
+def run_on_event_loop(runtimes):
+    """Step every runtime's generator through one EventLoop; final clocks."""
+    loop = EventLoop()
+    indices = [loop.add(rt.run_generator().__next__) for rt in runtimes]
+    loop.run()
+    return [loop.finished[i] for i in indices]
+
+
 class TestMultiCore:
     def test_dual_core_lockstep(self):
         soc = make_soc(gemmini=CFG, num_tiles=2)
         runtimes = []
         for tile in soc.tiles:
             runtimes.append(Runtime(tile, compile_graph(tiny_cnn(32), PARAMS)))
-        ends = lockstep_merge([rt.run_generator() for rt in runtimes])
+        ends = run_on_event_loop(runtimes)
         assert len(ends) == 2
         assert all(end > 0 for end in ends)
         assert runtimes[0].result.total_cycles > 0
@@ -215,7 +223,7 @@ class TestMultiCore:
         runtimes = [
             Runtime(tile, compile_graph(tiny_cnn(32), PARAMS)) for tile in duo.tiles
         ]
-        ends = lockstep_merge([rt.run_generator() for rt in runtimes])
+        ends = run_on_event_loop(runtimes)
         assert max(ends) >= solo_result.total_cycles
 
     def test_small_cnn_end_to_end_sharing(self):
@@ -224,7 +232,7 @@ class TestMultiCore:
         runtimes = [
             Runtime(tile, compile_graph(tiny_cnn(16), PARAMS)) for tile in soc.tiles
         ]
-        lockstep_merge([rt.run_generator() for rt in runtimes])
+        run_on_event_loop(runtimes)
         stats = soc.mem.l2.stats
         g0 = stats.value("hits_gemmini0") + stats.value("misses_gemmini0")
         g1 = stats.value("hits_gemmini1") + stats.value("misses_gemmini1")

@@ -294,25 +294,39 @@ class TestServe:
     def test_horizon_flags(self, capsys, tmp_path):
         import json as json_mod
 
-        # --horizon-hours implies stream record mode: the export keeps no
-        # per-request records, though every request is served.
+        # A horizon past the last completion cuts nothing, and the export
+        # keeps every request's record.
         json_path = tmp_path / "serve.json"
         assert main([
-            "serve", "--tenant", self.TENANT, "--horizon-hours", "1e-5",
+            "serve", "--tenant", self.TENANT, "--horizon-ms", "36",
             "--export-json", str(json_path), "--no-ledger",
         ]) == 0
         assert "3/3 served" in capsys.readouterr().out
         data = json_mod.loads(json_path.read_text())
-        assert data["meta"]["horizon_ms"] == pytest.approx(36.0)
-        assert data["meta"]["completed"] == 3
-        assert data["records"] == []
+        assert data["meta"]["horizon_ms"] == 36.0
+        assert data["meta"]["completed"] == len(data["records"]) == 3
 
-        with pytest.raises(SystemExit):
-            main([
-                "serve", "--tenant", self.TENANT, "--horizon-ms", "5",
-                "--horizon-hours", "1", "--no-ledger",
-            ])
-        assert "pass --horizon-ms or --horizon-hours, not both" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--tenant", TENANT, "--horizon-ms", "0"],
+            ["serve", "--tenant", TENANT, "--tiles", "0"],
+            ["serve", "--tenant", TENANT, "--batch-size", "0"],
+            ["serve", "--tenant", "model=nosuch"],
+            ["serve", "--tenant", TENANT + ",qps=-1"],
+            ["serve", "--tenant", TENANT + ",bogus=1"],
+            ["serve", "--trace", "/nonexistent/trace.json"],
+            ["dse", "--traffic", "model=squeezenet,qps=0,requests=2",
+             "--objectives", "p99_latency_ms,area_mm2", "--budget", "2"],
+        ],
+        ids=["horizon_zero", "tiles_zero", "batch_size_zero", "unknown_model",
+             "negative_qps", "unknown_field", "missing_trace", "dse_zero_qps"],
+    )
+    def test_bad_traffic_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--no-ledger"])
+        assert exc.value.code == 2
+        assert "invalid traffic" in capsys.readouterr().err
 
     def test_trace_replay(self, capsys, tmp_path):
         import json as json_mod
