@@ -626,7 +626,7 @@ def _traffic_from_args(args, parser_error) -> "TrafficProfile | None":
             parse_tenant(text, default_name=f"tenant{i}")
             for i, text in enumerate(args.traffic)
         )
-        return TrafficProfile(
+        profile = TrafficProfile(
             tenants=tenants,
             num_tiles=args.serve_tiles,
             scheduler=args.serve_scheduler,
@@ -634,6 +634,9 @@ def _traffic_from_args(args, parser_error) -> "TrafficProfile | None":
             batch_size=args.serve_batch_size,
             batch_window_ms=args.serve_batch_window_ms,
         )
+        # Every design point is served on a homogeneous --serve-tiles cluster.
+        profile.check_pins(args.serve_tiles)
+        return profile
     except ValueError as exc:
         parser_error(f"invalid traffic: {exc}")
 
@@ -778,6 +781,7 @@ def cmd_serve(args, run: _RunContext) -> int:
                 for i, text in enumerate(args.tenant)
             )
             profile = TrafficProfile(tenants=tenants, **profile_kwargs)
+        profile.check_pins(profile.num_tiles)  # --design has set args.tiles
     except (OSError, ValueError, TypeError, KeyError) as exc:
         args.parser.error(f"invalid traffic: {exc}")
 

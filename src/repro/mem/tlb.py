@@ -123,10 +123,6 @@ class FilterRegisters:
         self.write_ppn = None
 
 
-#: levels that missed the private TLB (a positive miss-rate window outcome)
-_MISS_LEVELS = frozenset({"shared", "walk"})
-
-
 class TranslationSystem:
     """The full translation path used by an accelerator's DMA engine.
 
@@ -167,6 +163,12 @@ class TranslationSystem:
         one of ``"filter"``, ``"private"``, ``"shared"`` or ``"walk"``.  A
         PPN comes from the level that served the request; a walk reads it
         from the page table (with no page table the PPN is the VPN).
+
+        A request on the same page as the chain's previous one needs no
+        lookup: that page is the filter register's (a zero-cycle filter
+        hit) or, without filter registers, the private TLB's newest entry
+        (a private hit).  With no filter registers and no private TLB,
+        every request takes the full path.
         """
         cfg = self.config
         private = self.private
@@ -186,36 +188,55 @@ class TranslationSystem:
         if filters is not None:
             filter_vpn = filters.write_vpn if is_write else filters.read_vpn
             filter_ppn = filters.write_ppn if is_write else filters.read_ppn
+            repeat_level, repeat_latency = "filter", 0.0
+        else:
+            repeat_level, repeat_latency = "private", private_latency
+        # The VPN the same-page fast path compares against (None: off).
+        prev = None
+        repeats = cfg.private_entries > 0 or filters is not None
+        window = self.miss_window
+        window_size = window.window
+        window_hits = window._hits_in_window
+        window_seen = window._seen_in_window
+        window_record = window.series.record
         # Track consecutive same-page behaviour per channel (paper: 87% of
         # consecutive reads and 83% of consecutive writes hit the same page).
         last = self._last_vpn[is_write]
         # Every request but a stream's very first follows one on its channel.
         consecutive = len(vpns) if last is not None else max(len(vpns) - 1, 0)
-        same = filter_hits = private_hits = shared_hits = walks = 0
+        same = shared_hits = walks = 0
         starts: list[float] = []
         ends: list[float] = []
         levels: list[str] = []
         ppns: list[int] = []
+        add_start = starts.append
+        add_end = ends.append
+        add_level = levels.append
+        add_ppn = ppns.append
         end = float("-inf")
         for e, vpn in zip(earliest, vpns):
             t = e if e > end else end
             if last == vpn:
                 same += 1
             last = vpn
-            if filters is not None and vpn == filter_vpn:
-                filter_hits += 1
+            window_seen += 1
+            if vpn == prev:
+                end = t + repeat_latency
+                level = repeat_level
+            elif filters is not None and vpn == filter_vpn:
                 end = t
                 level = "filter"
                 ppn = filter_ppn
+                prev = vpn
             else:
                 ppn = private_ppn(vpn)
                 if ppn is not None:
                     refresh_private(vpn)
-                    private_hits += 1
                     end = t + private_latency
                     level = "private"
                 else:
                     after_private = t + private_latency
+                    window_hits += 1
                     if shared_entries and shared.lookup(vpn):
                         shared_hits += 1
                         ppn = shared_lru[vpn]
@@ -233,15 +254,23 @@ class TranslationSystem:
                 if filters is not None:
                     filter_vpn = vpn
                     filter_ppn = ppn
-            starts.append(t)
-            ends.append(end)
-            levels.append(level)
-            ppns.append(ppn)
+                if repeats:
+                    prev = vpn
+            if window_seen >= window_size:
+                window_record(t, window_hits / window_seen)
+                window_hits = window_seen = 0
+            add_start(t)
+            add_end(end)
+            add_level(level)
+            add_ppn(ppn)
 
+        window._hits_in_window = window_hits
+        window._seen_in_window = window_seen
         self._last_vpn[is_write] = last
         if filters is not None:
             filters.update(filter_vpn, is_write, filter_ppn)
-        self.miss_window.record_each(starts, [level in _MISS_LEVELS for level in levels])
+        filter_hits = levels.count("filter")
+        private_hits = len(levels) - filter_hits - shared_hits - walks
         kind = "write" if is_write else "read"
         counts = {
             "requests": len(starts),

@@ -364,6 +364,7 @@ class ServingSimulation:
                 f"profile expects {profile.num_tiles} tiles but the design "
                 f"{design.name!r} has {design.num_tiles}"
             )
+        profile.check_pins(design.num_tiles)
         self.design = design
         self.soc = SoC(design)
         self.num_tiles = design.num_tiles

@@ -124,11 +124,13 @@ class TrafficProfile:
             raise ValueError(f"duplicate tenant names: {sorted(names)}")
         if self.num_tiles < 1:
             raise ValueError("num_tiles must be >= 1")
+        # The tile count is the design's (num_tiles=1 lets the design
+        # decide), so only the sign of a pin is checked here; see check_pins.
         for tenant in self.tenants:
-            if tenant.pin_tile is not None and not 0 <= tenant.pin_tile < self.num_tiles:
+            if tenant.pin_tile is not None and tenant.pin_tile < 0:
                 raise ValueError(
-                    f"tenant {tenant.name!r} pinned to tile {tenant.pin_tile}, "
-                    f"but the cluster has {self.num_tiles} tile(s)"
+                    f"tenant {tenant.name!r} pinned to tile {tenant.pin_tile}; "
+                    "tile indices start at 0"
                 )
         if self.horizon_ms is not None and self.horizon_ms <= 0:
             raise ValueError("horizon_ms must be positive")
@@ -136,6 +138,16 @@ class TrafficProfile:
     @property
     def total_requests(self) -> int:
         return sum(t.total_requests for t in self.tenants)
+
+    def check_pins(self, num_tiles: int) -> None:
+        """Raise ``ValueError`` if a tenant is pinned past a cluster of
+        ``num_tiles`` tiles."""
+        for tenant in self.tenants:
+            if tenant.pin_tile is not None and tenant.pin_tile >= num_tiles:
+                raise ValueError(
+                    f"tenant {tenant.name!r} pinned to tile {tenant.pin_tile}, "
+                    f"but the cluster has {num_tiles} tile(s)"
+                )
 
 
 # ---------------------------------------------------------------------- #

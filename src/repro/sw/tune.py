@@ -183,10 +183,21 @@ def simulate_tiling_cycles(
     tiling: MatmulTiling,
     elem_bytes: int = 1,
     out_bytes: int = 1,
+    *,
+    bound: float = float("inf"),
 ) -> float:
     """Simulated cycles of one candidate's macro-op stream on a fresh,
     isolated single-tile SoC (cold caches, no co-runners) — the common
-    yardstick every shortlisted candidate is measured against."""
+    yardstick every shortlisted candidate is measured against.
+
+    The stream is issued op by op.  Once the latest completion an issue
+    has returned lies ``bound`` or more cycles past the start, the
+    candidate cannot finish under ``bound`` and ``inf`` is returned
+    without simulating the rest.  The cut is exact: the drain that ends a
+    full run is never earlier than any completion an issue returned, so
+    the result equals the full run's cycles whenever those are below
+    ``bound``, and is ``inf`` otherwise.
+    """
     soc = make_soc(gemmini=config)
     tile = soc.tile
     kernels = TileKernels(tile, schedule_cache=NULL_SCHEDULE_CACHE)
@@ -195,13 +206,19 @@ def simulate_tiling_cycles(
     a_vaddr = vm.alloc(max(1, t.m * t.k * elem_bytes), "tune:A")
     b_vaddr = vm.alloc(max(1, t.k * t.n * elem_bytes), "tune:B")
     c_vaddr = vm.alloc(max(1, t.m * t.n * out_bytes), "tune:C")
-    result = kernels.run_ops(
-        kernels.matmul_ops(
-            a_vaddr, b_vaddr, c_vaddr, t.m, t.k, t.n,
-            elem_bytes=elem_bytes, out_bytes=out_bytes, tiling=t,
-        )
-    )
-    return result.cycles
+    controller = tile.accel.controller
+    issue = controller.issue
+    start = latest = controller.now
+    for op in kernels.matmul_ops(
+        a_vaddr, b_vaddr, c_vaddr, t.m, t.k, t.n,
+        elem_bytes=elem_bytes, out_bytes=out_bytes, tiling=t,
+    ):
+        end = issue(op)
+        if end > latest:
+            latest = end
+            if latest - start >= bound:
+                return float("inf")
+    return controller.drain() - start
 
 
 # ---------------------------------------------------------------------- #
@@ -259,8 +276,12 @@ def tune_matmul(
     cycle-accurately *in addition to* the greedy plan, which is always
     simulated — so the recorded schedule can never cost more simulated
     cycles than greedy (``verify_top_k=0`` degenerates to recording
-    greedy itself).  An already-cached key returns immediately unless
-    ``force`` re-tunes it.
+    greedy itself).  Greedy runs first and in full; every later candidate
+    is simulated with the best cycles so far as its ``bound``, so one that
+    cannot beat them stops early.  Only a strict improvement replaces the
+    best, so the pick, both cycle counts and ``verified`` (the shortlist
+    size, stopped runs included) equal those of full runs.  An
+    already-cached key returns immediately unless ``force`` re-tunes it.
     """
     key = schedule_key(config, m, k, n)
     params = SoftwareParams.from_config(config)
@@ -301,12 +322,17 @@ def tune_matmul(
     best: MatmulTiling | None = None
     best_cycles = float("inf")
     greedy_cycles = 0.0
+    pruned = 0
     for tiling in shortlist:  # greedy first: ties resolve in its favour
-        cycles = simulate_tiling_cycles(config, tiling)
+        # Bounded by the best so far: a candidate that cannot beat it
+        # stops early and reads inf (greedy, first, always runs in full).
+        cycles = simulate_tiling_cycles(config, tiling, bound=best_cycles)
         if tiling == greedy:
             greedy_cycles = cycles
         if cycles < best_cycles:
             best, best_cycles = tiling, cycles
+        else:
+            pruned += 1
 
     record = ScheduleRecord(
         key=key,
@@ -327,6 +353,7 @@ def tune_matmul(
         {
             "candidates": len(candidates),
             "verified": len(shortlist),
+            "pruned": pruned,
             "greedy_cycles": greedy_cycles,
             "tuned_cycles": best_cycles,
         },

@@ -258,3 +258,46 @@ def test_walk_matches_tag_keyed_reference(stream):
             line = config.l2.line_bytes
             probes = range(0, 4 * config.l2.num_lines * line + 1, line)
             assert [mem.l2.probe(a) for a in probes] == [reference.l2.probe(a) for a in probes]
+
+
+@st.composite
+def tiny_row_streams(draw):
+    """A tiny L2 plus DMA-like segments of 9-32 B rows whose stride is at
+    most one line, so consecutive rows keep touching the same line."""
+    line = draw(st.sampled_from([16, 32, 64]))
+    ways = draw(st.integers(1, 3))
+    num_sets = draw(st.integers(1, 5))
+    l2 = CacheConfig(
+        size_bytes=num_sets * ways * line,
+        ways=ways,
+        line_bytes=line,
+        writeback=draw(st.booleans()),
+    )
+    config = MemorySystemConfig(l2=l2, dram=DRAMConfig(bytes_per_cycle=12.8))
+    segment = st.tuples(
+        st.integers(0, 4 * num_sets * ways * line),  # base address
+        st.integers(9, 32),  # row bytes
+        st.integers(1, line),  # stride
+        st.lists(st.booleans(), min_size=1, max_size=24),  # per-row writes
+    )
+    return config, draw(st.lists(segment, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_row_streams())
+def test_tiny_row_segments_match_tag_keyed_reference(stream):
+    """Rows that revisit the line touched just before (the same-line
+    shortcut) keep the reference's LRU order, dirty flags, bookings and
+    counters, bitwise."""
+    config, segments = stream
+    mem, reference = MemorySystem(config), ReferenceMemory(config)
+    t = 0.0
+    for base, row_bytes, stride, writes in segments:
+        rows = len(writes)
+        now = [t + 2.0 * r for r in range(rows)]
+        addr = [base + r * stride for r in range(rows)]
+        nbytes = [row_bytes] * rows
+        t += 500.0
+        expected = reference.access(now, addr, nbytes, list(writes), "g")
+        assert mem.access(now, addr, nbytes, list(writes), "g") == expected
+    assert_matches(mem, reference)

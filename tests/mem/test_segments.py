@@ -65,19 +65,29 @@ def test_book_all_is_book_per_element():
         b.book_all([0.0, 1.0], [1.0, -1.0])
 
 
-def test_record_each_is_record_per_event():
+def test_translate_chain_miss_window_is_record_per_event():
+    """The translation pass records its miss-rate window inline: the same
+    rates at the same times as one ``record`` per request outcome."""
     rng = random.Random(3)
-    times = [float(i) for i in range(1000)]
-    outcomes = [rng.random() < 0.3 for __ in times]
-    a, b = RateWindow("a", 64), RateWindow("b", 64)
-    for t, positive in zip(times[:10], outcomes[:10]):
-        a.record(t, positive)
-    b.record_each(times[:10], outcomes[:10])
-    for t, positive in zip(times[10:], outcomes[10:]):
-        a.record(t, positive)
-    b.record_each(times[10:], outcomes[10:])
-    assert (a.series.times, a.series.values) == (b.series.times, b.series.values)
-    assert (a._hits_in_window, a._seen_in_window) == (b._hits_in_window, b._seen_in_window)
+    vpns = same_page_runs(rng, 1000, pages=40)
+    earliest = [float(i) for i in range(len(vpns))]
+    xlat = TranslationSystem(
+        TLBConfig(private_entries=4, shared_entries=8, miss_rate_window=64),
+        page_table=mapped_vm(40).page_table,
+    )
+    reference = RateWindow("reference", 64)
+    for part in (slice(0, 10), slice(10, 700), slice(700, 1000)):
+        starts, __, levels, __ = xlat.translate_chain(earliest[part], vpns[part], False)
+        for t, level in zip(starts, levels):
+            reference.record(t, level in ("shared", "walk"))
+    window = xlat.miss_window
+    assert window.series.values, "no window filled"
+    assert (window.series.times, window.series.values) == (
+        reference.series.times, reference.series.values
+    )
+    assert (window._hits_in_window, window._seen_in_window) == (
+        reference._hits_in_window, reference._seen_in_window
+    )
 
 
 def test_bus_segment():
@@ -166,6 +176,15 @@ def mapped_vm(pages):
     return vm
 
 
+def same_page_runs(rng, n, pages):
+    """``n`` VPNs in runs of one to eight requests on the same page."""
+    vpns = []
+    while len(vpns) < n:
+        vpn = rng.choice([rng.randrange(pages), 7, 8])
+        vpns += [vpn] * rng.choice([1, 1, 2, 3, 8])
+    return vpns[:n]
+
+
 def chain_of_single_translations(xlat, earliest, vpns, is_write):
     starts, ends, levels = [], [], []
     end = float("-inf")
@@ -184,13 +203,19 @@ def chain_of_single_translations(xlat, earliest, vpns, is_write):
         TLBConfig(private_entries=4, shared_entries=16),
         TLBConfig(private_entries=4, shared_entries=0, miss_rate_window=16),
         TLBConfig(private_entries=2, shared_entries=8, filter_registers=True),
+        TLBConfig(private_entries=0, shared_entries=8, miss_rate_window=16),
+        TLBConfig(private_entries=0, shared_entries=8, filter_registers=True),
     ],
 )
 @pytest.mark.parametrize("is_write", [False, True])
 def test_translate_chain_is_a_chain_of_single_translations(config, is_write):
+    """Each single-request chain takes the full lookup path, so a long
+    chain's same-page shortcut is checked against it, across chain
+    boundaries, flushes and translate_batch warm-ups."""
     rng = random.Random(8)
     earliest = sorted(rng.random() * 2000 for __ in range(450))
-    vpns = [rng.choice([rng.randrange(40), 7, 7, 8]) for __ in earliest]
+    vpns = same_page_runs(rng, len(earliest), pages=40)
+    assert sum(a == b for a, b in zip(vpns, vpns[1:])) > len(vpns) // 2
     warm_vpns = [rng.choice([rng.randrange(40), 7, 8]) for __ in range(100)]
     warm_writes = [rng.random() < 0.5 for __ in warm_vpns]
     a = TranslationSystem(config, page_table=mapped_vm(40).page_table, name="a")
@@ -217,7 +242,9 @@ def test_translate_chain_is_a_chain_of_single_translations(config, is_write):
         )
         assert ppns == [oracle.walk(vpn) for vpn in vpns[part]]
         served.update(levels)
-    expected_levels = {"private", "walk"}
+    expected_levels = {"walk"}
+    if config.private_entries:
+        expected_levels.add("private")
     if config.shared_entries:
         expected_levels.add("shared")
     if config.filter_registers:

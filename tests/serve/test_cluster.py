@@ -18,6 +18,7 @@ from repro.serve import (
 )
 from repro.serve.cluster import estimate_service_cycles
 from repro.serve.workload import requests_for
+from repro.soc import SoCDesign
 
 MODEL = dict(model="squeezenet", input_hw=32)
 
@@ -109,6 +110,22 @@ class TestScheduleCache:
         result = simulate_serving(profile, schedule_cache=cache)
         assert result.completed == profile.total_requests
         assert cache.stats.hits == cache.stats.lookups > 0
+
+
+class TestPinnedTile:
+    """A pin is checked against the tile count of the design it is served
+    on; the profile's default ``num_tiles=1`` lets the design decide."""
+
+    def test_pin_to_tile_one_of_a_two_tile_design(self):
+        profile = TrafficProfile(tenants=(tenant("a", n=2, pin_tile=1),), seed=0)
+        result = simulate_serving(profile, design=SoCDesign.homogeneous(num_tiles=2))
+        assert result.completed == 2
+        assert {r.tile for r in result.records} == {1}
+
+    def test_pin_past_the_design_rejected(self):
+        profile = TrafficProfile(tenants=(tenant("a", n=2, pin_tile=2),), seed=0)
+        with pytest.raises(ValueError, match="pinned to tile 2"):
+            ServingSimulation(profile, design=SoCDesign.homogeneous(num_tiles=2))
 
 
 class TestContention:

@@ -65,8 +65,14 @@ class TestTrafficProfile:
             TrafficProfile(tenants=(poisson_tenant(), poisson_tenant()))
 
     def test_pin_outside_cluster_rejected(self):
+        # The profile checks a pin's sign; the tile count is the serving
+        # design's, so the upper end is checked against a given count.
         with pytest.raises(ValueError, match="pinned"):
-            TrafficProfile(tenants=(poisson_tenant(pin_tile=2),), num_tiles=2)
+            TrafficProfile(tenants=(poisson_tenant(pin_tile=-1),))
+        profile = TrafficProfile(tenants=(poisson_tenant(pin_tile=2),), num_tiles=2)
+        profile.check_pins(3)
+        with pytest.raises(ValueError, match="pinned"):
+            profile.check_pins(2)
 
     def test_total_requests(self):
         profile = TrafficProfile(

@@ -1,14 +1,19 @@
 """Auto-tuner: search validity, the never-worse contract, determinism."""
 
+import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.generator import SoftwareParams
+from repro.obs.tracer import Tracer
 from repro.soc.soc import make_soc
 from repro.sw.kernels import TileKernels
 from repro.sw.schedule_cache import NULL_SCHEDULE_CACHE, ScheduleCache
 from repro.sw.tiling import fits_budgets, plan_matmul_tiling
 from repro.sw.tune import (
+    _rank_key,
     enumerate_tilings,
     estimate_cycles,
     simulate_tiling_cycles,
@@ -151,3 +156,67 @@ class TestDeterminism:
         assert simulate_tiling_cycles(SMALL, t) == simulate_tiling_cycles(
             SMALL, t
         )
+
+
+class TestBound:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims, dims, dims,
+        st.integers(0, 1 << 16),
+        st.floats(0.0, 2.0, allow_nan=False),
+    )
+    def test_bounded_run_is_exact_below_the_bound_and_inf_from_it(
+        self, m, k, n, pick, scale
+    ):
+        candidates = enumerate_tilings(PARAMS, m, k, n)
+        tiling = candidates[pick % len(candidates)]
+        full = simulate_tiling_cycles(SMALL, tiling)
+        bounds = (
+            full,  # the cycles exactly: stopped, as a tie never wins
+            math.nextafter(full, math.inf),
+            math.nextafter(full, 0.0),
+            full * scale,
+            0.0,
+        )
+        for bound in bounds:
+            expected = full if full < bound else math.inf
+            assert simulate_tiling_cycles(SMALL, tiling, bound=bound) == expected, bound
+
+
+def unpruned_tune(config, m, k, n, verify_top_k):
+    """tune_matmul's selection with every shortlisted candidate simulated
+    in full; also counts the candidates that cannot beat the best so far."""
+    params = SoftwareParams.from_config(config)
+    greedy = plan_matmul_tiling(params, m, k, n)
+    candidates = enumerate_tilings(params, m, k, n)
+    scored = sorted(candidates, key=lambda t: (estimate_cycles(config, t), _rank_key(t)))
+    shortlist = [greedy] + [t for t in scored if t != greedy][:verify_top_k]
+    best, best_cycles, losers = None, math.inf, 0
+    for tiling in shortlist:
+        cycles = simulate_tiling_cycles(config, tiling)
+        if cycles < best_cycles:
+            best, best_cycles = tiling, cycles
+        else:
+            losers += 1
+    greedy_cycles = simulate_tiling_cycles(config, greedy)
+    return best, best_cycles, greedy_cycles, len(candidates), len(shortlist), losers
+
+
+class TestPrunedTuneMatchesUnpruned:
+    @pytest.mark.parametrize("verify_top_k", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(40, 24, 40), (48, 48, 48), (17, 33, 9)])
+    def test_same_pick_cycles_and_counts(self, shape, verify_top_k):
+        tracer = Tracer()
+        result = tune_matmul(
+            SMALL, *shape, cache=NULL_SCHEDULE_CACHE, verify_top_k=verify_top_k,
+            tracer=tracer,
+        )
+        best, tuned, greedy, candidates, verified, losers = unpruned_tune(
+            SMALL, *shape, verify_top_k
+        )
+        assert result.best == best
+        assert result.tuned_cycles == tuned
+        assert result.greedy_cycles == greedy
+        assert (result.candidates, result.verified) == (candidates, verified)
+        (span,) = [e for e in tracer.events() if e[0] == "X"]
+        assert span[5]["pruned"] == losers

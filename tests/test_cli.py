@@ -318,9 +318,13 @@ class TestServe:
             ["serve", "--trace", "/nonexistent/trace.json"],
             ["dse", "--traffic", "model=squeezenet,qps=0,requests=2",
              "--objectives", "p99_latency_ms,area_mm2", "--budget", "2"],
+            ["serve", "--tenant", TENANT + ",pin_tile=2", "--tiles", "2"],
+            ["dse", "--traffic", "model=squeezenet,requests=2,pin_tile=1",
+             "--objectives", "p99_latency_ms,area_mm2", "--budget", "2"],
         ],
         ids=["horizon_zero", "tiles_zero", "batch_size_zero", "unknown_model",
-             "negative_qps", "unknown_field", "missing_trace", "dse_zero_qps"],
+             "negative_qps", "unknown_field", "missing_trace", "dse_zero_qps",
+             "pin_past_tiles", "dse_pin_past_tiles"],
     )
     def test_bad_traffic_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
