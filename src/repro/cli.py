@@ -634,8 +634,12 @@ def _traffic_from_args(args, parser_error) -> "TrafficProfile | None":
             batch_size=args.serve_batch_size,
             batch_window_ms=args.serve_batch_window_ms,
         )
-        # Every design point is served on a homogeneous --serve-tiles cluster.
-        profile.check_pins(args.serve_tiles)
+        # A plain point is served on a homogeneous --serve-tiles cluster; a
+        # --mix fleet is its own cluster, and only the fleets with a tile for
+        # every pin are searched (see cmd_dse).
+        if args.mix and args.serve_tiles != 1:
+            raise ValueError("--mix fleets set their own tile count; drop --serve-tiles")
+        profile.check_pins(args.mix_max_tiles if args.mix else args.serve_tiles)
         return profile
     except ValueError as exc:
         parser_error(f"invalid traffic: {exc}")
@@ -672,7 +676,11 @@ def cmd_dse(args, run: _RunContext) -> int:
 
         if args.fidelity == "soc":
             args.parser.error("--mix searches whole fleets; only analytic fidelity")
-        space = mix_space(tuple(args.mix), max_tiles=args.mix_max_tiles)
+        pins = [t.pin_tile for t in spec.traffic.tenants] if spec.traffic else []
+        min_tiles = max((pin for pin in pins if pin is not None), default=0) + 1
+        space = mix_space(
+            tuple(args.mix), max_tiles=args.mix_max_tiles, min_tiles=min_tiles
+        )
     else:
         space = gemmini_space(max_dim=args.max_dim)
     strategy_options = {}

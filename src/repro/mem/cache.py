@@ -78,9 +78,7 @@ class Cache:
         lists.  The first loop walks each access's lines through the sets:
         a hit pops its line and re-inserts it, a miss evicts the set's
         first key when the set is full and inserts the line
-        (write-allocate).  An access that starts on the line touched just
-        before only marks that line dirty on a write: it is already its
-        set's newest.  Each miss asks the lower level for its dirty
+        (write-allocate).  Each miss asks the lower level for its dirty
         victim's writeback, then its line fetch, at the access's ``now``;
         all of the segment's requests go down in one ``lower.access`` call.
         The second loop books each access on the port at
@@ -102,19 +100,11 @@ class Cache:
         low_addr: list[int] = []
         low_addr_append = low_addr.append
         lines = misses = evictions = writebacks = 0
-        # The line touched last.  It is its set's newest (``ways`` is that
-        # set), so an access starting on it needs no pop and re-insert.
-        prev = -1
         for t, a, nb, w in zip(now, addr, nbytes, is_write):
             missed = misses
             first = a // line
             stop = (a + nb - 1) // line + 1
             lines += stop - first
-            if first == prev:
-                if w:
-                    ways[first] = True
-                first += 1
-            prev = stop - 1
             for index in range(first, stop):
                 ways = sets[index % num_sets]
                 dirty = ways.pop(index, None)

@@ -194,11 +194,6 @@ class TranslationSystem:
         # The VPN the same-page fast path compares against (None: off).
         prev = None
         repeats = cfg.private_entries > 0 or filters is not None
-        window = self.miss_window
-        window_size = window.window
-        window_hits = window._hits_in_window
-        window_seen = window._seen_in_window
-        window_record = window.series.record
         # Track consecutive same-page behaviour per channel (paper: 87% of
         # consecutive reads and 83% of consecutive writes hit the same page).
         last = self._last_vpn[is_write]
@@ -209,6 +204,8 @@ class TranslationSystem:
         ends: list[float] = []
         levels: list[str] = []
         ppns: list[int] = []
+        # Indices of the requests that missed the private TLB.
+        miss_at: list[int] = []
         add_start = starts.append
         add_end = ends.append
         add_level = levels.append
@@ -219,7 +216,6 @@ class TranslationSystem:
             if last == vpn:
                 same += 1
             last = vpn
-            window_seen += 1
             if vpn == prev:
                 end = t + repeat_latency
                 level = repeat_level
@@ -236,7 +232,7 @@ class TranslationSystem:
                     level = "private"
                 else:
                     after_private = t + private_latency
-                    window_hits += 1
+                    miss_at.append(len(starts))
                     if shared_entries and shared.lookup(vpn):
                         shared_hits += 1
                         ppn = shared_lru[vpn]
@@ -256,16 +252,12 @@ class TranslationSystem:
                     filter_ppn = ppn
                 if repeats:
                     prev = vpn
-            if window_seen >= window_size:
-                window_record(t, window_hits / window_seen)
-                window_hits = window_seen = 0
             add_start(t)
             add_end(end)
             add_level(level)
             add_ppn(ppn)
 
-        window._hits_in_window = window_hits
-        window._seen_in_window = window_seen
+        self.miss_window.record_each(starts, miss_at)
         self._last_vpn[is_write] = last
         if filters is not None:
             filters.update(filter_vpn, is_write, filter_ppn)

@@ -7,6 +7,7 @@ experiment they are part of.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -161,6 +162,28 @@ class RateWindow:
                 self.series.record(time, self._hits_in_window / self._seen_in_window)
                 self._hits_in_window = 0
                 self._seen_in_window = 0
+
+    def record_each(self, times: Sequence[float], positive_at: Sequence[int]) -> None:
+        """Record one unweighted outcome per event of ``times``, in order.
+
+        The events at the increasing indices ``positive_at`` are positive,
+        the rest negative.  Emits exactly what one :meth:`record` call per
+        event emits: each full window's rate at its last event's time.  The
+        work is per window and per positive, not per event, so a stream of
+        rare positives (the translation pass's TLB misses) is cheap.
+        """
+        window = self.window
+        seen = self._seen_in_window
+        hits = self._hits_in_window
+        counted = 0  # positives folded into emitted windows so far
+        # The event that fills the pending window, then every window-th one.
+        for last in range(window - seen - 1, len(times), window):
+            upto = bisect_right(positive_at, last, counted)
+            self.series.record(times[last], (hits + upto - counted) / window)
+            hits = 0
+            counted = upto
+        self._hits_in_window = hits + len(positive_at) - counted
+        self._seen_in_window = (seen + len(times)) % window
 
     def flush(self, time: float) -> None:
         """Emit a final partial window, if any events are pending."""

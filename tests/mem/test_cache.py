@@ -286,9 +286,8 @@ def tiny_row_streams(draw):
 @settings(max_examples=150, deadline=None)
 @given(tiny_row_streams())
 def test_tiny_row_segments_match_tag_keyed_reference(stream):
-    """Rows that revisit the line touched just before (the same-line
-    shortcut) keep the reference's LRU order, dirty flags, bookings and
-    counters, bitwise."""
+    """Rows that keep revisiting the line touched just before keep the
+    reference's LRU order, dirty flags, bookings and counters, bitwise."""
     config, segments = stream
     mem, reference = MemorySystem(config), ReferenceMemory(config)
     t = 0.0

@@ -65,6 +65,23 @@ def test_book_all_is_book_per_element():
         b.book_all([0.0, 1.0], [1.0, -1.0])
 
 
+def test_record_each_is_record_per_event():
+    rng = random.Random(3)
+    times = [float(i) for i in range(1000)]
+    for rate in (0.0, 0.05, 0.3, 1.0):
+        outcomes = [rng.random() < rate for __ in times]
+        a, b = RateWindow("a", 64), RateWindow("b", 64)
+        for part in (slice(0, 10), slice(10, 70), slice(70, 900), slice(900, 1000)):
+            for t, positive in zip(times[part], outcomes[part]):
+                a.record(t, positive)
+            b.record_each(times[part], [i for i, p in enumerate(outcomes[part]) if p])
+        b.record_each([], [])
+        assert (a.series.times, a.series.values) == (b.series.times, b.series.values)
+        assert (a._hits_in_window, a._seen_in_window) == (
+            b._hits_in_window, b._seen_in_window
+        )
+
+
 def test_translate_chain_miss_window_is_record_per_event():
     """The translation pass records its miss-rate window inline: the same
     rates at the same times as one ``record`` per request outcome."""

@@ -321,10 +321,17 @@ class TestServe:
             ["serve", "--tenant", TENANT + ",pin_tile=2", "--tiles", "2"],
             ["dse", "--traffic", "model=squeezenet,requests=2,pin_tile=1",
              "--objectives", "p99_latency_ms,area_mm2", "--budget", "2"],
+            ["dse", "--mix", "big", "--mix-max-tiles", "2",
+             "--traffic", "model=squeezenet,requests=2,pin_tile=2",
+             "--objectives", "p99_latency_ms,area_mm2", "--budget", "2"],
+            ["dse", "--mix", "big", "--serve-tiles", "2",
+             "--traffic", "model=squeezenet,requests=2",
+             "--objectives", "p99_latency_ms,area_mm2", "--budget", "2"],
         ],
         ids=["horizon_zero", "tiles_zero", "batch_size_zero", "unknown_model",
              "negative_qps", "unknown_field", "missing_trace", "dse_zero_qps",
-             "pin_past_tiles", "dse_pin_past_tiles"],
+             "pin_past_tiles", "dse_pin_past_tiles", "dse_mix_pin_past_fleets",
+             "dse_mix_serve_tiles"],
     )
     def test_bad_traffic_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -357,6 +364,22 @@ class TestDseServingObjectives:
         ]) == 0
         out = capsys.readouterr().out
         assert "p99_latency_ms" in out and "qps_per_watt" in out
+
+    def test_mix_searches_only_fleets_with_the_pinned_tile(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        csv_path = tmp_path / "points.csv"
+        assert main([
+            "dse", "--strategy", "grid", "--budget", "20", "--seed", "0",
+            "--mix", "big", "--mix", "little", "--mix-max-tiles", "2",
+            "--cache-dir", str(tmp_path), "--export-csv", str(csv_path),
+            "--objectives", "p99_latency_ms,area_mm2",
+            "--traffic", "model=squeezenet,qps=300,requests=2,input_hw=32,slo_ms=5,pin_tile=1",
+            "--no-ledger",
+        ]) == 0
+        assert "evaluated 3 points" in capsys.readouterr().out
+        rows = csv_path.read_text().splitlines()[1:]
+        # big*2, big*1+little*1, little*2: no one-tile fleet
+        assert len(rows) == 3
 
     def test_serving_objectives_require_traffic(self):
         with pytest.raises(SystemExit):
