@@ -12,7 +12,8 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable
+from operator import add
+from typing import Callable, Hashable, Iterable, Sequence
 
 from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
@@ -82,8 +83,10 @@ class Op:
 
     Exactly one of ``cycles`` or ``run`` must be provided.  ``run`` is called
     with the op's start time and must return its end time (used for DMA ops,
-    which book shared memory resources themselves).  ``barrier`` ops (FENCE)
-    wait for all previously issued work.
+    which book shared memory resources themselves); ``floor`` is a lower
+    bound on that duration (a DMA op's is :meth:`DMAEngine.floor
+    <repro.core.dma.DMAEngine.floor>`).  ``barrier`` ops (FENCE) wait for
+    all previously issued work.
     """
 
     unit: str
@@ -96,6 +99,9 @@ class Op:
     #: Extra cycles after the unit frees before results become visible
     #: (models the spatial array's pipeline drain into the accumulator).
     write_latency: float = 0.0
+    #: Least cycles ``run`` takes from its start; only the drain bound
+    #: (:meth:`Controller.drain_bounds`) reads it.
+    floor: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.barrier:
@@ -115,7 +121,12 @@ class ExecutionResult:
 
 
 class Controller:
-    """In-order dispatch, per-unit in-order execution, ROB-bounded overlap."""
+    """In-order dispatch, per-unit in-order execution, ROB-bounded overlap.
+
+    :meth:`drain_bounds` relaxes these rules into a max-plus critical path
+    over a known op list, a lower bound on the drain after any prefix of
+    it (the tuner's verification stops a losing candidate on it).
+    """
 
     def __init__(self, rob_entries: int = 16, dispatch_cycles: float = 1.0) -> None:
         if rob_entries < 1:
@@ -211,6 +222,98 @@ class Controller:
         self._inflight_ends.clear()
         self._clock = max(self._clock, end)
         return self._clock
+
+    def drain_bounds(self, ops: Sequence[Op]) -> Callable[[int], float]:
+        """Lower bounds on :meth:`drain` while ``ops`` are issued in order.
+
+        Returns ``bound(done)``: once ``ops[:done]`` and nothing else have
+        gone through :meth:`issue` since this call, the drain after the
+        rest of ``ops`` is at least ``bound(done)``, whatever the
+        remaining ops' ``run`` callbacks return.
+
+        The bound relaxes :meth:`_issue`.  Each remaining op dispatches
+        ``dispatch_cycles`` after the previous one, waits for its unit and
+        its tokens (RAW, WAR, WAW) as the scoreboard makes it, takes its
+        least duration (``cycles``, or ``floor`` for a ``run`` op) and
+        commits as ``_issue`` does; a barrier waits for the latest end.
+        The ROB limit is dropped.  Every dropped rule and every longer
+        duration only delays the real controller, so the relaxed drain is
+        a lower bound on the real one.  The relaxed system is max-plus
+        linear in the controller's state (clock, latest in-flight end,
+        each unit's ``next_free``, each token's read and write ends), so
+        one backward pass over ``ops`` gives, before every op, each state
+        variable's longest path to the drain; ``bound(done)`` is the
+        largest state value plus path, O(units + tokens) per call.
+
+        Float rounding stays on the safe side: the relaxation adds its
+        terms in another order than the simulation, and a DMA floor
+        multiplies what a transfer adds row by row.  A sum of ``n``
+        non-negative terms is within a relative ``n * 2**-53`` of its exact
+        value in any order, so scaling the bound down by ``2**-30`` keeps
+        it at or below the simulated drain while a path adds fewer than
+        ``2**22`` terms (millions of DMA rows).
+        """
+        neg = float("-inf")
+        dispatch = self.dispatch_cycles
+        # State layout: clock, latest end, the units, then each token's
+        # read end at its index and its write end at the next one.
+        unit_index = {name: i for i, name in enumerate(UNITS, 2)}
+        token_index: dict[Token, int] = {}
+        for op in ops:
+            for token in (*op.reads, *op.writes):
+                if token not in token_index:
+                    token_index[token] = 2 + len(UNITS) + 2 * len(token_index)
+        # After the last op the drain is max(clock, latest end).
+        tail = [0.0, 0.0] + [neg] * (len(UNITS) + 2 * len(token_index))
+        tails = [tail]
+        for op in reversed(ops):
+            after = tail
+            tail = after.copy()
+            if op.barrier:
+                waited = max(after[0], after[1])
+                tail[0] = dispatch + waited
+                tail[1] = waited
+                tails.append(tail)
+                continue
+            unit = unit_index[op.unit]
+            reads = [token_index[token] for token in op.reads]
+            writes = [token_index[token] for token in op.writes]
+            # The op's end feeds its unit and its read ends; the end plus
+            # write_latency feeds the latest end and its write ends.
+            fed = max(
+                after[unit],
+                *[after[r] for r in reads],
+                op.write_latency + max([after[1]] + [after[w + 1] for w in writes]),
+            )
+            # From the op's start: its least duration, then the tails above.
+            # The start waits for the clock, the unit, every token's write
+            # end and the written tokens' read ends.
+            via = fed + (op.cycles if op.run is None else op.floor)
+            tail[0] = dispatch + max(after[0], via)
+            tail[unit] = via
+            for r in (*reads, *writes):
+                tail[r + 1] = max(tail[r + 1], via)
+            for w in writes:
+                tail[w] = max(tail[w], via)
+            tails.append(tail)
+        tails.reverse()
+
+        units = [self.units[name] for name in UNITS]
+        read_ends = self.scoreboard._last_read_end
+        write_ends = self.scoreboard._last_write_end
+        tokens = list(token_index)
+        shrink = 1.0 - 2.0**-30
+
+        def bound(done: int) -> float:
+            clock = self._clock
+            state = [clock, max(self._inflight_ends, default=clock)]
+            state += [unit.next_free for unit in units]
+            for token in tokens:
+                state.append(read_ends.get(token, neg))
+                state.append(write_ends.get(token, neg))
+            return max(map(add, state, tails[done])) * shrink
+
+        return bound
 
     # ------------------------------------------------------------------ #
 

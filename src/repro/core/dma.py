@@ -65,8 +65,56 @@ class DMAEngine:
         #: a :class:`~repro.sim.trace.TraceRecorder` logging every
         #: translation and memory access while it records, else None
         self.recorder = None
+        # Least costs behind :meth:`floor`: a translation (a filter hit is
+        # free, else the private TLB is looked up first), a bus transaction
+        # (overhead + bytes / beat) and the memory after the bus (an L2 hit,
+        # or without an L2 the faster of a DRAM row hit and a random access).
+        self._least_translation = (
+            0.0 if xlat.filters is not None else xlat.config.private_hit_latency
+        )
+        self._bus_overhead = mem.bus.channel.overhead
+        self._bus_beat = mem.bus.channel.bytes_per_cycle
+        l2 = mem.config.l2
+        dram = mem.config.dram
+        self._least_memory = (
+            l2.hit_latency if l2 is not None
+            else min(dram.row_hit_latency, dram.access_latency)
+        )
 
     # ------------------------------------------------------------------ #
+
+    def floor(self, bytes_per_row: int, nrows: int) -> float:
+        """A lower bound on ``transfer(now, ...).end_time - now`` for these rows.
+
+        It holds whatever the TLBs, filter registers, L2 and DRAM hold and
+        however busy the channel, PTW, bus and ports are, for any address,
+        stride and direction.  The transfer's end is no earlier than each of:
+
+        * the channel scan: ``nrows`` back-to-back occupancies;
+        * the translation chain: at least one single-ported request per
+          row, each taking the least translation latency (0 with filter
+          registers, else the private TLB's hit latency), then the last
+          request's bus overhead and the memory's least latency;
+        * the bus: the first request's least translation, then ``nrows``
+          FCFS transactions of at least ``overhead + bytes_per_row / beat``
+          each (a row split at a page boundary pays two overheads), then
+          the memory's least latency (an L2 hit, else a DRAM row hit or
+          random access, whichever is faster).
+
+        Memory contention, misses and walks only add to these, so this is
+        the floor the controller's drain bound charges a DMA op.  It holds
+        in exact arithmetic; the transfer's float additions may end a few
+        ulps of its times earlier, which the drain bound's scaling covers.
+        """
+        occupancy = max(1.0, bytes_per_row / self.config.dma_bus_bytes)
+        translation = self._least_translation
+        overhead = self._bus_overhead
+        memory = self._least_memory
+        return max(
+            nrows * occupancy,
+            nrows * translation + overhead + memory,
+            translation + nrows * (overhead + bytes_per_row / self._bus_beat) + memory,
+        )
 
     def transfer(
         self,
@@ -139,7 +187,7 @@ class DMAEngine:
         # boundary) throttles the whole stream — the effect the Section V-A
         # TLB sizing study measures.
         xlat = self.xlat
-        xl_start, xl_end, __, ppns = xlat.translate_chain(xl_earliest, vpns, is_write)
+        xl_start, xl_end, ppns = xlat.translate_chain(xl_earliest, vpns, is_write)
         # Summed in request order, as a running ``+=`` would.
         translation_stall = reduce(add, map(sub, xl_end, xl_start), 0.0)
         # Physical addresses come from the translation pass's PPNs; the page

@@ -159,10 +159,11 @@ class TranslationSystem:
         register, the private and shared TLBs and the PTW in order (walks
         book the possibly shared PTW one by one), records every outcome in
         the miss-rate window and adds each counter once.  Returns the lists
-        ``(starts, ends, levels, ppns)``, one entry per request, each level
-        one of ``"filter"``, ``"private"``, ``"shared"`` or ``"walk"``.  A
-        PPN comes from the level that served the request; a walk reads it
-        from the page table (with no page table the PPN is the VPN).
+        ``(starts, ends, ppns)``, one entry per request.  A PPN comes from
+        the level that served the request (the filter register, the
+        private or shared TLB, or a walk, which reads it from the page
+        table; with no page table the PPN is the VPN).  Which level served
+        each request shows only in the counters.
 
         A request on the same page as the chain's previous one needs no
         lookup: that page is the filter register's (a zero-cycle filter
@@ -188,9 +189,9 @@ class TranslationSystem:
         if filters is not None:
             filter_vpn = filters.write_vpn if is_write else filters.read_vpn
             filter_ppn = filters.write_ppn if is_write else filters.read_ppn
-            repeat_level, repeat_latency = "filter", 0.0
+            repeat_latency = 0.0
         else:
-            repeat_level, repeat_latency = "private", private_latency
+            repeat_latency = private_latency
         # The VPN the same-page fast path compares against (None: off).
         prev = None
         repeats = cfg.private_entries > 0 or filters is not None
@@ -199,16 +200,14 @@ class TranslationSystem:
         last = self._last_vpn[is_write]
         # Every request but a stream's very first follows one on its channel.
         consecutive = len(vpns) if last is not None else max(len(vpns) - 1, 0)
-        same = shared_hits = walks = 0
+        same = filter_hits = private_hits = shared_hits = walks = 0
         starts: list[float] = []
         ends: list[float] = []
-        levels: list[str] = []
         ppns: list[int] = []
         # Indices of the requests that missed the private TLB.
         miss_at: list[int] = []
         add_start = starts.append
         add_end = ends.append
-        add_level = levels.append
         add_ppn = ppns.append
         end = float("-inf")
         for e, vpn in zip(earliest, vpns):
@@ -218,10 +217,9 @@ class TranslationSystem:
             last = vpn
             if vpn == prev:
                 end = t + repeat_latency
-                level = repeat_level
             elif filters is not None and vpn == filter_vpn:
                 end = t
-                level = "filter"
+                filter_hits += 1
                 ppn = filter_ppn
                 prev = vpn
             else:
@@ -229,7 +227,7 @@ class TranslationSystem:
                 if ppn is not None:
                     refresh_private(vpn)
                     end = t + private_latency
-                    level = "private"
+                    private_hits += 1
                 else:
                     after_private = t + private_latency
                     miss_at.append(len(starts))
@@ -238,7 +236,6 @@ class TranslationSystem:
                         ppn = shared_lru[vpn]
                         private.fill(vpn, ppn)
                         end = after_private + shared_latency
-                        level = "shared"
                     else:
                         # Full page-table walk on the (possibly shared) PTW.
                         walks += 1
@@ -246,7 +243,6 @@ class TranslationSystem:
                         __, end = ptw.book(after_private + walk_offset, walk_latency)
                         private.fill(vpn, ppn)
                         shared.fill(vpn, ppn)
-                        level = "walk"
                 if filters is not None:
                     filter_vpn = vpn
                     filter_ppn = ppn
@@ -254,15 +250,19 @@ class TranslationSystem:
                     prev = vpn
             add_start(t)
             add_end(end)
-            add_level(level)
             add_ppn(ppn)
 
         self.miss_window.record_each(starts, miss_at)
         self._last_vpn[is_write] = last
         if filters is not None:
             filters.update(filter_vpn, is_write, filter_ppn)
-        filter_hits = levels.count("filter")
-        private_hits = len(levels) - filter_hits - shared_hits - walks
+        # A same-page repeat is a filter hit with filter registers, else a
+        # private hit.
+        repeat_hits = len(starts) - filter_hits - private_hits - shared_hits - walks
+        if filters is not None:
+            filter_hits += repeat_hits
+        else:
+            private_hits += repeat_hits
         kind = "write" if is_write else "read"
         counts = {
             "requests": len(starts),
@@ -280,7 +280,7 @@ class TranslationSystem:
         for name, value in counts.items():
             if value:
                 stats.counter(name).add(value)
-        return starts, ends, levels, ppns
+        return starts, ends, ppns
 
     def translate_batch(self, now, vpns, is_write):
         """Translate a whole request sequence; returns the end times.

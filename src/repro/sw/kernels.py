@@ -119,7 +119,8 @@ class TileKernels:
                 start, vaddr, bytes_per_row, nrows, stride, False, requester
             ).end_time
 
-        return Op(unit="load", run=run, reads=reads, writes=writes, label=label)
+        return Op(unit="load", run=run, reads=reads, writes=writes, label=label,
+                  floor=dma.floor(bytes_per_row, nrows))
 
     def _store_op(
         self,
@@ -140,7 +141,8 @@ class TileKernels:
                 start, vaddr, bytes_per_row, nrows, stride, True, requester
             ).end_time
 
-        return Op(unit="store", run=run, reads=reads, writes=writes, label=label)
+        return Op(unit="store", run=run, reads=reads, writes=writes, label=label,
+                  floor=dma.floor(bytes_per_row, nrows))
 
     def _exec_op(self, cycles: float, reads: tuple, writes: tuple, label: str = "exec") -> Op:
         return Op(

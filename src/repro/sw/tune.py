@@ -190,13 +190,18 @@ def simulate_tiling_cycles(
     isolated single-tile SoC (cold caches, no co-runners) — the common
     yardstick every shortlisted candidate is measured against.
 
-    The stream is issued op by op.  Once the latest completion an issue
-    has returned lies ``bound`` or more cycles past the start, the
-    candidate cannot finish under ``bound`` and ``inf`` is returned
-    without simulating the rest.  The cut is exact: the drain that ends a
-    full run is never earlier than any completion an issue returned, so
-    the result equals the full run's cycles whenever those are below
-    ``bound``, and is ``inf`` otherwise.
+    The stream is issued op by op.  Two lower bounds on the run's drain
+    are checked against ``bound``: before every op (the first included),
+    the controller's drain bound over the ops still to come (:meth:`~repro.core.controller.Controller.drain_bounds`:
+    a critical path through units and scoreboard tokens, each remaining op
+    at its least duration, a DMA op at :meth:`DMAEngine.floor
+    <repro.core.dma.DMAEngine.floor>`), and after every op, the latest
+    completion an issue has returned.  Once either lies ``bound`` or
+    more cycles past the start, the candidate cannot finish under
+    ``bound`` and ``inf`` is returned without simulating the rest.  The
+    cut is exact: the drain is never below either bound, so the result
+    equals the full run's cycles whenever those are below ``bound``, and
+    is ``inf`` otherwise.
     """
     soc = make_soc(gemmini=config)
     tile = soc.tile
@@ -206,13 +211,17 @@ def simulate_tiling_cycles(
     a_vaddr = vm.alloc(max(1, t.m * t.k * elem_bytes), "tune:A")
     b_vaddr = vm.alloc(max(1, t.k * t.n * elem_bytes), "tune:B")
     c_vaddr = vm.alloc(max(1, t.m * t.n * out_bytes), "tune:C")
-    controller = tile.accel.controller
-    issue = controller.issue
-    start = latest = controller.now
-    for op in kernels.matmul_ops(
+    ops = list(kernels.matmul_ops(
         a_vaddr, b_vaddr, c_vaddr, t.m, t.k, t.n,
         elem_bytes=elem_bytes, out_bytes=out_bytes, tiling=t,
-    ):
+    ))
+    controller = tile.accel.controller
+    issue = controller.issue
+    drain_bound = controller.drain_bounds(ops)
+    start = latest = controller.now
+    for done, op in enumerate(ops):
+        if drain_bound(done) - start >= bound:
+            return float("inf")
         end = issue(op)
         if end > latest:
             latest = end
@@ -278,7 +287,9 @@ def tune_matmul(
     cycles than greedy (``verify_top_k=0`` degenerates to recording
     greedy itself).  Greedy runs first and in full; every later candidate
     is simulated with the best cycles so far as its ``bound``, so one that
-    cannot beat them stops early.  Only a strict improvement replaces the
+    cannot beat them stops as soon as a lower bound on its drain (its
+    latest completion, or the critical path of its remaining macro-ops)
+    reaches them.  Only a strict improvement replaces the
     best, so the pick, both cycle counts and ``verified`` (the shortlist
     size, stopped runs included) equal those of full runs.  An
     already-cached key returns immediately unless ``force`` re-tunes it.

@@ -1,8 +1,12 @@
 """Unit tests for the DMA engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.config import GemminiConfig
 from repro.core.dma import DMAEngine
+from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 from repro.mem.page_table import VirtualMemory
 from repro.mem.tlb import TLBConfig, TranslationSystem
@@ -219,3 +223,75 @@ def test_staged_transfer_matches_row_by_row(small_config, filters, scattered):
                 result.translation_stall) == expected
         now += 150.0
     assert dma_state(staged) == dma_state(reference)
+
+
+# -- the transfer floor ---------------------------------------------------- #
+
+FLOOR_CONFIGS = {
+    bus: GemminiConfig(
+        mesh_rows=4, mesh_cols=4, tile_rows=1, tile_cols=1,
+        sp_capacity_bytes=4 * 4 * 256, sp_banks=2,
+        acc_capacity_bytes=4 * 16 * 64, acc_banks=2,
+        dma_bus_bytes=bus,
+    )
+    for bus in (4, 16, 64)
+}
+
+#: one strided transfer: (offset, bytes_per_row, nrows, stride kind, is_write)
+transfers = st.tuples(
+    st.integers(0, 20_000),
+    st.one_of(st.integers(1, 200), st.integers(3000, 9000)),
+    st.integers(1, 24),
+    st.sampled_from(["contiguous", "strided", "zero"]),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200)
+@given(
+    bus=st.sampled_from(sorted(FLOOR_CONFIGS)),
+    private=st.sampled_from([0, 2, 16]),
+    shared=st.sampled_from([0, 8]),
+    filters=st.booleans(),
+    l2=st.sampled_from(["none", "tiny", "default"]),
+    scattered=st.booleans(),
+    warm=st.lists(st.tuples(transfers, st.floats(0, 400)), max_size=6),
+    transfer=transfers,
+    delay=st.floats(0, 400),
+)
+def test_transfer_never_ends_before_its_floor(
+    bus, private, shared, filters, l2, scattered, warm, transfer, delay
+):
+    """``DMAEngine.floor`` bounds every transfer from below: warm TLBs,
+    filter registers, L2 sets, open DRAM rows and busy timelines (from
+    earlier transfers of both directions) only ever add to it.
+
+    The floor holds in exact arithmetic; the transfer adds its times in
+    floats, so the end may round below ``now + floor`` by a few ulps of the
+    times.  The allowance is the relative ``2**-30`` of the end time that
+    ``Controller.drain_bounds`` scales its bound down by."""
+    l2_config = {
+        "none": None,
+        "tiny": CacheConfig(size_bytes=4096, ways=2),
+        "default": CacheConfig(),
+    }[l2]
+    vm = VirtualMemory(scattered=scattered)
+    base = vm.alloc(1 << 19, "buf")  # the farthest row ends below 330 kB
+    xlat = TranslationSystem(
+        TLBConfig(private_entries=private, shared_entries=shared, filter_registers=filters),
+        page_table=vm.page_table,
+    )
+    dma = DMAEngine(FLOOR_CONFIGS[bus], xlat, MemorySystem(MemorySystemConfig(l2=l2_config)))
+
+    def run(now, spec):
+        offset, row_bytes, rows, stride_kind, is_write = spec
+        stride = {"contiguous": row_bytes, "strided": row_bytes + 4000, "zero": 0}[stride_kind]
+        return dma.transfer(now, base + offset, row_bytes, rows, stride, is_write)
+
+    now = 0.0
+    for spec, gap in warm:
+        now = max(now, run(now, spec).end_time - gap)
+    now += delay - 200.0  # sometimes before the channel and bus free
+    __, row_bytes, rows, __, __ = transfer
+    end = run(now, transfer).end_time
+    assert end - now >= dma.floor(row_bytes, rows) - 2.0**-30 * end

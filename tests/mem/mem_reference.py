@@ -4,12 +4,37 @@
 tag-keyed LRU L2 and an open-row DRAM channel, and makes every booking
 with its own ``Timeline.book`` call.  It keeps the counters the way
 :meth:`repro.mem.hierarchy.MemorySystem.access` adds them: one add per name
-per call, the conditional ones only when nonzero.
+per call, the conditional ones only when nonzero.  :func:`translate_one`
+reads which translation level served a request.
 """
 
 from collections import OrderedDict
 
 from repro.sim.timeline import Timeline
+
+
+#: translation counter -> the level it counts (each request adds to one)
+LEVEL_COUNTERS = {
+    "filter_hits": "filter",
+    "private_hits": "private",
+    "shared_hits": "shared",
+    "walks": "walk",
+}
+
+
+def translate_one(xlat, start, vpn, is_write):
+    """One request as a one-request ``translate_chain``: ``(end, level)``.
+
+    The chain returns no levels; the level is the one counter of
+    :data:`LEVEL_COUNTERS` the request added to.
+    """
+    before = {name: xlat.stats.value(name) for name in LEVEL_COUNTERS}
+    __, (end,), __ppns = xlat.translate_chain([start], [vpn], is_write)
+    (level,) = [
+        level for name, level in LEVEL_COUNTERS.items()
+        if xlat.stats.value(name) != before[name]
+    ]
+    return end, level
 
 
 class Counters:

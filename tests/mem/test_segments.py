@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from mem_reference import ReferenceMemory, assert_matches, timeline_state
+from mem_reference import ReferenceMemory, assert_matches, timeline_state, translate_one
 from repro.mem.cache import CacheConfig
 from repro.mem.dram import DRAMConfig
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
@@ -84,17 +84,18 @@ def test_record_each_is_record_per_event():
 
 def test_translate_chain_miss_window_is_record_per_event():
     """The translation pass records its miss-rate window inline: the same
-    rates at the same times as one ``record`` per request outcome."""
+    rates at the same times as one ``record`` per request outcome (each
+    outcome read off a twin's one-request chain)."""
     rng = random.Random(3)
     vpns = same_page_runs(rng, 1000, pages=40)
     earliest = [float(i) for i in range(len(vpns))]
-    xlat = TranslationSystem(
-        TLBConfig(private_entries=4, shared_entries=8, miss_rate_window=64),
-        page_table=mapped_vm(40).page_table,
-    )
+    config = TLBConfig(private_entries=4, shared_entries=8, miss_rate_window=64)
+    xlat = TranslationSystem(config, page_table=mapped_vm(40).page_table)
+    twin = TranslationSystem(config, page_table=mapped_vm(40).page_table)
     reference = RateWindow("reference", 64)
     for part in (slice(0, 10), slice(10, 700), slice(700, 1000)):
-        starts, __, levels, __ = xlat.translate_chain(earliest[part], vpns[part], False)
+        starts, __, __ = xlat.translate_chain(earliest[part], vpns[part], False)
+        __, __, levels = chain_of_single_translations(twin, earliest[part], vpns[part], False)
         for t, level in zip(starts, levels):
             reference.record(t, level in ("shared", "walk"))
     window = xlat.miss_window
@@ -207,7 +208,7 @@ def chain_of_single_translations(xlat, earliest, vpns, is_write):
     end = float("-inf")
     for e, vpn in zip(earliest, vpns):
         start = e if e > end else end
-        __, (end,), (level,), __ppn = xlat.translate_chain([start], [vpn], is_write)
+        end, level = translate_one(xlat, start, vpn, is_write)
         starts.append(start)
         ends.append(end)
         levels.append(level)
@@ -253,10 +254,11 @@ def test_translate_chain_is_a_chain_of_single_translations(config, is_write):
                 vpn = b.filters.write_vpn if is_write else b.filters.read_vpn
                 ppn = b.filters.write_ppn if is_write else b.filters.read_ppn
                 assert ppn == oracle.walk(vpn)
-        starts, ends, levels, ppns = b.translate_chain(earliest[part], vpns[part], is_write)
-        assert (starts, ends, levels) == chain_of_single_translations(
+        starts, ends, ppns = b.translate_chain(earliest[part], vpns[part], is_write)
+        single_starts, single_ends, levels = chain_of_single_translations(
             a, earliest[part], vpns[part], is_write
         )
+        assert (starts, ends) == (single_starts, single_ends)
         assert ppns == [oracle.walk(vpn) for vpn in vpns[part]]
         served.update(levels)
     expected_levels = {"walk"}

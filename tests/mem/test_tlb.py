@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mem_reference import translate_one
 from repro.mem.tlb import TLB, FilterRegisters, TLBConfig, TranslationSystem
 from repro.sim.timeline import Timeline
 
@@ -87,10 +88,7 @@ def make_system(private=4, shared=16, filters=False, ptw=None):
 
 def translate(xs, now, vaddr, is_write):
     """One request through ``translate_chain``: its ``(end, level)``."""
-    __, (end,), (level,), __ppns = xs.translate_chain(
-        [now], [vaddr // xs.config.page_bytes], is_write
-    )
-    return end, level
+    return translate_one(xs, now, vaddr // xs.config.page_bytes, is_write)
 
 
 class TestTranslationSystem:

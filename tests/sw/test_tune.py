@@ -1,17 +1,19 @@
 """Auto-tuner: search validity, the never-worse contract, determinism."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import Dataflow, default_config
 from repro.core.generator import SoftwareParams
 from repro.obs.tracer import Tracer
 from repro.soc.soc import make_soc
 from repro.sw.kernels import TileKernels
 from repro.sw.schedule_cache import NULL_SCHEDULE_CACHE, ScheduleCache
-from repro.sw.tiling import fits_budgets, plan_matmul_tiling
+from repro.sw.tiling import LOOP_ORDERS, fits_budgets, plan_matmul_tiling
 from repro.sw.tune import (
     _rank_key,
     enumerate_tilings,
@@ -181,6 +183,63 @@ class TestBound:
         for bound in bounds:
             expected = full if full < bound else math.inf
             assert simulate_tiling_cycles(SMALL, tiling, bound=bound) == expected, bound
+
+
+#: configs the drain bound is checked on: the small 4x4 mesh, the default
+#: 16x16 one, and the small mesh with an output-stationary array
+DRAIN_CONFIGS = {
+    "small": (SMALL, 48),
+    "default": (default_config(), 160),
+    "small_os": (replace(SMALL, dataflow=Dataflow.OS), 48),
+}
+
+
+def drain_bounds_of_a_run(config, tiling):
+    """Every ``drain_bounds`` value of one candidate's run, prefix by
+    prefix (before any op, then after each), and the run's drain."""
+    soc = make_soc(gemmini=config)
+    kernels = TileKernels(soc.tile, schedule_cache=NULL_SCHEDULE_CACHE)
+    vm = soc.tile.vm
+    t = tiling
+    ops = list(kernels.matmul_ops(
+        vm.alloc(t.m * t.k, "A"), vm.alloc(t.k * t.n, "B"), vm.alloc(t.m * t.n, "C"),
+        t.m, t.k, t.n, tiling=t,
+    ))
+    controller = soc.tile.accel.controller
+    bound = controller.drain_bounds(ops)
+    bounds = [bound(0)]
+    for done, op in enumerate(ops, 1):
+        controller.issue(op)
+        bounds.append(bound(done))
+    return bounds, controller.drain()
+
+
+class TestDrainBound:
+    @pytest.mark.parametrize("double_buffer", [True, False])
+    @pytest.mark.parametrize("loop_order", LOOP_ORDERS)
+    @pytest.mark.parametrize("config_name", sorted(DRAIN_CONFIGS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_no_prefix_bounds_the_drain_above_the_run(
+        self, config_name, loop_order, double_buffer, data
+    ):
+        """After every prefix of a candidate's op stream, the bound is at
+        most the full run's drain.  The bound is a max-plus relaxation in
+        exact arithmetic; ``drain_bounds`` scales it down by ``2**-30`` so
+        that float rounding (another addition order, DMA floors multiplied
+        where transfers add row by row) stays below the drain, and the
+        comparison here is exact."""
+        config, most = DRAIN_CONFIGS[config_name]
+        m, k, n = (data.draw(st.integers(1, most), label=axis) for axis in "mkn")
+        candidates = enumerate_tilings(SoftwareParams.from_config(config), m, k, n)
+        variants = [
+            t for t in candidates
+            if (t.loop_order, t.double_buffer) == (loop_order, double_buffer)
+        ] or candidates  # jik is not enumerated when an outer loop has one trip
+        tiling = data.draw(st.sampled_from(variants), label="tiling")
+        bounds, drain = drain_bounds_of_a_run(config, tiling)
+        assert bounds[0] > 0
+        assert max(bounds) <= drain
 
 
 def unpruned_tune(config, m, k, n, verify_top_k):
