@@ -5,9 +5,9 @@ The observability substrate every execution layer reports through:
 * :mod:`repro.obs.tracer` — the run-scoped :class:`Tracer` (spans,
   instants, counters on named lanes, stamped with run id + seed) and its
   zero-overhead disabled form :data:`NULL_TRACER`;
-* :mod:`repro.obs.metrics` — :class:`MetricStream` of streaming P²
-  percentile estimators, so p50/p95/p99, goodput and utilisation are
-  readable *while* a simulation is in flight;
+* :mod:`repro.obs.metrics` — :class:`MetricStream` of exact streamed
+  histograms, so p50/p95/p99, goodput and utilisation are readable
+  *while* a simulation is in flight;
 * :mod:`repro.obs.export` — Chrome Trace Event Format JSON (loads in
   Perfetto / ``chrome://tracing``; lanes = tiles/workers/strategies),
   the CI schema validator, and flat metrics JSON/CSV;
@@ -77,7 +77,6 @@ from repro.obs.metrics import (  # noqa: E402
     NULL_METRICS,
     MetricStream,
     NullMetricStream,
-    P2Quantile,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer  # noqa: E402
 
@@ -160,7 +159,6 @@ __all__ = [
     "MetricStream",
     "NullMetricStream",
     "NULL_METRICS",
-    "P2Quantile",
     "to_chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",

@@ -548,9 +548,10 @@ class ServingSimulation:
             makespan = max(record.finish for record in records)
         else:
             makespan = max((actor.clock for actor in self._actors), default=0.0)
-        if self.metrics and records:
-            # Close the stream on a final whole-run snapshot whatever the
-            # tick cadence left pending.
+        if self.metrics and records and not self.metrics.due():
+            # Close the stream on a final whole-run snapshot when
+            # completions arrived after the last in-flight tick (a due
+            # count means that tick already covered every record).
             self._tick_metrics(makespan)
         dropped = self._count_dropped()
         return ServeResult(

@@ -32,15 +32,17 @@ class Counter:
 
 
 class Histogram:
-    """A histogram over integer-valued samples (e.g. latency in cycles)."""
+    """An exact histogram over numeric samples: one bucket per distinct
+    value, so every percentile is an observed value (e.g. latency in whole
+    cycles for serving reports, float milliseconds in a metric stream)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.buckets: dict[int, int] = {}
+        self.buckets: dict[float, int] = {}
         self.total = 0
         self.count = 0
 
-    def record(self, value: int, weight: int = 1) -> None:
+    def record(self, value: float, weight: int = 1) -> None:
         self.buckets[value] = self.buckets.get(value, 0) + weight
         self.total += value * weight
         self.count += weight
@@ -50,18 +52,18 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     @property
-    def max(self) -> int:
+    def max(self) -> float:
         return max(self.buckets) if self.buckets else 0
 
     @property
-    def min(self) -> int:
+    def min(self) -> float:
         return min(self.buckets) if self.buckets else 0
 
-    def percentile(self, p: float) -> int:
+    def percentile(self, p: float) -> float:
         """Return the smallest value v with P(sample <= v) >= p."""
         return self.percentiles((p,))[0]
 
-    def percentiles(self, ps: "Sequence[float]") -> list[int]:
+    def percentiles(self, ps: "Sequence[float]") -> list[float]:
         """Several percentiles over ONE sorted sweep of the buckets.
 
         Sorting the bucket keys dominates percentile cost, so answering
@@ -89,7 +91,7 @@ class Histogram:
         return out
 
     def summary(self) -> dict[str, float]:
-        """The distribution digest serving/latency reports are built from
+        """The distribution digest metric-stream snapshots are built from
         (all three quantiles answered by one :meth:`percentiles` sweep)."""
         p50, p95, p99 = self.percentiles((0.50, 0.95, 0.99))
         return {

@@ -1,4 +1,5 @@
-"""Unit tests for P² streaming quantiles and the MetricStream."""
+"""Unit tests for the MetricStream: exact streamed percentiles, counters,
+sums, snapshot cadence, and the no-op NullMetricStream."""
 
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import NULL_METRICS, MetricStream, NullMetricStream, P2Quantile
+from repro.obs.metrics import NULL_METRICS, MetricStream, NullMetricStream
 
 
 def nearest_rank(samples, p):
@@ -15,90 +16,6 @@ def nearest_rank(samples, p):
     ordered = sorted(samples)
     rank = max(1, math.ceil(len(ordered) * p))
     return ordered[min(rank, len(ordered)) - 1]
-
-
-class TestP2Quantile:
-    def test_rejects_degenerate_p(self):
-        for p in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                P2Quantile(p)
-
-    def test_empty_is_zero(self):
-        assert P2Quantile(0.5).value() == 0.0
-
-    def test_exact_below_five_samples(self):
-        est = P2Quantile(0.5)
-        for x in (9.0, 1.0, 5.0):
-            est.observe(x)
-        assert est.value() == 5.0  # nearest-rank median of {1, 5, 9}
-        assert est.count == 3
-
-    def test_single_sample(self):
-        est = P2Quantile(0.99)
-        est.observe(7.0)
-        assert est.value() == 7.0
-
-    @pytest.mark.parametrize("p", [0.5, 0.95, 0.99])
-    def test_uniform_accuracy(self, p):
-        rng = random.Random(1)
-        est = P2Quantile(p)
-        samples = [rng.random() for _ in range(20_000)]
-        for x in samples:
-            est.observe(x)
-        exact = sorted(samples)[int(p * len(samples))]
-        assert est.value() == pytest.approx(exact, abs=0.02)
-
-    def test_exponential_tail_accuracy(self):
-        """Latency-shaped (heavy-tailed) distribution: the p99 estimate
-        must land within a few percent of the exact order statistic."""
-        rng = random.Random(2)
-        est = P2Quantile(0.99)
-        samples = [rng.expovariate(1.0) for _ in range(20_000)]
-        for x in samples:
-            est.observe(x)
-        exact = sorted(samples)[int(0.99 * len(samples))]
-        assert est.value() == pytest.approx(exact, rel=0.10)
-
-    def test_monotone_input_is_handled(self):
-        est = P2Quantile(0.5)
-        for x in range(1000):
-            est.observe(float(x))
-        assert est.value() == pytest.approx(500.0, rel=0.05)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("p", [0.5, 0.95, 0.99])
-    def test_exact_nearest_rank_below_five_samples(self, n, p):
-        """Under five observations the estimator must return the exact
-        nearest-rank order statistic, not an interpolation."""
-        rng = random.Random(10 * n + int(100 * p))
-        samples = [rng.expovariate(0.2) for _ in range(n)]
-        est = P2Quantile(p)
-        for x in samples:
-            est.observe(x)
-        assert est.value() == nearest_rank(samples, p)
-        assert est.value() in samples  # an actual observation, by definition
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        samples=st.lists(
-            st.floats(min_value=0.01, max_value=1e4, allow_nan=False),
-            min_size=1,
-            max_size=400,
-        ),
-        p=st.sampled_from([0.5, 0.95, 0.99]),
-    )
-    def test_property_percentile_tolerance(self, samples, p):
-        """On latency-shaped (positive, bounded) samples of any length the
-        stream's estimate stays within the observed range and, for the
-        exact-prefix regime, equals the nearest-rank statistic."""
-        ms = MetricStream()
-        for x in samples:
-            ms.observe("latency_ms", x)
-        key = f"latency_ms_p{round(p * 100)}"
-        estimate = ms.current()[key]
-        assert min(samples) <= estimate <= max(samples)
-        if len(samples) < 5:
-            assert estimate == nearest_rank(samples, p)
 
 
 class TestMetricStream:
@@ -112,6 +29,39 @@ class TestMetricStream:
         assert snap["latency_ms_min"] == 1.0
         assert snap["latency_ms_max"] == 4.0
         assert "latency_ms_p50" in snap and "latency_ms_p99" in snap
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.floats(min_value=0.01, max_value=1e4, allow_nan=False),
+            min_size=1,
+            max_size=400,
+        ),
+        p=st.sampled_from([0.5, 0.95, 0.99]),
+    )
+    def test_property_percentile_tolerance(self, samples, p):
+        """On float samples of any length every streamed percentile is the
+        exact nearest-rank order statistic — an observed value, never an
+        interpolation."""
+        ms = MetricStream()
+        for x in samples:
+            ms.observe("latency_ms", x)
+        key = f"latency_ms_p{round(p * 100)}"
+        assert ms.current()[key] == nearest_rank(samples, p)
+
+    def test_heavy_tail_percentiles_are_exact(self):
+        """A latency-shaped (heavy-tailed) stream long enough to leave the
+        small-sample regime: p50/p95/p99 and the extrema stay exact."""
+        rng = random.Random(2)
+        samples = [rng.expovariate(1.0) for _ in range(20_000)]
+        ms = MetricStream()
+        for x in samples:
+            ms.observe("latency_ms", x)
+        snap = ms.current()
+        for p in (0.5, 0.95, 0.99):
+            assert snap[f"latency_ms_p{round(p * 100)}"] == nearest_rank(samples, p)
+        assert snap["latency_ms_min"] == min(samples)
+        assert snap["latency_ms_max"] == max(samples)
 
     def test_mark_and_acc_and_count(self):
         ms = MetricStream()

@@ -125,6 +125,16 @@ class TestServingLiveMetrics:
         ts = [s["t"] for s in metrics.snapshots]
         assert ts == sorted(ts) and ts[0] > 0.0
 
+    def test_no_repeated_closing_snapshot(self):
+        """When ``every`` divides the completion count the last in-flight
+        tick already covers every record: no closing duplicate follows."""
+        metrics = MetricStream(every=5)
+        result = simulate_serving(two_tenant_profile(), metrics=metrics)
+        assert result.completed == 10
+        completed = [s["completed"] for s in metrics.snapshots]
+        assert completed == [5, 10]
+        assert all(a != b for a, b in zip(metrics.snapshots, metrics.snapshots[1:]))
+
     def test_metrics_match_final_report(self):
         metrics = MetricStream(every=64)
         result = simulate_serving(two_tenant_profile(), metrics=metrics)
@@ -133,6 +143,16 @@ class TestServingLiveMetrics:
         report = result.report.overall
         assert final["latency_ms_mean"] == pytest.approx(report.mean_ms, rel=1e-6)
         assert final["goodput_qps"] == pytest.approx(report.goodput_qps, rel=1e-6)
+        # The stream and the report compute percentiles one way; the report
+        # only rounds each latency to whole cycles first.
+        half_cycle_ms = 0.5 / (default_config().clock_ghz * 1e6)
+        for key, exact in (
+            ("p50", report.p50_ms),
+            ("p95", report.p95_ms),
+            ("p99", report.p99_ms),
+            ("max", report.max_ms),
+        ):
+            assert abs(final[f"latency_ms_{key}"] - exact) <= half_cycle_ms, key
 
     def test_untraced_run_results_are_unaffected(self):
         """Attaching a tracer/metrics must not change simulation results."""
