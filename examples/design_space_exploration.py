@@ -10,12 +10,12 @@ existing generators cannot make.  A final structural search ranges over
 *whole heterogeneous fleets* (big/little tile mixes via
 :func:`repro.dse.mix_space`), showing the component-based design axis.
 
-Every evaluation goes through :class:`repro.eval.runner.ExperimentRunner`
-and is content-hash cached, so re-running the example is nearly free.
-Analytic points run in-process as one batch per proposal; only SoC and
-serving points fan out across cores (set ``REPRO_WORKERS=1`` to force
-serial execution).  ``REPRO_FAST=1`` shrinks the search budgets for
-smoke runs.
+Every search here is analytic: its points are scored in-process, one
+batch call per proposal, with no result cache (a batch costs less than
+its cache entries would).  SoC-fidelity and serving points would go
+through :class:`repro.eval.runner.ExperimentRunner`, cached and fanned out
+across cores (set ``REPRO_WORKERS=1`` to force serial execution).
+``REPRO_FAST=1`` shrinks the search budgets for smoke runs.
 """
 
 import os

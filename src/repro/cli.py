@@ -714,7 +714,8 @@ def cmd_dse(args, run: _RunContext) -> int:
         f"{len(result.infeasible)} infeasible), hypervolume {result.hypervolume:.6g}"
     )
     print(f"seed: {args.seed}")
-    print(f"dse {stats}")
+    if stats.total:  # analytic points never reach the runner
+        print(f"dse {stats}")
     if args.export_json:
         print(f"wrote {export_json(result, args.export_json)}")
     if args.export_csv:
@@ -1208,11 +1209,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="analytic",
         help="cost model: closed-form array model or full SoC simulation",
     )
-    p_dse.add_argument("--workers", type=int, default=None, help="parallel evaluator processes")
+    p_dse.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="parallel evaluator processes for SoC-fidelity and serving evaluations",
+    )
     p_dse.add_argument(
         "--cache-dir",
         default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
+        help="result cache directory for SoC-fidelity and serving evaluations "
+        "(default: $REPRO_CACHE_DIR or .repro-cache)",
     )
     p_dse.add_argument("--export-json", default=None, help="write trace + front JSON here")
     p_dse.add_argument("--export-csv", default=None, help="write per-point CSV here")

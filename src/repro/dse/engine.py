@@ -1,11 +1,14 @@
 """The Explorer: budgeted ask/tell search over a parameter space.
 
-The explorer owns the evaluation budget and routes every batch a strategy
-proposes through :class:`~repro.eval.runner.ExperimentRunner`: analytic
-points in one in-process batch call, SoC and serving points in parallel
-across cores.  Every result is content-hash cached on disk — re-running a
-seeded search is served almost entirely from cache, and enlarging the
-budget only pays for the new points.
+The explorer owns the evaluation budget and scores every batch a strategy
+proposes.  Analytic points are scored in-process by one
+:func:`~repro.dse.objectives.evaluate_design_batch` call per batch,
+uncached: that call costs less than keying, pickling and reading back a
+cache entry per point.  SoC and serving points are per-point simulations;
+they go through :class:`~repro.eval.runner.ExperimentRunner`, which fans
+them out across cores and content-hash caches each result on disk, so
+re-running a seeded search is served from cache and enlarging the budget
+only pays for the new points.
 """
 
 from __future__ import annotations
@@ -148,28 +151,32 @@ class Explorer:
             raise ValueError(f"bounds on unknown metric(s) {unknown}")
 
     def explore(self) -> ExplorationResult:
-        """Run ask → parallel cached evaluate → tell until the budget is
-        spent or the strategy runs out of proposals."""
+        """Run ask → evaluate → tell until the budget is spent or the
+        strategy runs out of proposals.
+
+        Analytic proposals with no traffic profile are scored in-process
+        by one :func:`evaluate_design_batch` call per batch, never through
+        the runner; SoC and serving proposals go through ``runner.map``,
+        parallel and cached.
+        """
         objectives = parse_objectives(self.spec.objectives)
         self.strategy.bind(objectives, self.budget, self.bounds)
         tracer, metrics = self.tracer, self.metrics
         strategy_name = getattr(self.strategy, "name", type(self.strategy).__name__)
         tracer.declare_lane("search", process="dse", label=f"search [{strategy_name}]", sort=0)
+        batched = self.spec.fidelity == "analytic" and self.spec.traffic is None
         owns_runner = self.runner is None
-        # A self-owned runner caches under the default directory so repeated
-        # searches are incremental even through the plain Python API; pass a
-        # runner explicitly to choose (or disable) the cache.  A self-owned
-        # runner shares this explorer's tracer, so per-spec worker spans and
-        # cache hit/miss counters land in the same timeline.
+        # A self-owned runner caches simulated points under the default
+        # directory so repeated searches are incremental even through the
+        # plain Python API; pass a runner explicitly to choose (or disable)
+        # the cache.  A self-owned runner shares this explorer's tracer, so
+        # per-spec worker spans and cache hit/miss counters land in the same
+        # timeline.  A batched search never calls it, so it gets no cache
+        # directory.
         runner = self.runner if self.runner is not None else ExperimentRunner(
-            cache=default_cache_dir(), tracer=tracer
+            cache=None if batched else default_cache_dir(), tracer=tracer
         )
         hits0, misses0 = runner.hits, runner.misses
-        # Analytic proposals with no traffic profile go through the
-        # vectorised evaluate_design_batch (still per-point content-hash
-        # cached); SoC and serving evaluations stay on runner.map so each
-        # expensive per-point simulation can fan out across worker processes.
-        fast = self.spec.fidelity == "analytic" and self.spec.traffic is None
 
         trace: list[Evaluation] = []
         feasible: list[Evaluation] = []
@@ -186,15 +193,12 @@ class Explorer:
                     break  # space (or reachable neighbourhood) exhausted
                 new = [p for p in points if point_key(p) not in seen]
                 if new:
-                    labels = [point_label(p) for p in new]
-                    if fast:
-                        results = runner.map_batch(
-                            evaluate_design_batch, new, label="dse",
-                            labels=labels, spec=self.spec,
-                        )
+                    if batched:
+                        results = evaluate_design_batch(new, self.spec)
                     else:
                         results = runner.map(
-                            evaluate_design, new, label="dse", labels=labels, spec=self.spec
+                            evaluate_design, new, label="dse",
+                            labels=[point_label(p) for p in new], spec=self.spec,
                         )
                     for point, evaluation in zip(new, results):
                         seen[point_key(point)] = evaluation

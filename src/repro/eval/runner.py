@@ -1,18 +1,19 @@
 """Parallel experiment orchestration with per-config result caching.
 
-Figure reproduction and design-space sweeps are embarrassingly parallel:
-every point is an independent (function, config) pair.  The
+Figure reproduction and simulated design-space points are embarrassingly
+parallel: every point is an independent (function, config) pair.  The
 :class:`ExperimentRunner` fans such points out over a
 ``ProcessPoolExecutor`` and memoises each result on disk.  A result's key
-hashes how the callable is called (one call, or one item of a batch
-call), a digest of the callable (its function's source and module file,
+hashes a digest of the callable (its function's source and module file,
 the state that source does not show, the package source tree) and a
 digest of each keyword argument, so re-running a sweep only pays for the
 points that changed, and any package edit starts a fresh cache.
 
 ``eval/experiments.py`` (via :func:`repro.eval.experiments.run_figures`),
-``examples/design_space_exploration.py`` and the ``benchmarks/`` suite all
-route through this module.
+the ``benchmarks/`` suite and the DSE explorer's SoC-fidelity and serving
+evaluations route through this module.  Analytic DSE points do not: one
+batched evaluation of them costs less than keying, pickling and reading
+back their cache entries.
 
 Environment knobs:
 
@@ -37,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "ExperimentRunner",
@@ -237,37 +238,29 @@ class ExperimentSpec:
         position, figure name), and the same computation must hit the same
         cache entry however it is labelled or ordered.
         """
-        return _spec_keys([self], "call")[0]
+        return _spec_keys([self])[0]
 
     def run(self) -> Any:
         return self.fn(**dict(self.kwargs))
 
 
-def _spec_keys(
-    specs: Sequence[ExperimentSpec], convention: str, known: dict[int, bytes] | None = None
-) -> list[str]:
-    """Cache key of every spec: ``sha256(convention ‖ callable digest ‖
-    sorted (name, value digest) pairs)``.
+def _spec_keys(specs: Sequence[ExperimentSpec]) -> list[str]:
+    """Cache key of every spec: ``sha256(callable digest ‖ sorted (name,
+    value digest) pairs)``.
 
-    ``convention`` names how the callable is called: ``"call"`` runs it
-    with the spec's kwargs (:meth:`ExperimentRunner.run_specs`, ``run``,
-    ``map``), ``"batch"`` hands the spec's ``item`` to a batch function
-    with the rest as shared keywords (:meth:`ExperimentRunner.map_batch`),
-    so one callable used both ways never shares an entry.  The callable
-    digest (:func:`_callable_digest`) covers the package source tree, so
-    any package edit changes every key.  Each distinct callable and
-    argument object is digested once per call; ``known`` supplies
-    argument digests already computed, keyed by ``id``.
+    The callable digest (:func:`_callable_digest`) covers the package
+    source tree, so any package edit changes every key.  Each distinct
+    callable and argument object is digested once per call (a sweep's
+    specs share their keyword argument objects).
     """
-    values = dict(known or {})
+    values: dict[int, bytes] = {}
     callables: dict[int, bytes] = {}
-    tag = convention.encode("utf-8") + b"\0"
     keys = []
     for spec in specs:
         fn = callables.get(id(spec.fn))
         if fn is None:
             fn = callables[id(spec.fn)] = _callable_digest(spec.fn)
-        digest = hashlib.sha256(tag + fn)
+        digest = hashlib.sha256(fn)
         for name, value in sorted(spec.kwargs, key=lambda kv: kv[0]):
             if id(value) not in values:
                 values[id(value)] = _digest(value)
@@ -408,9 +401,6 @@ class ExperimentRunner:
         self._pool: ProcessPoolExecutor | None = None
         self.hits = 0
         self.misses = 0
-        #: id -> (object, digest) of hashable shared arguments of map and
-        #: map_batch calls; holding the object keeps its id from being reused
-        self._digests: dict[int, tuple[Any, bytes]] = {}
         #: per-spec span / cache-attribution sink (no-op singleton when off)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.tracer.declare_lane("cache", process="runner", label="cache", sort=0)
@@ -444,48 +434,16 @@ class ExperimentRunner:
     def run_specs(self, specs: Sequence[ExperimentSpec]) -> list[Any]:
         """Run specs, returning results in order.
 
-        Cached results are served immediately; within one batch, specs with
-        identical cache keys compute once and fan out (the evolutionary and
-        annealing DSE strategies routinely re-propose points); the
-        remainder execute in parallel (or inline when a pool is not worth
-        spinning up).
-        """
-        return self._cached(specs, "call", functools.partial(self._execute, specs))
-
-    def _cached(
-        self,
-        specs: Sequence[ExperimentSpec],
-        convention: str,
-        execute: Callable[[list[int], Callable[[int, Any], None]], None],
-        shared: dict[str, Any] | None = None,
-    ) -> list[Any]:
-        """The one cache pass behind :meth:`run_specs`, :meth:`map` and
-        :meth:`map_batch`.
-
-        Keys the specs under ``convention`` (see :func:`_spec_keys`), serves
-        cache hits, folds in-batch duplicate keys onto their first
-        occurrence (counted as hits), then hands the pending positions to
-        ``execute(pending, record)``, which must call ``record(i, value)``
-        once per pending position.  ``shared`` names the keyword arguments
-        every spec carries; the digest of each hashable one is kept for the
-        runner's lifetime (a DSE passes one spec object to every batch).
+        Cached results are served immediately (keys: :func:`_spec_keys`);
+        within one batch, specs with identical cache keys compute once and
+        fan out, counted as hits (the evolutionary and annealing DSE
+        strategies routinely re-propose points); the remainder execute in
+        parallel (or inline when a pool is not worth spinning up).
         """
         results: list[Any] = [None] * len(specs)
         pending: list[int] = []
         tracer = self.tracer
-        keys = None
-        if self.cache is not None:
-            known = {}
-            for value in (shared or {}).values():
-                try:
-                    hash(value)
-                except TypeError:  # mutable: may change before the next call
-                    continue
-                entry = self._digests.get(id(value))
-                if entry is None:
-                    entry = self._digests[id(value)] = (value, _digest(value))
-                known[id(value)] = entry[1]
-            keys = _spec_keys(specs, convention, known)
+        keys = _spec_keys(specs) if self.cache is not None else None
         primary: dict[str, int] = {}  # key -> first pending position
         duplicates: dict[int, int] = {}  # position -> its primary position
         for i, spec in enumerate(specs):
@@ -515,20 +473,19 @@ class ExperimentRunner:
 
         # Cache every result the moment it exists: a point that fails (or a
         # Ctrl-C) must not discard the completed points of a long sweep.
-        def record(i: int, value: Any) -> None:
+        for i, value in self._execute(specs, pending):
             results[i] = value
             if keys is not None:
                 self.cache.put(keys[i], value)
-
-        execute(pending, record)
         for i, first in duplicates.items():
             results[i] = results[first]
         return results
 
     def _execute(
-        self, specs: Sequence[ExperimentSpec], pending: list[int], record: Callable[[int, Any], None]
-    ) -> None:
-        """Run pending specs one by one: inline, or on the process pool."""
+        self, specs: Sequence[ExperimentSpec], pending: list[int]
+    ) -> Iterator[tuple[int, Any]]:
+        """Run pending specs one by one, inline or on the process pool,
+        yielding ``(position, result)`` as each finishes."""
         tracer = self.tracer
         if self.max_workers == 1 or len(pending) == 1:
             pid = os.getpid()
@@ -538,7 +495,7 @@ class ExperimentRunner:
                 t0 = tracer.now()
                 value = specs[i].run()
                 tracer.complete(lane, specs[i].name, t0, tracer.now(), {"pid": pid})
-                record(i, value)
+                yield i, value
             return
         pool = self._ensure_pool()
         futures = {pool.submit(_run_spec_timed, specs[i]): i for i in pending}
@@ -556,7 +513,7 @@ class ExperimentRunner:
                         max(0.0, tracer.to_timeline(t1)),
                         {"pid": pid},
                     )
-                record(i, value)
+                yield i, value
         except BaseException:
             for future in futures:
                 future.cancel()
@@ -587,56 +544,7 @@ class ExperimentRunner:
             ExperimentSpec(name, functools.partial(fn, item), kwargs)
             for name, item in zip(_spec_names(base, items, labels), items)
         ]
-        return self._cached(specs, "call", functools.partial(self._execute, specs), shared)
-
-    def map_batch(
-        self,
-        batch_fn: Callable[..., Sequence[Any]],
-        items: Iterable[Any],
-        *,
-        label: str | None = None,
-        labels: Sequence[Any] | None = None,
-        **shared: Any,
-    ) -> list[Any]:
-        """Cached map evaluated through one vectorised batch call.
-
-        ``batch_fn(items, **shared)`` must return one result per item, in
-        order.  Caching, hit/miss accounting and duplicate-key
-        deduplication are :meth:`map`'s — the same per-item content-hash
-        granularity, so re-running, reordering or enlarging a sweep only
-        pays for genuinely new items — but all the misses execute in ONE
-        ``batch_fn`` call instead of one task per item.  That call runs
-        in-process whatever ``max_workers`` is: the point of a batched
-        evaluator is that its per-item cost is far below what a process
-        fan-out would amortise.  Keys use the ``"batch"`` convention, so
-        they never collide with :meth:`map` over the same function.
-        """
-        items = list(items)
-        base = label or getattr(batch_fn, "__name__", "map_batch")
-        kwargs = tuple(sorted(shared.items()))
-        specs = [
-            ExperimentSpec(name, batch_fn, (("item", item), *kwargs))
-            for name, item in zip(_spec_names(base, items, labels), items)
-        ]
-        tracer = self.tracer
-
-        def execute(pending: list[int], record: Callable[[int, Any], None]) -> None:
-            tracer.declare_lane("batch", process="runner", label="batched evaluator")
-            t0 = tracer.now()
-            values = list(batch_fn([items[i] for i in pending], **shared))
-            tracer.complete(
-                "batch", f"{base}[batch:{len(pending)}]", t0, tracer.now(),
-                {"items": len(pending), "of": len(items)},
-            )
-            if len(values) != len(pending):
-                raise ValueError(
-                    f"batch function returned {len(values)} results "
-                    f"for {len(pending)} items"
-                )
-            for i, value in zip(pending, values):
-                record(i, value)
-
-        return self._cached(specs, "batch", execute, shared)
+        return self.run_specs(specs)
 
     def stats(self) -> RunnerStats:
         """Hits/misses/hit-rate accumulated since the last reset."""

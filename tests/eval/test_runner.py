@@ -1,5 +1,6 @@
 """Tests for the parallel experiment runner and its result cache."""
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -35,13 +36,6 @@ def describe_config(config: GemminiConfig) -> str:
 
 def scaled(x: int, factor: int = 1) -> int:
     return x * factor
-
-
-def tagged(x):
-    """Answers a list (a batch call) and a scalar (one call) differently."""
-    if isinstance(x, list):
-        return [f"batch:{v}" for v in x]
-    return f"item:{x}"
 
 
 class TestConfigHash:
@@ -459,144 +453,55 @@ class TestMapLabels:
             assert second.hits == 2 and second.misses == 0
 
 
-def square_batch(items: list) -> list:
-    """Module-level batch evaluator (one call scores the whole list)."""
-    return [x * x for x in items]
-
-
-def scaled_batch(items: list, factor: int = 1) -> list:
-    return [x * factor for x in items]
-
-
-def batch_specs(batch_fn, items, **shared) -> list:
-    """The specs ``map_batch`` keys: one per item, carrying the item and
-    the shared keywords."""
+def map_specs(fn, items, **shared) -> list:
+    """The specs ``runner.map(fn, items, **shared)`` runs and keys."""
     kwargs = tuple(sorted(shared.items()))
     return [
-        ExperimentSpec(f"x[{i}]", batch_fn, (("item", item), *kwargs))
+        ExperimentSpec(f"x[{i}]", functools.partial(fn, item), kwargs)
         for i, item in enumerate(items)
     ]
 
 
-#: keys a fresh interpreter computes for one DSE batch (printed as JSON)
-DSE_BATCH_KEYS = """
-import json, random
-from repro.dse import EvaluationSpec, evaluate_design_batch, gemmini_space, model_workload
+#: keys a fresh interpreter computes for one SoC-fidelity DSE batch
+#: (printed as JSON): the keys ``runner.map(evaluate_design, points,
+#: spec=spec)`` reads and writes
+DSE_MAP_KEYS = """
+import functools, json, random
+from repro.dse import EvaluationSpec, evaluate_design, gemmini_space, model_workload
 from repro.eval.runner import ExperimentSpec, _spec_keys
 
 space = gemmini_space(max_dim=64)
 rng = random.Random(0)
 points = [space.sample(rng) for __ in range(14)]
-shared = EvaluationSpec(workload=model_workload("squeezenet", input_hw=32))
+spec = EvaluationSpec(fidelity="soc", workload=model_workload("squeezenet", input_hw=32))
 specs = [
-    ExperimentSpec(f"dse[{i}]", evaluate_design_batch, (("item", p), ("spec", shared)))
+    ExperimentSpec(f"dse[{i}]", functools.partial(evaluate_design, p), (("spec", spec),))
     for i, p in enumerate(points)
 ]
-print(json.dumps(_spec_keys(specs, "batch")))
+print(json.dumps(_spec_keys(specs)))
 """
 
 
-class TestMapBatch:
-    def test_results_in_order(self):
-        with ExperimentRunner(max_workers=1) as runner:
-            assert runner.map_batch(square_batch, [3, 1, 2]) == [9, 1, 4]
-
-    def test_misses_execute_in_one_call(self, tmp_path):
-        # A call log file (not a captured list: mutable closure state would
-        # change the cache key between calls).
-        log = tmp_path / "calls.txt"
-
-        def tracked_batch(items):
-            with log.open("a") as fh:
-                fh.write(",".join(map(str, items)) + "\n")
-            return [x + 1 for x in items]
-
-        with ExperimentRunner(max_workers=1, cache=tmp_path / "cache") as runner:
-            assert runner.map_batch(tracked_batch, [1, 2, 3]) == [2, 3, 4]
-        assert log.read_text().splitlines() == ["1,2,3"]  # one batched call
-
-    def test_pooled_runner_still_batches_in_process(self, tmp_path):
-        """A pooled runner shares map's cache pass but not its executor:
-        the misses still go to ONE in-process batch_fn call."""
-        log = tmp_path / "calls.txt"
-
-        def tracked_batch(items):
-            with log.open("a") as fh:
-                fh.write(",".join(map(str, items)) + "\n")
-            return [x * 3 for x in items]
-
-        with ExperimentRunner(max_workers=2, cache=tmp_path / "cache") as runner:
-            assert runner.map_batch(tracked_batch, [1, 2, 3, 1]) == [3, 6, 9, 3]
-            assert runner._pool is None  # never spun up a process pool
-            assert runner.hits == 1 and runner.misses == 3
-        assert log.read_text().splitlines() == ["1,2,3"]
-
-    def test_cache_granularity_is_per_item(self, tmp_path):
-        """Enlarging or reordering a sweep only hands batch_fn the new
-        items — the property budget-enlarged DSE re-runs rely on."""
-        log = tmp_path / "calls.txt"
-
-        def tracked_batch(items):
-            with log.open("a") as fh:
-                fh.write(",".join(map(str, items)) + "\n")
-            return [x * 2 for x in items]
-
-        with ExperimentRunner(max_workers=1, cache=tmp_path / "cache") as first:
-            first.map_batch(tracked_batch, [10, 20])
-        with ExperimentRunner(max_workers=1, cache=tmp_path / "cache") as second:
-            assert second.map_batch(tracked_batch, [30, 20, 10, 40]) == [60, 40, 20, 80]
-            assert second.hits == 2 and second.misses == 2
-        assert log.read_text().splitlines() == ["10,20", "30,40"]
-
-    def test_duplicate_items_compute_once(self, tmp_path):
-        log = tmp_path / "calls.txt"
-
-        def tracked_batch(items):
-            with log.open("a") as fh:
-                fh.write(",".join(map(str, items)) + "\n")
-            return [x + 5 for x in items]
-
-        with ExperimentRunner(max_workers=1, cache=tmp_path / "cache") as runner:
-            assert runner.map_batch(tracked_batch, [7, 7, 8]) == [12, 12, 13]
-            assert runner.hits == 1 and runner.misses == 2
-        assert log.read_text().splitlines() == ["7,8"]
-
-    def test_shared_kwargs_reach_fn_and_cache_key(self, tmp_path):
-        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
-            assert runner.map_batch(scaled_batch, [1, 2], factor=3) == [3, 6]
-            assert runner.map_batch(scaled_batch, [1, 2], factor=4) == [4, 8]
-            # Different shared kwargs are different computations.
-            assert runner.misses == 4 and runner.hits == 0
-            assert runner.map_batch(scaled_batch, [1, 2], factor=3) == [3, 6]
-            assert runner.hits == 2
-
-    def test_batch_keys_track_items_and_shared_arguments(self, tmp_path):
-        """Equal items share a key, different items and a changed shared
-        argument do not, and the entries ``map_batch`` writes are named by
-        the keys :func:`_spec_keys` computes under the batch convention."""
-        from repro.dse import EvaluationSpec, evaluate_design_batch, model_workload
+class TestMapKeys:
+    def test_dse_keys_track_points_and_spec(self):
+        """Equal points share a key; different points and a changed
+        evaluation spec do not."""
+        from repro.dse import EvaluationSpec, evaluate_design, model_workload
         from repro.eval.runner import _spec_keys
 
-        shared = EvaluationSpec(workload=model_workload("squeezenet", input_hw=32))
+        def spec(hw):
+            return EvaluationSpec(
+                fidelity="soc", workload=model_workload("squeezenet", input_hw=hw)
+            )
+
         points = [{"dim": 4, "tile": 1}, {"dim": 8, "tile": 2}, {"dim": 4, "tile": 1}, None]
-        specs = batch_specs(evaluate_design_batch, points, spec=shared)
-        keys = _spec_keys(specs, "batch")
+        keys = _spec_keys(map_specs(evaluate_design, points, spec=spec(32)))
         assert keys[0] == keys[2] != keys[1]
         assert len(set(keys)) == 3
-        other = EvaluationSpec(workload=model_workload("squeezenet", input_hw=64))
-        moved = _spec_keys(batch_specs(evaluate_design_batch, points, spec=other), "batch")
+        moved = _spec_keys(map_specs(evaluate_design, points, spec=spec(64)))
         assert set(keys).isdisjoint(moved)
-        # the same specs run as plain calls are a different computation
-        assert set(keys).isdisjoint(s.key for s in specs)
 
-        items, factor = [1, 2, 3], 3
-        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
-            runner.map_batch(scaled_batch, items, factor=factor)
-        assert {p.stem for p in tmp_path.glob("*.pkl")} == set(
-            _spec_keys(batch_specs(scaled_batch, items, factor=factor), "batch")
-        )
-
-    def test_batch_keys_agree_across_processes(self):
+    def test_dse_keys_agree_across_processes(self):
         """Keys name on-disk entries shared between runs, so they must not
         depend on the interpreter's string-hash seed."""
         import json
@@ -609,7 +514,7 @@ class TestMapBatch:
         env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
         runs = [
             subprocess.run(
-                [sys.executable, "-c", DSE_BATCH_KEYS],
+                [sys.executable, "-c", DSE_MAP_KEYS],
                 env={**env, "PYTHONHASHSEED": seed},
                 capture_output=True, text=True, check=True,
             )
@@ -617,47 +522,7 @@ class TestMapBatch:
         ]
         first, second = (json.loads(r.stdout) for r in runs)
         assert first == second
-        assert len(first) == 14
-
-    def test_map_and_map_batch_never_share_keys(self, tmp_path):
-        """Regression: ``map(f, xs)`` and ``map_batch(f, xs)`` keyed one
-        entry per item, so ``map_batch`` was served ``map``'s results."""
-        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
-            assert runner.map(tagged, [1, 2]) == ["item:1", "item:2"]
-            assert runner.map_batch(tagged, [1, 2]) == ["batch:1", "batch:2"]
-            assert (runner.misses, runner.hits) == (4, 0)
-
-    def test_shared_argument_memo_keys_by_identity(self, tmp_path):
-        """Equal shared values of different types (1 == 1.0 == True) keep
-        distinct keys across calls, and a repeated one hits."""
-        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
-            results = [runner.map_batch(scaled_batch, [1, 2], factor=f)
-                       for f in (1, 1.0, True, 1)]
-            assert [type(r[0]) for r in results] == [int, float, int, int]
-            assert (runner.misses, runner.hits) == (6, 2)
-        assert len(list(tmp_path.glob("*.pkl"))) == 6
-
-    def test_wrong_result_count_rejected(self):
-        def broken_batch(items):
-            return [0]
-
-        with ExperimentRunner(max_workers=1) as runner:
-            with pytest.raises(ValueError, match="returned 1 results for 2"):
-                runner.map_batch(broken_batch, [1, 2])
-
-    def test_labels_length_mismatch_rejected(self):
-        with ExperimentRunner(max_workers=1) as runner:
-            with pytest.raises(ValueError, match="labels length"):
-                runner.map_batch(square_batch, [1, 2], labels=["only-one"])
-
-    def test_empty_items(self):
-        with ExperimentRunner(max_workers=1) as runner:
-            assert runner.map_batch(square_batch, []) == []
-
-    def test_works_without_cache(self):
-        with ExperimentRunner(max_workers=1) as runner:
-            assert runner.map_batch(square_batch, [4, 5]) == [16, 25]
-            assert runner.misses == 2 and runner.hits == 0
+        assert len(set(first)) == 14
 
 
 class TestRunnerStats:
@@ -754,16 +619,6 @@ class TestRunnerTracing:
         counters = {(e[2], e[4]) for e in tracer.events() if e[0] == "C"}
         assert ("cache_hits", 2) in counters
         assert ("cache_misses", 2) in counters
-
-    def test_map_batch_emits_one_batch_span(self, tmp_path):
-        tracer = self._tracer()
-        runner = ExperimentRunner(max_workers=1, cache=tmp_path, tracer=tracer)
-        runner.map_batch(square_batch, [1, 2, 3], label="dse")
-        runner.map_batch(square_batch, [1, 2, 3, 4], label="dse")
-        spans = [e for e in tracer.events() if e[0] == "X"]
-        assert [e[2] for e in spans] == ["dse[batch:3]", "dse[batch:1]"]
-        assert spans[0][5] == {"items": 3, "of": 3}
-        assert spans[1][5] == {"items": 1, "of": 4}  # only the new item ran
 
     def test_untraced_runner_by_default(self):
         from repro.obs.tracer import NULL_TRACER

@@ -144,31 +144,53 @@ class TestDse:
     def test_prints_front_and_cache_stats(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "1")
         assert main([
-            "dse", "--strategy", "random", "--budget", "10", "--seed", "0",
-            "--max-dim", "8", "--cache-dir", str(tmp_path),
+            "dse", "--strategy", "random", "--budget", "2", "--seed", "0",
+            "--max-dim", "8", "--fidelity", "soc", "--workload", "squeezenet",
+            "--input-hw", "32", "--cache-dir", str(tmp_path),
         ]) == 0
         out = capsys.readouterr().out
         assert "Pareto front" in out
         assert "latency_ms" in out
         assert "hit rate" in out
 
+    def test_analytic_search_prints_no_cache_line(self, capsys, tmp_path):
+        """Analytic points never reach the runner: no cache line, no cache
+        entry, and the ledger records both counters as 0."""
+        ledger = tmp_path / "ledger.jsonl"
+        assert main([
+            "dse", "--strategy", "random", "--budget", "10", "--seed", "0",
+            "--max-dim", "8", "--cache-dir", str(tmp_path / "cache"),
+            "--ledger", str(ledger),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "Pareto front" in out
+        assert "hit rate" not in out
+        assert list((tmp_path / "cache").glob("*.pkl")) == []
+        import json
+
+        record = json.loads(ledger.read_text().splitlines()[-1])
+        assert record["metrics"]["cache_hits"] == record["metrics"]["cache_misses"] == 0
+
     def test_exports_and_reruns_from_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "1")
         args = [
-            "dse", "--strategy", "evolutionary", "--budget", "12", "--seed", "0",
-            "--max-dim", "8", "--cache-dir", str(tmp_path / "cache"),
+            "dse", "--strategy", "evolutionary", "--budget", "6", "--seed", "0",
+            "--max-dim", "8", "--fidelity", "soc", "--workload", "squeezenet",
+            "--input-hw", "32", "--cache-dir", str(tmp_path / "cache"),
             "--export-json", str(tmp_path / "front.json"),
         ]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert "12 misses" in first
-        assert "12 hits / 0 misses (100% hit rate)" in second
         import json
 
-        data = json.loads((tmp_path / "front.json").read_text())
-        assert data["front"] and data["meta"]["strategy"] == "evolutionary"
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        cold = json.loads((tmp_path / "front.json").read_text())
+        assert main(args) == 0
+        second = capsys.readouterr().out
+        warm = json.loads((tmp_path / "front.json").read_text())
+        assert "6 misses" in first
+        assert "6 hits / 0 misses (100% hit rate)" in second
+        assert warm["front"] and warm["meta"]["strategy"] == "evolutionary"
+        assert warm["front"] == cold["front"]
 
     def test_constraint_and_objectives_flags(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "1")
