@@ -139,7 +139,7 @@ class Accelerator:
             end = max(end, self._step(inst, start_time))
             count += 1
         end = max(end, self.controller.drain())
-        self.stats.counter("instructions").add(count)
+        self.stats.add("instructions", count)
         return ProgramResult(cycles=end - start_time, instructions=count)
 
     # ------------------------------------------------------------------ #
@@ -391,7 +391,7 @@ class Accelerator:
                 out_rows = min(result.shape[0], pre.c_rows or result.shape[0])
                 self._write_c(pre.c, result[:out_rows, : (pre.c_cols or dim)])
                 writes = self._row_tokens(pre.c, out_rows)
-            self.stats.counter("ws_computes").add()
+            self.stats.add("ws_computes")
         else:
             # OS: rs2 names the B operand.
             b_block = self._read_local_block(decoded.bd, decoded.bd_rows, decoded.bd_cols)
@@ -405,7 +405,7 @@ class Accelerator:
                 self.mesh.preload_os(None)
             pre.os_seed_pending = False
             self.mesh.compute_os(a_block, b_block)
-            self.stats.counter("os_computes").add()
+            self.stats.add("os_computes")
 
         op = Op(
             unit="exec",

@@ -91,7 +91,7 @@ class Accumulator:
         self._check_range(row, nrows)
         if data.ndim != 2 or data.shape[1] > self.dim:
             raise ValueError(f"data shape {data.shape} exceeds row width {self.dim}")
-        self.stats.counter("accumulates" if accumulate else "writes").add(nrows)
+        self.stats.add("accumulates" if accumulate else "writes", nrows)
         cols = data.shape[1]
         data = data.astype(self._dtype, copy=False)
         banks = self.banks
@@ -114,7 +114,7 @@ class Accumulator:
     def read_raw(self, now: float, row: int, nrows: int) -> tuple[float, np.ndarray]:
         """Read full-precision accumulator contents (MVOUT with read_full)."""
         self._check_range(row, nrows)
-        self.stats.counter("reads_full").add(nrows)
+        self.stats.add("reads_full", nrows)
         return self._read(now, row, nrows)
 
     def read_scaled(
@@ -135,7 +135,7 @@ class Accumulator:
         import numpy as np
 
         self._check_range(row, nrows)
-        self.stats.counter("reads_scaled").add(nrows)
+        self.stats.add("reads_scaled", nrows)
         end, raw = self._read(now, row, nrows)
         values = raw.astype(np.float64) if self.config.input_type.is_float else raw
         if not self.config.input_type.is_float and shift:

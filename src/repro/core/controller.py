@@ -11,11 +11,10 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from typing import Callable, Hashable, Iterable, Sequence
 
-from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
 
 Token = Hashable
@@ -117,7 +116,6 @@ class ExecutionResult:
 
     end_time: float
     ops_executed: int
-    unit_busy: dict[str, float] = field(default_factory=dict)
 
 
 class Controller:
@@ -135,7 +133,6 @@ class Controller:
         self.dispatch_cycles = dispatch_cycles
         self.units = {name: Timeline(name) for name in UNITS}
         self.scoreboard = Scoreboard()
-        self.stats = StatsRegistry(owner="controller")
         self._inflight_ends: list[float] = []
         self._clock = 0.0
 
@@ -150,12 +147,7 @@ class Controller:
         for op in ops:
             last_end = max(last_end, self.issue(op))
             count += 1
-        self.stats.counter("ops").add(count)
-        return ExecutionResult(
-            end_time=last_end,
-            ops_executed=count,
-            unit_busy={name: unit.busy_time for name, unit in self.units.items()},
-        )
+        return ExecutionResult(end_time=last_end, ops_executed=count)
 
     def issue(self, op: Op) -> float:
         """Dispatch a single op; returns its completion time.
@@ -325,6 +317,5 @@ class Controller:
         for unit in self.units.values():
             unit.reset()
         self.scoreboard.reset()
-        self.stats.reset()
         self._inflight_ends.clear()
         self._clock = 0.0

@@ -72,8 +72,8 @@ class DMAEngine:
         self._least_translation = (
             0.0 if xlat.filters is not None else xlat.config.private_hit_latency
         )
-        self._bus_overhead = mem.bus.channel.overhead
-        self._bus_beat = mem.bus.channel.bytes_per_cycle
+        self._bus_overhead = mem.bus.overhead
+        self._bus_beat = float(mem.bus.beat_bytes)
         l2 = mem.config.l2
         dram = mem.config.dram
         self._least_memory = (
@@ -217,9 +217,9 @@ class DMAEngine:
             self.recorder.log_accesses(starts, ends, paddrs, chunk_bytes, is_write, requester)
 
         bytes_moved = bytes_per_row * nrows
-        self.stats.counter("bytes_written" if is_write else "bytes_read").add(bytes_moved)
-        self.stats.counter("rows").add(nrows)
-        self.stats.counter("transfers").add()
+        self.stats.add("bytes_written" if is_write else "bytes_read", bytes_moved)
+        self.stats.add("rows", nrows)
+        self.stats.add("transfers")
         return DMAResult(
             start_time=first_issue,
             end_time=max(now, max(ends), frees[-1]),

@@ -75,7 +75,7 @@ class Scratchpad:
     def read(self, now: float, row: int, nrows: int) -> tuple[float, np.ndarray]:
         """Read ``nrows`` rows starting at ``row``; one row per bank-cycle."""
         self._check_range(row, nrows)
-        self.stats.counter("reads").add(nrows)
+        self.stats.add("reads", nrows)
         banks = self.banks
         pieces = []
         end = now
@@ -95,7 +95,7 @@ class Scratchpad:
         self._check_range(row, nrows)
         if data.ndim != 2 or data.shape[1] > self.dim:
             raise ValueError(f"data shape {data.shape} exceeds row width {self.dim}")
-        self.stats.counter("writes").add(nrows)
+        self.stats.add("writes", nrows)
         cols = data.shape[1]
         banks = self.banks
         end = now

@@ -290,14 +290,14 @@ class ResultCache:
 
     Writes are atomic (tmp file + rename) so concurrent workers and
     interrupted runs can never leave a half-written entry behind; unreadable
-    entries degrade to cache misses.
+    entries degrade to cache misses.  The directory is created by the first
+    :meth:`put`, so a run that never stores a result leaves none behind.
     """
 
     _MISS = object()
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
@@ -318,6 +318,7 @@ class ResultCache:
         path = self.path(key)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
             with tmp.open("wb") as fh:
                 pickle.dump(value, fh)
             tmp.replace(path)

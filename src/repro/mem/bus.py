@@ -9,21 +9,26 @@ CPU+accelerator tiles in Figure 5) contend for the same beats.
 from __future__ import annotations
 
 from repro.sim.stats import StatsRegistry
-from repro.sim.timeline import BandwidthTimeline
+from repro.sim.timeline import Timeline
 
 
 class SystemBus:
     """A shared bus with a beat width in bytes and one-cycle arbitration.
 
-    A transaction of ``n`` bytes occupies the channel ``1 + n / beat_bytes``
-    cycles.  :class:`~repro.mem.hierarchy.MemorySystemConfig` validates the
-    width.
+    A transaction of ``n`` bytes occupies the channel ``overhead + n /
+    beat_bytes`` cycles (``overhead`` is one arbitration cycle).  The
+    ``bytes`` counter of :attr:`stats` is the bus's one byte count.
     """
 
+    #: cycles of arbitration every transaction pays
+    overhead = 1.0
+
     def __init__(self, beat_bytes: int = 16, name: str = "sysbus") -> None:
+        if beat_bytes <= 0:
+            raise ValueError(f"beat_bytes must be positive, got {beat_bytes}")
         self.beat_bytes = beat_bytes
         self.name = name
-        self.channel = BandwidthTimeline(name, bytes_per_cycle=beat_bytes, overhead=1.0)
+        self.channel = Timeline(name)
         self.stats = StatsRegistry(owner=name)
 
     def transfer(self, now: list, nbytes: list, requester: str = "") -> list:
@@ -34,10 +39,9 @@ class SystemBus:
         comparison and sequential float additions per transaction; the
         channel and each counter are written back once.
         """
-        channel = self.channel
-        overhead = channel.overhead
-        beat = channel.bytes_per_cycle
-        timeline = channel.inner
+        overhead = self.overhead
+        beat = float(self.beat_bytes)
+        timeline = self.channel
         next_free = timeline.next_free
         busy = timeline.busy_time
         ends: list[float] = []
@@ -52,16 +56,12 @@ class SystemBus:
         timeline.next_free = next_free
         timeline.busy_time = busy
         timeline.bookings += n
-        channel.bytes_moved += total
         stats = self.stats
-        stats.counter("transactions").add(n)
-        stats.counter("bytes").add(total)
+        stats.add("transactions", n)
+        stats.add("bytes", total)
         if requester:
-            stats.counter(f"bytes_{requester}").add(total)
+            stats.add(f"bytes_{requester}", total)
         return ends
-
-    def utilisation(self, horizon: float) -> float:
-        return self.channel.utilisation(horizon)
 
     def reset(self) -> None:
         self.channel.reset()

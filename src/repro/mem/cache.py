@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.stats import StatsRegistry
-from repro.sim.timeline import BandwidthTimeline
+from repro.sim.timeline import Timeline
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class Cache:
         self.config = config
         self.lower = lower
         self.name = name
-        self.port = BandwidthTimeline(f"{name}.port", config.bytes_per_cycle)
+        self.port = Timeline(f"{name}.port")
         self.stats = StatsRegistry(owner=name)
         self._sets: list[dict[int, bool]] = [{} for _ in range(config.num_sets)]
         self._num_sets = config.num_sets
@@ -130,17 +130,15 @@ class Cache:
             low_ends = self.lower.access(low_t, low_addr, [line] * len(low_t), writebacks)
 
         hit_latency = self.config.hit_latency
-        port = self.port
-        overhead = port.overhead
-        bytes_per_cycle = port.bytes_per_cycle
-        timeline = port.inner
+        bytes_per_cycle = float(self.config.bytes_per_cycle)
+        timeline = self.port
         next_free = timeline.next_free
         busy = timeline.busy_time
         ends: list[float] = []
         append = ends.append
         for t, nb, k in zip(now, nbytes, last):
             e = t + hit_latency
-            d = overhead + nb / bytes_per_cycle
+            d = nb / bytes_per_cycle
             next_free = (next_free if next_free > e else e) + d
             busy += d
             if k >= 0:
@@ -152,22 +150,21 @@ class Cache:
         timeline.next_free = next_free
         timeline.busy_time = busy
         timeline.bookings += n
-        port.bytes_moved += sum(nbytes)
         stats = self.stats
-        stats.counter("hits").add(lines - misses)
-        stats.counter("misses").add(misses)
-        stats.counter("accesses").add(lines)
+        stats.add("hits", lines - misses)
+        stats.add("misses", misses)
+        stats.add("accesses", lines)
         if writes:
-            stats.counter("writes").add(writes)
+            stats.add("writes", writes)
         if n - writes:
-            stats.counter("reads").add(n - writes)
+            stats.add("reads", n - writes)
         if evictions:
-            stats.counter("evictions").add(evictions)
+            stats.add("evictions", evictions)
         if writebacks:
-            stats.counter("writebacks").add(writebacks)
+            stats.add("writebacks", writebacks)
         if requester:
-            stats.counter(f"hits_{requester}").add(lines - misses)
-            stats.counter(f"misses_{requester}").add(misses)
+            stats.add(f"hits_{requester}", lines - misses)
+            stats.add(f"misses_{requester}", misses)
         return ends
 
     def probe(self, addr: int) -> bool:

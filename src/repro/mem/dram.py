@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.stats import StatsRegistry
-from repro.sim.timeline import BandwidthTimeline
+from repro.sim.timeline import Timeline
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,13 @@ class DRAMModel:
     row-hit latency; others pay the full access latency.  Data occupies the
     channel for ``bytes / bytes_per_cycle`` cycles — this serialisation is
     what creates bandwidth contention between cores in multi-core runs.
+    The ``bytes`` counter of :attr:`stats` is the channel's one byte count.
     """
 
     def __init__(self, config: DRAMConfig | None = None, name: str = "dram") -> None:
         self.config = config or DRAMConfig()
         self.name = name
-        self.channel = BandwidthTimeline(name, self.config.bytes_per_cycle)
+        self.channel = Timeline(name)
         self.stats = StatsRegistry(owner=name)
         self._open_rows: dict[int, int] = {}
 
@@ -91,10 +92,8 @@ class DRAMModel:
         # byte, so no booking can have a negative duration.
         activate = cfg.activate_occupancy
         open_rows = self._open_rows
-        channel = self.channel
-        overhead = channel.overhead
-        bytes_per_cycle = channel.bytes_per_cycle
-        timeline = channel.inner
+        bytes_per_cycle = float(cfg.bytes_per_cycle)
+        timeline = self.channel
         next_free = timeline.next_free
         busy = timeline.busy_time
         ends: list[float] = []
@@ -113,7 +112,7 @@ class DRAMModel:
                     next_free = (next_free if next_free > t else t) + activate
                     busy += activate
                 start = t + access_latency
-            duration = overhead + nb / bytes_per_cycle
+            duration = nb / bytes_per_cycle
             next_free = (next_free if next_free > start else start) + duration
             busy += duration
             append(next_free)
@@ -124,23 +123,23 @@ class DRAMModel:
         timeline.next_free = next_free
         timeline.busy_time = busy
         timeline.bookings += n + row_misses if activate else n
-        channel.bytes_moved += total
         stats = self.stats
         if row_hits:
-            stats.counter("row_hits").add(row_hits)
+            stats.add("row_hits", row_hits)
         if row_misses:
-            stats.counter("row_misses").add(row_misses)
+            stats.add("row_misses", row_misses)
         if writes:
-            stats.counter("writes").add(writes)
+            stats.add("writes", writes)
         if n - writes:
-            stats.counter("reads").add(n - writes)
+            stats.add("reads", n - writes)
         if total:
-            stats.counter("bytes").add(total)
+            stats.add("bytes", total)
         return ends
 
     @property
     def bytes_moved(self) -> int:
-        return self.channel.bytes_moved
+        """Bytes the channel has moved: its ``bytes`` counter."""
+        return self.stats.value("bytes")
 
     def reset(self) -> None:
         self.channel.reset()

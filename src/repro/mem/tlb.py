@@ -279,7 +279,7 @@ class TranslationSystem:
         stats = self.stats
         for name, value in counts.items():
             if value:
-                stats.counter(name).add(value)
+                stats.add(name, value)
         return starts, ends, ppns
 
     def translate_batch(self, now, vpns, is_write):
@@ -404,10 +404,10 @@ class TranslationSystem:
         stats = self.stats
         for name, value in counts.items():
             if value or name == "requests":
-                stats.counter(name).add(value)
+                stats.add(name, value)
         reads = counts["requests"] - counts["write_requests"]
         if reads:
-            stats.counter("read_requests").add(reads)
+            stats.add("read_requests", reads)
         return np.asarray(ends, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
@@ -419,7 +419,7 @@ class TranslationSystem:
         if self.filters is not None:
             self.filters.flush()
         self._last_vpn = {False: None, True: None}
-        self.stats.counter("flushes").add()
+        self.stats.add("flushes")
 
     # -- derived metrics ------------------------------------------------ #
 

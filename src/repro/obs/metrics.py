@@ -3,8 +3,9 @@
 A :class:`MetricStream` keeps one exact :class:`repro.sim.stats.Histogram`
 per observed name, so the p50/p95/p99 it reports mid-run are the same
 nearest-rank order statistics a post-hoc report computes from the same
-samples.  A snapshot sorts each distribution's distinct values, so its
-cost grows as O(n log n) in the values observed so far.
+samples.  A histogram keeps its distinct values sorted between snapshots
+and sorts only the ones new since the last, so a snapshot costs one
+linear merge and sweep over the values observed so far.
 
 A stream periodically folds its histograms, counters and sums into
 snapshot dictionaries (:meth:`MetricStream.tick`), giving live consoles

@@ -9,8 +9,8 @@ DMA/compute overlap, shared-resource contention) that the paper's FireSim
 experiments measure.
 """
 
-from repro.sim.timeline import BandwidthTimeline, Timeline
-from repro.sim.stats import Counter, Histogram, RateWindow, StatsRegistry, TimeSeries
+from repro.sim.timeline import Timeline
+from repro.sim.stats import Histogram, RateWindow, StatsRegistry, TimeSeries
 
 # NOTE: repro.sim.trace (macro-op record/replay) is intentionally not
 # re-exported here — it sits *above* the runtime stack (it imports
@@ -18,9 +18,7 @@ from repro.sim.stats import Counter, Histogram, RateWindow, StatsRegistry, TimeS
 # memory models.  Import it as ``from repro.sim.trace import MacroTrace``.
 
 __all__ = [
-    "BandwidthTimeline",
     "Timeline",
-    "Counter",
     "Histogram",
     "RateWindow",
     "StatsRegistry",

@@ -1,34 +1,19 @@
-"""Statistics primitives: counters, histograms, rate windows, time series.
+"""Statistics primitives: counter registries, histograms, rate windows,
+time series.
 
 Every architectural model exposes a :class:`StatsRegistry` so experiments can
 pull hit rates, miss traces, and utilisation without the models knowing what
-experiment they are part of.
+experiment they are part of.  A registry's counters are plain ints, and each
+count a component keeps lives there once: the bus and DRAM byte counts are
+their registries' ``bytes`` counters.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from typing import Sequence
-
-
-class Counter:
-    """A named monotonically increasing event counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name!r}, {self.value})"
 
 
 class Histogram:
@@ -41,11 +26,29 @@ class Histogram:
         self.buckets: dict[float, int] = {}
         self.total = 0
         self.count = 0
+        # The bucket keys in ascending order, as of the last
+        # :meth:`_sorted_keys` call; keys only ever append to ``buckets``.
+        self._sorted: list[float] = []
 
     def record(self, value: float, weight: int = 1) -> None:
+        """Add ``weight`` (a non-negative count) samples of ``value``."""
         self.buckets[value] = self.buckets.get(value, 0) + weight
         self.total += value * weight
         self.count += weight
+
+    def _sorted_keys(self) -> list[float]:
+        """Every bucket key in ascending order.
+
+        ``buckets`` keeps insertion order and never drops a key before
+        :meth:`reset`, so the keys past the sorted prefix are exactly the
+        ones recorded since the last call: they are sorted on their own and
+        merged in, which Timsort does in one linear pass over two runs.
+        """
+        keys = self._sorted
+        if len(keys) < len(self.buckets):
+            keys += sorted(islice(self.buckets, len(keys), None))
+            keys.sort()
+        return keys
 
     @property
     def mean(self) -> float:
@@ -53,41 +56,38 @@ class Histogram:
 
     @property
     def max(self) -> float:
-        return max(self.buckets) if self.buckets else 0
+        return self._sorted_keys()[-1] if self.buckets else 0
 
     @property
     def min(self) -> float:
-        return min(self.buckets) if self.buckets else 0
+        return self._sorted_keys()[0] if self.buckets else 0
 
     def percentile(self, p: float) -> float:
         """Return the smallest value v with P(sample <= v) >= p."""
         return self.percentiles((p,))[0]
 
     def percentiles(self, ps: "Sequence[float]") -> list[float]:
-        """Several percentiles over ONE sorted sweep of the buckets.
+        """Several percentiles over ONE running sum of the sorted buckets.
 
-        Sorting the bucket keys dominates percentile cost, so answering
-        ``(p50, p95, p99)`` with one sort instead of one per quantile makes
-        the serving report's per-tenant digests ~3x cheaper.  ``ps`` need
-        not be sorted; results come back in the order asked.
+        ``ps`` need not be sorted; results come back in the order asked.
+        Each is the first value whose running count reaches ``p * count``
+        (the smallest value for ``p == 0``).  The sorted keys persist
+        between calls, so a caller asking after every few records (a
+        metric stream) pays for sorting only the new keys.
         """
         if any(not 0.0 <= p <= 1.0 for p in ps):
             raise ValueError("p must be in [0, 1]")
         if not self.buckets:
             return [0] * len(ps)
-        ordered = sorted(range(len(ps)), key=lambda i: ps[i])
-        out = [0] * len(ps)
-        values = sorted(self.buckets)
-        running = 0
-        vi = 0
-        for i in ordered:
-            threshold = ps[i] * self.count
-            while running < threshold and vi < len(values):
-                running += self.buckets[values[vi]]
-                vi += 1
-            # vi now points one past the bucket that crossed the threshold
-            # (or past the end for p == 0 edge: the smallest value wins).
-            out[i] = values[max(0, vi - 1)] if threshold > 0 else values[0]
+        values = self._sorted_keys()
+        # Weights are non-negative, so the running counts never decrease.
+        running = list(accumulate(map(self.buckets.__getitem__, values)))
+        last = len(values) - 1
+        out = []
+        for p in ps:
+            threshold = p * self.count
+            i = bisect_left(running, threshold) if threshold > 0 else 0
+            out.append(values[i if i < last else last])
         return out
 
     def summary(self) -> dict[str, float]:
@@ -105,6 +105,7 @@ class Histogram:
 
     def reset(self) -> None:
         self.buckets.clear()
+        self._sorted.clear()
         self.total = 0
         self.count = 0
 
@@ -202,28 +203,32 @@ class RateWindow:
 
 @dataclass
 class StatsRegistry:
-    """A namespace of counters owned by one component."""
+    """A namespace of int counters owned by one component.
+
+    :meth:`add` creates a counter on its first call (even for 0) and
+    :meth:`reset` zeroes counters without dropping them, so a snapshot
+    lists every counter ever touched, in first-touch order.
+    """
 
     owner: str = "stats"
-    counters: dict[str, Counter] = field(default_factory=dict)
+    counters: dict[str, int] = field(default_factory=dict)
 
-    def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
+    def add(self, name: str, amount: int = 1) -> None:
+        counters = self.counters
+        counters[name] = counters.get(name, 0) + amount
 
     def value(self, name: str) -> int:
         """Counter value, 0 if the counter was never touched."""
-        counter = self.counters.get(name)
-        return counter.value if counter else 0
+        return self.counters.get(name, 0)
 
     def ratio(self, numerator: str, denominator: str) -> float:
         den = self.value(denominator)
         return self.value(numerator) / den if den else 0.0
 
     def reset(self) -> None:
-        for counter in self.counters.values():
-            counter.reset()
+        counters = self.counters
+        for name in counters:
+            counters[name] = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {name: counter.value for name, counter in self.counters.items()}
+        return dict(self.counters)

@@ -1,13 +1,14 @@
 """Resource timelines: the core timing primitive of the simulator.
 
 A :class:`Timeline` models a unit that can serve one transaction at a time
-(an SRAM port, a page-table walker, a DMA channel).  A
-:class:`BandwidthTimeline` models a pipe with a byte-per-cycle capacity (a
-system bus, a DRAM channel).  Components *book* work on timelines; the
-timeline returns the interval actually granted, serialising concurrent
-requesters in arrival order.  The memory side's segment methods
-(``SystemBus.transfer``, ``Cache.access``, ``DRAMModel.access``) book their
-pipes inline, with :meth:`Timeline.book`'s comparison and additions.
+(an SRAM port, a page-table walker, a DMA channel, a bus or DRAM channel).
+Components *book* work on timelines; the timeline returns the interval
+actually granted, serialising concurrent requesters in arrival order.  A
+bandwidth pipe is a plain timeline whose owner knows its width: the memory
+side's segment methods (``SystemBus.transfer``, ``Cache.access``,
+``DRAMModel.access``) book ``overhead + bytes / bytes_per_cycle`` cycles per
+transaction inline, with :meth:`Timeline.book`'s comparison and additions,
+and count the bytes in their own stats registries.
 
 All times are in cycles of the SoC reference clock and are plain floats so
 that fractional-cycle bandwidth accounting stays exact in aggregate.
@@ -89,45 +90,7 @@ class Timeline:
         return f"Timeline({self.name!r}, next_free={self.next_free:.1f})"
 
 
-class BandwidthTimeline:
-    """A shared pipe with finite bytes-per-cycle capacity.
-
-    Transfers occupy the pipe for ``overhead + bytes / bytes_per_cycle``
-    cycles (``overhead`` is fixed per transaction), serialised FCFS on
-    ``inner``; ``bytes_moved`` counts what went through.  This is the standard
-    transaction-level model for buses and DRAM channels: it conserves total
-    bandwidth under contention, which is the property the paper's dual-core
-    experiments depend on.
-    """
-
-    __slots__ = ("name", "bytes_per_cycle", "overhead", "inner", "bytes_moved")
-
-    def __init__(self, name: str, bytes_per_cycle: float, overhead: float = 0.0) -> None:
-        if bytes_per_cycle <= 0:
-            raise ValueError("bytes_per_cycle must be positive")
-        self.name = name
-        self.bytes_per_cycle = float(bytes_per_cycle)
-        self.overhead = float(overhead)
-        self.inner = Timeline(name)
-        self.bytes_moved = 0
-
-    @property
-    def next_free(self) -> float:
-        return self.inner.next_free
-
-    @property
-    def busy_time(self) -> float:
-        return self.inner.busy_time
-
-    def utilisation(self, horizon: float) -> float:
-        return self.inner.utilisation(horizon)
-
-    def reset(self) -> None:
-        self.inner.reset()
-        self.bytes_moved = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BandwidthTimeline({self.name!r}, {self.bytes_per_cycle} B/cyc, "
-            f"next_free={self.next_free:.1f})"
-        )
+# Not a class of its own: a name the host-cost benchmark's per-layer tracer
+# still resolves (``hostbench/layers.py`` wraps
+# ``BandwidthTimeline.transfer`` and raises if the class name is missing).
+BandwidthTimeline = Timeline

@@ -85,21 +85,8 @@ def _stat_registries(tile) -> dict:
 _RERESOLVED = frozenset({"l2", "dram", "bus", "xlat"})
 
 
-def _byte_scalars(tile) -> dict[str, int]:
-    mem = tile.accel.mem
-    out = {
-        "dram_bytes": mem.dram.channel.bytes_moved,
-        "bus_bytes": mem.bus.channel.bytes_moved,
-    }
-    if mem.l2 is not None:
-        out["l2_port_bytes"] = mem.l2.port.bytes_moved
-    return out
-
-
 def _snapshot(tile) -> dict:
-    snap = {name: reg.snapshot() for name, reg in _stat_registries(tile).items()}
-    snap["__bytes__"] = _byte_scalars(tile)
-    return snap
+    return {name: reg.snapshot() for name, reg in _stat_registries(tile).items()}
 
 
 def _delta(before: dict, after: dict) -> dict:
@@ -121,28 +108,18 @@ def _apply_delta(delta: dict, tile, contended: bool) -> None:
 
     For contended segments the live re-resolution already updated the
     shared registries, so only the non-re-resolved ones replay from the
-    recording.
+    recording.  The bus and DRAM byte counts are those registries'
+    ``bytes`` counters and follow the same rule.
     """
     regs = _stat_registries(tile)
-    mem = tile.accel.mem
     for name, counters in delta.items():
-        if name == "__bytes__":
-            if contended:
-                continue
-            if "dram_bytes" in counters:
-                mem.dram.channel.bytes_moved += counters["dram_bytes"]
-            if "bus_bytes" in counters:
-                mem.bus.channel.bytes_moved += counters["bus_bytes"]
-            if "l2_port_bytes" in counters and mem.l2 is not None:
-                mem.l2.port.bytes_moved += counters["l2_port_bytes"]
-            continue
         if contended and name in _RERESOLVED:
             continue
         reg = regs.get(name)
         if reg is None:
             continue
         for key, value in counters.items():
-            reg.counter(key).add(value)
+            reg.add(key, value)
 
 
 # ---------------------------------------------------------------------- #

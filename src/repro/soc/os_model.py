@@ -53,7 +53,7 @@ class OSModel:
         while now >= self._next_switch:
             switches += 1
             self._next_switch += self.config.quantum_cycles
-        self.stats.counter("context_switches").add(switches)
+        self.stats.add("context_switches", switches)
         overhead = switches * self.config.context_switch_cycles
         return overhead, self.config.flush_tlb_on_switch
 

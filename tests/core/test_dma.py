@@ -182,7 +182,7 @@ def row_by_row(dma, now, vaddr, bytes_per_row, nrows, stride, is_write, requeste
 
 def dma_state(dma):
     mem = dma.mem
-    timelines = (mem.bus.channel.inner, mem.l2.port.inner, mem.dram.channel.inner,
+    timelines = (mem.bus.channel, mem.l2.port, mem.dram.channel,
                  dma.xlat.ptw, dma.read_channel, dma.write_channel)
     return (
         [(t.next_free, t.busy_time, t.bookings) for t in timelines],

@@ -219,6 +219,15 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         assert cache.get("absent") is ResultCache._MISS
 
+    def test_directory_created_by_first_put(self, tmp_path):
+        cache = ResultCache(tmp_path / "nested" / "cache")
+        assert cache.get("k") is ResultCache._MISS
+        assert len(cache) == 0
+        cache.clear()
+        assert not cache.directory.exists()
+        cache.put("k", 1)
+        assert cache.get("k") == 1
+
     def test_corrupt_entry_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.path("bad").write_bytes(b"not a pickle")

@@ -229,15 +229,15 @@ def memory_values(soc) -> dict:
             "dma": accel.dma.stats.snapshot(),
         },
         "timelines": {
-            "bus": _timeline_values(mem.bus.channel.inner),
-            "dram": _timeline_values(mem.dram.channel.inner),
+            "bus": _timeline_values(mem.bus.channel),
+            "dram": _timeline_values(mem.dram.channel),
             "ptw": _timeline_values(xlat.ptw),
             "dma_rd": _timeline_values(accel.dma.read_channel),
             "dma_wr": _timeline_values(accel.dma.write_channel),
         },
         "bytes_moved": {
-            "bus": mem.bus.channel.bytes_moved,
-            "dram": mem.dram.channel.bytes_moved,
+            "bus": mem.bus.stats.value("bytes"),
+            "dram": mem.dram.bytes_moved,
         },
         "walk_accesses": soc.tile.vm.page_table.walk_accesses,
         "tlb_miss_series": len(series),
@@ -245,8 +245,10 @@ def memory_values(soc) -> dict:
     }
     if mem.l2 is not None:
         values["stats"]["l2"] = mem.l2.stats.snapshot()
-        values["timelines"]["l2_port"] = _timeline_values(mem.l2.port.inner)
-        values["bytes_moved"]["l2_port"] = mem.l2.port.bytes_moved
+        values["timelines"]["l2_port"] = _timeline_values(mem.l2.port)
+        # Every L2 access comes through the bus first (MemorySystem.access),
+        # so the bytes through the L2 port are the bus's byte count.
+        values["bytes_moved"]["l2_port"] = mem.bus.stats.value("bytes")
     return values
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mem.bus import SystemBus
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 
 
@@ -15,6 +16,12 @@ class TestSystemBus:
     def test_width_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             MemorySystemConfig(bus_beat_bytes=12)
+
+    def test_zero_width_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            SystemBus(beat_bytes=0)
+        with pytest.raises(ValueError, match="positive"):
+            MemorySystemConfig(bus_beat_bytes=0)
 
     def test_transfer_time(self):
         mem, bus = make_bus(beat_bytes=16)

@@ -36,6 +36,10 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=0)
 
+    def test_zero_port_width_rejected(self):
+        with pytest.raises(ValueError, match="bytes_per_cycle"):
+            CacheConfig(bytes_per_cycle=0)
+
 
 class TestCacheBehaviour:
     def test_cold_miss_then_hit(self):
@@ -119,7 +123,7 @@ class TestCacheBehaviour:
         mem, cache, __ = make_cache()
         assert mem.access(3.0, 0, 0, False) == 3.0
         assert cache.stats.snapshot() == {}
-        assert cache.port.inner.bookings == 0
+        assert cache.port.bookings == 0
 
     def test_miss_slower_than_hit(self):
         mem, __, __dram = make_cache()

@@ -98,7 +98,7 @@ class TestDRAMModel:
         mem, dram = make_dram()
         assert mem.access(5.0, 0, 0, False) == 5.0
         assert dram.stats.snapshot() == {}
-        assert dram.channel.inner.bookings == 0
+        assert dram.channel.bookings == 0
 
     def test_read_write_counters(self):
         mem, dram = make_dram()

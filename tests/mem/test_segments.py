@@ -155,10 +155,10 @@ def test_memory_system_segment(l2):
     ]
     for part in ("bus", "dram") + (("l2",) if l2 is not None else ()):
         assert getattr(a, part).stats.snapshot() == getattr(b, part).stats.snapshot()
-    assert timeline_state(a.bus.channel.inner) == timeline_state(b.bus.channel.inner)
-    assert timeline_state(a.dram.channel.inner) == timeline_state(b.dram.channel.inner)
+    assert timeline_state(a.bus.channel) == timeline_state(b.bus.channel)
+    assert timeline_state(a.dram.channel) == timeline_state(b.dram.channel)
     if l2 is not None:
-        assert timeline_state(a.l2.port.inner) == timeline_state(b.l2.port.inner)
+        assert timeline_state(a.l2.port) == timeline_state(b.l2.port)
 
 
 def test_scalar_zero_bytes_is_a_no_op():
@@ -167,7 +167,7 @@ def test_scalar_zero_bytes_is_a_no_op():
     assert mem.bus.stats.snapshot() == {}
     assert mem.l2.stats.snapshot() == {}
     assert mem.dram.stats.snapshot() == {}
-    assert timeline_state(mem.bus.channel.inner) == (0.0, 0.0, 0)
+    assert timeline_state(mem.bus.channel) == (0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("l2", [CacheConfig(), None], ids=["l2", "no_l2"])
@@ -180,8 +180,8 @@ def test_zero_byte_segment_entry_is_rejected(l2):
             mem.access([0.0, 1.0], [0, 64], [64, bad], [False, False])
     assert mem.bus.stats.snapshot() == {}
     assert mem.dram.stats.snapshot() == {}
-    assert timeline_state(mem.bus.channel.inner) == (0.0, 0.0, 0)
-    assert timeline_state(mem.dram.channel.inner) == (0.0, 0.0, 0)
+    assert timeline_state(mem.bus.channel) == (0.0, 0.0, 0)
+    assert timeline_state(mem.dram.channel) == (0.0, 0.0, 0)
     if l2 is not None:
         assert mem.l2.stats.snapshot() == {}
         assert mem.l2.resident_lines() == 0

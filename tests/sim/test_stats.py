@@ -4,21 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.stats import Counter, Histogram, RateWindow, StatsRegistry, TimeSeries
-
-
-class TestCounter:
-    def test_add_default(self):
-        c = Counter("c")
-        c.add()
-        c.add(4)
-        assert c.value == 5
-
-    def test_reset(self):
-        c = Counter("c")
-        c.add(3)
-        c.reset()
-        assert c.value == 0
+from repro.sim.stats import Histogram, RateWindow, StatsRegistry, TimeSeries
 
 
 class TestHistogram:
@@ -121,7 +107,7 @@ class TestHistogram:
     def test_percentiles_single_pass_is_faster(self):
         """Micro-benchmark: on a many-bucket histogram, one batched
         ``percentiles()`` sweep beats three ``percentile()`` calls (which
-        sort the buckets once each).  Generous 1.4x bar so scheduler noise
+        sweep the sorted buckets once each).  Generous 1.4x bar so scheduler noise
         cannot flake the assertion; the honest ratio is ~3x."""
         import timeit
 
@@ -138,6 +124,57 @@ class TestHistogram:
             f"batched percentiles ({batched:.4f}s) not meaningfully faster "
             f"than separate calls ({separate:.4f}s)"
         )
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("record"),
+                    st.one_of(st.integers(-50, 50), st.floats(-1e3, 1e3)),
+                    st.integers(0, 4),
+                ),
+                st.tuples(st.just("ask"), st.lists(st.floats(0.0, 1.0), max_size=4)),
+                st.just(("reset",)),
+            ),
+            max_size=60,
+        )
+    )
+    def test_interleaved_records_and_queries_match_sorting_everything(self, steps):
+        """Keys kept sorted between calls answer exactly what sorting every
+        key on every call answers, however records, queries and resets
+        interleave."""
+
+        def oracle(buckets, count, ps):
+            if not buckets:
+                return [0] * len(ps)
+            values = sorted(buckets)
+            out = []
+            for p in ps:
+                threshold = p * count
+                running, vi = 0, 0
+                while running < threshold and vi < len(values):
+                    running += buckets[values[vi]]
+                    vi += 1
+                out.append(values[max(0, vi - 1)] if threshold > 0 else values[0])
+            return out
+
+        h = Histogram("lat")
+        buckets: dict = {}
+        count = 0
+        for step in steps:
+            if step[0] == "record":
+                __, value, weight = step
+                h.record(value, weight)
+                buckets[value] = buckets.get(value, 0) + weight
+                count += weight
+            elif step[0] == "reset":
+                h.reset()
+                buckets, count = {}, 0
+            else:
+                assert h.percentiles(step[1]) == oracle(buckets, count, step[1])
+                assert h.min == (min(buckets) if buckets else 0)
+                assert h.max == (max(buckets) if buckets else 0)
+        assert h.summary()["p99"] == float(oracle(buckets, count, [0.99])[0])
 
     @given(
         values=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=60),
@@ -257,9 +294,22 @@ class TestRateWindow:
 class TestStatsRegistry:
     def test_counter_identity(self):
         reg = StatsRegistry()
-        reg.counter("x").add(2)
-        assert reg.counter("x").value == 2
-        assert reg.value("x") == 2
+        reg.add("x", 2)
+        reg.add("x")
+        assert reg.value("x") == 3
+        assert reg.counters == {"x": 3}
+
+    def test_first_add_inserts_even_zero_and_reset_keeps_keys(self):
+        """Snapshots list every counter ever touched, in first-touch order,
+        also after a reset."""
+        reg = StatsRegistry()
+        reg.add("b", 0)
+        reg.add("a", 5)
+        assert list(reg.snapshot().items()) == [("b", 0), ("a", 5)]
+        reg.reset()
+        assert list(reg.snapshot().items()) == [("b", 0), ("a", 0)]
+        reg.add("a")
+        assert reg.snapshot() == {"b": 0, "a": 1}
 
     def test_value_of_missing_counter_is_zero(self):
         reg = StatsRegistry()
@@ -267,19 +317,19 @@ class TestStatsRegistry:
 
     def test_ratio(self):
         reg = StatsRegistry()
-        reg.counter("hits").add(3)
-        reg.counter("total").add(4)
+        reg.add("hits", 3)
+        reg.add("total", 4)
         assert reg.ratio("hits", "total") == pytest.approx(0.75)
         assert reg.ratio("hits", "nonexistent") == 0.0
 
     def test_reset_clears_everything(self):
         reg = StatsRegistry()
-        reg.counter("a").add()
+        reg.add("a")
         reg.reset()
         assert reg.value("a") == 0
 
     def test_snapshot(self):
         reg = StatsRegistry()
-        reg.counter("a").add(1)
-        reg.counter("b").add(2)
+        reg.add("a", 1)
+        reg.add("b", 2)
         assert reg.snapshot() == {"a": 1, "b": 2}

@@ -156,7 +156,7 @@ class TestUncontendedReplayParity:
             mem = rt.tile.accel.mem
             return [
                 (t.next_free, t.busy_time, t.bookings)
-                for t in (mem.bus.channel.inner, mem.l2.port.inner, mem.dram.channel.inner)
+                for t in (mem.bus.channel, mem.l2.port, mem.dram.channel)
             ]
 
         assert timelines(rep_rt) == timelines(gen_rt)

@@ -171,6 +171,17 @@ class TestDse:
         record = json.loads(ledger.read_text().splitlines()[-1])
         assert record["metrics"]["cache_hits"] == record["metrics"]["cache_misses"] == 0
 
+    def test_analytic_search_creates_no_cache_directory(self, capsys, tmp_path):
+        """The cache directory appears with the first stored result, and an
+        analytic search stores none."""
+        cache_dir = tmp_path / "cache"
+        assert main([
+            "dse", "--strategy", "random", "--budget", "4", "--seed", "0",
+            "--max-dim", "8", "--cache-dir", str(cache_dir), "--no-ledger",
+        ]) == 0
+        assert "Pareto front" in capsys.readouterr().out
+        assert not cache_dir.exists()
+
     def test_exports_and_reruns_from_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "1")
         args = [
