@@ -32,10 +32,11 @@ Exposes the common workflows without writing Python:
     Python API plan greedily unless handed a cache.
 ``gemmini-repro trace``
     Validate and summarise a ``--trace-out`` timeline: top spans by
-    total/self time, queue-vs-service split per tile, cache hit ratio.
-    ``--json`` emits the validator verdict + summary machine-readably;
-    ``--diff A B`` aligns two traces by span stem and lane and reports
-    total/self-time and count deltas.
+    total time, queue-vs-service split per tile, cache hit ratio.  Spans
+    never nest (a ``run`` trace's layer spans are the cycles each layer
+    adds, so they sum to the run).  ``--json`` emits the validator
+    verdict + summary machine-readably; ``--diff A B`` aligns two traces
+    by span stem and lane and reports total-time and count deltas.
 ``gemmini-repro history``
     List/filter/show the provenance-stamped run ledger every
     ``run``/``serve``/``dse``/``tune`` invocation and benchmark appends to.
@@ -240,11 +241,9 @@ class _RunContext:
         self.schedule_cache = _schedule_cache_from_args(args)
         self.wall_s = 0.0
 
-    def observe(
-        self, seed: int, clock_ghz: float | None = None, every: int = 64, trace: bool = False
-    ) -> None:
+    def observe(self, seed: int, clock_ghz: float | None = None, every: int = 64) -> None:
         """Stamp the run with ``seed`` and build the sinks asked for: a
-        tracer on ``--trace-out`` (or ``trace``), timed in simulated cycles
+        tracer on ``--trace-out``, timed in simulated cycles
         when the command has a clock and in wall seconds otherwise; a metric
         stream snapshotting every ``every`` events on ``--metrics-out`` or
         ``--live-metrics``."""
@@ -252,7 +251,7 @@ class _RunContext:
         from repro.obs.tracer import Tracer
 
         self.seed = seed
-        if self.args.trace_out or trace:
+        if self.args.trace_out:
             self.tracer = (
                 Tracer.wall(run_id=self.run_id, seed=seed)
                 if clock_ghz is None
@@ -380,9 +379,7 @@ def cmd_run(args, run: _RunContext) -> int:
     soc = make_soc(gemmini=config, cpu=args.cpu)
     model = compile_graph(graph, SoftwareParams.from_config(config))
 
-    # --metrics-out folds the layer spans into the streaming-metrics
-    # document shape the serving engine emits, so it needs the tracer too.
-    run.observe(args.seed, config.clock_ghz, trace=bool(args.metrics_out))
+    run.observe(args.seed, config.clock_ghz)
     tracer, metrics = run.tracer, run.metrics
     tracer.declare_lane(soc.tile.name, process="run", label=f"{soc.tile.name} [{args.model}]")
     with run.timed():
@@ -391,15 +388,13 @@ def cmd_run(args, run: _RunContext) -> int:
         ).run()
 
     if metrics:
+        # One sample per layer of the cycles it added, so the samples sum
+        # to the run (the layer spans of --trace-out cover the same windows).
         to_ms = 1.0 / (config.clock_ghz * 1e6)
-        for event in tracer.events():
-            if event[0] != "X":
-                continue
-            __, __, __, start, end, evargs = event
-            metrics.observe("layer_ms", (end - start) * to_ms)
+        for layer in result.layers:
+            metrics.observe("layer_ms", layer.cycles * to_ms)
             metrics.mark("layers")
-            if evargs and "kind" in evargs:
-                metrics.mark(f"kind:{evargs['kind']}")
+            metrics.mark(f"kind:{layer.kind}")
         metrics.tick(
             result.total_cycles * to_ms / 1e3, {"total_cycles": result.total_cycles}
         )

@@ -2,18 +2,21 @@
 
 The observability substrate every execution layer reports through:
 
-* :mod:`repro.obs.tracer` — the run-scoped :class:`Tracer` (spans,
-  instants, counters on named lanes, stamped with run id + seed) and its
-  zero-overhead disabled form :data:`NULL_TRACER`;
+* :mod:`repro.obs.tracer` — the run-scoped :class:`Tracer` (complete
+  spans, instants, counters on named lanes, stamped with run id + seed;
+  a lane's spans never nest or overlap) and its zero-overhead disabled
+  form :data:`NULL_TRACER`;
 * :mod:`repro.obs.metrics` — :class:`MetricStream` of exact streamed
   histograms, so p50/p95/p99, goodput and utilisation are readable
   *while* a simulation is in flight;
 * :mod:`repro.obs.export` — Chrome Trace Event Format JSON (loads in
-  Perfetto / ``chrome://tracing``; lanes = tiles/workers/strategies),
-  the CI schema validator, and flat metrics JSON/CSV;
+  Perfetto / ``chrome://tracing``; lanes = tiles/workers/strategies;
+  every span one ``X`` event), the CI schema validator, and flat
+  metrics JSON/CSV;
 * :mod:`repro.obs.summary` — post-hoc trace digestion backing the
-  ``gemmini-repro trace`` subcommand (top spans by total/self time,
-  queue-vs-service split per lane, cache hit ratio).
+  ``gemmini-repro trace`` subcommand (top spans by total time, lane busy
+  as the sum of its spans, queue-vs-service split per lane, cache hit
+  ratio).
 
 Instrumented layers (`repro.serve.cluster`, `repro.eval.runner`,
 `repro.dse.engine`, `repro.sw.runtime`) accept a tracer/stream and default

@@ -3,10 +3,10 @@
 Aligns two Chrome-trace documents (``--trace-out`` artifacts) by **span
 stem** (``request[t0:3]`` folds into ``request``, matching
 :mod:`repro.obs.summary`) and by **lane** (``(process, lane)`` track),
-then reports per-stem count/total/self-time deltas and per-lane
-busy/queue deltas.  The complement of ``gemmini-repro regress``: the
-ledger says *that* p99 moved, the trace diff says *which spans* paid for
-it.  Backs ``gemmini-repro trace --diff A B``.
+then reports per-stem count/total-time deltas and per-lane busy/queue
+deltas (spans never nest, so a stem's total is all its own time).  The
+complement of ``gemmini-repro regress``: the ledger says *that* p99
+moved, the trace diff says *which spans* paid for it.  Backs ``gemmini-repro trace --diff A B``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class SpanDelta:
     count_b: int = 0
     total_us_a: float = 0.0
     total_us_b: float = 0.0
-    self_us_a: float = 0.0
-    self_us_b: float = 0.0
 
     @property
     def count_delta(self) -> int:
@@ -45,10 +43,6 @@ class SpanDelta:
     @property
     def total_delta_us(self) -> float:
         return self.total_us_b - self.total_us_a
-
-    @property
-    def self_delta_us(self) -> float:
-        return self.self_us_b - self.self_us_a
 
     @property
     def rel_total(self) -> float:
@@ -66,9 +60,6 @@ class SpanDelta:
             "total_us_a": self.total_us_a,
             "total_us_b": self.total_us_b,
             "total_delta_us": self.total_delta_us,
-            "self_us_a": self.self_us_a,
-            "self_us_b": self.self_us_b,
-            "self_delta_us": self.self_delta_us,
             "rel_total": self.rel_total,
         }
 
@@ -135,8 +126,6 @@ def diff_summaries(a: TraceSummary, b: TraceSummary) -> TraceDiff:
             count_b=sb.count if sb else 0,
             total_us_a=sa.total_us if sa else 0.0,
             total_us_b=sb.total_us if sb else 0.0,
-            self_us_a=sa.self_us if sa else 0.0,
-            self_us_b=sb.self_us if sb else 0.0,
         ))
         if sa is None:
             diff.only_b.append(stem)
@@ -193,13 +182,12 @@ def format_trace_diff(diff: TraceDiff, top: int = 10) -> str:
                 f"{d.total_us_a / 1e3:.3f}",
                 f"{d.total_us_b / 1e3:.3f}",
                 f"{d.total_delta_us / 1e3:+.3f}",
-                f"{d.self_delta_us / 1e3:+.3f}",
                 f"{d.rel_total:+.1%}",
             )
             for d in ranked
         ]
         parts.append(format_table(
-            ["span", "count", "A total ms", "B total ms", "Δtotal ms", "Δself ms", "rel"],
+            ["span", "count", "A total ms", "B total ms", "Δtotal ms", "rel"],
             rows,
             title=f"top {len(ranked)} span stems by |total-time delta|",
         ))

@@ -3,12 +3,13 @@
 The trace exporter shapes a :class:`~repro.obs.tracer.Tracer`'s raw events
 into the Chrome Trace Event Format (the JSON ``chrome://tracing`` and
 Perfetto load directly): every lane becomes one track (``tid``) inside its
-process group (``pid``), spans are emitted as balanced ``B``/``E`` pairs
-in non-decreasing timestamp order per track, instants as ``i`` and
-counters as ``C``.  :func:`validate_chrome_trace` is the schema contract
-CI enforces on exported traces — every event carries ``ph``/``ts``/
-``pid``/``tid``, begin/end are balanced per lane and timestamps are
-monotone within a lane.
+process group (``pid``), and each lane's events are written in timestamp
+order: every span as one complete ``X`` event (``ts`` + ``dur``), instants
+as ``i`` and counters as ``C``.  Spans never nest, so a span is exactly
+the event the tracer recorded.  :func:`validate_chrome_trace` is the
+schema contract CI enforces on exported traces — every event carries
+``ph``/``ts``/``pid``/``tid``, timestamps are monotone within a lane, and
+a lane's spans have non-negative durations and never overlap.
 
 Metrics exporters flatten a :class:`~repro.obs.metrics.MetricStream`'s
 snapshot history (plus the final state) into one JSON document or a CSV
@@ -72,66 +73,23 @@ def _lane_events(tracer: Tracer) -> dict[str, list[tuple]]:
 
 
 def _emit_lane(lane_events: list[tuple], scale: float, pid: int, tid: int) -> list[dict]:
-    """Shape one lane's tuples into ordered Chrome events.
-
-    Spans become ``B``/``E`` pairs via a sweep over (start, -end)-sorted
-    spans with an explicit open-span stack, which yields correct nesting
-    for laminar span families (the only kind the instrumentation emits:
-    every serial lane's spans are sequential or properly nested).
-    Timestamps are clamped monotone per lane as a defensive invariant —
-    the validator treats a backwards ``ts`` as a schema violation.
-    """
-    spans = [e for e in lane_events if e[0] == "X"]
-    points = [e for e in lane_events if e[0] != "X"]
-    spans.sort(key=lambda e: (e[3], -e[4]))
-    points.sort(key=lambda e: e[3])
-
+    """Shape one lane's tuples into Chrome events, in timestamp order
+    (a span sorts by its start; ties keep emission order)."""
     out: list[dict] = []
-    stack: list[tuple] = []  # ("X", lane, name, start, end, args)
-    pi = 0
-    last_ts = 0.0
-
-    def push(ph: str, name: str, ts: float, args=None, value=None) -> None:
-        nonlocal last_ts
-        ts = ts * scale
-        if ts < last_ts:
-            ts = last_ts
-        last_ts = ts
-        event: dict = {"name": name, "ph": ph, "ts": ts, "pid": pid, "tid": tid}
-        if ph == "C":
-            event["args"] = {name: value}
+    for event in sorted(lane_events, key=lambda e: e[3]):
+        ph, __, name, ts = event[:4]
+        shaped: dict = {"name": name, "ph": ph, "ts": ts * scale, "pid": pid, "tid": tid}
+        if ph == "X":
+            shaped["dur"] = (event[4] - ts) * scale
+            args = event[5]
         elif ph == "i":
-            event["s"] = "t"
-            if args:
-                event["args"] = args
-        elif args:
-            event["args"] = args
-        out.append(event)
-
-    def flush_points(until: float) -> None:
-        nonlocal pi
-        while pi < len(points) and points[pi][3] <= until:
-            e = points[pi]
-            if e[0] == "i":
-                push("i", e[2], e[3], args=e[4])
-            else:
-                push("C", e[2], e[3], value=e[4])
-            pi += 1
-
-    for span in spans:
-        __, __, name, start, end, args = span
-        while stack and stack[-1][4] <= start:
-            done = stack.pop()
-            flush_points(done[4])
-            push("E", done[2], done[4])
-        flush_points(start)
-        push("B", name, start, args=args)
-        stack.append(span)
-    while stack:
-        done = stack.pop()
-        flush_points(done[4])
-        push("E", done[2], done[4])
-    flush_points(float("inf"))
+            shaped["s"] = "t"
+            args = event[4]
+        else:
+            args = {name: event[4]}
+        if args:
+            shaped["args"] = args
+        out.append(shaped)
     return out
 
 
@@ -181,15 +139,20 @@ def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
 
 
 #: every phase the exporter can emit (the validator rejects others)
-_KNOWN_PHASES = {"B", "E", "X", "i", "C", "M"}
+_KNOWN_PHASES = {"X", "i", "C", "M"}
+
+#: relative slack for a span that ends where the next begins: ``ts + dur``
+#: of the first and ``ts`` of the second are scaled separately
+_ROUNDING = 1e-9
 
 
 def validate_chrome_trace(data: dict | list) -> list[str]:
     """Schema-check one exported trace; return violations (empty = valid).
 
     The CI contract: the document parses, every event carries ``ph``/
-    ``ts``/``pid``/``tid``, begin/end events are balanced (stack-matched
-    by name) per lane, and timestamps never go backwards within a lane.
+    ``ts``/``pid``/``tid``, timestamps never go backwards within a lane,
+    and every ``X`` span has a non-negative ``dur`` and starts no earlier
+    than the previous span on its lane ends (spans never nest or overlap).
     """
     events = data.get("traceEvents") if isinstance(data, dict) else data
     violations: list[str] = []
@@ -197,8 +160,8 @@ def validate_chrome_trace(data: dict | list) -> list[str]:
         return ["traceEvents missing or not a list"]
     if not events:
         violations.append("trace contains no events")
-    stacks: dict[tuple, list[str]] = {}
     last_ts: dict[tuple, float] = {}
+    span_end: dict[tuple, tuple[str, float]] = {}  # lane -> (name, end) of its last span
     for i, event in enumerate(events):
         if not isinstance(event, dict):
             violations.append(f"event {i}: not an object")
@@ -217,27 +180,24 @@ def validate_chrome_trace(data: dict | list) -> list[str]:
         if ph == "M":
             continue  # metadata is timeless
         lane = (event["pid"], event["tid"])
+        name = event.get("name")
         if ts < last_ts.get(lane, 0.0):
-            violations.append(
-                f"event {i} ({event.get('name')!r}): ts {ts} goes backwards in lane {lane}"
-            )
+            violations.append(f"event {i} ({name!r}): ts {ts} goes backwards in lane {lane}")
         last_ts[lane] = max(last_ts.get(lane, 0.0), float(ts))
-        if ph == "B":
-            stacks.setdefault(lane, []).append(event.get("name", "?"))
-        elif ph == "E":
-            stack = stacks.get(lane)
-            if not stack:
-                violations.append(f"event {i}: E without matching B in lane {lane}")
-            else:
-                opened = stack.pop()
-                name = event.get("name")
-                if name is not None and name != opened:
-                    violations.append(
-                        f"event {i}: E named {name!r} closes span {opened!r} in lane {lane}"
-                    )
-    for lane, stack in stacks.items():
-        if stack:
-            violations.append(f"lane {lane}: {len(stack)} unclosed span(s): {stack[-3:]}")
+        if ph != "X":
+            continue
+        dur = event.get("dur")
+        if not isinstance(dur, (int, float)) or dur < 0:
+            violations.append(f"event {i} ({name!r}): bad dur {dur!r}")
+            continue
+        previous = span_end.get(lane)
+        if previous is not None and ts < previous[1] - _ROUNDING * previous[1]:
+            violations.append(
+                f"event {i} ({name!r}): starts at {ts} before span {previous[0]!r} "
+                f"ends at {previous[1]} in lane {lane}"
+            )
+        if previous is None or ts + dur > previous[1]:
+            span_end[lane] = (name, ts + dur)
     return violations
 
 

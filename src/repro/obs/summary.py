@@ -3,8 +3,8 @@
 Consumes an exported Chrome-trace document (the ``--trace-out`` artifact)
 and reduces it to the questions a performance investigation starts with:
 
-* **top spans** by total and self time (self = duration minus nested
-  children, so a wrapper span does not double-count its workers),
+* **top spans** by total time (spans never nest, so a span's duration
+  is all its own and the totals of one lane add up to its busy time),
 * **queue vs service split per lane** — request spans carry their
   ``queue_ms`` in args, so each tile's track splits into time requests
   spent waiting versus executing,
@@ -46,7 +46,6 @@ class SpanStats:
     name: str
     count: int = 0
     total_us: float = 0.0
-    self_us: float = 0.0
     max_us: float = 0.0
 
     @property
@@ -61,7 +60,7 @@ class LaneStats:
     process: str
     lane: str
     spans: int = 0
-    busy_us: float = 0.0  # top-level span time booked on this lane
+    busy_us: float = 0.0  # summed span time booked on this lane
     queue_us: float = 0.0  # summed queue_ms args of this lane's spans
     first_us: float = float("inf")
     last_us: float = 0.0
@@ -105,7 +104,6 @@ class TraceSummary:
                 name: {
                     "count": s.count,
                     "total_us": s.total_us,
-                    "self_us": s.self_us,
                     "mean_us": s.mean_us,
                     "max_us": s.max_us,
                 }
@@ -150,9 +148,10 @@ class TraceSummary:
 def summarize_trace(data: dict | list) -> TraceSummary:
     """Reduce one Chrome-trace document to a :class:`TraceSummary`.
 
-    Only needs the schema :func:`~repro.obs.export.validate_chrome_trace`
-    enforces: B/E balanced per lane, monotone timestamps.  ``X`` events
-    (complete spans with ``dur``) are accepted too for foreign traces.
+    Reads the schema :func:`~repro.obs.export.validate_chrome_trace`
+    enforces: spans are complete ``X`` events (``ts`` + ``dur``) that
+    never overlap on a lane, so each span's duration counts once toward
+    its stem's total and its lane's busy time.
     """
     events = data.get("traceEvents", []) if isinstance(data, dict) else data
     metadata = data.get("metadata", {}) if isinstance(data, dict) else {}
@@ -183,53 +182,27 @@ def summarize_trace(data: dict | list) -> TraceSummary:
             stats = summary.lanes[key] = LaneStats(process=process, lane=lane)
         return stats
 
-    def record_span(pid, tid, name, start, end, args, depth, child_us) -> None:
-        duration = max(0.0, end - start)
-        stem = _stem(name)
-        stats = summary.spans.get(stem)
-        if stats is None:
-            stats = summary.spans[stem] = SpanStats(name=stem)
-        stats.count += 1
-        stats.total_us += duration
-        stats.self_us += max(0.0, duration - child_us)
-        stats.max_us = max(stats.max_us, duration)
-        summary.span_count += 1
-        lane = lane_stats(pid, tid)
-        lane.spans += 1
-        lane.first_us = min(lane.first_us, start)
-        lane.last_us = max(lane.last_us, end)
-        if depth == 0:
-            lane.busy_us += duration
-        queue_ms = (args or {}).get("queue_ms")
-        if isinstance(queue_ms, (int, float)):
-            lane.queue_us += queue_ms * 1e3
-
-    # Stack-replay B/E per lane; X events contribute directly.
-    open_spans: dict[tuple[int, int], list[list]] = {}  # [name, start, args, child_us]
     for event in events:
         ph = event.get("ph")
-        if ph not in ("B", "E", "X", "i", "C"):
-            continue
-        lane_key = (event.get("pid"), event.get("tid"))
-        if ph == "B":
-            open_spans.setdefault(lane_key, []).append(
-                [event.get("name", "?"), float(event["ts"]), event.get("args"), 0.0]
-            )
-        elif ph == "E":
-            stack = open_spans.get(lane_key)
-            if not stack:
-                continue  # unbalanced: validator's problem, not ours
-            name, start, args, child_us = stack.pop()
-            end = float(event["ts"])
-            if stack:
-                stack[-1][3] += max(0.0, end - start)
-            record_span(*lane_key, name, start, end, args, len(stack), child_us)
-        elif ph == "X":
+        if ph == "X":
             start = float(event["ts"])
-            end = start + float(event.get("dur", 0.0))
-            depth = len(open_spans.get(lane_key) or ())
-            record_span(*lane_key, event.get("name", "?"), start, end,
-                        event.get("args"), depth, 0.0)
+            duration = float(event.get("dur", 0.0))
+            stem = _stem(event.get("name", "?"))
+            stats = summary.spans.get(stem)
+            if stats is None:
+                stats = summary.spans[stem] = SpanStats(name=stem)
+            stats.count += 1
+            stats.total_us += duration
+            stats.max_us = max(stats.max_us, duration)
+            summary.span_count += 1
+            lane = lane_stats(event.get("pid"), event.get("tid"))
+            lane.spans += 1
+            lane.busy_us += duration
+            lane.first_us = min(lane.first_us, start)
+            lane.last_us = max(lane.last_us, start + duration)
+            queue_ms = (event.get("args") or {}).get("queue_ms")
+            if isinstance(queue_ms, (int, float)):
+                lane.queue_us += queue_ms * 1e3
         elif ph == "i":
             stem = _stem(event.get("name", "?"))
             summary.instants[stem] = summary.instants.get(stem, 0) + 1
@@ -265,14 +238,13 @@ def format_trace_summary(summary: TraceSummary, top: int = 10) -> str:
                 s.name,
                 str(s.count),
                 f"{s.total_us / 1e3:.3f}",
-                f"{s.self_us / 1e3:.3f}",
                 f"{s.mean_us / 1e3:.3f}",
                 f"{s.max_us / 1e3:.3f}",
             )
             for s in summary.top_by_total(top)
         ]
         parts.append(format_table(
-            ["span", "count", "total ms", "self ms", "mean ms", "max ms"],
+            ["span", "count", "total ms", "mean ms", "max ms"],
             rows,
             title=f"top {min(top, len(summary.spans))} spans by total time",
         ))

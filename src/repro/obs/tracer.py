@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-__all__ = ["Tracer", "NullTracer", "NULL_TRACER", "SpanHandle"]
+__all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
 
 
 def _default_run_id() -> str:
@@ -45,7 +45,7 @@ class Tracer:
     the in-flight cost of an enabled tracer to one tuple build per event.
     """
 
-    __slots__ = ("run_id", "seed", "ts_scale", "enabled", "_epoch", "_events", "_lanes", "_stacks")
+    __slots__ = ("run_id", "seed", "ts_scale", "enabled", "_epoch", "_events", "_lanes")
 
     def __init__(
         self,
@@ -64,7 +64,6 @@ class Tracer:
         self._events: list[tuple] = []
         #: lane -> (process, label, sort) declared display metadata
         self._lanes: dict[str, tuple[str, str, int | None]] = {}
-        self._stacks: dict[str, list[tuple]] = {}
 
     # -- construction helpers ------------------------------------------- #
 
@@ -115,25 +114,12 @@ class Tracer:
     def complete(
         self, lane: str, name: str, start: float, end: float, args: dict | None = None
     ) -> None:
-        """One finished span on ``lane`` — the workhorse primitive (the
-        simulators know both endpoints by the time anything is recorded)."""
+        """One finished span on ``lane`` — the only span primitive (the
+        simulators know both endpoints by the time anything is recorded).
+
+        Spans never nest: a lane's spans must not overlap, so each exports
+        as one Chrome ``X`` event and a lane's busy time is their sum."""
         self._events.append(("X", lane, name, start, end, args))
-
-    def begin(self, lane: str, name: str, ts: float, args: dict | None = None) -> None:
-        """Open a span on ``lane``; pair with :meth:`end` (stack per lane)."""
-        self._stacks.setdefault(lane, []).append((name, ts, args))
-
-    def end(self, lane: str, ts: float) -> None:
-        """Close the innermost open span on ``lane``."""
-        stack = self._stacks.get(lane)
-        if not stack:
-            raise ValueError(f"end() on lane {lane!r} with no open span")
-        name, start, args = stack.pop()
-        self._events.append(("X", lane, name, start, ts, args))
-
-    def span(self, lane: str, name: str, args: dict | None = None) -> "SpanHandle":
-        """Context manager recording a wall-clock span (uses :meth:`now`)."""
-        return SpanHandle(self, lane, name, args)
 
     def instant(self, lane: str, name: str, ts: float, args: dict | None = None) -> None:
         """A zero-duration marker (request arrival, cache hit, ...)."""
@@ -164,26 +150,6 @@ class Tracer:
         return f"Tracer({self.run_id!r}, seed={self.seed}, events={len(self._events)})"
 
 
-class SpanHandle:
-    """``with tracer.span(...)`` helper for wall-clock tracers."""
-
-    __slots__ = ("_tracer", "_lane", "_name", "_args", "start")
-
-    def __init__(self, tracer: Tracer, lane: str, name: str, args: dict | None) -> None:
-        self._tracer = tracer
-        self._lane = lane
-        self._name = name
-        self._args = args
-        self.start = 0.0
-
-    def __enter__(self) -> "SpanHandle":
-        self.start = self._tracer.now()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._tracer.complete(self._lane, self._name, self.start, self._tracer.now(), self._args)
-
-
 class NullTracer(Tracer):
     """The disabled tracer: every recording method is an empty body.
 
@@ -208,12 +174,6 @@ class NullTracer(Tracer):
         pass
 
     def complete(self, lane, name, start, end, args=None) -> None:
-        pass
-
-    def begin(self, lane, name, ts, args=None) -> None:
-        pass
-
-    def end(self, lane, ts) -> None:
         pass
 
     def instant(self, lane, name, ts, args=None) -> None:

@@ -129,8 +129,8 @@ class Runtime:
         _check_compiled_for(model, tile)
         self.tile = tile
         self.model = model
-        #: per-layer span sink (``run --trace-out``); the null singleton
-        #: keeps the layer loop free of tracing branches
+        #: per-layer span sink (``run --trace-out``); one span per layer,
+        #: recorded once the run has drained
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: no ``schedule_cache`` means greedy tiling for every matmul
         self.kernels = TileKernels(
@@ -235,6 +235,7 @@ class Runtime:
         layers: list[LayerStats] = []
         macro_ops = 0
         frontier = start  # completion frontier for marginal attribution
+        windows: list[float] = []  # the frontier before each layer
 
         for plan in self.model.plans:
             layer_start = controller.now
@@ -275,15 +276,9 @@ class Runtime:
             if self.sync_per_layer:
                 layer_end = max(layer_end, controller.drain())
             layer_end = max(layer_end, controller.now)
+            windows.append(frontier)
             marginal = max(0.0, layer_end - frontier)
             frontier = max(frontier, layer_end)
-            self.tracer.complete(
-                self.tile.name,
-                plan.name,
-                layer_start,
-                layer_end,
-                {"kind": plan.kind, "placement": plan.placement.value, "macs": plan.macs},
-            )
             layers.append(
                 LayerStats(
                     name=plan.name,
@@ -301,6 +296,20 @@ class Runtime:
         if layers:
             layers[-1].end_time = max(layers[-1].end_time, end)
             layers[-1].cycles += max(0.0, end - frontier)
+        if self.tracer:
+            # A layer's span is the window its ``cycles`` cover, from the
+            # completion frontier before it to the one after it (the final
+            # drain for the last layer): the spans tile the run, while
+            # dispatch-to-last-op intervals overlap under pipelining.
+            windows.append(end)
+            for layer, t0, t1 in zip(layers, windows, windows[1:]):
+                self.tracer.complete(self.tile.name, layer.name, t0, t1, {
+                    "kind": layer.kind,
+                    "placement": layer.placement,
+                    "macs": layer.macs,
+                    "dispatch_start": layer.start_time,
+                    "last_op_end": layer.end_time,
+                })
         yield end
         self._result = RunResult(
             model=self.model.name,

@@ -84,6 +84,7 @@ class TestRendering:
         assert doc["run_a"] == "a" and doc["run_b"] == "b"
         assert doc["spans"][0]["stem"] == "req"
         assert doc["spans"][0]["total_delta_us"] == 1_000.0
+        assert not any(key.startswith("self") for key in doc["spans"][0])
 
     def test_format_names_runs_and_stems(self):
         diff = diff_traces(

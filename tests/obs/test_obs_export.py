@@ -69,46 +69,45 @@ class TestChromeTraceShape:
 
     def test_ts_scaling_cycles_to_microseconds(self):
         t = Tracer.for_cycles(1.0)  # 1 GHz: 1000 cycles = 1 us
-        t.complete("lane", "w", 0.0, 1000.0)
-        data = to_chrome_trace(t)
-        begin = next(e for e in _events_of(data, "B"))
-        end = next(e for e in _events_of(data, "E"))
-        assert begin["ts"] == pytest.approx(0.0)
-        assert end["ts"] == pytest.approx(1.0)
+        t.complete("lane", "w", 500.0, 1500.0)
+        (span,) = _events_of(to_chrome_trace(t), "X")
+        assert span["ts"] == pytest.approx(0.5)
+        assert span["dur"] == pytest.approx(1.0)
 
-    def test_nested_spans_emit_laminar_begin_end(self):
+    def test_nested_spans_fail_validation(self):
+        # Spans never nest: a span inside another on its lane is an overlap.
         t = Tracer()
         t.complete("lane", "inner", 2.0, 4.0)
         t.complete("lane", "outer", 0.0, 10.0)
         data = to_chrome_trace(t)
-        seq = [(e["ph"], e["name"]) for e in data["traceEvents"] if e["ph"] in "BE"]
-        assert seq == [("B", "outer"), ("B", "inner"), ("E", "inner"), ("E", "outer")]
-        assert validate_chrome_trace(data) == []
+        assert [e["name"] for e in _events_of(data, "X")] == ["outer", "inner"]
+        (violation,) = validate_chrome_trace(data)
+        assert "before span 'outer' ends" in violation
 
     def test_sequential_spans_close_before_next_opens(self):
         t = Tracer()
-        t.complete("lane", "a", 0.0, 1.0)
-        t.complete("lane", "b", 1.0, 2.0)
-        seq = [
-            (e["ph"], e["name"])
-            for e in to_chrome_trace(t)["traceEvents"]
-            if e["ph"] in "BE"
-        ]
-        assert seq == [("B", "a"), ("E", "a"), ("B", "b"), ("E", "b")]
+        t.complete("lane", "b", 1.0, 3.0)
+        t.complete("lane", "a", 0.0, 1.0, {"k": 1})
+        data = to_chrome_trace(t)
+        assert {e["ph"] for e in data["traceEvents"]} == {"X", "M"}
+        spans = [(e["name"], e["ts"], e["dur"], e.get("args")) for e in _events_of(data, "X")]
+        assert spans == [("a", 0.0, 1.0, {"k": 1}), ("b", 1.0, 2.0, None)]
+        assert validate_chrome_trace(data) == []
 
     def test_instants_and_counters_interleave_in_order(self):
         t = Tracer()
         t.complete("lane", "w", 0.0, 10.0)
         t.instant("lane", "mark", 5.0, {"k": 1})
         t.counter("lane", "depth", 7.0, 3)
+        t.complete("lane", "v", 10.0, 12.0)
         data = to_chrome_trace(t)
         assert validate_chrome_trace(data) == []
         inst = next(e for e in _events_of(data, "i"))
         ctr = next(e for e in _events_of(data, "C"))
         assert inst["s"] == "t" and inst["args"] == {"k": 1}
         assert ctr["args"] == {"depth": 3}
-        kinds = [e["ph"] for e in data["traceEvents"] if e["ph"] in "BiCE"]
-        assert kinds == ["B", "i", "C", "E"]
+        kinds = [e["ph"] for e in data["traceEvents"] if e["ph"] != "M"]
+        assert kinds == ["X", "i", "C", "X"]
 
     def test_out_of_emission_order_spans_still_validate(self):
         t = Tracer()
@@ -134,7 +133,7 @@ class TestValidator:
         assert "no events" in validate_chrome_trace({"traceEvents": []})[0]
 
     def test_missing_required_keys(self):
-        out = validate_chrome_trace([{"ph": "B", "ts": 0}])
+        out = validate_chrome_trace([{"ph": "X", "ts": 0}])
         assert any("missing" in v for v in out)
 
     def test_unknown_phase(self):
@@ -157,9 +156,10 @@ class TestValidator:
         assert validate_chrome_trace(events) == []
 
     def test_unbalanced_begin(self):
+        # B/E pairs are not part of the schema: spans are complete X events.
         events = [{"ph": "B", "ts": 0, "pid": 1, "tid": 1, "name": "open"}]
         out = validate_chrome_trace(events)
-        assert any("unclosed" in v for v in out)
+        assert any("unknown phase 'B'" in v for v in out)
 
     def test_mismatched_end_name(self):
         events = [
@@ -167,12 +167,44 @@ class TestValidator:
             {"ph": "E", "ts": 1, "pid": 1, "tid": 1, "name": "b"},
         ]
         out = validate_chrome_trace(events)
-        assert any("closes span" in v for v in out)
+        assert len(out) == 2 and all("unknown phase" in v for v in out)
 
     def test_end_without_begin(self):
         events = [{"ph": "E", "ts": 1, "pid": 1, "tid": 1, "name": "a"}]
         out = validate_chrome_trace(events)
-        assert any("E without matching B" in v for v in out)
+        assert any("unknown phase 'E'" in v for v in out)
+
+    def test_overlapping_spans_in_lane(self):
+        events = [
+            {"ph": "X", "ts": 0, "dur": 10, "pid": 1, "tid": 1, "name": "outer"},
+            {"ph": "X", "ts": 2, "dur": 2, "pid": 1, "tid": 1, "name": "inner"},
+        ]
+        out = validate_chrome_trace(events)
+        assert any("before span 'outer' ends" in v for v in out)
+
+    def test_spans_overlapping_across_lanes_ok(self):
+        events = [
+            {"ph": "X", "ts": 0, "dur": 10, "pid": 1, "tid": 1, "name": "a"},
+            {"ph": "X", "ts": 2, "dur": 2, "pid": 1, "tid": 2, "name": "b"},
+        ]
+        assert validate_chrome_trace(events) == []
+
+    def test_abutting_spans_ok_despite_rounding(self):
+        # 0.1 + 0.2 > 0.3 in binary floating point: the first span's scaled
+        # end lands one ulp after the next span's scaled start.
+        events = [
+            {"ph": "X", "ts": 0.1, "dur": 0.2, "pid": 1, "tid": 1, "name": "a"},
+            {"ph": "X", "ts": 0.3, "dur": 1.0, "pid": 1, "tid": 1, "name": "b"},
+        ]
+        assert validate_chrome_trace(events) == []
+
+    @pytest.mark.parametrize("dur", [-1.0, None])
+    def test_negative_or_missing_dur(self, dur):
+        event = {"ph": "X", "ts": 0, "pid": 1, "tid": 1, "name": "a"}
+        if dur is not None:
+            event["dur"] = dur
+        out = validate_chrome_trace([event])
+        assert any("bad dur" in v for v in out)
 
 
 class TestMetricsExport:

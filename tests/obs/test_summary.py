@@ -22,9 +22,9 @@ def _sample_tracer():
     # Two request spans of the same family, with queueing args.
     t.complete("tile0", "teamA[0]", 0.0, 10.0, {"queue_ms": 2.0})
     t.complete("tile0", "teamA[1]", 10.0, 30.0, {"queue_ms": 0.5})
-    # A nested child inside a wrapper span on another lane.
+    # Two spans back to back on another lane.
     t.complete("tenant:a", "inner", 2.0, 4.0)
-    t.complete("tenant:a", "outer[x]", 0.0, 10.0)
+    t.complete("tenant:a", "outer[x]", 4.0, 10.0)
     t.instant("tile0", "arrival", 0.0)
     t.instant("tile0", "arrival", 5.0)
     t.counter("cache", "cache_hits", 1.0, 3)
@@ -60,12 +60,14 @@ class TestSummarize:
         assert team.mean_us == pytest.approx(15.0)
         assert s.span_count == 4
 
-    def test_self_time_excludes_children(self):
+    def test_lane_busy_is_sum_of_spans(self):
         s = summarize_trace(to_chrome_trace(_sample_tracer()))
-        outer = s.spans["outer"]
-        assert outer.total_us == pytest.approx(10.0)
-        assert outer.self_us == pytest.approx(8.0)  # minus the 2us inner
-        assert s.spans["inner"].self_us == pytest.approx(2.0)
+        assert s.spans["outer"].total_us == pytest.approx(6.0)
+        assert s.spans["inner"].total_us == pytest.approx(2.0)
+        lane = s.lanes[("traffic", "tenant:a")]
+        assert (lane.spans, lane.busy_us) == (2, pytest.approx(8.0))
+        assert lane.utilization == pytest.approx(1.0)  # 2..10 is all busy
+        assert "self_us" not in s.to_dict()["spans"]["outer"]
 
     def test_lane_queue_vs_service(self):
         s = summarize_trace(to_chrome_trace(_sample_tracer()))

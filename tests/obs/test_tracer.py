@@ -44,26 +44,10 @@ class TestEvents:
         assert kinds == ["i", "C"]
         assert t.span_count() == 0
 
-    def test_begin_end_stack_per_lane(self):
-        t = Tracer()
-        t.begin("lane", "outer", 0.0)
-        t.begin("lane", "inner", 1.0)
-        t.end("lane", 2.0)
-        t.end("lane", 3.0)
-        spans = [(e[2], e[3], e[4]) for e in t.events()]
-        assert spans == [("inner", 1.0, 2.0), ("outer", 0.0, 3.0)]
-
-    def test_end_without_begin_raises(self):
-        with pytest.raises(ValueError, match="no open span"):
-            Tracer().end("lane", 1.0)
-
-    def test_span_context_manager_uses_wall_clock(self):
-        t = Tracer.wall()
-        with t.span("lane", "work", {"x": 1}):
-            pass
-        ((ph, lane, name, start, end, args),) = t.events()
-        assert (ph, lane, name, args) == ("X", "lane", "work", {"x": 1})
-        assert 0.0 <= start <= end
+    def test_complete_is_the_only_span_primitive(self):
+        # Spans never nest: there is no begin/end stack or span context.
+        for name in ("begin", "end", "span"):
+            assert not hasattr(Tracer, name)
 
     def test_now_is_monotonic_enough(self):
         t = Tracer.wall()
@@ -96,8 +80,6 @@ class TestNullTracer:
         t = NullTracer()
         t.declare_lane("l", process="p")
         t.complete("l", "n", 0.0, 1.0, {"a": 1})
-        t.begin("l", "n", 0.0)
-        t.end("l", 1.0)  # must not raise despite no open span
         t.instant("l", "n", 0.0)
         t.counter("l", "n", 0.0, 1)
         assert t.events() == []

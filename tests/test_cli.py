@@ -456,7 +456,7 @@ class TestObservabilityFlags:
         import json
 
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"traceEvents": [{"ph": "B", "ts": 0}]}))
+        bad.write_text(json.dumps({"traceEvents": [{"ph": "X", "ts": 0}]}))
         assert main(["trace", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "INVALID" in err and "missing" in err
@@ -504,8 +504,20 @@ class TestObservabilityFlags:
         data = json.loads(trace.read_text())
         assert validate_chrome_trace(data) == []
         doc = json.loads(metrics.read_text())
-        assert doc["final"]["layers"] > 0
-        assert doc["final"]["layer_ms_p99"] >= doc["final"]["layer_ms_p50"]
+        final = doc["final"]
+        total_cycles = doc["snapshots"][-1]["total_cycles"]
+        assert final["layers"] > 0
+        assert final["layer_ms_p99"] >= final["layer_ms_p50"]
+        # One sample per layer of the cycles it adds: they sum to the run
+        # (1 GHz default clock: 1e6 cycles per ms).
+        assert final["layer_ms_mean"] * final["layer_ms_count"] == pytest.approx(
+            total_cycles / 1e6, rel=1e-9
+        )
+        spans = [e for e in data["traceEvents"] if e["ph"] == "X"]
+        assert len(spans) == final["layers"]
+        assert sum(e["dur"] for e in spans) == pytest.approx(
+            total_cycles / 1e3, rel=1e-9
+        )
 
     @pytest.mark.parametrize("metrics_name", ["m.json", "m.csv"])
     def test_artifacts_create_parent_directories(self, capsys, tmp_path, metrics_name):
@@ -762,7 +774,7 @@ class TestTraceJsonAndDiff:
         import json
 
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"traceEvents": [{"ph": "B", "ts": 0}]}))
+        bad.write_text(json.dumps({"traceEvents": [{"ph": "X", "ts": 0}]}))
         assert main(["trace", str(bad), "--json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["valid"] is False and doc["violations"]
