@@ -22,10 +22,18 @@ def bench_point(width: int) -> tuple:
     soc = make_soc(gemmini=cfg)
     soc.tile.vm.alloc(32 << 20, "arena")
     kernels = TileKernels(soc.tile)
+    controller = soc.tile.accel.controller
     base = 0x1000_0000
-    resadd = kernels.run_resadd(base, base + (8 << 20), base + (16 << 20), 1 << 20)
-    matmul = kernels.run_matmul(base, base + (8 << 20), base + (16 << 20), 512, 512, 512)
-    return (width, resadd.cycles, matmul.cycles)
+
+    def cycles(ops) -> float:
+        start = controller.now
+        for op in ops:
+            controller.issue(op)
+        return controller.drain() - start
+
+    resadd = cycles(kernels.resadd_ops(base, base + (8 << 20), base + (16 << 20), 1 << 20))
+    matmul = cycles(kernels.matmul_ops(base, base + (8 << 20), base + (16 << 20), 512, 512, 512))
+    return (width, resadd, matmul)
 
 
 def test_ablation_dma_bus_width(benchmark, emit, runner):

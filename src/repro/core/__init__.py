@@ -21,7 +21,7 @@ from repro.core.config import (
     vector_config,
 )
 from repro.core.controller import Controller, Op, Scoreboard
-from repro.core.dma import DMAEngine, DMAResult
+from repro.core.dma import DMAEngine
 from repro.core.dtypes import BF16, FP32, INT8, INT16, INT32, DType, dtype_by_name
 from repro.core.generator import (
     GeneratedAccelerator,
@@ -66,7 +66,6 @@ __all__ = [
     "Op",
     "Scoreboard",
     "DMAEngine",
-    "DMAResult",
     "BF16",
     "FP32",
     "INT8",

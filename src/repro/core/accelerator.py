@@ -131,20 +131,23 @@ class Accelerator:
         """Execute an instruction stream; returns cycles and counts.
 
         Functional side effects happen in program order; timing overlaps
-        across the decoupled units exactly as the scoreboard allows.
+        across the decoupled units exactly as the scoreboard allows.  The
+        program dispatches from ``start_time`` or the controller's clock,
+        whichever is later, and its cycles run from there to the drain.
         """
+        controller = self.controller
+        start = controller.advance_to(start_time)
         count = 0
-        end = start_time
         for inst in program:
-            end = max(end, self._step(inst, start_time))
+            self._step(inst)
             count += 1
-        end = max(end, self.controller.drain())
+        end = controller.drain()
         self.stats.add("instructions", count)
-        return ProgramResult(cycles=end - start_time, instructions=count)
+        return ProgramResult(cycles=end - start, instructions=count)
 
     # ------------------------------------------------------------------ #
 
-    def _step(self, inst: Instruction, start_time: float) -> float:
+    def _step(self, inst: Instruction) -> float:
         funct = inst.funct
         if funct is Funct.CONFIG:
             return self._do_config(inst)
@@ -157,9 +160,9 @@ class Accelerator:
         if funct in (Funct.COMPUTE_PRELOADED, Funct.COMPUTE_ACCUMULATE):
             return self._do_compute(inst)
         if funct in (Funct.FLUSH, Funct.FENCE):
-            result = self.controller.execute([Op(unit="exec", barrier=True)])
+            self.controller.issue(Op(unit="exec", barrier=True))
             if funct is Funct.FLUSH:
-                self._flush_os(result.end_time)
+                self._flush_os()
             return self.controller.drain()
         raise ValueError(f"unhandled instruction {inst!r}")
 
@@ -193,8 +196,7 @@ class Accelerator:
             state.pool_size = decoded.pool_size
             state.pool_stride = decoded.pool_stride
             state.pool_out_cols = decoded.pool_out_cols
-        result = self.controller.execute([Op(unit="exec", cycles=1.0, label="config")])
-        return result.end_time
+        return self.controller.issue(Op(unit="exec", cycles=1.0, label="config"))
 
     # -- MVIN ------------------------------------------------------------ #
 
@@ -237,20 +239,14 @@ class Accelerator:
             self.scratchpad.write(0.0, move.local.row, data)
 
         # Timing: DMA read from DRAM through the shared memory system.
-        dma = self.dma
         vaddr = move.dram_vaddr
-
-        def run(start: float, vaddr=vaddr, row_bytes=row_bytes, rows=rows, stride=stride):
-            return dma.transfer(start, vaddr, row_bytes, rows, stride, False, self.name).end_time
-
-        op = Op(
-            unit="load",
-            run=run,
+        return self.controller.issue(self.dma.op(
+            vaddr, row_bytes, rows, stride, False,
             reads=self._dram_tokens(vaddr, stride * rows),
             writes=self._row_tokens(move.local, rows),
             label="mvin",
-        )
-        return self.controller.execute([op]).end_time
+            requester=self.name,
+        ))
 
     # -- MVOUT ------------------------------------------------------------ #
 
@@ -262,7 +258,8 @@ class Accelerator:
         if state.pool_size:
             raise NotImplementedError(
                 "pooling-fused MVOUT is a kernel-level operation in this model; "
-                "use repro.sw.kernels.pooled_store"
+                "use repro.sw.kernels.TileKernels.matmul_ops(store_extra_cycles="
+                "TileKernels.pool_cycles(...)) or TileKernels.pool_ops"
             )
         cols, rows = move.cols, move.rows
 
@@ -291,20 +288,14 @@ class Accelerator:
         stride = state.st_stride if state.st_stride else row_bytes
         self.host.write_matrix(move.dram_vaddr, data, stride)
 
-        dma = self.dma
         vaddr = move.dram_vaddr
-
-        def run(start: float, vaddr=vaddr, row_bytes=row_bytes, rows=rows, stride=stride):
-            return dma.transfer(start, vaddr, row_bytes, rows, stride, True, self.name).end_time
-
-        op = Op(
-            unit="store",
-            run=run,
+        return self.controller.issue(self.dma.op(
+            vaddr, row_bytes, rows, stride, True,
             reads=self._row_tokens(move.local, rows),
             writes=self._dram_tokens(vaddr, stride * rows),
             label="mvout",
-        )
-        return self.controller.execute([op]).end_time
+            requester=self.name,
+        ))
 
     # -- PRELOAD ----------------------------------------------------------- #
 
@@ -335,7 +326,7 @@ class Accelerator:
                 reads = self._row_tokens(decoded.b, decoded.b_rows)
         else:
             # OS: drain previous results, then seed the array with D.
-            self._flush_os(self.controller.now)
+            self._flush_os()
             if decoded.b.garbage:
                 self.mesh.preload_os(None)
             else:
@@ -350,8 +341,7 @@ class Accelerator:
 
         # PRELOAD occupies the issue path only: the stationary operand streams
         # in through the same wavefront as the following COMPUTE.
-        op = Op(unit="exec", cycles=1.0, reads=reads, label="preload")
-        return self.controller.execute([op]).end_time
+        return self.controller.issue(Op(unit="exec", cycles=1.0, reads=reads, label="preload"))
 
     # -- COMPUTE ------------------------------------------------------------ #
 
@@ -417,7 +407,7 @@ class Accelerator:
             write_latency=float(fill_latency(self.config)),
             label="compute",
         )
-        return self.controller.execute([op]).end_time
+        return self.controller.issue(op)
 
     def _write_c(self, c: LocalAddr, result: np.ndarray) -> None:
         """Write a compute result to its C target (sp or accumulator)."""
@@ -432,7 +422,7 @@ class Accelerator:
         values = apply_activation(values, state.activation)
         self.scratchpad.write(0.0, c.row, self.config.input_type.saturate(values))
 
-    def _flush_os(self, now: float) -> None:
+    def _flush_os(self) -> None:
         """Drain output-stationary results into the pending C target."""
         pre = self._preload
         if self._exec.dataflow_ws or pre.c.garbage:
@@ -447,7 +437,7 @@ class Accelerator:
             writes=self._row_tokens(pre.c, rows),
             label="os_drain",
         )
-        self.controller.execute([op])
+        self.controller.issue(op)
         pre.c = LocalAddr.garbage_addr()
 
     # ================================================================== #
@@ -456,6 +446,7 @@ class Accelerator:
         self.scratchpad.reset()
         self.accumulator.reset()
         self.controller.reset()
+        self.dma.reset()
         self.xlat.reset()
         self.stats.reset()
         self._exec = _ExecState()

@@ -6,7 +6,10 @@ to three decoupled units — load (MVIN), execute (PRELOAD/COMPUTE) and store
 regions are free of hazards.  The same structure is used here at both
 instruction and macro-tile granularity: an :class:`Op` names the unit it
 occupies, the region tokens it reads and writes, and how long (or how) it
-runs.
+runs.  :meth:`Controller.issue` is the one issue path for both: the ISA
+executor issues one op per instruction, kernels issue their macro-op
+streams, and :meth:`Controller.drain` waits for what is in flight.  DMA ops
+come from :meth:`DMAEngine.op <repro.core.dma.DMAEngine.op>`.
 """
 
 from __future__ import annotations
@@ -54,11 +57,9 @@ class Scoreboard:
         reads: Iterable[Token],
         writes: Iterable[Token],
         read_end: float,
-        write_end: float | None = None,
+        write_end: float,
     ) -> None:
         """Record that an op used these regions (writes may land later)."""
-        if write_end is None:
-            write_end = read_end
         reads_seen = self._last_read_end
         writes_seen = self._last_write_end
         for token in reads:
@@ -110,14 +111,6 @@ class Op:
                 raise ValueError("exactly one of cycles/run must be set")
 
 
-@dataclass
-class ExecutionResult:
-    """Completion summary of one op sequence."""
-
-    end_time: float
-    ops_executed: int
-
-
 class Controller:
     """In-order dispatch, per-unit in-order execution, ROB-bounded overlap.
 
@@ -138,49 +131,23 @@ class Controller:
 
     # ------------------------------------------------------------------ #
 
-    def execute(self, ops: Iterable[Op], start_time: float = 0.0) -> ExecutionResult:
-        """Run ``ops`` in program order; returns the completion summary."""
-        if start_time > self._clock:
-            self._clock = start_time
-        count = 0
-        last_end = self._clock
-        for op in ops:
-            last_end = max(last_end, self.issue(op))
-            count += 1
-        return ExecutionResult(end_time=last_end, ops_executed=count)
-
     def issue(self, op: Op) -> float:
-        """Dispatch a single op; returns its completion time.
+        """Dispatch one op; returns its completion time.
 
-        Public so multi-core runtimes can interleave op issue across cores
-        (see :class:`repro.sim.engine.EventLoop`).  The interleaving is
-        by dispatch clock, not by the times the op books the shared bus, L2
-        and DRAM; those bookings are made in call order, so ops of different
-        cores do not reach shared state in global time order (ROADMAP item M).
+        This is the one way work reaches the units: kernels' macro-op
+        streams and the ISA executor's per-instruction ops both come
+        through here, so a multi-core runtime can interleave issue across
+        cores (see :class:`repro.sim.engine.EventLoop`).  The interleaving
+        is by dispatch clock, not by the times the op books the shared bus,
+        L2 and DRAM; those bookings are made in call order, so ops of
+        different cores do not reach shared state in global time order
+        (ROADMAP item M).
         """
-        return self._issue(op)
-
-    def drain(self) -> float:
-        """Wait for all in-flight ops; returns the drain completion time."""
-        end = max(self._inflight_ends, default=self._clock)
-        self._inflight_ends.clear()
-        self._clock = max(self._clock, end)
-        return self._clock
-
-    def advance_to(self, time: float) -> float:
-        """Move the dispatch clock forward (models host-CPU busy time)."""
-        if time > self._clock:
-            self._clock = time
-        return self._clock
-
-    # ------------------------------------------------------------------ #
-
-    def _issue(self, op: Op) -> float:
         # Front-end dispatch: one op per dispatch_cycles.
         self._clock += self.dispatch_cycles
 
         if op.barrier:
-            return self._barrier()
+            return self.drain()
 
         # ROB backpressure: dispatch stalls while the ROB is full.
         if len(self._inflight_ends) >= self.rob_entries:
@@ -209,10 +176,17 @@ class Controller:
             del self._inflight_ends[: -2 * self.rob_entries]
         return end
 
-    def _barrier(self) -> float:
+    def drain(self) -> float:
+        """Wait for all in-flight ops; returns the drain completion time."""
         end = max(self._inflight_ends, default=self._clock)
         self._inflight_ends.clear()
         self._clock = max(self._clock, end)
+        return self._clock
+
+    def advance_to(self, time: float) -> float:
+        """Move the dispatch clock forward (models host-CPU busy time)."""
+        if time > self._clock:
+            self._clock = time
         return self._clock
 
     def drain_bounds(self, ops: Sequence[Op]) -> Callable[[int], float]:
@@ -223,11 +197,11 @@ class Controller:
         rest of ``ops`` is at least ``bound(done)``, whatever the
         remaining ops' ``run`` callbacks return.
 
-        The bound relaxes :meth:`_issue`.  Each remaining op dispatches
+        The bound relaxes :meth:`issue`.  Each remaining op dispatches
         ``dispatch_cycles`` after the previous one, waits for its unit and
         its tokens (RAW, WAR, WAW) as the scoreboard makes it, takes its
         least duration (``cycles``, or ``floor`` for a ``run`` op) and
-        commits as ``_issue`` does; a barrier waits for the latest end.
+        commits as ``issue`` does; a barrier waits for the latest end.
         The ROB limit is dropped.  Every dropped rule and every longer
         duration only delays the real controller, so the relaxed drain is
         a lower bound on the real one.  The relaxed system is max-plus

@@ -18,30 +18,12 @@ those of simulating each row in turn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-from operator import add, sub
-
 from repro.core.config import GemminiConfig
+from repro.core.controller import Op, Token
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.tlb import TranslationSystem
 from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
-
-
-@dataclass
-class DMAResult:
-    """Timing summary of one MVIN/MVOUT-sized transfer."""
-
-    start_time: float
-    end_time: float
-    bytes_moved: int
-    tlb_requests: int
-    translation_stall: float
-
-    @property
-    def cycles(self) -> float:
-        return self.end_time - self.start_time
 
 
 class DMAEngine:
@@ -84,7 +66,7 @@ class DMAEngine:
     # ------------------------------------------------------------------ #
 
     def floor(self, bytes_per_row: int, nrows: int) -> float:
-        """A lower bound on ``transfer(now, ...).end_time - now`` for these rows.
+        """A lower bound on ``transfer(now, ...) - now`` for these rows.
 
         It holds whatever the TLBs, filter registers, L2 and DRAM hold and
         however busy the channel, PTW, bus and ports are, for any address,
@@ -125,10 +107,10 @@ class DMAEngine:
         stride_bytes: int,
         is_write: bool,
         requester: str = "",
-    ) -> DMAResult:
+    ) -> float:
         """Move ``nrows`` rows of ``bytes_per_row`` with a row stride.
 
-        Returns the transfer's timing summary.  Rows are pipelined on the
+        Returns the transfer's end time.  Rows are pipelined on the
         channel: the channel is occupied ``bytes/bus_width`` cycles per row
         while translation and memory latency overlap with later rows.
 
@@ -188,8 +170,6 @@ class DMAEngine:
         # TLB sizing study measures.
         xlat = self.xlat
         xl_start, xl_end, ppns = xlat.translate_chain(xl_earliest, vpns, is_write)
-        # Summed in request order, as a running ``+=`` would.
-        translation_stall = reduce(add, map(sub, xl_end, xl_start), 0.0)
         # Physical addresses come from the translation pass's PPNs; the page
         # table still counts one functional walk per request.
         paddrs = [ppn * page_bytes + offset for ppn, offset in zip(ppns, chunk_offset)]
@@ -216,14 +196,37 @@ class DMAEngine:
             self.recorder.log_translations(xl_start, xl_end, vpns, is_write)
             self.recorder.log_accesses(starts, ends, paddrs, chunk_bytes, is_write, requester)
 
-        bytes_moved = bytes_per_row * nrows
-        self.stats.add("bytes_written" if is_write else "bytes_read", bytes_moved)
+        self.stats.add("bytes_written" if is_write else "bytes_read", bytes_per_row * nrows)
         self.stats.add("rows", nrows)
         self.stats.add("transfers")
-        return DMAResult(
-            start_time=first_issue,
-            end_time=max(now, max(ends), frees[-1]),
-            bytes_moved=bytes_moved,
-            tlb_requests=len(vpns),
-            translation_stall=translation_stall,
-        )
+        return max(now, max(ends), frees[-1])
+
+    def op(
+        self,
+        vaddr: int,
+        bytes_per_row: int,
+        nrows: int,
+        stride: int,
+        is_write: bool,
+        reads: tuple[Token, ...],
+        writes: tuple[Token, ...],
+        label: str,
+        requester: str,
+    ) -> Op:
+        """The controller op that runs this transfer on the load or store unit.
+
+        The op's ``run`` calls :meth:`transfer` at the op's start, and its
+        ``floor`` is :meth:`floor` of the rows, which only the controller's
+        drain bound reads.
+        """
+
+        def run(start: float) -> float:
+            return self.transfer(start, vaddr, bytes_per_row, nrows, stride, is_write, requester)
+
+        return Op(unit="store" if is_write else "load", run=run, reads=reads, writes=writes,
+                  label=label, floor=self.floor(bytes_per_row, nrows))
+
+    def reset(self) -> None:
+        self.read_channel.reset()
+        self.write_channel.reset()
+        self.stats.reset()

@@ -450,6 +450,7 @@ class TranslationSystem:
         self.shared.flush()
         if self.filters is not None:
             self.filters.flush()
+        self.ptw.reset()
         self.stats.reset()
         self.miss_window.reset()
         self._last_vpn = {False: None, True: None}

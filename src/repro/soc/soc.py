@@ -78,7 +78,7 @@ class SoC:
             design = SoCDesign.homogeneous()
         self.design = design
         self.mem = MemorySystem(design.mem)
-        self._global_ptw = Timeline("soc.ptw") if design.global_ptw else None
+        global_ptw = Timeline("soc.ptw") if design.global_ptw else None
         self.tiles: list[SoCTile] = []
         for index, component in enumerate(design.expand()):
             gemmini = component.gemmini
@@ -89,9 +89,7 @@ class SoC:
                 asid=index,
             )
             host = HostMemory(page_bytes=gemmini.tlb.page_bytes)
-            ptw = self._global_ptw if self._global_ptw is not None else Timeline(
-                f"tile{index}.ptw"
-            )
+            ptw = global_ptw if global_ptw is not None else Timeline(f"tile{index}.ptw")
             accel = Accelerator(
                 gemmini,
                 mem=self.mem,
@@ -115,8 +113,6 @@ class SoC:
 
     def reset(self) -> None:
         self.mem.reset()
-        if self._global_ptw is not None:
-            self._global_ptw.reset()
         for tile in self.tiles:
             tile.accel.reset()
             tile.os.reset()

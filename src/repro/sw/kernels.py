@@ -1,18 +1,23 @@
 """Tuned accelerator kernels: tiled matmul, conv, residual-add, pooling.
 
 Each kernel lowers one layer into *macro-ops* for the accelerator's
-decoupled controller: DMA loads and stores run real address streams through
-the TLB and shared L2 (so translation and cache behaviour are exact), while
-compute ops carry closed-form cycle costs from
-:func:`~repro.core.spatial_array.matmul_cycles` (property-tested against the
-ISA-level simulator).  The double-buffered loop structure mirrors Gemmini's
-tuned C library: loads of iteration *n+1* overlap the matmul of iteration
-*n* through the scoreboard.
+decoupled controller: DMA loads and stores, built by
+:meth:`DMAEngine.op <repro.core.dma.DMAEngine.op>` as the ISA executor's
+MVIN/MVOUT ops are, run real address streams through the TLB and shared L2
+(so translation and cache behaviour are exact), while compute ops carry
+closed-form cycle costs from :func:`~repro.core.spatial_array.matmul_cycles`
+(property-tested against the ISA-level simulator).  The double-buffered
+loop structure mirrors Gemmini's tuned C library: loads of iteration *n+1*
+overlap the matmul of iteration *n* through the scoreboard.
+
+The kernels only yield ops; a caller puts them on the tile through
+:meth:`Controller.issue <repro.core.controller.Controller.issue>`, one op
+at a time, and waits with :meth:`~repro.core.controller.Controller.drain`
+(the runtime, the tuner's verification and the benchmarks all do).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.controller import Op
@@ -29,22 +34,6 @@ from repro.sw.tiling import MatmulTiling, plan_matmul_tiling
 #: and RoCC issue of the hardware-loop commands); the tuner's screen charges
 #: the same
 ISSUE_OVERHEAD = 8.0
-
-
-@dataclass
-class KernelResult:
-    """Timing summary of one kernel executed on a tile."""
-
-    start_time: float
-    end_time: float
-    ops_issued: int
-    macs: int = 0
-    bytes_loaded: int = 0
-    bytes_stored: int = 0
-
-    @property
-    def cycles(self) -> float:
-        return self.end_time - self.start_time
 
 
 class TileKernels:
@@ -97,52 +86,8 @@ class TileKernels:
         return plan_matmul_tiling(self.params, m, k, n)
 
     # ------------------------------------------------------------------ #
-    # DMA macro-op helpers                                                 #
+    # Compute macro-op helper                                              #
     # ------------------------------------------------------------------ #
-
-    def _load_op(
-        self,
-        vaddr: int,
-        bytes_per_row: int,
-        nrows: int,
-        stride: int,
-        writes: tuple,
-        reads: tuple = (),
-        label: str = "load",
-        traffic: str = "",
-    ) -> Op:
-        dma = self.accel.dma
-        requester = f"{self.accel.name}.{traffic}" if traffic else self.accel.name
-
-        def run(start: float) -> float:
-            return dma.transfer(
-                start, vaddr, bytes_per_row, nrows, stride, False, requester
-            ).end_time
-
-        return Op(unit="load", run=run, reads=reads, writes=writes, label=label,
-                  floor=dma.floor(bytes_per_row, nrows))
-
-    def _store_op(
-        self,
-        vaddr: int,
-        bytes_per_row: int,
-        nrows: int,
-        stride: int,
-        reads: tuple,
-        writes: tuple = (),
-        label: str = "store",
-        traffic: str = "",
-    ) -> Op:
-        dma = self.accel.dma
-        requester = f"{self.accel.name}.{traffic}" if traffic else self.accel.name
-
-        def run(start: float) -> float:
-            return dma.transfer(
-                start, vaddr, bytes_per_row, nrows, stride, True, requester
-            ).end_time
-
-        return Op(unit="store", run=run, reads=reads, writes=writes, label=label,
-                  floor=dma.floor(bytes_per_row, nrows))
 
     def _exec_op(self, cycles: float, reads: tuple, writes: tuple, label: str = "exec") -> Op:
         return Op(
@@ -185,6 +130,8 @@ class TileKernels:
         k^2-amplified patch matrix.
         """
         t = tiling or self.select_tiling(m, k, n)
+        dma = self.accel.dma
+        requester = self.accel.name
         # When the on-the-fly im2col unit feeds the array (a_bytes_scale =
         # 1/k^2), the A-side DMA walks the *raw input tensor*, not the
         # virtual patch matrix: offsets, row bytes and stride all shrink by
@@ -208,14 +155,16 @@ class TileKernels:
             if bias_vaddr is not None:
                 # Bias row broadcast into the accumulator tile.
                 m_cur, __, n_cur = t.clipped(i0, j0, 0)
-                yield self._load_op(
+                yield dma.op(
                     bias_vaddr + j0 * t.tile_n * 4,
                     bytes_per_row=n_cur * 4,
                     nrows=1,
                     stride=n_cur * 4,
+                    is_write=False,
                     writes=(c_buf,),
                     reads=(("t", bias_vaddr),),
                     label=f"{label}.bias",
+                    requester=requester,
                 )
             for k0 in range(t.outer_k):
                 m_cur, k_cur, n_cur = t.clipped(i0, j0, k0)
@@ -226,24 +175,28 @@ class TileKernels:
                     (i0 * t.tile_m * k + k0 * t.tile_k) * elem_bytes * a_bytes_scale
                 )
                 a_row_bytes = max(1, int(k_cur * elem_bytes * a_bytes_scale))
-                yield self._load_op(
+                yield dma.op(
                     a_tile_vaddr,
                     bytes_per_row=a_row_bytes,
                     nrows=m_cur,
                     stride=a_stride,
+                    is_write=False,
                     writes=(a_buf,),
                     reads=(("t", a_token),) if a_token is not None else (),
                     label=f"{label}.ldA",
+                    requester=requester,
                 )
                 b_tile_vaddr = b_vaddr + (k0 * t.tile_k * n + j0 * t.tile_n) * elem_bytes
-                yield self._load_op(
+                yield dma.op(
                     b_tile_vaddr,
                     bytes_per_row=n_cur * elem_bytes,
                     nrows=k_cur,
                     stride=b_stride,
+                    is_write=False,
                     writes=(b_buf,),
                     reads=(("t", b_token),) if b_token is not None else (),
                     label=f"{label}.ldB",
+                    requester=requester,
                 )
                 yield self._exec_op(
                     matmul_cycles(self.config, m_cur, k_cur, n_cur),
@@ -265,14 +218,16 @@ class TileKernels:
                     reads=(c_buf,),
                     label=f"{label}.pool",
                 )
-            yield self._store_op(
+            yield dma.op(
                 c_tile_vaddr,
                 bytes_per_row=n_cur * out_bytes,
                 nrows=store_rows,
                 stride=c_stride,
+                is_write=True,
                 reads=(c_buf,),
                 writes=(("t", c_token),) if c_token is not None else (),
                 label=f"{label}.st",
+                requester=requester,
             )
 
     # ------------------------------------------------------------------ #
@@ -376,6 +331,8 @@ class TileKernels:
         """
         kk = shape[1]
         per_channel = matmul_cycles(self.config, *shape)
+        dma = self.accel.dma
+        requester = self.accel.name
 
         # Tile channels so each group's I/O fits a scratchpad half.
         bytes_per_channel = conv.in_h * conv.in_w
@@ -389,23 +346,27 @@ class TileKernels:
             out_buf = ("dwC", label, index % 2)
             in_bytes = count * bytes_per_channel
             rows = max(1, conv.in_h)
-            yield self._load_op(
+            yield dma.op(
                 input_vaddr + done * bytes_per_channel,
                 bytes_per_row=max(1, in_bytes // rows),
                 nrows=rows,
                 stride=max(1, in_bytes // rows),
+                is_write=False,
                 writes=(in_buf,),
                 reads=(("t", in_token),) if in_token is not None else (),
                 label=f"{label}.ld",
+                requester=requester,
             )
-            yield self._load_op(
+            yield dma.op(
                 weight_vaddr + done * kk,
                 bytes_per_row=kk,
                 nrows=count,
                 stride=kk,
+                is_write=False,
                 writes=((label, "w"),),
                 reads=(("t", w_token),) if w_token is not None else (),
                 label=f"{label}.ldw",
+                requester=requester,
             )
             yield self._exec_op(
                 per_channel * count,
@@ -415,14 +376,16 @@ class TileKernels:
             )
             out_bytes = count * conv.out_h * conv.out_w
             out_rows = max(1, conv.out_h)
-            yield self._store_op(
+            yield dma.op(
                 output_vaddr + done * conv.out_h * conv.out_w,
                 bytes_per_row=max(1, out_bytes // out_rows),
                 nrows=out_rows,
                 stride=max(1, out_bytes // out_rows),
+                is_write=True,
                 reads=(out_buf,),
                 writes=(("t", out_token),) if out_token is not None else (),
                 label=f"{label}.st",
+                requester=requester,
             )
             done += count
             index += 1
@@ -450,6 +413,8 @@ class TileKernels:
         """
         if elements <= 0:
             raise ValueError("resadd needs at least one element")
+        dma = self.accel.dma
+        requester = self.accel.name
         row_bytes = 512
         acc_tile_bytes = (self.params.acc_rows // 2) * self.dim * 4
         tile_elems = max(row_bytes, (acc_tile_bytes // 4 // row_bytes) * row_bytes)
@@ -460,35 +425,38 @@ class TileKernels:
             rows = max(1, count // row_bytes)
             per_row = -(-count // rows)
             acc_buf = (label, index % 2)
-            yield self._load_op(
+            yield dma.op(
                 x_vaddr + offset,
                 bytes_per_row=per_row,
                 nrows=rows,
                 stride=per_row,
+                is_write=False,
                 writes=(acc_buf,),
                 reads=(("t", x_token),) if x_token is not None else (),
                 label=f"{label}.ldx",
-                traffic="resadd_x",
+                requester=f"{requester}.resadd_x",
             )
-            yield self._load_op(
+            yield dma.op(
                 y_vaddr + offset,
                 bytes_per_row=per_row,
                 nrows=rows,
                 stride=per_row,
+                is_write=False,
                 writes=(acc_buf,),
                 reads=(("t", y_token),) if y_token is not None else (),
                 label=f"{label}.ldy",
-                traffic="resadd_y",
+                requester=f"{requester}.resadd_y",
             )
-            yield self._store_op(
+            yield dma.op(
                 out_vaddr + offset,
                 bytes_per_row=per_row,
                 nrows=rows,
                 stride=per_row,
+                is_write=True,
                 reads=(acc_buf,),
                 writes=(("t", out_token),) if out_token is not None else (),
                 label=f"{label}.st",
-                traffic="resadd_st",
+                requester=f"{requester}.resadd_st",
             )
             offset += count
             index += 1
@@ -519,14 +487,18 @@ class TileKernels:
         in_rows = max(1, pool.in_h)
         out_rows = max(1, pool.out_h)
         buf = (label, "buf")
-        yield self._load_op(
+        dma = self.accel.dma
+        requester = self.accel.name
+        yield dma.op(
             input_vaddr,
             bytes_per_row=max(1, in_elems // in_rows),
             nrows=in_rows,
             stride=max(1, in_elems // in_rows),
+            is_write=False,
             writes=(buf,),
             reads=(("t", in_token),) if in_token is not None else (),
             label=f"{label}.ld",
+            requester=requester,
         )
         yield self._exec_op(
             self.pool_cycles(pool, channels),
@@ -534,35 +506,14 @@ class TileKernels:
             writes=((label, "out"),),
             label=f"{label}.ex",
         )
-        yield self._store_op(
+        yield dma.op(
             output_vaddr,
             bytes_per_row=max(1, out_elems // out_rows),
             nrows=out_rows,
             stride=max(1, out_elems // out_rows),
+            is_write=True,
             reads=((label, "out"),),
             writes=(("t", out_token),) if out_token is not None else (),
             label=f"{label}.st",
+            requester=requester,
         )
-
-    # ------------------------------------------------------------------ #
-    # Convenience single-shot execution                                    #
-    # ------------------------------------------------------------------ #
-
-    def run_ops(self, ops) -> KernelResult:
-        """Issue an op stream on the tile's controller and drain."""
-        controller = self.accel.controller
-        start = controller.now
-        count = 0
-        for op in ops:
-            controller.issue(op)
-            count += 1
-        end = controller.drain()
-        return KernelResult(start_time=start, end_time=end, ops_issued=count)
-
-    def run_matmul(self, a_vaddr, b_vaddr, c_vaddr, m, k, n, **kwargs) -> KernelResult:
-        result = self.run_ops(self.matmul_ops(a_vaddr, b_vaddr, c_vaddr, m, k, n, **kwargs))
-        result.macs = m * k * n
-        return result
-
-    def run_resadd(self, x_vaddr, y_vaddr, out_vaddr, elements, **kwargs) -> KernelResult:
-        return self.run_ops(self.resadd_ops(x_vaddr, y_vaddr, out_vaddr, elements, **kwargs))

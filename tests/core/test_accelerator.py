@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core import isa
 from repro.core.accelerator import Accelerator
-from repro.core.config import GemminiConfig
+from repro.core.config import GemminiConfig, default_config
 from repro.core.isa import LocalAddr
+from repro.sw.lowlevel import GemminiProgramBuilder
 
 
 DIM = 4
@@ -38,6 +39,35 @@ def ws_matmul_program(a_vaddr, b_vaddr, c_vaddr, m=DIM):
         isa.mvout(c_vaddr, LocalAddr.acc(0), DIM, m),
         isa.fence(),
     ]
+
+
+class TestProgramTiming:
+    """``run_program`` measures its own program: from where it starts (the
+    controller's clock or ``start_time``, whichever is later) to the drain."""
+
+    @staticmethod
+    def program(config):
+        builder = GemminiProgramBuilder(config)
+        builder.tiled_matmul_auto(0x1_0000, 0x2_0000, 0x3_0000, 32, 32, 32)
+        return builder.build()
+
+    def test_second_run_reports_its_own_cycles(self):
+        config = default_config()
+        accel = Accelerator(config)
+        first = accel.run_program(self.program(config))
+        start = accel.controller.now
+        second = accel.run_program(self.program(config))
+        assert first.cycles == start
+        assert second.cycles == accel.controller.now - start
+        assert 0 < second.cycles <= first.cycles  # warm TLB and L2
+
+    def test_start_time_advances_the_controller(self):
+        config = default_config()
+        reference = Accelerator(config).run_program(self.program(config))
+        accel = Accelerator(config)
+        delayed = accel.run_program(self.program(config), start_time=10_000.0)
+        assert delayed.cycles == reference.cycles
+        assert accel.controller.now == 10_000.0 + reference.cycles
 
 
 class TestWSMatmul:

@@ -159,6 +159,29 @@ class TestStorePath:
         with pytest.raises(NotImplementedError):
             accel.run_program(program)
 
+    def test_pooled_mvout_error_names_the_kernel_path(self, accel):
+        """The error points at fused pooling in the kernels, and every
+        ``TileKernels`` attribute it names exists."""
+        import inspect
+        import re
+
+        from repro.sw.kernels import TileKernels
+
+        program = [
+            isa.config_st(stride_bytes=DIM, pool_size=2, pool_stride=2),
+            isa.mvout(0x3000, LocalAddr.sp(0), DIM, DIM),
+        ]
+        with pytest.raises(
+            NotImplementedError, match=r"repro\.sw\.kernels\.TileKernels\.matmul_ops"
+        ) as raised:
+            accel.run_program(program)
+        message = str(raised.value)
+        names = set(re.findall(r"TileKernels\.(\w+)", message))
+        assert {"matmul_ops", "pool_cycles", "pool_ops"} <= names
+        assert all(hasattr(TileKernels, name) for name in names)
+        for keyword in re.findall(r"\((\w+)=", message):
+            assert keyword in inspect.signature(TileKernels.matmul_ops).parameters
+
 
 class TestErrorPaths:
     def test_mvin_to_garbage_rejected(self, accel):

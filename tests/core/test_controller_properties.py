@@ -27,6 +27,13 @@ op_strategy = st.builds(
 )
 
 
+def run(controller, ops):
+    """Issue ``ops`` in program order; returns the drain time."""
+    for op in ops:
+        controller.issue(op)
+    return controller.drain()
+
+
 def serial_end(ops, dispatch=1.0):
     """Reference: fully serialised execution."""
     return sum(op.cycles + dispatch for op in ops)
@@ -61,36 +68,25 @@ class TestControllerBounds:
     @given(st.lists(op_strategy, min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_never_slower_than_serial(self, ops):
-        controller = Controller(rob_entries=64)
-        result = controller.execute(ops)
-        end = controller.drain()
+        end = run(Controller(rob_entries=64), ops)
         assert end <= serial_end(ops) + 1e-6
-        assert result.ops_executed == len(ops)
 
     @given(st.lists(op_strategy, min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_respects_unit_busy_bound(self, ops):
-        controller = Controller(rob_entries=64, dispatch_cycles=0.0)
-        controller.execute(ops)
-        end = controller.drain()
+        end = run(Controller(rob_entries=64, dispatch_cycles=0.0), ops)
         assert end >= unit_busy_bound(ops) - 1e-6
 
     @given(st.lists(op_strategy, min_size=1, max_size=30))
     @settings(max_examples=50)
     def test_respects_dependency_critical_path(self, ops):
-        controller = Controller(rob_entries=64, dispatch_cycles=0.0)
-        controller.execute(ops)
-        end = controller.drain()
+        end = run(Controller(rob_entries=64, dispatch_cycles=0.0), ops)
         assert end >= critical_path_bound(ops) - 1e-6
 
     @given(st.lists(op_strategy, min_size=1, max_size=20))
     @settings(max_examples=30)
     def test_smaller_rob_never_faster(self, ops):
-        tight = Controller(rob_entries=1)
-        wide = Controller(rob_entries=64)
-        tight.execute(list(ops))
-        wide.execute(list(ops))
-        assert tight.drain() >= wide.drain() - 1e-6
+        assert run(Controller(rob_entries=1), ops) >= run(Controller(rob_entries=64), ops) - 1e-6
 
 
 def make_run(duration):
@@ -157,7 +153,7 @@ class TestDrainBounds:
     @settings(max_examples=100)
     def test_bound_is_the_drain_when_nothing_is_relaxed(self, ops, dispatch):
         """With a ROB that never fills and every ``run`` op taking exactly
-        its floor, the relaxation is ``_issue`` itself: every prefix's bound
+        its floor, the relaxation is ``issue`` itself: every prefix's bound
         is the drain, scaled down by the rounding allowance."""
         exact = [
             op if op.run is None else Op(

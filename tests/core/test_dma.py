@@ -24,24 +24,31 @@ def make_dma(small_config, private=16, shared=0, filters=False, vm=None):
     return dma, xlat, mem
 
 
+def requests(xlat, transfer):
+    """Translation requests made while ``transfer()`` runs."""
+    before = xlat.stats.value("requests")
+    transfer()
+    return xlat.stats.value("requests") - before
+
+
 class TestDMATransfers:
     def test_basic_read(self, small_config):
         dma, xlat, mem = make_dma(small_config)
-        result = dma.transfer(0.0, 0x10000, 64, 16, 64, is_write=False)
-        assert result.bytes_moved == 1024
-        assert result.end_time > result.start_time
+        start = dma.read_channel.peek(0.0)
+        end = dma.transfer(0.0, 0x10000, 64, 16, 64, is_write=False)
+        assert dma.stats.value("bytes_read") == 1024
+        assert end > start
         assert mem.dram.stats.value("reads") > 0
 
     def test_one_translation_per_page_per_row(self, small_config):
         dma, xlat, __ = make_dma(small_config)
         # 16 rows of 64 B inside one page: 16 translation requests.
-        result = dma.transfer(0.0, 0x10000, 64, 16, 64, False)
-        assert result.tlb_requests == 16
+        assert requests(xlat, lambda: dma.transfer(0.0, 0x10000, 64, 16, 64, False)) == 16
 
     def test_page_crossing_row_translates_twice(self, small_config):
-        dma, __, __mem = make_dma(small_config)
-        result = dma.transfer(0.0, 0x10FE0, 64, 1, 64, False)  # straddles 4K
-        assert result.tlb_requests == 2
+        dma, xlat, __mem = make_dma(small_config)
+        # One row straddling 4K.
+        assert requests(xlat, lambda: dma.transfer(0.0, 0x10FE0, 64, 1, 64, False)) == 2
 
     def test_write_uses_write_channel(self, small_config):
         dma, __, __mem = make_dma(small_config)
@@ -52,26 +59,37 @@ class TestDMATransfers:
 
     def test_read_write_channels_overlap(self, small_config):
         dma, __, __mem = make_dma(small_config)
-        r = dma.transfer(0.0, 0x1000, 256, 8, 256, False)
-        w = dma.transfer(0.0, 0x8000, 256, 8, 256, True)
+        read_end = dma.transfer(0.0, 0x1000, 256, 8, 256, False)
+        write_start = dma.write_channel.peek(0.0)
+        dma.transfer(0.0, 0x8000, 256, 8, 256, True)
         # The write channel did not queue behind the read channel.
-        assert w.start_time < r.end_time
+        assert write_start < read_end
 
     def test_tlb_miss_stalls_transfer(self, small_config):
-        dma_cold, __, __m = make_dma(small_config, private=16)
+        dma_cold, xlat_cold, __m = make_dma(small_config, private=16)
         cold = dma_cold.transfer(0.0, 0x10000, 64, 16, 64, False)
         dma_warm, xlat_warm, __m2 = make_dma(small_config, private=16)
         for vpn in range(0x10, 0x12):
             xlat_warm.translate_chain([0.0], [vpn], False)
-        warm = dma_warm.transfer(1000.0, 0x10000, 64, 16, 64, False)
-        assert warm.translation_stall < cold.translation_stall
+        walks = xlat_warm.stats.value("walks")
+        warm = dma_warm.transfer(1000.0, 0x10000, 64, 16, 64, False) - 1000.0
+        assert xlat_cold.stats.value("walks") == 1
+        assert xlat_warm.stats.value("walks") == walks  # no walk in the transfer
+        assert warm < cold
 
     def test_filter_registers_reduce_stall(self, small_config):
-        plain, __, __m = make_dma(small_config, private=1)
-        filt, __, __m2 = make_dma(small_config, private=1, filters=True)
+        plain, plain_xlat, __m = make_dma(small_config, private=1)
+        filt, filt_xlat, __m2 = make_dma(small_config, private=1, filters=True)
         a = plain.transfer(0.0, 0x10000, 64, 32, 64, False)
         b = filt.transfer(0.0, 0x10000, 64, 32, 64, False)
-        assert b.translation_stall < a.translation_stall
+        # Every same-page request after the first skips the private TLB,
+        # which the plain system looks up 32 times; the transfer is never
+        # slower for it (here the memory pass bounds both ends).
+        lookups = ("private_hits", "private_misses")
+        assert filt_xlat.stats.value("filter_hits") == 31
+        assert sum(map(filt_xlat.stats.value, lookups)) == 1
+        assert sum(map(plain_xlat.stats.value, lookups)) == 32
+        assert b <= a
 
     def test_virtual_to_physical_translation(self, small_config):
         vm = VirtualMemory(scattered=True)
@@ -99,14 +117,14 @@ class TestDMATransfers:
         wide, __, __m2 = make_dma(wide_cfg)
         t_narrow = narrow.transfer(0.0, 0x1000, 256, 64, 256, False)
         t_wide = wide.transfer(0.0, 0x1000, 256, 64, 256, False)
-        assert t_wide.cycles < t_narrow.cycles
+        assert t_wide < t_narrow
 
     def test_strided_rows_touch_more_pages(self, small_config):
-        dense, __, __m = make_dma(small_config)
-        sparse, __, __m2 = make_dma(small_config)
-        d = dense.transfer(0.0, 0x10000, 64, 16, 64, False)
-        s = sparse.transfer(0.0, 0x10000, 64, 16, 8192, False)
-        assert s.tlb_requests == d.tlb_requests  # same count...
+        dense, dense_xlat, __m = make_dma(small_config)
+        sparse, sparse_xlat, __m2 = make_dma(small_config)
+        d = requests(dense_xlat, lambda: dense.transfer(0.0, 0x10000, 64, 16, 64, False))
+        s = requests(sparse_xlat, lambda: sparse.transfer(0.0, 0x10000, 64, 16, 8192, False))
+        assert s == d  # same count...
         # ...but sparse touches 16 distinct pages: all misses.
         assert sparse.xlat.stats.value("walks") > dense.xlat.stats.value("walks")
 
@@ -126,18 +144,18 @@ class TestTranslationSerialisation:
     def test_miss_burst_throttles_stream(self, small_config):
         # Every row in a new page: each walk serialises behind the last.
         dma, xlat, __ = make_dma(small_config, private=2)
-        result = dma.transfer(0.0, 0x100000, 64, 8, 4096, False)
+        end = dma.transfer(0.0, 0x100000, 64, 8, 4096, False)
         walks = xlat.stats.value("walks")
         assert walks == 8
         # The stream cannot finish faster than the serialised walks.
-        assert result.end_time >= walks * xlat.config.walk_latency
+        assert end >= walks * xlat.config.walk_latency
 
     def test_hits_do_not_serialise_painfully(self, small_config):
         # Same page every row: one walk, then cheap private hits.
         dma, xlat, __ = make_dma(small_config, private=16)
-        result = dma.transfer(0.0, 0x100000, 64, 8, 64, False)
+        end = dma.transfer(0.0, 0x100000, 64, 8, 64, False)
         assert xlat.stats.value("walks") == 1
-        assert result.end_time < 8 * xlat.config.walk_latency
+        assert end < 8 * xlat.config.walk_latency
 
     def test_warm_tlb_faster_than_cold(self, small_config):
         cold, __, __m = make_dma(small_config, private=64)
@@ -145,28 +163,24 @@ class TestTranslationSerialisation:
         warm, xlat, __m2 = make_dma(small_config, private=64)
         for vpn in range(0x100, 0x110):
             xlat.translate_chain([0.0], [vpn], False)
-        b = warm.transfer(1e6, 0x100000, 64, 16, 4096, False)
-        assert b.cycles < a.cycles
+        b = warm.transfer(1e6, 0x100000, 64, 16, 4096, False) - 1e6
+        assert b < a
 
 
 def row_by_row(dma, now, vaddr, bytes_per_row, nrows, stride, is_write, requester=""):
     """A transfer made of one-element calls, row by row: every row books the
     channel, translates each page it touches, then moves its page-split
-    chunks one after another."""
+    chunks one after another.  Returns the transfer's end time."""
     channel = dma.write_channel if is_write else dma.read_channel
     page = dma.page_bytes
     occupancy = max(1.0, bytes_per_row / dma.config.dma_bus_bytes)
-    end, cursor, stall, requests, first = now, now, 0.0, 0, None
+    end, cursor = now, now
     for row in range(nrows):
         row_vaddr = vaddr + row * stride
         issue, free = channel.book(now, occupancy)
-        first = issue if first is None else first
         done = issue if issue > cursor else cursor
         for vpn in range(row_vaddr // page, (row_vaddr + bytes_per_row - 1) // page + 1):
-            translated = dma.xlat.translate_chain([done], [vpn], is_write)[1][0]
-            stall += translated - done
-            requests += 1
-            done = translated
+            done = dma.xlat.translate_chain([done], [vpn], is_write)[1][0]
         cursor = access = done
         at, remaining = row_vaddr, bytes_per_row
         while remaining:
@@ -177,7 +191,7 @@ def row_by_row(dma, now, vaddr, bytes_per_row, nrows, stride, is_write, requeste
             at += chunk
             remaining -= chunk
         end = max(end, access, free)
-    return (first, end, bytes_per_row * nrows, requests, stall)
+    return end
 
 
 def dma_state(dma):
@@ -217,10 +231,9 @@ def test_staged_transfer_matches_row_by_row(small_config, filters, scattered):
     staged, reference = twins
     now = 0.0
     for offset, row_bytes, rows, stride, is_write in TRANSFERS:
-        result = staged.transfer(now, base + offset, row_bytes, rows, stride, is_write, "g")
+        end = staged.transfer(now, base + offset, row_bytes, rows, stride, is_write, "g")
         expected = row_by_row(reference, now, base + offset, row_bytes, rows, stride, is_write, "g")
-        assert (result.start_time, result.end_time, result.bytes_moved, result.tlb_requests,
-                result.translation_stall) == expected
+        assert end == expected
         now += 150.0
     assert dma_state(staged) == dma_state(reference)
 
@@ -290,8 +303,8 @@ def test_transfer_never_ends_before_its_floor(
 
     now = 0.0
     for spec, gap in warm:
-        now = max(now, run(now, spec).end_time - gap)
+        now = max(now, run(now, spec) - gap)
     now += delay - 200.0  # sometimes before the channel and bus free
     __, row_bytes, rows, __, __ = transfer
-    end = run(now, transfer).end_time
+    end = run(now, transfer)
     assert end - now >= dma.floor(row_bytes, rows) - 2.0**-30 * end

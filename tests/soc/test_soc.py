@@ -1,10 +1,16 @@
 """Unit tests for SoC composition."""
 
+import pytest
+
 from repro.core.config import default_config
+from repro.core.generator import SoftwareParams
 from repro.mem.hierarchy import MemorySystemConfig
+from repro.models import build_model
 from repro.soc.components import SoCDesign, TileComponent
 from repro.soc.cpu import ROCKET
 from repro.soc.soc import SoC, make_soc
+from repro.sw.compiler import compile_graph
+from repro.sw.runtime import Runtime
 
 
 class TestSoC:
@@ -70,3 +76,38 @@ class TestSoC:
         soc = make_soc(gemmini=gem, mem=mem)
         assert soc.tile.accel.config.has_im2col
         assert soc.mem.bus.beat_bytes == 32
+
+
+def run_state(soc, result):
+    """Everything a squeezenet run leaves behind that a rerun must match."""
+    accel, mem = soc.tile.accel, soc.mem
+    registries = (accel.dma.stats, accel.xlat.stats, mem.l2.stats, mem.dram.stats,
+                  mem.bus.stats)
+    timelines = (accel.dma.read_channel, accel.dma.write_channel, accel.xlat.ptw,
+                 mem.bus.channel, mem.l2.port, mem.dram.channel)
+    return (
+        result.total_cycles,
+        result.macro_ops,
+        [registry.snapshot() for registry in registries],
+        [(t.next_free, t.busy_time, t.bookings) for t in timelines],
+    )
+
+
+@pytest.mark.parametrize(
+    "input_hw,im2col,global_ptw",
+    [(32, False, True), (64, True, True), (32, False, False)],
+    ids=["32px-host-im2col", "64px-im2col", "32px-tile-ptw"],
+)
+def test_rerun_after_reset_matches_a_fresh_soc(input_hw, im2col, global_ptw):
+    """``SoC.reset`` restores the initial state: the DMA channels and
+    counters, and the PTW (the shared one or each tile's own) included."""
+    config = default_config().with_im2col(im2col)
+    model = compile_graph(
+        build_model("squeezenet", input_hw=input_hw), SoftwareParams.from_config(config)
+    )
+    soc = SoC(SoCDesign.homogeneous(gemmini=config, global_ptw=global_ptw))
+    runtime = Runtime(soc.tile, model)
+    fresh = run_state(soc, runtime.run())
+    soc.reset()
+    rerun = Runtime(soc.tile, model, share_allocations_from=runtime).run()
+    assert run_state(soc, rerun) == fresh

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core import isa
+from repro.core.accelerator import Accelerator
 from repro.core.config import default_config
+from repro.core.isa import LocalAddr
 from repro.core.peripherals import ConvParams, PoolParams
 from repro.soc.soc import make_soc
 from repro.sw.compiler import LayerPlan, Placement
@@ -31,6 +34,15 @@ def host_kernels():
 BASE = 0x1000_0000
 
 
+def run_ops(k, ops):
+    """Issue ``ops`` on the tile's controller and drain; returns the cycles."""
+    controller = k.accel.controller
+    start = controller.now
+    for op in ops:
+        controller.issue(op)
+    return controller.drain() - start
+
+
 def dw_lowering(conv):
     """The compiler's ``(shape, channels)`` array lowering of a depthwise layer."""
     return LayerPlan("dw", "dwconv", Placement.ACCEL, ("x",), "y", conv=conv).array_matmul
@@ -56,15 +68,14 @@ class TestMatmulOps:
 
     def test_runs_to_completion(self, kernels):
         k, __ = kernels
-        result = k.run_matmul(BASE, BASE + (1 << 20), BASE + (2 << 20), 256, 256, 256)
-        assert result.cycles > 0
-        assert result.macs == 256 ** 3
+        ops = k.matmul_ops(BASE, BASE + (1 << 20), BASE + (2 << 20), 256, 256, 256)
+        assert run_ops(k, ops) > 0
 
     def test_bigger_matmul_takes_longer(self, kernels):
         k, soc = kernels
-        small = k.run_matmul(BASE, BASE + (1 << 20), BASE + (2 << 20), 128, 128, 128)
-        big = k.run_matmul(BASE, BASE + (1 << 20), BASE + (2 << 20), 512, 512, 512)
-        assert big.cycles > small.cycles
+        small = run_ops(k, k.matmul_ops(BASE, BASE + (1 << 20), BASE + (2 << 20), 128, 128, 128))
+        big = run_ops(k, k.matmul_ops(BASE, BASE + (1 << 20), BASE + (2 << 20), 512, 512, 512))
+        assert big > small
 
     def test_bias_adds_load(self, kernels):
         k, __ = kernels
@@ -79,7 +90,7 @@ class TestMatmulOps:
 
     def test_dma_traffic_goes_through_l2(self, kernels):
         k, soc = kernels
-        k.run_matmul(BASE, BASE + (1 << 20), BASE + (2 << 20), 256, 256, 256)
+        run_ops(k, k.matmul_ops(BASE, BASE + (1 << 20), BASE + (2 << 20), 256, 256, 256))
         assert soc.mem.l2.stats.value("accesses") > 0
 
     @pytest.mark.parametrize("m,k_dim,n", [(64, 64, 64), (300, 500, 700), (17, 33, 49)])
@@ -87,7 +98,7 @@ class TestMatmulOps:
         """Conservation: the kernel writes exactly M*N output bytes."""
         k, __ = kernels
         before = k.accel.dma.stats.value("bytes_written")
-        k.run_matmul(BASE, BASE + (8 << 20), BASE + (16 << 20), m, k_dim, n)
+        run_ops(k, k.matmul_ops(BASE, BASE + (8 << 20), BASE + (16 << 20), m, k_dim, n))
         assert k.accel.dma.stats.value("bytes_written") - before == m * n
 
     def test_load_traffic_at_least_operands(self, kernels):
@@ -95,7 +106,7 @@ class TestMatmulOps:
         k, __ = kernels
         m = k_dim = n = 512
         before = k.accel.dma.stats.value("bytes_read")
-        k.run_matmul(BASE, BASE + (8 << 20), BASE + (16 << 20), m, k_dim, n)
+        run_ops(k, k.matmul_ops(BASE, BASE + (8 << 20), BASE + (16 << 20), m, k_dim, n))
         read = k.accel.dma.stats.value("bytes_read") - before
         assert read >= m * k_dim + k_dim * n
 
@@ -143,13 +154,13 @@ class TestConvOps:
         conv = self.conv()
         k, soc = kernels
         ops, __c = k.conv_ops(conv, BASE, BASE + (1 << 20), BASE + (2 << 20))
-        k.run_ops(ops)
+        run_ops(k, ops)
         unit_bytes = soc.mem.bus.stats.value("bytes")
 
         k, soc = host_kernels
         ops, __c = k.conv_ops(conv, BASE, BASE + (1 << 20), BASE + (2 << 20),
                               im2col_vaddr=BASE + (3 << 20))
-        k.run_ops(ops)
+        run_ops(k, ops)
         cpu_bytes = soc.mem.bus.stats.value("bytes")
         assert unit_bytes < cpu_bytes  # k^2 patch amplification avoided
 
@@ -191,7 +202,7 @@ class TestResaddOps:
         elements = 1 << 20
         before_rd = k.accel.dma.stats.value("bytes_read")
         before_wr = k.accel.dma.stats.value("bytes_written")
-        k.run_resadd(BASE, BASE + (4 << 20), BASE + (8 << 20), elements)
+        run_ops(k, k.resadd_ops(BASE, BASE + (4 << 20), BASE + (8 << 20), elements))
         assert k.accel.dma.stats.value("bytes_read") - before_rd == 2 * elements
         assert k.accel.dma.stats.value("bytes_written") - before_wr == elements
 
@@ -212,3 +223,69 @@ class TestPoolOps:
         pool = PoolParams(size=2, stride=2, in_h=8, in_w=8)
         with pytest.raises(ValueError):
             k.pool_cycles(pool, 16)
+
+
+def spy_dma_ops(accel, monkeypatch):
+    """Watch ``accel``'s issue path: every issued op with a ``run`` must make
+    exactly one transfer and carry that transfer's ``DMAEngine.floor``.
+    Returns the list the checked ops are appended to."""
+    dma, controller = accel.dma, accel.controller
+    transfer, issue = dma.transfer, controller.issue
+    rows = []
+    checked = []
+
+    def spy_transfer(now, vaddr, bytes_per_row, nrows, *args):
+        rows.append((bytes_per_row, nrows))
+        return transfer(now, vaddr, bytes_per_row, nrows, *args)
+
+    def spy_issue(op):
+        before = len(rows)
+        end = issue(op)
+        if op.run is not None:
+            assert len(rows) == before + 1
+            assert op.floor == dma.floor(*rows[-1]) > 0.0
+            checked.append(op)
+        return end
+
+    monkeypatch.setattr(dma, "transfer", spy_transfer)
+    monkeypatch.setattr(controller, "issue", spy_issue)
+    return checked
+
+
+class TestDMAOpFloor:
+    """Kernels and the ISA executor build DMA ops the same way."""
+
+    def test_kernel_dma_ops_carry_their_floor(self, kernels, monkeypatch):
+        k, __ = kernels
+        checked = spy_dma_ops(k.accel, monkeypatch)
+        conv = ConvParams(in_h=8, in_w=8, in_ch=16, out_ch=16, kernel=3, padding=1)
+        pool = PoolParams(size=2, stride=2, in_h=8, in_w=8)
+        streams = [
+            k.matmul_ops(BASE, BASE + (1 << 20), BASE + (2 << 20), 64, 96, 64,
+                         bias_vaddr=BASE + (3 << 20)),
+            k.dwconv_ops(conv, *dw_lowering(conv), BASE, BASE + (1 << 20), BASE + (2 << 20)),
+            k.resadd_ops(BASE, BASE + (1 << 20), BASE + (2 << 20), 4096),
+            k.pool_ops(pool, 16, BASE, BASE + (1 << 20)),
+        ]
+        expected = 0
+        for ops in streams:
+            ops = list(ops)
+            expected += sum(op.unit in ("load", "store") and op.run is not None for op in ops)
+            run_ops(k, ops)
+        assert len(checked) == expected
+        assert {op.unit for op in checked} == {"load", "store"}
+
+    def test_isa_dma_ops_carry_their_floor(self, small_config, monkeypatch):
+        accel = Accelerator(small_config)
+        checked = spy_dma_ops(accel, monkeypatch)
+        accel.run_program([
+            isa.config_ld(stride_bytes=8),
+            isa.config_st(stride_bytes=16),
+            isa.mvin(0x1000, LocalAddr.sp(0), 4, 4),
+            isa.mvin(0x2000, LocalAddr.acc(0), 2, 3),
+            isa.mvout(0x3000, LocalAddr.sp(0), 4, 4),
+            isa.fence(),
+        ])
+        assert [(op.unit, op.label) for op in checked] == [
+            ("load", "mvin"), ("load", "mvin"), ("store", "mvout"),
+        ]

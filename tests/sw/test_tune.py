@@ -143,11 +143,13 @@ class TestDeterminism:
             kernels = TileKernels(soc.tile, schedule_cache=cache)
             tiling = kernels.select_tiling(40, 24, 40)
             vm = soc.tile.vm
-            result = kernels.run_matmul(
+            controller = soc.tile.accel.controller
+            for op in kernels.matmul_ops(
                 vm.alloc(40 * 24, "A"), vm.alloc(24 * 40, "B"),
                 vm.alloc(40 * 40, "C"), 40, 24, 40, tiling=tiling,
-            )
-            return tiling.to_dict(), result.cycles
+            ):
+                controller.issue(op)
+            return tiling.to_dict(), controller.drain()
 
         first, second = run_once(), run_once()
         assert first == second
